@@ -218,26 +218,19 @@ let check_rank t (buf : Value.buffer) =
 
    Taped closures are compiled into a separate function table and only
    ever run under an instrumented context, so the hook lookup cannot fail
-   on well-formed entries. [Interp.instrument.record] charges
-   [tape_record] through the Sim strand clock, so the engine clock is
-   bridged across every record call. *)
+   on well-formed entries. [record] tapes one statement of at most two
+   operands; [Interp.instrument.record] charges [tape_record] through the
+   Sim strand clock, so the engine clock is bridged across every call. *)
 
 let tape_ins t =
   match t.ctx.Interp.instrument with
   | Some i -> i
   | None -> error "engine: taped code run without instrumentation"
 
-let record1 t s1 p1 =
+let record t s1 p1 s2 p2 =
   let ins = tape_ins t in
   sync_out t;
-  let s = ins.Interp.record [ s1, p1 ] in
-  sync_in t;
-  s
-
-let record2 t s1 p1 s2 p2 =
-  let ins = tape_ins t in
-  sync_out t;
-  let s = ins.Interp.record [ s1, p1; s2, p2 ] in
+  let s = ins.Interp.record s1 p1 s2 p2 in
   sync_in t;
   s
 
@@ -1273,7 +1266,7 @@ and compile_straight env (i : Instr.t) : sc =
         let old = Value.to_float (Memory.load ~who:fname ptr idx) in
         Memory.store ~who:fname ptr idx (VFloat (old +. x_rd fr)));
       let bs = tape_buf_slots t ptr.buf in
-      bs.(i) <- record2 t bs.(i) 1.0 fr.sl.(sx) 1.0
+      bs.(i) <- record t bs.(i) 1.0 fr.sl.(sx) 1.0
   | Instr.AtomicAdd (p, ix, x) ->
     let p_rd = reader env p
     and ix_rd = ird env ix
@@ -1543,7 +1536,7 @@ and compile_fbin_taped env v op a b : sc =
          else t.cost.Cost_model.transcendental);
       fr.f.(d) <- r;
       let px, py = Interp.bin_partials op x y r in
-      fr.sl.(d) <- record2 t fr.sl.(sa) px fr.sl.(sb) py
+      fr.sl.(d) <- record t fr.sl.(sa) px fr.sl.(sb) py
   | _ ->
     let eval : float -> float -> float =
       match op with
@@ -1562,7 +1555,7 @@ and compile_fbin_taped env v op a b : sc =
       charge t t.cost.Cost_model.arith;
       fr.f.(d) <- r;
       let px, py = Interp.bin_partials op x y r in
-      fr.sl.(d) <- record2 t fr.sl.(sa) px fr.sl.(sb) py
+      fr.sl.(d) <- record t fr.sl.(sa) px fr.sl.(sb) py
 
 and compile_ibin env v op a b : sc =
   let sa = slot env a
@@ -1693,7 +1686,7 @@ and compile_un env v op a : sc =
          (if get_remat t > 0 then t.cost.Cost_model.transcendental_remat
           else t.cost.Cost_model.transcendental);
        fr.f.(d) <- r;
-       fr.sl.(d) <- record1 t fr.sl.(sa) (Interp.un_partial op x r)
+       fr.sl.(d) <- record t fr.sl.(sa) (Interp.un_partial op x r) 0 0.0
     in
     let plain_taped f : sc =
       fun t fr ->
@@ -1701,7 +1694,7 @@ and compile_un env v op a : sc =
        let r = f x in
        charge t t.cost.Cost_model.arith;
        fr.f.(d) <- r;
-       fr.sl.(d) <- record1 t fr.sl.(sa) (Interp.un_partial op x r)
+       fr.sl.(d) <- record t fr.sl.(sa) (Interp.un_partial op x r) 0 0.0
     in
     let transc = if env.taped then transc_taped else transc
     and plain = if env.taped then plain_taped else plain in
@@ -1737,9 +1730,8 @@ and compile_un env v op a : sc =
       let r = float_of_int fr.i.(sa) in
       charge t t.cost.Cost_model.arith;
       fr.f.(d) <- r;
-      (* int sources are passive; the interpreter records [slot 0, 0.0]
-         which the tape short-circuits to the passive slot *)
-      fr.sl.(d) <- record1 t 0 (Interp.un_partial op 0.0 r)
+      (* int sources are passive: nothing is taped *)
+      fr.sl.(d) <- 0
     else fun t fr ->
       let r = float_of_int fr.i.(sa) in
       charge t t.cost.Cost_model.arith;

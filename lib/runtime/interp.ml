@@ -17,8 +17,10 @@ open Value
 exception Interp_error = Value.Runtime_error
 
 type instrument = {
-  record : (int * float) list -> int;
-      (** record one statement; returns the lhs slot (0 if passive) *)
+  record : int -> float -> int -> float -> int;
+      (** [record s1 p1 s2 p2] records one statement of at most two
+          operands (a one-operand statement passes [0 0.0] second);
+          returns the lhs slot (0 if passive) *)
   buf_slots : Value.buffer -> int array;  (** side slot array of a buffer *)
   send_hook : peer:int -> tag:int -> slots:int array -> unit;
   recv_hook : peer:int -> tag:int -> count:int -> int array;
@@ -496,8 +498,7 @@ and exec_instr ctx e (i : Instr.t) : outcome =
     (match ctx.instrument, x, y, r with
     | Some ins, VFloat xf, VFloat yf, VFloat rf ->
       let px, py = bin_partials op xf yf rf in
-      set_slot fr v
-        (ins.record [ get_slot fr a, px; get_slot fr b, py ])
+      set_slot fr v (ins.record (get_slot fr a) px (get_slot fr b) py)
     | _ -> set_slot fr v 0);
     ONext
   | Cmp (v, op, a, b) ->
@@ -530,7 +531,7 @@ and exec_instr ctx e (i : Instr.t) : outcome =
     set fr v r;
     (match ctx.instrument, x, r with
     | Some ins, VFloat xf, VFloat rf ->
-      set_slot fr v (ins.record [ get_slot fr a, un_partial op xf rf ])
+      set_slot fr v (ins.record (get_slot fr a) (un_partial op xf rf) 0 0.0)
     | _ -> set_slot fr v 0);
     ONext
   | Select (v, cond, a, b) ->
@@ -675,7 +676,7 @@ and exec_instr ctx e (i : Instr.t) : outcome =
     | Some ins ->
       let slots = ins.buf_slots ptr.buf in
       let i = ptr.off + idx in
-      slots.(i) <- ins.record [ slots.(i), 1.0; get_slot fr x, 1.0 ]
+      slots.(i) <- ins.record slots.(i) 1.0 (get_slot fr x) 1.0
     | None -> ());
     ONext
   | Call (v, name, args) ->

@@ -2,11 +2,16 @@
     evaluation, with an adjoint-MPI extension (the AMPI-style libraries of
     §II).
 
-    Instead of transforming code, the interpreter is instrumented: every
-    executed float statement appends a (lhs-slot, (arg-slot, partial)...)
-    entry to a per-rank Jacobian tape, memory cells carry slots in side
-    arrays, and MPI operations append communication entries. The reverse
-    sweep interprets the tape backwards, exchanging adjoints over the same
+    Instead of transforming code, the interpreter is instrumented: memory
+    cells carry slots in side arrays, and every executed active float
+    statement appends one row to a per-rank Jacobian tape. The tape is a
+    structure of arrays: row [r] is [lhs.(r) = s1.(r) * p1.(r) +
+    s2.(r) * p2.(r)] in slot/partial columns (every statement has at most
+    two operands; slot 0 is passive, so one-operand rows carry [s2 = 0]).
+    MPI operations append communication entries to a short side list, each
+    tagged with the row count at the moment it was recorded. The reverse
+    sweep is one tight backward loop over the columns that stops at each
+    communication entry's row position to exchange adjoints over the same
     (simulated) network in reversed order.
 
     Like CoDiPack, the baseline cannot differentiate fork/join or task
@@ -15,17 +20,16 @@
     paper's comparison setup (CoDiPack cannot differentiate OpenMP
     LULESH).
 
-    Costs: each recorded statement charges [tape_record], each reversed
-    one [tape_reverse] — the "high serial gradient overhead" whose
-    interaction with MPI scaling Fig 8 dissects. *)
+    Costs: each recorded row charges [tape_record]; each reversed row and
+    communication entry charges [tape_reverse] — the "high serial gradient
+    overhead" whose interaction with MPI scaling Fig 8 dissects. *)
 
 open Parad_runtime
 open Value
 
 type kind = KSum | KMin | KMax
 
-type entry =
-  | Stmt of { lhs : int; args : (int * float) array }
+type comm =
   | Send of { peer : int; tag : int; slots : int array }
   | Recv of { peer : int; tag : int; slots : int array }
   | Allreduce of {
@@ -39,8 +43,14 @@ type entry =
 
 type t = {
   rank : int;
-  mutable entries : entry array;
-  mutable n : int;
+  mutable rows : int;
+  mutable lhs : int array;
+  mutable s1 : int array;
+  mutable p1 : float array;
+  mutable s2 : int array;
+  mutable p2 : float array;
+  mutable comms : (int * comm) list;
+      (** newest first, each with the row count when it was recorded *)
   mutable next_slot : int;  (** slot 0 is the passive slot *)
   buf_slots : (int, int array) Hashtbl.t;
   activated : (int, int array) Hashtbl.t;
@@ -48,32 +58,68 @@ type t = {
 }
 
 let create ~rank =
+  let cap = 1024 in
   {
     rank;
-    entries = Array.make 1024 (Stmt { lhs = 0; args = [||] });
-    n = 0;
+    rows = 0;
+    lhs = Array.make cap 0;
+    s1 = Array.make cap 0;
+    p1 = Array.make cap 0.0;
+    s2 = Array.make cap 0;
+    p2 = Array.make cap 0.0;
+    comms = [];
     next_slot = 1;
     buf_slots = Hashtbl.create 64;
     activated = Hashtbl.create 8;
   }
 
-let length t = t.n
-let slots t = t.next_slot
+(** Rows plus communication entries. *)
+let length t = t.rows + List.length t.comms
 
-let push t e =
-  if t.n = Array.length t.entries then begin
-    let bigger = Array.make (2 * t.n) e in
-    Array.blit t.entries 0 bigger 0 t.n;
-    t.entries <- bigger
-  end;
-  t.entries.(t.n) <- e;
-  t.n <- t.n + 1;
-  (Sim.stats ()).Stats.tape_entries <- (Sim.stats ()).Stats.tape_entries + 1
+let count_entry () =
+  let st = Sim.stats () in
+  st.Stats.tape_entries <- st.Stats.tape_entries + 1
 
 let fresh t =
   let s = t.next_slot in
   t.next_slot <- s + 1;
   s
+
+let grow t =
+  let n = t.rows in
+  let widen a zero =
+    let b = Array.make (2 * n) zero in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  t.lhs <- widen t.lhs 0;
+  t.s1 <- widen t.s1 0;
+  t.p1 <- widen t.p1 0.0;
+  t.s2 <- widen t.s2 0;
+  t.p2 <- widen t.p2 0.0
+
+(* Record [lhs = s1 * p1 + s2 * p2]; an all-passive statement is not
+   taped and yields the passive slot. *)
+let record t s1 p1 s2 p2 =
+  if s1 = 0 && s2 = 0 then 0
+  else begin
+    Sim.charge (Sim.cost ()).Cost_model.tape_record;
+    let lhs = fresh t in
+    let r = t.rows in
+    if r = Array.length t.lhs then grow t;
+    t.lhs.(r) <- lhs;
+    t.s1.(r) <- s1;
+    t.p1.(r) <- p1;
+    t.s2.(r) <- s2;
+    t.p2.(r) <- p2;
+    t.rows <- r + 1;
+    count_entry ();
+    lhs
+  end
+
+let push_comm t c =
+  t.comms <- (t.rows, c) :: t.comms;
+  count_entry ()
 
 let buf_slots t (buf : buffer) =
   match Hashtbl.find_opt t.buf_slots buf.bid with
@@ -99,22 +145,14 @@ let activate t (v : Value.t) =
 (** The interpreter instrumentation hooks. *)
 let instrument t : Interp.instrument =
   {
-    Interp.record =
-      (fun args ->
-        if List.for_all (fun (s, _) -> s = 0) args then 0
-        else begin
-          Sim.charge (Sim.cost ()).Cost_model.tape_record;
-          let lhs = fresh t in
-          push t (Stmt { lhs; args = Array.of_list args });
-          lhs
-        end);
+    Interp.record = record t;
     buf_slots = (fun buf -> buf_slots t buf);
     send_hook =
-      (fun ~peer ~tag ~slots -> push t (Send { peer; tag; slots }));
+      (fun ~peer ~tag ~slots -> push_comm t (Send { peer; tag; slots }));
     recv_hook =
       (fun ~peer ~tag ~count ->
         let slots = Array.init count (fun _ -> fresh t) in
-        push t (Recv { peer; tag; slots });
+        push_comm t (Recv { peer; tag; slots });
         slots);
     allreduce_hook =
       (fun ~kind ~ins:(in_vals, in_slots) ~outs ->
@@ -122,7 +160,7 @@ let instrument t : Interp.instrument =
           match kind with `Sum -> KSum | `Min -> KMin | `Max -> KMax
         in
         let out_slots = Array.map (fun _ -> fresh t) outs in
-        push t
+        push_comm t
           (Allreduce
              { kind; in_slots; in_vals; out_slots; out_vals = Array.copy outs });
         out_slots);
@@ -130,12 +168,12 @@ let instrument t : Interp.instrument =
       (fun ~root ~count ~slots ->
         ignore count;
         if t.rank = root then begin
-          push t (Bcast { root; in_slots = slots; out_slots = slots });
+          push_comm t (Bcast { root; in_slots = slots; out_slots = slots });
           slots
         end
         else begin
           let out = Array.map (fun _ -> fresh t) slots in
-          push t (Bcast { root; in_slots = [||]; out_slots = out });
+          push_comm t (Bcast { root; in_slots = [||]; out_slots = out });
           out
         end);
   }
@@ -185,13 +223,10 @@ let mpi_of (ctx : Interp.ctx) =
   | Some m -> m
   | None -> error "tape reverse: MPI entry outside an SPMD run"
 
-(* Reverse one communication entry: the network part of the sweep,
-   shared by the entry-interpreting sweep and the lowered program.
-   [Stmt] entries never reach it. *)
+(* Reverse one communication entry: the network part of the sweep. *)
 let reverse_comm adj (ctx : Interp.ctx) entry =
   let mpi () = mpi_of ctx in
   match entry with
-  | Stmt _ -> assert false
   | Send { peer; tag; slots } ->
       (* reverse of a send: receive the adjoint contribution *)
       let n = Array.length slots in
@@ -255,293 +290,38 @@ let reverse_comm adj (ctx : Interp.ctx) entry =
                       adj.(in_slots.(i)) +. to_float (Memory.load recv_p i)
                 done))
 
-(** Interpret the tape backwards, exchanging adjoints over the network in
+(** Sweep the tape backwards, exchanging adjoints over the network in
     reversed order. Must run inside the same SPMD simulation as the
     forward sweep (each rank calls this on its own tape). *)
 let reverse sw (ctx : Interp.ctx) =
-  let t = sw.tape in
-  let adj = sw.adj in
-  let cost = Sim.cost () in
-  for k = t.n - 1 downto 0 do
-    Sim.charge cost.Cost_model.tape_reverse;
-    match t.entries.(k) with
-    | Stmt { lhs; args } ->
-      let d = adj.(lhs) in
-      if d <> 0.0 then
-        Array.iter
-          (fun (s, p) -> if s <> 0 then adj.(s) <- adj.(s) +. (d *. p))
-          args
-    | e -> reverse_comm adj ctx e
-  done
-
-(* ---- lowered adjoint program ----
-
-   [lower] linearizes the tape once into a structure-of-arrays program:
-   runs of consecutive [Stmt] entries become one flat segment (lhs
-   column, CSR-style argument offsets, slot and partial columns) and
-   each communication entry stays a program step of its own. The
-   reverse sweep over a segment is then a tight loop over unboxed int
-   and float arrays — no constructor matching, no per-entry tuple
-   chasing — which is what an engine-compiled reverse sweep executes.
-
-   The lowered sweep charges [tape_reverse] per original entry inside
-   the segment loop, so its makespan is identical (to the last bit) to
-   the entry-interpreting sweep, and the adjoint arithmetic is the same
-   operations in the same order — FNV-identical gradients. *)
-
-type lop =
-  | LRun of {
-      count : int;  (** rows (original [Stmt] entries), oldest first *)
-      lhs : int array;
-      off : int array;  (** row [r]'s args live at \[off r, off (r+1)) *)
-      aslot : int array;
-      ap : float array;
-    }
-  | LComm of entry
-
-type lowered = lop array
-
-let lower t : lowered =
-  let ops = ref [] in
-  let k = ref 0 in
-  while !k < t.n do
-    match t.entries.(!k) with
-    | Stmt _ ->
-      let start = !k in
-      let nargs = ref 0 in
-      while
-        !k < t.n
-        && match t.entries.(!k) with
-           | Stmt { args; _ } ->
-             nargs := !nargs + Array.length args;
-             true
-           | _ -> false
-      do
-        incr k
-      done;
-      let count = !k - start in
-      let lhs = Array.make count 0
-      and off = Array.make (count + 1) 0
-      and aslot = Array.make (max !nargs 1) 0
-      and ap = Array.make (max !nargs 1) 0.0 in
-      let w = ref 0 in
-      for r = 0 to count - 1 do
-        match t.entries.(start + r) with
-        | Stmt { lhs = l; args } ->
-          lhs.(r) <- l;
-          off.(r) <- !w;
-          Array.iter
-            (fun (s, p) ->
-              aslot.(!w) <- s;
-              ap.(!w) <- p;
-              incr w)
-            args
-        | _ -> assert false
-      done;
-      off.(count) <- !w;
-      ops := LRun { count; lhs; off; aslot; ap } :: !ops
-    | e ->
-      ops := LComm e :: !ops;
-      incr k
-  done;
-  (* built newest-first: already the reverse execution order *)
-  Array.of_list !ops
-
-(** Run the reverse sweep through the lowered program. Interchangeable
-    with {!reverse}: same adjoints bit for bit, same makespan. *)
-let reverse_lowered sw (ctx : Interp.ctx) =
-  let prog = lower sw.tape in
-  let adj = sw.adj in
-  let cost = Sim.cost () in
-  let c_rev = cost.Cost_model.tape_reverse in
-  Array.iter
-    (function
-      | LComm e ->
+  let t = sw.tape
+  and adj = sw.adj in
+  let c_rev = (Sim.cost ()).Cost_model.tape_reverse in
+  let lhs = t.lhs
+  and s1 = t.s1
+  and p1 = t.p1
+  and s2 = t.s2
+  and p2 = t.p2 in
+  (* rows [lo, hi), newest first *)
+  let rows lo hi =
+    for r = hi - 1 downto lo do
+      Sim.charge c_rev;
+      let d = adj.(lhs.(r)) in
+      if d <> 0.0 then begin
+        let s = s1.(r) in
+        if s <> 0 then adj.(s) <- adj.(s) +. (d *. p1.(r));
+        let s = s2.(r) in
+        if s <> 0 then adj.(s) <- adj.(s) +. (d *. p2.(r))
+      end
+    done
+  in
+  let hi =
+    List.fold_left
+      (fun hi (at, c) ->
+        rows at hi;
         Sim.charge c_rev;
-        reverse_comm adj ctx e
-      | LRun { count; lhs; off; aslot; ap } ->
-        for r = count - 1 downto 0 do
-          Sim.charge c_rev;
-          let d = Array.unsafe_get adj (Array.unsafe_get lhs r) in
-          if d <> 0.0 then
-            for a = Array.unsafe_get off r to Array.unsafe_get off (r + 1) - 1
-            do
-              let s = Array.unsafe_get aslot a in
-              if s <> 0 then
-                Array.unsafe_set adj s
-                  (Array.unsafe_get adj s +. (d *. Array.unsafe_get ap a))
-            done
-        done)
-    prog
-
-(* ---- batched multi-seed sweeps ----
-
-   One reverse pass propagating [width] independent seed vectors at
-   once through slot-major adjoint planes ([badj.(s * width + lane)]).
-   Each lane's arithmetic is the scalar sweep's, in the scalar sweep's
-   order — lane [l] is bit-identical to a standalone {!reverse} seeded
-   with lane [l]'s seeds — but the tape walk, the partials, and the
-   communication latency are paid once instead of [width] times. Each
-   entry charges one [tape_reverse] regardless of width: the virtual
-   cost model agrees with the host-time amortization. All ranks of an
-   SPMD run must use the same [width]. *)
-
-type bsweep = { btape : t; width : int; badj : float array }
-
-let sweep_batched ~width t =
-  if width < 1 then error "Tape.sweep_batched: width must be >= 1";
-  { btape = t; width; badj = Array.make (t.next_slot * width) 0.0 }
-
-(** Seed lane [lane] with d(loss_lane)/d(current cell values). *)
-let seed_batched bsw ~lane (v : Value.t) (s : float array) =
-  match v with
-  | VPtr { buf; off = 0 } ->
-    let a = buf_slots bsw.btape buf
-    and w = bsw.width in
-    Array.iteri
-      (fun i x ->
-        if a.(i) <> 0 then
-          bsw.badj.((a.(i) * w) + lane) <- bsw.badj.((a.(i) * w) + lane) +. x)
-      s
-  | _ -> error "Tape.seed_batched: need a whole-buffer pointer"
-
-let seed_slot_batched bsw ~lane slot x =
-  if slot <> 0 then
-    bsw.badj.((slot * bsw.width) + lane) <-
-      bsw.badj.((slot * bsw.width) + lane) +. x
-
-(** Lane [lane]'s adjoints of an activated input buffer. *)
-let adjoint_of_batched bsw ~lane (v : Value.t) =
-  match v with
-  | VPtr { buf; off = 0 } -> (
-    match Hashtbl.find_opt bsw.btape.activated buf.bid with
-    | Some slots ->
-      Array.map (fun s -> bsw.badj.((s * bsw.width) + lane)) slots
-    | None -> error "Tape.adjoint_of_batched: buffer was not activated")
-  | _ -> error "Tape.adjoint_of_batched: need a whole-buffer pointer"
-
-(* Reverse one communication entry k-wide: one exchange of [n * width]
-   cells, lane-major within each slot, standing in for [width] scalar
-   exchanges. *)
-let reverse_comm_batched badj width (ctx : Interp.ctx) entry =
-  let mpi () = mpi_of ctx in
-  let w = width in
-  match entry with
-  | Stmt _ -> assert false
-  | Send { peer; tag; slots } ->
-    let n = Array.length slots in
-    with_temp ctx (n * w) (fun p ->
-        let req =
-          Mpi_state.irecv (mpi ()) ~rank:ctx.Interp.rank ~ptr:p ~count:(n * w)
-            ~src:peer ~tag:(tag + adj_tag_base)
-        in
-        ignore (Mpi_state.wait (mpi ()) ~rank:ctx.Interp.rank ~req);
-        Array.iteri
-          (fun i s ->
-            if s <> 0 then
-              for l = 0 to w - 1 do
-                badj.((s * w) + l) <-
-                  badj.((s * w) + l) +. to_float (Memory.load p ((i * w) + l))
-              done)
-          slots)
-  | Recv { peer; tag; slots } ->
-    let n = Array.length slots in
-    with_temp ctx (n * w) (fun p ->
-        Array.iteri
-          (fun i s ->
-            for l = 0 to w - 1 do
-              Memory.store p ((i * w) + l) (VFloat badj.((s * w) + l))
-            done)
-          slots;
-        let req =
-          Mpi_state.isend (mpi ()) ~rank:ctx.Interp.rank ~ptr:p ~count:(n * w)
-            ~dst:peer ~tag:(tag + adj_tag_base)
-        in
-        ignore (Mpi_state.wait (mpi ()) ~rank:ctx.Interp.rank ~req))
-  | Allreduce { kind; in_slots; in_vals; out_slots; out_vals } ->
-    let n = Array.length out_slots in
-    with_temp ctx (n * w) (fun send_p ->
-        with_temp ctx (n * w) (fun recv_p ->
-            Array.iteri
-              (fun i s ->
-                for l = 0 to w - 1 do
-                  Memory.store send_p ((i * w) + l) (VFloat badj.((s * w) + l))
-                done)
-              out_slots;
-            Mpi_state.allreduce (mpi ()) ~rank:ctx.Interp.rank
-              ~kind:Mpi_state.Csum ~send:send_p ~recv:recv_p ~count:(n * w);
-            for i = 0 to n - 1 do
-              match kind with
-              | KSum ->
-                if in_slots.(i) <> 0 then
-                  for l = 0 to w - 1 do
-                    badj.((in_slots.(i) * w) + l) <-
-                      badj.((in_slots.(i) * w) + l)
-                      +. to_float (Memory.load recv_p ((i * w) + l))
-                  done
-              | KMin | KMax ->
-                if in_slots.(i) <> 0 && in_vals.(i) = out_vals.(i) then
-                  for l = 0 to w - 1 do
-                    badj.((in_slots.(i) * w) + l) <-
-                      badj.((in_slots.(i) * w) + l)
-                      +. to_float (Memory.load recv_p ((i * w) + l))
-                  done
-            done))
-  | Bcast { root; in_slots; out_slots } ->
-    let n = Array.length out_slots in
-    with_temp ctx (n * w) (fun send_p ->
-        with_temp ctx (n * w) (fun recv_p ->
-            Array.iteri
-              (fun i s ->
-                for l = 0 to w - 1 do
-                  Memory.store send_p ((i * w) + l)
-                    (VFloat
-                       (if ctx.Interp.rank = root then 0.0
-                        else badj.((s * w) + l)))
-                done)
-              out_slots;
-            Mpi_state.allreduce (mpi ()) ~rank:ctx.Interp.rank
-              ~kind:Mpi_state.Csum ~send:send_p ~recv:recv_p ~count:(n * w);
-            if ctx.Interp.rank = root then
-              for i = 0 to n - 1 do
-                if in_slots.(i) <> 0 then
-                  for l = 0 to w - 1 do
-                    badj.((in_slots.(i) * w) + l) <-
-                      badj.((in_slots.(i) * w) + l)
-                      +. to_float (Memory.load recv_p ((i * w) + l))
-                  done
-              done))
-
-(** One batched reverse sweep through the lowered program: [width]
-    seed vectors for one tape walk. *)
-let reverse_batched bsw (ctx : Interp.ctx) =
-  let prog = lower bsw.btape in
-  let badj = bsw.badj
-  and w = bsw.width in
-  let cost = Sim.cost () in
-  let c_rev = cost.Cost_model.tape_reverse in
-  Array.iter
-    (function
-      | LComm e ->
-        Sim.charge c_rev;
-        reverse_comm_batched badj w ctx e
-      | LRun { count; lhs; off; aslot; ap } ->
-        for r = count - 1 downto 0 do
-          Sim.charge c_rev;
-          let base = Array.unsafe_get lhs r * w in
-          for l = 0 to w - 1 do
-            let d = Array.unsafe_get badj (base + l) in
-            if d <> 0.0 then
-              for
-                a = Array.unsafe_get off r to Array.unsafe_get off (r + 1) - 1
-              do
-                let s = Array.unsafe_get aslot a in
-                if s <> 0 then begin
-                  let j = (s * w) + l in
-                  Array.unsafe_set badj j
-                    (Array.unsafe_get badj j +. (d *. Array.unsafe_get ap a))
-                end
-              done
-          done
-        done)
-    prog
+        reverse_comm adj ctx c;
+        at)
+      t.rows t.comms
+  in
+  rows 0 hi

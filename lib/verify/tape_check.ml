@@ -16,11 +16,9 @@ module V = Value
     [call_slots] substitutes the slot-threading entry point that runs the
     taped primal — pass [Engine.call_fn_slots prep Engine.Seq] to record
     the tape from engine-compiled code (identical tape, FNV-identical
-    adjoints, identical makespan). [lowered] reverses through the
-    linearized adjoint program ({!Tape.lower}) instead of the
-    entry-at-a-time interpreter. *)
+    adjoints, identical makespan). The reverse sweep is {!Tape.reverse}. *)
 let reverse_spmd ?(cfg = Interp.default_config) ?faults ?san
-    ?(call_slots = Interp.call_with_slots) ?(lowered = false) ~nranks ~args
+    ?(call_slots = Interp.call_with_slots) ~nranks ~args
     ~seeds ~d_ret prog fname =
   let f = Parad_ir.Prog.find_exn prog fname in
   let ret_float = GC.ret_float f in
@@ -43,8 +41,7 @@ let reverse_spmd ?(cfg = Interp.default_config) ?faults ?san
         let sw = Tape.sweep t in
         List.iter2 (Tape.seed sw) bufs (seeds ~rank);
         if ret_float then Tape.seed_slot sw ret_slot (d_ret ~rank);
-        (if lowered then Tape.reverse_lowered sw ctx
-         else Tape.reverse sw ctx);
+        Tape.reverse sw ctx;
         grads.(rank) <- List.map (Tape.adjoint_of sw) bufs)
   in
   ( {
@@ -57,13 +54,13 @@ let reverse_spmd ?(cfg = Interp.default_config) ?faults ?san
     tapes )
 
 (** Single-rank convenience wrapper. *)
-let reverse ?cfg ?faults ?san ?call_slots ?lowered ?seeds ?(d_ret = 1.0)
+let reverse ?cfg ?faults ?san ?call_slots ?seeds ?(d_ret = 1.0)
     prog fname args =
   let seeds_l =
     match seeds with Some s -> s | None -> GC.default_seeds args
   in
   let g, tapes =
-    reverse_spmd ?cfg ?faults ?san ?call_slots ?lowered ~nranks:1
+    reverse_spmd ?cfg ?faults ?san ?call_slots ~nranks:1
       ~args:(fun ~rank:_ -> args)
       ~seeds:(fun ~rank:_ -> seeds_l)
       ~d_ret:(fun ~rank:_ -> d_ret)

@@ -442,23 +442,22 @@ let test_checkpoint_namespaces () =
 
 let test_binomial_cleans_spill () =
   (* the binomial driver namespaces its store per run and disposes it:
-     no parad-snap litter may survive the call *)
-  let before =
+     no parad-snap litter may survive the call. Only this process's
+     namespaces are compared — concurrently running test binaries share
+     the temp dir and create and remove their own. *)
+  let ours () =
+    let prefix = Printf.sprintf "parad-snap-%d-" (Unix.getpid ()) in
     Sys.readdir (Filename.get_temp_dir_name ())
     |> Array.to_list
-    |> List.filter (fun f -> String.length f >= 10 && String.sub f 0 10 = "parad-snap")
+    |> List.filter (String.starts_with ~prefix)
+    |> List.sort compare
   in
+  let before = ours () in
   let inp = { L.nx = 2; ny = 2; nz = 4; niter = 4; dt0 = 0.01; escale = 1.0 } in
   let b = L.gradient_binomial ~nranks:2 ~budget:2 L.Mpi inp in
   Alcotest.(check bool) "gradient finite" true
     (Float.is_finite b.L.b_grad.L.g_total);
-  let after =
-    Sys.readdir (Filename.get_temp_dir_name ())
-    |> Array.to_list
-    |> List.filter (fun f -> String.length f >= 10 && String.sub f 0 10 = "parad-snap")
-  in
-  Alcotest.(check int) "no spill directories leaked"
-    (List.length before) (List.length after)
+  Alcotest.(check (list string)) "no spill directories leaked" before (ours ())
 
 (* ---- mini slam soak ---- *)
 
