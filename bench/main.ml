@@ -34,6 +34,16 @@ let micro ~quick:_ =
   let open Bechamel in
   let lulesh_prog = Apps_lulesh.Lulesh.program Apps_lulesh.Lulesh.Omp in
   let bude_prog = Apps_minibude.Minibude.program () in
+  (* the post-AD pipeline runs on every plan compile *)
+  let post_ad flavor =
+    let name = Apps_lulesh.Lulesh.flavor_name flavor in
+    let rprog, _ =
+      Parad_core.Reverse.gradient (Apps_lulesh.Lulesh.program flavor) name
+    in
+    Test.make ~name:("post_ad pipeline " ^ name)
+      (Staged.stage (fun () ->
+           ignore (Parad_opt.Pipeline.run rprog Parad_opt.Pipeline.post_ad)))
+  in
   let tiny =
     {
       Apps_lulesh.Lulesh.nx = 2;
@@ -62,6 +72,8 @@ let micro ~quick:_ =
                ignore
                  (Parad_opt.Pipeline.run_on lulesh_prog "lulesh_omp"
                     Parad_opt.Pipeline.o2)));
+        post_ad Apps_lulesh.Lulesh.Omp;
+        post_ad Apps_lulesh.Lulesh.Mpi;
       ]
   in
   let instances = Toolkit.Instance.[ monotonic_clock ] in

@@ -17,52 +17,73 @@ let check_ty what got want =
   if not (Ty.equal got want) then
     fail "%s: expected %a, got %a" what Ty.pp want Ty.pp got
 
-let rec check_region (f : Func.t) ctx defined (r : region) ~terminator =
-  let defined = ref defined in
+(* The variables in scope, as a bitset over var ids. A region clears the
+   bits it set when it ends, so neither a sibling region nor the code
+   after it sees its definitions. *)
+type scope = { f : Func.t; bits : Bytes.t }
+
+let in_scope s id =
+  id >= 0 && id < s.f.var_count
+  && Char.code (Bytes.unsafe_get s.bits (id lsr 3)) land (1 lsl (id land 7))
+     <> 0
+
+let toggle s id =
+  let byte = Char.code (Bytes.unsafe_get s.bits (id lsr 3)) in
+  Bytes.unsafe_set s.bits (id lsr 3)
+    (Char.unsafe_chr (byte lxor (1 lsl (id land 7))))
+
+let rec check_region s ctx (r : region) ~terminator =
+  let f = s.f in
+  let mine = ref [] in
   let define v =
     if Var.id v < 0 || Var.id v >= f.var_count then
       fail "%s: var %a out of range" f.name Var.pp v;
-    if Var.Set.mem v !defined then
+    if in_scope s (Var.id v) then
       fail "%s: variable %a defined twice" f.name Var.pp v;
-    defined := Var.Set.add v !defined
+    toggle s (Var.id v);
+    mine := Var.id v :: !mine
   in
   List.iter define r.params;
   let use v =
-    if not (Var.Set.mem v !defined) then
+    if not (in_scope s (Var.id v)) then
       fail "%s: use of undefined variable %a" f.name Var.pp v
   in
-  let n = List.length r.body in
-  List.iteri
-    (fun idx i ->
-      let is_last = idx = n - 1 in
+  let rec go last = function
+    | [] -> last
+    | i :: rest ->
+      let is_last = match rest with [] -> true | _ -> false in
       (match i with
       | Return _ when not is_last ->
         fail "%s: return not in tail position" f.name
       | Yield _ when not is_last -> fail "%s: yield not in tail position" f.name
       | _ -> ());
       List.iter use (uses i);
-      check_instr f ctx !defined i;
-      List.iter define (defs i))
-    r.body;
+      check_instr s ctx i;
+      List.iter define (defs i);
+      go (Some i) rest
+  in
+  let last = go None r.body in
+  List.iter (toggle s) !mine;
   (* terminator discipline *)
-  (match terminator, List.rev r.body with
-  | `Return, Return r :: _ ->
+  (match terminator, last with
+  | `Return, Some (Return r) ->
     (match r, f.ret_ty with
     | None, Ty.Unit -> ()
     | Some v, t -> check_ty (f.name ^ ": return") (Var.ty v) t
     | None, t -> fail "%s: missing return value of type %a" f.name Ty.pp t)
   | `Return, _ -> fail "%s: body must end in return" f.name
-  | `Yield tys, Yield vs :: _ ->
+  | `Yield tys, Some (Yield vs) ->
     if List.length vs <> List.length tys then
       fail "%s: yield arity mismatch" f.name;
     List.iter2 (fun v t -> check_ty (f.name ^ ": yield") (Var.ty v) t) vs tys
   | `Yield _, _ -> fail "%s: region must end in yield" f.name
-  | `None, (Yield _ :: _ | Return _ :: _) ->
+  | `None, Some (Yield _ | Return _) ->
     fail "%s: unexpected terminator in plain region" f.name
   | `None, _ -> ());
   ()
 
-and check_instr f ctx defined i =
+and check_instr s ctx i =
+  let f = s.f in
   let t v = Var.ty v in
   match i with
   | Const (v, c) ->
@@ -147,8 +168,8 @@ and check_instr f ctx defined i =
   | If (rs, c, then_r, else_r) ->
     check_ty "if cond" (t c) Ty.Bool;
     let tys = List.map t rs in
-    check_region f ctx defined then_r ~terminator:(`Yield tys);
-    check_region f ctx defined else_r ~terminator:(`Yield tys)
+    check_region s ctx then_r ~terminator:(`Yield tys);
+    check_region s ctx else_r ~terminator:(`Yield tys)
   | For { iv; lo; hi; step; body } ->
     check_ty "for lo" (t lo) Ty.Int;
     check_ty "for hi" (t hi) Ty.Int;
@@ -157,19 +178,19 @@ and check_instr f ctx defined i =
     (match body.params with
     | [ p ] when Var.equal p iv -> ()
     | _ -> fail "for body params must be [iv]");
-    check_region f { ctx with in_loop = true } defined body ~terminator:`None
+    check_region s { ctx with in_loop = true } body ~terminator:`None
   | While { cond; body } ->
     if ctx.in_fork then fail "%s: while inside a parallel region" f.name;
-    check_region f { ctx with in_loop = true } defined cond
+    check_region s { ctx with in_loop = true } cond
       ~terminator:(`Yield [ Ty.Bool ]);
-    check_region f { ctx with in_loop = true } defined body ~terminator:`None
+    check_region s { ctx with in_loop = true } body ~terminator:`None
   | Fork { tid; nth; body } ->
     if ctx.in_fork then fail "%s: nested fork" f.name;
     check_ty "fork width" (t nth) Ty.Int;
     (match body.params with
     | [ p; q ] when Var.equal p tid && Ty.equal (t q) Ty.Int -> ()
     | _ -> fail "fork body params must be [tid; nth]");
-    check_region f { ctx with in_fork = true } defined body ~terminator:`None
+    check_region s { ctx with in_fork = true } body ~terminator:`None
   | Workshare { iv; lo; hi; body; _ } ->
     if not ctx.in_fork then fail "%s: workshare outside fork" f.name;
     check_ty "workshare lo" (t lo) Ty.Int;
@@ -177,14 +198,15 @@ and check_instr f ctx defined i =
     (match body.params with
     | [ p ] when Var.equal p iv -> ()
     | _ -> fail "workshare body params must be [iv]");
-    check_region f ctx defined body ~terminator:`None
+    check_region s ctx body ~terminator:`None
   | Barrier -> if not ctx.in_fork then fail "%s: barrier outside fork" f.name
   | Return _ | Yield _ -> ()
 
-let check_func f =
-  let defined = List.fold_left (fun s v -> Var.Set.add v s) Var.Set.empty [] in
-  let r = { params = f.Func.params; body = f.Func.body } in
-  check_region f { in_fork = false; in_loop = false } defined r
+let check_func (f : Func.t) =
+  let s = { f; bits = Bytes.make ((f.var_count + 7) / 8) '\000' } in
+  check_region s
+    { in_fork = false; in_loop = false }
+    { params = f.params; body = f.body }
     ~terminator:`Return
 
 let check_prog p = List.iter check_func (Prog.functions p)

@@ -32,105 +32,163 @@
     captured pointer can touch them; cross-strand interference on them
     is limited to the enclosing parallel region re-executing the same
     instructions, which the write summaries and barrier kills cover
-    under the usual data-race-freedom assumption. *)
+    under the usual data-race-freedom assumption.
+
+    The pass runs on every plan compile, so its walk keeps per-variable
+    facts in arrays indexed by var id, indexes cell facts by base (a
+    kill touches only that base's cells), and summarizes each region's
+    writes once, not once per enclosing loop. *)
 
 open Parad_ir
 open Rewrite
 
-module IH = Hashtbl
+module IM = Map.Make (Int)
+module IS = Set.Make (Int)
+
+(* Cells of tracked buffers, keyed (base, constant index). Hashed exactly
+   like the generic table: an If merge visits cells in this table's
+   order and numbers the phis it creates in that order, so the order is
+   part of the pass's output. *)
+module CH = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal ((b, i) : t) ((b', i') : t) = b = b' && i = i'
+  let hash = Hashtbl.hash
+end)
+
+(* Var-id-indexed facts; fresh variables (If-merge phis and zeros) grow
+   the table. *)
+type 'a vtab = { mutable data : 'a array; none : 'a }
+
+let vtab n none = { data = Array.make n none; none }
+let vget t id = if id < Array.length t.data then t.data.(id) else t.none
+
+let vset t id x =
+  let n = Array.length t.data in
+  if id >= n then begin
+    let d = Array.make (max (id + 1) (2 * n)) t.none in
+    Array.blit t.data 0 d 0 n;
+    t.data <- d
+  end;
+  t.data.(id) <- x
 
 (* bases eligible for tracking: Alloc results used only as the direct
    pointer of Load/Store/AtomicAdd/Free *)
 let eligible_bases (f : Func.t) =
-  let alloc : (int, unit) IH.t = IH.create 16 in
-  let bad : (int, unit) IH.t = IH.create 16 in
+  let alloc = Array.make f.var_count false in
+  let bad = Array.make f.var_count false in
   Instr.iter_instrs
     (fun i ->
       (match i with
-      | Instr.Alloc (v, _, _, _) -> IH.replace alloc (Var.id v) ()
+      | Instr.Alloc (v, _, _, _) -> alloc.(Var.id v) <- true
       | _ -> ());
       let direct_ptr =
         match i with
         | Instr.Load (_, p, _) | Instr.Store (p, _, _)
-        | Instr.AtomicAdd (p, _, _) | Instr.Free p -> Some (Var.id p)
-        | _ -> None
+        | Instr.AtomicAdd (p, _, _) | Instr.Free p -> Var.id p
+        | _ -> -1
       in
       List.iter
         (fun u ->
-          if Some (Var.id u) <> direct_ptr && Ty.is_ptr (Var.ty u) then
-            IH.replace bad (Var.id u) ())
+          if Var.id u <> direct_ptr && Ty.is_ptr (Var.ty u) then
+            bad.(Var.id u) <- true)
         (Instr.uses i))
     f.body;
-  fun id -> IH.mem alloc id && not (IH.mem bad id)
+  fun id -> id < f.var_count && alloc.(id) && not bad.(id)
 
 (* What a cell is known to hold: a specific SSA value, the allocation's
    zero fill (never written since), or nothing. *)
 type aval = Val of Var.t | Zero | Unk
 
-(* Syntactic may-write summary of an instruction list over eligible
-   bases: constant-index cells written, and bases written at unknown
-   indices / atomically / freed (treated as whole-base kills). *)
-type summary = {
-  s_cells : (int * int, unit) IH.t;
-  s_bases : (int, unit) IH.t;
+(* The walk's knowledge at a program point: explicit cell facts, the
+   indices that have one per base, and the eligible allocations still
+   all zero where no fact says otherwise. A child region walks a copy;
+   [by_base] and [zero] are persistent, so only [facts] is copied. *)
+type state = {
+  mutable facts : aval CH.t;
+  mutable by_base : IS.t IM.t;
+  mutable zero : IS.t;
 }
 
-let summarize eligible cint instrs =
-  let s = { s_cells = IH.create 16; s_bases = IH.create 8 } in
-  let rec walk is =
-    List.iter
-      (fun (i : Instr.t) ->
-        (match i with
-        | Instr.Store (p, ix, _) | Instr.AtomicAdd (p, ix, _)
-          when eligible (Var.id p) -> (
-          match cint ix with
-          | Some idx -> IH.replace s.s_cells (Var.id p, idx) ()
-          | None -> IH.replace s.s_bases (Var.id p) ())
-        | Instr.Free p when eligible (Var.id p) ->
-          IH.replace s.s_bases (Var.id p) ()
-        | _ -> ());
-        List.iter (fun (r : Instr.region) -> walk r.Instr.body)
-          (Instr.regions i))
-      is
-  in
-  walk instrs;
-  s
+(* every cell table starts at this size, as a reset table returns to it *)
+let initial_cells = 32
+
+let copy st = { st with facts = CH.copy st.facts }
+
+let lookup st key =
+  match CH.find_opt st.facts key with
+  | Some a -> a
+  | None -> if IS.mem (fst key) st.zero then Zero else Unk
+
+let set st ((b, i) as key) a =
+  let idxs = Option.value (IM.find_opt b st.by_base) ~default:IS.empty in
+  let idxs' = IS.add i idxs in
+  if idxs' != idxs then st.by_base <- IM.add b idxs' st.by_base;
+  CH.replace st.facts key a
+
+let kill st b =
+  (match IM.find_opt b st.by_base with
+  | Some idxs ->
+    IS.iter (fun i -> CH.remove st.facts (b, i)) idxs;
+    st.by_base <- IM.remove b st.by_base
+  | None -> ());
+  st.zero <- IS.remove b st.zero
+
+(* Syntactic may-write summary of a region over eligible bases:
+   constant-index cells written (in first-write order), and bases
+   written at unknown indices / atomically / freed (whole-base kills). *)
+type summary = { s_cells : unit CH.t; s_bases : IS.t }
+
+(* The input body, annotated with each region instruction's write sites
+   (base, index — [None] for a free) in walk order, and its summary once
+   computed. *)
+type node = {
+  instr : Instr.t;
+  subs : (Instr.region * node list) list;  (** [Instr.regions instr] *)
+  sites : (int * Var.t option) list;
+  mutable summary : (int * summary) option;
+      (** with the count of late integer constants it was made under *)
+}
 
 let run_func (f : Func.t) : Func.t =
   let eligible = eligible_bases f in
   let ctx = ctx_of f in
   (* constant environments; fresh zero constants register themselves *)
-  let consts : (int, int) IH.t = IH.create 64 in
-  let fconsts : (int, float) IH.t = IH.create 64 in
+  let consts = vtab f.var_count None and fconsts = vtab f.var_count None in
+  (* integer constants the walk made out of zero-fill loads: a summary
+     classifies a write by whether its index is constant, so one made
+     before such a load turned constant is stale *)
+  let late_ints = ref 0 in
   let note_const (i : Instr.t) =
     match i with
-    | Instr.Const (v, Instr.Cint x) -> IH.replace consts (Var.id v) x
-    | Instr.Const (v, Instr.Cfloat x) -> IH.replace fconsts (Var.id v) x
+    | Instr.Const (v, Instr.Cint x) ->
+      if Var.id v < f.var_count && Option.is_none (vget consts (Var.id v)) then
+        incr late_ints;
+      vset consts (Var.id v) (Some x)
+    | Instr.Const (v, Instr.Cfloat x) -> vset fconsts (Var.id v) (Some x)
     | _ -> ()
   in
   Instr.iter_instrs note_const f.body;
-  let alias : (int, Var.t) IH.t = IH.create 32 in
+  late_ints := 0;
+  let alias = vtab f.var_count None in
   let rec sub v =
-    match IH.find_opt alias (Var.id v) with
-    | Some v' -> sub v'
-    | None -> v
+    match vget alias (Var.id v) with Some v' -> sub v' | None -> v
   in
-  let cint v = IH.find_opt consts (Var.id v) in
+  let cint v = vget consts (Var.id v) in
   (* value equality strong enough to drop a redundant store: same SSA
      var, or two constants with identical bits *)
   let same_val a b =
     Var.id a = Var.id b
-    || (match IH.find_opt fconsts (Var.id a), IH.find_opt fconsts (Var.id b)
-        with
-       | Some x, Some y ->
-         Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-       | _ -> (
-         match cint a, cint b with Some x, Some y -> x = y | _ -> false))
+    ||
+    match vget fconsts (Var.id a), vget fconsts (Var.id b) with
+    | Some x, Some y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+    | _ -> ( match cint a, cint b with Some x, Some y -> x = y | _ -> false)
   in
   let is_plus_zero v =
-    match IH.find_opt fconsts (Var.id v) with
+    match vget fconsts (Var.id v) with
     | Some x -> Int64.equal (Int64.bits_of_float x) 0L
-    | None -> (match cint v with Some 0 -> true | _ -> false)
+    | None -> ( match cint v with Some 0 -> true | _ -> false)
   in
   (* the zero fill of an allocation, as a constant, when representable *)
   let zero_const_of (ty : Ty.t) =
@@ -139,82 +197,108 @@ let run_func (f : Func.t) : Func.t =
     | Ty.Int -> Some (Instr.Cint 0)
     | _ -> None
   in
-  (* abstract state: explicit cell facts + per-base "still all zero"
-     defaults (for eligible allocations never written at unknown index) *)
-  let lookup known zerodef (key : int * int) =
-    match IH.find_opt known key with
-    | Some a -> a
-    | None -> if IH.mem zerodef (fst key) then Zero else Unk
+  let rec annotate instrs = List.map annotate1 instrs
+  and annotate1 (i : Instr.t) =
+    let subs =
+      List.map (fun (r : Instr.region) -> r, annotate r.Instr.body)
+        (Instr.regions i)
+    in
+    let site (n : node) =
+      match n.instr with
+      | (Instr.Store (p, ix, _) | Instr.AtomicAdd (p, ix, _))
+        when eligible (Var.id p) ->
+        [ Var.id p, Some ix ]
+      | Instr.Free p when eligible (Var.id p) -> [ Var.id p, None ]
+      | _ -> n.sites
+    in
+    let sites = List.concat_map (fun (_, ns) -> List.concat_map site ns) subs in
+    { instr = i; subs; sites; summary = None }
   in
-  let kill_base known zerodef pending b =
-    IH.filter_map_inplace
-      (fun (b', _) v -> if b' = b then None else Some v)
-      known;
-    IH.remove zerodef b;
-    (* pending stores to the base become observable *)
-    IH.filter_map_inplace
-      (fun (b', _) c -> if b' = b then None else Some c)
-      pending
+  let summary (n : node) =
+    match n.summary with
+    | Some (late, s) when late = !late_ints -> s
+    | _ ->
+      let cells = CH.create 16 in
+      let bases =
+        List.fold_left
+          (fun bases (b, ix) ->
+            match Option.bind ix cint with
+            | Some idx ->
+              CH.replace cells (b, idx) ();
+              bases
+            | None -> IS.add b bases)
+          IS.empty n.sites
+      in
+      let s = { s_cells = cells; s_bases = bases } in
+      n.summary <- Some (!late_ints, s);
+      s
   in
   (* apply a child region's may-write summary to the parent state *)
-  let apply_summary (s : summary) known zerodef pending =
-    IH.iter (fun key () -> IH.replace known key Unk) s.s_cells;
-    IH.iter (fun b () -> kill_base known zerodef pending b) s.s_bases
+  let apply_summary s st =
+    CH.iter (fun key () -> set st key Unk) s.s_cells;
+    IS.iter (kill st) s.s_bases
   in
-  (* [go known zerodef private_tbl instrs] rewrites one region body,
-     mutating [known]/[zerodef] to the body's exit state. [private_tbl]
-     holds bases allocated inside the current Fork body (barrier-immune);
-     [None] outside any fork. *)
-  let rec go known zerodef private_tbl instrs =
-    let pending : (int * int, Instr.t option ref) IH.t = IH.create 32 in
-    let observe_all () = IH.reset pending in
+  (* [go st private_bases nodes] rewrites one region body, mutating [st]
+     to the body's exit state. [private_bases] holds bases allocated
+     inside the current Fork body (barrier-immune); [None] outside any
+     fork. *)
+  let rec go st private_bases nodes =
+    (* stores not yet observed: base -> index -> emitted cell *)
+    let pending = ref IM.empty in
+    let observe_all () = pending := IM.empty in
+    let observe_base b = pending := IM.remove b !pending in
+    let kill_base b =
+      kill st b;
+      (* pending stores to the base become observable *)
+      observe_base b
+    in
     let out : Instr.t option ref list ref = ref [] in
     let emit i =
       let cell = ref (Some i) in
       out := cell :: !out;
       cell
     in
-    (* rewrite a child region body from a seed copied off the parent *)
-    let walk_child ?private_tbl:(pt = private_tbl) seed_known seed_zerodef
-        (r : Instr.region) =
-      { r with Instr.body = go seed_known seed_zerodef pt r.Instr.body }
+    (* rewrite a child region body from a state copied off the parent *)
+    let walk_child ?private_bases:(pb = private_bases) seed (r, nodes) =
+      { r with Instr.body = go seed pb nodes }
     in
-    let conservative_regions i =
-      (* For / While / Fork / Workshare: kill the summary footprint in
-         the parent, then walk children seeded with the surviving facts
-         (sound for any trip count / strand interleaving: seeds only
-         contain cells no execution of the region writes). *)
-      let s =
-        summarize eligible cint
-          (List.concat_map (fun (r : Instr.region) -> r.Instr.body)
-             (Instr.regions i))
-      in
+    (* For / While / Fork / Workshare: kill the summary footprint in the
+       parent, then walk children seeded with the surviving facts (sound
+       for any trip count / strand interleaving: seeds only contain cells
+       no execution of the region writes). *)
+    let enter_region (n : node) =
+      let s = summary n in
       observe_all ();
-      apply_summary s known zerodef pending;
+      apply_summary s st;
       s
     in
     (* Re-analyze a loop body with cells seeded to their loop-entry value
        when iteration provably re-establishes it (the adjoint
        accumulate-then-zero pattern): the entry value from outside
        matches the body-exit value of a conservative first analysis. *)
-    let loop_body_with_seed ~outer_vals (s : summary) (r : Instr.region) =
+    let loop_body (n : node) =
+      let outer_vals = CH.create 16 in
+      let s = summary n in
+      CH.iter (fun key () -> CH.replace outer_vals key (lookup st key)) s.s_cells;
+      ignore (enter_region n);
+      let sub = List.hd n.subs in
       let pass seed_extra =
-        let k = IH.copy known and z = IH.copy zerodef in
-        List.iter (fun (key, a) -> IH.replace k key a) seed_extra;
-        let r' = walk_child k z r in
-        r', k, z
+        let k = copy st in
+        List.iter (fun (key, a) -> set k key a) seed_extra;
+        let r' = walk_child k sub in
+        r', k
       in
-      let r1, k1, z1 = pass [] in
+      let r1, k1 = pass [] in
       let stable =
-        IH.fold
+        CH.fold
           (fun key () acc ->
-            match IH.find_opt outer_vals key with
+            match CH.find_opt outer_vals key with
             | Some (Val v) -> (
-              match lookup k1 z1 key with
+              match lookup k1 key with
               | Val v' when same_val v v' -> (key, Val v) :: acc
               | _ -> acc)
             | Some Zero -> (
-              match lookup k1 z1 key with
+              match lookup k1 key with
               | Val v' when is_plus_zero v' -> (key, Zero) :: acc
               | Zero -> (key, Zero) :: acc
               | _ -> acc)
@@ -223,48 +307,47 @@ let run_func (f : Func.t) : Func.t =
       in
       if stable = [] then r1
       else begin
-        let r2, k2, z2 = pass stable in
+        let r2, k2 = pass stable in
         (* the body re-establishes these at exit; republish them *)
         List.iter
           (fun (key, a) ->
             let ok =
-              match a, lookup k2 z2 key with
+              match a, lookup k2 key with
               | Val v, Val v' -> same_val v v'
               | Zero, Zero -> true
               | Zero, Val v' -> is_plus_zero v'
               | _ -> false
             in
-            if ok then IH.replace known key a)
+            if ok then set st key a)
           stable;
         r2
       end
     in
     List.iter
-      (fun (i : Instr.t) ->
-        let i = map_uses sub i in
-        note_const i;
-        match i with
-        | Instr.If (rs, c, t, e) ->
+      (fun (n : node) ->
+        let i = map_uses sub n.instr in
+        match i, n.subs with
+        | Instr.If (rs, c, _, _), [ tsub; esub ] ->
           (* branches may read anything still pending *)
           observe_all ();
-          let kt = IH.copy known and zt = IH.copy zerodef in
-          let ke = IH.copy known and ze = IH.copy zerodef in
-          let t' = walk_child kt zt t in
-          let e' = walk_child ke ze e in
+          (* the then-branch walks the parent's own state, which the
+             merge rebuilds from scratch *)
+          let ke = copy st in
+          let t' = walk_child st tsub in
+          let e' = walk_child ke esub in
+          let kt = { st with facts = st.facts } in
           (* merge the branch exits; disagreeing known cells become
              fresh If results (the mem2reg phi) *)
-          let keys : (int * int, unit) IH.t = IH.create 16 in
-          IH.iter (fun k _ -> IH.replace keys k ()) kt;
-          IH.iter (fun k _ -> IH.replace keys k ()) ke;
-          IH.reset known;
-          IH.reset zerodef;
-          IH.iter
-            (fun b () -> if IH.mem ze b then IH.replace zerodef b ())
-            zt;
+          let keys = CH.create 16 in
+          CH.iter (fun k _ -> CH.replace keys k ()) kt.facts;
+          CH.iter (fun k _ -> CH.replace keys k ()) ke.facts;
+          st.facts <- CH.create initial_cells;
+          st.by_base <- IM.empty;
+          st.zero <- IS.inter kt.zero ke.zero;
           let promote = ref [] in
-          IH.iter
+          CH.iter
             (fun key () ->
-              let mt = lookup kt zt key and me = lookup ke ze key in
+              let mt = lookup kt key and me = lookup ke key in
               let merged =
                 match mt, me with
                 | Unk, _ | _, Unk -> Unk
@@ -281,9 +364,8 @@ let run_func (f : Func.t) : Func.t =
                   Unk
               in
               match merged with
-              | Unk ->
-                if IH.mem zerodef (fst key) then IH.replace known key Unk
-              | a -> IH.replace known key a)
+              | Unk -> if IS.mem (fst key) st.zero then set st key Unk
+              | a -> set st key a)
             keys;
           (* materialize promoted cells: extend results and both yields *)
           let extra_res = ref [] and extra_t = ref [] and extra_e = ref [] in
@@ -347,7 +429,7 @@ let run_func (f : Func.t) : Func.t =
                 | _ -> Ty.Float
               in
               match reuse ty mt me with
-              | Some r -> IH.replace known key (Val r)
+              | Some r -> set st key (Val r)
               | None -> (
                 match
                   List.find_opt
@@ -355,7 +437,7 @@ let run_func (f : Func.t) : Func.t =
                       ty = ty' && aval_eq mt mt' && aval_eq me me')
                     !created
                 with
-                | Some (_, _, _, r) -> IH.replace known key (Val r)
+                | Some (_, _, _, r) -> set st key (Val r)
                 | None -> (
                   match materialize tpre ty mt, materialize epre ty me with
                   | Some vt, Some ve ->
@@ -364,7 +446,7 @@ let run_func (f : Func.t) : Func.t =
                     extra_t := vt :: !extra_t;
                     extra_e := ve :: !extra_e;
                     created := (ty, mt, me, r) :: !created;
-                    IH.replace known key (Val r)
+                    set st key (Val r)
                   | _ -> ())))
             !promote;
           let extend (r : Instr.region) pre extras =
@@ -384,160 +466,132 @@ let run_func (f : Func.t) : Func.t =
             ignore
               (emit (Instr.If (rs @ List.rev !extra_res, c, t', e')))
           end
-        | Instr.For r ->
-          let outer_vals : (int * int, aval) IH.t = IH.create 16 in
-          let s =
-            summarize eligible cint r.body.Instr.body
-          in
-          IH.iter
-            (fun key () ->
-              IH.replace outer_vals key (lookup known zerodef key))
-            s.s_cells;
-          observe_all ();
-          apply_summary s known zerodef pending;
-          let body = loop_body_with_seed ~outer_vals s r.body in
+        | Instr.For r, _ ->
+          let body = loop_body n in
           ignore (emit (Instr.For { r with body }))
-        | Instr.Workshare r ->
-          let outer_vals : (int * int, aval) IH.t = IH.create 16 in
-          let s = summarize eligible cint r.body.Instr.body in
-          IH.iter
-            (fun key () ->
-              IH.replace outer_vals key (lookup known zerodef key))
-            s.s_cells;
-          observe_all ();
-          apply_summary s known zerodef pending;
-          let body = loop_body_with_seed ~outer_vals s r.body in
+        | Instr.Workshare r, _ ->
+          let body = loop_body n in
           ignore (emit (Instr.Workshare { r with body }))
-        | Instr.While { cond; body } ->
-          let s =
-            summarize eligible cint
-              (cond.Instr.body @ body.Instr.body)
-          in
-          observe_all ();
-          apply_summary s known zerodef pending;
-          let cond' =
-            walk_child (IH.copy known) (IH.copy zerodef) cond
-          in
-          let body' =
-            walk_child (IH.copy known) (IH.copy zerodef) body
-          in
-          ignore (emit (Instr.While { cond = cond'; body = body' }))
-        | Instr.Fork r ->
-          ignore (conservative_regions i);
+        | Instr.While _, [ csub; bsub ] ->
+          ignore (enter_region n);
+          let cond = walk_child (copy st) csub in
+          let body = walk_child (copy st) bsub in
+          ignore (emit (Instr.While { cond; body }))
+        | Instr.Fork r, [ bsub ] ->
+          ignore (enter_region n);
           let body =
-            walk_child
-              ~private_tbl:(Some (IH.create 16))
-              (IH.copy known) (IH.copy zerodef) r.body
+            walk_child ~private_bases:(Some (ref IS.empty)) (copy st) bsub
           in
           ignore (emit (Instr.Fork { r with body }))
-        | Instr.Alloc (v, ety, _, _) ->
+        | Instr.Alloc (v, ety, _, _), _ ->
           ignore (emit i);
           if eligible (Var.id v) then begin
-            (match private_tbl with
-            | Some t -> IH.replace t (Var.id v) ()
+            (match private_bases with
+            | Some t -> t := IS.add (Var.id v) !t
             | None -> ());
-            if zero_const_of ety <> None then
-              IH.replace zerodef (Var.id v) ()
+            if Option.is_some (zero_const_of ety) then
+              st.zero <- IS.add (Var.id v) st.zero
           end
-        | Instr.Store (p, ix, x) when eligible (Var.id p) -> (
+        | Instr.Store (p, ix, x), _ when eligible (Var.id p) -> (
+          let b = Var.id p in
           match cint ix with
-          | Some idx -> (
-            let key = Var.id p, idx in
-            let cur = lookup known zerodef key in
+          | Some idx ->
+            let key = b, idx in
             let redundant =
-              match cur with
+              match lookup st key with
               | Val y -> same_val y x
               | Zero -> is_plus_zero x
               | Unk -> false
             in
-            if redundant then ()
-            else begin
+            if not redundant then begin
+              let cells =
+                Option.value (IM.find_opt b !pending) ~default:IM.empty
+              in
               (* previous unobserved store to the same cell is dead *)
-              (match IH.find_opt pending key with
+              (match IM.find_opt idx cells with
               | Some cell -> cell := None
               | None -> ());
-              IH.replace known key (Val x);
-              IH.replace pending key (emit i)
-            end)
+              set st key (Val x);
+              pending := IM.add b (IM.add idx (emit i) cells) !pending
+            end
           | None ->
-            kill_base known zerodef pending (Var.id p);
+            kill_base b;
             ignore (emit i))
-        | Instr.Load (v, p, ix) when eligible (Var.id p) -> (
-          let observe_base () =
-            IH.filter_map_inplace
-              (fun (b, _) c -> if b = Var.id p then None else Some c)
-              pending
-          in
+        | Instr.Load (v, p, ix), _ when eligible (Var.id p) -> (
+          let b = Var.id p in
+          let forget () = vset alias (Var.id v) None in
           match cint ix with
           | Some idx -> (
-            let key = Var.id p, idx in
-            match lookup known zerodef key with
-            | Val value -> IH.replace alias (Var.id v) value
+            let key = b, idx in
+            match lookup st key with
+            | Val value -> vset alias (Var.id v) (Some value)
             | Zero -> (
               (* the cell still holds the allocation's zero fill;
                  materialize it as a constant in place of the load *)
               match zero_const_of (Var.ty v) with
               | Some c ->
-                IH.remove alias (Var.id v);
+                forget ();
                 let ci = Instr.Const (v, c) in
                 note_const ci;
-                IH.replace known key (Val v);
+                set st key (Val v);
                 ignore (emit ci)
               | None ->
-                observe_base ();
-                IH.remove alias (Var.id v);
-                IH.replace known key (Val v);
+                observe_base b;
+                forget ();
+                set st key (Val v);
                 ignore (emit i))
             | Unk ->
               (* reading an unknown cell observes all pending stores to
                  this base *)
-              observe_base ();
-              IH.remove alias (Var.id v);
-              IH.replace known key (Val v);
+              observe_base b;
+              forget ();
+              set st key (Val v);
               ignore (emit i))
           | None ->
-            observe_base ();
-            IH.remove alias (Var.id v);
+            observe_base b;
+            forget ();
             ignore (emit i))
-        | Instr.AtomicAdd (p, ix, _) when eligible (Var.id p) -> (
+        | Instr.AtomicAdd (p, ix, _), _ when eligible (Var.id p) -> (
+          let b = Var.id p in
           match cint ix with
           | Some idx ->
-            let key = Var.id p, idx in
-            IH.replace known key Unk;
-            IH.remove pending key;
+            set st (b, idx) Unk;
+            (match IM.find_opt b !pending with
+            | Some cells -> pending := IM.add b (IM.remove idx cells) !pending
+            | None -> ());
             ignore (emit i)
           | None ->
-            kill_base known zerodef pending (Var.id p);
+            kill_base b;
             ignore (emit i))
-        | Instr.Free p when eligible (Var.id p) ->
+        | Instr.Free p, _ when eligible (Var.id p) ->
           (* stores never observed before the free are dead *)
-          IH.iter
-            (fun (b, _) cell -> if b = Var.id p then cell := None)
-            pending;
-          kill_base known zerodef pending (Var.id p);
+          (match IM.find_opt (Var.id p) !pending with
+          | Some cells -> IM.iter (fun _ cell -> cell := None) cells
+          | None -> ());
+          kill_base (Var.id p);
           ignore (emit i)
-        | Instr.Barrier ->
+        | Instr.Barrier, _ ->
           (* other strands may publish writes to shared buffers here;
              allocations made inside this Fork body stay private *)
           observe_all ();
           let is_private b =
-            match private_tbl with
-            | Some t -> IH.mem t b
-            | None -> false
+            match private_bases with Some t -> IS.mem b !t | None -> false
           in
-          IH.filter_map_inplace
+          CH.filter_map_inplace
             (fun (b, _) v -> if is_private b then Some v else None)
-            known;
-          IH.filter_map_inplace
-            (fun b v -> if is_private b then Some v else None)
-            zerodef;
+            st.facts;
+          st.by_base <- IM.filter (fun b _ -> is_private b) st.by_base;
+          st.zero <- IS.filter is_private st.zero;
           ignore (emit i)
-        | Instr.Return _ | Instr.Yield _ ->
+        | (Instr.Return _ | Instr.Yield _), _ ->
           observe_all ();
           ignore (emit i)
-        | i -> ignore (emit i))
-      instrs;
+        | i, _ -> ignore (emit i))
+      nodes;
     List.rev_map (fun cell -> !cell) !out |> List.filter_map Fun.id
   in
-  let body = go (IH.create 32) (IH.create 8) None f.body in
-  { f with body = subst_deep sub body; var_count = ctx.next }
+  let st =
+    { facts = CH.create initial_cells; by_base = IM.empty; zero = IS.empty }
+  in
+  let body = go st None (annotate f.body) in
+  { f with body; var_count = ctx.next }

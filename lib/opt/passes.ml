@@ -5,42 +5,66 @@
 
     Running these *before* differentiation shrinks both the primal and the
     generated adjoint (paper §V-E); the benchmark harness measures that
-    ablation. *)
+    ablation. After differentiation they run on every plan compile, so
+    each makes one walk over a function: per-variable facts live in
+    arrays indexed by var id ([Func.var_count] bounds every id), and a
+    region's scope is an undo list over one table, never a copy. *)
 
 open Parad_ir
 open Rewrite
+
+(* Follow an alias array (var id -> replacement) to its end. *)
+let rec resolve alias v =
+  match alias.(Var.id v) with Some v' -> resolve alias v' | None -> v
+
+(* Run [f], then undo (with [undo]) every entry it pushed onto [trail]. *)
+let scoped trail undo f =
+  let outer = !trail in
+  let r = f () in
+  let rec pop () =
+    if !trail != outer then
+      match !trail with
+      | x :: rest ->
+        undo x;
+        trail := rest;
+        pop ()
+      | [] -> ()
+  in
+  pop ();
+  r
 
 (* ---- constant folding + algebraic simplification ---- *)
 
 type cval = CI of int | CF of float | CB of bool
 
 let fold_func (f : Func.t) : Func.t =
-  let consts : (int, cval) Hashtbl.t = Hashtbl.create 64 in
-  let alias : (int, Var.t) Hashtbl.t = Hashtbl.create 16 in
-  let rec sub v =
-    match Hashtbl.find_opt alias (Var.id v) with
-    | Some v' -> sub v'
-    | None -> v
+  let consts : cval option array = Array.make f.var_count None in
+  let alias = Array.make f.var_count None in
+  let sub = resolve alias in
+  let cv v = consts.(Var.id (sub v)) in
+  (* [v] is [x]: drop its definition *)
+  let alias_to v x =
+    alias.(Var.id v) <- Some (sub x);
+    None
   in
-  let cv v = Hashtbl.find_opt consts (Var.id (sub v)) in
   let rec go instrs =
     List.filter_map
       (fun i ->
         let i = map_uses sub i in
         let open Instr in
         let keep_const v c k =
-          Hashtbl.replace consts (Var.id v) k;
+          consts.(Var.id v) <- Some k;
           Some (Const (v, c))
         in
         match i with
         | Const (v, Cint x) ->
-          Hashtbl.replace consts (Var.id v) (CI x);
+          consts.(Var.id v) <- Some (CI x);
           Some i
         | Const (v, Cfloat x) ->
-          Hashtbl.replace consts (Var.id v) (CF x);
+          consts.(Var.id v) <- Some (CF x);
           Some i
         | Const (v, Cbool x) ->
-          Hashtbl.replace consts (Var.id v) (CB x);
+          consts.(Var.id v) <- Some (CB x);
           Some i
         | Bin (v, op, a, b) -> (
           match op, cv a, cv b with
@@ -57,23 +81,13 @@ let fold_func (f : Func.t) : Func.t =
           | Div, Some (CF x), Some (CF y) -> keep_const v (Cfloat (x /. y)) (CF (x /. y))
           | (Add | Sub), _, Some (CI 0) | Mul, _, Some (CI 1)
           | Div, _, Some (CI 1) ->
-            Hashtbl.replace alias (Var.id v) (sub a);
-            None
-          | Add, Some (CI 0), _ | Mul, Some (CI 1), _ ->
-            Hashtbl.replace alias (Var.id v) (sub b);
-            None
-          | Mul, Some (CI 0), _ ->
-            Hashtbl.replace alias (Var.id v) (sub a);
-            None
-          | Mul, _, Some (CI 0) ->
-            Hashtbl.replace alias (Var.id v) (sub b);
-            None
+            alias_to v a
+          | Add, Some (CI 0), _ | Mul, Some (CI 1), _ -> alias_to v b
+          | Mul, Some (CI 0), _ -> alias_to v a
+          | Mul, _, Some (CI 0) -> alias_to v b
           | (Add | Sub), _, Some (CF 0.0) | (Mul | Div), _, Some (CF 1.0) ->
-            Hashtbl.replace alias (Var.id v) (sub a);
-            None
-          | Add, Some (CF 0.0), _ | Mul, Some (CF 1.0), _ ->
-            Hashtbl.replace alias (Var.id v) (sub b);
-            None
+            alias_to v a
+          | Add, Some (CF 0.0), _ | Mul, Some (CF 1.0), _ -> alias_to v b
           | _ -> Some i)
         | Un (v, op, a) -> (
           match op, cv a with
@@ -99,19 +113,11 @@ let fold_func (f : Func.t) : Func.t =
           | _ -> Some i)
         | Select (v, c, a, b) -> (
           match cv c with
-          | Some (CB true) ->
-            Hashtbl.replace alias (Var.id v) (sub a);
-            None
-          | Some (CB false) ->
-            Hashtbl.replace alias (Var.id v) (sub b);
-            None
+          | Some (CB true) -> alias_to v a
+          | Some (CB false) -> alias_to v b
           | _ -> Some i)
         | Gep (v, p, ix) -> (
-          match cv ix with
-          | Some (CI 0) ->
-            Hashtbl.replace alias (Var.id v) (sub p);
-            None
-          | _ -> Some i)
+          match cv ix with Some (CI 0) -> alias_to v p | _ -> Some i)
         | i ->
           let rs =
             List.map
@@ -121,161 +127,174 @@ let fold_func (f : Func.t) : Func.t =
           Some (with_regions i rs))
       instrs
   in
-  let body = go f.body in
-  { f with body = subst_deep sub body }
+  { f with body = go f.body }
 
 (* ---- common subexpression elimination (pure ops, region-scoped) ---- *)
 
+(* The structural key of a pure instruction. Float constants are keyed on
+   their bits, so NaN payloads and the sign of zero stay apart. *)
+type key =
+  | KBin of Instr.binop * int * int
+  | KCmp of Instr.cmpop * int * int
+  | KUn of Instr.unop * int
+  | KGep of int * int
+  | KSelect of int * int * int
+  | KInt of int
+  | KBool of bool
+  | KFloat of int64
+
+let cse_key (i : Instr.t) =
+  let open Instr in
+  match i with
+  | Bin (_, op, a, b) -> Some (KBin (op, Var.id a, Var.id b))
+  | Cmp (_, op, a, b) -> Some (KCmp (op, Var.id a, Var.id b))
+  | Un (_, op, a) -> Some (KUn (op, Var.id a))
+  | Gep (_, p, ix) -> Some (KGep (Var.id p, Var.id ix))
+  | Select (_, c, a, b) -> Some (KSelect (Var.id c, Var.id a, Var.id b))
+  | Const (_, Cint x) -> Some (KInt x)
+  | Const (_, Cbool x) -> Some (KBool x)
+  | Const (_, Cfloat x) -> Some (KFloat (Int64.bits_of_float x))
+  | _ -> None
+
 let cse_func (f : Func.t) : Func.t =
-  let alias : (int, Var.t) Hashtbl.t = Hashtbl.create 16 in
-  let rec sub v =
-    match Hashtbl.find_opt alias (Var.id v) with
-    | Some v' -> sub v'
-    | None -> v
-  in
-  let key (i : Instr.t) : string option =
-    let open Instr in
-    let id v = string_of_int (Var.id v) in
-    match i with
-    | Bin (_, op, a, b) ->
-      Some (Fmt.str "b%s,%s,%s" (binop_name op) (id a) (id b))
-    | Cmp (_, op, a, b) ->
-      Some (Fmt.str "c%s,%s,%s" (cmpop_name op) (id a) (id b))
-    | Un (_, op, a) -> Some (Fmt.str "u%s,%s" (unop_name op) (id a))
-    | Gep (_, p, ix) -> Some (Fmt.str "g%s,%s" (id p) (id ix))
-    | Select (_, c, a, b) ->
-      Some (Fmt.str "s%s,%s,%s" (id c) (id a) (id b))
-    | Const (_, Cint x) -> Some (Fmt.str "ki%d" x)
-    | Const (_, Cbool x) -> Some (Fmt.str "kb%b" x)
-    | Const (_, Cfloat x) -> Some (Fmt.str "kf%h" x)
-    | _ -> None
-  in
-  let rec go (seen : (string, Var.t) Hashtbl.t) instrs =
+  let alias = Array.make f.var_count None in
+  let sub = resolve alias in
+  (* values available at the current point; [entered] lists the keys
+     added since the enclosing region began *)
+  let avail : (key, Var.t) Hashtbl.t = Hashtbl.create 256 in
+  let entered = ref [] in
+  let rec go instrs =
     List.filter_map
       (fun i ->
         let i = map_uses sub i in
-        match key i, Instr.def i with
+        match cse_key i, Instr.def i with
         | Some k, Some v -> (
-          match Hashtbl.find_opt seen k with
+          match Hashtbl.find_opt avail k with
           | Some prior ->
-            Hashtbl.replace alias (Var.id v) prior;
+            alias.(Var.id v) <- Some prior;
             None
           | None ->
-            Hashtbl.replace seen k v;
+            Hashtbl.add avail k v;
+            entered := k :: !entered;
             Some i)
-        | _ ->
-          let rs =
-            List.map
-              (fun (r : Instr.region) ->
-                { r with Instr.body = go (Hashtbl.copy seen) r.body })
-              (Instr.regions i)
-          in
-          Some (with_regions i rs))
+        | _ -> Some (with_regions i (List.map region (Instr.regions i))))
       instrs
+  and region (r : Instr.region) =
+    scoped entered (Hashtbl.remove avail) (fun () ->
+        { r with Instr.body = go r.body })
   in
-  let body = go (Hashtbl.create 64) f.body in
-  { f with body = subst_deep sub body }
+  { f with body = go f.body }
 
 (* ---- dead code elimination ---- *)
 
 let dce_func (f : Func.t) : Func.t =
-  let body = ref f.body in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let used = Array.make f.var_count false in
+  let used = Array.make f.var_count false in
+  let any_def_used i = List.exists (fun v -> used.(Var.id v)) (Instr.defs i) in
+  let deletable (i : Instr.t) =
+    match i with
+    | Instr.Load _ | Instr.Alloc _ -> not (any_def_used i)
+    | Instr.If _ | Instr.For _ | Instr.While _ | Instr.Fork _
+    | Instr.Workshare _ ->
+      (not (has_effects i)) && not (any_def_used i)
+    | _ -> pure i && not (any_def_used i)
+  in
+  (* [drop instrs] is [instrs] itself when nothing in it is deletable, so
+     the sweep that finds nothing rebuilds nothing *)
+  let rec drop instrs =
+    match instrs with
+    | [] -> instrs
+    | i :: rest ->
+      let rest' = drop rest in
+      if deletable i then rest'
+      else
+        let i' =
+          match Instr.regions i with
+          | [] -> i
+          | rs ->
+            let rs' = List.map drop_region rs in
+            if List.for_all2 ( == ) rs rs' then i else with_regions i rs'
+        in
+        if i' == i && rest' == rest then instrs else i' :: rest'
+  and drop_region (r : Instr.region) =
+    let body = drop r.body in
+    if body == r.body then r else { r with body }
+  in
+  let rec sweep body =
+    Array.fill used 0 f.var_count false;
     Instr.iter_instrs
       (fun i -> List.iter (fun v -> used.(Var.id v) <- true) (Instr.uses i))
-      !body;
-    let any_def_used i =
-      List.exists (fun v -> used.(Var.id v)) (Instr.defs i)
-    in
-    let rec drop instrs =
-      List.filter_map
-        (fun (i : Instr.t) ->
-          let i =
-            with_regions i
-              (List.map
-                 (fun (r : Instr.region) -> { r with Instr.body = drop r.body })
-                 (Instr.regions i))
-          in
-          let deletable =
-            match i with
-            | Instr.Load _ | Instr.Alloc _ -> not (any_def_used i)
-            | Instr.If _ | Instr.For _ | Instr.While _ | Instr.Fork _
-            | Instr.Workshare _ ->
-              (not (has_effects i)) && not (any_def_used i)
-            | _ -> pure i && not (any_def_used i)
-          in
-          if deletable then begin
-            changed := true;
-            None
-          end
-          else Some i)
-        instrs
-    in
-    body := drop !body
-  done;
-  { f with body = !body }
+      body;
+    let body' = drop body in
+    if body' == body then body else sweep body'
+  in
+  { f with body = sweep f.body }
 
 (* ---- loop-invariant code motion ---- *)
 
-module IH = Hashtbl
-
 let licm_func (f : Func.t) : Func.t =
-  let rec walk (scope : (int, unit) IH.t) instrs =
-    let out = ref [] in
+  (* variables defined at the current point; [trail] lists the ones set
+     since the enclosing region began *)
+  let avail = Array.make f.var_count false in
+  let trail = ref [] in
+  let define v =
+    let id = Var.id v in
+    if not avail.(id) then begin
+      avail.(id) <- true;
+      trail := id :: !trail
+    end
+  in
+  let scoped g = scoped trail (fun id -> avail.(id) <- false) g in
+  (* [walk instrs] rewrites a region body; it also says whether anything
+     in it, at any depth, clobbers memory *)
+  let rec walk instrs =
+    let out = ref [] and clob = ref false in
     List.iter
       (fun (i : Instr.t) ->
-        let child_scope (r : Instr.region) =
-          let s = IH.copy scope in
-          List.iter (fun v -> IH.replace s (Var.id v) ()) (Instr.defs i);
-          List.iter (fun p -> IH.replace s (Var.id p) ()) r.Instr.params;
-          s
+        let i, c =
+          match Instr.regions i with
+          | [] -> i, clobbers i
+          | rs ->
+            let c = ref false in
+            let rs =
+              List.map
+                (fun (r : Instr.region) ->
+                  scoped (fun () ->
+                      (* inner defs become visible inside *)
+                      List.iter define (Instr.defs i);
+                      List.iter define r.Instr.params;
+                      let body, cb = walk r.body in
+                      if cb then c := true;
+                      { r with Instr.body = body }))
+                rs
+            in
+            with_regions i rs, !c
         in
-        let i =
-          with_regions i
-            (List.map
-               (fun (r : Instr.region) ->
-                 (* inner defs become visible inside *)
-                 let s = child_scope r in
-                 { r with Instr.body = walk s r.body })
-               (Instr.regions i))
-        in
+        if c then clob := true;
         (match i with
         | Instr.For ({ body; _ } as r) ->
-          let store_free =
-            not (List.exists clobbers body.Instr.body)
-          in
-          let hoistable : (int, unit) IH.t = IH.create 8 in
-          let avail u =
-            IH.mem scope (Var.id u) || IH.mem hoistable (Var.id u)
-          in
           let hoisted = ref [] and kept = ref [] in
-          List.iter
-            (fun (j : Instr.t) ->
-              let movable =
-                (pure j
-                || match j with Instr.Load _ -> store_free | _ -> false)
-                && List.for_all avail (Instr.uses j)
-              in
-              if movable then begin
-                List.iter
-                  (fun v -> IH.replace hoistable (Var.id v) ())
-                  (Instr.defs j);
-                hoisted := j :: !hoisted
-              end
-              else kept := j :: !kept)
-            body.Instr.body;
-          out := !out @ List.rev !hoisted;
+          scoped (fun () ->
+              List.iter
+                (fun (j : Instr.t) ->
+                  let movable =
+                    (pure j || match j with Instr.Load _ -> not c | _ -> false)
+                    && List.for_all (fun u -> avail.(Var.id u)) (Instr.uses j)
+                  in
+                  if movable then begin
+                    List.iter define (Instr.defs j);
+                    hoisted := j :: !hoisted
+                  end
+                  else kept := j :: !kept)
+                body.Instr.body);
+          (* the hoisted instructions go directly before their loop, in
+             their original order ([out] is reversed) *)
           out :=
-            !out
-            @ [ Instr.For { r with body = { body with body = List.rev !kept } } ]
-        | i -> out := !out @ [ i ]);
-        List.iter (fun v -> IH.replace scope (Var.id v) ()) (Instr.defs i))
+            Instr.For { r with body = { body with body = List.rev !kept } }
+            :: (!hoisted @ !out)
+        | i -> out := i :: !out);
+        List.iter define (Instr.defs i))
       instrs;
-    !out
+    List.rev !out, !clob
   in
-  let scope = IH.create 64 in
-  List.iter (fun p -> IH.replace scope (Var.id p) ()) f.params;
-  { f with body = walk scope f.body }
+  List.iter define f.params;
+  { f with body = fst (walk f.body) }

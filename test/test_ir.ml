@@ -72,6 +72,65 @@ let test_nested_fork_rejected () =
   | Ok () -> Alcotest.fail "verifier accepted nested fork"
   | Error _ -> ()
 
+let expect_rejection prog msg =
+  match Verifier.check_prog_result prog with
+  | Ok () -> Alcotest.failf "verifier accepted it (wanted %S)" msg
+  | Error m ->
+    if not (contains m msg) then Alcotest.failf "wanted %S, got %S" msg m
+
+let test_then_def_used_in_else_rejected () =
+  let prog = Prog.create () in
+  let b, ps = B.func prog "cross" ~params:[ "x", Ty.Float ] ~ret:Ty.Float in
+  let x = List.hd ps in
+  let leaked = ref x in
+  let r =
+    B.if_ b (B.gt b x (B.f64 b 0.0)) ~results:[ Ty.Float ]
+      ~then_:(fun () ->
+        leaked := B.neg b x;
+        [ !leaked ])
+      ~else_:(fun () -> [ B.neg b !leaked ])
+  in
+  B.return b (Some (List.hd r));
+  ignore (B.finish b);
+  expect_rejection prog "use of undefined variable"
+
+let test_loop_def_used_after_loop_rejected () =
+  let prog = Prog.create () in
+  let b, ps = B.func prog "escape" ~params:[ "n", Ty.Int ] ~ret:Ty.Float in
+  let inner = ref None in
+  B.for_n b (List.hd ps) (fun i -> inner := Some (B.to_float b i));
+  B.return b !inner;
+  ignore (B.finish b);
+  expect_rejection prog "use of undefined variable"
+
+(* hand-built unit functions: the builder never reuses a variable *)
+let raw_func name ~params body ~var_count =
+  let prog = Prog.create () in
+  Prog.add prog
+    (Func.make ~name ~params
+       ~attrs:(List.map (fun _ -> Func.default_attr) params)
+       ~ret_ty:Ty.Unit ~body ~var_count);
+  prog
+
+let test_defined_twice_rejected () =
+  let v = Var.make ~id:0 ~ty:Ty.Float ~name:"v" in
+  expect_rejection
+    (raw_func "twice" ~params:[] ~var_count:1
+       Instr.[ Const (v, Cfloat 1.0); Const (v, Cfloat 2.0); Return None ])
+    "defined twice"
+
+let test_one_def_per_sibling_branch_accepted () =
+  let c = Var.make ~id:0 ~ty:Ty.Bool ~name:"c"
+  and v = Var.make ~id:1 ~ty:Ty.Float ~name:"v" in
+  let arm x = Instr.(region [ Const (v, Cfloat x); Yield [] ]) in
+  match
+    Verifier.check_prog_result
+      (raw_func "siblings" ~params:[ c ] ~var_count:2
+         Instr.[ If ([], c, arm 1.0, arm 2.0); Return None ])
+  with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "sibling definitions rejected: %s" m
+
 let test_structured_builder () =
   let prog = Prog.create () in
   let b, ps = B.func prog "f" ~params:[ "n", Ty.Int ] ~ret:Ty.Float in
@@ -175,6 +234,13 @@ let () =
           Alcotest.test_case "workshare placement" `Quick
             test_workshare_outside_fork_rejected;
           Alcotest.test_case "nested fork" `Quick test_nested_fork_rejected;
+          Alcotest.test_case "then-def used in else" `Quick
+            test_then_def_used_in_else_rejected;
+          Alcotest.test_case "loop-def used after loop" `Quick
+            test_loop_def_used_after_loop_rejected;
+          Alcotest.test_case "defined twice" `Quick test_defined_twice_rejected;
+          Alcotest.test_case "one def per sibling branch" `Quick
+            test_one_def_per_sibling_branch_accepted;
         ] );
       "props", qcheck_tests;
     ]

@@ -99,6 +99,168 @@ let test_licm_hoists () =
     (fun a b' -> Alcotest.check feq "same" a b')
     (run prog) (run opt)
 
+(* Float constants are CSE'd only when their bits agree: two NaNs with
+   different payloads, and 0.0 / -0.0, are different values. *)
+let test_cse_float_bits () =
+  let prog = Prog.create () in
+  let b, _ = B.func prog "bits" ~params:[] ~ret:Ty.Float in
+  let nan1 = Int64.float_of_bits 0x7FF8000000000001L
+  and nan2 = Int64.float_of_bits 0x7FF8000000000002L in
+  let ks = List.map (B.f64 b) [ nan1; nan2; 0.0; -0.0 ] in
+  B.return b (Some (List.fold_left (B.add b) (List.hd ks) (List.tl ks)));
+  ignore (B.finish b);
+  let f = Prog.find_exn (Pipe.run_on prog "bits" [ Pipe.cse ]) "bits" in
+  let bits =
+    Instr.fold_instrs
+      (fun acc i ->
+        match i with
+        | Instr.Const (_, Instr.Cfloat x) -> Int64.bits_of_float x :: acc
+        | _ -> acc)
+      [] f.body
+  in
+  Alcotest.(check (list int64))
+    "every float constant survives"
+    (List.map Int64.bits_of_float [ nan1; nan2; 0.0; -0.0 ])
+    (List.rev bits)
+
+let count_muls = count_kind (function Instr.Bin (_, Instr.Mul, _, _) -> true | _ -> false)
+
+(* CSE scoping: a value from before an If is reused in both branches;
+   siblings never share; a loop-body value is never reused after it. *)
+let test_cse_scoping () =
+  let cse_muls build =
+    let prog = Prog.create () in
+    let b, ps =
+      B.func prog "s" ~params:[ "x", Ty.Float; "out", Ty.Ptr Ty.Float ]
+        ~ret:Ty.Unit
+    in
+    let x, out = match ps with [ a; c ] -> a, c | _ -> assert false in
+    build b x out;
+    B.return b None;
+    ignore (B.finish b);
+    count_muls (Prog.find_exn (Pipe.run_on prog "s" [ Pipe.cse ]) "s")
+  in
+  let branch b x out f =
+    B.ite b (B.gt b x (B.f64 b 0.0))
+      (fun () -> f ())
+      (fun () -> B.store b out (B.i64 b 1) (B.mul b x x))
+  in
+  Alcotest.(check int) "dominating value reused in both branches" 1
+    (cse_muls (fun b x out ->
+         B.store b out (B.i64 b 0) (B.mul b x x);
+         branch b x out (fun () -> B.store b out (B.i64 b 2) (B.mul b x x))));
+  Alcotest.(check int) "siblings share nothing" 2
+    (cse_muls (fun b x out ->
+         branch b x out (fun () -> B.store b out (B.i64 b 2) (B.mul b x x))));
+  Alcotest.(check int) "loop-body value not reused after the loop" 2
+    (cse_muls (fun b x out ->
+         B.for_n b (B.i64 b 4) (fun i -> B.store b out i (B.mul b x x));
+         B.store b out (B.i64 b 0) (B.mul b x x)))
+
+(* LICM: hoisted instructions land directly before their loop, in their
+   original order; a loop inside an If inside a loop hoists into the
+   branch; an operand defined in a sibling region is never available. *)
+let test_licm_scoping () =
+  let prog = Prog.create () in
+  let b, ps =
+    B.func prog "order" ~params:[ "x", Ty.Float; "out", Ty.Ptr Ty.Float ]
+      ~ret:Ty.Unit
+  in
+  let x, out = match ps with [ a; c ] -> a, c | _ -> assert false in
+  let n = B.i64 b 4 in
+  let inv = ref [] in
+  B.for_n b n (fun i ->
+      let a = B.mul b x x in
+      let c = B.add b a x in
+      inv := [ a; c ];
+      B.store b out i (B.mul b c (B.to_float b i)));
+  B.return b None;
+  ignore (B.finish b);
+  let f = Prog.find_exn (Pipe.run_on prog "order" [ Pipe.licm ]) "order" in
+  let rec before_loop = function
+    | i :: j :: (Instr.For _ :: _) -> [ i; j ]
+    | _ :: rest -> before_loop rest
+    | [] -> []
+  in
+  Alcotest.(check (list int))
+    "hoisted pair directly before the loop, in order"
+    (List.map Var.id !inv)
+    (List.filter_map (fun i -> Option.map Var.id (Instr.def i)) (before_loop f.body));
+  (* a loop in an If in a loop: the inner invariants stop in the branch *)
+  let prog = Prog.create () in
+  let b, ps =
+    B.func prog "nest"
+      ~params:[ "x", Ty.Float; "c", Ty.Bool; "out", Ty.Ptr Ty.Float ]
+      ~ret:Ty.Unit
+  in
+  let x, c, out = match ps with [ a; c; o ] -> a, c, o | _ -> assert false in
+  B.for_n b (B.i64 b 3) (fun i ->
+      B.when_ b c (fun () ->
+          B.for_n b (B.i64 b 4) (fun j ->
+              let k = B.mul b (B.to_float b i) x in
+              B.store b out j (B.add b k (B.to_float b j)))));
+  B.return b None;
+  ignore (B.finish b);
+  let f = Prog.find_exn (Pipe.run_on prog "nest" [ Pipe.licm ]) "nest" in
+  let rec then_body = function
+    | Instr.If (_, _, t, _) :: _ -> Some t.Instr.body
+    | (Instr.For { body; _ }) :: rest -> (
+      match then_body body.Instr.body with Some t -> Some t | None -> then_body rest)
+    | _ :: rest -> then_body rest
+    | [] -> None
+  in
+  let t = Option.get (then_body f.body) in
+  let inner =
+    List.find_map (function Instr.For { body; _ } -> Some body.Instr.body | _ -> None) t
+    |> Option.get
+  in
+  Alcotest.(check int) "i*x left the inner loop" 0
+    (List.length (List.filter (function Instr.Bin (_, Instr.Mul, _, _) -> true | _ -> false) inner));
+  Alcotest.(check int) "i*x now heads the branch's loop" 1
+    (List.length (List.filter (function Instr.Bin (_, Instr.Mul, _, _) -> true | _ -> false) t));
+  (* one var defined once in each branch: the else-branch loop's use of
+     it must not be hoisted on the strength of the then-branch's def *)
+  let v ~id ty name = Var.make ~id ~ty ~name in
+  let x = v ~id:0 Ty.Float "x" and n = v ~id:1 Ty.Int "n" and c = v ~id:2 Ty.Bool "c"
+  and out = v ~id:3 (Ty.Ptr Ty.Float) "out" and zero = v ~id:4 Ty.Int "zero"
+  and one = v ~id:5 Ty.Int "one" and d = v ~id:6 Ty.Float "d" and iv = v ~id:7 Ty.Int "i"
+  and w = v ~id:8 Ty.Float "w" in
+  let open Instr in
+  let body =
+    [
+      Const (zero, Cint 0);
+      Const (one, Cint 1);
+      If
+        ( [],
+          c,
+          region [ Un (d, Neg, x); Store (out, zero, d); Yield [] ],
+          region
+            [
+              For
+                {
+                  iv;
+                  lo = zero;
+                  hi = n;
+                  step = one;
+                  body =
+                    region ~params:[ iv ]
+                      [ Un (d, ToFloat, iv); Bin (w, Mul, d, x); Store (out, iv, w) ];
+                };
+              Yield [];
+            ] );
+      Return None;
+    ]
+  in
+  let prog = Prog.create () in
+  Prog.add prog
+    (Func.make ~name:"sib" ~params:[ x; n; c; out ]
+       ~attrs:(List.map (fun _ -> Func.default_attr) [ x; n; c; out ])
+       ~ret_ty:Ty.Unit ~body ~var_count:9);
+  Alcotest.(check string) "nothing hoisted out of the else-branch loop"
+    (Printer.func_to_string (Prog.find_exn prog "sib"))
+    (Printer.func_to_string
+       (Prog.find_exn (Pipe.run_on prog "sib" [ Pipe.licm ]) "sib"))
+
 let test_parallel_load_hoisting () =
   let prog = Prog.create () in
   let b, ps =
@@ -356,6 +518,50 @@ let test_post_ad_idempotent () =
         [ "post_ad", Pipe.post_ad; "post_ad_fuse", Pipe.post_ad_fuse ])
     (app_functions ())
 
+(* ---- golden post-AD programs: the MD5 of the printed post_ad output
+   of every app gradient, plus LULESH RAJA-MPI and the 8-lane batched
+   gradients of LULESH OMP and miniBUDE OMP. The passes may be
+   rewritten for speed, but each must print exactly these programs. ---- *)
+
+let golden_post_ad =
+  [
+    "lulesh_seq", "99478e86e687c17566b40b02752157d5";
+    "lulesh_omp", "4d11533521d00f5d8c7ae8ecd850e739";
+    "lulesh_raja", "090d0e3bd2c3a70eae51e95b46c05aa3";
+    "lulesh_mpi", "ad5be69e58310a715bf70e657d8217b8";
+    "lulesh_hybrid", "45b99b0662c3318a7b6896ed6cfacb5c";
+    "lulesh_jl", "739055191b32d0e93d9988b74cdb4d22";
+    "bude_seq", "9a47b4a4fbf73b6cb8ef4d1f910bff7d";
+    "bude_omp", "d702df78df7ad5fd0a24bb53d03ba2cd";
+    "bude_julia", "b199ba5fec2e5f201343ffe7e6007d82";
+    "bude_chunk_jl", "922a4695c6e9c1356f99172f42e6fca1";
+    "lulesh_raja_mpi", "f4aca310884c2c3082b5b20a1453a238";
+    "lulesh_omp seeds=8", "78646bb7616cef92236141177d25d6e2";
+    "bude_omp seeds=8", "012ecc8ee7c223f45fdd764900750f7b";
+  ]
+
+let test_post_ad_golden () =
+  let k1 = Parad_core.Plan.default_options in
+  let k8 = { k1 with seeds = 8 } in
+  let cases =
+    List.map (fun (name, prog) -> name, name, prog, k1) (app_functions ())
+    @ [
+        "lulesh_raja_mpi", L.flavor_name L.RajaMpi, L.program L.RajaMpi, k1;
+        "lulesh_omp seeds=8", "lulesh_omp", L.program L.Omp, k8;
+        "bude_omp seeds=8", "bude_omp", MB.program (), k8;
+      ]
+  in
+  let digests =
+    List.map
+      (fun (tag, name, prog, opts) ->
+        let rprog, _ = Parad_core.Reverse.gradient ~opts prog name in
+        let out = Pipe.run rprog Pipe.post_ad in
+        tag, Digest.to_hex (Digest.string (Printer.prog_to_string out)))
+      cases
+  in
+  Alcotest.(check (list (pair string string)))
+    "post_ad prints the pinned programs" golden_post_ad digests
+
 (* ---- the post-AD pipeline must not perturb a single bit of the
    gradient: optimized and unoptimized reverse passes accumulate the
    same values in the same order ---- *)
@@ -397,6 +603,10 @@ let () =
           Alcotest.test_case "constfold" `Quick test_constfold;
           Alcotest.test_case "cse+dce" `Quick test_cse_and_dce;
           Alcotest.test_case "licm" `Quick test_licm_hoists;
+          Alcotest.test_case "cse keeps float bit patterns apart" `Quick
+            test_cse_float_bits;
+          Alcotest.test_case "cse scoping" `Quick test_cse_scoping;
+          Alcotest.test_case "licm scoping" `Quick test_licm_scoping;
           Alcotest.test_case "parallel load hoisting" `Quick
             test_parallel_load_hoisting;
           Alcotest.test_case "fork fusion" `Quick test_fork_fusion;
@@ -407,6 +617,8 @@ let () =
           Alcotest.test_case "o2 idempotent on apps" `Quick test_o2_idempotent;
           Alcotest.test_case "post_ad idempotent on app gradients" `Quick
             test_post_ad_idempotent;
+          Alcotest.test_case "post_ad golden programs" `Quick
+            test_post_ad_golden;
           Alcotest.test_case "lulesh gradient bit-identical under post_ad"
             `Quick test_lulesh_grad_bit_identical;
           Alcotest.test_case "bude gradient bit-identical under post_ad"
