@@ -8,6 +8,23 @@
 
 open Util
 
+(* a BENCH_mpi.json row's metrics: a forward makespan and a gradient,
+   their strong-scaling speedups over the 1-rank makespans f1 and g1, and
+   the gradient's adjoint-communication counters *)
+let mpi_metrics ~nranks ~coalesce ~f1 ~g1 forward (g : L.grad_result) =
+  let s = g.L.g_stats in
+  [
+    "nranks", float nranks;
+    "coalesce", (if coalesce then 1.0 else 0.0);
+    "forward", forward;
+    "gradient", g.L.g_makespan;
+    "fwd_speedup", f1 /. forward;
+    "grad_speedup", g1 /. g.L.g_makespan;
+    "msgs_sent", float s.S.msgs_sent;
+    "cells_sent", float s.S.cells_sent;
+    "max_inflight", float s.S.max_inflight;
+  ]
+
 let ranks_of quick = if quick then [ 1; 4; 16; 64 ] else [ 1; 2; 8; 16; 32; 64 ]
 
 let run ~quick =
@@ -50,12 +67,10 @@ let run ~quick =
   let f1 = List.hd cpp_fwd_t and g1 = List.hd cpp_grad_t in
   List.iteri
     (fun i n ->
-      let gr = List.nth cpp_grad i in
-      record_mpi ~name:"lulesh_cpp_mpi" ~nranks:n ~coalesce:true
-        ~forward:(List.nth cpp_fwd_t i) ~gradient:gr.L.g_makespan
-        ~fwd_speedup:(f1 /. List.nth cpp_fwd_t i)
-        ~grad_speedup:(g1 /. gr.L.g_makespan)
-        ~stats:(Some gr.L.g_stats))
+      record ~figure:"mpi"
+        ~config:(Printf.sprintf "lulesh_cpp_mpi/%d" n)
+        (mpi_metrics ~nranks:n ~coalesce:true ~f1 ~g1 (List.nth cpp_fwd_t i)
+           (List.nth cpp_grad i)))
     ranks;
   subheader "top row: runtime (virtual cycles) vs ranks";
   cols "ranks" ranks;
@@ -90,10 +105,9 @@ let run ~quick =
       "RAJA MPI gradient", L.RajaMpi, true;
     ];
   (* gated row: always the full-size mesh, so the strong-scaling
-     threshold scripts/check.sh compares against bench/mpi_threshold
-     means the same thing under --quick; plus the --no-coalesce
-     ablation (one blocking dual per exchange, the uncoalesced
-     baseline) at the same size *)
+     floors in bench/thresholds mean the same thing under --quick; plus
+     the --no-coalesce ablation (one blocking dual per exchange, the
+     uncoalesced baseline) at the same size *)
   let last l = List.nth l (List.length l - 1) in
   let gmax = last ranks in
   let gate_inp = { base with L.nx = 4; ny = 4 } in
@@ -107,20 +121,16 @@ let run ~quick =
         gate_grad gmax )
     else (f1, g1, last cpp_fwd, last cpp_grad)
   in
-  record_mpi ~name:"lulesh_cpp_mpi_gate" ~nranks:gmax ~coalesce:true
-    ~forward:gfn.L.makespan ~gradient:ggn.L.g_makespan
-    ~fwd_speedup:(gf1 /. gfn.L.makespan)
-    ~grad_speedup:(gg1 /. ggn.L.g_makespan)
-    ~stats:(Some ggn.L.g_stats);
+  record ~figure:"mpi" ~config:"lulesh_cpp_mpi_gate"
+    (mpi_metrics ~nranks:gmax ~coalesce:true ~f1:gf1 ~g1:gg1 gfn.L.makespan
+       ggn);
   let nc_opts =
     { Parad_core.Plan.default_options with coalesce_comm = false }
   in
   let ggn_nc = gate_grad ~opts:nc_opts gmax in
-  record_mpi ~name:"lulesh_cpp_mpi_gate" ~nranks:gmax ~coalesce:false
-    ~forward:gfn.L.makespan ~gradient:ggn_nc.L.g_makespan
-    ~fwd_speedup:(gf1 /. gfn.L.makespan)
-    ~grad_speedup:(gg1 /. ggn_nc.L.g_makespan)
-    ~stats:(Some ggn_nc.L.g_stats);
+  record ~figure:"mpi" ~config:"lulesh_cpp_mpi_gate/no-coalesce"
+    (mpi_metrics ~nranks:gmax ~coalesce:false ~f1:gf1 ~g1:gg1 gfn.L.makespan
+       ggn_nc);
   subheader
     (Printf.sprintf "adjoint-communication counters (%d ranks, full size)"
        gmax);

@@ -8,34 +8,21 @@
    headline LULESH OMP row should approach but never reach kx. Every
    lane column must be bit-identical to its standalone run (same d_ret,
    same engine): batching is a layout change, not a numeric one.
-   scripts/check.sh compares the lulesh_omp/k8 speedup against
-   bench/batch_threshold and requires bitwise=true on every row. *)
+   bench/thresholds puts a floor under the lulesh_omp/k8 speedup. *)
 
 open Util
 module E = Parad_engine.Engine
 module Plan = Parad_core.Plan
 
-let best_of reps f =
-  let best = ref None and keep = ref None in
-  for _ = 1 to reps do
-    let r, ns = f () in
-    match !best with
-    | Some b when b <= ns -> ()
-    | _ ->
-      best := Some ns;
-      keep := Some r
-  done;
-  match !keep, !best with Some r, Some ns -> r, ns | _ -> assert false
-
-let bits_eq (a : float array) (b : float array) =
-  Array.length a = Array.length b
-  && (let ok = ref true in
-      Array.iteri
-        (fun i x ->
-          if Int64.bits_of_float x <> Int64.bits_of_float b.(i) then
-            ok := false)
-        a;
-      !ok)
+(* a BENCH_batch.json row's metrics: one batched k-lane sweep (wall_ns)
+   against the sum of k single-seed sweeps on the same engine (solo_ns) *)
+let batch_metrics ~seeds ~wall_ns ~solo_ns =
+  [
+    "seeds", float seeds;
+    "wall_ns", wall_ns;
+    "solo_ns", solo_ns;
+    "speedup", solo_ns /. wall_ns;
+  ]
 
 let run ~quick =
   header "Batched multi-seed adjoints (one sweep, k seeds)";
@@ -84,8 +71,8 @@ let run ~quick =
         Printf.sprintf "%.2fx" (!solo_ns /. batched_ns);
         string_of_bool !bitwise;
       ];
-    record_batch ~name ~seeds:k ~wall_ns:batched_ns ~solo_ns:!solo_ns
-      ~bitwise:!bitwise;
+    record ~figure:"batch" ~config:name ~bitwise:!bitwise
+      (batch_metrics ~seeds:k ~wall_ns:batched_ns ~solo_ns:!solo_ns);
     !bitwise
   in
   subheader "LULESH OMP gradient (nthreads=64, engine=seq)";
@@ -134,8 +121,8 @@ let run ~quick =
         Printf.sprintf "%.2fx" (!solo_ns /. batched_ns);
         string_of_bool !bitwise;
       ];
-    record_batch ~name ~seeds:k ~wall_ns:batched_ns ~solo_ns:!solo_ns
-      ~bitwise:!bitwise;
+    record ~figure:"batch" ~config:name ~bitwise:!bitwise
+      (batch_metrics ~seeds:k ~wall_ns:batched_ns ~solo_ns:!solo_ns);
     !bitwise
   in
   List.iter (fun k -> ok := bude_row k && !ok) [ 8 ];

@@ -3,8 +3,8 @@
    plus the tape-cache footprint behind each gradient run.
 
    Every row is also recorded into BENCH_overhead.json (see Util);
-   scripts/check.sh gates on the "LULESH C++ OMP" row's overhead, so
-   that configuration always runs at 64 threads even under --quick. *)
+   bench/thresholds gates the "LULESH C++ OMP" row's overhead, so that
+   configuration always runs at 64 threads even under --quick. *)
 
 open Util
 module Pipe = Parad_opt.Pipeline
@@ -22,7 +22,25 @@ let run ~quick =
     in
     Printf.printf "%-28s %12.3g %12.3g %10.2f %s\n" name fwd grad (grad /. fwd)
       cells;
-    record_overhead ~name ~nranks ~nthreads ~forward:fwd ~gradient:grad ~stats
+    let cache =
+      match stats with
+      | Some s ->
+        [
+          "cache_stores", float s.S.cache_stores;
+          "cache_cells", float s.S.cache_cells;
+          "cache_peak", float s.S.cache_peak;
+        ]
+      | None -> []
+    in
+    record ~figure:"overhead" ~config:name
+      ([
+         "nranks", float nranks;
+         "nthreads", float nthreads;
+         "forward", fwd;
+         "gradient", grad;
+         "overhead", grad /. fwd;
+       ]
+      @ cache)
   in
   (* LULESH *)
   let inp =

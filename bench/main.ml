@@ -8,8 +8,8 @@
                               batch|micro]
                    [--recompute-depth N]
 
-   Figure drivers record machine-readable results; the run writes them
-   to BENCH_overhead.json on exit (see Util.write_bench_json). *)
+   Figure drivers record machine-readable rows; the run writes each
+   figure's rows to BENCH_<figure>.json on exit (see Bench_row). *)
 
 let figures =
   [
@@ -91,7 +91,7 @@ let micro ~quick:_ =
       match Analyze.OLS.estimates result with
       | Some [ est ] ->
         Printf.printf "%-32s %12.1f ns/run\n" name est;
-        Util.record_micro ~name ~ns:est
+        Util.record ~figure:"overhead" ~config:name [ "ns_per_run", est ]
       | _ -> Printf.printf "%-32s (no estimate)\n" name)
     results
 
@@ -117,11 +117,5 @@ let () =
   | None ->
     List.iter (fun (_, f) -> f ~quick) figures;
     micro ~quick);
-  Util.write_bench_json ~quick;
-  Util.write_mpi_json ~quick;
-  Util.write_checkpoint_json ~quick;
-  Util.write_serve_json ~quick;
-  Util.write_sdc_json ~quick;
-  Util.write_engine_json ~quick;
-  Util.write_batch_json ~quick;
+  Bench_row.write ~quick (List.rev !Util.rows);
   Printf.printf "\nbench: done.\n"

@@ -15,9 +15,18 @@ module Faults = Parad_runtime.Faults
 module Mpi_state = Parad_runtime.Mpi_state
 module Exec = Parad_runtime.Exec
 module Comm_check = Parad_verify.Comm_check
+module Service = Parad_server.Service
 open Parad_ir
 
 module Checkpoint = Parad_runtime.Checkpoint
+
+(* Any exception without a dedicated report goes through the service's
+   classification, so it exits with its documented code, never
+   cmdliner's 125. *)
+let classified_exit ?(out = stderr) e =
+  let cls, msg = Service.classify_exn e in
+  Printf.fprintf out "%s: %s\n" cls msg;
+  Service.class_code cls
 
 (* Uniform failure semantics for every subcommand: a deadlock prints the
    structured wait-for report and exits 3; a runtime error prints the
@@ -25,7 +34,8 @@ module Checkpoint = Parad_runtime.Checkpoint
    budget exits 6 (shared with the server's "deadline" response class);
    detected-but-unsupervised data corruption (a checksum or region-digest
    mismatch with no recovery driver to absorb it) exits 9 (the server's
-   "corrupted" response class) — never an uncaught exception backtrace. *)
+   "corrupted" response class); anything else exits with its service
+   class code — never an uncaught exception backtrace. *)
 let guarded f =
   try f () with
   | Sim.Deadlock d ->
@@ -48,6 +58,7 @@ let guarded f =
   | Parad_runtime.Value.Runtime_error msg ->
     Printf.eprintf "runtime error: %s\n" msg;
     exit 2
+  | e -> exit (classified_exit e)
 
 let lulesh_flavors =
   [
@@ -56,17 +67,13 @@ let lulesh_flavors =
   ]
 
 let program_of_name name =
-  match List.assoc_opt (String.concat "" [ name ]) [] with
-  | Some p -> p
-  | None ->
-    if String.length name >= 6 && String.sub name 0 6 = "lulesh" then
-      let flavor =
-        List.find_opt (fun (_, f) -> L.flavor_name f = name) lulesh_flavors
-      in
-      (match flavor with
-      | Some (_, f) -> L.program f
-      | None -> L.program L.Seq)
-    else MB.program ()
+  if String.length name >= 6 && String.sub name 0 6 = "lulesh" then
+    match
+      List.find_opt (fun (_, f) -> L.flavor_name f = name) lulesh_flavors
+    with
+    | Some (_, f) -> L.program f
+    | None -> L.program L.Seq
+  else MB.program ()
 
 let ir_cmd =
   let fname =
@@ -95,6 +102,7 @@ let gradient_cmd =
     Arg.(value & flag & info [ "O" ] ~doc:"run the post-AD cleanup pipeline")
   in
   let run fname optimize =
+    guarded @@ fun () ->
     let prog = program_of_name fname in
     let dprog, dname = Parad_core.Reverse.gradient prog fname in
     let dprog =
@@ -169,11 +177,39 @@ let no_coalesce_arg =
            adjoint message instead of batching per-destination packed \
            messages")
 
+(* An integer flag with a floor, rejected at parse time (exit 124) with
+   the reason the floor exists. *)
+let int_at_least ~flag ~min ~why =
+  let parse s =
+    match int_of_string_opt s with
+    | None -> Error (`Msg (Printf.sprintf "invalid %s value %S" flag s))
+    | Some n when n >= min -> Ok n
+    | Some n ->
+      Error
+        (`Msg
+           (Printf.sprintf "%s must be at least %d (got %d); %s" flag min n
+              why))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+(* --threads and --size share the service's nthreads and nx minimums *)
 let threads_arg =
-  Arg.(value & opt int 1 & info [ "threads" ] ~doc:"OpenMP threads (simulated)")
+  Arg.(
+    value
+    & opt
+        (int_at_least ~flag:"--threads" ~min:1
+           ~why:"a parallel region needs at least one thread")
+        1
+    & info [ "threads" ] ~doc:"OpenMP threads (simulated, at least 1)")
 
 let size_arg =
-  Arg.(value & opt int 4 & info [ "size" ] ~doc:"mesh edge elements")
+  Arg.(
+    value
+    & opt
+        (int_at_least ~flag:"--size" ~min:2
+           ~why:"the reported gradient reads four element energies")
+        4
+    & info [ "size" ] ~doc:"mesh edge elements (at least 2)")
 
 let iters_arg = Arg.(value & opt int 3 & info [ "iters" ] ~doc:"time steps")
 
@@ -332,26 +368,19 @@ let grad_plan_arg =
            stats line (sdc_inj/sdc_det/sdc_rec/retrans)")
 
 (* Zero or negative lane counts have no meaning to the batched planner. *)
-let seeds_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | None -> Error (`Msg (Printf.sprintf "invalid seed count %S" s))
-    | Some n when n >= 1 -> Ok n
-    | Some n ->
-      Error
-        (`Msg
-           (Printf.sprintf
-              "--seeds must be at least 1 (got %d); 1 is the classic                single-seed sweep"
-              n))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
 let seeds_arg =
   Arg.(
-    value & opt seeds_conv 1
+    value
+    & opt
+        (int_at_least ~flag:"--seeds" ~min:1
+           ~why:"1 is the classic single-seed sweep")
+        1
     & info [ "seeds" ]
         ~doc:
-          "number of return seeds to propagate in one batched reverse            sweep (k-stride adjoint planes; lane l is seeded with l+1 and            is bit-identical to a standalone run with --seeds 1 scaled by            that seed). Shared-memory flavors on a single rank only")
+          "number of return seeds to propagate in one batched reverse \
+           sweep (k-stride adjoint planes; lane l is seeded with l+1 and \
+           is bit-identical to a standalone run with --seeds 1 scaled by \
+           that seed). Shared-memory flavors on a single rank only")
 
 (* The remat rate must stay positive: it is a virtual-cycle charge. *)
 let remat_rate_conv =
@@ -363,7 +392,8 @@ let remat_rate_conv =
       Error
         (`Msg
            (Printf.sprintf
-              "--transcendental-remat must be positive (got %g): it is                the virtual-cycle cost of a rematerialized transcendental"
+              "--transcendental-remat must be positive (got %g): it is \
+               the virtual-cycle cost of a rematerialized transcendental"
               r))
   in
   Arg.conv (parse, Format.pp_print_float)
@@ -375,7 +405,11 @@ let remat_rate_arg =
     & info [ "transcendental-remat" ]
         ~doc:
           (Printf.sprintf
-             "virtual-cycle cost of a transcendental re-evaluated inside a               remat chain of the reverse sweep (default %g, vs %g on the               primal path): models cache-hot recomputation; raising it               toward the primal rate shows how much of the mincut               planner's win depends on cheap rematerialization"
+             "virtual-cycle cost of a transcendental re-evaluated inside a \
+              remat chain of the reverse sweep (default %g, vs %g on the \
+              primal path): models cache-hot recomputation; raising it \
+              toward the primal rate shows how much of the mincut \
+              planner's win depends on cheap rematerialization"
              Parad_runtime.Cost_model.default
                .Parad_runtime.Cost_model.transcendental_remat
              Parad_runtime.Cost_model.default
@@ -695,7 +729,11 @@ let faults_cmd =
       | Parad_runtime.Value.Runtime_error msg ->
         Printf.printf "runtime error: %s\n" msg;
         ignore (audit ());
-        exit 2)
+        exit 2
+      | e ->
+        let code = classified_exit ~out:stdout e in
+        ignore (audit ());
+        exit code)
   in
   Cmd.v
     (Cmd.info "faults"
@@ -837,7 +875,11 @@ let recover_cmd =
       | Parad_runtime.Value.Runtime_error msg ->
         Printf.printf "runtime error: %s\n" msg;
         ignore (audit_issues ());
-        exit 2)
+        exit 2
+      | e ->
+        let code = classified_exit ~out:stdout e in
+        ignore (audit_issues ());
+        exit code)
   in
   Cmd.v
     (Cmd.info "recover"
@@ -1017,6 +1059,10 @@ let sanitize_cmd =
       Printf.printf "runtime error: %s\n" msg;
       Format.printf "%a@." San.pp_report san;
       exit 2
+    | e ->
+      let code = classified_exit ~out:stdout e in
+      Format.printf "%a@." San.pp_report san;
+      exit code
   in
   Cmd.v
     (Cmd.info "sanitize"
@@ -1072,7 +1118,6 @@ let soak_cmd =
    newline-delimited JSON gradient requests against cached plans, every
    response classified through the extended exit-code taxonomy. ---- *)
 
-module Service = Parad_server.Service
 module Slam = Parad_server.Slam
 module Sjson = Parad_server.Json
 

@@ -2290,35 +2290,6 @@ and compile_intrinsic env v name args : sc =
         charge t (t.cost.Cost_model.atomic *. float_of_int k)
       else charge_mem_n t h1.buf (2 * k);
       fr.v.(s_v) <- VUnit
-  | "adj.macc_k", [ sp; mb; scr; atomic; k ] ->
-    let sp_rd = reader env sp
-    and mb_rd = ird env mb
-    and scr_rd = reader env scr
-    and atomic_rd = ird env atomic
-    and k_rd = ird env k in
-    let fname = env.fname in
-    let w = writer env v in
-    fun t fr ->
-      charge t t.cost.Cost_model.arith;
-      let sp = Value.to_ptr (sp_rd fr) in
-      let scr = Value.to_ptr (scr_rd fr) in
-      let mb = mb_rd fr
-      and atomic = atomic_rd fr <> 0
-      and k = k_rd fr in
-      let pa = Interp.fplane ~who:fname sp ~base:mb ~n:k in
-      let sa = Interp.fplane ~who:fname scr ~base:0 ~n:k in
-      let po = sp.off + mb
-      and so = scr.off in
-      for l = 0 to k - 1 do
-        Array.unsafe_set pa (po + l)
-          (Array.unsafe_get pa (po + l) +. Array.unsafe_get sa (so + l))
-      done;
-      if atomic then charge t (t.cost.Cost_model.atomic *. float_of_int k)
-      else begin
-        charge t (t.cost.Cost_model.arith *. float_of_int k);
-        charge_mem_n t sp.buf (2 * k)
-      end;
-      w fr VUnit
   | "adj.mtake_k", [ sp; mb; scr; k ] ->
     let sp_rd = reader env sp
     and mb_rd = ird env mb
@@ -2341,28 +2312,6 @@ and compile_intrinsic env v name args : sc =
         Array.unsafe_set pa (po + l) 0.0
       done;
       charge_mem_n t sp.buf (2 * k);
-      w fr VUnit
-  | "adj.mread_k", [ sp; mb; scr; k ] ->
-    let sp_rd = reader env sp
-    and mb_rd = ird env mb
-    and scr_rd = reader env scr
-    and k_rd = ird env k in
-    let fname = env.fname in
-    let w = writer env v in
-    fun t fr ->
-      charge t t.cost.Cost_model.arith;
-      let sp = Value.to_ptr (sp_rd fr) in
-      let scr = Value.to_ptr (scr_rd fr) in
-      let mb = mb_rd fr
-      and k = k_rd fr in
-      let pa = Interp.fplane ~who:fname sp ~base:mb ~n:k in
-      let sa = Interp.fplane ~who:fname scr ~base:0 ~n:k in
-      let po = sp.off + mb
-      and so = scr.off in
-      for l = 0 to k - 1 do
-        Array.unsafe_set sa (so + l) (Array.unsafe_get pa (po + l))
-      done;
-      charge_mem_n t sp.buf k;
       w fr VUnit
   | "adj.pack_k", [ dst; doff; src; soff; k ] ->
     let dst_rd = reader env dst

@@ -1208,9 +1208,9 @@ and intrinsic ctx e name args vals : Value.t * int =
     done;
     unit_
   | "adj.mrev_k" ->
-    (* Fused Load reversal: take the loaded value's lane group into
-       scratch, then accumulate it into the shadow plane's lane group
-       ([adj.take_k] followed by [adj.macc_k]). *)
+    (* Fused Load reversal: move the loaded value's adjoint lane group
+       into scratch (zeroing the source), then add it lane by lane into
+       the lane group of the shadow cell the load read. *)
     let scr = ptr_arg 0 and vhost = ptr_arg 1 in
     let voff = int_arg 2 in
     let sp = ptr_arg 3 and mb = int_arg 4 in
@@ -1266,22 +1266,6 @@ and intrinsic ctx e name args vals : Value.t * int =
     if atomic then charge (c.atomic *. float_of_int k)
     else charge_mem ctx h1.buf (2 * k);
     unit_
-  | "adj.macc_k" ->
-    (* shadow[mb+l] += scratch[l]  (accum_mem, k-wide) *)
-    let sp = ptr_arg 0 and mb = int_arg 1 and scr = ptr_arg 2 in
-    let atomic = int_arg 3 <> 0 and k = int_arg 4 in
-    let pa = fplane ~who:e.fname sp ~base:mb ~n:k in
-    let sa = fplane ~who:e.fname scr ~base:0 ~n:k in
-    let po = sp.off + mb and so = scr.off in
-    for l = 0 to k - 1 do
-      pa.(po + l) <- pa.(po + l) +. sa.(so + l)
-    done;
-    if atomic then charge (c.atomic *. float_of_int k)
-    else begin
-      charge (c.arith *. float_of_int k);
-      charge_mem ctx sp.buf (2 * k)
-    end;
-    unit_
   | "adj.mtake_k" ->
     (* scratch[l] <- shadow[mb+l]; shadow[mb+l] <- 0  (Store reversal) *)
     let sp = ptr_arg 0 and mb = int_arg 1 and scr = ptr_arg 2 in
@@ -1294,18 +1278,6 @@ and intrinsic ctx e name args vals : Value.t * int =
       pa.(po + l) <- 0.0
     done;
     charge_mem ctx sp.buf (2 * k);
-    unit_
-  | "adj.mread_k" ->
-    (* scratch[l] <- shadow[mb+l]  (AtomicAdd reversal: nothing zeroed) *)
-    let sp = ptr_arg 0 and mb = int_arg 1 and scr = ptr_arg 2 in
-    let k = int_arg 3 in
-    let pa = fplane ~who:e.fname sp ~base:mb ~n:k in
-    let sa = fplane ~who:e.fname scr ~base:0 ~n:k in
-    let po = sp.off + mb and so = scr.off in
-    for l = 0 to k - 1 do
-      sa.(so + l) <- pa.(po + l)
-    done;
-    charge_mem ctx sp.buf k;
     unit_
   | "adj.pack_k" ->
     (* dst[doff+l] <- src[soff+l]  (d_args packing, param-major) *)

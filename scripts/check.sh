@@ -29,6 +29,15 @@ expect_exit() {
   fi
 }
 
+# the last run's output (/tmp/parad-check.out) must match a grep pattern
+expect_output() {
+  grep -q "$1" /tmp/parad-check.out || {
+    echo "FAIL: $2"
+    cat /tmp/parad-check.out
+    exit 1
+  }
+}
+
 COMMON="--flavor mpi --ranks 4 --size 2 --iters 2"
 
 # faultless run is clean
@@ -36,28 +45,20 @@ expect_exit 0 faults --plan none $COMMON
 
 # recoverable drops: same gradient, clean audit
 expect_exit 0 faults --plan drop-retry $COMMON
-grep -q "retries=" /tmp/parad-check.out || {
-  echo "FAIL: drop-retry run did not report retries"
-  exit 1
-}
+expect_output "retries=" "drop-retry run did not report retries"
 
 # a duplicated message leaves an unmatched send -> dirty audit
 expect_exit 1 faults --plan dup $COMMON
 
 # killing a rank without a supervisor -> structured rank-failure report
 expect_exit 3 faults --plan kill $COMMON
-grep -q "rank failure" /tmp/parad-check.out || {
-  echo "FAIL: kill run printed no structured rank-failure notification"
-  exit 1
-}
+expect_output "rank failure" \
+  "kill run printed no structured rank-failure notification"
 
 # losing every message from a rank deadlocks too, with lost messages
 # named in the audit
 expect_exit 3 faults --plan blackhole $COMMON
-grep -q "lost message" /tmp/parad-check.out || {
-  echo "FAIL: blackhole run named no lost messages"
-  exit 1
-}
+expect_output "lost message" "blackhole run named no lost messages"
 
 # seeded plans are deterministic: two runs, byte-identical output
 $PARAD faults --plan blackhole $COMMON > /tmp/parad-a.out 2>&1 || true
@@ -70,27 +71,20 @@ cmp -s /tmp/parad-a.out /tmp/parad-b.out || {
 
 # --dry-run parses the spec grammar, prints the plan, and runs nothing
 expect_exit 0 faults --plan "kill:victim=2,at=500,kill=3@9000" --dry-run $COMMON
-grep -q "kill rank 3 at t>=9000" /tmp/parad-check.out || {
-  echo "FAIL: dry-run did not print the parsed kill overrides"
-  exit 1
-}
+expect_output "kill rank 3 at t>=9000" \
+  "dry-run did not print the parsed kill overrides"
 expect_exit 2 faults --plan "kill:bogus=1" --dry-run $COMMON
 
 # the same kill plan under the supervised driver recovers: exit 0 and a
 # restart history instead of a rank-failure abort
 expect_exit 0 recover --app lulesh --plan kill $COMMON
-grep -q "recovery: 1 restart(s)" /tmp/parad-check.out || {
-  echo "FAIL: recover run reported no restart"
-  exit 1
-}
+expect_output "recovery: 1 restart(s)" "recover run reported no restart"
 
 # a later kill restores from a globally-consistent checkpoint (warm)
 COMMON3="--flavor mpi --ranks 4 --size 2 --iters 3"
 expect_exit 0 recover --app lulesh --plan "kill:victim=2,at=80000" $COMMON3
-grep -q "resumed from checkpoint" /tmp/parad-check.out || {
-  echo "FAIL: warm recover did not resume from a checkpoint"
-  exit 1
-}
+expect_output "resumed from checkpoint" \
+  "warm recover did not resume from a checkpoint"
 
 # the recovered gradient equals the faultless one bit-for-bit
 $PARAD grad $COMMON3 2>/dev/null | grep "d total" > /tmp/parad-clean.out
@@ -103,10 +97,8 @@ cmp -s /tmp/parad-clean.out /tmp/parad-recovered.out || {
 
 # more kills than the restart budget -> the failure surfaces, exit 3
 expect_exit 3 recover --app lulesh --plan "kill:kill=2,kill=3" --max-restarts 1 $COMMON
-grep -q "unrecovered after 1 restart" /tmp/parad-check.out || {
-  echo "FAIL: exhausted restart budget not reported"
-  exit 1
-}
+expect_output "unrecovered after 1 restart" \
+  "exhausted restart budget not reported"
 
 # ---- ParSan sanitizer gate (exit 5 = miscompilation, 4 = degraded) ----
 
@@ -114,20 +106,14 @@ SAN_OMP="--app lulesh --flavor omp --threads 4 --size 3 --iters 2"
 
 # clean sanitized primal+gradient runs: zero findings
 expect_exit 0 sanitize $SAN_OMP --primal
-grep -q "sanitizer: 0 findings" /tmp/parad-check.out || {
-  echo "FAIL: sanitized lulesh primal reported findings"
-  exit 1
-}
+expect_output "sanitizer: 0 findings" \
+  "sanitized lulesh primal reported findings"
 expect_exit 0 sanitize $SAN_OMP
-grep -q "sanitizer: 0 findings" /tmp/parad-check.out || {
-  echo "FAIL: sanitized lulesh gradient reported findings"
-  exit 1
-}
+expect_output "sanitizer: 0 findings" \
+  "sanitized lulesh gradient reported findings"
 expect_exit 0 sanitize --app bude --threads 4
-grep -q "sanitizer: 0 findings" /tmp/parad-check.out || {
-  echo "FAIL: sanitized bude gradient reported findings"
-  exit 1
-}
+expect_output "sanitizer: 0 findings" \
+  "sanitized bude gradient reported findings"
 
 # the abl-tl ablation (every accumulation atomic) must also come up clean
 expect_exit 0 sanitize $SAN_OMP --atomic-always
@@ -135,59 +121,40 @@ expect_exit 0 sanitize $SAN_OMP --atomic-always
 # the seeded inverse (assume every shadow thread-private) is a
 # miscompilation RaceSan's static/dynamic cross-validation must catch
 expect_exit 5 sanitize $SAN_OMP --assume-private
-grep -q "miscompilation" /tmp/parad-check.out || {
-  echo "FAIL: assume-private run reported no miscompilation"
-  exit 1
-}
-grep -q "claimed buffer" /tmp/parad-check.out || {
-  echo "FAIL: miscompilation finding did not name the refuted claim"
-  exit 1
-}
+expect_output "miscompilation" "assume-private run reported no miscompilation"
+expect_output "claimed buffer" \
+  "miscompilation finding did not name the refuted claim"
 
 # GradSan: NaN-injected degrade run quarantines and exits 4 ...
 expect_exit 4 sanitize $SAN_OMP --inject-nan 5 --mode degrade
-grep -q "quarantined=1" /tmp/parad-check.out || {
-  echo "FAIL: degrade run did not quarantine the injected NaN"
-  exit 1
-}
+expect_output "quarantined=1" "degrade run did not quarantine the injected NaN"
 # ... while strict mode aborts at the first origin, exit 2
 expect_exit 2 sanitize $SAN_OMP --inject-nan 5 --mode strict
-grep -q "gradient-integrity violation" /tmp/parad-check.out || {
-  echo "FAIL: strict run did not report the first-origin provenance"
-  exit 1
-}
+expect_output "gradient-integrity violation" \
+  "strict run did not report the first-origin provenance"
 
 # sanitizing composes with fault injection: drop-retry stays clean
 expect_exit 0 sanitize --app lulesh $COMMON --plan drop-retry
-grep -q "sanitizer: 0 findings" /tmp/parad-check.out || {
-  echo "FAIL: sanitized drop-retry run reported findings"
-  exit 1
-}
+expect_output "sanitizer: 0 findings" \
+  "sanitized drop-retry run reported findings"
 
 # out-of-range fault targets are rejected loudly, not silently inert
 expect_exit 2 faults --plan "kill:victim=9" --dry-run $COMMON
-grep -q "out of range" /tmp/parad-check.out || {
-  echo "FAIL: out-of-range victim not rejected"
-  exit 1
-}
+expect_output "out of range" "out-of-range victim not rejected"
 
 # ---- silent-data-corruption envelope (exit 9 = corrupted) ----
 
 # an unsupervised bit flip into sealed cache memory must surface as a
 # structured corruption notice, never a silently wrong gradient
 expect_exit 9 grad $COMMON --plan "none:flip=1@40@31@50"
-grep -q "silent data corruption" /tmp/parad-check.out || {
-  echo "FAIL: unsupervised flip printed no corruption notice"
-  exit 1
-}
+expect_output "silent data corruption" \
+  "unsupervised flip printed no corruption notice"
 
 # the same flip under the supervised driver restarts from a verified
 # snapshot and reproduces the faultless gradient bit-for-bit
 expect_exit 0 recover --app lulesh --plan "none:flip=1@40@31@50,retries=5" $COMMON
-grep -q "sdc_inj=1 sdc_det=1 sdc_rec=1" /tmp/parad-check.out || {
-  echo "FAIL: supervised flip not detected-and-recovered"
-  exit 1
-}
+expect_output "sdc_inj=1 sdc_det=1 sdc_rec=1" \
+  "supervised flip not detected-and-recovered"
 grep "d total" /tmp/parad-check.out > /tmp/parad-sdc.out
 $PARAD grad $COMMON 2>/dev/null | grep "d total" > /tmp/parad-clean4.out
 cmp -s /tmp/parad-clean4.out /tmp/parad-sdc.out || {
@@ -199,115 +166,16 @@ cmp -s /tmp/parad-clean4.out /tmp/parad-sdc.out || {
 # a damaged in-flight message is caught by its checksum trailer and
 # retransmitted in place: clean exit, retransmit counted
 expect_exit 0 faults --plan "none:corrupt-msg=1@9" $COMMON
-grep -q "retrans=1" /tmp/parad-check.out || {
-  echo "FAIL: corrupt-msg run counted no retransmit"
-  exit 1
-}
+expect_output "retrans=1" "corrupt-msg run counted no retransmit"
 
 # sticky damage re-corrupts every retransmit: the ladder exhausts and
 # the run aborts with the corruption notice, exit 9
 expect_exit 9 faults --plan "none:retries=2,corrupt-msg=1@9@sticky" $COMMON
-grep -q "corrupt" /tmp/parad-check.out || {
-  echo "FAIL: sticky corruption printed no notice"
-  exit 1
-}
+expect_output "corrupt" "sticky corruption printed no notice"
 
 # duplicate scalar keys in a plan spec are a conflict, not last-wins
 expect_exit 2 faults --plan "kill:at=0,at=500" --dry-run $COMMON
-grep -q "at most once" /tmp/parad-check.out || {
-  echo "FAIL: duplicate scalar key not rejected"
-  exit 1
-}
-
-# ---- shared-memory overhead regression gate ----
-# The quick overhead figure still runs the headline "LULESH C++ OMP"
-# configuration at 64 threads; its gradient/forward ratio must stay at
-# or below the checked-in threshold (bench/overhead_threshold).
-
-echo "== overhead regression gate =="
-dune exec bench/main.exe -- --quick --figure overhead > /tmp/parad-bench.out 2>&1 || {
-  echo "FAIL: overhead benchmark did not run"
-  cat /tmp/parad-bench.out
-  exit 1
-}
-tail -n 20 /tmp/parad-bench.out
-THRESH=$(cat bench/overhead_threshold)
-OVH=$(grep -o '"name": "LULESH C++ OMP",[^}]*' BENCH_overhead.json \
-  | grep -o '"overhead": [0-9.]*' | awk '{print $2}')
-[ -n "$OVH" ] || {
-  echo "FAIL: no LULESH C++ OMP row in BENCH_overhead.json"
-  exit 1
-}
-awk -v o="$OVH" -v t="$THRESH" 'BEGIN { exit !(o <= t) }' || {
-  echo "FAIL: LULESH OMP 64-thread overhead ${OVH}x exceeds threshold ${THRESH}x"
-  exit 1
-}
-echo "overhead gate: ${OVH}x <= ${THRESH}x"
-
-# ---- MPI strong-scaling regression gate ----
-# Fig 8's gate row always runs the full-size 64-rank LULESH MPI mesh
-# (even under --quick) and records its strong-scaling speedups in
-# BENCH_mpi.json; gradient and forward must stay at or above the
-# checked-in floors (bench/mpi_threshold: "grad_min fwd_min").
-
-echo "== MPI strong-scaling gate =="
-dune exec bench/main.exe -- --quick --figure fig8 > /tmp/parad-mpi.out 2>&1 || {
-  echo "FAIL: fig8 benchmark did not run"
-  cat /tmp/parad-mpi.out
-  exit 1
-}
-tail -n 6 /tmp/parad-mpi.out
-GRAD_MIN=$(awk '{print $1}' bench/mpi_threshold)
-FWD_MIN=$(awk '{print $2}' bench/mpi_threshold)
-GATE=$(grep -o '"name": "lulesh_cpp_mpi_gate", "nranks": 64, "coalesce": true,[^}]*' BENCH_mpi.json)
-[ -n "$GATE" ] || {
-  echo "FAIL: no 64-rank gate row in BENCH_mpi.json"
-  exit 1
-}
-GRAD_SP=$(echo "$GATE" | grep -o '"grad_speedup": [0-9.]*' | awk '{print $2}')
-FWD_SP=$(echo "$GATE" | grep -o '"fwd_speedup": [0-9.]*' | awk '{print $2}')
-awk -v g="$GRAD_SP" -v t="$GRAD_MIN" 'BEGIN { exit !(g >= t) }' || {
-  echo "FAIL: 64-rank LULESH MPI gradient speedup ${GRAD_SP}x below floor ${GRAD_MIN}x"
-  exit 1
-}
-awk -v f="$FWD_SP" -v t="$FWD_MIN" 'BEGIN { exit !(f >= t) }' || {
-  echo "FAIL: 64-rank LULESH MPI forward speedup ${FWD_SP}x below floor ${FWD_MIN}x"
-  exit 1
-}
-echo "mpi gate: gradient ${GRAD_SP}x >= ${GRAD_MIN}x, forward ${FWD_SP}x >= ${FWD_MIN}x"
-
-# ---- long-horizon checkpoint gate ----
-# The checkpoint figure's gate row runs the 24-iteration LULESH MPI
-# gradient (>= 10x the headline bench horizon) under a binomial schedule
-# with a fixed snapshot budget, even under --quick, and records it in
-# BENCH_checkpoint.json. Its AD cache peak must stay at or below the
-# checked-in ceiling (bench/checkpoint_threshold) — store-all peaks ~20x
-# higher at this horizon — and the gradient must be bit-identical to the
-# store-all baseline.
-
-echo "== long-horizon checkpoint gate =="
-dune exec bench/main.exe -- --quick --figure checkpoint > /tmp/parad-ckpt.out 2>&1 || {
-  echo "FAIL: checkpoint benchmark did not run"
-  cat /tmp/parad-ckpt.out
-  exit 1
-}
-tail -n 8 /tmp/parad-ckpt.out
-PEAK_MAX=$(cat bench/checkpoint_threshold)
-CROW=$(grep -o '"name": "lulesh_mpi_binomial_gate",[^}]*' BENCH_checkpoint.json)
-[ -n "$CROW" ] || {
-  echo "FAIL: no binomial gate row in BENCH_checkpoint.json"
-  exit 1
-}
-CPEAK=$(echo "$CROW" | grep -o '"cache_peak": [0-9]*' | awk '{print $2}')
-awk -v p="$CPEAK" -v t="$PEAK_MAX" 'BEGIN { exit !(p <= t) }' || {
-  echo "FAIL: binomial checkpoint cache peak ${CPEAK} cells exceeds ceiling ${PEAK_MAX}"
-  exit 1
-}
-echo "$CROW" | grep -q '"bitwise": true' || {
-  echo "FAIL: binomial gradient is not bit-identical to the store-all baseline"
-  exit 1
-}
-echo "checkpoint gate: cache peak ${CPEAK} <= ${PEAK_MAX}, bit-identical"
+expect_output "at most once" "duplicate scalar key not rejected"
 
 # ---- seeded chaos-soak smoke ----
 # A short deterministic soak: randomized fault plans x checkpoint
@@ -323,12 +191,13 @@ tail -n 3 /tmp/parad-check.out
 # deadline exit code; a non-positive deadline is a flag parse error.
 
 expect_exit 6 grad --flavor mpi --ranks 2 --iters 2 --deadline-cycles 500
-grep -q "deadline exceeded" /tmp/parad-check.out || {
-  echo "FAIL: busted deadline printed no structured report"
-  exit 1
-}
+expect_output "deadline exceeded" "busted deadline printed no structured report"
 expect_exit 124 grad --flavor seq --deadline-ms 0
 expect_exit 0 grad --flavor seq --size 2 --iters 1 --deadline-cycles 1000000000
+
+# meshes and teams below the service's minimums are flag parse errors
+expect_exit 124 grad --flavor seq --size 1
+expect_exit 124 grad --flavor omp --threads 0
 
 # ---- gradient-service smoke (serve --stdin) ----
 # A mixed batch through the real request path: every line, valid or
@@ -343,31 +212,25 @@ printf '%s\n' \
   '{"id": 4, "flavor": "mpi", "nranks": 2, "faults": "blackhole"}' \
   '{"id": 5, "flavor": "mpi", "nranks": 2, "deadline_cycles": 100}' \
   'garbage that is not json' \
-  | $PARAD serve --stdin > /tmp/parad-serve.out 2>&1 || {
+  | $PARAD serve --stdin > /tmp/parad-check.out 2>&1 || {
   echo "FAIL: serve --stdin crashed on the smoke batch"
-  cat /tmp/parad-serve.out
+  cat /tmp/parad-check.out
   exit 1
 }
 for want in '"id":1,"class":"ok"' '"id":2,"class":"ok"' \
   '"id":3,"class":"invalid"' '"id":4,"class":"deadlock"' \
   '"id":5,"class":"deadline"' '"class":"invalid","code":2.*bad JSON' \
   '"event":"drained"'; do
-  grep -q "$want" /tmp/parad-serve.out || {
-    echo "FAIL: serve smoke output lacks $want"
-    cat /tmp/parad-serve.out
-    exit 1
-  }
+  expect_output "$want" "serve smoke output lacks $want"
 done
-D1=$(grep '"id":1' /tmp/parad-serve.out | grep -o '"digest":"[0-9a-f]*"')
-D2=$(grep '"id":2' /tmp/parad-serve.out | grep -o '"digest":"[0-9a-f]*"')
+D1=$(grep '"id":1' /tmp/parad-check.out | grep -o '"digest":"[0-9a-f]*"')
+D2=$(grep '"id":2' /tmp/parad-check.out | grep -o '"digest":"[0-9a-f]*"')
 [ -n "$D1" ] && [ "$D1" = "$D2" ] || {
   echo "FAIL: warm digest differs from cold ($D1 vs $D2)"
   exit 1
 }
-grep -q '"id":2,"class":"ok","code":0,[^}]*"cached":true' /tmp/parad-serve.out || {
-  echo "FAIL: repeat request did not hit the plan cache"
-  exit 1
-}
+expect_output '"id":2,"class":"ok","code":0,[^}]*"cached":true' \
+  "repeat request did not hit the plan cache"
 
 # ---- slam soak: the ISSUE 7 acceptance criterion ----
 # >= 50 seeded mixed requests: everything classified, zero daemon
@@ -377,159 +240,25 @@ echo "== slam soak (50 seeded chaos requests) =="
 expect_exit 0 slam --requests 50 --seed 42
 tail -n 8 /tmp/parad-check.out
 
-# ---- plan-cache warm-speedup gate ----
-# The serve figure measures cold pipeline compiles vs warm LRU lookups
-# through the real request path; the warm speedup must stay at or above
-# the checked-in floor (bench/serve_threshold).
+# ---- bench figures and their gate ----
+# Each quick figure writes BENCH_<figure>.json (fig8 writes
+# BENCH_mpi.json); bench/gate.exe then checks every file against the
+# conditions in bench/thresholds, fails any row a condition names that
+# is missing, and fails any row that reports "bitwise": false.
 
-echo "== serve warm-plan gate =="
-dune exec bench/main.exe -- --quick --figure serve > /tmp/parad-serve-bench.out 2>&1 || {
-  echo "FAIL: serve benchmark did not run"
-  cat /tmp/parad-serve-bench.out
-  exit 1
-}
-tail -n 10 /tmp/parad-serve-bench.out
-SP_MIN=$(cat bench/serve_threshold)
-SP=$(grep -o '"name": "plan_cache",[^}]*' BENCH_serve.json \
-  | grep -o '"warm_speedup": [0-9.]*' | awk '{print $2}')
-[ -n "$SP" ] || {
-  echo "FAIL: no plan_cache row in BENCH_serve.json"
-  exit 1
-}
-awk -v s="$SP" -v t="$SP_MIN" 'BEGIN { exit !(s >= t) }' || {
-  echo "FAIL: warm-plan speedup ${SP}x below floor ${SP_MIN}x"
-  exit 1
-}
-SHED=$(grep -o '"name": "chaos",[^}]*' BENCH_serve.json \
-  | grep -o '"shed": [0-9]*' | awk '{print $2}')
-TRIPS=$(grep -o '"name": "chaos",[^}]*' BENCH_serve.json \
-  | grep -o '"trips": [0-9]*' | awk '{print $2}')
-[ "${SHED:-0}" -gt 0 ] && [ "${TRIPS:-0}" -gt 0 ] || {
-  echo "FAIL: chaos row recorded no shedding/breaker trips (shed=$SHED trips=$TRIPS)"
-  exit 1
-}
-echo "serve gate: warm speedup ${SP}x >= ${SP_MIN}x, chaos shed=$SHED trips=$TRIPS"
-
-# ---- SDC campaign gate ----
-# The sdc figure runs the seeded injection campaign (bit flips and
-# message corruption on both apps). The contract: zero silent wrong
-# gradients anywhere, detection coverage at or above the checked-in
-# floor, and the pure protection overhead (armed seals, never-firing
-# plan) at or below the checked-in ceiling. bench/sdc_threshold holds
-# the floor (line 1, percent) and the ceiling (line 2, ratio).
-
-echo "== SDC injection-campaign gate =="
-dune exec bench/main.exe -- --quick --figure sdc > /tmp/parad-sdc-bench.out 2>&1 || {
-  echo "FAIL: sdc benchmark did not run"
-  cat /tmp/parad-sdc-bench.out
-  exit 1
-}
-tail -n 12 /tmp/parad-sdc-bench.out
-COV_MIN=$(sed -n 1p bench/sdc_threshold)
-OVH_MAX=$(sed -n 2p bench/sdc_threshold)
-SILENT=$(grep -o '"silent": [0-9]*' BENCH_sdc.json | awk '{s += $2} END {print s}')
-[ "${SILENT:-1}" -eq 0 ] || {
-  echo "FAIL: SDC campaign produced $SILENT silent wrong gradient(s)"
-  exit 1
-}
-for ROWNAME in lulesh_mpi_flip lulesh_mpi_msg lulesh_mpi_msg_sticky bude_omp_flip; do
-  COV=$(grep -o "\"name\": \"$ROWNAME\",[^}]*" BENCH_sdc.json \
-    | grep -o '"coverage": [0-9.]*' | awk '{print $2}')
-  [ -n "$COV" ] || {
-    echo "FAIL: no $ROWNAME row in BENCH_sdc.json"
+for FIG in overhead fig8 checkpoint serve sdc engine batch; do
+  echo "== bench figure $FIG (quick) =="
+  dune exec bench/main.exe -- --quick --figure $FIG > /tmp/parad-bench.out 2>&1 || {
+    echo "FAIL: bench figure $FIG exited non-zero"
+    cat /tmp/parad-bench.out
     exit 1
   }
-  awk -v c="$COV" -v t="$COV_MIN" 'BEGIN { exit !(c >= t) }' || {
-    echo "FAIL: $ROWNAME detection coverage ${COV}% below floor ${COV_MIN}%"
-    exit 1
-  }
+  tail -n 12 /tmp/parad-bench.out
 done
-POVH=$(grep -o '"name": "protect_clean",[^}]*' BENCH_sdc.json \
-  | grep -o '"overhead": [0-9.]*' | awk '{print $2}')
-[ -n "$POVH" ] || {
-  echo "FAIL: no protect_clean row in BENCH_sdc.json"
-  exit 1
-}
-awk -v o="$POVH" -v t="$OVH_MAX" 'BEGIN { exit !(o <= t) }' || {
-  echo "FAIL: protection overhead ${POVH}x above ceiling ${OVH_MAX}x"
-  exit 1
-}
-echo "sdc gate: silent=0, coverage >= ${COV_MIN}% on all campaigns, protect overhead ${POVH}x <= ${OVH_MAX}x"
 
-# ---- execution-engine wall-clock gate ----
-# The engine figure runs the headline LULESH OMP 64-thread gradient on
-# all three substrates and records wall-clock from Stats.wall_ns in
-# BENCH_engine.json. Gates: (1) every row must be bit-identical to the
-# interpreter ("bitwise": true — fig_engine itself exits 1 otherwise);
-# (2) the lowered sequential engine's speedup over the interpreter must
-# stay at or above the checked-in floor (bench/engine_threshold);
-# (3) on hosts with a real extra core for the domain pool, par must not
-# be slower than seq.
-
-echo "== execution-engine gate =="
-dune exec bench/main.exe -- --quick --figure engine > /tmp/parad-eng.out 2>&1 || {
-  echo "FAIL: engine benchmark did not run (or a gradient diverged)"
-  cat /tmp/parad-eng.out
-  exit 1
-}
-tail -n 12 /tmp/parad-eng.out
-ENG_MIN=$(cat bench/engine_threshold)
-if grep -q '"bitwise": false' BENCH_engine.json; then
-  echo "FAIL: an engine row is not bit-identical to the interpreter"
-  exit 1
-fi
-SEQ_ROW=$(grep -o '"name": "lulesh_omp/seq",[^}]*' BENCH_engine.json)
-[ -n "$SEQ_ROW" ] || {
-  echo "FAIL: no lulesh_omp/seq row in BENCH_engine.json"
-  exit 1
-}
-SEQ_SP=$(echo "$SEQ_ROW" | grep -o '"speedup": [0-9.]*' | awk '{print $2}')
-awk -v s="$SEQ_SP" -v t="$ENG_MIN" 'BEGIN { exit !(s >= t) }' || {
-  echo "FAIL: seq engine speedup ${SEQ_SP}x below floor ${ENG_MIN}x"
-  exit 1
-}
-CORES=$(echo "$SEQ_ROW" | grep -o '"cores": [0-9]*' | awk '{print $2}')
-if [ "${CORES:-1}" -ge 2 ]; then
-  SEQ_NS=$(echo "$SEQ_ROW" | grep -o '"wall_ns": [0-9]*' | awk '{print $2}')
-  PAR_NS=$(grep -o '"name": "lulesh_omp/par",[^}]*' BENCH_engine.json \
-    | grep -o '"wall_ns": [0-9]*' | awk '{print $2}')
-  [ "${PAR_NS:-0}" -le "${SEQ_NS:-0}" ] || {
-    echo "FAIL: par engine (${PAR_NS} ns) slower than seq (${SEQ_NS} ns) on a ${CORES}-core host"
-    exit 1
-  }
-fi
-echo "engine gate: seq ${SEQ_SP}x >= ${ENG_MIN}x, bit-identical on all rows (cores=${CORES})"
-
-# ---- batched multi-seed adjoint gate ----
-# The batch figure runs one k-lane batched reverse sweep against k
-# sequential single-seed gradients on the same engine and records both
-# in BENCH_batch.json. Gates: (1) every lane column must be
-# bit-identical to its standalone run ("bitwise": true — fig_batch
-# itself exits 1 otherwise); (2) the lulesh_omp/k8 amortization must
-# stay at or above the checked-in floor (bench/batch_threshold).
-
-echo "== batched-adjoint gate =="
-dune exec bench/main.exe -- --quick --figure batch > /tmp/parad-batch.out 2>&1 || {
-  echo "FAIL: batch benchmark did not run (or a lane diverged)"
-  cat /tmp/parad-batch.out
-  exit 1
-}
-tail -n 10 /tmp/parad-batch.out
-BATCH_MIN=$(cat bench/batch_threshold)
-if grep -q '"bitwise": false' BENCH_batch.json; then
-  echo "FAIL: a batched lane is not bit-identical to its standalone run"
-  exit 1
-fi
-K8_ROW=$(grep -o '"name": "lulesh_omp/k8",[^}]*' BENCH_batch.json)
-[ -n "$K8_ROW" ] || {
-  echo "FAIL: no lulesh_omp/k8 row in BENCH_batch.json"
-  exit 1
-}
-K8_SP=$(echo "$K8_ROW" | grep -o '"speedup": [0-9.]*' | awk '{print $2}')
-awk -v s="$K8_SP" -v t="$BATCH_MIN" 'BEGIN { exit !(s >= t) }' || {
-  echo "FAIL: batched k=8 speedup ${K8_SP}x below floor ${BATCH_MIN}x"
-  exit 1
-}
-echo "batch gate: k=8 ${K8_SP}x >= ${BATCH_MIN}x, every lane bit-identical"
+echo "== bench gate =="
+dune exec bench/gate.exe -- bench/thresholds BENCH_overhead.json \
+  BENCH_mpi.json BENCH_checkpoint.json BENCH_serve.json BENCH_sdc.json \
+  BENCH_engine.json BENCH_batch.json
 
 echo "all checks passed"
