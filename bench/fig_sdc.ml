@@ -31,27 +31,7 @@ module Stats = Parad_runtime.Stats
 module Exec = Parad_runtime.Exec
 module Checkpoint = Parad_runtime.Checkpoint
 module Mpi_state = Parad_runtime.Mpi_state
-
-(* splitmix64, same stream construction as the chaos soak and slam *)
-type rng = { mutable s : int64 }
-
-let rng seed = { s = Int64.of_int (0x9e3779b9 + (seed * 0x85ebca6b)) }
-
-let next r =
-  r.s <- Int64.add r.s 0x9e3779b97f4a7c15L;
-  let z = r.s in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
-      0xbf58476d1ce4e5b9L
-  in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94d049bb133111ebL
-  in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-let draw_int r bound =
-  Int64.to_int (Int64.unsigned_rem (next r) (Int64.of_int bound))
+module Bitmix = Parad_runtime.Bitmix
 
 (* a BENCH_sdc.json row's metrics; coverage is detected / injected,
    percent, and overhead the mean recovered/clean makespan ratio *)
@@ -136,15 +116,16 @@ let run ~quick =
   let horizon = int_of_float clean.L.g_makespan in
 
   subheader "memory bit flips, LULESH MPI, supervised recovery";
-  let r = rng 11 in
+  let r = Bitmix.rng 11 in
   campaign ~name:"lulesh_mpi_flip" ~trials:(70 * n)
     ~clean_makespan:clean.L.g_makespan (fun _ ->
       let spec =
-        Printf.sprintf "none:retries=5,flip=%d@%d@%d@%d" (draw_int r nranks)
-          (draw_int r 10_000) (draw_int r 64)
-          (draw_int r (2 * horizon))
+        Printf.sprintf "none:retries=5,flip=%d@%d@%d@%d"
+          (Bitmix.draw_int r nranks) (Bitmix.draw_int r 10_000)
+          (Bitmix.draw_int r 64)
+          (Bitmix.draw_int r (2 * horizon))
       in
-      let faults = F.plan_of_spec ~seed:(draw_int r 1000) ~nranks spec in
+      let faults = F.plan_of_spec ~seed:(Bitmix.draw_int r 1000) ~nranks spec in
       match
         L.gradient_recoverable_compiled ~nranks ~faults ~max_restarts:4 lc
           tiny
@@ -153,14 +134,14 @@ let run ~quick =
       | exception Checkpoint.Corrupt_region _ -> Aborted);
 
   subheader "in-flight message corruption, LULESH MPI, retransmit";
-  let r = rng 13 in
+  let r = Bitmix.rng 13 in
   campaign ~name:"lulesh_mpi_msg" ~trials:(60 * n)
     ~clean_makespan:clean.L.g_makespan (fun _ ->
       (* ordinals past the traffic count are provably masked; the rest
          must be caught by the trailer and retransmitted in place *)
       let spec =
         Printf.sprintf "none:retries=4,corrupt-msg=%d@%d"
-          (1 + draw_int r 8) (draw_int r 512)
+          (1 + Bitmix.draw_int r 8) (Bitmix.draw_int r 512)
       in
       let faults = F.plan_of_spec ~nranks spec in
       match L.gradient_compiled ~nranks ~faults lc tiny with
@@ -168,14 +149,14 @@ let run ~quick =
       | exception Mpi_state.Corrupt_message _ -> Aborted);
 
   subheader "sticky message corruption, LULESH MPI, checkpoint restart";
-  let r = rng 17 in
+  let r = Bitmix.rng 17 in
   campaign ~name:"lulesh_mpi_msg_sticky" ~trials:(30 * n)
     ~clean_makespan:clean.L.g_makespan (fun _ ->
       (* sticky damage re-corrupts every retransmit, so the ladder
          exhausts and recovery must fall back to a verified snapshot *)
       let spec =
         Printf.sprintf "none:retries=2,corrupt-msg=%d@%d@sticky"
-          (1 + draw_int r 6) (draw_int r 512)
+          (1 + Bitmix.draw_int r 6) (Bitmix.draw_int r 512)
       in
       let faults = F.plan_of_spec ~nranks spec in
       match
@@ -186,13 +167,13 @@ let run ~quick =
       | exception Mpi_state.Corrupt_message _ -> Aborted);
 
   subheader "memory bit flips, miniBUDE OMP, retry consumes the flip";
-  let r = rng 19 in
+  let r = Bitmix.rng 19 in
   campaign ~name:"bude_omp_flip" ~trials:(60 * n)
     ~clean_makespan:mb_clean.MB.g_makespan (fun _ ->
       let spec =
-        Printf.sprintf "none:flip=0@%d@%d@%d" (draw_int r 10_000)
-          (draw_int r 64)
-          (draw_int r (int_of_float (2.0 *. mb_clean.MB.g_makespan)))
+        Printf.sprintf "none:flip=0@%d@%d@%d" (Bitmix.draw_int r 10_000)
+          (Bitmix.draw_int r 64)
+          (Bitmix.draw_int r (int_of_float (2.0 *. mb_clean.MB.g_makespan)))
       in
       (* single-rank envelope: no supervisor, so recovery is the
          service's retry path — consume the fired flip and re-run *)

@@ -1194,7 +1194,6 @@ let serve_cmd =
       watchdog_ms =
     let cfg =
       {
-        Service.default_config with
         Service.workers;
         queue_cap = queue;
         cache_cap = cache;

@@ -27,26 +27,6 @@
 
 open Parad_runtime
 
-(* ---- splitmix64: tiny, seedable, and plenty for drawing plans ---- *)
-
-type rng = { mutable s : int64 }
-
-let rng seed = { s = Int64.of_int (0x9e3779b9 + (seed * 0x85ebca6b)) }
-
-let next r =
-  r.s <- Int64.add r.s 0x9e3779b97f4a7c15L;
-  let z = r.s in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-let draw_int r bound = Int64.to_int (Int64.unsigned_rem (next r) (Int64.of_int bound))
-
-let draw_float r =
-  Int64.to_float (Int64.shift_right_logical (next r) 11) /. 9007199254740992.0
-
-let draw_bool r p = draw_float r < p
-
 (* ---- outcomes ---- *)
 
 type outcome =
@@ -144,17 +124,17 @@ let soak ?(trials = 50) ?log ~seed () : report =
       g
   in
   let run_trial i =
-    let r = rng ((seed * 1_000_003) + i) in
-    let niter = 3 + draw_int r 4 in
+    let r = Bitmix.rng ((seed * 1_000_003) + i) in
+    let niter = 3 + Bitmix.draw_int r 4 in
     let inp = input niter in
     let flavor = Lulesh.Mpi in
     let base = baseline flavor niter in
-    let fault_seed = 1 + draw_int r 1000 in
+    let fault_seed = 1 + Bitmix.draw_int r 1000 in
     let kills r n =
       List.init n (fun _ ->
           (* anywhere from early forward sweep to past the clean end (a
              kill beyond the makespan simply never fires) *)
-          0.02 +. (draw_float r *. 1.1))
+          0.02 +. (Bitmix.draw_float r *. 1.1))
       |> List.map (fun frac -> frac *. base.Lulesh.g_makespan)
     in
     (* the plan name "kill" already carries one kill — retarget it with
@@ -167,17 +147,17 @@ let soak ?(trials = 50) ?log ~seed () : report =
           (String.concat ""
              (List.map (Printf.sprintf ",kill=1@%.0f") rest))
     in
-    let scenario = draw_int r 6 in
+    let scenario = Bitmix.draw_int r 6 in
     let desc, outcome =
       match scenario with
       | 0 ->
         (* binomial schedule + snapshot corruption at random store points *)
-        let budget = 1 + draw_int r 4 in
-        let tiers = 1 + draw_int r 2 in
-        let corrupt_p = 0.15 +. (0.25 *. draw_float r) in
-        let cr = rng ((seed * 7_368_787) + i) in
+        let budget = 1 + Bitmix.draw_int r 4 in
+        let tiers = 1 + Bitmix.draw_int r 2 in
+        let corrupt_p = 0.15 +. (0.25 *. Bitmix.draw_float r) in
+        let cr = Bitmix.rng ((seed * 7_368_787) + i) in
         let on_snapshot ~step ~store =
-          if step > 0 && draw_bool cr corrupt_p then
+          if step > 0 && Bitmix.draw_bool cr corrupt_p then
             for rank = 0 to 1 do
               Checkpoint.corrupt store ~rank ~id:step
             done
@@ -198,10 +178,10 @@ let soak ?(trials = 50) ?log ~seed () : report =
           with e -> classify e )
       | 1 ->
         (* binomial schedule + rank kills across the inner runs *)
-        let budget = 1 + draw_int r 4 in
-        let tiers = 1 + draw_int r 2 in
-        let nkills = 1 + draw_int r 2 in
-        let max_restarts = 1 + draw_int r 4 in
+        let budget = 1 + Bitmix.draw_int r 4 in
+        let tiers = 1 + Bitmix.draw_int r 2 in
+        let nkills = 1 + Bitmix.draw_int r 2 in
+        let max_restarts = 1 + Bitmix.draw_int r 4 in
         let ats = kills r nkills in
         let spec = spec_of_kills ats in
         let faults =
@@ -225,14 +205,14 @@ let soak ?(trials = 50) ?log ~seed () : report =
         (* SDC: seeded bit flips into sealed cache memory, supervised
            store-all recovery — every landed flip must be caught by a
            region digest and replayed away bit-identically *)
-        let nflips = 1 + draw_int r 2 in
-        let max_restarts = 2 + draw_int r 3 in
+        let nflips = 1 + Bitmix.draw_int r 2 in
+        let max_restarts = 2 + Bitmix.draw_int r 3 in
         let flips =
           List.init nflips (fun _ ->
-              let rank = draw_int r 2 in
-              let cell = draw_int r 10_000 in
-              let bit = draw_int r 64 in
-              let at = draw_float r *. base.Lulesh.g_makespan in
+              let rank = Bitmix.draw_int r 2 in
+              let cell = Bitmix.draw_int r 10_000 in
+              let bit = Bitmix.draw_int r 64 in
+              let at = Bitmix.draw_float r *. base.Lulesh.g_makespan in
               Printf.sprintf ",flip=%d@%d@%d@%.0f" rank cell bit at)
         in
         let spec = "none:retries=5" ^ String.concat "" flips in
@@ -254,10 +234,10 @@ let soak ?(trials = 50) ?log ~seed () : report =
         (* SDC: corrupt a packed adjoint message in flight (sometimes
            sticky, exhausting the retransmit ladder into a checkpoint
            restore), supervised recovery *)
-        let ordinal = 1 + draw_int r 6 in
-        let byte = draw_int r 512 in
-        let sticky = draw_bool r 0.5 in
-        let max_restarts = 2 + draw_int r 3 in
+        let ordinal = 1 + Bitmix.draw_int r 6 in
+        let byte = Bitmix.draw_int r 512 in
+        let sticky = Bitmix.draw_bool r 0.5 in
+        let max_restarts = 2 + Bitmix.draw_int r 3 in
         let spec =
           Printf.sprintf "none:retries=3,corrupt-msg=%d@%d%s" ordinal byte
             (if sticky then "@sticky" else "")
@@ -280,12 +260,12 @@ let soak ?(trials = 50) ?log ~seed () : report =
         (* SDC on miniBUDE: single-rank bit flip under service-style
            whole-request retry (a detected region corruption consumes
            the fired flip and re-executes, like the gradient service) *)
-        let nposes = 8 + (8 * draw_int r 3) in
+        let nposes = 8 + (8 * Bitmix.draw_int r 3) in
         let inp = MB.deck ~nposes ~natlig:4 ~natpro:6 in
         let mb_base = mb_baseline nposes in
-        let cell = draw_int r 10_000 in
-        let bit = draw_int r 64 in
-        let at = draw_float r *. mb_base.MB.g_makespan in
+        let cell = Bitmix.draw_int r 10_000 in
+        let bit = Bitmix.draw_int r 64 in
+        let at = Bitmix.draw_float r *. mb_base.MB.g_makespan in
         let spec = Printf.sprintf "none:flip=0@%d@%d@%.0f" cell bit at in
         let plan = Faults.plan_of_spec ~seed:fault_seed ~nranks:1 spec in
         let desc = Printf.sprintf "sdc-bude nposes=%d %s" nposes spec in
@@ -304,9 +284,9 @@ let soak ?(trials = 50) ?log ~seed () : report =
       | _ ->
         (* supervised store-all recovery, optionally checkpointing at
            reverse entry, under rank kills *)
-        let ckpt_rev = draw_bool r 0.5 in
-        let nkills = 1 + draw_int r 2 in
-        let max_restarts = 1 + draw_int r 4 in
+        let ckpt_rev = Bitmix.draw_bool r 0.5 in
+        let nkills = 1 + Bitmix.draw_int r 2 in
+        let max_restarts = 1 + Bitmix.draw_int r 4 in
         let ats = kills r nkills in
         let spec = spec_of_kills ats in
         let faults = Faults.plan_of_spec ~seed:fault_seed ~nranks:2 spec in

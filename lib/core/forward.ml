@@ -21,7 +21,6 @@ let tangent_tag_base = 3_000_000
 type st = {
   eng_src : Prog.t;
   dst : Prog.t;
-  prefix : string;
   b : B.t;
   vmap : Var.t option array;
   tmap : Var.t option array;  (** tangents of float vars *)
@@ -305,12 +304,11 @@ and shadow_of_int st (v : Var.t) =
 
 (* generate (and memoize) the tangent of a callee *)
 and ensure_callee st gname =
-  ignore (transform ~prefix:st.prefix ~src:st.eng_src ~dst:st.dst ~seen:st.seen gname);
-  st.prefix ^ "t_" ^ gname
+  transform ~src:st.eng_src ~dst:st.dst ~seen:st.seen gname
 
-and transform ~prefix ~src ~dst ~seen fname =
+and transform ~src ~dst ~seen fname =
   let f = Prog.find_exn src fname in
-  let tname = prefix ^ "t_" ^ fname in
+  let tname = "t_" ^ fname in
   if not (Hashtbl.mem seen fname) then begin
     Hashtbl.add seen fname ();
     let ret_float = Ty.equal f.ret_ty Ty.Float in
@@ -330,7 +328,6 @@ and transform ~prefix ~src ~dst ~seen fname =
       {
         eng_src = src;
         dst;
-        prefix;
         b;
         vmap = Array.make f.var_count None;
         tmap = Array.make f.var_count None;
@@ -379,10 +376,8 @@ and transform ~prefix ~src ~dst ~seen fname =
 
 (** [tangent prog fname] extends a copy of [prog] with [t_<fname>] (and
     tangents of callees); returns the program and the new name. *)
-let tangent ?(prefix = "") prog fname =
+let tangent prog fname =
   let dst = Prog.copy prog in
-  let tname =
-    transform ~prefix ~src:prog ~dst ~seen:(Hashtbl.create 8) fname
-  in
+  let tname = transform ~src:prog ~dst ~seen:(Hashtbl.create 8) fname in
   Verifier.check_prog dst;
   dst, tname

@@ -67,7 +67,6 @@ type options = {
           gradient functions whose source already checkpoints, so a rank
           killed mid-reverse-sweep can restore there instead of replaying
           its whole forward sweep *)
-  prefix : string;  (** prefix for generated function names *)
   seeds : int;
       (** adjoint batch width k: the reverse sweep propagates [k] seed
           vectors through contiguous k-stride adjoint planes (registers,
@@ -84,7 +83,6 @@ let default_options =
     recompute_depth = 10;
     coalesce_comm = true;
     ckpt_reverse = false;
-    prefix = "";
     seeds = 1;
   }
 

@@ -78,8 +78,8 @@ let rec ensure_planned eng ~spawned gname : callee_entry =
     in
     let e =
       {
-        aug_name = eng.opts.prefix ^ "aug_" ^ gname;
-        rev_name = eng.opts.prefix ^ "rev_" ^ gname;
+        aug_name = "aug_" ^ gname;
+        rev_name = "rev_" ^ gname;
         cplan = None;
         emitted = false;
         spawned;
@@ -1684,7 +1684,7 @@ let gradient ?(opts = Plan.default_options) (src : Prog.t) fname =
   let p = Plan.create ~fi ~split:false ~opts in
   Plan.collect p ~register_callee:(fun ~spawned h ->
       ignore (ensure_planned eng ~spawned h));
-  let dname = opts.prefix ^ "d_" ^ fname in
+  let dname = "d_" ^ fname in
   emit_combined eng f p dname;
   let rec drain () =
     let todo =

@@ -102,35 +102,21 @@ let is_unboxed t ~id =
 
 (* -- ABFT seals -------------------------------------------------------- *)
 
-(* FNV-1a over the raw bits of covered floats, in index order. Kept
-   local: Checkpoint depends on this module, not the other way round. *)
-let fnv_init = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-let fnv_float h x =
-  let bits = Int64.bits_of_float x in
-  let h = ref h in
-  for k = 0 to 7 do
-    let b =
-      Int64.to_int (Int64.logand (Int64.shift_right_logical bits (8 * k)) 0xFFL)
-    in
-    h := Int64.mul (Int64.logxor !h (Int64.of_int b)) fnv_prime
-  done;
-  !h
-
+(* Seals digest the raw bits of covered floats by FNV-1a, in index
+   order. *)
 let seal_cache c =
   match c.s with
   | Boxed cells ->
     let n = Array.length cells in
     let mask = Bytes.make n '\000' in
     let covered = ref 0
-    and h = ref fnv_init in
+    and h = ref Bitmix.fnv_init in
     for i = 0 to n - 1 do
       match cells.(i) with
       | VFloat x ->
         Bytes.set mask i '\001';
         incr covered;
-        h := fnv_float !h x
+        h := Bitmix.fnv_float !h x
       | _ -> ()
     done;
     { mask; covered = !covered; digest = !h }
@@ -138,11 +124,11 @@ let seal_cache c =
     let n = Array.length cells in
     let mask = Bytes.sub written 0 n in
     let covered = ref 0
-    and h = ref fnv_init in
+    and h = ref Bitmix.fnv_init in
     for i = 0 to n - 1 do
       if Bytes.get mask i = '\001' then begin
         incr covered;
-        h := fnv_float !h cells.(i)
+        h := Bitmix.fnv_float !h cells.(i)
       end
     done;
     { mask; covered = !covered; digest = !h }
@@ -152,20 +138,20 @@ let verify_cache c =
   | None -> true
   | Some s ->
     let m = Bytes.length s.mask in
-    let h = ref fnv_init in
+    let h = ref Bitmix.fnv_init in
     (match c.s with
     | Boxed cells ->
       for i = 0 to m - 1 do
         if Bytes.get s.mask i = '\001' then
           match cells.(i) with
-          | VFloat x -> h := fnv_float !h x
+          | VFloat x -> h := Bitmix.fnv_float !h x
           (* a covered cell can only stop being a float through [set],
              which drops the seal — defensively treat it as corrupt *)
           | _ -> h := Int64.lognot !h
       done
     | Floats (cells, _) ->
       for i = 0 to m - 1 do
-        if Bytes.get s.mask i = '\001' then h := fnv_float !h cells.(i)
+        if Bytes.get s.mask i = '\001' then h := Bitmix.fnv_float !h cells.(i)
       done);
     Int64.equal !h s.digest
 

@@ -177,16 +177,7 @@ let dispose store =
 
 (* 64-bit FNV-1a: cheap, deterministic, and sensitive to any single
    flipped byte — enough to model end-to-end snapshot integrity. *)
-let checksum s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h :=
-        Int64.mul
-          (Int64.logxor !h (Int64.of_int (Char.code c)))
-          0x100000001b3L)
-    s;
-  !h
+let checksum s = Bitmix.fnv_string Bitmix.fnv_init s
 
 type put_info = {
   p_bytes : int;  (** serialized size of the new snapshot *)

@@ -97,6 +97,54 @@ let run ?(cfg = Interp.default_config) ?san ?faults ?deadline
   in
   { values = [| value |]; makespan; stats }
 
+(* The SPMD skeleton, inside a running simulation: one communicator, one
+   context per rank (built by [make_ctx]), and a fork whose member [rank]
+   runs [body] and then the end-of-rank epilogue. *)
+let spmd ~(cfg : Interp.config) ?faults ?mpi_ref ?san ~nranks ~make_ctx body =
+  let mpi =
+    Mpi_state.create ~cost:cfg.Interp.cost ~nranks ?faults
+      ~coalesce:cfg.Interp.coalesce ()
+  in
+  (match mpi_ref with Some r -> r := Some mpi | None -> ());
+  let ctxs = Array.init nranks (fun rank -> make_ctx ~mpi ~rank) in
+  Sim.fork
+    ~socket_of:(fun r -> mpi.Mpi_state.sockets.(r))
+    ~width:nranks
+    (fun ~tid:rank ~width:_ ->
+      let ctx = ctxs.(rank) in
+      body ctx ~rank;
+      (* safety net: a program whose last adjoint op is a stage has no
+         later blocking point to flush it — peers would park *)
+      Mpi_state.adj_flush_all mpi ~rank;
+      (* finalize semantics: a rank may complete without touching a peer
+         that died after its last message was buffered; the failure must
+         still surface as a structured Rank_failed, not a join deadlock on
+         the parked victim *)
+      Mpi_state.check_any_alive mpi ~rank;
+      (* end-of-run ABFT sweep over this rank's protected caches *)
+      Interp.verify_regions ctx;
+      (* leaks are only meaningful on a run that completes; failed
+         attempts never reach this point *)
+      match san with
+      | Some s -> Sanitizer.report_leaks s ~rank ~mem:ctx.Interp.mem
+      | None -> ())
+
+(** Run an arbitrary SPMD body (one call per rank) — used by harnesses
+    that need several interpreter calls per rank (e.g. the tape baseline's
+    forward-then-reverse sweeps). *)
+let run_spmd_custom ?(cfg = Interp.default_config) ?instrument ?faults
+    ?mpi_ref ?san ?deadline prog ~nranks ~body =
+  let (), makespan, stats =
+    timed_run ~cost:cfg.Interp.cost ~stats:(Stats.create ()) ?deadline
+      (fun () ->
+        spmd ~cfg ?faults ?mpi_ref ?san ~nranks body
+          ~make_ctx:(fun ~mpi ~rank ->
+            Interp.make_ctx ~cfg
+              ?instrument:(Option.map (fun f -> f ~rank) instrument)
+              ~mpi ~rank ~nranks ?san ~prog ()))
+  in
+  makespan, stats
+
 (** Run [fname] on [nranks] ranks with distinct address spaces. [setup]
     builds each rank's arguments. Returns per-rank results.
 
@@ -104,85 +152,16 @@ let run ?(cfg = Interp.default_config) ?san ?faults ?deadline
     runtime; [mpi_ref], when given, receives the run's {!Mpi_state.t} as
     soon as it exists, so callers can audit communication state even when
     the run terminates with {!Sim.Deadlock}. *)
-let run_spmd ?(cfg = Interp.default_config) ?instrument ?faults ?mpi_ref ?san
-    ?deadline ?(call = Interp.call) prog ~nranks ~fname ~setup =
-  let stats = Stats.create () in
+let run_spmd ?cfg ?instrument ?faults ?mpi_ref ?san ?deadline
+    ?(call = Interp.call) prog ~nranks ~fname ~setup =
   let values = Array.make nranks VUnit in
-  let (), makespan, stats =
-    timed_run ~cost:cfg.Interp.cost ~stats ?deadline (fun () ->
-        let mpi =
-          Mpi_state.create ~cost:cfg.Interp.cost ~nranks ?faults
-            ~coalesce:cfg.Interp.coalesce ()
-        in
-        (match mpi_ref with Some r -> r := Some mpi | None -> ());
-        let ctxs =
-          Array.init nranks (fun rank ->
-              Interp.make_ctx ~cfg
-                ?instrument:
-                  (match instrument with
-                  | Some f -> Some (f ~rank)
-                  | None -> None)
-                ~mpi ~rank ~nranks ?san ~prog ())
-        in
-        Sim.fork
-          ~socket_of:(fun r -> mpi.Mpi_state.sockets.(r))
-          ~width:nranks
-          (fun ~tid:rank ~width:_ ->
-            let ctx = ctxs.(rank) in
-            let args = setup ctx ~rank in
-            values.(rank) <- call ctx fname args;
-            (* safety net: a program whose last adjoint op is a stage has
-               no later blocking point to flush it — peers would park *)
-            Mpi_state.adj_flush_all mpi ~rank;
-            (* finalize semantics: a rank may complete without touching a
-               peer that died after its last message was buffered; the
-               failure must still surface as a structured Rank_failed, not
-               a join deadlock on the parked victim *)
-            Mpi_state.check_any_alive mpi ~rank;
-            (* end-of-run ABFT sweep over this rank's protected caches *)
-            Interp.verify_regions ctx;
-            match san with
-            | Some s -> Sanitizer.report_leaks s ~rank ~mem:ctx.Interp.mem
-            | None -> ()))
+  let makespan, stats =
+    run_spmd_custom ?cfg ?instrument ?faults ?mpi_ref ?san ?deadline prog
+      ~nranks ~body:(fun ctx ~rank ->
+        let args = setup ctx ~rank in
+        values.(rank) <- call ctx fname args)
   in
   { values; makespan; stats }
-
-(** Run an arbitrary SPMD body (one call per rank) — used by harnesses
-    that need several interpreter calls per rank (e.g. the tape baseline's
-    forward-then-reverse sweeps). *)
-let run_spmd_custom ?(cfg = Interp.default_config) ?instrument ?faults
-    ?mpi_ref ?san ?deadline prog ~nranks ~body =
-  let stats = Stats.create () in
-  let (), makespan, stats =
-    timed_run ~cost:cfg.Interp.cost ~stats ?deadline (fun () ->
-        let mpi =
-          Mpi_state.create ~cost:cfg.Interp.cost ~nranks ?faults
-            ~coalesce:cfg.Interp.coalesce ()
-        in
-        (match mpi_ref with Some r -> r := Some mpi | None -> ());
-        let ctxs =
-          Array.init nranks (fun rank ->
-              Interp.make_ctx ~cfg
-                ?instrument:
-                  (match instrument with
-                  | Some f -> Some (f ~rank)
-                  | None -> None)
-                ~mpi ~rank ~nranks ?san ~prog ())
-        in
-        Sim.fork
-          ~socket_of:(fun r -> mpi.Mpi_state.sockets.(r))
-          ~width:nranks
-          (fun ~tid:rank ~width:_ ->
-            body ctxs.(rank) ~rank;
-            Mpi_state.adj_flush_all mpi ~rank;
-            Mpi_state.check_any_alive mpi ~rank;
-            Interp.verify_regions ctxs.(rank);
-            match san with
-            | Some s ->
-              Sanitizer.report_leaks s ~rank ~mem:ctxs.(rank).Interp.mem
-            | None -> ()))
-  in
-  makespan, stats
 
 (* ---- supervised recoverable execution ---- *)
 
@@ -230,33 +209,14 @@ let run_spmd_recoverable ?(cfg = Interp.default_config) ?faults ?mpi_ref ?san
         let (), makespan, _ =
           timed_run ~cost:cfg.Interp.cost ~stats ?deadline (fun () ->
               if base > 0.0 then Sim.set_clock base;
-              let mpi =
-                Mpi_state.create ~cost:cfg.Interp.cost ~nranks ~faults:plan
-                  ~coalesce:cfg.Interp.coalesce ()
-              in
-              (match mpi_ref with Some r -> r := Some mpi | None -> ());
-              let ctxs =
-                Array.init nranks (fun rank ->
-                    Interp.make_ctx ~cfg ~mpi ~rank ~nranks ?san
-                      ~ckpt:(Checkpoint.session store ~rank ?resume ())
-                      ~prog ())
-              in
-              Sim.fork
-                ~socket_of:(fun r -> mpi.Mpi_state.sockets.(r))
-                ~width:nranks
-                (fun ~tid:rank ~width:_ ->
-                  let ctx = ctxs.(rank) in
+              spmd ~cfg ~faults:plan ?mpi_ref ?san ~nranks
+                ~make_ctx:(fun ~mpi ~rank ->
+                  Interp.make_ctx ~cfg ~mpi ~rank ~nranks ?san
+                    ~ckpt:(Checkpoint.session store ~rank ?resume ())
+                    ~prog ())
+                (fun ctx ~rank ->
                   let args = setup ctx ~rank in
-                  values.(rank) <- call ctx fname args;
-                  Mpi_state.adj_flush_all mpi ~rank;
-                  Mpi_state.check_any_alive mpi ~rank;
-                  Interp.verify_regions ctx;
-                  (* leaks are only meaningful on the attempt that
-                     completes; failed attempts never reach this point *)
-                  match san with
-                  | Some s ->
-                    Sanitizer.report_leaks s ~rank ~mem:ctx.Interp.mem
-                  | None -> ()))
+                  values.(rank) <- call ctx fname args))
         in
         `Done makespan
       with

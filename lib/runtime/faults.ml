@@ -81,7 +81,7 @@ type lost = {
 
 type state = {
   plan : plan;
-  mutable rng : int64;
+  rng : Bitmix.rng;
   rule_used : int array;  (** messages each rule has been applied to *)
   stalled : bool array;  (** per-rank: stall already charged *)
   mutable lost_msgs : lost list;  (** reverse send order *)
@@ -96,7 +96,8 @@ type state = {
 let make ~nranks plan =
   {
     plan;
-    rng = Int64.of_int ((plan.seed * 2654435761) lxor 0x5DEECE66D);
+    rng =
+      { Bitmix.s = Int64.of_int ((plan.seed * 2654435761) lxor 0x5DEECE66D) };
     rule_used = Array.make (List.length plan.rules) 0;
     stalled = Array.make nranks false;
     lost_msgs = [];
@@ -105,20 +106,6 @@ let make ~nranks plan =
     corrupts_left = plan.corrupts;
     packed_seen = 0;
   }
-
-(* splitmix64: one 64-bit draw per transmission attempt. Advancing the
-   stream only in deterministic program order keeps runs reproducible. *)
-let next_u64 st =
-  let open Int64 in
-  st.rng <- add st.rng 0x9E3779B97F4A7C15L;
-  let z = st.rng in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
-let uniform st =
-  Int64.to_float (Int64.shift_right_logical (next_u64 st) 11)
-  *. (1.0 /. 9007199254740992.0)
 
 let rule_matches r ~src ~dst ~tag =
   (match r.r_src with Some s -> s = src | None -> true)
@@ -163,8 +150,13 @@ let on_send st ~src ~dst ~tag ~now =
         | Duplicate -> incr copies
       end)
     p.rules;
+  (* one splitmix64 draw per transmission attempt: advancing the stream
+     only in deterministic program order keeps runs reproducible *)
   if p.drop_prob > 0.0 then
-    while (not !doomed) && !drops <= p.max_retries && uniform st < p.drop_prob
+    while
+      (not !doomed)
+      && !drops <= p.max_retries
+      && Bitmix.draw_float st.rng < p.drop_prob
     do
       incr drops;
       st.injected <- st.injected + 1

@@ -37,7 +37,6 @@ type config = {
   nthreads : int;  (** width of [Fork] regions with width 0 (the default) *)
   gc_aggressive : bool;
       (** [gc.collect] really frees unpreserved unreachable GC buffers *)
-  max_instrs : int;  (** fuel; 0 = unlimited *)
   coalesce : bool;
       (** adjoint-communication coalescing: stage outgoing adjoint sends
           and batch them into packed per-destination messages (ISSUE 5);
@@ -49,7 +48,6 @@ let default_config =
     cost = Cost_model.default;
     nthreads = 1;
     gc_aggressive = false;
-    max_instrs = 0;
     coalesce = true;
   }
 
@@ -441,11 +439,6 @@ let is_float v = match v with VFloat _ -> true | _ -> false
 
 (* ---- interpreter ---- *)
 
-let fuel ctx =
-  ctx.executed <- ctx.executed + 1;
-  if ctx.cfg.max_instrs > 0 && ctx.executed > ctx.cfg.max_instrs then
-    error "instruction budget exceeded (%d)" ctx.cfg.max_instrs
-
 let rec exec_instrs ctx (e : ectx) (instrs : Instr.t list) : outcome =
   match instrs with
   | [] -> ONext
@@ -457,7 +450,7 @@ let rec exec_instrs ctx (e : ectx) (instrs : Instr.t list) : outcome =
 and exec_instr ctx e (i : Instr.t) : outcome =
   let fr = List.hd e.stack in
   let st = Sim.stats () in
-  fuel ctx;
+  ctx.executed <- ctx.executed + 1;
   st.instrs <- st.instrs + 1;
   let c = ctx.cfg.cost in
   match i with
@@ -900,21 +893,21 @@ and call_function ctx ~caller_stack name (args : Value.t list)
 and dispatch_call ctx e name args : Value.t * int =
   let fr = List.hd e.stack in
   let vals = List.map (get fr) args in
-  if String.contains name '.' then intrinsic ctx e name args vals
+  (* intrinsic results are passive: tape slot 0 *)
+  if String.contains name '.' then intrinsic ctx e name args vals, 0
   else
     call_function ctx ~caller_stack:e.stack name vals
       (List.map (get_slot fr) args)
 
-and intrinsic ctx e name args vals : Value.t * int =
+and intrinsic ctx e name args vals : Value.t =
   let c = ctx.cfg.cost in
   let st = Sim.stats () in
   let int_arg n = to_int (List.nth vals n) in
   let float_arg n = to_float (List.nth vals n) in
   let ptr_arg n = to_ptr (List.nth vals n) in
-  let unit_ = VUnit, 0 in
   charge c.arith;
   match name with
-  | "omp.max_threads" -> VInt ctx.cfg.nthreads, 0
+  | "omp.max_threads" -> VInt ctx.cfg.nthreads
   (* ---- sanitizer ---- *)
   | "san.mark_private" ->
     (* Emitted by the reverse engine for every shadow buffer whose base
@@ -925,7 +918,7 @@ and intrinsic ctx e name args vals : Value.t * int =
     | Some san, VPtr p :: _ ->
       Sanitizer.mark_private san ~rank:ctx.rank ~buf:p.buf
     | _ -> ());
-    unit_
+    VUnit
   (* ---- checkpoint/restart ---- *)
   | "parad.checkpoint" ->
     let extras = List.filter (function VPtr _ -> true | _ -> false) vals in
@@ -937,8 +930,8 @@ and intrinsic ctx e name args vals : Value.t * int =
        can pick it once all ranks reach their reverse sweeps *)
     checkpoint_site ctx e ~name ~explicit_id:None ~extras:[]
   (* ---- message passing ---- *)
-  | "mpi.rank" -> VInt ctx.rank, 0
-  | "mpi.size" -> VInt ctx.nranks, 0
+  | "mpi.rank" -> VInt ctx.rank
+  | "mpi.size" -> VInt ctx.nranks
   | "mpi.isend" ->
     let m = mpi_state ctx in
     let p = ptr_arg 0 and n = int_arg 1 and dst = int_arg 2 and tag = int_arg 3 in
@@ -951,13 +944,13 @@ and intrinsic ctx e name args vals : Value.t * int =
       ins.send_hook ~peer:dst ~tag ~slots:(Array.sub bs p.off n)
     | None -> ());
     let req = Mpi_state.isend m ~rank:ctx.rank ~ptr:p ~count:n ~dst ~tag in
-    VInt req, 0
+    VInt req
   | "mpi.irecv" ->
     let m = mpi_state ctx in
     let p = ptr_arg 0 and n = int_arg 1 and src = int_arg 2 and tag = int_arg 3 in
     check_rank ctx p.buf;
     let req = Mpi_state.irecv m ~rank:ctx.rank ~ptr:p ~count:n ~src ~tag in
-    VInt req, 0
+    VInt req
   | "mpi.wait" ->
     let m = mpi_state ctx in
     let pr = Mpi_state.wait m ~rank:ctx.rank ~req:(int_arg 0) in
@@ -975,7 +968,7 @@ and intrinsic ctx e name args vals : Value.t * int =
         Array.blit fresh 0 bs dst.off pr.Mpi_state.count
       | None -> ())
     | _ -> ());
-    unit_
+    VUnit
   | "mpi.send" ->
     let m = mpi_state ctx in
     let p = ptr_arg 0 and n = int_arg 1 and dst = int_arg 2 and tag = int_arg 3 in
@@ -987,7 +980,7 @@ and intrinsic ctx e name args vals : Value.t * int =
     | None -> ());
     let req = Mpi_state.isend m ~rank:ctx.rank ~ptr:p ~count:n ~dst ~tag in
     ignore (Mpi_state.wait m ~rank:ctx.rank ~req);
-    unit_
+    VUnit
   | "mpi.recv" ->
     let m = mpi_state ctx in
     let p = ptr_arg 0 and n = int_arg 1 and src = int_arg 2 and tag = int_arg 3 in
@@ -1000,10 +993,10 @@ and intrinsic ctx e name args vals : Value.t * int =
       let bs = ins.buf_slots p.buf in
       Array.blit fresh 0 bs p.off n
     | None -> ());
-    unit_
+    VUnit
   | "mpi.barrier" ->
     Mpi_state.barrier (mpi_state ctx) ~rank:ctx.rank;
-    unit_
+    VUnit
   | "mpi.allreduce_sum" | "mpi.allreduce_min" | "mpi.allreduce_max" ->
     let m = mpi_state ctx in
     let send = ptr_arg 0 and recv = ptr_arg 1 and n = int_arg 2 in
@@ -1036,7 +1029,7 @@ and intrinsic ctx e name args vals : Value.t * int =
       let rs = ins.buf_slots recv.buf in
       Array.blit out_slots 0 rs recv.off n
     | _ -> ());
-    unit_
+    VUnit
   | "mpi.bcast" ->
     let m = mpi_state ctx in
     let p = ptr_arg 0 and n = int_arg 1 and root = int_arg 2 in
@@ -1049,7 +1042,7 @@ and intrinsic ctx e name args vals : Value.t * int =
       let out = ins.bcast_hook ~root ~count:n ~slots in
       Array.blit out 0 bs p.off n
     | None -> ());
-    unit_
+    VUnit
   (* ---- GC model ---- *)
   | "gc.preserve_begin" ->
     let bufs =
@@ -1065,7 +1058,7 @@ and intrinsic ctx e name args vals : Value.t * int =
     let id = ctx.next_preserve in
     ctx.next_preserve <- id + 1;
     Hashtbl.add ctx.preserves id bufs;
-    VInt id, 0
+    VInt id
   | "gc.preserve_end" ->
     let id = int_arg 0 in
     (match Hashtbl.find_opt ctx.preserves id with
@@ -1073,27 +1066,27 @@ and intrinsic ctx e name args vals : Value.t * int =
       List.iter (fun b -> b.preserve <- b.preserve - 1) bufs;
       Hashtbl.remove ctx.preserves id
     | None -> error "gc.preserve_end: unknown token %d" id);
-    unit_
+    VUnit
   | "gc.collect" ->
     if ctx.cfg.gc_aggressive then begin
       let roots =
         List.concat_map (fun f -> Array.to_list f.vals) e.stack
       in
       let n = Memory.gc_collect ctx.mem ~roots in
-      VInt n, 0
+      VInt n
     end
-    else (VInt 0, 0)
+    else VInt 0
   (* ---- AD cache runtime ---- *)
   | "cache.new" ->
     charge c.alloc_base;
-    VInt (Cache_rt.fresh ctx.cache ~capacity:(int_arg 0)), 0
+    VInt (Cache_rt.fresh ctx.cache ~capacity:(int_arg 0))
   | "cache.newf" ->
     (* Unboxed [float array] cache (planner emits this for Ty.Float
        slots): stores and loads are plain memory traffic, not boxed
        cache bookkeeping, so they are charged at [mem], not
        [cache_op]. *)
     charge c.alloc_base;
-    VInt (Cache_rt.fresh ~unboxed:true ctx.cache ~capacity:(int_arg 0)), 0
+    VInt (Cache_rt.fresh ~unboxed:true ctx.cache ~capacity:(int_arg 0))
   | "cache.set" ->
     let id = int_arg 0 in
     charge (if Cache_rt.is_unboxed ctx.cache ~id then c.mem else c.cache_op);
@@ -1105,7 +1098,7 @@ and intrinsic ctx e name args vals : Value.t * int =
       let peak = Cache_rt.peak_cells ctx.cache in
       if peak > st.cache_peak then st.cache_peak <- peak
     end;
-    unit_
+    VUnit
   | "cache.get" ->
     let id = int_arg 0 in
     charge (if Cache_rt.is_unboxed ctx.cache ~id then c.mem else c.cache_op);
@@ -1114,7 +1107,7 @@ and intrinsic ctx e name args vals : Value.t * int =
     (* the get sealed the cache on first read; only now can a pending
        flip land on covered (detectable) memory *)
     apply_flips ctx;
-    r, 0
+    r
   | "cache.free" ->
     let id = int_arg 0 in
     (* last chance to catch a flip in this cache before its cells are
@@ -1128,7 +1121,7 @@ and intrinsic ctx e name args vals : Value.t * int =
         corrupt_region ctx ~cache_id:id
     end;
     Cache_rt.free ctx.cache ~id;
-    unit_
+    VUnit
   (* ---- k-wide batched adjoint runtime (opts.seeds > 1) ----
 
      The reverse engine emits one of these per reverse statement instead
@@ -1152,7 +1145,7 @@ and intrinsic ctx e name args vals : Value.t * int =
       ha.(ho + l) <- 0.0
     done;
     charge_mem ctx host.buf (2 * k);
-    unit_
+    VUnit
   | "adj.acc_k" ->
     (* host[xoff+l] += f(scratch[l]) with f selected by [mode]; the
        lane-invariant coefficients c1/c2/cond are primal values resolved
@@ -1172,7 +1165,7 @@ and intrinsic ctx e name args vals : Value.t * int =
     charge (c.arith *. float_of_int (k * (adj_mode_flops mode + 1)));
     if atomic then charge (c.atomic *. float_of_int k)
     else charge_mem ctx host.buf (2 * k);
-    unit_
+    VUnit
   | "adj.rev1_k" | "adj.rev2_k" ->
     (* One fused call per reverse statement: take the statement result's
        lane group into scratch (zeroing it), then fold it into one or
@@ -1206,7 +1199,7 @@ and intrinsic ctx e name args vals : Value.t * int =
       if atomic then charge (c.atomic *. float_of_int k)
       else charge_mem ctx host.buf (2 * k)
     done;
-    unit_
+    VUnit
   | "adj.mrev_k" ->
     (* Fused Load reversal: move the loaded value's adjoint lane group
        into scratch (zeroing the source), then add it lane by lane into
@@ -1233,7 +1226,7 @@ and intrinsic ctx e name args vals : Value.t * int =
       charge (c.arith *. float_of_int k);
       charge_mem ctx sp.buf (2 * k)
     end;
-    unit_
+    VUnit
   | "adj.srev_k" | "adj.arev_k" ->
     (* Fused Store/AtomicAdd reversal: pull the shadow cell's lane group
        into scratch (zeroing it for a Store, leaving it for an AtomicAdd
@@ -1265,7 +1258,7 @@ and intrinsic ctx e name args vals : Value.t * int =
     charge (c.arith *. float_of_int k);
     if atomic then charge (c.atomic *. float_of_int k)
     else charge_mem ctx h1.buf (2 * k);
-    unit_
+    VUnit
   | "adj.mtake_k" ->
     (* scratch[l] <- shadow[mb+l]; shadow[mb+l] <- 0  (Store reversal) *)
     let sp = ptr_arg 0 and mb = int_arg 1 and scr = ptr_arg 2 in
@@ -1278,7 +1271,7 @@ and intrinsic ctx e name args vals : Value.t * int =
       pa.(po + l) <- 0.0
     done;
     charge_mem ctx sp.buf (2 * k);
-    unit_
+    VUnit
   | "adj.pack_k" ->
     (* dst[doff+l] <- src[soff+l]  (d_args packing, param-major) *)
     let dst = ptr_arg 0 and doff = int_arg 1 in
@@ -1292,7 +1285,7 @@ and intrinsic ctx e name args vals : Value.t * int =
     done;
     charge_mem ctx dst.buf k;
     charge_mem ctx src.buf k;
-    unit_
+    VUnit
   (* ---- adjoint MPI runtime (generated by the AD engine) ---- *)
   | "mpi.adjnote_isend" | "mpi.adjnote_irecv" ->
     let m = mpi_state ctx in
@@ -1304,7 +1297,7 @@ and intrinsic ctx e name args vals : Value.t * int =
       Mpi_state.shadow_note m ~rank:ctx.rank ~skind ~sptr:p ~scount:n
         ~speer:peer ~stag:tag
     in
-    VInt id, 0
+    VInt id
   | "mpi.adj_wait" ->
     (* Reverse of MPI_Wait: inspect the shadow request and spawn the dual
        nonblocking operation (Fig 5 of the paper). With coalescing, the
@@ -1341,7 +1334,7 @@ and intrinsic ctx e name args vals : Value.t * int =
         Some
           (Mpi_state.isend m ~rank:ctx.rank ~ptr:s.sptr ~count:s.scount
              ~dst:s.speer ~tag:adj_tag));
-    unit_
+    VUnit
   | "mpi.adj_isend_finish" ->
     (* Reverse of MPI_Isend: wait for the incoming adjoint and accumulate
        it into the shadow send buffer. Coalesced: complete the registered
@@ -1362,7 +1355,7 @@ and intrinsic ctx e name args vals : Value.t * int =
       done;
       Memory.free ctx.mem tmp.buf
     | _ -> error "mpi.adj_isend_finish before mpi.adj_wait");
-    unit_
+    VUnit
   | "mpi.adj_irecv_finish" ->
     (* Reverse of MPI_Irecv: wait for the adjoint send to complete, then
        zero the shadow receive buffer (its adjoint has been handed off).
@@ -1388,7 +1381,7 @@ and intrinsic ctx e name args vals : Value.t * int =
         done
       | None -> error "mpi.adj_irecv_finish before mpi.adj_wait"
     end;
-    unit_
+    VUnit
   | "mpi.adj_send" | "mpi.adj_send_post" ->
     (* Reverse of a blocking send: receive the adjoint and accumulate.
        The [_post] form is emitted by the coalescing reverse sweep: it
@@ -1421,7 +1414,7 @@ and intrinsic ctx e name args vals : Value.t * int =
       done;
       Memory.free ctx.mem buf
     end;
-    unit_
+    VUnit
   | "mpi.adj_recv" | "mpi.adj_recv_post" ->
     (* Reverse of a blocking receive: send the shadow back, then zero it.
        Coalesced (either form): stage the chunk — the snapshot decouples
@@ -1448,7 +1441,7 @@ and intrinsic ctx e name args vals : Value.t * int =
         Memory.store d_p i (VFloat 0.0)
       done
     end;
-    unit_
+    VUnit
   | "mpi.adj_waitall" ->
     (* Completion barrier of a batch of [_post]ed adjoint exchanges: flush
        every staged chunk, then drain packed messages until all registered
@@ -1456,13 +1449,13 @@ and intrinsic ctx e name args vals : Value.t * int =
        [_post] forms completed eagerly). *)
     let m = mpi_state ctx in
     if m.Mpi_state.coalesce then Mpi_state.adj_complete_all m ~rank:ctx.rank;
-    unit_
+    VUnit
   | "parad.remat_begin" ->
     ctx.remat_depth <- ctx.remat_depth + 1;
-    unit_
+    VUnit
   | "parad.remat_end" ->
     if ctx.remat_depth > 0 then ctx.remat_depth <- ctx.remat_depth - 1;
-    unit_
+    VUnit
   | "mpi.adj_allreduce_sum" ->
     (* y = allreduce_sum(x)  =>  dx += allreduce_sum(dy); dy := 0 *)
     let m = mpi_state ctx in
@@ -1481,7 +1474,7 @@ and intrinsic ctx e name args vals : Value.t * int =
       Memory.store d_recv i (VFloat 0.0)
     done;
     Memory.free ctx.mem buf;
-    unit_
+    VUnit
   | "mpi.adj_allreduce_minmax" ->
     (* y = allreduce_min/max(x): the adjoint flows to the rank(s) whose
        contribution equals the result.
@@ -1511,7 +1504,7 @@ and intrinsic ctx e name args vals : Value.t * int =
       Memory.store d_recv i (VFloat 0.0)
     done;
     Memory.free ctx.mem buf;
-    unit_
+    VUnit
   | "mpi.adj_bcast" ->
     (* y_r = x_root  =>  dx_root := sum_r dy_r; dy_r := 0 for r <> root *)
     let m = mpi_state ctx in
@@ -1530,31 +1523,31 @@ and intrinsic ctx e name args vals : Value.t * int =
       else Memory.store d_p i (VFloat 0.0)
     done;
     Memory.free ctx.mem buf;
-    unit_
+    VUnit
   | "task.retval" ->
     (* Return value of a completed (synced) task — used by the AD engine
        to retrieve the augmented task's cache-block handle. *)
     let id = int_arg 0 in
     (match Hashtbl.find_opt ctx.tasks id with
-    | Some (_, ret) -> !ret, 0
+    | Some (_, ret) -> !ret
     | None -> error "task.retval: unknown task %d" id)
   | "ad.map_set" ->
     Hashtbl.replace ctx.admap (int_arg 0) (List.nth vals 1, List.nth vals 2);
-    unit_
+    VUnit
   | "ad.map_get1" ->
     (match Hashtbl.find_opt ctx.admap (int_arg 0) with
-    | Some (v, _) -> v, 0
+    | Some (v, _) -> v
     | None -> error "ad.map_get1: unknown key %d" (int_arg 0))
   | "ad.map_get2" ->
     (match Hashtbl.find_opt ctx.admap (int_arg 0) with
-    | Some (_, v) -> v, 0
+    | Some (_, v) -> v
     | None -> error "ad.map_get2: unknown key %d" (int_arg 0))
   (* ---- debugging ---- *)
   | "debug.print_f64" ->
     Format.eprintf "[rank %d] %s = %.17g@." ctx.rank
       (match args with a :: _ -> Var.name a | [] -> "?")
       (float_arg 0);
-    unit_
+    VUnit
   | _ -> error "unknown intrinsic %S" name
 
 (* Shared implementation of the two checkpoint intrinsics.
@@ -1563,11 +1556,11 @@ and intrinsic ctx e name args vals : Value.t * int =
    ([parad.checkpoint_rev]), which allocates the next id after every site
    this rank has passed. Both ids replay deterministically, which is all
    the resume protocol needs. *)
-and checkpoint_site ctx e ~name ~explicit_id ~extras : Value.t * int =
+and checkpoint_site ctx e ~name ~explicit_id ~extras : Value.t =
   let c = ctx.cfg.cost in
   let st = Sim.stats () in
   match ctx.ckpt with
-  | None -> VUnit, 0 (* no session: checkpoint points cost one arith op *)
+  | None -> VUnit (* no session: checkpoint points cost one arith op *)
   | Some session ->
     if e.team <> None then error "%s inside a parallel region" name;
     if ctx.instrument <> None then
@@ -1603,7 +1596,7 @@ and checkpoint_site ctx e ~name ~explicit_id ~extras : Value.t * int =
         Sim.charge
           (c.snap_disk_base +. (c.snap_disk_per_cell *. float_of_int r_cells))
       | Checkpoint.Hot -> ());
-      VUnit, 0
+      VUnit
     | None ->
       (* ABFT boundary: verify the previous interval's seals BEFORE the
          snapshot — a flip since the last boundary must surface here, so
@@ -1630,7 +1623,7 @@ and checkpoint_site ctx e ~name ~explicit_id ~extras : Value.t * int =
         Sim.charge
           (c.mem *. float_of_int (Cache_rt.seal_all ctx.cache));
       apply_flips ctx;
-      VUnit, 0)
+      VUnit)
 
 (** Call [fname] in an existing context (must run inside {!Sim.run}). *)
 let call ctx fname args =

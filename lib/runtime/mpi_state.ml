@@ -210,14 +210,9 @@ let () =
     | _ -> None)
 
 (* FNV-1a over the packet's cells in index order, each cell as a type
-   byte plus its 64-bit pattern. (Checkpoint has a string checksum with
-   the same constants, but depends on this module — hence the local
-   copy over cells rather than an allocation-heavy serialize-and-hash.) *)
+   byte plus its 64-bit pattern. *)
 let packed_digest payload n =
-  let h = ref 0xcbf29ce484222325L in
-  let byte b =
-    h := Int64.mul (Int64.logxor !h (Int64.of_int b)) 0x100000001b3L
-  in
+  let h = ref Bitmix.fnv_init in
   for i = 0 to n - 1 do
     let tag, bits =
       match payload.(i) with
@@ -225,10 +220,7 @@ let packed_digest payload n =
       | VFloat x -> 0x66, Int64.bits_of_float x
       | _ -> 0x75, 0L
     in
-    byte tag;
-    for k = 0 to 7 do
-      byte (Int64.to_int (Int64.logand (Int64.shift_right_logical bits (8 * k)) 0xFFL))
-    done
+    h := Bitmix.fnv_int64 (Bitmix.fnv_byte !h tag) bits
   done;
   !h
 

@@ -283,28 +283,15 @@ let compile_plan rq =
 
 (* ---- gradient digest (bit-identity witness) ---- *)
 
-let fnv_init = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-let fnv_byte h b =
-  Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) fnv_prime
-
-let fnv_float h x =
-  let bits = Int64.bits_of_float x in
-  let h = ref h in
-  for i = 0 to 7 do
-    h := fnv_byte !h (Int64.to_int (Int64.shift_right_logical bits (8 * i)))
-  done;
-  !h
-
-let digest_floats h a = Array.fold_left fnv_float h a
+let fnv_init = Bitmix.fnv_init
+let digest_floats h a = Array.fold_left Bitmix.fnv_float h a
 
 (** FNV-1a over the IEEE-754 bit patterns of every gradient component:
     equal digests mean bit-identical gradients. The warm-vs-cold
     equality assertions in [parad slam] and the plan-cache tests
     compare these. *)
 let fold_lulesh h (g : L.grad_result) =
-  let h = fnv_float h g.L.g_total in
+  let h = Bitmix.fnv_float h g.L.g_total in
   let h = Array.fold_left digest_floats h g.L.d_coords in
   Array.fold_left digest_floats h g.L.d_energy
 
@@ -346,10 +333,11 @@ type config = {
   breaker_k : int;  (** consecutive failures that trip a key's breaker *)
   breaker_cooldown : int;  (** rejected submissions before half-open *)
   retries : int;  (** retry budget for transient failures *)
-  backoff_cycles : float;  (** virtual backoff base; doubles per retry *)
-  arrival_gap : float;  (** virtual cycles between request arrivals *)
   watchdog_ms : float option;  (** default wall watchdog per request *)
 }
+
+(* virtual backoff base of a transient-failure retry; doubles per retry *)
+let backoff_cycles = 10_000.0
 
 let default_config =
   {
@@ -359,8 +347,6 @@ let default_config =
     breaker_k = 3;
     breaker_cooldown = 4;
     retries = 2;
-    backoff_cycles = 10_000.0;
-    arrival_gap = 0.0;
     watchdog_ms = Some 30_000.0;
   }
 
@@ -613,7 +599,7 @@ let execute t rq plan =
           Some (Faults.consume_flip p ~rank:cr_rank)
         | _ -> faults
       in
-      let pause = t.cfg.backoff_cycles *. Float.of_int (1 lsl tries) in
+      let pause = backoff_cycles *. Float.of_int (1 lsl tries) in
       go ~faults ~tries:(tries + 1) ~backoff:(backoff +. pause)
     | exception e ->
       let cls, msg = classify_exn e in
@@ -663,7 +649,7 @@ let arrival_of t j =
   else begin
     let free = Array.fold_left Float.min t.pool.(0) t.pool in
     let a = Float.max t.vnow free in
-    t.vnow <- a +. t.cfg.arrival_gap;
+    t.vnow <- a;
     a
   end
 

@@ -21,31 +21,7 @@
     the seed and the simulator is virtual-time deterministic, so a
     failing slam replays exactly. *)
 
-(* splitmix64, same stream construction as the checkpoint chaos soak *)
-type rng = { mutable s : int64 }
-
-let rng seed = { s = Int64.of_int (0x9e3779b9 + (seed * 0x85ebca6b)) }
-
-let next r =
-  r.s <- Int64.add r.s 0x9e3779b97f4a7c15L;
-  let z = r.s in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
-      0xbf58476d1ce4e5b9L
-  in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94d049bb133111ebL
-  in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-let draw_int r bound =
-  Int64.to_int (Int64.unsigned_rem (next r) (Int64.of_int bound))
-
-let draw_bool r p =
-  Int64.to_float (Int64.shift_right_logical (next r) 11)
-  /. 9007199254740992.0
-  < p
+module Bitmix = Parad_runtime.Bitmix
 
 type report = {
   s_seed : int;
@@ -97,8 +73,7 @@ let run ?(trials = 50) ?log ~seed () : report =
   in
   let cfg =
     {
-      Service.default_config with
-      workers = 2;
+      Service.workers = 2;
       queue_cap = 2;
       cache_cap = 6;
       breaker_k = 2;
@@ -158,18 +133,18 @@ let run ?(trials = 50) ?log ~seed () : report =
 
   (* phase 2: seeded chaos mix *)
   say "phase chaos: %d seeded mixed requests" trials;
-  let r = rng seed in
+  let r = Bitmix.rng seed in
   for i = 1 to trials do
     let fields =
-      match draw_int r 10 with
+      match Bitmix.draw_int r 10 with
       | 0 ->
         (* plain valid request, varied shape *)
-        ("niter", some_num (float_of_int (1 + draw_int r 3)))
-        :: base (if draw_bool r 0.5 then "mpi" else "seq")
-             (if draw_bool r 0.5 then 2 else 1)
+        ("niter", some_num (float_of_int (1 + Bitmix.draw_int r 3)))
+        :: base (if Bitmix.draw_bool r 0.5 then "mpi" else "seq")
+             (if Bitmix.draw_bool r 0.5 then 2 else 1)
       | 1 ->
         (* invalid flags *)
-        (match draw_int r 4 with
+        (match Bitmix.draw_int r 4 with
         | 0 -> [ "flavor", some_str "cuda" ]
         | 1 -> [ "nranks", some_num 3.0 ]
         | 2 -> [ "niter", some_num (-1.0) ]
@@ -177,41 +152,44 @@ let run ?(trials = 50) ?log ~seed () : report =
       | 2 ->
         (* recoverable fault plan: the retry path consumes the kill *)
         ("faults", some_str "kill")
-        :: ("fault_seed", some_num (float_of_int (draw_int r 1000)))
+        :: ("fault_seed", some_num (float_of_int (Bitmix.draw_int r 1000)))
         :: base "mpi" 2
       | 3 ->
         (* kill mid-run at a drawn virtual time (including mid-reverse) *)
         ("faults", some_str "kill")
-        :: ("fault_at", some_num (float_of_int (draw_int r 2_000_000)))
+        :: ("fault_at", some_num (float_of_int (Bitmix.draw_int r 2_000_000)))
         :: base "mpi" 2
       | 4 ->
         (* unrecoverable: blackhole → deadlock, classified code 3 *)
         ("faults", some_str "blackhole") :: base "mpi" 2
       | 5 ->
         (* NaN injection under the sanitizer, strict or degrade *)
-        ("inject_nan", some_num (float_of_int (draw_int r 4)))
-        :: ("sanitize", some_str (if draw_bool r 0.5 then "strict" else "on"))
+        ("inject_nan", some_num (float_of_int (Bitmix.draw_int r 4)))
+        :: ( "sanitize",
+             some_str (if Bitmix.draw_bool r 0.5 then "strict" else "on") )
         :: base "omp" 1
       | 6 ->
         (* deadline-busting horizon: a virtual budget far below the work *)
-        ("deadline_cycles", some_num (float_of_int (1 + draw_int r 50_000)))
+        ( "deadline_cycles",
+          some_num (float_of_int (1 + Bitmix.draw_int r 50_000)) )
         :: ("niter", some_num 4.0) :: base "mpi" 2
       | 7 ->
         (* binomial under a drawn budget *)
-        ("snap_budget", some_num (float_of_int (1 + draw_int r 3)))
-        :: ("niter", some_num (float_of_int (2 + draw_int r 4)))
+        ("snap_budget", some_num (float_of_int (1 + Bitmix.draw_int r 3)))
+        :: ("niter", some_num (float_of_int (2 + Bitmix.draw_int r 4)))
         :: base "mpi" 2
       | 8 ->
         (* SDC bit flip into sealed cache memory; the retry path
            consumes the fired flip so the replay is clean — on either
            app (bude exercises the single-rank envelope) *)
         let spec =
-          Printf.sprintf "none:flip=0@%d@%d@%d" (draw_int r 10_000)
-            (draw_int r 64)
-            (draw_int r 500_000)
+          Printf.sprintf "none:flip=0@%d@%d@%d" (Bitmix.draw_int r 10_000)
+            (Bitmix.draw_int r 64)
+            (Bitmix.draw_int r 500_000)
         in
         let tail =
-          if draw_bool r 0.5 then ("app", some_str "bude") :: base "omp" 1
+          if Bitmix.draw_bool r 0.5 then
+            ("app", some_str "bude") :: base "omp" 1
           else base "mpi" 2
         in
         ("faults", some_str spec) :: tail
@@ -221,8 +199,8 @@ let run ?(trials = 50) ?log ~seed () : report =
            request retry budget (or classifies as corrupted, code 9) *)
         let spec =
           Printf.sprintf "none:retries=3,corrupt-msg=%d@%d%s"
-            (1 + draw_int r 4) (draw_int r 512)
-            (if draw_bool r 0.5 then "@sticky" else "")
+            (1 + Bitmix.draw_int r 4) (Bitmix.draw_int r 512)
+            (if Bitmix.draw_bool r 0.5 then "@sticky" else "")
         in
         ("faults", some_str spec) :: base "mpi" 2
     in
