@@ -139,6 +139,41 @@ let test_sdc_detected_on_engine () =
   | exception Checkpoint.Corrupt_region { cr_rank; _ } ->
     Alcotest.(check int) "victim rank named" 1 cr_rank
 
+let test_lane_diagnostics () =
+  (* a k-wide lane op whose planes are all out of bounds (malformed IR)
+     raises the interpreter's exact message on the engine: both check
+     the planes in the same order *)
+  let module B = Parad_ir.Builder in
+  let module Ty = Parad_ir.Ty in
+  List.iter
+    (fun (name, args) ->
+      let prog = Parad_ir.Prog.create () in
+      let b, _ = B.func prog "bad" ~params:[] ~ret:Ty.Unit in
+      let p = B.alloc b Ty.Float (B.i64 b 1) in
+      let q = B.alloc b Ty.Float (B.i64 b 2) in
+      ignore (B.call b ~ret:Ty.Unit name (args b p q));
+      B.return b None;
+      ignore (B.finish b);
+      let run call =
+        match Exec.run ?call prog ~fname:"bad" ~setup:(fun _ -> []) with
+        | _ -> Alcotest.fail (name ^ " accepted out-of-bounds planes")
+        | exception Value.Runtime_error m -> m
+      in
+      Alcotest.(check string)
+        (name ^ " diagnostic") (run None)
+        (run (Some (E.call_fn (E.prepare prog) E.Seq))))
+    [
+      ( "adj.acc_k",
+        fun b host scr ->
+          B.
+            [
+              host; i64 b 0; scr; i64 b 0; f64 b 0.0; f64 b 0.0; bool b false;
+              i64 b 0; i64 b 4;
+            ] );
+      ("adj.mtake_k", fun b sp scr -> B.[ sp; i64 b 0; scr; i64 b 4 ]);
+      ("adj.take_k", fun b scr host -> B.[ scr; host; i64 b 0; i64 b 4 ]);
+    ]
+
 let test_wall_ns_populated () =
   let c = L.compile L.Omp in
   let g = L.gradient_compiled ~nthreads:4 ~engine:E.Seq c tiny in
@@ -165,6 +200,7 @@ let () =
             test_kill_recovery_on_engine;
           Alcotest.test_case "sdc detection" `Quick
             test_sdc_detected_on_engine;
+          Alcotest.test_case "lane diagnostics" `Quick test_lane_diagnostics;
           Alcotest.test_case "wall_ns" `Quick test_wall_ns_populated;
         ] );
     ]
