@@ -9,7 +9,9 @@
                    [--recompute-depth N]
 
    Figure drivers record machine-readable rows; the run writes each
-   figure's rows to BENCH_<figure>.json on exit (see Bench_row). *)
+   figure's rows to BENCH_<figure>.json on exit (see Bench_row). The
+   micro rows go to BENCH_micro.json, which no gate condition names:
+   wall times of this kind move with the host. *)
 
 let figures =
   [
@@ -44,6 +46,16 @@ let micro ~quick:_ =
       (Staged.stage (fun () ->
            ignore (Parad_opt.Pipeline.run rprog Parad_opt.Pipeline.post_ad)))
   in
+  (* plan compilation after the post-AD pipeline: engine lowering of the
+     gradient function, alone and behind the whole cold compile *)
+  let lower prog dname =
+    let e = Parad_engine.Engine.prepare prog in
+    ignore (Parad_engine.Engine.get_cfun e ~taped:false dname)
+  in
+  let omp_grad =
+    let rprog, dname = Parad_core.Reverse.gradient lulesh_prog "lulesh_omp" in
+    Parad_opt.Pipeline.run rprog Parad_opt.Pipeline.post_ad, dname
+  in
   let tiny =
     {
       Apps_lulesh.Lulesh.nx = 2;
@@ -74,6 +86,17 @@ let micro ~quick:_ =
                     Parad_opt.Pipeline.o2)));
         post_ad Apps_lulesh.Lulesh.Omp;
         post_ad Apps_lulesh.Lulesh.Mpi;
+        Test.make ~name:"engine lower lulesh_omp"
+          (Staged.stage (fun () -> lower (fst omp_grad) (snd omp_grad)));
+        Test.make ~name:"cold compile lulesh_omp"
+          (Staged.stage (fun () ->
+               let prog = Apps_lulesh.Lulesh.program Apps_lulesh.Lulesh.Omp in
+               let rprog, dname =
+                 Parad_core.Reverse.gradient prog "lulesh_omp"
+               in
+               lower
+                 (Parad_opt.Pipeline.run rprog Parad_opt.Pipeline.post_ad)
+                 dname));
       ]
   in
   let instances = Toolkit.Instance.[ monotonic_clock ] in
@@ -86,14 +109,16 @@ let micro ~quick:_ =
       ~predictors:[| Measure.run |]
   in
   let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name result ->
+  List.iter
+    (fun (name, result) ->
       match Analyze.OLS.estimates result with
       | Some [ est ] ->
         Printf.printf "%-32s %12.1f ns/run\n" name est;
-        Util.record ~figure:"overhead" ~config:name [ "ns_per_run", est ]
+        Util.record ~figure:"micro" ~config:name [ "ns_per_run", est ]
       | _ -> Printf.printf "%-32s (no estimate)\n" name)
-    results
+    (List.sort
+       (fun (a, _) (b, _) -> String.compare a b)
+       (List.of_seq (Hashtbl.to_seq results)))
 
 let () =
   let quick = Array.exists (( = ) "--quick") Sys.argv in

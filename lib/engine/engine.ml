@@ -560,16 +560,18 @@ let fork_par_safe prep (r : Instr.region) =
 
 (* Give each variable of [roots] and of [body] (defs, uses, loop and fork
    indices, region params) the next slot of its type's register file.
-   [n] bounds the variable ids; the result also says which were placed. *)
+   [n] bounds the variable ids; the result also lists the ids placed. *)
 let assign_slots fn ~tp ~n roots body =
   let file = Array.make n 3 in
   let idx = Array.make n 0 in
-  let seen = Array.make n false in
+  let seen = Bytes.make n '\000' in
+  let placed = ref [] in
   let nf = ref 0 and ni = ref 0 and nb = ref 0 and nv = ref 0 in
   let place v =
     let id = Var.id v in
-    if not seen.(id) then begin
-      seen.(id) <- true;
+    if Bytes.get seen id = '\000' then begin
+      Bytes.set seen id '\001';
+      placed := id :: !placed;
       let fl, cell =
         match Var.ty v with
         | Ty.Float -> 0, nf
@@ -604,7 +606,7 @@ let assign_slots fn ~tp ~n roots body =
       tp;
       code = (fun _ _ -> error "engine: function compiled without a body");
     },
-    seen )
+    !placed )
 
 (* ---- member frames ----
 
@@ -626,68 +628,78 @@ let next_fsite = Atomic.make 0
    variable with no write textually before it on the current path reads
    the parent's value in the first iteration. Region defs never escape
    their region (loops may run zero times, if-branches may not be taken),
-   which only over-approximates the live-in set — harmless. *)
+   which only over-approximates the live-in set — harmless. The written
+   set is one table scoped by an undo trail, so the scan touches only the
+   body's variables; the result marks the live-in ids. *)
 let region_live_in n (r : Instr.region) entry_defs =
-  let live = Array.make n false in
-  let w0 = Array.make n false in
-  let def w v = w.(Var.id v) <- true in
-  let use w v =
+  let live = Bytes.make n '\000' in
+  let written = Bytes.make n '\000' in
+  (* ids written since the enclosing region began *)
+  let trail = ref [] in
+  let def v =
     let id = Var.id v in
-    if not w.(id) then live.(id) <- true
+    if Bytes.get written id = '\000' then begin
+      Bytes.set written id '\001';
+      trail := id :: !trail
+    end
   in
-  List.iter (def w0) entry_defs;
-  List.iter (def w0) r.Instr.params;
-  let rec scan w il =
+  let use v =
+    let id = Var.id v in
+    if Bytes.get written id = '\000' then Bytes.set live id '\001'
+  in
+  (* [scoped defs il]: scan [il] after writing [defs], then forget every
+     write made inside *)
+  let rec scoped defs il =
+    let outer = !trail in
+    List.iter def defs;
+    scan il;
+    let rec undo () =
+      match !trail with
+      | id :: rest when !trail != outer ->
+        Bytes.set written id '\000';
+        trail := rest;
+        undo ()
+      | _ -> ()
+    in
+    undo ()
+  and scan il =
     List.iter
       (fun (i : Instr.t) ->
-        List.iter (use w) (Instr.uses i);
+        List.iter use (Instr.uses i);
         (match i with
-        | Instr.If (_, _, tr, er) ->
-          sub w tr;
-          sub w er
         | Instr.For { iv; body; _ } | Instr.Workshare { iv; body; _ } ->
-          let wb = Array.copy w in
-          def wb iv;
-          List.iter (def wb) body.Instr.params;
-          scan wb body.Instr.body
-        | Instr.While { cond; body } ->
-          sub w cond;
-          sub w body
+          scoped (iv :: body.Instr.params) body.Instr.body
         | Instr.Fork { tid; body; _ } ->
-          let wb = Array.copy w in
-          def wb tid;
-          List.iter (def wb) body.Instr.params;
-          scan wb body.Instr.body
-        | _ -> ());
-        List.iter (def w) (Instr.defs i))
+          scoped (tid :: body.Instr.params) body.Instr.body
+        | _ ->
+          List.iter
+            (fun (rg : Instr.region) -> scoped rg.Instr.params rg.Instr.body)
+            (Instr.regions i));
+        List.iter def (Instr.defs i))
       il
-  and sub w (rg : Instr.region) =
-    let wb = Array.copy w in
-    List.iter (def wb) rg.Instr.params;
-    scan wb rg.Instr.body
   in
-  scan (Array.copy w0) r.Instr.body;
+  scoped (entry_defs @ r.Instr.params) r.Instr.body;
   live
 
 let make_body_frame (parent : cfun) (r : Instr.region) ~entry_defs =
   let n = Array.length parent.file in
-  let sub, seen =
+  let sub, placed =
     assign_slots parent.fn ~tp:false ~n (entry_defs @ r.Instr.params)
       r.Instr.body
   in
   let file = sub.file and idx = sub.idx in
   (* parent-slot -> member-slot copy pairs, packed [src; dst; ...],
-     live-in variables only *)
+     live-in variables only, by increasing id *)
   let live = region_live_in n r entry_defs in
   let mf = ref [] and mi = ref [] and mb = ref [] and mv = ref [] in
-  for id = 0 to n - 1 do
-    if seen.(id) && live.(id) then begin
+  List.iter
+    (fun id ->
       let moves =
         match file.(id) with 0 -> mf | 1 -> mi | 2 -> mb | _ -> mv
       in
-      moves := idx.(id) :: parent.idx.(id) :: !moves
-    end
-  done;
+      moves := idx.(id) :: parent.idx.(id) :: !moves)
+    (List.sort Int.compare
+       (List.filter (fun id -> Bytes.get live id <> '\000') placed));
   let pack l = Array.of_list (List.rev !l) in
   let cf = pack mf and ci = pack mi and cb = pack mb and cv = pack mv in
   let site = Atomic.fetch_and_add next_fsite 1 in

@@ -34,15 +34,19 @@
     instructions, which the write summaries and barrier kills cover
     under the usual data-race-freedom assumption.
 
-    The pass runs on every plan compile, so its walk keeps per-variable
-    facts in arrays indexed by var id, indexes cell facts by base (a
-    kill touches only that base's cells), and summarizes each region's
-    writes once, not once per enclosing loop. *)
+    The pass runs on every plan compile. Per-variable facts live in
+    arrays indexed by var id; every write site is listed once, in walk
+    order, and a region's summary is its range of that list, computed
+    once rather than once per enclosing loop; one table holds the stores
+    not yet observed; and an instruction is rebuilt only when an
+    operand's alias differs. The iteration order of the cell tables is
+    part of the output, because an If merge numbers its phis in it, so
+    they stay hash tables, and a kill filters them in place, which leaves
+    the surviving cells in their order. *)
 
 open Parad_ir
 open Rewrite
 
-module IM = Map.Make (Int)
 module IS = Set.Make (Int)
 
 (* Cells of tracked buffers, keyed (base, constant index). Hashed exactly
@@ -100,15 +104,11 @@ let eligible_bases (f : Func.t) =
    zero fill (never written since), or nothing. *)
 type aval = Val of Var.t | Zero | Unk
 
-(* The walk's knowledge at a program point: explicit cell facts, the
-   indices that have one per base, and the eligible allocations still
-   all zero where no fact says otherwise. A child region walks a copy;
-   [by_base] and [zero] are persistent, so only [facts] is copied. *)
-type state = {
-  mutable facts : aval CH.t;
-  mutable by_base : IS.t IM.t;
-  mutable zero : IS.t;
-}
+(* The walk's knowledge at a program point: explicit cell facts, and
+   the eligible allocations still all zero where no fact says otherwise.
+   A child region walks a copy; [zero] is persistent, so only [facts] is
+   copied. *)
+type state = { mutable facts : aval CH.t; mutable zero : IS.t }
 
 (* every cell table starts at this size, as a reset table returns to it *)
 let initial_cells = 32
@@ -120,18 +120,13 @@ let lookup st key =
   | Some a -> a
   | None -> if IS.mem (fst key) st.zero then Zero else Unk
 
-let set st ((b, i) as key) a =
-  let idxs = Option.value (IM.find_opt b st.by_base) ~default:IS.empty in
-  let idxs' = IS.add i idxs in
-  if idxs' != idxs then st.by_base <- IM.add b idxs' st.by_base;
-  CH.replace st.facts key a
+let set st key a = CH.replace st.facts key a
 
+(* in place: the cells left keep their order, which numbers merge phis *)
 let kill st b =
-  (match IM.find_opt b st.by_base with
-  | Some idxs ->
-    IS.iter (fun i -> CH.remove st.facts (b, i)) idxs;
-    st.by_base <- IM.remove b st.by_base
-  | None -> ());
+  CH.filter_map_inplace
+    (fun (b', _) a -> if b' = b then None else Some a)
+    st.facts;
   st.zero <- IS.remove b st.zero
 
 (* Syntactic may-write summary of a region over eligible bases:
@@ -139,13 +134,14 @@ let kill st b =
    written at unknown indices / atomically / freed (whole-base kills). *)
 type summary = { s_cells : unit CH.t; s_bases : IS.t }
 
-(* The input body, annotated with each region instruction's write sites
-   (base, index — [None] for a free) in walk order, and its summary once
-   computed. *)
-type node = {
-  instr : Instr.t;
-  subs : (Instr.region * node list) list;  (** [Instr.regions instr] *)
-  sites : (int * Var.t option) list;
+(* A region instruction of the input: the function's write sites nested
+   in it (base, index — [None] for a free), as a range of one array
+   that lists every site in walk order, the region instructions of each
+   of its sub-regions, and its summary once computed. *)
+type rnode = {
+  lo : int;
+  hi : int;  (** its sites are [sites.(lo)] .. [sites.(hi - 1)] *)
+  subs : rnode list list;  (** per [Instr.regions] entry, in body order *)
   mutable summary : (int * summary) option;
       (** with the count of late integer constants it was made under *)
 }
@@ -168,8 +164,6 @@ let run_func (f : Func.t) : Func.t =
     | Instr.Const (v, Instr.Cfloat x) -> vset fconsts (Var.id v) (Some x)
     | _ -> ()
   in
-  Instr.iter_instrs note_const f.body;
-  late_ints := 0;
   let alias = vtab f.var_count None in
   let rec sub v =
     match vget alias (Var.id v) with Some v' -> sub v' | None -> v
@@ -197,39 +191,48 @@ let run_func (f : Func.t) : Func.t =
     | Ty.Int -> Some (Instr.Cint 0)
     | _ -> None
   in
-  let rec annotate instrs = List.map annotate1 instrs
-  and annotate1 (i : Instr.t) =
-    let subs =
-      List.map (fun (r : Instr.region) -> r, annotate r.Instr.body)
-        (Instr.regions i)
-    in
-    let site (n : node) =
-      match n.instr with
-      | (Instr.Store (p, ix, _) | Instr.AtomicAdd (p, ix, _))
-        when eligible (Var.id p) ->
-        [ Var.id p, Some ix ]
-      | Instr.Free p when eligible (Var.id p) -> [ Var.id p, None ]
-      | _ -> n.sites
-    in
-    let sites = List.concat_map (fun (_, ns) -> List.concat_map site ns) subs in
-    { instr = i; subs; sites; summary = None }
+  (* One walk before the rewrite notes the constants and lists every
+     write site to an eligible base in walk order; each region
+     instruction keeps the range of the sites nested in it. *)
+  let site_list = ref [] and nsites = ref 0 in
+  let add_site b ix =
+    site_list := (b, ix) :: !site_list;
+    incr nsites
   in
-  let summary (n : node) =
+  let rec annotate instrs = List.filter_map annotate1 instrs
+  and annotate1 (i : Instr.t) =
+    note_const i;
+    (match i with
+    | (Instr.Store (p, ix, _) | Instr.AtomicAdd (p, ix, _))
+      when eligible (Var.id p) ->
+      add_site (Var.id p) (Some ix)
+    | Instr.Free p when eligible (Var.id p) -> add_site (Var.id p) None
+    | _ -> ());
+    match Instr.regions i with
+    | [] -> None
+    | rs ->
+      let lo = !nsites in
+      let subs =
+        List.map (fun (r : Instr.region) -> annotate r.Instr.body) rs
+      in
+      Some { lo; hi = !nsites; subs; summary = None }
+  in
+  let roots = annotate f.body in
+  late_ints := 0;
+  let sites = Array.of_list (List.rev !site_list) in
+  let summary (n : rnode) =
     match n.summary with
     | Some (late, s) when late = !late_ints -> s
     | _ ->
       let cells = CH.create 16 in
-      let bases =
-        List.fold_left
-          (fun bases (b, ix) ->
-            match Option.bind ix cint with
-            | Some idx ->
-              CH.replace cells (b, idx) ();
-              bases
-            | None -> IS.add b bases)
-          IS.empty n.sites
-      in
-      let s = { s_cells = cells; s_bases = bases } in
+      let bases = ref IS.empty in
+      for k = n.lo to n.hi - 1 do
+        let b, ix = sites.(k) in
+        match Option.bind ix cint with
+        | Some idx -> CH.replace cells (b, idx) ()
+        | None -> bases := IS.add b !bases
+      done;
+      let s = { s_cells = cells; s_bases = !bases } in
       n.summary <- Some (!late_ints, s);
       s
   in
@@ -238,35 +241,48 @@ let run_func (f : Func.t) : Func.t =
     CH.iter (fun key () -> set st key Unk) s.s_cells;
     IS.iter (kill st) s.s_bases
   in
-  (* [go st private_bases nodes] rewrites one region body, mutating [st]
-     to the body's exit state. [private_bases] holds bases allocated
-     inside the current Fork body (barrier-immune); [None] outside any
-     fork. *)
-  let rec go st private_bases nodes =
-    (* stores not yet observed: base -> index -> emitted cell *)
-    let pending = ref IM.empty in
-    let observe_all () = pending := IM.empty in
-    let observe_base b = pending := IM.remove b !pending in
+  (* Stores of the region body being walked that nothing has observed
+     yet: base -> index -> the store's position in the body's output.
+     Every region boundary observes them all, so one table serves the
+     whole walk. *)
+  let pending : (int, (int, int) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
+  let observe_all () =
+    if Hashtbl.length pending > 0 then Hashtbl.reset pending
+  in
+  let observe_base b = Hashtbl.remove pending b in
+  (* [go st private_bases instrs rnodes] rewrites one region body, whose
+     region instructions are [rnodes], mutating [st] to the body's exit
+     state. [private_bases] holds bases allocated inside the current
+     Fork body (barrier-immune); [None] outside any fork. *)
+  let rec go st private_bases instrs rnodes =
     let kill_base b =
       kill st b;
       (* pending stores to the base become observable *)
       observe_base b
     in
-    let out : Instr.t option ref list ref = ref [] in
+    (* the body's output, reversed; [dead] holds the positions of the
+       stores found overwritten or freed before any read *)
+    let out = ref [] and n_out = ref 0 and dead = ref [] in
     let emit i =
-      let cell = ref (Some i) in
-      out := cell :: !out;
-      cell
+      out := i :: !out;
+      incr n_out
+    in
+    let rnodes = ref rnodes in
+    let next_rnode () =
+      let n = List.hd !rnodes in
+      rnodes := List.tl !rnodes;
+      n
     in
     (* rewrite a child region body from a state copied off the parent *)
-    let walk_child ?private_bases:(pb = private_bases) seed (r, nodes) =
-      { r with Instr.body = go seed pb nodes }
+    let walk_child ?private_bases:(pb = private_bases) seed
+        (r : Instr.region) rnodes =
+      { r with Instr.body = go seed pb r.Instr.body rnodes }
     in
     (* For / While / Fork / Workshare: kill the summary footprint in the
        parent, then walk children seeded with the surviving facts (sound
        for any trip count / strand interleaving: seeds only contain cells
        no execution of the region writes). *)
-    let enter_region (n : node) =
+    let enter_region (n : rnode) =
       let s = summary n in
       observe_all ();
       apply_summary s st;
@@ -276,34 +292,29 @@ let run_func (f : Func.t) : Func.t =
        when iteration provably re-establishes it (the adjoint
        accumulate-then-zero pattern): the entry value from outside
        matches the body-exit value of a conservative first analysis. *)
-    let loop_body (n : node) =
-      let outer_vals = CH.create 16 in
-      let s = summary n in
-      CH.iter (fun key () -> CH.replace outer_vals key (lookup st key)) s.s_cells;
+    let loop_body (n : rnode) (r : Instr.region) =
+      (* the written cells' entry values, in reverse summary order *)
+      let outer =
+        CH.fold (fun key () acc -> (key, lookup st key) :: acc)
+          (summary n).s_cells []
+      in
       ignore (enter_region n);
-      let sub = List.hd n.subs in
       let pass seed_extra =
         let k = copy st in
         List.iter (fun (key, a) -> set k key a) seed_extra;
-        let r' = walk_child k sub in
+        let r' = walk_child k r (List.hd n.subs) in
         r', k
       in
       let r1, k1 = pass [] in
       let stable =
-        CH.fold
-          (fun key () acc ->
-            match CH.find_opt outer_vals key with
-            | Some (Val v) -> (
-              match lookup k1 key with
-              | Val v' when same_val v v' -> (key, Val v) :: acc
-              | _ -> acc)
-            | Some Zero -> (
-              match lookup k1 key with
-              | Val v' when is_plus_zero v' -> (key, Zero) :: acc
-              | Zero -> (key, Zero) :: acc
-              | _ -> acc)
-            | _ -> acc)
-          s.s_cells []
+        List.filter_map
+          (fun (key, a) ->
+            match a, lookup k1 key with
+            | Val v, Val v' when same_val v v' -> Some (key, a)
+            | Zero, Val v' when is_plus_zero v' -> Some (key, a)
+            | Zero, Zero -> Some (key, a)
+            | _ -> None)
+          outer
       in
       if stable = [] then r1
       else begin
@@ -324,17 +335,21 @@ let run_func (f : Func.t) : Func.t =
       end
     in
     List.iter
-      (fun (n : node) ->
-        let i = map_uses sub n.instr in
-        match i, n.subs with
-        | Instr.If (rs, c, _, _), [ tsub; esub ] ->
+      (fun (i : Instr.t) ->
+        let i = map_uses sub i in
+        match i with
+        | Instr.If (rs, c, t, e) ->
+          let n = next_rnode () in
+          let tsub, esub =
+            match n.subs with [ ts; es ] -> ts, es | _ -> assert false
+          in
           (* branches may read anything still pending *)
           observe_all ();
           (* the then-branch walks the parent's own state, which the
              merge rebuilds from scratch *)
           let ke = copy st in
-          let t' = walk_child st tsub in
-          let e' = walk_child ke esub in
+          let t' = walk_child st t tsub in
+          let e' = walk_child ke e esub in
           let kt = { st with facts = st.facts } in
           (* merge the branch exits; disagreeing known cells become
              fresh If results (the mem2reg phi) *)
@@ -342,7 +357,6 @@ let run_func (f : Func.t) : Func.t =
           CH.iter (fun k _ -> CH.replace keys k ()) kt.facts;
           CH.iter (fun k _ -> CH.replace keys k ()) ke.facts;
           st.facts <- CH.create initial_cells;
-          st.by_base <- IM.empty;
           st.zero <- IS.inter kt.zero ke.zero;
           let promote = ref [] in
           CH.iter
@@ -459,32 +473,37 @@ let run_func (f : Func.t) : Func.t =
               }
             | _ -> r (* unterminated branch: leave untouched *)
           in
-          if !extra_res = [] then ignore (emit (Instr.If (rs, c, t', e')))
+          if !extra_res = [] then emit (Instr.If (rs, c, t', e'))
           else begin
             let t' = extend t' !tpre (List.rev !extra_t) in
             let e' = extend e' !epre (List.rev !extra_e) in
-            ignore
-              (emit (Instr.If (rs @ List.rev !extra_res, c, t', e')))
+            emit (Instr.If (rs @ List.rev !extra_res, c, t', e'))
           end
-        | Instr.For r, _ ->
-          let body = loop_body n in
-          ignore (emit (Instr.For { r with body }))
-        | Instr.Workshare r, _ ->
-          let body = loop_body n in
-          ignore (emit (Instr.Workshare { r with body }))
-        | Instr.While _, [ csub; bsub ] ->
+        | Instr.For r ->
+          let body = loop_body (next_rnode ()) r.body in
+          emit (Instr.For { r with body })
+        | Instr.Workshare r ->
+          let body = loop_body (next_rnode ()) r.body in
+          emit (Instr.Workshare { r with body })
+        | Instr.While { cond; body } ->
+          let n = next_rnode () in
+          let csub, bsub =
+            match n.subs with [ cs; bs ] -> cs, bs | _ -> assert false
+          in
           ignore (enter_region n);
-          let cond = walk_child (copy st) csub in
-          let body = walk_child (copy st) bsub in
-          ignore (emit (Instr.While { cond; body }))
-        | Instr.Fork r, [ bsub ] ->
+          let cond = walk_child (copy st) cond csub in
+          let body = walk_child (copy st) body bsub in
+          emit (Instr.While { cond; body })
+        | Instr.Fork r ->
+          let n = next_rnode () in
           ignore (enter_region n);
           let body =
-            walk_child ~private_bases:(Some (ref IS.empty)) (copy st) bsub
+            walk_child ~private_bases:(Some (ref IS.empty)) (copy st) r.body
+              (List.hd n.subs)
           in
-          ignore (emit (Instr.Fork { r with body }))
-        | Instr.Alloc (v, ety, _, _), _ ->
-          ignore (emit i);
+          emit (Instr.Fork { r with body })
+        | Instr.Alloc (v, ety, _, _) ->
+          emit i;
           if eligible (Var.id v) then begin
             (match private_bases with
             | Some t -> t := IS.add (Var.id v) !t
@@ -492,7 +511,7 @@ let run_func (f : Func.t) : Func.t =
             if Option.is_some (zero_const_of ety) then
               st.zero <- IS.add (Var.id v) st.zero
           end
-        | Instr.Store (p, ix, x), _ when eligible (Var.id p) -> (
+        | Instr.Store (p, ix, x) when eligible (Var.id p) -> (
           let b = Var.id p in
           match cint ix with
           | Some idx ->
@@ -505,19 +524,25 @@ let run_func (f : Func.t) : Func.t =
             in
             if not redundant then begin
               let cells =
-                Option.value (IM.find_opt b !pending) ~default:IM.empty
+                match Hashtbl.find_opt pending b with
+                | Some cells -> cells
+                | None ->
+                  let cells = Hashtbl.create 8 in
+                  Hashtbl.replace pending b cells;
+                  cells
               in
               (* previous unobserved store to the same cell is dead *)
-              (match IM.find_opt idx cells with
-              | Some cell -> cell := None
+              (match Hashtbl.find_opt cells idx with
+              | Some pos -> dead := pos :: !dead
               | None -> ());
               set st key (Val x);
-              pending := IM.add b (IM.add idx (emit i) cells) !pending
+              Hashtbl.replace cells idx !n_out;
+              emit i
             end
           | None ->
             kill_base b;
-            ignore (emit i))
-        | Instr.Load (v, p, ix), _ when eligible (Var.id p) -> (
+            emit i)
+        | Instr.Load (v, p, ix) when eligible (Var.id p) -> (
           let b = Var.id p in
           let forget () = vset alias (Var.id v) None in
           match cint ix with
@@ -534,43 +559,43 @@ let run_func (f : Func.t) : Func.t =
                 let ci = Instr.Const (v, c) in
                 note_const ci;
                 set st key (Val v);
-                ignore (emit ci)
+                emit ci
               | None ->
                 observe_base b;
                 forget ();
                 set st key (Val v);
-                ignore (emit i))
+                emit i)
             | Unk ->
               (* reading an unknown cell observes all pending stores to
                  this base *)
               observe_base b;
               forget ();
               set st key (Val v);
-              ignore (emit i))
+              emit i)
           | None ->
             observe_base b;
             forget ();
-            ignore (emit i))
-        | Instr.AtomicAdd (p, ix, _), _ when eligible (Var.id p) -> (
+            emit i)
+        | Instr.AtomicAdd (p, ix, _) when eligible (Var.id p) -> (
           let b = Var.id p in
           match cint ix with
           | Some idx ->
             set st (b, idx) Unk;
-            (match IM.find_opt b !pending with
-            | Some cells -> pending := IM.add b (IM.remove idx cells) !pending
+            (match Hashtbl.find_opt pending b with
+            | Some cells -> Hashtbl.remove cells idx
             | None -> ());
-            ignore (emit i)
+            emit i
           | None ->
             kill_base b;
-            ignore (emit i))
-        | Instr.Free p, _ when eligible (Var.id p) ->
+            emit i)
+        | Instr.Free p when eligible (Var.id p) ->
           (* stores never observed before the free are dead *)
-          (match IM.find_opt (Var.id p) !pending with
-          | Some cells -> IM.iter (fun _ cell -> cell := None) cells
+          (match Hashtbl.find_opt pending (Var.id p) with
+          | Some cells -> Hashtbl.iter (fun _ pos -> dead := pos :: !dead) cells
           | None -> ());
           kill_base (Var.id p);
-          ignore (emit i)
-        | Instr.Barrier, _ ->
+          emit i
+        | Instr.Barrier ->
           (* other strands may publish writes to shared buffers here;
              allocations made inside this Fork body stay private *)
           observe_all ();
@@ -580,18 +605,29 @@ let run_func (f : Func.t) : Func.t =
           CH.filter_map_inplace
             (fun (b, _) v -> if is_private b then Some v else None)
             st.facts;
-          st.by_base <- IM.filter (fun b _ -> is_private b) st.by_base;
           st.zero <- IS.filter is_private st.zero;
-          ignore (emit i)
-        | (Instr.Return _ | Instr.Yield _), _ ->
+          emit i
+        | Instr.Return _ | Instr.Yield _ ->
           observe_all ();
-          ignore (emit i)
-        | i, _ -> ignore (emit i))
-      nodes;
-    List.rev_map (fun cell -> !cell) !out |> List.filter_map Fun.id
+          emit i
+        | i -> emit i)
+      instrs;
+    (* what the body left pending is observed by whatever follows it *)
+    observe_all ();
+    match !dead with
+    | [] -> List.rev !out
+    | dead ->
+      let is_dead = Array.make !n_out false in
+      List.iter (fun pos -> is_dead.(pos) <- true) dead;
+      (* [out] holds positions [n_out - 1] down to 0 *)
+      let rec keep pos out body =
+        match out with
+        | [] -> body
+        | i :: rest ->
+          keep (pos - 1) rest (if is_dead.(pos) then body else i :: body)
+      in
+      keep (!n_out - 1) !out []
   in
-  let st =
-    { facts = CH.create initial_cells; by_base = IM.empty; zero = IS.empty }
-  in
-  let body = go st None (annotate f.body) in
+  let st = { facts = CH.create initial_cells; zero = IS.empty } in
+  let body = go st None f.body roots in
   { f with body; var_count = ctx.next }

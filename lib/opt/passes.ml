@@ -187,47 +187,107 @@ let cse_func (f : Func.t) : Func.t =
 
 (* ---- dead code elimination ---- *)
 
+(* An instruction is dead when nothing reads what it defines and it
+   is pure, a load or an allocation, or a region with no effects inside.
+   Deleting one (a region with everything in it) can leave the
+   definitions of its operands unread, so the pass counts the uses of
+   every variable, deletes from a worklist of dead instructions, and
+   queues a definition when its variable's count reaches zero: one pass
+   deletes what sweeping until nothing changes would. *)
 let dce_func (f : Func.t) : Func.t =
-  let used = Array.make f.var_count false in
-  let any_def_used i = List.exists (fun v -> used.(Var.id v)) (Instr.defs i) in
-  let deletable (i : Instr.t) =
+  (* the instructions in walk order; [ends.(k)] is one past the last
+     instruction nested in [k] *)
+  let n = Instr.fold_instrs (fun n _ -> n + 1) 0 f.body in
+  let instrs = Array.make n Instr.Barrier and ends = Array.make n 0 in
+  let next = ref 0 in
+  let rec number il =
+    List.iter
+      (fun i ->
+        let k = !next in
+        instrs.(k) <- i;
+        incr next;
+        List.iter (fun (r : Instr.region) -> number r.body) (Instr.regions i);
+        ends.(k) <- !next)
+      il
+  in
+  number f.body;
+  let uses = Array.make f.var_count 0 in
+  let defs_at = Array.make f.var_count [] in
+  Array.iteri
+    (fun k i ->
+      List.iter
+        (fun v -> uses.(Var.id v) <- uses.(Var.id v) + 1)
+        (Instr.uses i);
+      List.iter
+        (fun v -> defs_at.(Var.id v) <- k :: defs_at.(Var.id v))
+        (Instr.defs i))
+    instrs;
+  let removable (i : Instr.t) =
     match i with
-    | Instr.Load _ | Instr.Alloc _ -> not (any_def_used i)
+    | Instr.Load _ | Instr.Alloc _ -> true
     | Instr.If _ | Instr.For _ | Instr.While _ | Instr.Fork _
     | Instr.Workshare _ ->
-      (not (has_effects i)) && not (any_def_used i)
-    | _ -> pure i && not (any_def_used i)
+      not (has_effects i)
+    | _ -> pure i
   in
-  (* [drop instrs] is [instrs] itself when nothing in it is deletable, so
-     the sweep that finds nothing rebuilds nothing *)
-  let rec drop instrs =
+  let deleted = Array.make n false in
+  let dead k =
+    (not deleted.(k))
+    && List.for_all (fun v -> uses.(Var.id v) = 0) (Instr.defs instrs.(k))
+    && removable instrs.(k)
+  in
+  let work = ref [] in
+  for k = n - 1 downto 0 do
+    if dead k then work := k :: !work
+  done;
+  let rec drain () =
+    match !work with
+    | [] -> ()
+    | k :: rest ->
+      work := rest;
+      if dead k then
+        for j = k to ends.(k) - 1 do
+          if not deleted.(j) then begin
+            deleted.(j) <- true;
+            List.iter
+              (fun v ->
+                let id = Var.id v in
+                uses.(id) <- uses.(id) - 1;
+                if uses.(id) = 0 then work := defs_at.(id) @ !work)
+              (Instr.uses instrs.(j))
+          end
+        done;
+      drain ()
+  in
+  drain ();
+  (* rebuild in the same walk order, sharing whatever lost nothing *)
+  let pos = ref 0 in
+  let rec keep instrs =
     match instrs with
     | [] -> instrs
     | i :: rest ->
-      let rest' = drop rest in
-      if deletable i then rest'
-      else
+      let k = !pos in
+      if deleted.(k) then begin
+        pos := ends.(k);
+        keep rest
+      end
+      else begin
+        incr pos;
         let i' =
           match Instr.regions i with
           | [] -> i
           | rs ->
-            let rs' = List.map drop_region rs in
+            let rs' = List.map keep_region rs in
             if List.for_all2 ( == ) rs rs' then i else with_regions i rs'
         in
+        let rest' = keep rest in
         if i' == i && rest' == rest then instrs else i' :: rest'
-  and drop_region (r : Instr.region) =
-    let body = drop r.body in
+      end
+  and keep_region (r : Instr.region) =
+    let body = keep r.body in
     if body == r.body then r else { r with body }
   in
-  let rec sweep body =
-    Array.fill used 0 f.var_count false;
-    Instr.iter_instrs
-      (fun i -> List.iter (fun v -> used.(Var.id v) <- true) (Instr.uses i))
-      body;
-    let body' = drop body in
-    if body' == body then body else sweep body'
-  in
-  { f with body = sweep f.body }
+  { f with body = keep f.body }
 
 (* ---- loop-invariant code motion ---- *)
 

@@ -13,32 +13,36 @@ let fresh ctx ty name =
   v
 
 (* Apply a variable substitution to every operand of an instruction
-   (regions are NOT entered — callers recurse explicitly). *)
+   (regions are NOT entered — callers recurse explicitly). An
+   instruction whose operands all map to themselves is returned as is,
+   not rebuilt. *)
 let map_uses (s : Var.t -> Var.t) (i : Instr.t) : Instr.t =
   let open Instr in
-  match i with
-  | Const _ -> i
-  | Bin (v, op, a, b) -> Bin (v, op, s a, s b)
-  | Cmp (v, op, a, b) -> Cmp (v, op, s a, s b)
-  | Un (v, op, a) -> Un (v, op, s a)
-  | Select (v, c, a, b) -> Select (v, s c, s a, s b)
-  | Alloc (v, t, n, k) -> Alloc (v, t, s n, k)
-  | Free p -> Free (s p)
-  | Load (v, p, ix) -> Load (v, s p, s ix)
-  | Store (p, ix, x) -> Store (s p, s ix, s x)
-  | Gep (v, p, ix) -> Gep (v, s p, s ix)
-  | AtomicAdd (p, ix, x) -> AtomicAdd (s p, s ix, s x)
-  | Call (v, f, args) -> Call (v, f, List.map s args)
-  | Spawn (v, f, args) -> Spawn (v, f, List.map s args)
-  | Sync h -> Sync (s h)
-  | If (rs, c, t, e) -> If (rs, s c, t, e)
-  | For r -> For { r with lo = s r.lo; hi = s r.hi; step = s r.step }
-  | While _ -> i
-  | Fork r -> Fork { r with nth = s r.nth }
-  | Workshare r -> Workshare { r with lo = s r.lo; hi = s r.hi }
-  | Barrier -> Barrier
-  | Return v -> Return (Option.map s v)
-  | Yield vs -> Yield (List.map s vs)
+  if List.for_all (fun v -> s v == v) (uses i) then i
+  else
+    match i with
+    | Const _ -> i
+    | Bin (v, op, a, b) -> Bin (v, op, s a, s b)
+    | Cmp (v, op, a, b) -> Cmp (v, op, s a, s b)
+    | Un (v, op, a) -> Un (v, op, s a)
+    | Select (v, c, a, b) -> Select (v, s c, s a, s b)
+    | Alloc (v, t, n, k) -> Alloc (v, t, s n, k)
+    | Free p -> Free (s p)
+    | Load (v, p, ix) -> Load (v, s p, s ix)
+    | Store (p, ix, x) -> Store (s p, s ix, s x)
+    | Gep (v, p, ix) -> Gep (v, s p, s ix)
+    | AtomicAdd (p, ix, x) -> AtomicAdd (s p, s ix, s x)
+    | Call (v, f, args) -> Call (v, f, List.map s args)
+    | Spawn (v, f, args) -> Spawn (v, f, List.map s args)
+    | Sync h -> Sync (s h)
+    | If (rs, c, t, e) -> If (rs, s c, t, e)
+    | For r -> For { r with lo = s r.lo; hi = s r.hi; step = s r.step }
+    | While _ -> i
+    | Fork r -> Fork { r with nth = s r.nth }
+    | Workshare r -> Workshare { r with lo = s r.lo; hi = s r.hi }
+    | Barrier -> Barrier
+    | Return v -> Return (Option.map s v)
+    | Yield vs -> Yield (List.map s vs)
 
 (* Replace sub-regions wholesale. *)
 let with_regions (i : Instr.t) (rs : Instr.region list) : Instr.t =

@@ -149,66 +149,8 @@ let test_forward_mpi () =
 
 (* ---- property: forward == reverse on random programs ---- *)
 
-type gop = GAdd | GMul | GSub | GSin | GMin | GLoad of int | GConstF of float
-
-let gen_ops =
-  QCheck.Gen.(
-    list_size (int_range 1 30)
-      (frequency
-         [
-           3, return GAdd;
-           3, return GMul;
-           2, return GSub;
-           1, return GSin;
-           1, return GMin;
-           3, map (fun i -> GLoad (abs i mod 6)) int;
-           2, map (fun f -> GConstF (Float.of_int (f mod 9) /. 4.0)) int;
-         ]))
-
-let build_random ops =
-  let prog = Prog.create () in
-  let b, ps =
-    B.func prog "rand"
-      ~attrs:[ Func.noalias_readonly ]
-      ~params:[ "x", Ty.Ptr Ty.Float ]
-      ~ret:Ty.Float
-  in
-  let x = List.hd ps in
-  let stack = ref [ B.f64 b 0.25 ] in
-  let push v = stack := v :: !stack in
-  let pop2 () =
-    match !stack with
-    | a :: c :: rest ->
-      stack := rest;
-      a, c
-    | [ a ] -> a, a
-    | [] -> assert false
-  in
-  List.iter
-    (fun op ->
-      match op with
-      | GAdd ->
-        let a, c = pop2 () in
-        push (B.add b a c)
-      | GMul ->
-        let a, c = pop2 () in
-        push (B.mul b a c)
-      | GSub ->
-        let a, c = pop2 () in
-        push (B.sub b a c)
-      | GSin -> push (B.sin_ b (List.hd !stack))
-      | GMin ->
-        let a, c = pop2 () in
-        push (B.min_ b a c)
-      | GLoad i -> push (B.load b x (B.i64 b i))
-      | GConstF f -> push (B.f64 b f))
-    ops;
-  let r = List.fold_left (fun acc v -> B.add b acc v) (B.f64 b 0.0) !stack in
-  B.return b (Some r);
-  ignore (B.finish b);
-  prog
-
 let rand_input = [| 0.31; -0.87; 1.4; 0.52; -0.11; 0.93 |]
+let build_random = Gen_prog.build ~len:(Array.length rand_input)
 let rand_dir = [| 1.0; -0.5; 0.25; 2.0; -1.5; 0.75 |]
 
 let forward_directional prog =
@@ -232,7 +174,7 @@ let reverse_directional prog =
 
 let prop_forward_eq_reverse =
   QCheck.Test.make ~name:"forward == reverse (random programs)" ~count:120
-    (QCheck.make gen_ops) (fun ops ->
+    (QCheck.make Gen_prog.gen_ops) (fun ops ->
       let prog = build_random ops in
       let f = forward_directional prog in
       let r = reverse_directional prog in
@@ -242,7 +184,7 @@ let prop_forward_eq_reverse =
 let prop_parallel_gradient_width_invariant =
   QCheck.Test.make ~name:"parallel gradient width-invariant" ~count:40
     (QCheck.make
-       QCheck.Gen.(pair gen_ops (int_range 2 9)))
+       QCheck.Gen.(pair Gen_prog.gen_ops (int_range 2 9)))
     (fun (ops, w) ->
       (* wrap the random expression in a parallel map over 6 elements *)
       let prog = Prog.create () in
@@ -258,36 +200,8 @@ let prop_parallel_gradient_width_invariant =
       in
       B.parallel_for b ~lo:(B.i64 b 0) ~hi:n (fun i ->
           let xi = B.load b x i in
-          let stack = ref [ xi ] in
-          let push v = stack := v :: !stack in
-          let pop2 () =
-            match !stack with
-            | a :: c :: rest ->
-              stack := rest;
-              a, c
-            | [ a ] -> a, a
-            | [] -> assert false
-          in
-          List.iter
-            (fun op ->
-              match op with
-              | GAdd ->
-                let a, c = pop2 () in
-                push (B.add b a c)
-              | GMul ->
-                let a, c = pop2 () in
-                push (B.mul b a c)
-              | GSub ->
-                let a, c = pop2 () in
-                push (B.sub b a c)
-              | GSin -> push (B.sin_ b (List.hd !stack))
-              | GMin ->
-                let a, c = pop2 () in
-                push (B.min_ b a c)
-              | GLoad _ -> push xi
-              | GConstF f -> push (B.f64 b f))
-            ops;
-          B.store b out i (List.hd !stack));
+          let stack = Gen_prog.emit b ~init:xi ~load:(fun _ -> xi) ops in
+          B.store b out i (List.hd stack));
       B.return b None;
       ignore (B.finish b);
       let grad w =

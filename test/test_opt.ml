@@ -14,6 +14,7 @@ let count_instrs (f : Func.t) = Instr.fold_instrs (fun n _ -> n + 1) 0 f.body
 let count_kind pred (f : Func.t) =
   Instr.fold_instrs (fun n i -> if pred i then n + 1 else n) 0 f.body
 
+let func_str p name = Printer.func_to_string (Prog.find_exn p name)
 let is_load = function Instr.Load _ -> true | _ -> false
 let is_fork = function Instr.Fork _ -> true | _ -> false
 
@@ -53,6 +54,60 @@ let test_cse_and_dce () =
   Alcotest.(check int) "one mul, one add, return" 3 (count_instrs f);
   let res = Exec.run opt ~fname:"ce" ~setup:(fun _ -> [ Value.VFloat 3.0 ]) in
   Alcotest.check feq "value" 18.0 (Value.to_float res.Exec.values.(0))
+
+(* DCE: one call deletes a dead chain that crosses regions — [a],
+   defined before a loop, is read only by [d] inside it, which is read
+   only by [e] in a branch of an If in the loop. The If stays, though
+   nothing reads its result: its branches yield, and a yield is an
+   effect. Stores, calls with effects and yields survive, and a second
+   call deletes nothing. *)
+let test_dce_chain () =
+  let prog = Prog.create () in
+  let b, ps =
+    B.func prog "dead"
+      ~params:[ "x", Ty.Float; "c", Ty.Bool; "out", Ty.Ptr Ty.Float ]
+      ~ret:Ty.Unit
+  in
+  let x, c, out = match ps with [ x; c; o ] -> x, c, o | _ -> assert false in
+  let a = B.mul b x x in
+  let d = ref a and e = ref a and r = ref [] in
+  B.for_n b (B.i64 b 4) (fun i ->
+      d := B.add b a x;
+      r :=
+        B.if_ b ~results:[ Ty.Float ] c
+          ~then_:(fun () ->
+            e := B.mul b !d !d;
+            [ x ])
+          ~else_:(fun () -> [ x ]);
+      B.store b out i x);
+  ignore (B.call b ~ret:Ty.Unit "side" [ out ]);
+  B.return b None;
+  ignore (B.finish b);
+  let once = Parad_opt.Passes.dce_func (Prog.find_exn prog "dead") in
+  let defined =
+    Instr.fold_instrs
+      (fun acc i -> List.map Var.id (Instr.defs i) @ acc)
+      [] once.Func.body
+  in
+  List.iter
+    (fun (name, v) ->
+      Alcotest.(check bool)
+        (name ^ " deleted") false
+        (List.mem (Var.id v) defined))
+    [ "a", a; "d", !d; "e", !e ];
+  Alcotest.(check bool)
+    "If result kept" true
+    (List.mem (Var.id (List.hd !r)) defined);
+  let count pred = count_kind pred once in
+  Alcotest.(check int) "store kept" 1
+    (count (function Instr.Store _ -> true | _ -> false));
+  Alcotest.(check int) "call kept" 1
+    (count (function Instr.Call _ -> true | _ -> false));
+  Alcotest.(check int) "both yields kept" 2
+    (count (function Instr.Yield _ -> true | _ -> false));
+  Alcotest.(check string) "a second call deletes nothing"
+    (Printer.func_to_string once)
+    (Printer.func_to_string (Parad_opt.Passes.dce_func once))
 
 let test_licm_hoists () =
   let prog = Prog.create () in
@@ -381,63 +436,8 @@ let test_inline () =
 
 (* ---- property tests: random programs keep semantics under O2 ---- *)
 
-(* A tiny generator of well-formed float kernels over (x : f64*, n=8). *)
-type gop = GAdd | GMul | GSin | GMin | GLoad of int | GConstF of float
-
-let gen_ops =
-  QCheck.Gen.(
-    list_size (int_range 1 25)
-      (frequency
-         [
-           3, return GAdd;
-           3, return GMul;
-           1, return GSin;
-           1, return GMin;
-           3, map (fun i -> GLoad (abs i mod 8)) int;
-           2, map (fun f -> GConstF (Float.of_int (f mod 7) /. 3.0)) int;
-         ]))
-
-let build_random_prog ops =
-  let prog = Prog.create () in
-  let b, ps =
-    B.func prog "rand" ~params:[ "x", Ty.Ptr Ty.Float ] ~ret:Ty.Float
-  in
-  let x = List.hd ps in
-  let stack = ref [ B.f64 b 0.5 ] in
-  let push v = stack := v :: !stack in
-  let pop2 () =
-    match !stack with
-    | a :: b' :: rest ->
-      stack := rest;
-      a, b'
-    | [ a ] -> a, a
-    | [] -> assert false
-  in
-  List.iter
-    (fun op ->
-      match op with
-      | GAdd ->
-        let a, c = pop2 () in
-        push (B.add b a c)
-      | GMul ->
-        let a, c = pop2 () in
-        push (B.mul b a c)
-      | GSin ->
-        let a = List.hd !stack in
-        push (B.sin_ b a)
-      | GMin ->
-        let a, c = pop2 () in
-        push (B.min_ b a c)
-      | GLoad i -> push (B.load b x (B.i64 b i))
-      | GConstF f -> push (B.f64 b f))
-    ops;
-  (* sum everything on the stack into the result *)
-  let r = List.fold_left (fun acc v -> B.add b acc v) (B.f64 b 0.0) !stack in
-  B.return b (Some r);
-  ignore (B.finish b);
-  prog
-
 let input = [| 0.3; -1.2; 2.0; 0.7; -0.1; 1.5; 0.9; -0.4 |]
+let build_random_prog = Gen_prog.build ~len:(Array.length input)
 
 let eval prog =
   let res =
@@ -447,7 +447,7 @@ let eval prog =
 
 let prop_o2_preserves_semantics =
   QCheck.Test.make ~name:"o2 preserves semantics" ~count:100
-    (QCheck.make gen_ops) (fun ops ->
+    (QCheck.make Gen_prog.gen_ops) (fun ops ->
       let prog = build_random_prog ops in
       let opt = Pipe.run_on prog "rand" Pipe.o2 in
       let a = eval prog and b = eval opt in
@@ -455,7 +455,7 @@ let prop_o2_preserves_semantics =
 
 let prop_gradient_survives_o2 =
   QCheck.Test.make ~name:"gradient after o2 == gradient before" ~count:40
-    (QCheck.make gen_ops) (fun ops ->
+    (QCheck.make Gen_prog.gen_ops) (fun ops ->
       let prog = build_random_prog ops in
       let opt = Pipe.run_on prog "rand" Pipe.o2 in
       let g p =
@@ -466,6 +466,26 @@ let prop_gradient_survives_o2 =
       Array.for_all2
         (fun a b -> Float.abs (a -. b) <= 1e-8 *. Float.max 1.0 (Float.abs a))
         ga gb)
+
+(* the post-AD pipeline changes no bit of a random program's gradient,
+   and a second run of it is a no-op. (The primal return is not
+   compared: folding [0.0 + x] to [x] keeps a -0.0 that the add itself
+   turns into +0.0.) *)
+let prop_post_ad_bitwise_idempotent =
+  QCheck.Test.make ~name:"post_ad gradient bitwise, post_ad idempotent"
+    ~count:60 (QCheck.make Gen_prog.gen_ops) (fun ops ->
+      let prog = build_random_prog ops in
+      let g post_opt =
+        GC.reverse ~post_opt prog "rand" [ GC.ABuf input ]
+          ~seeds:[ Array.make (Array.length input) 0.0 ]
+      in
+      let bits (g : GC.gradient) =
+        Array.map Int64.bits_of_float (List.hd g.GC.d_bufs)
+      in
+      let dprog, dname = Parad_core.Reverse.gradient prog "rand" in
+      let once = Pipe.run dprog Pipe.post_ad in
+      bits (g true) = bits (g false)
+      && func_str once dname = func_str (Pipe.run once Pipe.post_ad) dname)
 
 (* ---- pipeline idempotence + verifier cleanliness over the bundled
    applications: o2 on every primal, post_ad on every generated
@@ -486,8 +506,6 @@ let app_functions () =
   lulesh
   @ [ "bude_seq", bude; "bude_omp", bude; "bude_julia", bude;
       "bude_chunk_jl", bude ]
-
-let func_str p name = Printer.func_to_string (Prog.find_exn p name)
 
 let test_o2_idempotent () =
   List.iter
@@ -602,6 +620,8 @@ let () =
         [
           Alcotest.test_case "constfold" `Quick test_constfold;
           Alcotest.test_case "cse+dce" `Quick test_cse_and_dce;
+          Alcotest.test_case "dce deletes a cross-region chain in one call"
+            `Quick test_dce_chain;
           Alcotest.test_case "licm" `Quick test_licm_hoists;
           Alcotest.test_case "cse keeps float bit patterns apart" `Quick
             test_cse_float_bits;
@@ -628,5 +648,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_o2_preserves_semantics;
           QCheck_alcotest.to_alcotest prop_gradient_survives_o2;
+          QCheck_alcotest.to_alcotest prop_post_ad_bitwise_idempotent;
         ] );
     ]
