@@ -66,6 +66,28 @@ let micro ~quick:_ =
       escale = 1.0;
     }
   in
+  (* the tape baseline: the engine-taped primal and the tape's reverse
+     sweep, on 2 ranks *)
+  let tape_lulesh =
+    let prog = Apps_lulesh.Lulesh.program Apps_lulesh.Lulesh.Mpi in
+    let call_slots =
+      Parad_engine.Engine.(call_fn_slots (prepare prog) Seq)
+    in
+    let nranks = 2 in
+    let args =
+      Array.init nranks (fun rank -> Util.lulesh_args tiny ~nranks ~rank)
+    in
+    let seeds =
+      Array.init nranks (fun rank -> Util.lulesh_zero_seeds tiny ~nranks ~rank)
+    in
+    Test.make ~name:"tape lulesh_mpi"
+      (Staged.stage (fun () ->
+           ignore
+             (Util.TC.reverse_spmd ~call_slots prog "lulesh_mpi" ~nranks
+                ~args:(fun ~rank -> args.(rank))
+                ~seeds:(fun ~rank -> seeds.(rank))
+                ~d_ret:(fun ~rank -> if rank = 0 then 1.0 else 0.0))))
+  in
   let tests =
     Test.make_grouped ~name:"parad" ~fmt:"%s %s"
       [
@@ -97,6 +119,7 @@ let micro ~quick:_ =
                lower
                  (Parad_opt.Pipeline.run rprog Parad_opt.Pipeline.post_ad)
                  dname));
+        tape_lulesh;
       ]
   in
   let instances = Toolkit.Instance.[ monotonic_clock ] in

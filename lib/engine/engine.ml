@@ -18,8 +18,8 @@
     the same deadline checks; scalar semantics reuse the interpreter's
     exact float discipline (Float.compare ordering, [<=]-min/max, the
     floor-through-int round trip); all non-hot intrinsics delegate to
-    {!Interp.intrinsic} with the strand clock synchronized across the
-    boundary. Sanitized contexts, and taped contexts on the parallel
+    {!Interp.intrinsic}, which charges the same strand clock cell the
+    engine does. Sanitized contexts, and taped contexts on the parallel
     runner, fall back to the interpreter entirely.
 
     {b Parallel runner.} A fork region that passes a static par-safety
@@ -40,12 +40,6 @@ open Value
 (* ---- runner state ---- *)
 
 type mode = MSeq | MPar of Pool.t
-
-(* The strand's virtual clock. A single-field all-float record is flat
-   in the OCaml value model, so the per-op charge mutates it in place —
-   a mutable float field in the mixed [thr] record would instead box a
-   fresh float (and run the write barrier) on every instruction. *)
-type clk = { mutable now : float }
 
 (* Deadline mirror of the running Sim engine: the native charge path
    enforces the same virtual budget (bit-identical trip point) and the
@@ -91,7 +85,10 @@ type thr = {
   cost : Cost_model.t;
   st : Stats.t;
   mode : mode;
-  clock : clk;  (** never shared between strands: copies get fresh cells *)
+  clock : Sim.clk;
+      (** the running Sim strand's own clock cell, so the engine and the
+          scheduler never copy clocks across; a parallel member, which is
+          no strand, gets a fresh cell *)
   mutable socket : int;
   mutable team : (int * int) option;
   mutable defer : mstate option;  (** [Some _] inside a parallel member *)
@@ -180,12 +177,6 @@ let check_sched t =
       (Sim.Deadline_exceeded { de_at = t.clock.now; de_limit = lim; de_wall = false })
   | _ -> ()
 
-(* Synchronize the engine clock with the current Sim strand around any
-   interaction with the cooperative scheduler (delegated intrinsics,
-   fork/spawn/sync/barrier). *)
-let sync_out t = (Sim.self ()).Sim.clock <- t.clock.now
-let sync_in t = t.clock.now <- (Sim.self ()).Sim.clock
-
 let get_remat t =
   match t.defer with
   | Some m -> m.remat
@@ -211,31 +202,20 @@ let check_rank t (buf : Value.buffer) =
     error "cross-rank memory access: buffer of rank %d touched by rank %d"
       buf.rank t.ctx.Interp.rank
 
-(* ---- taping-mode (instrument) bridge ----
+(* ---- taping mode ----
 
    Taping-mode compilations are kept under their own key in the function
    table and only ever run under an instrumented context, so the hook
-   lookup cannot fail on well-formed entries. [record] tapes one
-   statement of at most two operands; [Interp.instrument.record] charges
-   [tape_record] through the Sim strand clock, so the engine clock is
-   bridged across every call. *)
+   lookup cannot fail on well-formed entries. The record hook charges
+   [tape_record] to the Sim strand's clock, which is [t.clock] itself. *)
 
 let tape_ins t =
   match t.ctx.Interp.instrument with
   | Some i -> i
   | None -> error "engine: taped code run without instrumentation"
 
-let record t s1 p1 s2 p2 =
-  let ins = tape_ins t in
-  sync_out t;
-  let s = ins.Interp.record s1 p1 s2 p2 in
-  sync_in t;
-  s
-
-let tape_buf_slots t (buf : Value.buffer) = (tape_ins t).Interp.buf_slots buf
-
 (* Replicas of the interpreter's SDC hooks with [t.clock.now] standing in for
-   [Sim.now ()] (identical by the engine's charge discipline). *)
+   [Sim.now ()] (the same cell outside parallel members). *)
 let eng_apply_flips t =
   match t.ctx.Interp.faults with
   | Some fs
@@ -905,10 +885,7 @@ let do_barrier t =
     (* Sim's handler counts one barrier per performing member *)
     t.st.Stats.barriers <- t.st.Stats.barriers + 1;
     Effect.perform Mbar
-  | None ->
-    sync_out t;
-    Sim.barrier ();
-    sync_in t
+  | None -> Sim.barrier ()
 
 let par_fork_run t ~pool ~width ~socket_of ~tidw ~nthw ~fname ~frames
     body_code =
@@ -946,7 +923,7 @@ let par_fork_run t ~pool ~width ~socket_of ~tidw ~nthw ~fname ~frames
     Array.init width (fun m ->
         {
           t with
-          clock = { now = start };
+          clock = { Sim.now = start };
           socket = socket_of m;
           team = Some (m, width);
           st = Stats.create ();
@@ -1166,22 +1143,28 @@ and compile_op env (i : Instr.t) : sc =
       let op = compile_straight env i in
       let is_float v = Ty.equal (Var.ty v) Ty.Float in
       match i with
-      | Instr.Bin (v, bop, a, b) when is_float v && is_float a && is_float b
-        ->
+      | Instr.Bin (v, _, a, b) when is_float v && is_float a && is_float b ->
         (* operands are read first: the plain closure may overwrite them *)
         let sa = slot env a and sb = slot env b and d = slot env v in
         fun t fr ->
-          let x = fr.f.(sa) and y = fr.f.(sb) in
+          let ins = tape_ins t in
+          let s = ins.Interp.scratch in
+          s.(2) <- fr.f.(sa);
+          s.(3) <- fr.f.(sb);
           op t fr;
-          let px, py = Interp.bin_partials bop x y fr.f.(d) in
-          fr.sl.(d) <- record t fr.sl.(sa) px fr.sl.(sb) py
-      | Instr.Un (v, uop, a) when is_float v && is_float a ->
+          s.(4) <- fr.f.(d);
+          Interp.partials s i;
+          fr.sl.(d) <- ins.Interp.record fr.sl.(sa) fr.sl.(sb)
+      | Instr.Un (v, _, a) when is_float v && is_float a ->
         let sa = slot env a and d = slot env v in
         fun t fr ->
-          let x = fr.f.(sa) in
+          let ins = tape_ins t in
+          let s = ins.Interp.scratch in
+          s.(2) <- fr.f.(sa);
           op t fr;
-          let p = Interp.un_partial uop x fr.f.(d) in
-          fr.sl.(d) <- record t fr.sl.(sa) p 0 0.0
+          s.(4) <- fr.f.(d);
+          Interp.partials s i;
+          fr.sl.(d) <- ins.Interp.record fr.sl.(sa) 0
       | Instr.Call (v, name, _)
         when is_float v && not (String.contains name '.') ->
         let d = slot env v in
@@ -1200,20 +1183,24 @@ and compile_op env (i : Instr.t) : sc =
         fun t fr ->
           op t fr;
           let ptr = Value.to_ptr fr.v.(sp) in
-          fr.sl.(d) <- (tape_buf_slots t ptr.buf).(ptr.off + fr.i.(sx))
+          fr.sl.(d) <-
+            ((tape_ins t).Interp.buf_slots ptr.buf).(ptr.off + fr.i.(sx))
       | Instr.Store (p, ix, x) when is_float x ->
         let sp = slot env p and sx = slot env ix and s = slot env x in
         fun t fr ->
           op t fr;
           let ptr = Value.to_ptr fr.v.(sp) in
-          (tape_buf_slots t ptr.buf).(ptr.off + fr.i.(sx)) <- fr.sl.(s)
+          ((tape_ins t).Interp.buf_slots ptr.buf).(ptr.off + fr.i.(sx)) <-
+            fr.sl.(s)
       | Instr.AtomicAdd (p, ix, x) ->
         let sp = slot env p and sx = slot env ix and s = slot env x in
         fun t fr ->
           op t fr;
+          let ins = tape_ins t in
           let ptr = Value.to_ptr fr.v.(sp) in
-          let bs = tape_buf_slots t ptr.buf and c = ptr.off + fr.i.(sx) in
-          bs.(c) <- record t bs.(c) 1.0 fr.sl.(s) 1.0
+          let bs = ins.Interp.buf_slots ptr.buf and c = ptr.off + fr.i.(sx) in
+          Interp.partials ins.Interp.scratch i;
+          bs.(c) <- ins.Interp.record bs.(c) fr.sl.(s)
       | _ -> op)
 
 and compile_straight env (i : Instr.t) : sc =
@@ -1381,23 +1368,20 @@ and compile_straight env (i : Instr.t) : sc =
       let id = t.ctx.Interp.next_task in
       t.ctx.Interp.next_task <- id + 1;
       let ret = ref VUnit in
-      sync_out t;
       let task =
         Sim.spawn (fun () ->
             let s = Sim.self () in
             let ct =
               {
                 t with
-                clock = { now = s.Sim.clock };
+                clock = s.Sim.clock;
                 socket = s.Sim.socket;
                 team = None;
                 defer = None;
               }
             in
-            ret := call_boxed prep ct name vals;
-            sync_out ct)
+            ret := call_boxed prep ct name vals)
       in
-      sync_in t;
       Hashtbl.add t.ctx.Interp.tasks id (task, ret);
       w fr (VInt id)
   | Instr.Sync h ->
@@ -1405,10 +1389,7 @@ and compile_straight env (i : Instr.t) : sc =
     fun t fr -> (
       let id = h_rd fr in
       match Hashtbl.find_opt t.ctx.Interp.tasks id with
-      | Some (task, _) ->
-        sync_out t;
-        Sim.sync task;
-        sync_in t
+      | Some (task, _) -> Sim.sync task
       | None -> error "sync on unknown task %d" id)
   | Instr.Barrier ->
     fun t _fr -> (
@@ -1514,7 +1495,6 @@ and compile_straight env (i : Instr.t) : sc =
           body_code;
         checkin t frames
       | None ->
-        sync_out t;
         Sim.fork ~socket_of ~width (fun ~tid:tt ~width:w ->
             let cfr = frames.(tt) in
             tidw cfr tt;
@@ -1523,17 +1503,15 @@ and compile_straight env (i : Instr.t) : sc =
             let ct =
               {
                 t with
-                clock = { now = s.Sim.clock };
+                clock = s.Sim.clock;
                 socket = s.Sim.socket;
                 team = Some (tt, w);
                 defer = None;
               }
             in
-            (match body_code ct cfr with
+            match body_code ct cfr with
             | Next -> ()
             | Ret | Yld -> error "fork body may not return/yield");
-            sync_out ct);
-        sync_in t;
         checkin t frames)
   | Instr.If _ | Instr.For _ | Instr.While _ | Instr.Return _ | Instr.Yield _
     -> assert false (* control; routed to compile_ctrl *)
@@ -2214,8 +2192,8 @@ and compile_intrinsic env v name args : sc =
   | _ -> delegate env v name args
 
 (* Any other intrinsic (MPI, checkpoint, GC, AD shadows, ...) delegates to
-   the interpreter's implementation, bridging the strand clock and the
-   synthetic frame stack. *)
+   the interpreter's implementation through the synthetic frame stack;
+   its charges land on the strand clock cell [t.clock] shares. *)
 and delegate env v name args : sc =
   let readers = List.map (reader env) args in
   let w = writer env v in
@@ -2223,7 +2201,6 @@ and delegate env v name args : sc =
   fun t fr ->
     let vals = List.map (fun r -> r fr) readers in
     t.st.Stats.eng_fallbacks <- t.st.Stats.eng_fallbacks + 1;
-    sync_out t;
     let e =
       {
         Interp.stack = fr.istack;
@@ -2233,16 +2210,7 @@ and delegate env v name args : sc =
         san_team = None;
       }
     in
-    let res =
-      match Interp.intrinsic t.ctx e name args vals with
-      | r ->
-        sync_in t;
-        r
-      | exception ex ->
-        sync_in t;
-        raise ex
-    in
-    w fr res
+    w fr (Interp.intrinsic t.ctx e name args vals)
 
 (* ---- user calls ---- *)
 
@@ -2394,7 +2362,7 @@ let exec_call_slots prep mode (ctx : Interp.ctx) fname args slots :
         cost = ctx.Interp.cfg.Interp.cost;
         st = Sim.stats ();
         mode;
-        clock = { now = s.Sim.clock };
+        clock = s.Sim.clock;
         socket = s.Sim.socket;
         team = None;
         defer = None;
@@ -2405,13 +2373,8 @@ let exec_call_slots prep mode (ctx : Interp.ctx) fname args slots :
         fcache = Hashtbl.create 8;
       }
     in
-    match call_boxed prep ~taped ~slots t fname args with
-    | v ->
-      sync_out t;
-      v, t.rets
-    | exception ex ->
-      sync_out t;
-      raise ex
+    let v = call_boxed prep ~taped ~slots t fname args in
+    v, t.rets
   end
 
 let exec_call prep mode (ctx : Interp.ctx) fname args =

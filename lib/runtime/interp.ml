@@ -7,9 +7,9 @@
 
     The interpreter also exposes an instrumentation interface
     ({!type:instrument}) used by the operator-overloading tape baseline:
-    when installed, every float operation reports (slot, partial) pairs in
-    CoDiPack's statement-level-tape style, and memory cells carry slots in
-    side arrays. *)
+    when installed, every float operation reports its operand slots and
+    partials in CoDiPack's statement-level-tape style, and memory cells
+    carry slots in side arrays. *)
 
 open Parad_ir
 open Value
@@ -17,10 +17,15 @@ open Value
 exception Interp_error = Value.Runtime_error
 
 type instrument = {
-  record : int -> float -> int -> float -> int;
-      (** [record s1 p1 s2 p2] records one statement of at most two
-          operands (a one-operand statement passes [0 0.0] second);
-          returns the lhs slot (0 if passive) *)
+  scratch : float array;
+      (** the record protocol's five cells: a taped statement's operands
+          and result go in cells 2-4, {!partials} writes its two partials
+          to cells 0-1, and [record] reads them from there *)
+  record : int -> int -> int;
+      (** [record s1 s2] records one statement of at most two operands
+          (a one-operand statement passes slot [0] second) with the
+          partials in [scratch.(0)] and [scratch.(1)]; returns the lhs
+          slot (0 if passive) *)
   buf_slots : Value.buffer -> int array;  (** side slot array of a buffer *)
   send_hook : peer:int -> tag:int -> slots:int array -> unit;
   recv_hook : peer:int -> tag:int -> count:int -> int array;
@@ -411,29 +416,40 @@ let eval_un op a =
   | Not, VBool x -> VBool (not x)
   | _ -> error "bad operand for %s" (Instr.unop_name op)
 
-(* Partial derivatives of a float binop w.r.t. each operand. *)
-let bin_partials op x y r =
-  match op with
-  | Instr.Add -> 1.0, 1.0
-  | Sub -> 1.0, -1.0
-  | Mul -> y, x
-  | Div -> 1.0 /. y, -.x /. (y *. y)
-  | Min -> if x <= y then 1.0, 0.0 else 0.0, 1.0
-  | Max -> if x >= y then 1.0, 0.0 else 0.0, 1.0
-  | Pow -> y *. Float.pow x (y -. 1.0), r *. log x
-  | Rem -> error "rem has no float derivative"
+let[@inline] set_partials (s : float array) p1 p2 =
+  s.(0) <- p1;
+  s.(1) <- p2
 
-let un_partial op x r =
-  match op with
-  | Instr.Neg -> -1.0
-  | Sqrt -> if r = 0.0 then 0.0 else 1.0 /. (2.0 *. r)
-  | Sin -> cos x
-  | Cos -> -.sin x
-  | Exp -> r
-  | Log -> 1.0 /. x
-  | Abs -> if x >= 0.0 then 1.0 else -1.0
-  | Floor -> 0.0
-  | ToFloat | ToInt | Not -> 0.0
+(** Write the two partials of taped statement [i] (a float [Bin], [Un]
+    or [AtomicAdd]) to scratch cells 0-1, reading its operands [x], [y]
+    and result [r] from cells 2-4 ([Un] reads no [y], [AtomicAdd]
+    nothing). The interpreter and the engine's taping mode both call it,
+    and no float crosses a call boxed. *)
+let partials (s : float array) (i : Instr.t) =
+  let x = s.(2) and y = s.(3) and r = s.(4) in
+  match i with
+  | Bin (_, op, _, _) -> (
+    match op with
+    | Add -> set_partials s 1.0 1.0
+    | Sub -> set_partials s 1.0 (-1.0)
+    | Mul -> set_partials s y x
+    | Div -> set_partials s (1.0 /. y) (-.x /. (y *. y))
+    | Min -> if x <= y then set_partials s 1.0 0.0 else set_partials s 0.0 1.0
+    | Max -> if x >= y then set_partials s 1.0 0.0 else set_partials s 0.0 1.0
+    | Pow -> set_partials s (y *. Float.pow x (y -. 1.0)) (r *. log x)
+    | Rem -> error "rem has no float derivative")
+  | Un (_, op, _) -> (
+    match op with
+    | Neg -> set_partials s (-1.0) 0.0
+    | Sqrt -> set_partials s (if r = 0.0 then 0.0 else 1.0 /. (2.0 *. r)) 0.0
+    | Sin -> set_partials s (cos x) 0.0
+    | Cos -> set_partials s (-.sin x) 0.0
+    | Exp -> set_partials s r 0.0
+    | Log -> set_partials s (1.0 /. x) 0.0
+    | Abs -> set_partials s (if x >= 0.0 then 1.0 else -1.0) 0.0
+    | Floor | ToFloat | ToInt | Not -> set_partials s 0.0 0.0)
+  | AtomicAdd _ -> set_partials s 1.0 1.0
+  | _ -> invalid_arg "Interp.partials: not a taped float statement"
 
 let is_float v = match v with VFloat _ -> true | _ -> false
 
@@ -490,8 +506,12 @@ and exec_instr ctx e (i : Instr.t) : outcome =
     set fr v r;
     (match ctx.instrument, x, y, r with
     | Some ins, VFloat xf, VFloat yf, VFloat rf ->
-      let px, py = bin_partials op xf yf rf in
-      set_slot fr v (ins.record (get_slot fr a) px (get_slot fr b) py)
+      let s = ins.scratch in
+      s.(2) <- xf;
+      s.(3) <- yf;
+      s.(4) <- rf;
+      partials s i;
+      set_slot fr v (ins.record (get_slot fr a) (get_slot fr b))
     | _ -> set_slot fr v 0);
     ONext
   | Cmp (v, op, a, b) ->
@@ -524,7 +544,11 @@ and exec_instr ctx e (i : Instr.t) : outcome =
     set fr v r;
     (match ctx.instrument, x, r with
     | Some ins, VFloat xf, VFloat rf ->
-      set_slot fr v (ins.record (get_slot fr a) (un_partial op xf rf) 0 0.0)
+      let s = ins.scratch in
+      s.(2) <- xf;
+      s.(4) <- rf;
+      partials s i;
+      set_slot fr v (ins.record (get_slot fr a) 0)
     | _ -> set_slot fr v 0);
     ONext
   | Select (v, cond, a, b) ->
@@ -668,8 +692,9 @@ and exec_instr ctx e (i : Instr.t) : outcome =
     (match ctx.instrument with
     | Some ins ->
       let slots = ins.buf_slots ptr.buf in
-      let i = ptr.off + idx in
-      slots.(i) <- ins.record slots.(i) 1.0 (get_slot fr x) 1.0
+      let c = ptr.off + idx in
+      partials ins.scratch i;
+      slots.(c) <- ins.record slots.(c) (get_slot fr x)
     | None -> ());
     ONext
   | Call (v, name, args) ->

@@ -98,9 +98,16 @@ let () =
     | Deadlock d -> Some (diagnosis_to_string d)
     | _ -> None)
 
+(** A strand's virtual clock. A one-field all-float record is stored
+    flat, so a charge updates the cell in place without allocating (a
+    [mutable float] field of the mixed [strand] record would box every
+    new value). The compiled engine's sequential threads hold their
+    strand's cell and charge it directly. *)
+type clk = { mutable now : float }
+
 type strand = {
   sid : int;
-  mutable clock : float;
+  clock : clk;
   tid : int;  (** index within the creating team (or rank id, or 0) *)
   width : int;  (** size of the creating team *)
   socket : int;
@@ -168,17 +175,17 @@ let eng () =
 let cost () = (eng ()).cost
 let stats () = (eng ()).stats
 let self () = (eng ()).current
-let now () = (self ()).clock
+let now () = (self ()).clock.now
 
 (* Wall-clock probes cost a syscall; amortize them over charges. The
    mask trades detection latency for overhead — 4096 charges is well
    under a millisecond of host time. *)
 let wall_mask = 4095
 
-let check_deadline e clock =
+let check_deadline e (c : clk) =
   (match e.vdeadline with
-  | Some d when clock > d ->
-    raise (Deadline_exceeded { de_at = clock; de_limit = d; de_wall = false })
+  | Some d when c.now > d ->
+    raise (Deadline_exceeded { de_at = c.now; de_limit = d; de_wall = false })
   | _ -> ());
   match e.wall_stop with
   | Some stop ->
@@ -186,15 +193,15 @@ let check_deadline e clock =
     if e.wall_tick land wall_mask = 0 && Unix.gettimeofday () > stop then
       raise
         (Deadline_exceeded
-           { de_at = clock; de_limit = e.wall_ms; de_wall = true })
+           { de_at = c.now; de_limit = e.wall_ms; de_wall = true })
   | None -> ()
 
 let charge c =
   let e = eng () in
   let st = e.current in
-  st.clock <- st.clock +. c;
+  st.clock.now <- st.clock.now +. c;
   if e.guarded then check_deadline e st.clock
-let set_clock t = (self ()).clock <- t
+let set_clock t = (self ()).clock.now <- t
 let socket () = (self ()).socket
 
 (** The armed deadline of the running engine, as
@@ -226,8 +233,8 @@ let rec run_strand e st f (on_finish : float -> unit) =
     {
       retc =
         (fun () ->
-          finish_strand e st.clock;
-          on_finish st.clock);
+          finish_strand e st.clock.now;
+          on_finish st.clock.now);
       exnc = raise;
       effc =
         (fun (type a) (eff : a Effect.t) ->
@@ -247,7 +254,7 @@ let rec run_strand e st f (on_finish : float -> unit) =
                   }
                 in
                 let start =
-                  st.clock +. Cost_model.fork_cost e.cost ~width
+                  st.clock.now +. Cost_model.fork_cost e.cost ~width
                 in
                 let parent = st in
                 for tid = 0 to width - 1 do
@@ -256,7 +263,7 @@ let rec run_strand e st f (on_finish : float -> unit) =
                       sid =
                         (e.nsid <- e.nsid + 1;
                          e.nsid);
-                      clock = start;
+                      clock = { now = start };
                       tid;
                       width;
                       socket = socket_of tid;
@@ -271,7 +278,7 @@ let rec run_strand e st f (on_finish : float -> unit) =
                           if clock > t.max_finish then t.max_finish <- clock;
                           t.remaining <- t.remaining - 1;
                           if t.remaining = 0 then begin
-                            parent.clock <- t.max_finish +. e.cost.join;
+                            parent.clock.now <- t.max_finish +. e.cost.join;
                             resume e parent k
                           end))
                 done)
@@ -286,7 +293,7 @@ let rec run_strand e st f (on_finish : float -> unit) =
                     sid =
                       (e.nsid <- e.nsid + 1;
                        e.nsid);
-                    clock = start;
+                    clock = { now = start };
                     tid = st.tid;
                     width = st.width;
                     socket = st.socket;
@@ -299,8 +306,8 @@ let rec run_strand e st f (on_finish : float -> unit) =
                         task.finished <- Some clock;
                         List.iter
                           (fun (P (w, wk)) ->
-                            w.clock <-
-                              Float.max w.clock clock +. e.cost.task_sync;
+                            w.clock.now <-
+                              Float.max w.clock.now clock +. e.cost.task_sync;
                             resume e w wk)
                           task.twaiters;
                         task.twaiters <- []));
@@ -310,7 +317,8 @@ let rec run_strand e st f (on_finish : float -> unit) =
               (fun (k : (a, _) continuation) ->
                 match task.finished with
                 | Some clock ->
-                  st.clock <- Float.max st.clock clock +. e.cost.task_sync;
+                  st.clock.now <-
+                    Float.max st.clock.now clock +. e.cost.task_sync;
                   resume e st k
                 | None ->
                   park e st (fun () -> "sync on an unfinished task");
@@ -325,7 +333,7 @@ let rec run_strand e st f (on_finish : float -> unit) =
                   resume e st k
                 | Some t ->
                   t.arrived <- t.arrived + 1;
-                  if st.clock > t.bmax then t.bmax <- st.clock;
+                  if st.clock.now > t.bmax then t.bmax <- st.clock.now;
                   if t.arrived < t.twidth then begin
                     park e st (fun () ->
                         Printf.sprintf "team barrier (%d/%d arrived)"
@@ -336,14 +344,14 @@ let rec run_strand e st f (on_finish : float -> unit) =
                     let release =
                       t.bmax +. Cost_model.barrier_cost e.cost ~width:t.twidth
                     in
-                    st.clock <- release;
+                    st.clock.now <- release;
                     let waiters = t.bwaiters in
                     t.bwaiters <- [];
                     t.arrived <- 0;
                     t.bmax <- 0.0;
                     List.iter
                       (fun (P (w, wk)) ->
-                        w.clock <- release;
+                        w.clock.now <- release;
                         resume e w wk)
                       waiters;
                     resume e st k
@@ -353,7 +361,7 @@ let rec run_strand e st f (on_finish : float -> unit) =
               (fun (k : (a, _) continuation) ->
                 match ev.ready with
                 | Some t ->
-                  st.clock <- Float.max st.clock t;
+                  st.clock.now <- Float.max st.clock.now t;
                   resume e st k
                 | None ->
                   park e st (fun () ->
@@ -384,8 +392,8 @@ let fork ?socket_of ~width body =
 let spawn body =
   let e = eng () in
   let st = self () in
-  st.clock <- st.clock +. e.cost.task_spawn;
-  perform (E_spawn (st.clock, body))
+  st.clock.now <- st.clock.now +. e.cost.task_spawn;
+  perform (E_spawn (st.clock.now, body))
 
 let sync task = perform (E_sync task)
 let barrier () = perform E_barrier
@@ -404,7 +412,7 @@ let event_fill ev ~time =
   ev.ready <- Some time;
   List.iter
     (fun (P (w, wk)) ->
-      w.clock <- Float.max w.clock time;
+      w.clock.now <- Float.max w.clock.now time;
       resume e w wk)
     ev.ewaiters;
   ev.ewaiters <- []
@@ -426,7 +434,14 @@ let run ?(cost = Cost_model.default) ?(stats = Stats.create ())
   | Some _ -> invalid_arg "Sim.run: engine already running (no nesting)"
   | None -> ());
   let root =
-    { sid = 0; clock = 0.0; tid = 0; width = 1; socket = 0; team = None }
+    {
+      sid = 0;
+      clock = { now = 0.0 };
+      tid = 0;
+      width = 1;
+      socket = 0;
+      team = None;
+    }
   in
   let vdeadline = deadline.dl_cycles in
   let wall_ms = Option.value deadline.dl_wall_ms ~default:0.0 in
@@ -478,7 +493,7 @@ let run ?(cost = Cost_model.default) ?(stats = Stats.create ())
             b_sid = st.sid;
             b_tid = st.tid;
             b_width = st.width;
-            b_clock = st.clock;
+            b_clock = st.clock.now;
             b_desc = desc ();
           }
           :: acc)

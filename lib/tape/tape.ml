@@ -2,17 +2,25 @@
     evaluation, with an adjoint-MPI extension (the AMPI-style libraries of
     §II).
 
-    Instead of transforming code, the interpreter is instrumented: memory
-    cells carry slots in side arrays, and every executed active float
-    statement appends one row to a per-rank Jacobian tape. The tape is a
-    structure of arrays: row [r] is [lhs.(r) = s1.(r) * p1.(r) +
+    Instead of transforming code, the primal runs instrumented: the
+    interpreter, or the engine compiled in taping mode, reports every
+    executed active float statement through {!instrument}'s hooks. Memory
+    cells carry slots in per-buffer side arrays, indexed by buffer id, and
+    every such statement appends one row to a per-rank Jacobian tape. The
+    tape is a structure of arrays: row [r] is [lhs.(r) = s1.(r) * p1.(r) +
     s2.(r) * p2.(r)] in slot/partial columns (every statement has at most
     two operands; slot 0 is passive, so one-operand rows carry [s2 = 0]).
-    MPI operations append communication entries to a short side list, each
-    tagged with the row count at the moment it was recorded. The reverse
-    sweep is one tight backward loop over the columns that stops at each
-    communication entry's row position to exchange adjoints over the same
-    (simulated) network in reversed order.
+    The record hook takes the two operand slots only; the partials arrive
+    in the instrument's scratch cells ({!Interp.partials}).
+
+    The columns are stored in chunks of {!chunk_rows} rows, as in
+    CoDiPack's chunked tape storage: when a chunk fills, the next row
+    starts a new one, so no row is ever copied. MPI operations append
+    communication entries to a short side list, each tagged with the row
+    count at the moment it was recorded. The reverse sweep is one tight
+    backward loop per chunk that stops at each communication entry's row
+    position to exchange adjoints over the same (simulated) network in
+    reversed order.
 
     Like CoDiPack, the baseline cannot differentiate fork/join or task
     parallelism (the interpreter rejects [Fork]/[Spawn] under
@@ -41,36 +49,46 @@ type comm =
     }
   | Bcast of { root : int; in_slots : int array; out_slots : int array }
 
+(* One chunk of the five columns: its row [j] is [lhs.(j) = s1.(j) *
+   p1.(j) + s2.(j) * p2.(j)]. *)
+type chunk = {
+  lhs : int array;
+  s1 : int array;
+  p1 : float array;
+  s2 : int array;
+  p2 : float array;
+}
+
+(** Rows per chunk: row [r] is row [r mod chunk_rows] of chunk [r /
+    chunk_rows]. *)
+let chunk_rows = 4096
+
 type t = {
   rank : int;
   mutable rows : int;
-  mutable lhs : int array;
-  mutable s1 : int array;
-  mutable p1 : float array;
-  mutable s2 : int array;
-  mutable p2 : float array;
+  mutable chunks : chunk list;
+      (** newest first; the head holds row [rows - 1] *)
   mutable comms : (int * comm) list;
       (** newest first, each with the row count when it was recorded *)
   mutable next_slot : int;  (** slot 0 is the passive slot *)
-  buf_slots : (int, int array) Hashtbl.t;
-  activated : (int, int array) Hashtbl.t;
+  mutable slot_arrays : int array array;
+      (** side slot arrays by buffer id (ids are dense per rank's
+          [Memory]); [[||]] until the buffer is first touched *)
+  mutable activated : (int * int array) list;
       (** activation-time slots of input buffers, by buffer id *)
+  scratch : float array;  (** the instrument's record-protocol cells *)
 }
 
 let create ~rank =
-  let cap = 1024 in
   {
     rank;
     rows = 0;
-    lhs = Array.make cap 0;
-    s1 = Array.make cap 0;
-    p1 = Array.make cap 0.0;
-    s2 = Array.make cap 0;
-    p2 = Array.make cap 0.0;
+    chunks = [];
     comms = [];
     next_slot = 1;
-    buf_slots = Hashtbl.create 64;
-    activated = Hashtbl.create 8;
+    slot_arrays = [||];
+    activated = [];
+    scratch = Array.make 5 0.0;
   }
 
 (** Rows plus communication entries. *)
@@ -85,33 +103,33 @@ let fresh t =
   t.next_slot <- s + 1;
   s
 
-let grow t =
-  let n = t.rows in
-  let widen a zero =
-    let b = Array.make (2 * n) zero in
-    Array.blit a 0 b 0 n;
-    b
-  in
-  t.lhs <- widen t.lhs 0;
-  t.s1 <- widen t.s1 0;
-  t.p1 <- widen t.p1 0.0;
-  t.s2 <- widen t.s2 0;
-  t.p2 <- widen t.p2 0.0
+let new_chunk () =
+  {
+    lhs = Array.make chunk_rows 0;
+    s1 = Array.make chunk_rows 0;
+    p1 = Array.make chunk_rows 0.0;
+    s2 = Array.make chunk_rows 0;
+    p2 = Array.make chunk_rows 0.0;
+  }
 
-(* Record [lhs = s1 * p1 + s2 * p2]; an all-passive statement is not
-   taped and yields the passive slot. *)
-let record t s1 p1 s2 p2 =
+(* Record [lhs = s1 * p1 + s2 * p2] with the partials in scratch cells 0
+   and 1; an all-passive statement is not taped and yields the passive
+   slot. *)
+let record t s1 s2 =
   if s1 = 0 && s2 = 0 then 0
   else begin
     Sim.charge (Sim.cost ()).Cost_model.tape_record;
     let lhs = fresh t in
     let r = t.rows in
-    if r = Array.length t.lhs then grow t;
-    t.lhs.(r) <- lhs;
-    t.s1.(r) <- s1;
-    t.p1.(r) <- p1;
-    t.s2.(r) <- s2;
-    t.p2.(r) <- p2;
+    let j = r mod chunk_rows in
+    (* a full chunk is never copied: the next row starts a new one *)
+    if j = 0 then t.chunks <- new_chunk () :: t.chunks;
+    let c = List.hd t.chunks in
+    c.lhs.(j) <- lhs;
+    c.s1.(j) <- s1;
+    c.p1.(j) <- t.scratch.(0);
+    c.s2.(j) <- s2;
+    c.p2.(j) <- t.scratch.(1);
     t.rows <- r + 1;
     count_entry ();
     lhs
@@ -122,12 +140,18 @@ let push_comm t c =
   count_entry ()
 
 let buf_slots t (buf : buffer) =
-  match Hashtbl.find_opt t.buf_slots buf.bid with
-  | Some a -> a
-  | None ->
+  let id = buf.bid in
+  if id >= Array.length t.slot_arrays then begin
+    let a = Array.make (max 64 (2 * id + 1)) [||] in
+    Array.blit t.slot_arrays 0 a 0 (Array.length t.slot_arrays);
+    t.slot_arrays <- a
+  end;
+  match t.slot_arrays.(id) with
+  | [||] ->
     let a = Array.make (cells_len buf.data) 0 in
-    Hashtbl.replace t.buf_slots buf.bid a;
+    t.slot_arrays.(id) <- a;
     a
+  | a -> a
 
 (** Mark a buffer's cells as active inputs: each gets a fresh slot, and
     the activation snapshot is kept so input adjoints can be read back
@@ -139,14 +163,16 @@ let activate t (v : Value.t) =
     for i = 0 to Array.length a - 1 do
       a.(i) <- fresh t
     done;
-    Hashtbl.replace t.activated buf.bid (Array.copy a)
+    t.activated <- (buf.bid, Array.copy a) :: t.activated
   | _ -> error "Tape.activate: need a whole-buffer pointer"
 
-(** The interpreter instrumentation hooks. *)
+(** The instrumentation hooks, for the interpreter and the engine's
+    taping mode. *)
 let instrument t : Interp.instrument =
   {
-    Interp.record = record t;
-    buf_slots = (fun buf -> buf_slots t buf);
+    Interp.scratch = t.scratch;
+    record = record t;
+    buf_slots = buf_slots t;
     send_hook =
       (fun ~peer ~tag ~slots -> push_comm t (Send { peer; tag; slots }));
     recv_hook =
@@ -200,7 +226,7 @@ let seed_slot sw slot x = if slot <> 0 then sw.adj.(slot) <- sw.adj.(slot) +. x
 let adjoint_of sw (v : Value.t) =
   match v with
   | VPtr { buf; off = 0 } -> (
-    match Hashtbl.find_opt sw.tape.activated buf.bid with
+    match List.assoc_opt buf.bid sw.tape.activated with
     | Some slots -> Array.map (fun s -> sw.adj.(s)) slots
     | None -> error "Tape.adjoint_of: buffer was not activated")
   | _ -> error "Tape.adjoint_of: need a whole-buffer pointer"
@@ -297,22 +323,26 @@ let reverse sw (ctx : Interp.ctx) =
   let t = sw.tape
   and adj = sw.adj in
   let c_rev = (Sim.cost ()).Cost_model.tape_reverse in
-  let lhs = t.lhs
-  and s1 = t.s1
-  and p1 = t.p1
-  and s2 = t.s2
-  and p2 = t.p2 in
-  (* rows [lo, hi), newest first *)
+  let chunks = Array.of_list (List.rev t.chunks) in
+  (* rows [lo, hi), newest first, one chunk at a time *)
   let rows lo hi =
-    for r = hi - 1 downto lo do
-      Sim.charge c_rev;
-      let d = adj.(lhs.(r)) in
-      if d <> 0.0 then begin
-        let s = s1.(r) in
-        if s <> 0 then adj.(s) <- adj.(s) +. (d *. p1.(r));
-        let s = s2.(r) in
-        if s <> 0 then adj.(s) <- adj.(s) +. (d *. p2.(r))
-      end
+    let hi = ref hi in
+    while !hi > lo do
+      let k = (!hi - 1) / chunk_rows in
+      let base = k * chunk_rows in
+      let { lhs; s1; p1; s2; p2 } = chunks.(k) in
+      let first = max lo base in
+      for j = !hi - 1 - base downto first - base do
+        Sim.charge c_rev;
+        let d = adj.(lhs.(j)) in
+        if d <> 0.0 then begin
+          let s = s1.(j) in
+          if s <> 0 then adj.(s) <- adj.(s) +. (d *. p1.(j));
+          let s = s2.(j) in
+          if s <> 0 then adj.(s) <- adj.(s) +. (d *. p2.(j))
+        end
+      done;
+      hi := first
     done
   in
   let hi =

@@ -112,6 +112,49 @@ let test_tape_repeated_sweeps () =
         swept.(l))
     d_rets
 
+let test_tape_no_boxing () =
+  (* a strand charge and a row recorded through the instrument, the
+     engine's way (operands in scratch cells, the one partials function
+     for every taped statement kind, the slot-only hook), allocate
+     nothing on the minor heap: chunk columns come from the major heap,
+     so only a few words per chunk count *)
+  let module Tape = Parad_tape.Tape in
+  let n = 100_000 in
+  let v id = Var.make ~id ~ty:Ty.Float ~name:"v" in
+  let stmts =
+    Array.of_list
+      (List.map
+         (fun op -> Instr.Bin (v 0, op, v 1, v 2))
+         Instr.[ Add; Sub; Mul; Div; Min; Max; Pow ]
+      @ List.map
+          (fun op -> Instr.Un (v 0, op, v 1))
+          Instr.[ Neg; Sqrt; Sin; Cos; Exp; Log; Abs; Floor ]
+      @ [ Instr.AtomicAdd (v 0, v 1, v 2) ])
+  in
+  let words, _, _ =
+    Sim.run (fun () ->
+        let tape = Tape.create ~rank:0 in
+        let ins = Tape.instrument tape in
+        let s = ins.Interp.scratch in
+        let before = Gc.minor_words () in
+        for _ = 1 to n do
+          Sim.charge 1.0
+        done;
+        for k = 1 to n do
+          s.(2) <- float_of_int k;
+          s.(3) <- 0.5;
+          s.(4) <- 0.5 *. float_of_int k;
+          Interp.partials s stmts.(k mod Array.length stmts);
+          ignore (ins.Interp.record k (k + 1))
+        done;
+        let words = Gc.minor_words () -. before in
+        Alcotest.(check int) "rows" n tape.Tape.rows;
+        words)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for %d charges and %d rows" words n n)
+    true (words <= 1000.0)
+
 let test_tape_serial_overhead_higher_than_enzyme () =
   (* the crux of the paper's CoDiPack comparison: per-statement taping
      makes the serial gradient much slower than the compiler-generated
@@ -270,6 +313,127 @@ let test_tape_comm_positions () =
   Alcotest.(check bool)
     "root adjoint nonzero" true
     (Array.exists (fun d -> d <> 0.0) (List.hd g.GC.s_d_bufs.(0)))
+
+(* 2 ranks: a loop that tapes exactly [Tape.chunk_rows] rows, an
+   allreduce recorded right at that row, then three rows per element:
+   [4 * chunk_rows] rows in all, four full chunks *)
+let chunks_prog () =
+  let prog = Prog.create () in
+  let b, ps =
+    B.func prog "chunks"
+      ~attrs:[ Func.noalias; Func.default_attr ]
+      ~params:[ "x", Ty.Ptr Ty.Float; "n", Ty.Int ]
+      ~ret:Ty.Float
+  in
+  let x, n = two ps in
+  let zero = B.i64 b 0 in
+  let y = B.alloc b Ty.Float n in
+  B.for_n b n (fun i ->
+      let xi = B.load b x i in
+      B.store b y i (B.mul b xi xi));
+  let z = B.alloc b Ty.Float n in
+  ignore (B.call b ~ret:Ty.Unit "mpi.allreduce_sum" [ y; z; n ]);
+  let acc = B.alloc b Ty.Float (B.i64 b 1) in
+  B.store b acc zero (B.f64 b 0.0);
+  B.for_n b n (fun i ->
+      let zi = B.load b z i in
+      let cur = B.load b acc zero in
+      B.store b acc zero (B.add b cur (B.mul b (B.sin_ b zi) zi)));
+  B.return b (Some (B.load b acc zero));
+  ignore (B.finish b);
+  prog
+
+let test_tape_spans_chunks () =
+  let module Tape = Parad_tape.Tape in
+  let module E = Parad_engine.Engine in
+  let prog = chunks_prog () in
+  let nranks = 2 and n = Tape.chunk_rows in
+  let args ~rank =
+    [
+      GC.ABuf
+        (Array.init n (fun i -> 0.25 +. (1e-4 *. float_of_int (i + rank))));
+      GC.AInt n;
+    ]
+  in
+  let d_ret ~rank = if rank = 0 then 1.0 else 0.0 in
+  (* one recording per rank, swept twice: with [d_ret] and with 4x it *)
+  let run call_slots =
+    let tapes = Array.init nranks (fun rank -> Tape.create ~rank) in
+    let primals = Array.make nranks 0.0 in
+    let swept = Array.make_matrix nranks 2 [||] in
+    let rows = Array.make nranks 0 in
+    let makespan, stats =
+      Exec.run_spmd_custom prog ~nranks
+        ~instrument:(fun ~rank -> Tape.instrument tapes.(rank))
+        ~body:(fun ctx ~rank ->
+          let t = tapes.(rank) in
+          let vals, bufs = GC.build_args ctx (args ~rank) in
+          List.iter (Tape.activate t) bufs;
+          let ret, ret_slot =
+            call_slots ctx "chunks" vals (List.map (fun _ -> 0) vals)
+          in
+          primals.(rank) <- Value.to_float ret;
+          rows.(rank) <- t.Tape.rows;
+          List.iteri
+            (fun l scale ->
+              let sw = Tape.sweep t in
+              Tape.seed_slot sw ret_slot (scale *. d_ret ~rank);
+              Tape.reverse sw ctx;
+              swept.(rank).(l) <- Tape.adjoint_of sw (List.hd bufs))
+            [ 1.0; 4.0 ])
+    in
+    primals, swept, rows, makespan, stats, tapes
+  in
+  let pi, si, rows_i, mi, sti, tapes_i = run Interp.call_with_slots in
+  let pe, se, rows_e, me, ste, tapes_e =
+    run (E.call_fn_slots (E.prepare prog) E.Seq)
+  in
+  check_bits_arr "primal bits" pi pe;
+  for r = 0 to nranks - 1 do
+    check_bits_arr (Printf.sprintf "rank %d adjoint bits" r) si.(r).(0)
+      se.(r).(0)
+  done;
+  Alcotest.(check (float 0.0)) "makespan" mi me;
+  Alcotest.(check int) "tape entries" sti.Stats.tape_entries
+    ste.Stats.tape_entries;
+  let enzyme =
+    GC.reverse_spmd prog "chunks" ~nranks ~args
+      ~seeds:(fun ~rank:_ -> [ Array.make n 0.0 ])
+      ~d_ret
+  in
+  List.iter
+    (fun (what, rows, swept, stats, tapes) ->
+      let entries = ref 0 in
+      Array.iteri
+        (fun r (t : Tape.t) ->
+          let name s = Printf.sprintf "%s rank %d: %s" what r s in
+          Alcotest.(check int) (name "rows") (4 * Tape.chunk_rows) t.Tape.rows;
+          Alcotest.(check (list int))
+            (name "allreduce at row chunk_rows")
+            [ Tape.chunk_rows ]
+            (List.map fst t.Tape.comms);
+          Alcotest.(check int)
+            (name "length = rows + communication entries")
+            (t.Tape.rows + List.length t.Tape.comms)
+            (Tape.length t);
+          Alcotest.(check int) (name "rows untouched by sweeps") rows.(r)
+            t.Tape.rows;
+          Array.iter2
+            (fun a b -> Alcotest.check feq (name "matches enzyme") a b)
+            (List.hd enzyme.GC.s_d_bufs.(r))
+            swept.(r).(0);
+          check_bits_arr (name "4x seed = 4x adjoints")
+            (Array.map (fun x -> 4.0 *. x) swept.(r).(0))
+            swept.(r).(1);
+          entries := !entries + Tape.length t)
+        tapes;
+      Alcotest.(check int)
+        (what ^ ": lengths = tape_entries")
+        stats.Stats.tape_entries !entries)
+    [
+      "interp", rows_i, si, sti, tapes_i;
+      "engine", rows_e, se, ste, tapes_e;
+    ]
 
 let test_tape_ampi_scaling_artifact () =
   (* fig 8's analysis: tape "scales better" only because its serial
@@ -552,6 +716,8 @@ let () =
           Alcotest.test_case "records entries" `Quick
             test_tape_entries_recorded;
           Alcotest.test_case "repeated sweeps" `Quick test_tape_repeated_sweeps;
+          Alcotest.test_case "no boxing per charge or row" `Quick
+            test_tape_no_boxing;
           Alcotest.test_case "higher serial overhead" `Quick
             test_tape_serial_overhead_higher_than_enzyme;
           Alcotest.test_case "rejects openmp" `Quick test_tape_rejects_openmp;
@@ -562,6 +728,7 @@ let () =
             test_tape_ampi_matches_enzyme;
           Alcotest.test_case "communication positions" `Quick
             test_tape_comm_positions;
+          Alcotest.test_case "spans chunks" `Quick test_tape_spans_chunks;
           Alcotest.test_case "scaling artifact" `Quick
             test_tape_ampi_scaling_artifact;
         ] );
