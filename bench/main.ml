@@ -88,6 +88,18 @@ let micro ~quick:_ =
                 ~seeds:(fun ~rank -> seeds.(rank))
                 ~d_ret:(fun ~rank -> if rank = 0 then 1.0 else 0.0))))
   in
+  (* a steady engine gradient on 2 ranks: the plan is compiled, and its
+     gradient lowered by a first run, outside the timed closure *)
+  let engine_lulesh =
+    let c = Apps_lulesh.Lulesh.compile Apps_lulesh.Lulesh.Mpi in
+    let grad () =
+      ignore
+        (Apps_lulesh.Lulesh.gradient_compiled ~nranks:2
+           ~engine:Parad_engine.Engine.Seq c tiny)
+    in
+    grad ();
+    Test.make ~name:"engine gradient lulesh_mpi" (Staged.stage grad)
+  in
   let tests =
     Test.make_grouped ~name:"parad" ~fmt:"%s %s"
       [
@@ -120,6 +132,7 @@ let micro ~quick:_ =
                  (Parad_opt.Pipeline.run rprog Parad_opt.Pipeline.post_ad)
                  dname));
         tape_lulesh;
+        engine_lulesh;
       ]
   in
   let instances = Toolkit.Instance.[ monotonic_clock ] in

@@ -163,7 +163,9 @@ let check_dl t (d : dl) =
            { de_at = t.clock.now; de_limit = d.wall_ms; de_wall = true })
   | None -> ()
 
-let charge t c =
+(* [charge] and the [charge_mem] pair are inlined into every closure, so
+   the float they add never crosses a call boxed. *)
+let[@inline] charge t c =
   t.clock.now <- t.clock.now +. c;
   match t.dl with None -> () | Some d -> check_dl t d
 
@@ -182,7 +184,14 @@ let get_remat t =
   | Some m -> m.remat
   | None -> t.ctx.Interp.remat_depth
 
-let charge_mem t (buf : Value.buffer) =
+(* The transcendental unit: cheaper when re-evaluated in a
+   rematerialization chain (see {!Cost_model.t}). *)
+let[@inline] charge_transc t =
+  charge t
+    (if get_remat t > 0 then t.cost.Cost_model.transcendental_remat
+     else t.cost.Cost_model.transcendental)
+
+let[@inline] charge_mem t (buf : Value.buffer) =
   let c = t.cost in
   let mult =
     if buf.socket <> t.socket then c.Cost_model.numa_remote_mult else 1.0
@@ -190,7 +199,7 @@ let charge_mem t (buf : Value.buffer) =
   charge t (c.Cost_model.mem *. mult)
 
 (* [n] cells of traffic in one charge (the k-wide adjoint intrinsics) *)
-let charge_mem_n t (buf : Value.buffer) n =
+let[@inline] charge_mem_n t (buf : Value.buffer) n =
   let c = t.cost in
   let mult =
     if buf.socket <> t.socket then c.Cost_model.numa_remote_mult else 1.0
@@ -206,13 +215,23 @@ let check_rank t (buf : Value.buffer) =
 
    Taping-mode compilations are kept under their own key in the function
    table and only ever run under an instrumented context, so the hook
-   lookup cannot fail on well-formed entries. The record hook charges
-   [tape_record] to the Sim strand's clock, which is [t.clock] itself. *)
+   lookup cannot fail on well-formed entries. The record hook only writes
+   the row: {!tape_row} charges [tape_record] on [t.clock] (the Sim
+   strand's own cell) and counts the entry in [t.st], as
+   {!Interp.tape_row} does through [Sim]. *)
 
 let tape_ins t =
   match t.ctx.Interp.instrument with
   | Some i -> i
   | None -> error "engine: taped code run without instrumentation"
+
+let[@inline] tape_row t (ins : Interp.instrument) s1 s2 =
+  if s1 = 0 && s2 = 0 then 0
+  else begin
+    charge t t.cost.Cost_model.tape_record;
+    t.st.Stats.tape_entries <- t.st.Stats.tape_entries + 1;
+    ins.Interp.record s1 s2
+  end
 
 (* Replicas of the interpreter's SDC hooks with [t.clock.now] standing in for
    [Sim.now ()] (the same cell outside parallel members). *)
@@ -774,14 +793,6 @@ let ird env v : eframe -> int =
     let r = reader env v in
     fun fr -> Value.to_int (r fr)
 
-let frd env v : eframe -> float =
-  let s = slot env v in
-  match Var.ty v with
-  | Ty.Float -> fun fr -> fr.f.(s)
-  | _ ->
-    let r = reader env v in
-    fun fr -> Value.to_float (r fr)
-
 let brd env v : eframe -> bool =
   let s = slot env v in
   match Var.ty v with
@@ -985,11 +996,12 @@ let[@inline] take_lanes t ~fname ~zero (scr : Value.ptr) (src : Value.ptr)
 
 (* Accumulation-group step: fold the scratch lanes [sa] at [so] into the
    [k] lanes of [host] at [base] by [mode], one atomic per lane when
-   [atomic] is non-zero. *)
-let[@inline] acc_lanes t ~fname (host : Value.ptr) base ~mode ~c1 ~c2 ~cond
-    ~atomic sa so k =
+   [atomic] is non-zero. The coefficients are cells [c1] and [c2] of
+   [cells], a frame's float file. *)
+let[@inline] acc_lanes t ~fname (host : Value.ptr) base ~mode cells ~c1 ~c2
+    ~cond ~atomic sa so k =
   let ha = Interp.fplane ~who:fname host ~base ~n:k in
-  Interp.adj_acc_lanes ~mode ~c1 ~c2 ~cond ha (host.off + base) sa so k;
+  Interp.adj_acc_lanes ~mode cells ~c1 ~c2 ~cond ha (host.off + base) sa so k;
   charge t
     (t.cost.Cost_model.arith
     *. float_of_int (k * (Interp.adj_mode_flops mode + 1)));
@@ -1023,7 +1035,7 @@ let group env h o m c1 c2 cnd at =
 let[@inline] acc_group t ~fname g fr sa so k =
   acc_lanes t ~fname
     (Value.to_ptr fr.v.(g.gh))
-    fr.i.(g.go) ~mode:fr.i.(g.gm) ~c1:fr.f.(g.gc1) ~c2:fr.f.(g.gc2)
+    fr.i.(g.go) ~mode:fr.i.(g.gm) fr.f ~c1:g.gc1 ~c2:g.gc2
     ~cond:fr.b.(g.gcnd) ~atomic:fr.i.(g.gat) sa so k
 
 (* ---- calls ---- *)
@@ -1059,6 +1071,21 @@ let run_frame t (cf : cfun) nfr =
 
 (* ---- the compiler ---- *)
 
+(* Run a block's compiled items [k..n) until one returns or yields: a
+   toplevel loop, so a block step builds no closure. *)
+let rec run_items (items : code array) n k t fr =
+  if k = n then Next
+  else
+    match (Array.unsafe_get items k) t fr with
+    | Next -> run_items items n (k + 1) t fr
+    | (Ret | Yld) as o -> o
+
+(* The body of a [For] or [While] iteration: a [Skip_iteration], which a
+   checkpoint site raises while a resuming replay fast-forwards, ends the
+   iteration as if it had completed. *)
+let run_iter (body : code) t fr =
+  try body t fr with Checkpoint.Skip_iteration -> Next
+
 let rec compile_block env (body : Instr.t list) : code =
   let is_ctrl = function
     | Instr.If _ | Instr.For _ | Instr.While _ | Instr.Return _
@@ -1084,14 +1111,7 @@ let rec compile_block env (body : Instr.t list) : code =
   match Array.length items with
   | 0 -> fun _ _ -> Next
   | 1 -> items.(0)
-  | n ->
-    fun t fr ->
-      let rec go k =
-        if k = n then Next
-        else
-          match items.(k) t fr with Next -> go (k + 1) | (Ret | Yld) as o -> o
-      in
-      go 0
+  | n -> fun t fr -> run_items items n 0 t fr
 
 (* A straight-line segment: every instruction always executes exactly
    once, so the per-instruction Stats counters are batched into one
@@ -1154,7 +1174,7 @@ and compile_op env (i : Instr.t) : sc =
           op t fr;
           s.(4) <- fr.f.(d);
           Interp.partials s i;
-          fr.sl.(d) <- ins.Interp.record fr.sl.(sa) fr.sl.(sb)
+          fr.sl.(d) <- tape_row t ins fr.sl.(sa) fr.sl.(sb)
       | Instr.Un (v, _, a) when is_float v && is_float a ->
         let sa = slot env a and d = slot env v in
         fun t fr ->
@@ -1164,7 +1184,7 @@ and compile_op env (i : Instr.t) : sc =
           op t fr;
           s.(4) <- fr.f.(d);
           Interp.partials s i;
-          fr.sl.(d) <- ins.Interp.record fr.sl.(sa) 0
+          fr.sl.(d) <- tape_row t ins fr.sl.(sa) 0
       | Instr.Call (v, name, _)
         when is_float v && not (String.contains name '.') ->
         let d = slot env v in
@@ -1200,7 +1220,7 @@ and compile_op env (i : Instr.t) : sc =
           let ptr = Value.to_ptr fr.v.(sp) in
           let bs = ins.Interp.buf_slots ptr.buf and c = ptr.off + fr.i.(sx) in
           Interp.partials ins.Interp.scratch i;
-          bs.(c) <- ins.Interp.record bs.(c) fr.sl.(s)
+          bs.(c) <- tape_row t ins bs.(c) fr.sl.(s)
       | _ -> op)
 
 and compile_straight env (i : Instr.t) : sc =
@@ -1279,7 +1299,7 @@ and compile_straight env (i : Instr.t) : sc =
   | Instr.Load (v, p, ix) -> (
     let p_rd = reader env p
     and ix_rd = ird env ix in
-    let fname = env.fname in
+    let who = Some env.fname in
     match Var.ty v with
     | Ty.Float ->
       let d = slot env v in
@@ -1287,7 +1307,7 @@ and compile_straight env (i : Instr.t) : sc =
         let ptr = Value.to_ptr (p_rd fr) in
         check_rank t ptr.buf;
         charge_mem t ptr.buf;
-        let i = Memory.check_access ~who:fname ptr (ix_rd fr) in
+        let i = Memory.check_access ?who ptr (ix_rd fr) in
         fr.f.(d) <-
           (match ptr.buf.data with
           | FCells a -> Array.unsafe_get a i
@@ -1298,23 +1318,23 @@ and compile_straight env (i : Instr.t) : sc =
         let ptr = Value.to_ptr (p_rd fr) in
         check_rank t ptr.buf;
         charge_mem t ptr.buf;
-        w fr (Memory.load ~who:fname ptr (ix_rd fr)))
+        w fr (Memory.load ?who ptr (ix_rd fr)))
   | Instr.Store (p, ix, x) -> (
     let p_rd = reader env p
     and ix_rd = ird env ix in
-    let fname = env.fname in
+    let who = Some env.fname in
     match Var.ty x with
     | Ty.Float ->
-      let x_rd = frd env x in
+      let s = slot env x in
       fun t fr ->
         let ptr = Value.to_ptr (p_rd fr) in
         check_rank t ptr.buf;
         charge_mem t ptr.buf;
         let idx = ix_rd fr in
-        let i = Memory.check_access ~who:fname ptr idx in
+        let i = Memory.check_access ?who ptr idx in
         (match ptr.buf.data with
-        | FCells a -> Array.unsafe_set a i (x_rd fr)
-        | VCells _ -> Memory.store ~who:fname ptr idx (VFloat (x_rd fr)))
+        | FCells a -> Array.unsafe_set a i fr.f.(s)
+        | VCells _ -> Memory.store ?who ptr idx (VFloat fr.f.(s)))
     | _ ->
       let x_rd = reader env x in
       fun t fr ->
@@ -1322,7 +1342,7 @@ and compile_straight env (i : Instr.t) : sc =
         check_rank t ptr.buf;
         charge_mem t ptr.buf;
         let idx = ix_rd fr in
-        Memory.store ~who:fname ptr idx (x_rd fr))
+        Memory.store ?who ptr idx (x_rd fr))
   | Instr.Gep (v, p, ix) ->
     let p_rd = reader env p
     and ix_rd = ird env ix in
@@ -1333,29 +1353,41 @@ and compile_straight env (i : Instr.t) : sc =
       | VPtr ptr -> w fr (VPtr { ptr with off = ptr.off + ix_rd fr })
       | VNull _ -> error "gep on null pointer"
       | _ -> error "gep on non-pointer")
-  | Instr.AtomicAdd (p, ix, x) ->
+  | Instr.AtomicAdd (p, ix, x) -> (
     let p_rd = reader env p
-    and ix_rd = ird env ix
-    and x_rd = frd env x in
-    let fname = env.fname in
-    fun t fr ->
-      charge t t.cost.Cost_model.atomic;
-      let ptr = Value.to_ptr (p_rd fr) in
-      check_rank t ptr.buf;
-      let idx = ix_rd fr in
-      (match t.defer with
-      | Some m ->
-        (* bounds-check now (identical failure point), accumulate at the
-           next replay point *)
-        ignore (Memory.check_access ~who:fname ptr idx);
-        m.d_atomics <- (ptr, idx, x_rd fr) :: m.d_atomics
-      | None -> (
-        let i = Memory.check_access ~who:fname ptr idx in
-        match ptr.buf.data with
-        | FCells a -> Array.unsafe_set a i (Array.unsafe_get a i +. x_rd fr)
-        | VCells _ ->
-          let old = Value.to_float (Memory.load ~who:fname ptr idx) in
-          Memory.store ~who:fname ptr idx (VFloat (old +. x_rd fr))))
+    and ix_rd = ird env ix in
+    let who = Some env.fname in
+    match Var.ty x with
+    | Ty.Float ->
+      let s = slot env x in
+      fun t fr ->
+        charge t t.cost.Cost_model.atomic;
+        let ptr = Value.to_ptr (p_rd fr) in
+        check_rank t ptr.buf;
+        let idx = ix_rd fr in
+        (match t.defer with
+        | Some m ->
+          (* bounds-check now (identical failure point), accumulate at the
+             next replay point *)
+          ignore (Memory.check_access ?who ptr idx);
+          m.d_atomics <- (ptr, idx, fr.f.(s)) :: m.d_atomics
+        | None -> (
+          let i = Memory.check_access ?who ptr idx in
+          match ptr.buf.data with
+          | FCells a -> Array.unsafe_set a i (Array.unsafe_get a i +. fr.f.(s))
+          | VCells _ ->
+            let old = Value.to_float (Memory.load ?who ptr idx) in
+            Memory.store ?who ptr idx (VFloat (old +. fr.f.(s)))))
+    | _ ->
+      (* malformed IR (the verifier wants a float value): fail where the
+         interpreter converts the value, after the memory checks *)
+      let x_rd = reader env x in
+      fun t fr ->
+        charge t t.cost.Cost_model.atomic;
+        let ptr = Value.to_ptr (p_rd fr) in
+        check_rank t ptr.buf;
+        let old = Value.to_float (Memory.load ?who ptr (ix_rd fr)) in
+        ignore (old +. Value.to_float (x_rd fr)))
   | Instr.Call (v, name, args) ->
     if String.contains name '.' then compile_intrinsic env v name args
     else compile_ucall env v name args
@@ -1401,6 +1433,9 @@ and compile_straight env (i : Instr.t) : sc =
     let ivw = ivw env iv in
     let lo_rd = ird env lo
     and hi_rd = ird env hi in
+    let chunked =
+      match schedule with Instr.Chunked -> true | Instr.Cyclic -> false
+    in
     fun t fr ->
       let tid, width =
         match t.team with
@@ -1410,26 +1445,16 @@ and compile_straight env (i : Instr.t) : sc =
       let lo = lo_rd fr
       and hi = hi_rd fr in
       let len = max 0 (hi - lo) in
-      (match schedule with
-      | Instr.Chunked ->
-        let stop = lo + (len * (tid + 1) / width) in
-        let rec go i =
-          if i < stop then begin
-            charge t t.cost.Cost_model.arith;
-            ivw fr i;
-            match body_code t fr with Next -> go (i + 1) | Ret | Yld -> ()
-          end
-        in
-        go (lo + (len * tid / width))
-      | Instr.Cyclic ->
-        let rec go i =
-          if i < hi then begin
-            charge t t.cost.Cost_model.arith;
-            ivw fr i;
-            match body_code t fr with Next -> go (i + width) | Ret | Yld -> ()
-          end
-        in
-        go (lo + tid));
+      let i = ref (if chunked then lo + (len * tid / width) else lo + tid) in
+      let stop = if chunked then lo + (len * (tid + 1) / width) else hi
+      and step = if chunked then 1 else width in
+      while !i < stop do
+        charge t t.cost.Cost_model.arith;
+        ivw fr !i;
+        match body_code t fr with
+        | Next -> i := !i + step
+        | Ret | Yld -> i := stop
+      done;
       if (not nowait) && width > 1 then do_barrier t
   | Instr.Fork { tid; nth; body } ->
     let uses_gc_roots =
@@ -1554,9 +1579,7 @@ and compile_fbin env v op a b : sc =
   | Instr.Pow ->
     fun t fr ->
       let r = Float.pow fr.f.(sa) fr.f.(sb) in
-      charge t
-        (if get_remat t > 0 then t.cost.Cost_model.transcendental_remat
-         else t.cost.Cost_model.transcendental);
+      charge_transc t;
       fr.f.(d) <- r
   | Instr.Rem -> fun _ _ -> error "bad operands for %s" (Instr.binop_name op)
 
@@ -1628,22 +1651,36 @@ and compile_cmp env v op a b : sc =
     fun t fr ->
       charge t t.cost.Cost_model.arith;
       fr.b.(d) <- f fr.i.(sa) fr.i.(sb)
-  | Ty.Float, Ty.Float ->
+  | Ty.Float, Ty.Float -> (
     let sa = slot env a
     and sb = slot env b in
-    (* Float.compare semantics (total order on NaN), as the interpreter *)
-    let f : float -> float -> bool =
-      match op with
-      | Instr.Eq -> fun x y -> Float.compare x y = 0
-      | Instr.Ne -> fun x y -> Float.compare x y <> 0
-      | Instr.Lt -> fun x y -> Float.compare x y < 0
-      | Instr.Le -> fun x y -> Float.compare x y <= 0
-      | Instr.Gt -> fun x y -> Float.compare x y > 0
-      | Instr.Ge -> fun x y -> Float.compare x y >= 0
-    in
-    fun t fr ->
-      charge t t.cost.Cost_model.arith;
-      fr.b.(d) <- f fr.f.(sa) fr.f.(sb)
+    (* Float.compare semantics (total order on NaN), as the interpreter;
+       one closure per operator, so no float crosses a call *)
+    match op with
+    | Instr.Eq ->
+      fun t fr ->
+        charge t t.cost.Cost_model.arith;
+        fr.b.(d) <- Float.compare fr.f.(sa) fr.f.(sb) = 0
+    | Instr.Ne ->
+      fun t fr ->
+        charge t t.cost.Cost_model.arith;
+        fr.b.(d) <- Float.compare fr.f.(sa) fr.f.(sb) <> 0
+    | Instr.Lt ->
+      fun t fr ->
+        charge t t.cost.Cost_model.arith;
+        fr.b.(d) <- Float.compare fr.f.(sa) fr.f.(sb) < 0
+    | Instr.Le ->
+      fun t fr ->
+        charge t t.cost.Cost_model.arith;
+        fr.b.(d) <- Float.compare fr.f.(sa) fr.f.(sb) <= 0
+    | Instr.Gt ->
+      fun t fr ->
+        charge t t.cost.Cost_model.arith;
+        fr.b.(d) <- Float.compare fr.f.(sa) fr.f.(sb) > 0
+    | Instr.Ge ->
+      fun t fr ->
+        charge t t.cost.Cost_model.arith;
+        fr.b.(d) <- Float.compare fr.f.(sa) fr.f.(sb) >= 0)
   | Ty.Bool, Ty.Bool ->
     let sa = slot env a
     and sb = slot env b in
@@ -1667,29 +1704,48 @@ and compile_un env v op a : sc =
   | Ty.Float, Ty.Float -> (
     let sa = slot env a
     and d = slot env v in
-    let transc f : sc =
-      fun t fr ->
-       let r = f fr.f.(sa) in
-       charge t
-         (if get_remat t > 0 then t.cost.Cost_model.transcendental_remat
-          else t.cost.Cost_model.transcendental);
-       fr.f.(d) <- r
-    in
-    let plain f : sc =
-      fun t fr ->
-       let r = f fr.f.(sa) in
-       charge t t.cost.Cost_model.arith;
-       fr.f.(d) <- r
-    in
+    (* one closure per operator, so no float crosses a call *)
     match op with
-    | Instr.Neg -> plain (fun x -> -.x)
-    | Instr.Sqrt -> transc sqrt
-    | Instr.Sin -> transc sin
-    | Instr.Cos -> transc cos
-    | Instr.Exp -> transc exp
-    | Instr.Log -> transc log
-    | Instr.Abs -> plain Float.abs
-    | Instr.Floor -> plain (fun x -> Float.of_int (int_of_float (floor x)))
+    | Instr.Neg ->
+      fun t fr ->
+        let r = -.fr.f.(sa) in
+        charge t t.cost.Cost_model.arith;
+        fr.f.(d) <- r
+    | Instr.Sqrt ->
+      fun t fr ->
+        let r = sqrt fr.f.(sa) in
+        charge_transc t;
+        fr.f.(d) <- r
+    | Instr.Sin ->
+      fun t fr ->
+        let r = sin fr.f.(sa) in
+        charge_transc t;
+        fr.f.(d) <- r
+    | Instr.Cos ->
+      fun t fr ->
+        let r = cos fr.f.(sa) in
+        charge_transc t;
+        fr.f.(d) <- r
+    | Instr.Exp ->
+      fun t fr ->
+        let r = exp fr.f.(sa) in
+        charge_transc t;
+        fr.f.(d) <- r
+    | Instr.Log ->
+      fun t fr ->
+        let r = log fr.f.(sa) in
+        charge_transc t;
+        fr.f.(d) <- r
+    | Instr.Abs ->
+      fun t fr ->
+        let r = Float.abs fr.f.(sa) in
+        charge t t.cost.Cost_model.arith;
+        fr.f.(d) <- r
+    | Instr.Floor ->
+      fun t fr ->
+        let r = Float.of_int (int_of_float (floor fr.f.(sa))) in
+        charge t t.cost.Cost_model.arith;
+        fr.f.(d) <- r
     | Instr.ToFloat | Instr.ToInt | Instr.Not -> bad)
   | Ty.Int, Ty.Int -> (
     let sa = slot env a
@@ -1754,40 +1810,41 @@ and compile_ctrl env (i : Instr.t) : code =
       let lo = lo_rd fr
       and hi = hi_rd fr
       and sp = sp_rd fr in
+      let i = ref lo
+      and out = ref Next in
       if sp <= 0 then error "for with non-positive step %d" sp;
-      let rec go i =
-        if i >= hi then Next
-        else begin
-          charge t t.cost.Cost_model.arith;
-          ivw fr i;
-          match
-            try body_code t fr with Checkpoint.Skip_iteration -> Next
-          with
-          | Next -> go (i + sp)
-          | (Ret | Yld) as o -> o
-        end
-      in
-      go lo
+      while !i < hi do
+        charge t t.cost.Cost_model.arith;
+        ivw fr !i;
+        match run_iter body_code t fr with
+        | Next -> i := !i + sp
+        | (Ret | Yld) as o ->
+          out := o;
+          i := hi
+      done;
+      !out
   | Instr.While { cond; body } ->
     let cond_code = compile_block { env with ydest = YCond } cond.Instr.body in
     let body_code = compile_block env body.Instr.body in
     fun t fr ->
       t.st.Stats.instrs <- t.st.Stats.instrs + 1;
-      let rec go () =
+      let running = ref true
+      and out = ref Next in
+      while !running do
         charge t t.cost.Cost_model.arith;
         match cond_code t fr with
         | Yld ->
           if t.yb then begin
-            match
-              try body_code t fr with Checkpoint.Skip_iteration -> Next
-            with
-            | Next -> go ()
-            | (Ret | Yld) as o -> o
+            match run_iter body_code t fr with
+            | Next -> ()
+            | (Ret | Yld) as o ->
+              out := o;
+              running := false
           end
-          else Next
+          else running := false
         | Next | Ret -> error "while condition region must yield one bool"
-      in
-      go ()
+      done;
+      !out
   | Instr.Return (Some v) when env.taped && Ty.equal (Var.ty v) Ty.Float ->
     (* a taped float result hands its tape slot to the caller *)
     let r = reader env v and s = slot env v in
@@ -1828,9 +1885,12 @@ and compile_ctrl env (i : Instr.t) : code =
           raise (Invalid_argument "List.iter2"))
       else begin
         let moves = Array.of_list (List.map2 (xmove env) vs results) in
+        let n = Array.length moves in
         fun t fr ->
           t.st.Stats.instrs <- t.st.Stats.instrs + 1;
-          Array.iter (fun mv -> mv fr) moves;
+          for k = 0 to n - 1 do
+            (Array.unsafe_get moves k) fr
+          done;
           Yld
       end)
   | _ -> assert false
@@ -1911,7 +1971,7 @@ and compile_intrinsic env v name args : sc =
         | Some m -> m.d_csets <- (id, idx, VFloat fr.f.(s_x)) :: m.d_csets
         | None ->
           let before = Cache_rt.cells_written cache in
-          Cache_rt.set_f_c cache c ~id ~idx fr.f.(s_x);
+          Cache_rt.set_from cache c ~id ~idx fr.f s_x;
           if Cache_rt.cells_written cache > before then begin
             t.st.Stats.cache_cells <- t.st.Stats.cache_cells + 1;
             let peak = Cache_rt.peak_cells cache in
@@ -1958,9 +2018,8 @@ and compile_intrinsic env v name args : sc =
           (if Cache_rt.is_floats c then t.cost.Cost_model.mem
            else t.cost.Cost_model.cache_op);
         t.st.Stats.cache_loads <- t.st.Stats.cache_loads + 1;
-        let r = Cache_rt.get_f_c cache c ~id ~idx:fr.i.(s_idx) in
-        eng_apply_flips t;
-        fr.f.(d) <- r
+        Cache_rt.get_into cache c ~id ~idx:fr.i.(s_idx) fr.f d;
+        eng_apply_flips t
     | _ ->
       fun t fr ->
         charge t t.cost.Cost_model.arith;
@@ -2014,8 +2073,8 @@ and compile_intrinsic env v name args : sc =
     and xoff_rd = ird env xoff
     and scr_rd = reader env scr
     and mode_rd = ird env mode
-    and c1_rd = frd env c1
-    and c2_rd = frd env c2
+    and s_c1 = fslot env c1
+    and s_c2 = fslot env c2
     and cond_rd = brd env cond
     and atomic_rd = ird env atomic
     and k_rd = ird env k in
@@ -2029,8 +2088,8 @@ and compile_intrinsic env v name args : sc =
       (* the interpreter checks the host plane before the scratch plane *)
       ignore (Interp.fplane ~who:fname host ~base:xoff ~n:k);
       let sa = Interp.fplane ~who:fname scr ~base:0 ~n:k in
-      acc_lanes t ~fname host xoff ~mode:(mode_rd fr) ~c1:(c1_rd fr)
-        ~c2:(c2_rd fr) ~cond:(cond_rd fr) ~atomic:(atomic_rd fr) sa scr.off k;
+      acc_lanes t ~fname host xoff ~mode:(mode_rd fr) fr.f ~c1:s_c1 ~c2:s_c2
+        ~cond:(cond_rd fr) ~atomic:(atomic_rd fr) sa scr.off k;
       w fr VUnit
   | "adj.rev1_k", [ scr; vhost; voff; h1; o1; m1; c11; c12; cnd1; at1; k ]
     ->
@@ -2103,8 +2162,8 @@ and compile_intrinsic env v name args : sc =
       let sp = Value.to_ptr fr.v.(s_sp) in
       let mb = fr.i.(s_mb) in
       let pa = Interp.fplane ~who:fname sp ~base:mb ~n:k in
-      Interp.adj_acc_lanes ~mode:0 ~c1:0.0 ~c2:0.0 ~cond:false pa (sp.off + mb)
-        sa scr.off k;
+      Interp.adj_acc_lanes ~mode:0 fr.f ~c1:0 ~c2:0 ~cond:false pa
+        (sp.off + mb) sa scr.off k;
       if fr.i.(s_at) <> 0 then
         charge t (t.cost.Cost_model.atomic *. float_of_int k)
       else begin
@@ -2134,7 +2193,7 @@ and compile_intrinsic env v name args : sc =
       in
       acc_lanes t ~fname
         (Value.to_ptr fr.v.(s_h1))
-        fr.i.(s_o1) ~mode:0 ~c1:0.0 ~c2:0.0 ~cond:false
+        fr.i.(s_o1) ~mode:0 fr.f ~c1:0 ~c2:0 ~cond:false
         ~atomic:fr.i.(s_at1) sa scr.off k;
       fr.v.(s_v) <- VUnit
   | "adj.mtake_k", [ sp; mb; scr; k ] ->
@@ -2250,12 +2309,15 @@ and build_ucall env v name args : sc =
         let moves =
           Array.of_list (List.map2 (arg_move env cf) f.Func.params args)
         in
+        let n = Array.length moves in
         let w = writer env v in
         fun t fr ->
           charge t t.cost.Cost_model.call;
           t.st.Stats.calls <- t.st.Stats.calls + 1;
           let nfr = new_eframe cf fr.istack in
-          Array.iter (fun mv -> mv fr nfr) moves;
+          for k = 0 to n - 1 do
+            (Array.unsafe_get moves k) fr nfr
+          done;
           run_frame t cf nfr;
           w fr t.retv)
 

@@ -346,18 +346,16 @@ let get t ~id ~idx =
       error "cache %d: slot %d read before write" id idx;
     VFloat cells.(idx)
 
-(* Unboxed fast paths for the execution engine: same semantics (growth,
-   occupancy, seal interaction, error messages) as {!set}/{!get} on a
-   [Floats] cache without boxing the value; [Boxed] storage falls back to
-   the boxed entry points. *)
-
-(* Record-level entry points ([_c]): the execution engine resolves the
-   cache record once per compiled call and reuses it for the
-   representation test, the write and the read — {!set_f}/{!get_f} are
-   these plus a {!get_cache}. *)
-let set_f_c t c ~id ~idx x =
+(* Unboxed entry points for the execution engine: the same semantics
+   (growth, occupancy, seal interaction, error messages) as {!set}/{!get},
+   with the float read from / written to one cell of a frame's float
+   array, so it never crosses the call boxed on a [Floats] cache ([Boxed]
+   storage goes through {!set}/{!get}). [c] is cache [id]'s record, which
+   the engine resolves once per compiled call and also uses for the
+   representation test that picks the charge. *)
+let set_from t c ~id ~idx (f : float array) src =
   match c.s with
-  | Boxed _ -> set t ~id ~idx (VFloat x)
+  | Boxed _ -> set t ~id ~idx (VFloat f.(src))
   | Floats (cells, written) ->
     if idx < 0 then error "cache: negative index %d" idx;
     (match c.seal with
@@ -381,13 +379,11 @@ let set_f_c t c ~id ~idx x =
       note_written t c;
       Bytes.set written idx '\001'
     end;
-    cells.(idx) <- x
+    cells.(idx) <- f.(src)
 
-let set_f t ~id ~idx x = set_f_c t (get_cache t id) ~id ~idx x
-
-let get_f_c t c ~id ~idx =
+let get_into t c ~id ~idx (f : float array) dst =
   match c.s with
-  | Boxed _ -> Value.to_float (get t ~id ~idx)
+  | Boxed _ -> f.(dst) <- Value.to_float (get t ~id ~idx)
   | Floats (cells, written) ->
     if t.protect && c.seal = None && c.nwritten > 0 then
       c.seal <- Some (seal_cache c);
@@ -395,9 +391,7 @@ let get_f_c t c ~id ~idx =
       error "cache %d: index %d out of range" id idx;
     if Bytes.get written idx = '\000' then
       error "cache %d: slot %d read before write" id idx;
-    cells.(idx)
-
-let get_f t ~id ~idx = get_f_c t (get_cache t id) ~id ~idx
+    f.(dst) <- cells.(idx)
 
 let is_floats c = match c.s with Floats _ -> true | Boxed _ -> false
 

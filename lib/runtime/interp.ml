@@ -22,10 +22,12 @@ type instrument = {
           and result go in cells 2-4, {!partials} writes its two partials
           to cells 0-1, and [record] reads them from there *)
   record : int -> int -> int;
-      (** [record s1 s2] records one statement of at most two operands
-          (a one-operand statement passes slot [0] second) with the
-          partials in [scratch.(0)] and [scratch.(1)]; returns the lhs
-          slot (0 if passive) *)
+      (** [record s1 s2] writes the row of one statement of at most two
+          operands, at least one of them active (a one-operand statement
+          passes slot [0] second), with the partials in [scratch.(0)] and
+          [scratch.(1)]; returns the fresh lhs slot. It only writes the
+          row: the caller skips all-passive statements and charges and
+          counts each row ({!tape_row}) *)
   buf_slots : Value.buffer -> int array;  (** side slot array of a buffer *)
   send_hook : peer:int -> tag:int -> slots:int array -> unit;
   recv_hook : peer:int -> tag:int -> count:int -> int array;
@@ -241,18 +243,19 @@ let fplane ~who (p : Value.ptr) ~base ~n =
     ignore (Memory.check_access ~who p base);
     error "adj intrinsic on a boxed buffer (alloc at %s)" p.buf.asite
 
-(* Float ops per lane of each adj.acc_k mode, for the virtual-time
-   charge: the count the unrolled scalar emission would have paid. *)
 (* host[ho..ho+k) += f(src[so..so+k)) with f selected by [mode]: one
    specialized tight loop per mode, the adjoint expression inline in the
    array store so no float crosses a branch join (nothing boxes inside
-   the lane loop). Shared by the interpreter and the native engine
-   closures — one implementation is what keeps their lane values
-   bit-identical by construction. Modes 7/8/9 skip (or negate) the add
-   instead of adding a selected 0.0: adjoint cells start at +0.0 and
-   [+0.0 +. x] never yields -0.0, so an accumulated plane never holds
-   -0.0 and skipping an add-of-zero is bitwise-neutral. *)
-let adj_acc_lanes ~mode ~c1 ~c2 ~cond (ha : float array) ho
+   the lane loop). The lane-invariant coefficients are cells [c1] and
+   [c2] of [c] (the engine passes its frame's float array, the
+   interpreter a two-cell array), read only by the modes that use them,
+   so no float crosses the call boxed either. Shared by the interpreter
+   and the native engine closures — one implementation is what keeps
+   their lane values bit-identical by construction. Modes 7/8/9 skip (or
+   negate) the add instead of adding a selected 0.0: adjoint cells start
+   at +0.0 and [+0.0 +. x] never yields -0.0, so an accumulated plane
+   never holds -0.0 and skipping an add-of-zero is bitwise-neutral. *)
+let adj_acc_lanes ~mode (c : float array) ~c1 ~c2 ~cond (ha : float array) ho
     (sa : float array) so k =
   let n = k - 1 in
   match mode with
@@ -267,27 +270,32 @@ let adj_acc_lanes ~mode ~c1 ~c2 ~cond (ha : float array) ho
         (Array.unsafe_get ha (ho + l) -. Array.unsafe_get sa (so + l))
     done
   | 2 ->
+    let c1 = c.(c1) in
     for l = 0 to n do
       Array.unsafe_set ha (ho + l)
         (Array.unsafe_get ha (ho + l) +. (Array.unsafe_get sa (so + l) *. c1))
     done
   | 3 ->
+    let c1 = c.(c1) in
     for l = 0 to n do
       Array.unsafe_set ha (ho + l)
         (Array.unsafe_get ha (ho + l) +. (Array.unsafe_get sa (so + l) /. c1))
     done
   | 4 ->
+    let c1 = c.(c1) in
     for l = 0 to n do
       Array.unsafe_set ha (ho + l)
         (Array.unsafe_get ha (ho + l) +. -.(Array.unsafe_get sa (so + l) *. c1))
     done
   | 5 ->
+    let c1 = c.(c1) and c2 = c.(c2) in
     for l = 0 to n do
       Array.unsafe_set ha (ho + l)
         (Array.unsafe_get ha (ho + l)
         +. -.(Array.unsafe_get sa (so + l) *. c1 /. c2))
     done
   | 6 ->
+    let c1 = c.(c1) and c2 = c.(c2) in
     for l = 0 to n do
       Array.unsafe_set ha (ho + l)
         (Array.unsafe_get ha (ho + l)
@@ -318,6 +326,8 @@ let adj_acc_lanes ~mode ~c1 ~c2 ~cond (ha : float array) ho
       done
   | m -> error "adjoint accumulate: unknown mode %d" m
 
+(* Float ops per lane of each adj.acc_k mode, for the virtual-time
+   charge: the count the unrolled scalar emission would have paid. *)
 let adj_mode_flops = function
   | 0 -> 0
   | 1 | 2 | 3 | 7 | 8 -> 1
@@ -451,6 +461,20 @@ let partials (s : float array) (i : Instr.t) =
   | AtomicAdd _ -> set_partials s 1.0 1.0
   | _ -> invalid_arg "Interp.partials: not a taped float statement"
 
+(** One taped statement with operand slots [s1], [s2]: an all-passive
+    statement records nothing and yields the passive slot 0; otherwise
+    charge [tape_record] and count the entry on the Sim strand, then
+    record the row and return its lhs slot. The engine's taping mode
+    does the same on its own clock cell. *)
+let tape_row ins s1 s2 =
+  if s1 = 0 && s2 = 0 then 0
+  else begin
+    Sim.charge (Sim.cost ()).Cost_model.tape_record;
+    let st = Sim.stats () in
+    st.tape_entries <- st.tape_entries + 1;
+    ins.record s1 s2
+  end
+
 let is_float v = match v with VFloat _ -> true | _ -> false
 
 (* ---- interpreter ---- *)
@@ -511,7 +535,7 @@ and exec_instr ctx e (i : Instr.t) : outcome =
       s.(3) <- yf;
       s.(4) <- rf;
       partials s i;
-      set_slot fr v (ins.record (get_slot fr a) (get_slot fr b))
+      set_slot fr v (tape_row ins (get_slot fr a) (get_slot fr b))
     | _ -> set_slot fr v 0);
     ONext
   | Cmp (v, op, a, b) ->
@@ -548,7 +572,7 @@ and exec_instr ctx e (i : Instr.t) : outcome =
       s.(2) <- xf;
       s.(4) <- rf;
       partials s i;
-      set_slot fr v (ins.record (get_slot fr a) 0)
+      set_slot fr v (tape_row ins (get_slot fr a) 0)
     | _ -> set_slot fr v 0);
     ONext
   | Select (v, cond, a, b) ->
@@ -694,7 +718,7 @@ and exec_instr ctx e (i : Instr.t) : outcome =
       let slots = ins.buf_slots ptr.buf in
       let c = ptr.off + idx in
       partials ins.scratch i;
-      slots.(c) <- ins.record slots.(c) (get_slot fr x)
+      slots.(c) <- tape_row ins slots.(c) (get_slot fr x)
     | None -> ());
     ONext
   | Call (v, name, args) ->
@@ -1186,7 +1210,7 @@ and intrinsic ctx e name args vals : Value.t =
     let ha = fplane ~who:e.fname host ~base:xoff ~n:k in
     let sa = fplane ~who:e.fname scr ~base:0 ~n:k in
     let ho = host.off + xoff and so = scr.off in
-    adj_acc_lanes ~mode ~c1 ~c2 ~cond ha ho sa so k;
+    adj_acc_lanes ~mode [| c1; c2 |] ~c1:0 ~c2:1 ~cond ha ho sa so k;
     charge (c.arith *. float_of_int (k * (adj_mode_flops mode + 1)));
     if atomic then charge (c.atomic *. float_of_int k)
     else charge_mem ctx host.buf (2 * k);
@@ -1219,7 +1243,8 @@ and intrinsic ctx e name args vals : Value.t =
       let cond = to_bool (List.nth vals (base + 5)) in
       let atomic = int_arg (base + 6) <> 0 in
       let aa = fplane ~who:e.fname host ~base:xoff ~n:k in
-      adj_acc_lanes ~mode ~c1 ~c2 ~cond aa (host.off + xoff) sa so k;
+      adj_acc_lanes ~mode [| c1; c2 |] ~c1:0 ~c2:1 ~cond aa (host.off + xoff)
+        sa so k;
       charge (c.arith *. float_of_int (k * (adj_mode_flops mode + 1)));
       if atomic then charge (c.atomic *. float_of_int k)
       else charge_mem ctx host.buf (2 * k)
@@ -1278,8 +1303,8 @@ and intrinsic ctx e name args vals : Value.t =
       charge_mem ctx sp.buf k
     end;
     let aa = fplane ~who:e.fname h1 ~base:o1 ~n:k in
-    adj_acc_lanes ~mode:0 ~c1:0.0 ~c2:0.0 ~cond:false aa (h1.off + o1) sa
-      so k;
+    adj_acc_lanes ~mode:0 [| 0.0; 0.0 |] ~c1:0 ~c2:1 ~cond:false aa
+      (h1.off + o1) sa so k;
     charge (c.arith *. float_of_int k);
     if atomic then charge (c.atomic *. float_of_int k)
     else charge_mem ctx h1.buf (2 * k);

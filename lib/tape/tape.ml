@@ -11,7 +11,9 @@
     s2.(r) * p2.(r)] in slot/partial columns (every statement has at most
     two operands; slot 0 is passive, so one-operand rows carry [s2 = 0]).
     The record hook takes the two operand slots only; the partials arrive
-    in the instrument's scratch cells ({!Interp.partials}).
+    in the instrument's scratch cells ({!Interp.partials}). It only writes
+    the row: its caller charges [tape_record] and counts the entry, so a
+    taped statement on the engine makes no [Sim] call.
 
     The columns are stored in chunks of {!chunk_rows} rows, as in
     CoDiPack's chunked tape storage: when a chunk fills, the next row
@@ -94,6 +96,8 @@ let create ~rank =
 (** Rows plus communication entries. *)
 let length t = t.rows + List.length t.comms
 
+(* Count a communication entry (rows are counted by the caller of
+   {!record}). *)
 let count_entry () =
   let st = Sim.stats () in
   st.Stats.tape_entries <- st.Stats.tape_entries + 1
@@ -113,27 +117,23 @@ let new_chunk () =
   }
 
 (* Record [lhs = s1 * p1 + s2 * p2] with the partials in scratch cells 0
-   and 1; an all-passive statement is not taped and yields the passive
-   slot. *)
+   and 1, and return the fresh [lhs]. Only the row is written: the
+   caller ({!Interp.tape_row} or the engine's taping mode) skips
+   all-passive statements and charges and counts each row. *)
 let record t s1 s2 =
-  if s1 = 0 && s2 = 0 then 0
-  else begin
-    Sim.charge (Sim.cost ()).Cost_model.tape_record;
-    let lhs = fresh t in
-    let r = t.rows in
-    let j = r mod chunk_rows in
-    (* a full chunk is never copied: the next row starts a new one *)
-    if j = 0 then t.chunks <- new_chunk () :: t.chunks;
-    let c = List.hd t.chunks in
-    c.lhs.(j) <- lhs;
-    c.s1.(j) <- s1;
-    c.p1.(j) <- t.scratch.(0);
-    c.s2.(j) <- s2;
-    c.p2.(j) <- t.scratch.(1);
-    t.rows <- r + 1;
-    count_entry ();
-    lhs
-  end
+  let lhs = fresh t in
+  let r = t.rows in
+  let j = r mod chunk_rows in
+  (* a full chunk is never copied: the next row starts a new one *)
+  if j = 0 then t.chunks <- new_chunk () :: t.chunks;
+  let c = List.hd t.chunks in
+  c.lhs.(j) <- lhs;
+  c.s1.(j) <- s1;
+  c.p1.(j) <- t.scratch.(0);
+  c.s2.(j) <- s2;
+  c.p2.(j) <- t.scratch.(1);
+  t.rows <- r + 1;
+  lhs
 
 let push_comm t c =
   t.comms <- (t.rows, c) :: t.comms;

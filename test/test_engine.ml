@@ -140,39 +140,177 @@ let test_sdc_detected_on_engine () =
     Alcotest.(check int) "victim rank named" 1 cr_rank
 
 let test_lane_diagnostics () =
-  (* a k-wide lane op whose planes are all out of bounds (malformed IR)
-     raises the interpreter's exact message on the engine: both check
-     the planes in the same order *)
+  (* malformed or faulting memory, cache and k-wide lane operations raise
+     the interpreter's exact message on the engine: out-of-bounds and
+     use-after-free on float and int loads and stores and on atomic adds,
+     cache reads before a write or out of range, and lane ops whose
+     planes are all out of bounds (both check the planes in the same
+     order). Each case builds the body of a function [bad]. *)
   let module B = Parad_ir.Builder in
   let module Ty = Parad_ir.Ty in
+  let buf b ty n = B.alloc b ty (B.i64 b n) in
+  let freed b ty =
+    let p = buf b ty 2 in
+    B.free b p;
+    p
+  in
+  let oob b ty = buf b ty 2, B.i64 b 5 in
+  let uaf b ty = freed b ty, B.i64 b 0 in
+  let value b ty = if Ty.equal ty Ty.Float then B.f64 b 1.5 else B.i64 b 7 in
+  let memory kind at =
+    List.concat_map
+      (fun ty ->
+        let tn = Fmt.str "%a" Ty.pp ty in
+        [
+          ( Fmt.str "%s load %s" kind tn,
+            fun b ->
+              let p, i = at b ty in
+              ignore (B.load b p i) );
+          ( Fmt.str "%s store %s" kind tn,
+            fun b ->
+              let p, i = at b ty in
+              B.store b p i (value b ty) );
+        ])
+      [ Ty.Float; Ty.Int ]
+    @ [
+        ( kind ^ " atomic add",
+          fun b ->
+            let p, i = at b Ty.Float in
+            B.atomic_add b p i (B.f64 b 1.5) );
+      ]
+  in
+  let cache_get ctor ~set idx b =
+    let c = B.call b ~ret:Ty.Int ctor [ B.i64 b 4 ] in
+    if set then
+      ignore (B.call b ~ret:Ty.Unit "cache.set" B.[ c; i64 b 0; f64 b 1.5 ]);
+    ignore (B.call b ~ret:Ty.Float "cache.get" [ c; B.i64 b idx ])
+  in
+  let lanes name args b =
+    let p = buf b Ty.Float 1 in
+    let q = buf b Ty.Float 2 in
+    ignore (B.call b ~ret:Ty.Unit name (args b p q))
+  in
   List.iter
-    (fun (name, args) ->
+    (fun (name, body) ->
       let prog = Parad_ir.Prog.create () in
       let b, _ = B.func prog "bad" ~params:[] ~ret:Ty.Unit in
-      let p = B.alloc b Ty.Float (B.i64 b 1) in
-      let q = B.alloc b Ty.Float (B.i64 b 2) in
-      ignore (B.call b ~ret:Ty.Unit name (args b p q));
+      body b;
       B.return b None;
       ignore (B.finish b);
       let run call =
         match Exec.run ?call prog ~fname:"bad" ~setup:(fun _ -> []) with
-        | _ -> Alcotest.fail (name ^ " accepted out-of-bounds planes")
+        | _ -> Alcotest.fail (name ^ " did not fail")
         | exception Value.Runtime_error m -> m
       in
       Alcotest.(check string)
         (name ^ " diagnostic") (run None)
         (run (Some (E.call_fn (E.prepare prog) E.Seq))))
-    [
-      ( "adj.acc_k",
-        fun b host scr ->
-          B.
-            [
-              host; i64 b 0; scr; i64 b 0; f64 b 0.0; f64 b 0.0; bool b false;
-              i64 b 0; i64 b 4;
-            ] );
-      ("adj.mtake_k", fun b sp scr -> B.[ sp; i64 b 0; scr; i64 b 4 ]);
-      ("adj.take_k", fun b scr host -> B.[ scr; host; i64 b 0; i64 b 4 ]);
-    ]
+    (memory "out-of-bounds" oob
+    @ memory "use-after-free" uaf
+    @ [
+        "cache.get before a set", cache_get "cache.newf" ~set:false 1;
+        "boxed cache.get before a set", cache_get "cache.new" ~set:false 1;
+        "cache.get out of range", cache_get "cache.newf" ~set:true 9;
+        ( "adj.acc_k",
+          lanes "adj.acc_k" (fun b host scr ->
+              B.
+                [
+                  host; i64 b 0; scr; i64 b 0; f64 b 0.0; f64 b 0.0;
+                  bool b false; i64 b 0; i64 b 4;
+                ]) );
+        ( "adj.mtake_k",
+          lanes "adj.mtake_k" (fun b sp scr ->
+              B.[ sp; i64 b 0; scr; i64 b 4 ]) );
+        ( "adj.take_k",
+          lanes "adj.take_k" (fun b scr host ->
+              B.[ scr; host; i64 b 0; i64 b 4 ]) );
+      ])
+
+(* ---- allocation guard ---- *)
+
+(* [hot x n]: a loop whose body runs every hot straight-line float
+   operation — binops (Pow and Min among them), a compare feeding a
+   select, unary ops, an if yielding a float, float load, store and
+   atomic add, and a store and load on an unboxed cache sized before
+   the loop *)
+let hot_prog () =
+  let module B = Parad_ir.Builder in
+  let module Ty = Parad_ir.Ty in
+  let prog = Parad_ir.Prog.create () in
+  let b, ps =
+    B.func prog "hot" ~params:[ "x", Ty.Ptr Ty.Float; "n", Ty.Int ]
+      ~ret:Ty.Float
+  in
+  let x, n = match ps with [ x; n ] -> x, n | _ -> assert false in
+  let zero = B.i64 b 0 and half = B.f64 b 0.5 in
+  let cache = B.call b ~ret:Ty.Int "cache.newf" [ n ] in
+  let acc = B.alloc b Ty.Float (B.i64 b 1) in
+  B.store b acc zero (B.f64 b 0.0);
+  B.for_n b n (fun i ->
+      let j = B.rem b i (B.i64 b 4) in
+      let xi = B.load b x j in
+      let p = B.pow b (B.add b (B.abs_ b xi) half) half in
+      let m = B.min_ b (B.mul b xi half) (B.sub b xi half) in
+      let q = B.div b p (B.add b (B.abs_ b m) (B.f64 b 1.0)) in
+      let s = B.select b (B.lt b xi q) xi q in
+      let u = B.add b (B.sqrt_ b (B.mul b s s)) (B.sin_ b s) in
+      let u = B.add b u (B.neg b (B.floor_ b u)) in
+      let r =
+        B.if_ b ~results:[ Ty.Float ] (B.gt b u half)
+          ~then_:(fun () -> [ B.mul b u half ])
+          ~else_:(fun () -> [ B.add b u half ])
+      in
+      ignore (B.call b ~ret:Ty.Unit "cache.set" [ cache; i; List.hd r ]);
+      let y = B.call b ~ret:Ty.Float "cache.get" [ cache; i ] in
+      B.store b x j (B.mul b (B.add b xi y) half);
+      B.atomic_add b acc zero y);
+  B.return b (Some (B.load b acc zero));
+  ignore (B.finish b);
+  prog
+
+let test_alloc_free () =
+  (* the engine's closures, loop iterations and block steps allocate
+     nothing per executed instruction: a run of 2n iterations allocates
+     no more minor words than one of n, plain and taped *)
+  let module Tape = Parad_tape.Tape in
+  let prog = hot_prog () in
+  let prep = E.prepare prog in
+  let x0 ctx = Exec.floats ctx [| 0.3; -1.2; 2.5; 0.7 |] in
+  let plain n =
+    ignore
+      (Exec.run ~call:(E.call_fn prep E.Seq) prog ~fname:"hot"
+         ~setup:(fun ctx -> [ x0 ctx; Value.VInt n ]))
+  in
+  let taped n =
+    let tape = Tape.create ~rank:0 in
+    ignore
+      (Exec.run_spmd_custom prog ~nranks:1
+         ~instrument:(fun ~rank:_ -> Tape.instrument tape)
+         ~body:(fun ctx ~rank:_ ->
+           let x = x0 ctx in
+           Tape.activate tape x;
+           ignore
+             (E.call_fn_slots prep E.Seq ctx "hot" [ x; VInt n ] [ 0; 0 ])));
+    Alcotest.(check bool) "taped rows" true (tape.Tape.rows > n)
+  in
+  let words run n =
+    let before = Gc.minor_words () in
+    run n;
+    Gc.minor_words () -. before
+  in
+  let n = 2000 in
+  List.iter
+    (fun (name, run) ->
+      (* the first run lowers the function *)
+      run n;
+      let w1 = words run n in
+      let w2 = words run (2 * n) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f minor words for %d more iterations" name
+           (w2 -. w1) n)
+        true
+        (w2 -. w1 < 1000.0))
+    [ "plain", plain; "taped", taped ]
 
 let test_wall_ns_populated () =
   let c = L.compile L.Omp in
@@ -191,6 +329,8 @@ let () =
           Alcotest.test_case "primal runs" `Quick test_primal_identity;
           Alcotest.test_case "binomial driver" `Quick
             test_binomial_engine_identity;
+          Alcotest.test_case "no allocation per instruction" `Quick
+            test_alloc_free;
         ] );
       ( "structured failures",
         [
