@@ -11,17 +11,32 @@
       constant index is replaced by the last value stored there, and
       stores overwritten (or freed) before any possible read are deleted;
     - allocations are zero-initialized ([Memory.alloc] fills with
-      [zero_of]), so loads from never-written cells fold to a literal
-      constant, and stores of that same value are dropped as redundant;
+      [zero_of]), so loads from never-written cells fold to the zero
+      constant in scope (a new one only when none is), and stores of
+      that same value are dropped as redundant;
     - knowledge survives region boundaries: a child region only kills
-      the cells it may write (per a syntactic write summary), and loop
-      bodies are re-analyzed with a seeded entry state when a cell
-      provably holds the same value at every iteration entry
-      (the adjoint accumulate-then-zero pattern);
+      the cells it may write (per a syntactic write summary);
+    - a loop body is walked to an optimistic fixpoint. Every cell the
+      loop writes starts at its known entry value; each walk drops the
+      cells whose exit value differs, and the body is walked again
+      until every cell left holds at exit. Those hold at every
+      iteration entry (the adjoint accumulate-then-zero pattern), and
+      after the loop. A loop nested in another sees the cells the outer
+      walk assumes, so registers are promoted through a whole nest;
+      starting from unknown cells instead, an inner loop proves nothing
+      and the outer loop then sees its cells unknown at exit;
+    - only a loop's last walk is kept, and a discarded walk leaves no
+      facts behind: the loads it folded lose their constant, and the
+      summaries made while those stood are recomputed. Otherwise a load
+      the last walk keeps would still read as zero, and a store of it
+      would be dropped as redundant;
     - constant-index cells live through [If] regions via a per-branch
       merge: when the two branch exits disagree, the cell's value is
       promoted to a fresh [If] result fed by extra [Yield] operands —
-      the SROA/mem2reg phi;
+      the SROA/mem2reg phi. Only the same variable on both sides
+      survives as is: equal constants may each be defined in their own
+      branch, so two zeros merge to the zero fill and any other pair
+      gets a phi;
     - barriers only kill knowledge about buffers that are *shared*
       across the team; an allocation made inside the current [Fork]
       body is private to the executing strand (the same provenance fact
@@ -34,15 +49,18 @@
     instructions, which the write summaries and barrier kills cover
     under the usual data-race-freedom assumption.
 
-    The pass runs on every plan compile. Per-variable facts live in
-    arrays indexed by var id; every write site is listed once, in walk
-    order, and a region's summary is its range of that list, computed
-    once rather than once per enclosing loop; one table holds the stores
-    not yet observed; and an instruction is rebuilt only when an
-    operand's alias differs. The iteration order of the cell tables is
-    part of the output, because an If merge numbers its phis in it, so
-    they stay hash tables, and a kill filters them in place, which leaves
-    the surviving cells in their order. *)
+    The pass runs on every plan compile. A loop costs one walk of its
+    body when its first assumptions hold, and one more per walk that
+    drops some; a nested loop is walked once per walk of its parent.
+    Per-variable facts live in arrays indexed by var id; every write
+    site is listed once, in walk order, and a region's summary is its
+    range of that list, computed once rather than once per enclosing
+    loop; one table holds the stores not yet observed; and an
+    instruction is rebuilt only when an operand's alias differs. The
+    iteration order of the cell tables is part of the output, because
+    an If merge numbers its phis in it, so they stay hash tables, and a
+    kill filters them in place, which leaves the surviving cells in
+    their order. *)
 
 open Parad_ir
 open Rewrite
@@ -151,9 +169,10 @@ let run_func (f : Func.t) : Func.t =
   let ctx = ctx_of f in
   (* constant environments; fresh zero constants register themselves *)
   let consts = vtab f.var_count None and fconsts = vtab f.var_count None in
-  (* integer constants the walk made out of zero-fill loads: a summary
-     classifies a write by whether its index is constant, so one made
-     before such a load turned constant is stale *)
+  (* integer constants the walk made out of zero-fill loads, or took
+     back: a summary classifies a write by whether its index is
+     constant, so one made before such a load turned constant, or
+     stopped being one, is stale *)
   let late_ints = ref 0 in
   let note_const (i : Instr.t) =
     match i with
@@ -163,6 +182,35 @@ let run_func (f : Func.t) : Func.t =
       vset consts (Var.id v) (Some x)
     | Instr.Const (v, Instr.Cfloat x) -> vset fconsts (Var.id v) (Some x)
     | _ -> ()
+  in
+  (* the zero constant of each type in scope at the walk's position: a
+     load of the zero fill becomes an alias of it, as CSE would make it,
+     so a fold found only by the pipeline's last pass is not left behind
+     as a second constant *)
+  let zeros = ref [] in
+  let note_zero v =
+    if not (List.mem_assoc (Var.ty v) !zeros) then
+      zeros := (Var.ty v, v) :: !zeros
+  in
+  (* the loads the walk folded to their zero fill, latest first *)
+  let folded = ref [] in
+  (* take back the folds made since [mark]: the walk that made them is
+     discarded, and the one that replaces it may keep those loads *)
+  let unfold_since mark =
+    let rec undo l =
+      if l != mark then
+        match l with
+        | id :: rest ->
+          if Option.is_some (vget consts id) then begin
+            vset consts id None;
+            incr late_ints
+          end;
+          vset fconsts id None;
+          undo rest
+        | [] -> ()
+    in
+    undo !folded;
+    folded := mark
   in
   let alias = vtab f.var_count None in
   let rec sub v =
@@ -183,6 +231,12 @@ let run_func (f : Func.t) : Func.t =
     match vget fconsts (Var.id v) with
     | Some x -> Int64.equal (Int64.bits_of_float x) 0L
     | None -> ( match cint v with Some 0 -> true | _ -> false)
+  in
+  (* the cell holds +0 of its type: the zero fill, or a zero constant *)
+  let holds_zero = function
+    | Zero -> true
+    | Val v -> is_plus_zero v
+    | Unk -> false
   in
   (* the zero fill of an allocation, as a constant, when representable *)
   let zero_const_of (ty : Ty.t) =
@@ -255,6 +309,7 @@ let run_func (f : Func.t) : Func.t =
      state. [private_bases] holds bases allocated inside the current
      Fork body (barrier-immune); [None] outside any fork. *)
   let rec go st private_bases instrs rnodes =
+    let scope = !zeros in
     let kill_base b =
       kill st b;
       (* pending stores to the base become observable *)
@@ -288,51 +343,44 @@ let run_func (f : Func.t) : Func.t =
       apply_summary s st;
       s
     in
-    (* Re-analyze a loop body with cells seeded to their loop-entry value
-       when iteration provably re-establishes it (the adjoint
-       accumulate-then-zero pattern): the entry value from outside
-       matches the body-exit value of a conservative first analysis. *)
+    (* Walk a loop body to an optimistic fixpoint: seed every cell the
+       loop writes with its known entry value, walk, drop the seeds the
+       exit state does not re-establish, and walk again until every seed
+       left holds. Those seeds are inductive (the adjoint
+       accumulate-then-zero pattern), so they also hold after the loop.
+       Only the last walk's body is kept; a discarded walk takes back the
+       loads it folded. *)
     let loop_body (n : rnode) (r : Instr.region) =
-      (* the written cells' entry values, in reverse summary order *)
-      let outer =
-        CH.fold (fun key () acc -> (key, lookup st key) :: acc)
+      (* the written cells' known entry values, in reverse summary order *)
+      let seeds =
+        CH.fold
+          (fun key () acc ->
+            match lookup st key with Unk -> acc | a -> (key, a) :: acc)
           (summary n).s_cells []
       in
       ignore (enter_region n);
-      let pass seed_extra =
+      let holds k (key, a) =
+        match a, lookup k key with
+        | Val v, Val v' -> same_val v v'
+        | Zero, b -> holds_zero b
+        | _ -> false
+      in
+      let rec fix seeds =
         let k = copy st in
-        List.iter (fun (key, a) -> set k key a) seed_extra;
+        List.iter (fun (key, a) -> set k key a) seeds;
+        let mark = !folded in
         let r' = walk_child k r (List.hd n.subs) in
-        r', k
+        let kept = List.filter (holds k) seeds in
+        if List.compare_lengths kept seeds = 0 then begin
+          List.iter (fun (key, a) -> set st key a) seeds;
+          r'
+        end
+        else begin
+          unfold_since mark;
+          fix kept
+        end
       in
-      let r1, k1 = pass [] in
-      let stable =
-        List.filter_map
-          (fun (key, a) ->
-            match a, lookup k1 key with
-            | Val v, Val v' when same_val v v' -> Some (key, a)
-            | Zero, Val v' when is_plus_zero v' -> Some (key, a)
-            | Zero, Zero -> Some (key, a)
-            | _ -> None)
-          outer
-      in
-      if stable = [] then r1
-      else begin
-        let r2, k2 = pass stable in
-        (* the body re-establishes these at exit; republish them *)
-        List.iter
-          (fun (key, a) ->
-            let ok =
-              match a, lookup k2 key with
-              | Val v, Val v' -> same_val v v'
-              | Zero, Zero -> true
-              | Zero, Val v' -> is_plus_zero v'
-              | _ -> false
-            in
-            if ok then set st key a)
-          stable;
-        r2
-      end
+      fix seeds
     in
     List.iter
       (fun (i : Instr.t) ->
@@ -365,14 +413,10 @@ let run_func (f : Func.t) : Func.t =
               let merged =
                 match mt, me with
                 | Unk, _ | _, Unk -> Unk
-                | Zero, Zero -> Zero
-                | Val a, Val b when same_val a b -> Val a
-                | Val a, (Zero | Val _) when is_plus_zero a -> (
-                  match me with
-                  | Zero -> Zero
-                  | Val b when is_plus_zero b -> Val a
-                  | _ -> promote := (key, mt, me) :: !promote; Unk)
-                | Zero, Val b when is_plus_zero b -> Zero
+                | Val a, Val b when Var.id a = Var.id b -> Val a
+                (* two zeros, or two equal constants, may each be defined
+                   in its own branch: only a phi or [Zero] is in scope *)
+                | _ when holds_zero mt && holds_zero me -> Zero
                 | (Val _ | Zero), (Val _ | Zero) ->
                   promote := (key, mt, me) :: !promote;
                   Unk
@@ -554,12 +598,19 @@ let run_func (f : Func.t) : Func.t =
               (* the cell still holds the allocation's zero fill;
                  materialize it as a constant in place of the load *)
               match zero_const_of (Var.ty v) with
-              | Some c ->
+              | Some c -> (
                 forget ();
                 let ci = Instr.Const (v, c) in
                 note_const ci;
-                set st key (Val v);
-                emit ci
+                folded := Var.id v :: !folded;
+                match List.assoc_opt (Var.ty v) !zeros with
+                | Some z ->
+                  vset alias (Var.id v) (Some z);
+                  set st key (Val z)
+                | None ->
+                  note_zero v;
+                  set st key (Val v);
+                  emit ci)
               | None ->
                 observe_base b;
                 forget ();
@@ -610,10 +661,14 @@ let run_func (f : Func.t) : Func.t =
         | Instr.Return _ | Instr.Yield _ ->
           observe_all ();
           emit i
+        | Instr.Const (v, _) ->
+          if is_plus_zero v then note_zero v;
+          emit i
         | i -> emit i)
       instrs;
     (* what the body left pending is observed by whatever follows it *)
     observe_all ();
+    zeros := scope;
     match !dead with
     | [] -> List.rev !out
     | dead ->

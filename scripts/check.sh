@@ -7,6 +7,11 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# every captured output lives in one private directory, so two checkouts
+# can run this script at once without overwriting each other's files
+OUT=$(mktemp -d "${TMPDIR:-/tmp}/parad-check.XXXXXX")
+trap 'rm -rf "$OUT"' EXIT
+
 echo "== dune build =="
 dune build @all
 
@@ -19,21 +24,21 @@ expect_exit() {
   shift
   echo "== parad $* (expect exit $want) =="
   set +e
-  $PARAD "$@" > /tmp/parad-check.out 2>&1
+  $PARAD "$@" > "$OUT/check.out" 2>&1
   got=$?
   set -e
   if [ "$got" -ne "$want" ]; then
     echo "FAIL: parad $* exited $got, expected $want"
-    cat /tmp/parad-check.out
+    cat "$OUT/check.out"
     exit 1
   fi
 }
 
-# the last run's output (/tmp/parad-check.out) must match a grep pattern
+# the last run's output ($OUT/check.out) must match a grep pattern
 expect_output() {
-  grep -q "$1" /tmp/parad-check.out || {
+  grep -q "$1" "$OUT/check.out" || {
     echo "FAIL: $2"
-    cat /tmp/parad-check.out
+    cat "$OUT/check.out"
     exit 1
   }
 }
@@ -61,11 +66,11 @@ expect_exit 3 faults --plan blackhole $COMMON
 expect_output "lost message" "blackhole run named no lost messages"
 
 # seeded plans are deterministic: two runs, byte-identical output
-$PARAD faults --plan blackhole $COMMON > /tmp/parad-a.out 2>&1 || true
-$PARAD faults --plan blackhole $COMMON > /tmp/parad-b.out 2>&1 || true
-cmp -s /tmp/parad-a.out /tmp/parad-b.out || {
+$PARAD faults --plan blackhole $COMMON > "$OUT/a.out" 2>&1 || true
+$PARAD faults --plan blackhole $COMMON > "$OUT/b.out" 2>&1 || true
+cmp -s "$OUT/a.out" "$OUT/b.out" || {
   echo "FAIL: blackhole diagnosis differs across reruns"
-  diff /tmp/parad-a.out /tmp/parad-b.out || true
+  diff "$OUT/a.out" "$OUT/b.out" || true
   exit 1
 }
 
@@ -87,11 +92,11 @@ expect_output "resumed from checkpoint" \
   "warm recover did not resume from a checkpoint"
 
 # the recovered gradient equals the faultless one bit-for-bit
-$PARAD grad $COMMON3 2>/dev/null | grep "d total" > /tmp/parad-clean.out
-grep "d total" /tmp/parad-check.out > /tmp/parad-recovered.out
-cmp -s /tmp/parad-clean.out /tmp/parad-recovered.out || {
+$PARAD grad $COMMON3 2>/dev/null | grep "d total" > "$OUT/clean.out"
+grep "d total" "$OUT/check.out" > "$OUT/recovered.out"
+cmp -s "$OUT/clean.out" "$OUT/recovered.out" || {
   echo "FAIL: recovered gradient differs from the faultless gradient"
-  diff /tmp/parad-clean.out /tmp/parad-recovered.out || true
+  diff "$OUT/clean.out" "$OUT/recovered.out" || true
   exit 1
 }
 
@@ -155,11 +160,11 @@ expect_output "silent data corruption" \
 expect_exit 0 recover --app lulesh --plan "none:flip=1@40@31@50,retries=5" $COMMON
 expect_output "sdc_inj=1 sdc_det=1 sdc_rec=1" \
   "supervised flip not detected-and-recovered"
-grep "d total" /tmp/parad-check.out > /tmp/parad-sdc.out
-$PARAD grad $COMMON 2>/dev/null | grep "d total" > /tmp/parad-clean4.out
-cmp -s /tmp/parad-clean4.out /tmp/parad-sdc.out || {
+grep "d total" "$OUT/check.out" > "$OUT/sdc.out"
+$PARAD grad $COMMON 2>/dev/null | grep "d total" > "$OUT/clean4.out"
+cmp -s "$OUT/clean4.out" "$OUT/sdc.out" || {
   echo "FAIL: flip-recovered gradient differs from the faultless one"
-  diff /tmp/parad-clean4.out /tmp/parad-sdc.out || true
+  diff "$OUT/clean4.out" "$OUT/sdc.out" || true
   exit 1
 }
 
@@ -184,7 +189,7 @@ expect_output "at most once" "duplicate scalar key not rejected"
 
 echo "== chaos soak (seeded smoke) =="
 expect_exit 0 soak --trials 12 --seed 42
-tail -n 3 /tmp/parad-check.out
+tail -n 3 "$OUT/check.out"
 
 # ---- one-shot deadline protocol (exit 6) ----
 # A virtual budget far below the work aborts with the documented
@@ -212,9 +217,9 @@ printf '%s\n' \
   '{"id": 4, "flavor": "mpi", "nranks": 2, "faults": "blackhole"}' \
   '{"id": 5, "flavor": "mpi", "nranks": 2, "deadline_cycles": 100}' \
   'garbage that is not json' \
-  | $PARAD serve --stdin > /tmp/parad-check.out 2>&1 || {
+  | $PARAD serve --stdin > "$OUT/check.out" 2>&1 || {
   echo "FAIL: serve --stdin crashed on the smoke batch"
-  cat /tmp/parad-check.out
+  cat "$OUT/check.out"
   exit 1
 }
 for want in '"id":1,"class":"ok"' '"id":2,"class":"ok"' \
@@ -223,8 +228,8 @@ for want in '"id":1,"class":"ok"' '"id":2,"class":"ok"' \
   '"event":"drained"'; do
   expect_output "$want" "serve smoke output lacks $want"
 done
-D1=$(grep '"id":1' /tmp/parad-check.out | grep -o '"digest":"[0-9a-f]*"')
-D2=$(grep '"id":2' /tmp/parad-check.out | grep -o '"digest":"[0-9a-f]*"')
+D1=$(grep '"id":1' "$OUT/check.out" | grep -o '"digest":"[0-9a-f]*"')
+D2=$(grep '"id":2' "$OUT/check.out" | grep -o '"digest":"[0-9a-f]*"')
 [ -n "$D1" ] && [ "$D1" = "$D2" ] || {
   echo "FAIL: warm digest differs from cold ($D1 vs $D2)"
   exit 1
@@ -238,7 +243,7 @@ expect_output '"id":2,"class":"ok","code":0,[^}]*"cached":true' \
 
 echo "== slam soak (50 seeded chaos requests) =="
 expect_exit 0 slam --requests 50 --seed 42
-tail -n 8 /tmp/parad-check.out
+tail -n 8 "$OUT/check.out"
 
 # ---- bench figures and their gate ----
 # Each quick figure writes BENCH_<figure>.json (fig8 writes
@@ -248,12 +253,12 @@ tail -n 8 /tmp/parad-check.out
 
 for FIG in overhead fig8 checkpoint serve sdc engine batch; do
   echo "== bench figure $FIG (quick) =="
-  dune exec bench/main.exe -- --quick --figure $FIG > /tmp/parad-bench.out 2>&1 || {
+  dune exec bench/main.exe -- --quick --figure $FIG > "$OUT/bench.out" 2>&1 || {
     echo "FAIL: bench figure $FIG exited non-zero"
-    cat /tmp/parad-bench.out
+    cat "$OUT/bench.out"
     exit 1
   }
-  tail -n 12 /tmp/parad-bench.out
+  tail -n 12 "$OUT/bench.out"
 done
 
 echo "== bench gate =="

@@ -1,7 +1,8 @@
-(* Random straight-line float kernels for the property tests of
-   test_opt and test_forward: a list of stack operations, and the
-   function "rand" (x : f64* -> f64) they build. Each property passes its
-   own input buffer; a load index is taken modulo that buffer's length. *)
+(* Random float kernels for the property tests of test_opt and
+   test_forward: a list of stack operations, and the function "rand"
+   (x : f64* -> f64) they build, straight-line or inside a loop nest.
+   Each property passes its own input buffer; a load index is taken
+   modulo that buffer's length. *)
 
 open Parad_ir
 module B = Builder
@@ -52,9 +53,18 @@ let emit b ~init ~load ops =
     ops;
   !stack
 
+(** Where the ops run: once, straight-line, or on every iteration of
+    [for i < 3 { for j < 2 { ... } }], loading [x[(i*2 + j + k) mod len]]
+    for [Load k] and accumulating the stack's sum into a one-cell local
+    allocation that is read after the nest. *)
+type shape = Straight | Nest
+
+let gen_shape = QCheck.Gen.oneofl [ Straight; Nest ]
+
 (** The program holding "rand": it runs [ops] over loads from a buffer
-    of [len] floats and returns the sum of the stack. *)
-let build ~len ops =
+    of [len] floats and returns the sum of the stack, accumulated over
+    the iterations for [Nest]. *)
+let build ?(shape = Straight) ~len ops =
   let prog = Prog.create () in
   let b, ps =
     B.func prog "rand"
@@ -63,9 +73,26 @@ let build ~len ops =
       ~ret:Ty.Float
   in
   let x = List.hd ps in
-  let load i = B.load b x (B.i64 b (i mod len)) in
-  let stack = emit b ~init:(B.f64 b 0.5) ~load ops in
-  let r = List.fold_left (fun acc v -> B.add b acc v) (B.f64 b 0.0) stack in
+  let sum ~load =
+    let stack = emit b ~init:(B.f64 b 0.5) ~load ops in
+    List.fold_left (fun acc v -> B.add b acc v) (B.f64 b 0.0) stack
+  in
+  let r =
+    match shape with
+    | Straight -> sum ~load:(fun i -> B.load b x (B.i64 b (i mod len)))
+    | Nest ->
+      let acc = B.alloc b ~kind:Instr.Stack Ty.Float (B.i64 b 1) in
+      let zero = B.i64 b 0 in
+      B.for_n b (B.i64 b 3) (fun i ->
+          B.for_n b (B.i64 b 2) (fun j ->
+              let ij = B.add b (B.mul b i (B.i64 b 2)) j in
+              let load k =
+                B.load b x (B.rem b (B.add b ij (B.i64 b k)) (B.i64 b len))
+              in
+              let s = sum ~load in
+              B.store b acc zero (B.add b (B.load b acc zero) s)));
+      B.load b acc zero
+  in
   B.return b (Some r);
   ignore (B.finish b);
   prog

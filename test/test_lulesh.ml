@@ -158,6 +158,27 @@ let test_scaling_omp () =
     true
     (t8 < t1 /. 3.0)
 
+(* A serial element loop differentiates no slower than the same loop as
+   a fork body: at one thread and one rank the seq, MPI and Julia
+   gradients pay no fork, barrier or atomic cost, so each takes at most
+   the OMP gradient's virtual time. This holds only when the post-AD
+   pipeline promotes the adjoint registers through the reversed
+   timestep x element loop nest. *)
+let test_serial_no_slower_than_fork () =
+  let inp = { L.nx = 4; ny = 4; nz = 16; niter = 2; dt0 = 0.01; escale = 1.0 } in
+  let t fl =
+    (L.gradient ~engine:Parad_engine.Engine.Seq fl inp).L.g_makespan
+  in
+  let omp = t L.Omp in
+  List.iter
+    (fun fl ->
+      let s = t fl in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %.0f <= lulesh_omp %.0f cycles" (L.flavor_name fl)
+           s omp)
+        true (s <= omp))
+    [ L.Seq; L.Mpi; L.Jlmpi ]
+
 let () =
   Alcotest.run "lulesh"
     [
@@ -182,5 +203,7 @@ let () =
             test_gradient_coalesce_bit_identical;
           Alcotest.test_case "coalesced audit clean" `Quick
             test_gradient_coalesced_audit_clean;
+          Alcotest.test_case "serial no slower than fork" `Quick
+            test_serial_no_slower_than_fork;
         ] );
     ]

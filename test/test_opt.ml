@@ -434,6 +434,125 @@ let test_inline () =
   in
   Alcotest.check feq "x^4" 16.0 (Value.to_float res.Exec.values.(0))
 
+(* mem_forward promotes registers through nested serial loops. (1) The
+   reversed-LULESH shape: a two-deep For nest whose inner body
+   accumulates into, then zeroes, cells of a buffer allocated before the
+   outer loop keeps no access to that buffer after post_ad. (2) A
+   discarded loop walk leaves no facts behind: the first walk assumes
+   [buf[0]] is zero at every iteration, folds [v] to 0.0 and finds
+   [buf[1] = v] redundant; the walk that replaces it keeps [v] a load,
+   so that store must stay. *)
+let test_nested_loop_promotion () =
+  let prog = Prog.create () in
+  let b, ps =
+    B.func prog "nest"
+      ~params:[ "x", Ty.Ptr Ty.Float; "out", Ty.Ptr Ty.Float; "n", Ty.Int ]
+      ~ret:Ty.Unit
+  in
+  let x, out, n = match ps with [ a; b; c ] -> a, b, c | _ -> assert false in
+  let reg = B.alloc b Ty.Float (B.i64 b 2) in
+  B.for_n b n (fun i ->
+      B.for_n b (B.i64 b 2) (fun j ->
+          let k = B.add b (B.mul b i (B.i64 b 2)) j in
+          let xk = B.load b x k in
+          let accumulate c v =
+            let c = B.i64 b c in
+            B.store b reg c (B.add b (B.load b reg c) v)
+          in
+          let take c =
+            let c = B.i64 b c in
+            let v = B.load b reg c in
+            B.store b reg c (B.f64 b 0.0);
+            v
+          in
+          accumulate 0 xk;
+          accumulate 1 (B.mul b xk xk);
+          let v0 = take 0 in
+          B.store b out k (B.add b v0 (take 1))));
+  B.free b reg;
+  B.return b None;
+  ignore (B.finish b);
+  let opt = Pipe.run prog Pipe.post_ad in
+  let loops body =
+    List.filter_map
+      (function Instr.For { body; _ } -> Some body.Instr.body | _ -> None)
+      body
+  in
+  let inner = List.concat_map loops (loops (Prog.find_exn opt "nest").body) in
+  Alcotest.(check int) "one inner loop" 1 (List.length inner);
+  let on_reg = function
+    | Instr.Load (_, p, _) | Instr.Store (p, _, _) -> Var.id p = Var.id reg
+    | _ -> false
+  in
+  Alcotest.(check int) "inner loop accesses of the register buffer" 0
+    (Instr.fold_instrs
+       (fun c i -> if on_reg i then c + 1 else c)
+       0 (List.hd inner));
+  let run p =
+    let o = ref Value.VUnit in
+    ignore
+      (Exec.run p ~fname:"nest" ~setup:(fun ctx ->
+           o := Exec.zeros ctx 6;
+           [ Exec.floats ctx [| 1.; 2.; 3.; 4.; 5.; 6. |]; !o; Value.VInt 3 ]));
+    Exec.to_floats !o
+  in
+  Array.iter2 (Alcotest.check feq "nest out") (run prog) (run opt);
+  let prog = Prog.create () in
+  let b, ps =
+    B.func prog "disc" ~params:[ "x", Ty.Ptr Ty.Float; "n", Ty.Int ]
+      ~ret:Ty.Float
+  in
+  let x, n = match ps with [ a; b ] -> a, b | _ -> assert false in
+  let buf = B.alloc b Ty.Float (B.i64 b 2) in
+  B.for_n b n (fun i ->
+      let v = B.load b buf (B.i64 b 0) in
+      B.store b buf (B.i64 b 0) (B.add b v (B.load b x i));
+      B.store b buf (B.i64 b 1) v);
+  B.return b (Some (B.load b buf (B.i64 b 1)));
+  ignore (B.finish b);
+  let eval p =
+    let res =
+      Exec.run p ~fname:"disc" ~setup:(fun ctx ->
+          [ Exec.floats ctx [| 1.; 2.; 3.; 4. |]; Value.VInt 4 ])
+    in
+    Value.to_float res.Exec.values.(0)
+  in
+  Alcotest.check feq "unoptimized" 6.0 (eval prog);
+  Alcotest.check feq "after mem_forward" 6.0
+    (eval (Pipe.run_on prog "disc" [ Pipe.mem_forward ]))
+
+(* An If merge leaves no cell holding a value defined in one branch:
+   both branches read the zero fill of [buf[0]] (each folds it to a
+   constant of its own) and store an equal constant of their own to
+   [buf[1]], and the loads after the If must still verify and read 0
+   and 2. *)
+let test_if_merge_scope () =
+  let prog = Prog.create () in
+  let b, ps =
+    B.func prog "ifm" ~params:[ "c", Ty.Bool; "out", Ty.Ptr Ty.Float ]
+      ~ret:Ty.Float
+  in
+  let c, out = match ps with [ a; b ] -> a, b | _ -> assert false in
+  let buf = B.alloc b Ty.Float (B.i64 b 2) in
+  let branch k () =
+    B.store b out (B.i64 b k) (B.load b buf (B.i64 b 0));
+    B.store b buf (B.i64 b 1) (B.f64 b 2.0)
+  in
+  B.ite b c (branch 0) (branch 1);
+  B.return b
+    (Some (B.add b (B.load b buf (B.i64 b 0)) (B.load b buf (B.i64 b 1))));
+  ignore (B.finish b);
+  let opt = Pipe.run_on prog "ifm" [ Pipe.mem_forward ] in
+  List.iter
+    (fun cv ->
+      let res =
+        Exec.run opt ~fname:"ifm" ~setup:(fun ctx ->
+            [ Value.VBool cv; Exec.zeros ctx 2 ])
+      in
+      Alcotest.check feq "buf[0] + buf[1]" 2.0
+        (Value.to_float res.Exec.values.(0)))
+    [ true; false ]
+
 (* ---- property tests: random programs keep semantics under O2 ---- *)
 
 let input = [| 0.3; -1.2; 2.0; 0.7; -0.1; 1.5; 0.9; -0.4 |]
@@ -468,13 +587,15 @@ let prop_gradient_survives_o2 =
         ga gb)
 
 (* the post-AD pipeline changes no bit of a random program's gradient,
-   and a second run of it is a no-op. (The primal return is not
-   compared: folding [0.0 + x] to [x] keeps a -0.0 that the add itself
-   turns into +0.0.) *)
+   straight-line or in a loop nest, and a second run of it is a no-op.
+   (The primal return is not compared: folding [0.0 + x] to [x] keeps a
+   -0.0 that the add itself turns into +0.0.) *)
 let prop_post_ad_bitwise_idempotent =
   QCheck.Test.make ~name:"post_ad gradient bitwise, post_ad idempotent"
-    ~count:60 (QCheck.make Gen_prog.gen_ops) (fun ops ->
-      let prog = build_random_prog ops in
+    ~count:60
+    (QCheck.make QCheck.Gen.(pair Gen_prog.gen_shape Gen_prog.gen_ops))
+    (fun (shape, ops) ->
+      let prog = Gen_prog.build ~shape ~len:(Array.length input) ops in
       let g post_opt =
         GC.reverse ~post_opt prog "rand" [ GC.ABuf input ]
           ~seeds:[ Array.make (Array.length input) 0.0 ]
@@ -543,17 +664,17 @@ let test_post_ad_idempotent () =
 
 let golden_post_ad =
   [
-    "lulesh_seq", "99478e86e687c17566b40b02752157d5";
-    "lulesh_omp", "4d11533521d00f5d8c7ae8ecd850e739";
-    "lulesh_raja", "090d0e3bd2c3a70eae51e95b46c05aa3";
-    "lulesh_mpi", "ad5be69e58310a715bf70e657d8217b8";
-    "lulesh_hybrid", "45b99b0662c3318a7b6896ed6cfacb5c";
-    "lulesh_jl", "739055191b32d0e93d9988b74cdb4d22";
-    "bude_seq", "9a47b4a4fbf73b6cb8ef4d1f910bff7d";
-    "bude_omp", "d702df78df7ad5fd0a24bb53d03ba2cd";
-    "bude_julia", "b199ba5fec2e5f201343ffe7e6007d82";
-    "bude_chunk_jl", "922a4695c6e9c1356f99172f42e6fca1";
-    "lulesh_raja_mpi", "f4aca310884c2c3082b5b20a1453a238";
+    "lulesh_seq", "b649efcfb72ceef6e0510f6ebab98550";
+    "lulesh_omp", "e3094d3ad7ec9135f8485665fd9d8b3e";
+    "lulesh_raja", "71b979c7bac696d83e8c12658e3e0a9a";
+    "lulesh_mpi", "851eeadf69977b93ec46a24380f240b4";
+    "lulesh_hybrid", "8d09642649f9167d4fc1c2d7332fadc5";
+    "lulesh_jl", "3d8a049bee248b22b5a3facebc0bf3a6";
+    "bude_seq", "99f7ebb1e40d14277df302dedf4c7eb0";
+    "bude_omp", "4d6116b97a832e03fdebc2d5693aa523";
+    "bude_julia", "9fe124f69a50a0df41d1c63d5a1db2a8";
+    "bude_chunk_jl", "1f695d479a47fc3af3694c53a089fab1";
+    "lulesh_raja_mpi", "1ac45af6c1b50bd5924107eb097a9e8c";
     "lulesh_omp seeds=8", "78646bb7616cef92236141177d25d6e2";
     "bude_omp seeds=8", "012ecc8ee7c223f45fdd764900750f7b";
   ]
@@ -631,6 +752,10 @@ let () =
             test_parallel_load_hoisting;
           Alcotest.test_case "fork fusion" `Quick test_fork_fusion;
           Alcotest.test_case "inline" `Quick test_inline;
+          Alcotest.test_case "registers promoted through a loop nest" `Quick
+            test_nested_loop_promotion;
+          Alcotest.test_case "If merge keeps values in scope" `Quick
+            test_if_merge_scope;
         ] );
       ( "pipelines",
         [
