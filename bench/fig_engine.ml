@@ -1,16 +1,14 @@
-(* Execution-engine figure (ISSUE 9): wall-clock speedup of the lowered
-   slot-addressed runners over the tree-walking interpreter, at identical
+(* Execution-engine figure: wall-clock speedup of the lowered
+   slot-addressed runner over the tree-walking interpreter, at identical
    virtual-time results.
 
    The headline row is the 64-thread LULESH OMP gradient (the mesh the
    interpreter takes ~half a second on): the same compiled plan is
-   executed on engine=interp, engine=seq and engine=par, wall time taken
-   from Stats.wall_ns (simulation only — plan compilation is excluded),
-   best of [reps] runs. Every engine row's gradient digest must equal the
-   interpreter's. bench/thresholds puts a floor under the seq row's
-   speedup, and bench/gate.exe requires par to be no slower than seq
-   only when the host gives the pool at least one real extra core
-   ("cores" is recorded in BENCH_engine.json for that check). *)
+   executed on engine=interp and engine=seq, wall time taken from
+   Stats.wall_ns (simulation only — plan compilation is excluded), best
+   of [reps] runs. Every engine row's gradient digest must equal the
+   interpreter's, and bench/thresholds puts a floor under the seq row's
+   speedup. Each row records the host's core count ("cores"). *)
 
 open Util
 module E = Parad_engine.Engine
@@ -19,16 +17,12 @@ module SV = Parad_server.Service
 let run ~quick =
   header "Execution engine (wall-clock, bit-identical gradients)";
   let cores = Domain.recommended_domain_count () in
-  let domains = (Parad_engine.Pool.get ()).Parad_engine.Pool.size in
-  Printf.printf "host: %d core(s) recommended, %d pool domain(s)\n" cores
-    domains;
   let reps = if quick then 2 else 3 in
   (* a BENCH_engine.json row's metrics; speedup is interp wall / this
      wall on the same program *)
   let engine_metrics ~wall_ns ~speedup ~makespan =
     [
       "cores", float cores;
-      "domains", float domains;
       "wall_ns", wall_ns;
       "speedup", speedup;
       "makespan", makespan;
@@ -62,15 +56,8 @@ let run ~quick =
     bitwise
   in
   let ok = ref (report "interp" base_ns (base_digest, base.L.g_makespan)) in
-  List.iter
-    (fun engine ->
-      let g, ns = best_of reps (grad engine) in
-      let bitwise =
-        report (E.choice_to_string engine) ns
-          (SV.digest_lulesh g, g.L.g_makespan)
-      in
-      ok := !ok && bitwise)
-    [ E.Seq; E.Par ];
+  let g, ns = best_of reps (grad E.Seq) in
+  ok := report "seq" ns (SV.digest_lulesh g, g.L.g_makespan) && !ok;
 
   subheader "miniBUDE OMP gradient (nthreads=8)";
   let binp =
@@ -102,7 +89,7 @@ let run ~quick =
         (engine_metrics ~wall_ns:ns ~speedup:(bbase_ns /. ns)
            ~makespan:g.MB.g_makespan);
       ok := !ok && bitwise)
-    [ E.Interp; E.Seq; E.Par ];
+    [ E.Interp; E.Seq ];
   if not !ok then begin
     Printf.eprintf "fig_engine: an engine gradient diverged from interp\n";
     exit 1

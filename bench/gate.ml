@@ -6,10 +6,8 @@
    of <=, >= or =; config "*" puts the condition on every row of the
    figure. Conditions are checked for the figures whose files are
    given. A row a condition names must exist and carry the metric, and
-   no row may report "bitwise": false. The one cross-row condition: on a
-   host with at least two cores, the engine's par row must not be
-   slower than its seq row. Prints one line per check and exits 1 if
-   any failed. *)
+   no row may report "bitwise": false. Prints one line per check and
+   exits 1 if any failed. *)
 
 module R = Bench_row
 
@@ -85,21 +83,6 @@ let check_bitwise (figure, rows) =
   if compared <> [] && bad = [] then
     check true "%s: %d compared row(s) bitwise" figure (List.length compared)
 
-(* Given a real extra core for the domain pool, the parallel engine must
-   not be slower than the sequential one. *)
-let check_par_vs_seq rows =
-  let find c = List.find_opt (fun (r : R.t) -> r.config = c) rows in
-  match find "lulesh_omp/seq", find "lulesh_omp/par" with
-  | Some seq, Some par -> (
-    match metric seq "cores", metric seq "wall_ns", metric par "wall_ns" with
-    | Some cores, Some s, Some p ->
-      if cores >= 2.0 then
-        check (p <= s) "engine: par wall_ns %g <= seq wall_ns %g (%g cores)"
-          p s cores
-      else Printf.printf "skip engine: par vs seq needs 2 cores, host has 1\n"
-    | _ -> check false "engine: seq and par rows need cores and wall_ns")
-  | _ -> check false "engine: missing lulesh_omp/seq or lulesh_omp/par row"
-
 let () =
   match Array.to_list Sys.argv with
   | _ :: thresholds :: (_ :: _ as paths) ->
@@ -121,7 +104,6 @@ let () =
     in
     List.iter (check_cond files) conds;
     List.iter check_bitwise files;
-    Option.iter check_par_vs_seq (List.assoc_opt "engine" files);
     Printf.printf "gate: %d figure(s), %d failure(s)\n" (List.length files)
       !failures;
     exit (if !failures = 0 then 0 else 1)

@@ -130,17 +130,14 @@ let engine_arg =
            [
              "interp", Parad_engine.Engine.Interp;
              "seq", Parad_engine.Engine.Seq;
-             "par", Parad_engine.Engine.Par;
            ])
         Parad_engine.Engine.Interp
     & info [ "engine" ]
         ~doc:
           "execution substrate: $(b,interp) walks the IR tree, $(b,seq) \
            runs the lowered slot-addressed instruction graph on the \
-           simulator's strands, $(b,par) adds a multicore work-stealing \
-           domain pool for fork members (set PARAD_DOMAINS to size it). \
-           All three produce bit-identical gradients and virtual time; \
-           only wall-clock changes")
+           simulator's strands. Both produce bit-identical gradients and \
+           virtual time; only wall-clock changes")
 
 (* The simulated communicator builds recursive-doubling collectives and
    halo decompositions that assume a power-of-two communicator; reject

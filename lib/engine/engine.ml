@@ -1,8 +1,9 @@
-(** The compiled execution engine (ISSUE 9).
+(** The compiled execution engine.
 
-    Lowers post-plan IR to slot-addressed native closures and runs them
-    either sequentially on {!Sim} strands or in parallel on a
-    work-stealing {!Pool} of OCaml domains.
+    Lowers post-plan IR to slot-addressed native closures and runs them on
+    {!Sim} strands: the interpreter's scheduler, clocks and statistics,
+    with the tree walk replaced by precompiled code. A fork runs its
+    members on [Sim.fork] strands, as the interpreter does.
 
     {b Lowering.} Each function's variables are assigned integer slots in
     four typed register files (float / int / bool / boxed) at compile
@@ -19,27 +20,14 @@
     exact float discipline (Float.compare ordering, [<=]-min/max, the
     floor-through-int round trip); all non-hot intrinsics delegate to
     {!Interp.intrinsic}, which charges the same strand clock cell the
-    engine does. Sanitized contexts, and taped contexts on the parallel
-    runner, fall back to the interpreter entirely.
-
-    {b Parallel runner.} A fork region that passes a static par-safety
-    analysis runs its members as effect-handler fibers on the domain
-    pool. Cross-member effects (atomic adds, cache stores) are deferred
-    into per-member logs and replayed at each barrier in the exact order
-    the interpreter's deterministic run-to-block scheduler would have
-    executed the members, so gradients and virtual times stay
-    bit-identical while the members themselves run on all cores. Regions
-    that fail the analysis (allocation, tasking, MPI, nested forks,
-    read/write cache conflicts) fall back to the sequential strand path,
-    which is always correct. *)
+    engine does. Sanitized contexts fall back to the interpreter
+    entirely. *)
 
 open Parad_ir
 open Parad_runtime
 open Value
 
 (* ---- runner state ---- *)
-
-type mode = MSeq | MPar of Pool.t
 
 (* Deadline mirror of the running Sim engine: the native charge path
    enforces the same virtual budget (bit-identical trip point) and the
@@ -49,16 +37,6 @@ type dl = {
   wall_stop : float option;
   wall_ms : float;
   mutable tick : int;
-}
-
-(* Per-member deferred state of a parallel fork region. *)
-type mstate = {
-  midx : int;
-  mutable d_atomics : (Value.ptr * int * float) list;  (** reversed *)
-  mutable d_csets : (int * int * Value.t) list;  (** reversed *)
-  mutable remat : int;
-      (** member-local rematerialization depth (snapshot of the shared
-          [ctx.remat_depth] at region entry) *)
 }
 
 type eframe = {
@@ -80,18 +58,14 @@ type thr = {
   ctx : Interp.ctx;
   fcache : (int, eframe array) Hashtbl.t;
       (** parked member-frame sets by fork site, shared by every strand of
-          the run (all strands of a run that execute forks live on one OS
-          thread) *)
+          the run *)
   cost : Cost_model.t;
   st : Stats.t;
-  mode : mode;
   clock : Sim.clk;
       (** the running Sim strand's own clock cell, so the engine and the
-          scheduler never copy clocks across; a parallel member, which is
-          no strand, gets a fresh cell *)
+          scheduler never copy clocks across *)
   mutable socket : int;
   mutable team : (int * int) option;
-  mutable defer : mstate option;  (** [Some _] inside a parallel member *)
   dl : dl option;
   mutable retv : Value.t;  (** return-value hand-off slot *)
   mutable rets : int;  (** return-value tape-slot hand-off (taping mode) *)
@@ -116,33 +90,16 @@ type cfun = {
   mutable code : code;
 }
 
-(* Par-safety summary of a function body or fork region (see the
-   analysis further down). *)
-type pflags = {
-  mutable a_cset : bool;
-  mutable a_cget : bool;
-  mutable a_remat : bool;
-  mutable a_barrier : bool;
-}
-
 type prepared = {
   prog : Prog.t;
   funcs : (string * bool, cfun) Hashtbl.t;
       (** compiled functions by name and taping mode *)
-  fsafe : (string, pflags option) Hashtbl.t;
-      (** function par-safety memo; [None] = unsafe *)
-  plk : Mutex.t;
-      (** guards [funcs]/[fsafe]: call sites resolve lazily, possibly from
-          pool domains *)
+  mutable next_site : int;
+      (** the next fork site id, a key of [thr.fcache]; every call runs
+          code of one [prepared] only *)
 }
 
-let prepare prog =
-  {
-    prog;
-    funcs = Hashtbl.create 16;
-    fsafe = Hashtbl.create 16;
-    plk = Mutex.create ();
-  }
+let prepare prog = { prog; funcs = Hashtbl.create 16; next_site = 0 }
 
 (* ---- clock / deadline ---- *)
 
@@ -169,26 +126,12 @@ let[@inline] charge t c =
   t.clock.now <- t.clock.now +. c;
   match t.dl with None -> () | Some d -> check_dl t d
 
-(* Trip the virtual deadline at a clock value set by a scheduling step
-   (barrier release, join) — the interpreter's scheduler checks at every
-   context switch, so the engine must fail at the same clock. *)
-let check_sched t =
-  match t.dl with
-  | Some { vdl = Some lim; _ } when t.clock.now > lim ->
-    raise
-      (Sim.Deadline_exceeded { de_at = t.clock.now; de_limit = lim; de_wall = false })
-  | _ -> ()
-
-let get_remat t =
-  match t.defer with
-  | Some m -> m.remat
-  | None -> t.ctx.Interp.remat_depth
-
 (* The transcendental unit: cheaper when re-evaluated in a
    rematerialization chain (see {!Cost_model.t}). *)
 let[@inline] charge_transc t =
   charge t
-    (if get_remat t > 0 then t.cost.Cost_model.transcendental_remat
+    (if t.ctx.Interp.remat_depth > 0 then
+       t.cost.Cost_model.transcendental_remat
      else t.cost.Cost_model.transcendental)
 
 let[@inline] charge_mem t (buf : Value.buffer) =
@@ -234,7 +177,7 @@ let[@inline] tape_row t (ins : Interp.instrument) s1 s2 =
   end
 
 (* Replicas of the interpreter's SDC hooks with [t.clock.now] standing in for
-   [Sim.now ()] (the same cell outside parallel members). *)
+   [Sim.now ()] (the same cell). *)
 let eng_apply_flips t =
   match t.ctx.Interp.faults with
   | Some fs
@@ -253,6 +196,15 @@ let eng_corrupt_region t ~cache_id =
   raise
     (Checkpoint.Corrupt_region
        { cr_rank = t.ctx.Interp.rank; cr_cache = cache_id; cr_at = t.clock.now })
+
+(* A cache store that wrote a new cell counts in [cache_cells] and may
+   raise [cache_peak], as in the interpreter. *)
+let[@inline] count_new_cell t cache ~before =
+  if Cache_rt.cells_written cache > before then begin
+    t.st.Stats.cache_cells <- t.st.Stats.cache_cells + 1;
+    let peak = Cache_rt.peak_cells cache in
+    if peak > t.st.Stats.cache_peak then t.st.Stats.cache_peak <- peak
+  end
 
 (* ---- frames ---- *)
 
@@ -289,271 +241,6 @@ let copy_eframe fr =
 
 let fmin a b = if (a : float) <= b then a else b
 let fmax a b = if (a : float) >= b then a else b
-
-(* ---- deferred-effect replay (parallel members) ---- *)
-
-(* Replay one member's deferred logs into the shared state, in program
-   order. Invoked only while no member is executing (barrier rendezvous
-   or region completion), in the interpreter's member execution order, so
-   float accumulation order is bit-identical to the sequential run. *)
-let replay_member t ~fname (m : mstate) =
-  List.iter
-    (fun (ptr, idx, x) ->
-      let i = Memory.check_access ~who:fname ptr idx in
-      match ptr.buf.data with
-      | FCells a -> a.(i) <- a.(i) +. x
-      | VCells _ ->
-        let old = Value.to_float (Memory.load ~who:fname ptr idx) in
-        Memory.store ~who:fname ptr idx (VFloat (old +. x)))
-    (List.rev m.d_atomics);
-  m.d_atomics <- [];
-  let cache = t.ctx.Interp.cache in
-  List.iter
-    (fun (id, idx, v) ->
-      let before = Cache_rt.cells_written cache in
-      Cache_rt.set cache ~id ~idx v;
-      if Cache_rt.cells_written cache > before then begin
-        t.st.Stats.cache_cells <- t.st.Stats.cache_cells + 1;
-        let peak = Cache_rt.peak_cells cache in
-        if peak > t.st.Stats.cache_peak then t.st.Stats.cache_peak <- peak
-      end)
-    (List.rev m.d_csets);
-  m.d_csets <- []
-
-(* ---- parallel fork teams ---- *)
-
-type _ Effect.t += Mbar : unit Effect.t
-
-type pteam = {
-  pwidth : int;
-  pfname : string;  (** enclosing function, for memory-access provenance *)
-  plock : Mutex.t;
-  mutable pord : int array;
-      (** the interpreter's member execution order for the current epoch:
-          run-to-block FIFO scheduling runs members sequentially, and each
-          barrier release permutes the order to [last-parked .. first-parked,
-          last-arriver] — i.e. ord' = rev ord[0..w-2] @ [ord[w-1]] *)
-  mutable parrived : int;
-  mutable pparked : (int * (unit, unit) Effect.Deep.continuation) list;
-  pclocks : float array;
-  pmembers : mstate array;
-  mutable pthrs : thr array;
-  pparent : thr;  (** the forking thread — shared stats and cost live here *)
-  mutable premaining : int;
-  mutable pmax_finish : float;
-  mutable pfailed : exn option;
-  pdone : bool Atomic.t;
-  ppool : Pool.t;
-}
-
-let next_ord ord =
-  let w = Array.length ord in
-  Array.init w (fun j -> if j = w - 1 then ord.(w - 1) else ord.(w - 2 - j))
-
-let team_fail team ex =
-  match team.pfailed with
-  | None -> team.pfailed <- Some ex
-  | Some _ -> ()
-
-(* Member completion (normal or failed): record the finish clock, detect
-   the all-remaining-parked deadlock, and release the team when the last
-   member is done. Never called with the lock held. *)
-let finish_pmember team (t : thr) midx (failure : exn option) =
-  Mutex.lock team.plock;
-  team.pclocks.(midx) <- t.clock.now;
-  if t.clock.now > team.pmax_finish then team.pmax_finish <- t.clock.now;
-  (match failure with Some ex -> team_fail team ex | None -> ());
-  team.premaining <- team.premaining - 1;
-  let parked_to_kill =
-    if
-      (failure <> None && team.pparked <> [])
-      || (team.premaining > 0 && team.parrived = team.premaining)
-    then begin
-      (* failure, or every live member is parked at a barrier that can no
-         longer fill: unwind them (the interpreter's scheduler would
-         report a deadlock here) *)
-      if failure = None then
-        team_fail team
-          (Sim.Deadlock
-             {
-               d_live = team.premaining;
-               d_blocked = [];
-               d_note =
-                 "engine: fork members blocked at a team barrier that can \
-                  never fill";
-             });
-      let p = team.pparked in
-      team.pparked <- [];
-      team.parrived <- 0;
-      p
-    end
-    else []
-  in
-  let all_done = team.premaining = 0 in
-  Mutex.unlock team.plock;
-  List.iter
-    (fun (_, k) ->
-      try Effect.Deep.discontinue k Exit with _ -> ())
-    parked_to_kill;
-  if all_done then Atomic.set team.pdone true
-
-(* Run one member body under the barrier effect handler. [body] returns
-   unit or raises; barriers inside it perform {!Mbar}. *)
-let run_pmember team mt midx (body : unit -> unit) () =
-  Effect.Deep.match_with body ()
-    {
-      retc = (fun () -> finish_pmember team mt midx None);
-      exnc =
-        (fun ex ->
-          (* [Exit] is the unwind signal of {!finish_pmember}'s kill path:
-             the real failure is already recorded in [pfailed] *)
-          finish_pmember team mt midx
-            (match ex with Exit -> None | _ -> Some ex));
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Mbar ->
-            Some
-              (fun (k : (a, _) Effect.Deep.continuation) ->
-                Mutex.lock team.plock;
-                team.pclocks.(midx) <- mt.clock.now;
-                team.parrived <- team.parrived + 1;
-                if team.parrived < team.pwidth then begin
-                  team.pparked <- (midx, k) :: team.pparked;
-                  Mutex.unlock team.plock
-                end
-                else begin
-                  (* last arriver: replay this epoch's deferred effects in
-                     the interpreter's member order, advance every clock to
-                     the common release time, rotate the order, resume *)
-                  let parent = team.pparent in
-                  Array.iter
-                    (fun tid ->
-                      replay_member parent ~fname:team.pfname
-                        team.pmembers.(tid))
-                    team.pord;
-                  let bmax =
-                    Array.fold_left Float.max 0.0 team.pclocks
-                  in
-                  let release =
-                    bmax
-                    +. Cost_model.barrier_cost parent.cost
-                         ~width:team.pwidth
-                  in
-                  Array.iteri
-                    (fun j th ->
-                      th.clock.now <- release;
-                      team.pclocks.(j) <- release)
-                    team.pthrs;
-                  team.pord <- next_ord team.pord;
-                  team.parrived <- 0;
-                  let parked = team.pparked in
-                  team.pparked <- [];
-                  let tripped =
-                    match parent.dl with
-                    | Some { vdl = Some lim; _ } when release > lim ->
-                      Some
-                        (Sim.Deadline_exceeded
-                           {
-                             de_at = release;
-                             de_limit = lim;
-                             de_wall = false;
-                           })
-                    | _ -> None
-                  in
-                  (match tripped with
-                  | Some ex -> team_fail team ex
-                  | None -> ());
-                  Mutex.unlock team.plock;
-                  match tripped with
-                  | Some _ ->
-                    List.iter
-                      (fun (_, kj) ->
-                        try Effect.Deep.discontinue kj Exit with _ -> ())
-                      parked;
-                    Effect.Deep.discontinue k Exit
-                  | None ->
-                    List.iter
-                      (fun (_, kj) ->
-                        Pool.submit team.ppool (fun () ->
-                            Effect.Deep.continue kj ()))
-                      parked;
-                    Effect.Deep.continue k ()
-                end)
-          | _ -> None);
-    }
-
-(* ---- par-safety analysis ----
-
-   A fork region may run on the domain pool only if its members cannot
-   interact through anything but (a) data-race-free memory (the program's
-   own obligation, §VI-D), (b) atomic adds, and (c) cache stores — the
-   last two deferred and replayed deterministically. Everything else
-   (allocation, tasking, MPI/collective intrinsics, checkpoints, nested
-   forks) falls back to the sequential strand path. *)
-
-exception Par_unsafe
-
-let merge_pflags ~into (s : pflags) =
-  into.a_cset <- into.a_cset || s.a_cset;
-  into.a_cget <- into.a_cget || s.a_cget;
-  into.a_remat <- into.a_remat || s.a_remat;
-  into.a_barrier <- into.a_barrier || s.a_barrier
-
-let rec scan_par prep acc (il : Instr.t list) = List.iter (scan_instr prep acc) il
-
-and scan_instr prep acc (i : Instr.t) =
-  match i with
-  | Instr.Alloc _ | Instr.Free _ | Instr.Spawn _ | Instr.Sync _
-  | Instr.Fork _ -> raise Par_unsafe
-  | Instr.Call (_, name, _) when String.contains name '.' -> (
-    match name with
-    | "omp.max_threads" | "mpi.rank" | "mpi.size" | "san.mark_private" -> ()
-    | "parad.remat_begin" | "parad.remat_end" -> acc.a_remat <- true
-    | "cache.set" -> acc.a_cset <- true
-    | "cache.get" -> acc.a_cget <- true
-    | _ -> raise Par_unsafe)
-  | Instr.Call (_, name, _) -> (
-    match fn_pflags prep name with
-    | Some s -> merge_pflags ~into:acc s
-    | None -> raise Par_unsafe)
-  | Instr.Barrier -> acc.a_barrier <- true
-  | Instr.Workshare { nowait; _ } ->
-    if not nowait then acc.a_barrier <- true;
-    List.iter (fun r -> scan_par prep acc r.Instr.body) (Instr.regions i)
-  | _ -> List.iter (fun r -> scan_par prep acc r.Instr.body) (Instr.regions i)
-
-and fn_pflags prep name : pflags option =
-  match Hashtbl.find_opt prep.fsafe name with
-  | Some s -> s
-  | None ->
-    (* insert the pessimistic answer first: recursion = unsafe *)
-    Hashtbl.replace prep.fsafe name None;
-    let r =
-      match Prog.find prep.prog name with
-      | None -> None
-      | Some fn -> (
-        let acc =
-          { a_cset = false; a_cget = false; a_remat = false; a_barrier = false }
-        in
-        try
-          scan_par prep acc fn.Func.body;
-          Some acc
-        with Par_unsafe -> None)
-    in
-    Hashtbl.replace prep.fsafe name r;
-    r
-
-let fork_par_safe prep (r : Instr.region) =
-  let acc =
-    { a_cset = false; a_cget = false; a_remat = false; a_barrier = false }
-  in
-  match scan_par prep acc r.Instr.body with
-  | () ->
-    (* deferred cache stores are invisible to same-epoch cache reads, and
-       member-local remat depth is only exact within one epoch *)
-    (not (acc.a_cset && acc.a_cget)) && not (acc.a_remat && acc.a_barrier)
-  | exception Par_unsafe -> false
 
 (* ---- lowering: slot assignment ---- *)
 
@@ -621,8 +308,6 @@ let assign_slots fn ~tp ~n roots body =
    steady-state fork costs O(live-in) per member instead of
    O(function). *)
 
-let next_fsite = Atomic.make 0
-
 (* Forward dominance scan: walking the body in program order, a use of a
    variable with no write textually before it on the current path reads
    the parent's value in the first iteration. Region defs never escape
@@ -680,7 +365,7 @@ let region_live_in n (r : Instr.region) entry_defs =
   scoped (entry_defs @ r.Instr.params) r.Instr.body;
   live
 
-let make_body_frame (parent : cfun) (r : Instr.region) ~entry_defs =
+let make_body_frame prep (parent : cfun) (r : Instr.region) ~entry_defs =
   let n = Array.length parent.file in
   let sub, placed =
     assign_slots parent.fn ~tp:false ~n (entry_defs @ r.Instr.params)
@@ -701,7 +386,8 @@ let make_body_frame (parent : cfun) (r : Instr.region) ~entry_defs =
        (List.filter (fun id -> Bytes.get live id <> '\000') placed));
   let pack l = Array.of_list (List.rev !l) in
   let cf = pack mf and ci = pack mi and cb = pack mb and cv = pack mv in
-  let site = Atomic.fetch_and_add next_fsite 1 in
+  let site = prep.next_site in
+  prep.next_site <- site + 1;
   (* Point a (possibly recycled) member frame at the current execution:
      fresh call chain, current stack-alloc list, live-in values. *)
   let refresh (m : eframe) (fr : eframe) =
@@ -887,83 +573,6 @@ let write_boxed (cf : cfun) (p : Var.t) fr (a : Value.t) =
   | Ty.Int -> fr.i.(d) <- Value.to_int a
   | Ty.Bool -> fr.b.(d) <- Value.to_bool a
   | Ty.Unit | Ty.Ptr _ -> fr.v.(d) <- a
-
-(* ---- barriers and parallel regions (runtime) ---- *)
-
-let do_barrier t =
-  match t.defer with
-  | Some _ ->
-    (* Sim's handler counts one barrier per performing member *)
-    t.st.Stats.barriers <- t.st.Stats.barriers + 1;
-    Effect.perform Mbar
-  | None -> Sim.barrier ()
-
-let par_fork_run t ~pool ~width ~socket_of ~tidw ~nthw ~fname ~frames
-    body_code =
-  t.st.Stats.forks <- t.st.Stats.forks + 1;
-  let start = t.clock.now +. Cost_model.fork_cost t.cost ~width in
-  let members =
-    Array.init width (fun m ->
-        {
-          midx = m;
-          d_atomics = [];
-          d_csets = [];
-          remat = t.ctx.Interp.remat_depth;
-        })
-  in
-  let team =
-    {
-      pwidth = width;
-      pfname = fname;
-      plock = Mutex.create ();
-      pord = Array.init width Fun.id;
-      parrived = 0;
-      pparked = [];
-      pclocks = Array.make width start;
-      pmembers = members;
-      pthrs = [||];
-      pparent = t;
-      premaining = width;
-      pmax_finish = start;
-      pfailed = None;
-      pdone = Atomic.make false;
-      ppool = pool;
-    }
-  in
-  let thrs =
-    Array.init width (fun m ->
-        {
-          t with
-          clock = { Sim.now = start };
-          socket = socket_of m;
-          team = Some (m, width);
-          st = Stats.create ();
-          defer = Some members.(m);
-          dl = Option.map (fun d -> { d with tick = 0 }) t.dl;
-        })
-  in
-  team.pthrs <- thrs;
-  for m = 0 to width - 1 do
-    let mt = thrs.(m) in
-    let mfr = frames.(m) in
-    tidw mfr m;
-    nthw mfr width;
-    let body () =
-      match body_code mt mfr with
-      | Next -> ()
-      | Ret | Yld -> error "fork body may not return/yield"
-    in
-    Pool.submit pool (run_pmember team mt m body)
-  done;
-  Pool.help_while pool (fun () -> Atomic.get team.pdone);
-  (* region complete: replay the last epoch's deferred effects in the
-     interpreter's member order, fold the members' scratch counters into
-     the run's stats, then join *)
-  Array.iter (fun tid -> replay_member t ~fname members.(tid)) team.pord;
-  Array.iter (fun mt -> Stats.merge ~into:t.st mt.st) thrs;
-  (match team.pfailed with Some ex -> raise ex | None -> ());
-  t.clock.now <- team.pmax_finish +. t.cost.Cost_model.join;
-  check_sched t
 
 (* ---- k-wide lane steps ----
 
@@ -1365,19 +974,12 @@ and compile_straight env (i : Instr.t) : sc =
         let ptr = Value.to_ptr (p_rd fr) in
         check_rank t ptr.buf;
         let idx = ix_rd fr in
-        (match t.defer with
-        | Some m ->
-          (* bounds-check now (identical failure point), accumulate at the
-             next replay point *)
-          ignore (Memory.check_access ?who ptr idx);
-          m.d_atomics <- (ptr, idx, fr.f.(s)) :: m.d_atomics
-        | None -> (
-          let i = Memory.check_access ?who ptr idx in
-          match ptr.buf.data with
-          | FCells a -> Array.unsafe_set a i (Array.unsafe_get a i +. fr.f.(s))
-          | VCells _ ->
-            let old = Value.to_float (Memory.load ?who ptr idx) in
-            Memory.store ?who ptr idx (VFloat (old +. fr.f.(s)))))
+        let i = Memory.check_access ?who ptr idx in
+        (match ptr.buf.data with
+        | FCells a -> Array.unsafe_set a i (Array.unsafe_get a i +. fr.f.(s))
+        | VCells _ ->
+          let old = Value.to_float (Memory.load ?who ptr idx) in
+          Memory.store ?who ptr idx (VFloat (old +. fr.f.(s))))
     | _ ->
       (* malformed IR (the verifier wants a float value): fail where the
          interpreter converts the value, after the memory checks *)
@@ -1409,7 +1011,6 @@ and compile_straight env (i : Instr.t) : sc =
                 clock = s.Sim.clock;
                 socket = s.Sim.socket;
                 team = None;
-                defer = None;
               }
             in
             ret := call_boxed prep ct name vals)
@@ -1426,7 +1027,7 @@ and compile_straight env (i : Instr.t) : sc =
   | Instr.Barrier ->
     fun t _fr -> (
       match t.team with
-      | Some (_, w) when w > 1 -> do_barrier t
+      | Some (_, w) when w > 1 -> Sim.barrier ()
       | Some _ | None -> ())
   | Instr.Workshare { iv; lo; hi; body; schedule; nowait } ->
     let body_code = compile_block env body.Instr.body in
@@ -1455,7 +1056,7 @@ and compile_straight env (i : Instr.t) : sc =
         | Next -> i := !i + step
         | Ret | Yld -> i := stop
       done;
-      if (not nowait) && width > 1 then do_barrier t
+      if (not nowait) && width > 1 then Sim.barrier ()
   | Instr.Fork { tid; nth; body } ->
     let uses_gc_roots =
       let found = ref false in
@@ -1476,7 +1077,7 @@ and compile_straight env (i : Instr.t) : sc =
           fun _t _frames -> () )
       else begin
         let subcf, checkout, checkin =
-          make_body_frame env.cf body ~entry_defs:[ tid; nth ]
+          make_body_frame env.prep env.cf body ~entry_defs:[ tid; nth ]
         in
         { env with cf = subcf }, checkout, checkin
       end
@@ -1487,8 +1088,6 @@ and compile_straight env (i : Instr.t) : sc =
       match body.Instr.params with [ _; q ] -> Some (ivw benv q) | _ -> None
     in
     let nth_rd = ird env nth in
-    let psafe = fork_par_safe env.prep body in
-    let fname = env.fname in
     fun t fr ->
       let width =
         match nth_rd fr with
@@ -1505,39 +1104,24 @@ and compile_straight env (i : Instr.t) : sc =
       let nthw =
         match nth_slot with Some w -> w | None -> error "malformed fork body"
       in
-      let pool =
-        match t.mode with
-        | MPar pool
-          when width > 1 && psafe
-               && (match t.defer with None -> true | Some _ -> false)
-               && not t.ctx.Interp.cache.Cache_rt.protect -> Some pool
-        | _ -> None
-      in
       let frames = checkout t fr width in
-      (match pool with
-      | Some pool ->
-        par_fork_run t ~pool ~width ~socket_of ~tidw ~nthw ~fname ~frames
-          body_code;
-        checkin t frames
-      | None ->
-        Sim.fork ~socket_of ~width (fun ~tid:tt ~width:w ->
-            let cfr = frames.(tt) in
-            tidw cfr tt;
-            nthw cfr w;
-            let s = Sim.self () in
-            let ct =
-              {
-                t with
-                clock = s.Sim.clock;
-                socket = s.Sim.socket;
-                team = Some (tt, w);
-                defer = None;
-              }
-            in
-            match body_code ct cfr with
-            | Next -> ()
-            | Ret | Yld -> error "fork body may not return/yield");
-        checkin t frames)
+      Sim.fork ~socket_of ~width (fun ~tid:tt ~width:w ->
+          let cfr = frames.(tt) in
+          tidw cfr tt;
+          nthw cfr w;
+          let s = Sim.self () in
+          let ct =
+            {
+              t with
+              clock = s.Sim.clock;
+              socket = s.Sim.socket;
+              team = Some (tt, w);
+            }
+          in
+          match body_code ct cfr with
+          | Next -> ()
+          | Ret | Yld -> error "fork body may not return/yield");
+      checkin t frames
   | Instr.If _ | Instr.For _ | Instr.While _ | Instr.Return _ | Instr.Yield _
     -> assert false (* control; routed to compile_ctrl *)
 
@@ -1920,18 +1504,13 @@ and compile_intrinsic env v name args : sc =
   | "parad.remat_begin", _ ->
     fun t fr ->
       charge t t.cost.Cost_model.arith;
-      (match t.defer with
-      | Some m -> m.remat <- m.remat + 1
-      | None -> t.ctx.Interp.remat_depth <- t.ctx.Interp.remat_depth + 1);
+      t.ctx.Interp.remat_depth <- t.ctx.Interp.remat_depth + 1;
       w fr VUnit
   | "parad.remat_end", _ ->
     fun t fr ->
       charge t t.cost.Cost_model.arith;
-      (match t.defer with
-      | Some m -> if m.remat > 0 then m.remat <- m.remat - 1
-      | None ->
-        if t.ctx.Interp.remat_depth > 0 then
-          t.ctx.Interp.remat_depth <- t.ctx.Interp.remat_depth - 1);
+      if t.ctx.Interp.remat_depth > 0 then
+        t.ctx.Interp.remat_depth <- t.ctx.Interp.remat_depth - 1;
       w fr VUnit
   | ("cache.new" | "cache.newf"), cap :: _ ->
     let cap_rd = ird env cap in
@@ -1949,10 +1528,9 @@ and compile_intrinsic env v name args : sc =
     match Var.ty a2, Var.ty a0, Var.ty a1 with
     | Ty.Float, Ty.Int, Ty.Int ->
       (* unboxed write: the stored float never round-trips through a
-         [VFloat] box on the sequential path (deferred par-member sets
-         still box — they are queued as values for ordered replay). The
-         cache record is resolved once per call and shared between the
-         representation test (which picks the charge) and the write. *)
+         [VFloat] box. The cache record is resolved once per call and
+         shared between the representation test (which picks the charge)
+         and the write. *)
       let s_id = slot env a0
       and s_idx = slot env a1
       and s_x = slot env a2 in
@@ -1966,17 +1544,9 @@ and compile_intrinsic env v name args : sc =
           (if Cache_rt.is_floats c then t.cost.Cost_model.mem
            else t.cost.Cost_model.cache_op);
         t.st.Stats.cache_stores <- t.st.Stats.cache_stores + 1;
-        let idx = fr.i.(s_idx) in
-        (match t.defer with
-        | Some m -> m.d_csets <- (id, idx, VFloat fr.f.(s_x)) :: m.d_csets
-        | None ->
-          let before = Cache_rt.cells_written cache in
-          Cache_rt.set_from cache c ~id ~idx fr.f s_x;
-          if Cache_rt.cells_written cache > before then begin
-            t.st.Stats.cache_cells <- t.st.Stats.cache_cells + 1;
-            let peak = Cache_rt.peak_cells cache in
-            if peak > t.st.Stats.cache_peak then t.st.Stats.cache_peak <- peak
-          end);
+        let before = Cache_rt.cells_written cache in
+        Cache_rt.set_from cache c ~id ~idx:fr.i.(s_idx) fr.f s_x;
+        count_new_cell t cache ~before;
         fr.v.(s_v) <- VUnit
     | _ ->
       let x_rd = reader env a2 in
@@ -1990,16 +1560,9 @@ and compile_intrinsic env v name args : sc =
         t.st.Stats.cache_stores <- t.st.Stats.cache_stores + 1;
         let idx = idx_rd fr
         and x = x_rd fr in
-        (match t.defer with
-        | Some m -> m.d_csets <- (id, idx, x) :: m.d_csets
-        | None ->
-          let before = Cache_rt.cells_written cache in
-          Cache_rt.set cache ~id ~idx x;
-          if Cache_rt.cells_written cache > before then begin
-            t.st.Stats.cache_cells <- t.st.Stats.cache_cells + 1;
-            let peak = Cache_rt.peak_cells cache in
-            if peak > t.st.Stats.cache_peak then t.st.Stats.cache_peak <- peak
-          end);
+        let before = Cache_rt.cells_written cache in
+        Cache_rt.set cache ~id ~idx x;
+        count_new_cell t cache ~before;
         w fr VUnit)
   | "cache.get", a0 :: a1 :: _ -> (
     let id_rd = ird env a0
@@ -2322,26 +1885,21 @@ and build_ucall env v name args : sc =
           w fr t.retv)
 
 and get_cfun prep ~taped name : cfun =
-  Mutex.lock prep.plk;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock prep.plk)
-    (fun () ->
-      match Hashtbl.find_opt prep.funcs (name, taped) with
-      | Some cf -> cf
-      | None -> (
-        match Prog.find prep.prog name with
-        | None -> error "call to unknown function %S" name
-        | Some fn ->
-          let cf, _ =
-            assign_slots fn ~tp:taped ~n:(max fn.Func.var_count 1)
-              fn.Func.params fn.Func.body
-          in
-          cf.code <-
-            compile_block
-              { prep; cf; fname = name; ydest = YNone; taped }
-              fn.Func.body;
-          Hashtbl.replace prep.funcs (name, taped) cf;
-          cf))
+  match Hashtbl.find_opt prep.funcs (name, taped) with
+  | Some cf -> cf
+  | None -> (
+    match Prog.find prep.prog name with
+    | None -> error "call to unknown function %S" name
+    | Some fn ->
+      let cf, _ =
+        assign_slots fn ~tp:taped ~n:(max fn.Func.var_count 1) fn.Func.params
+          fn.Func.body
+      in
+      cf.code <-
+        compile_block { prep; cf; fname = name; ydest = YNone; taped }
+          fn.Func.body;
+      Hashtbl.replace prep.funcs (name, taped) cf;
+      cf)
 
 (* Boxed-argument call: the engine's replica of [Interp.call_function]
    with an empty caller stack — entry points and spawned tasks. *)
@@ -2375,41 +1933,28 @@ and call_boxed prep ?(taped = false) ?(slots = []) t name
 
 (* ---- entry points ---- *)
 
-type choice = Interp | Seq | Par
+type choice = Interp | Seq
 
 let choice_of_string = function
   | "interp" -> Some Interp
   | "seq" -> Some Seq
-  | "par" -> Some Par
   | _ -> None
 
-let choice_to_string = function
-  | Interp -> "interp"
-  | Seq -> "seq"
-  | Par -> "par"
+let choice_to_string = function Interp -> "interp" | Seq -> "seq"
 
 (** Run [fname] on the engine inside the current Sim strand, threading
     tape slots for the arguments and the result (both all-zero on
     uninstrumented runs). Instrumented (taped) runs compile in taping
-    mode and stay engine-resident on the Seq runner; contexts the engine
-    cannot replicate bit-exactly (sanitizers, taping under the Par
-    runner whose fork orders records nondeterministically) fall back to the
-    interpreter wholesale — and are counted in [Stats.eng_fallbacks]. *)
-let exec_call_slots prep mode (ctx : Interp.ctx) fname args slots :
-    Value.t * int =
-  let taped =
-    match ctx.Interp.instrument with Some _ -> true | None -> false
-  in
-  let fallback =
-    (match ctx.Interp.san with Some _ -> true | None -> false)
-    || (taped && match mode with MPar _ -> true | MSeq -> false)
-  in
-  if fallback then begin
+    mode; sanitized contexts, which the engine does not replicate, fall
+    back to the interpreter wholesale — and are counted in
+    [Stats.eng_fallbacks]. *)
+let exec_call_slots prep (ctx : Interp.ctx) fname args slots : Value.t * int =
+  match ctx.Interp.san with
+  | Some _ ->
     (Sim.stats ()).Stats.eng_fallbacks <-
       (Sim.stats ()).Stats.eng_fallbacks + 1;
     Interp.call_with_slots ctx fname args slots
-  end
-  else begin
+  | None ->
     ctx.Interp.root_args <- args;
     let s = Sim.self () in
     let vdl, wall_stop, wall_ms = Sim.deadline_view () in
@@ -2423,11 +1968,9 @@ let exec_call_slots prep mode (ctx : Interp.ctx) fname args slots :
         ctx;
         cost = ctx.Interp.cfg.Interp.cost;
         st = Sim.stats ();
-        mode;
         clock = s.Sim.clock;
         socket = s.Sim.socket;
         team = None;
-        defer = None;
         dl;
         retv = VUnit;
         rets = 0;
@@ -2435,20 +1978,16 @@ let exec_call_slots prep mode (ctx : Interp.ctx) fname args slots :
         fcache = Hashtbl.create 8;
       }
     in
+    let taped = Option.is_some ctx.Interp.instrument in
     let v = call_boxed prep ~taped ~slots t fname args in
     v, t.rets
-  end
-
-let exec_call prep mode (ctx : Interp.ctx) fname args =
-  fst (exec_call_slots prep mode ctx fname args [])
 
 (** [call_fn prep choice] is a drop-in replacement for {!Interp.call}
     running on the selected substrate. *)
 let call_fn prep choice : Interp.ctx -> string -> Value.t list -> Value.t =
   match choice with
   | Interp -> Interp.call
-  | Seq -> fun ctx f args -> exec_call prep MSeq ctx f args
-  | Par -> fun ctx f args -> exec_call prep (MPar (Pool.get ())) ctx f args
+  | Seq -> fun ctx f args -> fst (exec_call_slots prep ctx f args [])
 
 (** [call_fn_slots prep choice] is the slot-threading counterpart of
     {!call_fn}: a drop-in replacement for {!Interp.call_with_slots} for
@@ -2458,7 +1997,4 @@ let call_fn_slots prep choice :
     Interp.ctx -> string -> Value.t list -> int list -> Value.t * int =
   match choice with
   | Interp -> Interp.call_with_slots
-  | Seq -> fun ctx f args slots -> exec_call_slots prep MSeq ctx f args slots
-  | Par ->
-    fun ctx f args slots ->
-      exec_call_slots prep (MPar (Pool.get ())) ctx f args slots
+  | Seq -> exec_call_slots prep

@@ -70,7 +70,7 @@ type request = {
   rq_deadline : Sim.deadline;
   rq_engine : Parad_engine.Engine.choice;
       (** execution substrate: the tree-walking interpreter or the lowered
-          slot-addressed engine (sequential / work-stealing pool) *)
+          slot-addressed engine *)
 }
 
 let lulesh_flavor = function
@@ -212,7 +212,7 @@ let request_of_json ~default_watchdog_ms j =
     | Some s -> (
       match Parad_engine.Engine.choice_of_string s with
       | Some e -> e
-      | None -> invalid "unknown engine %S (interp|seq|par)" s)
+      | None -> invalid "unknown engine %S (interp|seq)" s)
   in
   {
     rq_id = id;

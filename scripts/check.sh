@@ -200,9 +200,11 @@ expect_output "deadline exceeded" "busted deadline printed no structured report"
 expect_exit 124 grad --flavor seq --deadline-ms 0
 expect_exit 0 grad --flavor seq --size 2 --iters 1 --deadline-cycles 1000000000
 
-# meshes and teams below the service's minimums are flag parse errors
+# meshes and teams below the service's minimums are flag parse errors,
+# and so is a runner the engine does not have
 expect_exit 124 grad --flavor seq --size 1
 expect_exit 124 grad --flavor omp --threads 0
+expect_exit 124 grad --flavor seq --engine par
 
 # ---- gradient-service smoke (serve --stdin) ----
 # A mixed batch through the real request path: every line, valid or

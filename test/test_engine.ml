@@ -1,20 +1,15 @@
-(* Execution engine (ISSUE 9): the lowered slot-addressed runners must be
+(* Execution engine: the lowered slot-addressed runner must be
    bit-identical to the tree-walking interpreter — same gradients by FNV
    digest, same virtual-time makespan, same instruction counts — across
-   every app x flavor program, and the structured-failure machinery
-   (deadlines, fault kills, SDC detection) must behave identically on the
-   engine path. *)
+   every app x flavor program and on generated programs, and the
+   structured-failure machinery (deadlines, fault kills, SDC detection)
+   must behave identically on the engine path. *)
 
 module L = Apps_lulesh.Lulesh
 module MB = Apps_minibude.Minibude
 module E = Parad_engine.Engine
 module S = Parad_server.Service
 open Parad_runtime
-
-(* run the par tests on a real 2-domain pool even on single-core hosts:
-   the pool is global and lazy, so the size must be pinned before the
-   first engine=Par execution *)
-let () = if Sys.getenv_opt "PARAD_DOMAINS" = None then Unix.putenv "PARAD_DOMAINS" "2"
 
 let tiny = { L.nx = 2; ny = 2; nz = 4; niter = 3; dt0 = 0.01; escale = 1.0 }
 
@@ -49,8 +44,7 @@ let test_lulesh_bit_identity () =
       let c = L.compile flavor in
       let g engine = L.gradient_compiled ~nthreads ~nranks ~engine c tiny in
       let base = g E.Interp in
-      check_same (L.flavor_name flavor ^ " seq") base (g E.Seq);
-      check_same (L.flavor_name flavor ^ " par") base (g E.Par))
+      check_same (L.flavor_name flavor ^ " seq") base (g E.Seq))
     lulesh_flavors
 
 let bude_inp = MB.deck ~nposes:12 ~natlig:6 ~natpro:10
@@ -61,34 +55,51 @@ let test_bude_bit_identity () =
       let c = MB.compile ~ntasks:3 variant in
       let g engine = MB.gradient_compiled ~engine c bude_inp in
       let base = g E.Interp in
-      let check name (x : MB.grad_result) =
-        Alcotest.(check string)
-          (MB.variant_name variant ^ " " ^ name ^ " digest")
-          (S.digest_bude base) (S.digest_bude x);
-        Alcotest.(check (float 0.0))
-          (MB.variant_name variant ^ " " ^ name ^ " makespan")
-          base.MB.g_makespan x.MB.g_makespan;
-        Alcotest.(check int)
-          (MB.variant_name variant ^ " " ^ name ^ " instrs")
-          base.MB.g_stats.Stats.instrs x.MB.g_stats.Stats.instrs
-      in
-      check "seq" (g E.Seq);
-      check "par" (g E.Par))
+      let x = g E.Seq in
+      let name = MB.variant_name variant ^ " seq" in
+      Alcotest.(check string)
+        (name ^ " digest") (S.digest_bude base) (S.digest_bude x);
+      Alcotest.(check (float 0.0))
+        (name ^ " makespan") base.MB.g_makespan x.MB.g_makespan;
+      Alcotest.(check int)
+        (name ^ " instrs") base.MB.g_stats.Stats.instrs
+        x.MB.g_stats.Stats.instrs)
     [ MB.Seq; MB.Omp; MB.Julia ]
 
 let test_primal_identity () =
   (* primal runs (Exec.run / run_spmd with the engine's call) agree too *)
   let base = (L.run L.Omp ~nthreads:4 tiny).L.total_energy in
-  List.iter
-    (fun engine ->
-      let r = L.run ~nthreads:4 ~engine L.Omp tiny in
-      Alcotest.(check (float 0.0))
-        ("omp primal " ^ E.choice_to_string engine)
-        base r.L.total_energy)
-    [ E.Seq; E.Par ];
+  let r = L.run ~nthreads:4 ~engine:E.Seq L.Omp tiny in
+  Alcotest.(check (float 0.0)) "omp primal seq" base r.L.total_energy;
   let eb = (MB.run ~nthreads:3 MB.Julia bude_inp).MB.energies in
   let es = (MB.run ~nthreads:3 ~engine:E.Seq MB.Julia bude_inp).MB.energies in
   Alcotest.(check bool) "julia primal energies" true (eb = es)
+
+(* Random kernels of test/gen_prog.ml, differentiated and run through the
+   post-AD pipeline: the engine reproduces the interpreter's shadow
+   gradient and primal return bit for bit, its makespan and its
+   instruction count. *)
+let gen_input = [| 0.3; -1.2; 2.0; 0.7; -0.1; 1.5; 0.9; -0.4 |]
+
+let prop_generated_identity =
+  QCheck.Test.make ~name:"generated gradients" ~count:200
+    (QCheck.make QCheck.Gen.(pair Gen_prog.gen_shape Gen_prog.gen_ops))
+    (fun (shape, ops) ->
+      let prog = Gen_prog.build ~shape ~len:(Array.length gen_input) ops in
+      let dprog, dname = Parad_verify.Grad_check.differentiate prog "rand" in
+      let run call =
+        let shadow = ref Value.VUnit in
+        let r =
+          Exec.run ~call dprog ~fname:dname ~setup:(fun ctx ->
+              shadow := Exec.zeros ctx (Array.length gen_input);
+              [ Exec.floats ctx gen_input; !shadow; Value.VFloat 1.0 ])
+        in
+        ( Array.map Int64.bits_of_float (Exec.to_floats !shadow),
+          Int64.bits_of_float (Value.to_float r.Exec.values.(0)),
+          Int64.bits_of_float r.Exec.makespan,
+          r.Exec.stats.Stats.instrs )
+      in
+      run Interp.call = run (E.call_fn (E.prepare dprog) E.Seq))
 
 let test_binomial_engine_identity () =
   (* the revolve driver's inner runs ride the engine and must reproduce
@@ -327,6 +338,7 @@ let () =
           Alcotest.test_case "minibude all variants" `Quick
             test_bude_bit_identity;
           Alcotest.test_case "primal runs" `Quick test_primal_identity;
+          QCheck_alcotest.to_alcotest prop_generated_identity;
           Alcotest.test_case "binomial driver" `Quick
             test_binomial_engine_identity;
           Alcotest.test_case "no allocation per instruction" `Quick

@@ -203,6 +203,7 @@ let test_validation () =
   invalid [ "faults", J.Str "warp-core-breach" ];
   invalid [ "sanitize", J.Str "maybe" ];
   invalid [ "app", J.Str "hpcg" ];
+  invalid [ "engine", J.Str "par" ];
   (* bad JSON is a classified response, not a dead server *)
   let r =
     match J.of_string (S.handle_line svc "{oops") with
