@@ -138,7 +138,15 @@ let vars_of (f : Func.t) =
    back by the reverse halves). A float value outside this set receives
    only exact zeros in the reverse pass, so neither it nor its operands
    need to be made available: the planner skips their registration and
-   the reverse pass skips their statements entirely. *)
+   the reverse pass skips their statements entirely.
+
+   The closure flows from uses to definitions, so each instruction list
+   is walked last-to-first, a region's body when its instruction is
+   reached: every use of a value (a later instruction, a nested region,
+   or an If branch's Yield of an If result) is seen before its
+   definition, and one walk reaches the fixpoint. A second walk confirms
+   it. Walking in program order instead took one walk per step of the
+   longest use-def chain (21 on LULESH OMP). *)
 let useful_of (f : Func.t) : (int, unit) Hashtbl.t =
   let useful = Hashtbl.create 64 in
   let changed = ref true in
@@ -188,7 +196,7 @@ let useful_of (f : Func.t) : (int, unit) Hashtbl.t =
           List.iter
             (fun (r : Instr.region) -> walk r.body)
             (Instr.regions ins))
-      instrs
+      (List.rev instrs)
   in
   while !changed do
     changed := false;
@@ -204,7 +212,12 @@ let useful_of (f : Func.t) : (int, unit) Hashtbl.t =
    slot holds both (§V-E cache minimization), and the forward sweep skips
    the duplicate's redundant cache store. Unlike CSE on the primal this
    leaves the primal and the adjoint accumulation structure untouched, so
-   gradients stay bit-identical. *)
+   gradients stay bit-identical.
+
+   The value numbering keys a pure instruction structurally ({!Vn.key},
+   the key CSE uses), its operands by their canonical ids. One table
+   serves the whole walk: a region's entries are undone when the walk
+   leaves it, as in CSE, instead of each region walking a copy. *)
 let dup_loads_of (fi : Finfo.t) : (int, int) Hashtbl.t =
   let f = fi.Finfo.func in
   let dup = Hashtbl.create 32 in
@@ -226,22 +239,12 @@ let dup_loads_of (fi : Finfo.t) : (int, int) Hashtbl.t =
       | None -> false)
     | _ -> false
   in
-  let vn_key (ins : Instr.t) : string option =
-    let id v = string_of_int (canon (Var.id v)) in
-    match ins with
-    | Instr.Bin (_, op, a, b) ->
-      Some (Fmt.str "b%s,%s,%s" (Instr.binop_name op) (id a) (id b))
-    | Instr.Cmp (_, op, a, b) ->
-      Some (Fmt.str "c%s,%s,%s" (Instr.cmpop_name op) (id a) (id b))
-    | Instr.Un (_, op, a) -> Some (Fmt.str "u%s,%s" (Instr.unop_name op) (id a))
-    | Instr.Gep (_, p, ix) -> Some (Fmt.str "g%s,%s" (id p) (id ix))
-    | Instr.Select (_, c, a, b) ->
-      Some (Fmt.str "s%s,%s,%s" (id c) (id a) (id b))
-    | Instr.Const (_, Instr.Cint x) -> Some (Fmt.str "ki%d" x)
-    | Instr.Const (_, Instr.Cbool x) -> Some (Fmt.str "kb%b" x)
-    | Instr.Const (_, Instr.Cfloat x) -> Some (Fmt.str "kf%h" x)
-    | _ -> None
-  in
+  (* pure values numbered at the current point; [entered] lists the keys
+     added since the enclosing region began *)
+  let vn : (Vn.key, int) Hashtbl.t = Hashtbl.create 256 in
+  let entered = ref [] in
+  let vn_id v = canon (Var.id v) in
+  let region g = Vn.scoped entered (Hashtbl.remove vn) g in
   (* avail: (canon ptr id, canon idx id) -> (leader load var, its base) *)
   let invalidate avail (p : Var.t) =
     match Finfo.pointer_base fi p with
@@ -255,7 +258,7 @@ let dup_loads_of (fi : Finfo.t) : (int, int) Hashtbl.t =
         avail
     | _ -> Hashtbl.reset avail
   in
-  let rec walk vn avail instrs =
+  let rec walk avail instrs =
     List.iter
       (fun (ins : Instr.t) ->
         (match ins with
@@ -273,19 +276,21 @@ let dup_loads_of (fi : Finfo.t) : (int, int) Hashtbl.t =
         | Instr.Call _ | Instr.Spawn _ | Instr.Sync _ | Instr.Barrier ->
           Hashtbl.reset avail
         | _ -> (
-          match vn_key ins, Instr.def ins with
+          match Vn.key ~id:vn_id ins, Instr.def ins with
           | Some k, Some v -> (
             match Hashtbl.find_opt vn k with
             | Some lid -> Hashtbl.replace canon_tbl (Var.id v) lid
-            | None -> Hashtbl.replace vn k (Var.id v))
+            | None ->
+              Hashtbl.add vn k (Var.id v);
+              entered := k :: !entered)
           | _ -> ()));
         match ins with
         | Instr.If (_, _, t_, e_) ->
           (* branches observe memory as of the If: propagate availability
              in (lexical dominance makes the leaders visible), then drop
              it below the If (either branch may have written) *)
-          walk (Hashtbl.copy vn) (Hashtbl.copy avail) t_.body;
-          walk (Hashtbl.copy vn) (Hashtbl.copy avail) e_.body;
+          region (fun () -> walk (Hashtbl.copy avail) t_.body);
+          region (fun () -> walk (Hashtbl.copy avail) e_.body);
           Hashtbl.reset avail
         | _ ->
           let rs = Instr.regions ins in
@@ -293,12 +298,12 @@ let dup_loads_of (fi : Finfo.t) : (int, int) Hashtbl.t =
              start them with no availability, and drop ours after *)
           List.iter
             (fun (r : Instr.region) ->
-              walk (Hashtbl.copy vn) (Hashtbl.create 16) r.body)
+              region (fun () -> walk (Hashtbl.create 16) r.body))
             rs;
           if rs <> [] then Hashtbl.reset avail)
       instrs
   in
-  walk (Hashtbl.create 64) (Hashtbl.create 16) f.body;
+  walk (Hashtbl.create 16) f.body;
   dup
 
 let create ~fi ~split ~opts =

@@ -17,22 +17,6 @@ open Rewrite
 let rec resolve alias v =
   match alias.(Var.id v) with Some v' -> resolve alias v' | None -> v
 
-(* Run [f], then undo (with [undo]) every entry it pushed onto [trail]. *)
-let scoped trail undo f =
-  let outer = !trail in
-  let r = f () in
-  let rec pop () =
-    if !trail != outer then
-      match !trail with
-      | x :: rest ->
-        undo x;
-        trail := rest;
-        pop ()
-      | [] -> ()
-  in
-  pop ();
-  r
-
 (* ---- constant folding + algebraic simplification ---- *)
 
 type cval = CI of int | CF of float | CB of bool
@@ -131,43 +115,18 @@ let fold_func (f : Func.t) : Func.t =
 
 (* ---- common subexpression elimination (pure ops, region-scoped) ---- *)
 
-(* The structural key of a pure instruction. Float constants are keyed on
-   their bits, so NaN payloads and the sign of zero stay apart. *)
-type key =
-  | KBin of Instr.binop * int * int
-  | KCmp of Instr.cmpop * int * int
-  | KUn of Instr.unop * int
-  | KGep of int * int
-  | KSelect of int * int * int
-  | KInt of int
-  | KBool of bool
-  | KFloat of int64
-
-let cse_key (i : Instr.t) =
-  let open Instr in
-  match i with
-  | Bin (_, op, a, b) -> Some (KBin (op, Var.id a, Var.id b))
-  | Cmp (_, op, a, b) -> Some (KCmp (op, Var.id a, Var.id b))
-  | Un (_, op, a) -> Some (KUn (op, Var.id a))
-  | Gep (_, p, ix) -> Some (KGep (Var.id p, Var.id ix))
-  | Select (_, c, a, b) -> Some (KSelect (Var.id c, Var.id a, Var.id b))
-  | Const (_, Cint x) -> Some (KInt x)
-  | Const (_, Cbool x) -> Some (KBool x)
-  | Const (_, Cfloat x) -> Some (KFloat (Int64.bits_of_float x))
-  | _ -> None
-
 let cse_func (f : Func.t) : Func.t =
   let alias = Array.make f.var_count None in
   let sub = resolve alias in
   (* values available at the current point; [entered] lists the keys
      added since the enclosing region began *)
-  let avail : (key, Var.t) Hashtbl.t = Hashtbl.create 256 in
+  let avail : (Vn.key, Var.t) Hashtbl.t = Hashtbl.create 256 in
   let entered = ref [] in
   let rec go instrs =
     List.filter_map
       (fun i ->
         let i = map_uses sub i in
-        match cse_key i, Instr.def i with
+        match Vn.key ~id:Var.id i, Instr.def i with
         | Some k, Some v -> (
           match Hashtbl.find_opt avail k with
           | Some prior ->
@@ -180,7 +139,7 @@ let cse_func (f : Func.t) : Func.t =
         | _ -> Some (with_regions i (List.map region (Instr.regions i))))
       instrs
   and region (r : Instr.region) =
-    scoped entered (Hashtbl.remove avail) (fun () ->
+    Vn.scoped entered (Hashtbl.remove avail) (fun () ->
         { r with Instr.body = go r.body })
   in
   { f with body = go f.body }
@@ -303,7 +262,7 @@ let licm_func (f : Func.t) : Func.t =
       trail := id :: !trail
     end
   in
-  let scoped g = scoped trail (fun id -> avail.(id) <- false) g in
+  let scoped g = Vn.scoped trail (fun id -> avail.(id) <- false) g in
   (* [walk instrs] rewrites a region body; it also says whether anything
      in it, at any depth, clobbers memory *)
   let rec walk instrs =
