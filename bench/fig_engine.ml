@@ -18,15 +18,25 @@ let run ~quick =
   header "Execution engine (wall-clock, bit-identical gradients)";
   let cores = Domain.recommended_domain_count () in
   let reps = if quick then 2 else 3 in
-  (* a BENCH_engine.json row's metrics; speedup is interp wall / this
-     wall on the same program *)
-  let engine_metrics ~wall_ns ~speedup ~makespan =
-    [
-      "cores", float cores;
-      "wall_ns", wall_ns;
-      "speedup", speedup;
-      "makespan", makespan;
-    ]
+  (* one table row and one BENCH_engine.json row; speedup is the
+     interpreter's wall [base_ns] over this wall on the same program *)
+  let report ~app ~base_ns name ns ~bitwise ~makespan =
+    let config = app ^ "/" ^ name in
+    row_of_strings config
+      [
+        Printf.sprintf "%.1f" (ns /. 1e6);
+        Printf.sprintf "%.2fx" (base_ns /. ns);
+        Printf.sprintf "%.4g" makespan;
+        string_of_bool bitwise;
+      ];
+    record ~figure:"engine" ~config ~bitwise
+      [
+        "cores", float cores;
+        "wall_ns", ns;
+        "speedup", base_ns /. ns;
+        "makespan", makespan;
+      ];
+    bitwise
   in
 
   subheader "LULESH OMP gradient (nthreads=64)";
@@ -42,22 +52,16 @@ let run ~quick =
   let base, base_ns = best_of reps (grad E.Interp) in
   let base_digest = SV.digest_lulesh base in
   row_of_strings "engine" [ "wall_ms"; "speedup"; "makespan"; "bitwise" ];
-  let report name ns (digest, makespan) =
-    let bitwise = digest = base_digest in
-    row_of_strings name
-      [
-        Printf.sprintf "%.1f" (ns /. 1e6);
-        Printf.sprintf "%.2fx" (base_ns /. ns);
-        Printf.sprintf "%.4g" makespan;
-        string_of_bool bitwise;
-      ];
-    record ~figure:"engine" ~config:("lulesh_omp/" ^ name) ~bitwise
-      (engine_metrics ~wall_ns:ns ~speedup:(base_ns /. ns) ~makespan);
-    bitwise
+  let lulesh = report ~app:"lulesh_omp" ~base_ns in
+  let ok =
+    ref (lulesh "interp" base_ns ~bitwise:true ~makespan:base.L.g_makespan)
   in
-  let ok = ref (report "interp" base_ns (base_digest, base.L.g_makespan)) in
   let g, ns = best_of reps (grad E.Seq) in
-  ok := report "seq" ns (SV.digest_lulesh g, g.L.g_makespan) && !ok;
+  ok :=
+    lulesh "seq" ns
+      ~bitwise:(SV.digest_lulesh g = base_digest)
+      ~makespan:g.L.g_makespan
+    && !ok;
 
   subheader "miniBUDE OMP gradient (nthreads=8)";
   let binp =
@@ -69,27 +73,21 @@ let run ~quick =
     let g = MB.gradient_compiled ~engine bc binp in
     g, float_of_int g.MB.g_stats.S.wall_ns
   in
+  (* the interpreter runs once: its timing is the base and its row *)
   let bbase, bbase_ns = best_of reps (bgrad E.Interp) in
   let bdigest = SV.digest_bude bbase in
+  let bude = report ~app:"bude_omp" ~base_ns:bbase_ns in
+  ok :=
+    bude "interp" bbase_ns ~bitwise:true ~makespan:bbase.MB.g_makespan && !ok;
   List.iter
     (fun engine ->
       let g, ns = best_of reps (bgrad engine) in
-      let bitwise = SV.digest_bude g = bdigest in
-      row_of_strings
-        ("bude_omp/" ^ E.choice_to_string engine)
-        [
-          Printf.sprintf "%.1f" (ns /. 1e6);
-          Printf.sprintf "%.2fx" (bbase_ns /. ns);
-          Printf.sprintf "%.4g" g.MB.g_makespan;
-          string_of_bool bitwise;
-        ];
-      record ~figure:"engine"
-        ~config:("bude_omp/" ^ E.choice_to_string engine)
-        ~bitwise
-        (engine_metrics ~wall_ns:ns ~speedup:(bbase_ns /. ns)
-           ~makespan:g.MB.g_makespan);
-      ok := !ok && bitwise)
-    [ E.Interp; E.Seq ];
+      ok :=
+        bude (E.choice_to_string engine) ns
+          ~bitwise:(SV.digest_bude g = bdigest)
+          ~makespan:g.MB.g_makespan
+        && !ok)
+    [ E.Seq ];
   if not !ok then begin
     Printf.eprintf "fig_engine: an engine gradient diverged from interp\n";
     exit 1
