@@ -25,26 +25,19 @@ let run ~quick =
   Printf.printf "  O2              : %12.3g\n" (g Pipe.o2);
   Printf.printf "  O2 + OpenMPOpt  : %12.3g\n" (g Pipe.o2_openmp);
   subheader "abl-mincut: cache-everything vs recompute-vs-cache (LULESH OMP)";
-  (* the sweep's upper bound is the driver's --recompute-depth flag, so
-     deeper rematerialization can be explored without a rebuild *)
-  let top = cli_int "--recompute-depth" ~default:10 in
-  let g depth =
+  let row label depth =
     let r =
       L.gradient ~nthreads:w
         ~opts:{ Plan.default_options with Plan.recompute_depth = depth }
         L.Omp inp
     in
-    r.L.g_makespan, r.L.g_stats.S.cache_cells, r.L.g_stats.S.cache_peak
+    Printf.printf "  %-26s: %12.3g cycles, %8d cache cells, %8d peak\n" label
+      r.L.g_makespan r.L.g_stats.S.cache_cells r.L.g_stats.S.cache_peak
   in
-  List.iter
-    (fun depth ->
-      let t, cells, peak = g depth in
-      Printf.printf
-        "  recompute depth %-2d %s: %12.3g cycles, %8d cache cells, %8d peak\n"
-        depth
-        (if depth = 0 then "(cache everything)" else "                  ")
-        t cells peak)
-    (List.sort_uniq compare [ 0; 4; top ]);
+  row "depth 0 (cache everything)" 0;
+  row "depth 4 (cut, bounded)" 4;
+  row "depth 10 (cut, bounded)" 10;
+  row "default (cut, no bound)" Plan.default_options.Plan.recompute_depth;
   subheader
     "abl-remat: rematerialized-transcendental rate (LULESH OMP, depth 4)";
   (* recompute-vs-cache plans only beat cache-everything while a

@@ -6,7 +6,6 @@
    Usage: main.exe [--quick] [--figure fig8|fig9|fig10|fig11|overhead|
                               verify|ablation|checkpoint|serve|sdc|engine|
                               batch|micro]
-                   [--recompute-depth N]
 
    Figure drivers record machine-readable rows; the run writes each
    figure's rows to BENCH_<figure>.json on exit (see Bench_row). The

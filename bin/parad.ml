@@ -236,10 +236,12 @@ let run_cmd =
 
 (* A negative depth has no meaning to the planner (0 already means "cache
    everything"); reject it at parse time with an actionable message
-   instead of surfacing a planner invariant failure. *)
+   instead of surfacing a planner invariant failure. The default, no
+   bound, is written "inf". *)
 let nonneg_depth_conv =
   let parse s =
     match int_of_string_opt s with
+    | None when s = "inf" -> Ok max_int
     | None -> Error (`Msg (Printf.sprintf "invalid recompute depth %S" s))
     | Some n when n >= 0 -> Ok n
     | Some n ->
@@ -250,7 +252,10 @@ let nonneg_depth_conv =
                every needed value"
               n))
   in
-  Arg.conv (parse, Format.pp_print_int)
+  Arg.conv
+    ( parse,
+      fun ppf d ->
+        Format.pp_print_string ppf (Parad_core.Plan.string_of_depth d) )
 
 let recompute_depth_arg =
   Arg.(
@@ -259,9 +264,11 @@ let recompute_depth_arg =
         Parad_core.Plan.default_options.Parad_core.Plan.recompute_depth
     & info [ "recompute-depth" ]
         ~doc:
-          "planner recompute-vs-cache height bound: 0 caches every needed \
-           value, larger values rematerialize taller pure expressions in \
-           the reverse sweep (the abl-mincut knob)")
+          "bound on the height of a chain the reverse sweep recomputes \
+           instead of caching: 0 caches every needed value, N > 0 lets \
+           the planner's cost-weighted min-cut recompute chains at most N \
+           tall, and inf (the default) sets no bound, so the cut alone \
+           decides (the abl-mincut knob)")
 
 (* Snapshot budgets below 1 cannot hold even the segment being reversed;
    reject them up front rather than from the store constructor. *)

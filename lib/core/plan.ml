@@ -12,8 +12,9 @@
       case degenerates to nothing in combined mode).
     - [AParam] — a region parameter (loop induction variable, thread id)
       reconstructed by the reversed region.
-    - [ARecomp] — a short pure chain re-emitted in the reverse pass
-      (recompute-instead-of-cache).
+    - [ARecomp] — re-emitted in the reverse pass from its operands: a
+      pure instruction, or a load from memory that never changes, that
+      the cut (see {!Cut}) finds cheaper to recompute than to cache.
     - [ACache] — stored in an iteration/thread-indexed cache during the
       forward sweep (cases 2 and 3 of §IV-C; worksharing caches are
       indexed by iteration, fork caches by thread id, §VI-B).
@@ -53,8 +54,11 @@ type options = {
           accumulation uses atomics. Deliberately unsound — it seeds the
           miscompilation that ParSan's RaceSan cross-validation must catch *)
   recompute_depth : int;
-      (** maximum height of a recomputed chain before caching wins; 0
-          caches everything (the "cache-all" ablation baseline) *)
+      (** bound on the height of a recomputed chain. 0 caches every needed
+          value (the "cache-all" ablation baseline); [n > 0] lets the cut
+          recompute only chains at most [n] instructions tall; the
+          default, [max_int], sets no bound, so the cost-weighted cut
+          alone decides what is cached and what is recomputed *)
   coalesce_comm : bool;
       (** emit batched nonblocking duals ([mpi.adj_send_post] /
           [mpi.adj_recv_post] + [mpi.adj_waitall]) for blocking adjoint
@@ -80,11 +84,166 @@ let default_options =
   {
     atomic_always = false;
     assume_private = false;
-    recompute_depth = 10;
+    recompute_depth = max_int;
     coalesce_comm = true;
     ckpt_reverse = false;
     seeds = 1;
   }
+
+(** [recompute_depth] as a user writes it: the default, no bound, is
+    ["inf"]. *)
+let string_of_depth d = if d = max_int then "inf" else string_of_int d
+
+(* ---- the cache-vs-recompute cut (paper §IV-C) ----
+
+   Each candidate value v is split into [v_in -> v_out] with capacity
+   cache(v); the source feeds [v_in] at recomp(v) (infinite when v
+   cannot be recomputed); [o_out -> v_in] is infinite for every operand
+   o a recomputation of v reads; [v_out -> sink] is infinite for every
+   value the reverse sweep reads. A finite cut must make each needed
+   value available — cached (the [v_in -> v_out] edge cut) or recomputed
+   (the [s -> v_in] edge cut, which forces its operands available in
+   turn) — so a minimum cut is a cheapest plan. The source side read off
+   the residual graph of a maximum flow is the smallest minimum cut,
+   whatever flow was found, so ties always resolve the same way: toward
+   recomputation. *)
+module Cut = struct
+  type node = {
+    cache : int;  (** charge of caching the value: its store and reload *)
+    recomp : int option;
+        (** charge of recomputing it; [None] if it cannot be *)
+    operands : int list;  (** nodes a recomputation reads *)
+    needed : bool;  (** the reverse sweep reads the value *)
+  }
+
+  type choice = Recompute | Cache | Skip
+
+  let inf = max_int
+
+  (* Dinic's maximum flow; returns which choice each node gets. *)
+  let solve (g : node array) : choice array =
+    let n = Array.length g in
+    let s = 2 * n and t = (2 * n) + 1 in
+    let nv = (2 * n) + 2 in
+    (* Nodes settled without the flow: a needed value that cannot be
+       recomputed is cached, and a recomputation that reads nothing and
+       costs nothing is done. Either way v_out is on the sink side of
+       every finite cut, so neither node constrains the others, and
+       neither gets an edge. *)
+    let settled =
+      Array.map
+        (fun nd ->
+          match nd.recomp, nd.operands with
+          | None, _ when nd.needed -> Some Cache
+          | Some 0, [] -> Some Recompute
+          | _ -> None)
+        g
+    in
+    let reads nd =
+      if nd.recomp = None then []
+      else List.filter (fun o -> Option.is_none settled.(o)) nd.operands
+    in
+    let m =
+      Array.fold_left ( + ) 0
+        (Array.mapi
+           (fun i nd ->
+             if Option.is_some settled.(i) then 0
+             else 2 + List.length (reads nd) + if nd.needed then 1 else 0)
+           g)
+    in
+    let dst = Array.make (2 * m) 0
+    and cap = Array.make (2 * m) 0
+    and next = Array.make (2 * m) (-1)
+    and head = Array.make nv (-1) in
+    let ne = ref 0 in
+    let add u v c =
+      let e = !ne in
+      dst.(e) <- v;
+      cap.(e) <- c;
+      next.(e) <- head.(u);
+      head.(u) <- e;
+      dst.(e + 1) <- u;
+      next.(e + 1) <- head.(v);
+      head.(v) <- e + 1;
+      ne := e + 2
+    in
+    Array.iteri
+      (fun i nd ->
+        if Option.is_none settled.(i) then begin
+          let v_in = 2 * i and v_out = (2 * i) + 1 in
+          add s v_in (Option.value nd.recomp ~default:inf);
+          add v_in v_out nd.cache;
+          List.iter (fun o -> add ((2 * o) + 1) v_in inf) (reads nd);
+          if nd.needed then add v_out t inf
+        end)
+      g;
+    let level = Array.make nv (-1)
+    and cur = Array.make nv (-1)
+    and queue = Array.make nv 0 in
+    (* levels by breadth-first search over edges with capacity left,
+       stopping once the sink has its level: the nodes not reached by
+       then lie on no shortest path. A search that never reaches the
+       sink visits every node the source still reaches. *)
+    let bfs () =
+      Array.fill level 0 nv (-1);
+      level.(s) <- 0;
+      queue.(0) <- s;
+      let qh = ref 0 and qt = ref 1 in
+      while !qh < !qt && level.(t) < 0 do
+        let u = queue.(!qh) in
+        incr qh;
+        let e = ref head.(u) in
+        while !e >= 0 do
+          let v = dst.(!e) in
+          if cap.(!e) > 0 && level.(v) < 0 then begin
+            level.(v) <- level.(u) + 1;
+            queue.(!qt) <- v;
+            incr qt
+          end;
+          e := next.(!e)
+        done
+      done;
+      level.(t) >= 0
+    in
+    (* one augmenting path along the level graph, resuming each node's
+       scan where the last one left off *)
+    let rec dfs u f =
+      if u = t then f
+      else begin
+        let pushed = ref 0 in
+        while !pushed = 0 && cur.(u) >= 0 do
+          let e = cur.(u) in
+          let v = dst.(e) in
+          let d =
+            if cap.(e) > 0 && level.(v) = level.(u) + 1 then
+              dfs v (min f cap.(e))
+            else 0
+          in
+          if d > 0 then begin
+            cap.(e) <- cap.(e) - d;
+            cap.(e lxor 1) <- cap.(e lxor 1) + d;
+            pushed := d
+          end
+          else cur.(u) <- next.(e)
+        done;
+        !pushed
+      end
+    in
+    while bfs () do
+      Array.blit head 0 cur 0 nv;
+      while dfs s inf > 0 do
+        ()
+      done
+    done;
+    (* the last search marked the source side of the cut *)
+    Array.init n (fun i ->
+        match settled.(i) with
+        | Some c -> c
+        | None ->
+          if level.(2 * i) < 0 then Recompute
+          else if level.((2 * i) + 1) < 0 then Cache
+          else Skip)
+end
 
 type t = {
   fi : Finfo.t;
@@ -92,7 +251,9 @@ type t = {
   opts : options;
   vars : Var.t option array;  (** var id -> var *)
   plans : (key, avail) Hashtbl.t;
-  heights : (key, int) Hashtbl.t;
+  mutable wanted : key list;
+      (** every key {!collect} registered, latest first *)
+  recomp : (int, unit) Hashtbl.t;  (** var ids the cut recomputes *)
   aux_ty : (int * int, Ty.t) Hashtbl.t;
   occ_depth : (int, int) Hashtbl.t;  (** occurrence -> idx-depth *)
   occ_sdepth : (int, int) Hashtbl.t;  (** occurrence -> scope-depth *)
@@ -103,9 +264,9 @@ type t = {
   shared : (int, unit) Hashtbl.t;
       (** duplicate Load var ids that actually resolved to their leader's
           cache slot (the leader's plan was [ACache]) *)
-  eff : (key, int) Hashtbl.t;
-      (** effective variation depth of a planned key: the deepest loop
-          level at which its value actually changes (see {!eff_depth}) *)
+  vary : (int, int) Hashtbl.t;
+      (** var id -> the deepest loop level at which its value changes
+          (see {!vary}) *)
   mutable n_cached : int;
   mutable while_occs : int list;
 }
@@ -313,14 +474,15 @@ let create ~fi ~split ~opts =
     opts;
     vars = vars_of fi.Finfo.func;
     plans = Hashtbl.create 64;
-    heights = Hashtbl.create 64;
+    wanted = [];
+    recomp = Hashtbl.create 64;
     aux_ty = Hashtbl.create 16;
     occ_depth = Hashtbl.create 64;
     occ_sdepth = Hashtbl.create 64;
     useful = useful_of fi.Finfo.func;
     dup = dup_loads_of fi;
     shared = Hashtbl.create 32;
-    eff = Hashtbl.create 64;
+    vary = Hashtbl.create 64;
     n_cached = 0;
     while_occs = [];
   }
@@ -349,8 +511,6 @@ let pure_def (i : Instr.t) =
   | Const _ | Bin _ | Cmp _ | Un _ | Select _ | Gep _ -> true
   | Call (_, ("mpi.rank" | "mpi.size" | "omp.max_threads"), _) -> true
   | _ -> false
-
-let height t k = Option.value ~default:0 (Hashtbl.find_opt t.heights k)
 
 let is_useful t (v : Var.t) =
   Ty.equal (Var.ty v) Ty.Float && Hashtbl.mem t.useful (Var.id v)
@@ -399,43 +559,11 @@ let rec rev_work t (ins : Instr.t) : bool =
     (* the While condition is never reversed, only the body *)
     List.exists (rev_work t) body.body
 
-(* Effective variation depth of a planned key: the deepest loop level at
-   which its value can change. A directly-available value never varies
-   (0); a cached value varies at its cache's index depth; a recomputed
-   chain varies where its deepest operand does (recorded at planning
-   time); anything else is pinned at its definition depth. Caching a
-   value at its effective depth instead of its lexical depth is the
-   hoisting half of §V-E: a loop-invariant needed value gets one slot per
-   outer iteration, not one per inner iteration. *)
-let eff_depth t (k : key) : int =
-  match Hashtbl.find_opt t.eff k with
-  | Some d -> d
-  | None -> (
-    match Hashtbl.find_opt t.plans k with
-    | Some ADirect -> 0
-    | Some (ACache (_, d)) -> d
-    | _ -> (
-      match k with
-      | KVal id | KShadow id -> Finfo.depth t.fi (var t id)
-      | KAux (occ, _) ->
-        Option.value ~default:0 (Hashtbl.find_opt t.occ_depth occ)))
-
-let rec plan t (k : key) : avail =
-  match Hashtbl.find_opt t.plans k with
-  | Some a -> a
-  | None ->
-    (* Guard against re-entrancy on the same key (impossible in SSA, but
-       cheap to detect). *)
-    Hashtbl.add t.plans k ADirect;
-    let a = compute t k in
-    Hashtbl.replace t.plans k a;
-    a
-
 (* A load may be re-executed in the reverse pass when the loaded memory
    provably never changes: its base is a readonly+noalias parameter.
    This is the alias-analysis-driven cache avoidance of §V-E — exactly
    what the Julia frontend's pointer indirection defeats (§VIII). *)
-and reload_safe t p =
+let reload_safe t p =
   let ro_param base =
     match Finfo.def_site t.fi base with
     | Finfo.DParam -> (
@@ -461,21 +589,162 @@ and reload_safe t p =
       | None -> false)
     | _ -> false)
 
+(* What a needed primal value costs, before any choice is made. *)
+type cand =
+  | Free  (** [ADirect] or [AParam]: available at no charge *)
+  | Fixed  (** can only be cached *)
+  | Pure of float * Var.t list
+      (** recomputable at this charge from these operands *)
+
+let remat_charge (c : Parad_runtime.Cost_model.t) (i : Instr.t) =
+  match i with
+  | Instr.Const _ -> 0.0 (* pooled at function entry: no code at the use *)
+  | Instr.Load _ -> c.mem
+  | Instr.Bin (v, Pow, _, _) when Ty.equal (Var.ty v) Ty.Float ->
+    c.transcendental_remat
+  | Instr.Un (v, (Sqrt | Exp | Sin | Cos | Log), _)
+    when Ty.equal (Var.ty v) Ty.Float -> c.transcendental_remat
+  | _ -> c.arith
+
+let cand t (v : Var.t) =
+  let fi = t.fi in
+  let cost = Parad_runtime.Cost_model.default in
+  match Finfo.def_site fi v with
+  | Finfo.DParam -> if t.split then Fixed else Free
+  | Finfo.DRegionParam _ -> Free
+  | Finfo.DInstr ((Instr.Load (_, p, ix) as i), _)
+    when Finfo.sdepth fi v > 0 || t.split ->
+    if reload_safe t p then Pure (remat_charge cost i, [ p; ix ]) else Fixed
+  | Finfo.DInstr (i, _) ->
+    if Finfo.sdepth fi v = 0 && not t.split then Free
+    else if pure_def i then Pure (remat_charge cost i, Instr.uses i)
+    else Fixed
+
+(* The charge of caching a value of type [ty]: one [cache.set] in the
+   forward sweep and one [cache.get] in the reverse sweep, each a call
+   ([arith]) plus the access — a memory cell for the unboxed float
+   caches, a boxed cache operation otherwise (as Interp and Engine
+   charge them). *)
+let cache_charge ty =
+  let c = Parad_runtime.Cost_model.default in
+  2.0 *. (c.arith +. if Ty.equal ty Ty.Float then c.mem else c.cache_op)
+
+(* Capacities are charges in thousandths of a cycle, so the flow is
+   exact integer arithmetic. *)
+let units x = int_of_float (Float.round (x *. 1000.0))
+
+(* The deepest loop level at which a value can change, independent of
+   the plan. A directly available value never varies (0); a
+   recomputable pure value varies where its deepest operand does;
+   anything else at its definition depth. Caching a pure value at this
+   depth instead of its lexical depth is the hoisting half of §V-E: a
+   loop-invariant needed value gets one slot per outer iteration, not
+   one per inner iteration. *)
+let rec vary t (v : Var.t) : int =
+  match Hashtbl.find_opt t.vary (Var.id v) with
+  | Some d -> d
+  | None ->
+    let d =
+      match Finfo.def_site t.fi v with
+      | Finfo.DParam -> 0
+      | Finfo.DInstr _ when Finfo.sdepth t.fi v = 0 && not t.split -> 0
+      | Finfo.DInstr (i, _) when pure_def i ->
+        List.fold_left (fun acc o -> max acc (vary t o)) 0 (Instr.uses i)
+      | Finfo.DRegionParam _ | Finfo.DInstr _ -> Finfo.depth t.fi v
+    in
+    Hashtbl.replace t.vary (Var.id v) d;
+    d
+
+(* Run the cut over the values the registered keys need, and record the
+   ones it recomputes in [t.recomp]. The candidates are the needed
+   values and, transitively, the operands of recomputable candidates; a
+   duplicate load that can only be cached is its leader's candidate (it
+   shares the leader's slot). A candidate whose chain is taller than the
+   [recompute_depth] bound — its height counted as if every recomputable
+   operand below it were recomputed — cannot be recomputed. *)
+let choose t =
+  let index = Hashtbl.create 64 in
+  let nodes = ref [] and count = ref 0 in
+  let add v recomp operands =
+    let cache = units (cache_charge (Var.ty v)) in
+    let node = { Cut.cache; recomp; operands; needed = false } in
+    nodes := (Var.id v, node) :: !nodes;
+    incr count;
+    !count - 1
+  in
+  (* node index and chain height of a candidate; [None] for a free value *)
+  let rec visit (v : Var.t) =
+    match Hashtbl.find_opt index (Var.id v) with
+    | Some r -> r
+    | None ->
+      let r =
+        match cand t v with
+        | Free -> None
+        | Fixed -> (
+          match Hashtbl.find_opt t.dup (Var.id v) with
+          | Some lid -> visit (var t lid)
+          | None -> Some (add v None [], 0))
+        | Pure (charge, ops) ->
+          let ops = List.filter_map visit ops in
+          let h = 1 + List.fold_left (fun acc (_, h) -> max acc h) 0 ops in
+          if h <= t.opts.recompute_depth then
+            Some (add v (Some (units charge)) (List.map fst ops), h)
+          else Some (add v None [], 0)
+      in
+      Hashtbl.replace index (Var.id v) r;
+      r
+  in
+  (* the values a shadow's recomputation reads (see [compute]) *)
+  let rec shadow_vals id acc =
+    match Finfo.def_site t.fi (var t id) with
+    | Finfo.DInstr (Instr.Gep (_, p, ix), _) ->
+      shadow_vals (Var.id p) (ix :: acc)
+    | Finfo.DInstr (Instr.Select (_, c, a, b), _) ->
+      c :: shadow_vals (Var.id a) (shadow_vals (Var.id b) acc)
+    | _ -> acc
+  in
+  let needed =
+    List.concat_map
+      (function
+        | KVal id -> [ var t id ]
+        | KShadow id -> shadow_vals id []
+        | KAux _ -> [])
+      t.wanted
+    |> List.filter_map (fun v -> Option.map fst (visit v))
+  in
+  let ids = Array.of_list (List.rev_map fst !nodes) in
+  let g = Array.of_list (List.rev_map snd !nodes) in
+  List.iter (fun i -> g.(i) <- { (g.(i)) with Cut.needed = true }) needed;
+  Array.iteri
+    (fun i c -> if c = Cut.Recompute then Hashtbl.replace t.recomp ids.(i) ())
+    (Cut.solve g)
+
+let rec plan t (k : key) : avail =
+  match Hashtbl.find_opt t.plans k with
+  | Some a -> a
+  | None ->
+    (* Guard against re-entrancy on the same key (impossible in SSA, but
+       cheap to detect). *)
+    Hashtbl.add t.plans k ADirect;
+    let a = compute t k in
+    Hashtbl.replace t.plans k a;
+    a
+
 and compute t k =
   let fi = t.fi in
   match k with
   | KVal id -> (
     let v = var t id in
+    let recompute operands =
+      List.iter (fun o -> ignore (plan t (KVal (Var.id o)))) operands;
+      ARecomp
+    in
     match Finfo.def_site fi v with
     | Finfo.DParam -> if t.split then fresh_cache t 0 else ADirect
     | Finfo.DRegionParam _ -> AParam
     | Finfo.DInstr (Instr.Load (_, p, ix), _)
       when Finfo.sdepth fi v > 0 || t.split ->
-      if reload_safe t p && t.opts.recompute_depth > 0 then begin
-        ignore (plan t (KVal (Var.id p)));
-        ignore (plan t (KVal (Var.id ix)));
-        ARecomp
-      end
+      if Hashtbl.mem t.recomp id then recompute [ p; ix ]
       else (
         match Hashtbl.find_opt t.dup id with
         | Some lid -> (
@@ -495,35 +764,10 @@ and compute t k =
     | Finfo.DInstr (i, _) ->
       let depth = Finfo.depth fi v in
       if Finfo.sdepth fi v = 0 && not t.split then ADirect
-      else if pure_def i && t.opts.recompute_depth > 0 then begin
-        let operands = Instr.uses i in
-        List.iter (fun o -> ignore (plan t (KVal (Var.id o)))) operands;
-        let h =
-          1
-          + List.fold_left
-              (fun acc o ->
-                let ok = KVal (Var.id o) in
-                let oh =
-                  match Hashtbl.find t.plans ok with
-                  | ARecomp -> height t ok
-                  | ADirect | AParam | ACache _ -> 0
-                in
-                max acc oh)
-              0 operands
-        in
-        (* deepest level at which any operand (hence the value) varies *)
-        let opmax =
-          List.fold_left
-            (fun acc o -> max acc (eff_depth t (KVal (Var.id o))))
-            0 operands
-        in
-        if h <= t.opts.recompute_depth then begin
-          Hashtbl.replace t.heights k h;
-          Hashtbl.replace t.eff k opmax;
-          ARecomp
-        end
-        else fresh_cache t (min depth opmax)
-      end
+      else if Hashtbl.mem t.recomp id then recompute (Instr.uses i)
+      else if pure_def i && t.opts.recompute_depth > 0 then
+        (* a cached pure value is hoisted to where it varies *)
+        fresh_cache t (min depth (vary t v))
       else fresh_cache t depth)
   | KShadow id -> (
     let v = var t id in
@@ -562,7 +806,9 @@ and compute t k =
     in
     if sdepth = 0 && not t.split then ADirect else fresh_cache t depth
 
-let need t k = ignore (plan t k)
+(* Keys are registered during {!collect} and planned after it, in
+   registration order, once the cut has seen every one of them. *)
+let need t k = t.wanted <- k :: t.wanted
 
 let need_aux t ~occ ~slot ty =
   Hashtbl.replace t.aux_ty (occ, slot) ty;
@@ -579,7 +825,9 @@ let need_aux t ~occ ~slot ty =
    (see [rev_work]): their statements register nothing — the occurrence
    counter still advances so it stays aligned with [Reverse.annotate].
    Statement-level registrations are additionally gated on [is_useful]:
-   operands of a value whose adjoint is always zero are never needed. *)
+   operands of a value whose adjoint is always zero are never needed.
+   Once every key is registered, the cut ({!choose}) runs and the keys
+   are planned in registration order, which numbers the caches. *)
 let rec collect t ~(register_callee : spawned:bool -> string -> unit) =
   let f = t.fi.Finfo.func in
   let counter = ref 0 in
@@ -681,7 +929,9 @@ let rec collect t ~(register_callee : spawned:bool -> string -> unit) =
           subs)
       instrs
   in
-  walk ~live:true ~depth:0 ~sdepth:0 f.body
+  walk ~live:true ~depth:0 ~sdepth:0 f.body;
+  if t.opts.recompute_depth > 0 then choose t;
+  List.iter (fun k -> ignore (plan t k)) (List.rev t.wanted)
 
 and collect_call t ~occ ~register_callee v name args =
   let val_ k = need t (KVal (Var.id k)) in

@@ -139,7 +139,19 @@ let request_of_json ~default_watchdog_ms j =
   | Bude _ when nranks > 1 -> invalid "bude is single-rank; nranks must be 1"
   | _ -> ());
   let nthreads = geti "nthreads" 1 1 in
-  let depth = geti "recompute_depth" 0 0 in
+  (* omitted, the depth is the planner's default (no bound: the cut
+     alone decides), as for [parad grad]; "inf" names it, as the plan
+     key spells it *)
+  let depth =
+    match Json.str_field "recompute_depth" j with
+    | Some "inf" -> max_int
+    | Some s ->
+      invalid "field %S: expected an integer or \"inf\", got %S"
+        "recompute_depth" s
+    | None ->
+      geti "recompute_depth"
+        Parad_core.Plan.default_options.Parad_core.Plan.recompute_depth 0
+  in
   let budget = geti "snap_budget" 0 0 in
   (match app with
   | Bude _ when budget > 0 ->
@@ -235,7 +247,8 @@ let request_of_json ~default_watchdog_ms j =
   }
 
 (** Canonical plan-cache key (DESIGN.md "gradient service"):
-    app|flavor|r<ranks>|t<threads>|d<recompute-depth>|b<snap-budget>|c<coalesce>|s<seeds>.
+    app|flavor|r<ranks>|t<threads>|d<recompute-depth>|b<snap-budget>|c<coalesce>|s<seeds>,
+    with the unbounded default depth spelled [dinf].
     Everything that shapes the *compiled programs* is in the key — the
     seed width is, because the adjoint kernels are emitted with k-stride
     accumulation; mesh size, horizon, faults, sanitizer and deadline are
@@ -246,8 +259,10 @@ let plan_key rq =
     | Lulesh fl -> "lulesh", L.flavor_name fl
     | Bude v -> "bude", MB.variant_name v
   in
-  Printf.sprintf "%s|%s|r%d|t%d|d%d|b%d|c%d|s%d" app flavor rq.rq_nranks
-    rq.rq_nthreads rq.rq_depth rq.rq_budget
+  Printf.sprintf "%s|%s|r%d|t%d|d%s|b%d|c%d|s%d" app flavor rq.rq_nranks
+    rq.rq_nthreads
+    (Parad_core.Plan.string_of_depth rq.rq_depth)
+    rq.rq_budget
     (if rq.rq_coalesce then 1 else 0)
     rq.rq_seeds
 

@@ -205,6 +205,10 @@ expect_exit 0 grad --flavor seq --size 2 --iters 1 --deadline-cycles 1000000000
 expect_exit 124 grad --flavor seq --size 1
 expect_exit 124 grad --flavor omp --threads 0
 expect_exit 124 grad --flavor seq --engine par
+# a negative recompute depth is rejected by the depth's own check; the
+# value needs the "=" form, since cmdliner takes a separate "-1" for an
+# unknown option and rejects it before that check runs
+expect_exit 124 grad --flavor seq --recompute-depth=-1
 
 # ---- gradient-service smoke (serve --stdin) ----
 # A mixed batch through the real request path: every line, valid or

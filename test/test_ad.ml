@@ -490,6 +490,81 @@ let test_emitted_shape () =
         (emitted src dst))
     (golden_cases ())
 
+(* ---- the cache-vs-recompute cut ---- *)
+
+(* On seeded random graphs of at most ten candidates — random operand
+   DAGs, capacities, needed values, values that cannot be recomputed and
+   free values (cache charge 0, not recomputable) — the cut's choice is
+   a valid plan whose charge equals the brute-force minimum over every
+   set of recomputed values. *)
+let test_mincut_optimal () =
+  let module C = Parad_core.Plan.Cut in
+  for seed = 0 to 249 do
+    let st = Random.State.make [| seed |] in
+    let int n = Random.State.int st n in
+    let n = 1 + int 10 in
+    let g =
+      Array.init n (fun i ->
+          let operands =
+            List.filter (fun _ -> int 3 = 0) (List.init i Fun.id)
+          in
+          let needed = int 3 = 0 || i = n - 1 in
+          let cache = 1 + int 20 in
+          match int 5 with
+          | 0 -> { C.cache = 0; recomp = None; operands; needed } (* free *)
+          | 1 -> { C.cache; recomp = None; operands; needed }
+          | _ -> { C.cache; recomp = Some (int 20); operands; needed })
+    in
+    (* the charge of recomputing the nodes [r] and caching the others
+       in [avail] *)
+    let charge r avail =
+      let c = ref 0 in
+      Array.iteri
+        (fun i nd ->
+          if r i then c := !c + Option.get nd.C.recomp
+          else if avail i then c := !c + nd.C.cache)
+        g;
+      !c
+    in
+    (* brute force: recomputing exactly the set [mask] means caching
+       every other value that is needed or read by a recomputation *)
+    let best = ref max_int in
+    for mask = 0 to (1 lsl n) - 1 do
+      let r i = mask land (1 lsl i) <> 0 in
+      if List.for_all (fun i -> (not (r i)) || g.(i).C.recomp <> None)
+           (List.init n Fun.id)
+      then begin
+        let avail = Array.map (fun nd -> nd.C.needed) g in
+        Array.iteri
+          (fun i nd ->
+            if r i then List.iter (fun o -> avail.(o) <- true) nd.C.operands)
+          g;
+        best := min !best (charge r (Array.get avail))
+      end
+    done;
+    let choice = C.solve g in
+    let ok i = choice.(i) <> C.Skip in
+    Array.iteri
+      (fun i nd ->
+        if nd.C.needed && not (ok i) then
+          Alcotest.failf "seed %d: needed node %d unavailable" seed i;
+        if choice.(i) = C.Recompute then begin
+          if nd.C.recomp = None then
+            Alcotest.failf "seed %d: node %d recomputed but cannot be" seed i;
+          List.iter
+            (fun o ->
+              if not (ok o) then
+                Alcotest.failf "seed %d: node %d recomputed without operand %d"
+                  seed i o)
+            nd.C.operands
+        end)
+      g;
+    Alcotest.(check int)
+      (Printf.sprintf "seed %d: minimum charge" seed)
+      !best
+      (charge (fun i -> choice.(i) = C.Recompute) (fun i -> ok i))
+  done
+
 let () =
   Alcotest.run "ad"
     [
@@ -527,4 +602,6 @@ let () =
         ] );
       ( "emission",
         [ Alcotest.test_case "emitted shape" `Quick test_emitted_shape ] );
+      ( "planner",
+        [ Alcotest.test_case "min-cut is optimal" `Quick test_mincut_optimal ] );
     ]

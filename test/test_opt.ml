@@ -608,6 +608,39 @@ let prop_post_ad_bitwise_idempotent =
       bits (g true) = bits (g false)
       && func_str once dname = func_str (Pipe.run once Pipe.post_ad) dname)
 
+(* the cache-vs-recompute plan changes no bit: a recomputed pure value,
+   or a reload of unchanged memory, equals its cached copy, so the
+   post-AD gradient and the primal return on engine seq are bitwise
+   equal whatever the planner caches — everything at depth 0, chains of
+   height 1 or 4, or the unbounded cut *)
+let prop_gradient_plan_independent =
+  QCheck.Test.make ~name:"gradient bits do not depend on the plan" ~count:60
+    (QCheck.make QCheck.Gen.(pair Gen_prog.gen_shape Gen_prog.gen_ops))
+    (fun (shape, ops) ->
+      let prog = Gen_prog.build ~shape ~len:(Array.length input) ops in
+      let run recompute_depth =
+        let opts =
+          { Parad_core.Plan.default_options with recompute_depth }
+        in
+        let dprog, dname = GC.differentiate ~opts prog "rand" in
+        let eng = Parad_engine.Engine.prepare dprog in
+        let dx = ref Value.VUnit in
+        let res =
+          Exec.run
+            ~call:(Parad_engine.Engine.call_fn eng Parad_engine.Engine.Seq)
+            dprog ~fname:dname
+            ~setup:(fun ctx ->
+              dx := Exec.zeros ctx (Array.length input);
+              [ Exec.floats ctx input; !dx; Value.VFloat 1.0 ])
+        in
+        ( Int64.bits_of_float (Value.to_float res.Exec.values.(0)),
+          Array.map Int64.bits_of_float (Exec.to_floats !dx) )
+      in
+      let cache_all = run 0 in
+      List.for_all
+        (fun d -> run d = cache_all)
+        [ 1; 4; Parad_core.Plan.default_options.recompute_depth ])
+
 (* ---- pipeline idempotence + verifier cleanliness over the bundled
    applications: o2 on every primal, post_ad on every generated
    gradient, old passes and new (mem_forward v2, openmp_opt) alike.
@@ -664,19 +697,19 @@ let test_post_ad_idempotent () =
 
 let golden_post_ad =
   [
-    "lulesh_seq", "ff471549d12b798bb3b63d087283876c";
-    "lulesh_omp", "bc27e49fe0f5cfb8f1ec19ca1ba443f3";
-    "lulesh_raja", "9e58d351ec36dfbd5589a5adf515a51b";
-    "lulesh_mpi", "2020f23db7ae04d39a099c52eb924ad9";
-    "lulesh_hybrid", "fe33174639e832c0954edbfbbc003995";
-    "lulesh_jl", "a0d10600633f1192a60c8b6331030277";
-    "bude_seq", "35eabfd160d25e1f6b3dac222295b1ba";
-    "bude_omp", "9a21d3dc0b43145406473e554aa22f20";
-    "bude_julia", "a73f63bfb5ff06de1efb5a5b545ee514";
-    "bude_chunk_jl", "863a73295b0096e1bdbd8486efbbd0cc";
-    "lulesh_raja_mpi", "8ce51c70f4022e9d5205c71abb6a8e9b";
-    "lulesh_omp seeds=8", "8c551599eef72e9fbcbb71e728ec5fcd";
-    "bude_omp seeds=8", "04de2a525f81ffefecb59a81a54f4e1f";
+    "lulesh_seq", "7a909eebab7a04127148286b71ae5f3c";
+    "lulesh_omp", "62428771ed2af69924d4f00e5ac4bca1";
+    "lulesh_raja", "cbbf09dfc1bbe6d04db42c634a28c41e";
+    "lulesh_mpi", "30b3e6b7af482e59ec084fc9b3fa547c";
+    "lulesh_hybrid", "9ed15b4e85288df587f3cd674b789415";
+    "lulesh_jl", "975129f6c3f3787ea63a4f0bf1888114";
+    "bude_seq", "5ae3770f2597acb09d5950cb31e5fc91";
+    "bude_omp", "a1f9185cd5dd50d155de9220221d0f32";
+    "bude_julia", "1a3d7cc7e23bf8459c58907bd9e00dd3";
+    "bude_chunk_jl", "bc8e31ae63d5d84606b6e20a9a29a7e8";
+    "lulesh_raja_mpi", "102d199b397824ba230dca989274d7ca";
+    "lulesh_omp seeds=8", "d552db759ec5e2a237db3c04397daf9c";
+    "bude_omp seeds=8", "9f5128473257a1de2d25fc5f8c766cec";
   ]
 
 let test_post_ad_golden () =
@@ -888,5 +921,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_o2_preserves_semantics;
           QCheck_alcotest.to_alcotest prop_gradient_survives_o2;
           QCheck_alcotest.to_alcotest prop_post_ad_bitwise_idempotent;
+          QCheck_alcotest.to_alcotest prop_gradient_plan_independent;
         ] );
     ]

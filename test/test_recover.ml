@@ -228,7 +228,7 @@ let test_lulesh_warm_recovery_bitwise () =
   let clean = clean_gradient nranks in
   let g, recov =
     L.gradient_recoverable ~nranks
-      ~faults:(kill_spec ~at:80000.0 ~nranks 2)
+      ~faults:(kill_spec ~at:60000.0 ~nranks 2)
       L.Mpi (inp ~ranks:nranks)
   in
   Alcotest.(check int) "one restart" 1 recov.Exec.r_restarts;
@@ -327,7 +327,7 @@ let test_restore_at_first_checkpoint () =
   let clean = clean_gradient nranks in
   let g, recov =
     L.gradient_recoverable ~nranks
-      ~faults:(kill_spec ~at:40000.0 ~nranks 2)
+      ~faults:(kill_spec ~at:25000.0 ~nranks 2)
       L.Mpi (inp ~ranks:nranks)
   in
   Alcotest.(check int) "one restart" 1 recov.Exec.r_restarts;

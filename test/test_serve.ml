@@ -180,6 +180,33 @@ let test_binomial_matches_monolithic () =
   Alcotest.(check (option string)) "bit-identical gradients" (digest mono)
     (digest binom)
 
+let test_default_depth () =
+  (* an omitted recompute_depth is the planner's default, as for
+     [parad grad], not the cache-everything depth 0: the same plan key
+     and gradient as a request naming the default ("inf"), and a cheaper
+     sweep than depth 0 with the same bits *)
+  let svc = S.create ~cfg:no_watchdog () in
+  let omitted = send svc (base "omp" 1) in
+  let named = send svc (("recompute_depth", J.Str "inf") :: base "omp" 1) in
+  let cache_all = send svc (("recompute_depth", J.Num 0.0) :: base "omp" 1) in
+  List.iter
+    (fun r -> Alcotest.(check string) "ok" "ok" (cls r))
+    [ omitted; named; cache_all ];
+  Alcotest.(check (option string)) "default spelled in the plan key"
+    (Some "lulesh|lulesh_omp|r1|t1|dinf|b0|c1|s1")
+    (J.str_field "plan_key" omitted);
+  Alcotest.(check (option string)) "omitted = named plan key"
+    (J.str_field "plan_key" omitted) (J.str_field "plan_key" named);
+  Alcotest.(check (option string)) "omitted = named digest" (digest omitted)
+    (digest named);
+  Alcotest.(check (option string)) "depth 0: same bits" (digest omitted)
+    (digest cache_all);
+  Alcotest.(check bool) "depth 0 is the costlier plan" true
+    (J.num_field "exec_cycles" cache_all > J.num_field "exec_cycles" omitted);
+  Alcotest.(check string) "a depth word other than inf is rejected"
+    "invalid"
+    (cls (send svc (("recompute_depth", J.Str "deep") :: base "omp" 1)))
+
 (* ---- request validation ---- *)
 
 let test_validation () =
@@ -197,6 +224,9 @@ let test_validation () =
   invalid (base "seq" 2) (* seq is not MPI-capable *);
   invalid [ "app", J.Str "bude"; "nranks", J.Num 2.0 ];
   invalid [ "niter", J.Num 0.0 ];
+  (* past 2^53 a JSON number is no exact integer; 1e19 used to wrap to
+     recompute depth 0 *)
+  invalid [ "recompute_depth", J.Num 1e19 ];
   invalid [ "escale", J.Num 0.0 ];
   invalid [ "deadline_cycles", J.Num (-5.0) ];
   invalid [ "deadline_ms", J.Num 0.0 ];
@@ -485,6 +515,7 @@ let () =
             test_clean_after_failure_same_key;
           Alcotest.test_case "binomial-matches" `Quick
             test_binomial_matches_monolithic;
+          Alcotest.test_case "default-depth" `Quick test_default_depth;
         ] );
       ( "breaker",
         [
