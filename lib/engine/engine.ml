@@ -593,13 +593,15 @@ let[@inline] take_lanes t ~fname ~zero (scr : Value.ptr) (src : Value.ptr)
       Array.unsafe_set sa (so + l) (Array.unsafe_get ha (ho + l));
       Array.unsafe_set ha (ho + l) 0.0
     done;
-    charge_mem_n t src.buf (2 * k)
+    charge_mem_n t src.buf (2 * k);
+    Interp.count_cells t.st ~reads:k ~writes:k
   end
   else begin
     for l = 0 to k - 1 do
       Array.unsafe_set sa (so + l) (Array.unsafe_get ha (ho + l))
     done;
-    charge_mem_n t src.buf k
+    charge_mem_n t src.buf k;
+    Interp.count_cells t.st ~reads:k ~writes:0
   end;
   sa
 
@@ -613,9 +615,10 @@ let[@inline] acc_lanes t ~fname (host : Value.ptr) base ~mode cells ~c1 ~c2
   Interp.adj_acc_lanes ~mode cells ~c1 ~c2 ~cond ha (host.off + base) sa so k;
   charge t
     (t.cost.Cost_model.arith
-    *. float_of_int (k * (Interp.adj_mode_flops mode + 1)));
+    *. float_of_int (k * (Interp.adj_mode_ops mode + 1)));
   if atomic <> 0 then charge t (t.cost.Cost_model.atomic *. float_of_int k)
-  else charge_mem_n t host.buf (2 * k)
+  else charge_mem_n t host.buf (2 * k);
+  Interp.count_group t.st ~mode ~atomic:(atomic <> 0) k
 
 (* The frame slots of one operand group of a fused reverse statement:
    host, offset, mode, c1, c2, cond, atomic. *)
@@ -1733,6 +1736,7 @@ and compile_intrinsic env v name args : sc =
         charge t (t.cost.Cost_model.arith *. float_of_int k);
         charge_mem_n t sp.buf (2 * k)
       end;
+      Interp.count_group t.st ~mode:0 ~atomic:(fr.i.(s_at) <> 0) k;
       fr.v.(s_v) <- VUnit
   | ("adj.srev_k" | "adj.arev_k"), [ scr; sp; mb; h1; o1; at1; k ] ->
     (* Fused Store/AtomicAdd reversal (zeroing only for the Store): the
@@ -1799,6 +1803,7 @@ and compile_intrinsic env v name args : sc =
       done;
       charge_mem_n t dst.buf k;
       charge_mem_n t src.buf k;
+      Interp.count_cells t.st ~reads:k ~writes:k;
       w fr VUnit
   | ("parad.checkpoint" | "parad.checkpoint_rev"), _ ->
     (* No-session checkpoint sites cost one arith op and touch nothing;

@@ -326,14 +326,40 @@ let adj_acc_lanes ~mode (c : float array) ~c1 ~c2 ~cond (ha : float array) ho
       done
   | m -> error "adjoint accumulate: unknown mode %d" m
 
-(* Float ops per lane of each adj.acc_k mode, for the virtual-time
-   charge: the count the unrolled scalar emission would have paid. *)
-let adj_mode_flops = function
+(* Ops per lane of each accumulation mode's formula, before the
+   accumulating add: what the unrolled scalar emission executes, a select
+   included ([adj_mode_ops], the virtual-time charge) and excluded
+   ([adj_mode_flops], the float ops it counts in {!Stats.t}). *)
+let adj_mode_ops = function
   | 0 -> 0
   | 1 | 2 | 3 | 7 | 8 -> 1
   | 4 | 6 | 9 -> 2
   | 5 -> 3
   | _ -> 0
+
+let adj_mode_flops = function
+  | 0 | 7 | 8 -> 0
+  | 1 | 2 | 3 | 9 -> 1
+  | 4 | 6 -> 2
+  | 5 -> 3
+  | _ -> 0
+
+(* Count [reads] and [writes] plane cells of a lane step as the scalar
+   emission's loads and stores. *)
+let[@inline] count_cells (st : Stats.t) ~reads ~writes =
+  st.loads <- st.loads + reads;
+  st.stores <- st.stores + writes
+
+(* Count the [k] lanes of one accumulation group as the scalar emission
+   counts them: the formula's float ops, then one atomic add per lane, or
+   a plane read, an add and a plane write. *)
+let count_group (st : Stats.t) ~mode ~atomic k =
+  st.flops <- st.flops + (k * adj_mode_flops mode);
+  if atomic then st.atomics <- st.atomics + k
+  else begin
+    st.flops <- st.flops + k;
+    count_cells st ~reads:k ~writes:k
+  end
 
 (* ---- sanitizer hooks ---- *)
 
@@ -1194,6 +1220,7 @@ and intrinsic ctx e name args vals : Value.t =
       ha.(ho + l) <- 0.0
     done;
     charge_mem ctx host.buf (2 * k);
+    count_cells st ~reads:k ~writes:k;
     VUnit
   | "adj.acc_k" ->
     (* host[xoff+l] += f(scratch[l]) with f selected by [mode]; the
@@ -1211,9 +1238,10 @@ and intrinsic ctx e name args vals : Value.t =
     let sa = fplane ~who:e.fname scr ~base:0 ~n:k in
     let ho = host.off + xoff and so = scr.off in
     adj_acc_lanes ~mode [| c1; c2 |] ~c1:0 ~c2:1 ~cond ha ho sa so k;
-    charge (c.arith *. float_of_int (k * (adj_mode_flops mode + 1)));
+    charge (c.arith *. float_of_int (k * (adj_mode_ops mode + 1)));
     if atomic then charge (c.atomic *. float_of_int k)
     else charge_mem ctx host.buf (2 * k);
+    count_group st ~mode ~atomic k;
     VUnit
   | "adj.rev1_k" | "adj.rev2_k" ->
     (* One fused call per reverse statement: take the statement result's
@@ -1233,6 +1261,7 @@ and intrinsic ctx e name args vals : Value.t =
       ha.(ho + l) <- 0.0
     done;
     charge_mem ctx vhost.buf (2 * k);
+    count_cells st ~reads:k ~writes:k;
     for a = 0 to nacc - 1 do
       let base = 3 + (7 * a) in
       let host = ptr_arg base
@@ -1245,9 +1274,10 @@ and intrinsic ctx e name args vals : Value.t =
       let aa = fplane ~who:e.fname host ~base:xoff ~n:k in
       adj_acc_lanes ~mode [| c1; c2 |] ~c1:0 ~c2:1 ~cond aa (host.off + xoff)
         sa so k;
-      charge (c.arith *. float_of_int (k * (adj_mode_flops mode + 1)));
+      charge (c.arith *. float_of_int (k * (adj_mode_ops mode + 1)));
       if atomic then charge (c.atomic *. float_of_int k)
-      else charge_mem ctx host.buf (2 * k)
+      else charge_mem ctx host.buf (2 * k);
+      count_group st ~mode ~atomic k
     done;
     VUnit
   | "adj.mrev_k" ->
@@ -1266,6 +1296,7 @@ and intrinsic ctx e name args vals : Value.t =
       ha.(ho + l) <- 0.0
     done;
     charge_mem ctx vhost.buf (2 * k);
+    count_cells st ~reads:k ~writes:k;
     let pa = fplane ~who:e.fname sp ~base:mb ~n:k in
     let po = sp.off + mb in
     for l = 0 to k - 1 do
@@ -1276,6 +1307,7 @@ and intrinsic ctx e name args vals : Value.t =
       charge (c.arith *. float_of_int k);
       charge_mem ctx sp.buf (2 * k)
     end;
+    count_group st ~mode:0 ~atomic k;
     VUnit
   | "adj.srev_k" | "adj.arev_k" ->
     (* Fused Store/AtomicAdd reversal: pull the shadow cell's lane group
@@ -1294,13 +1326,15 @@ and intrinsic ctx e name args vals : Value.t =
         sa.(so + l) <- pa.(po + l);
         pa.(po + l) <- 0.0
       done;
-      charge_mem ctx sp.buf (2 * k)
+      charge_mem ctx sp.buf (2 * k);
+      count_cells st ~reads:k ~writes:k
     end
     else begin
       for l = 0 to k - 1 do
         sa.(so + l) <- pa.(po + l)
       done;
-      charge_mem ctx sp.buf k
+      charge_mem ctx sp.buf k;
+      count_cells st ~reads:k ~writes:0
     end;
     let aa = fplane ~who:e.fname h1 ~base:o1 ~n:k in
     adj_acc_lanes ~mode:0 [| 0.0; 0.0 |] ~c1:0 ~c2:1 ~cond:false aa
@@ -1308,6 +1342,7 @@ and intrinsic ctx e name args vals : Value.t =
     charge (c.arith *. float_of_int k);
     if atomic then charge (c.atomic *. float_of_int k)
     else charge_mem ctx h1.buf (2 * k);
+    count_group st ~mode:0 ~atomic k;
     VUnit
   | "adj.mtake_k" ->
     (* scratch[l] <- shadow[mb+l]; shadow[mb+l] <- 0  (Store reversal) *)
@@ -1321,6 +1356,7 @@ and intrinsic ctx e name args vals : Value.t =
       pa.(po + l) <- 0.0
     done;
     charge_mem ctx sp.buf (2 * k);
+    count_cells st ~reads:k ~writes:k;
     VUnit
   | "adj.pack_k" ->
     (* dst[doff+l] <- src[soff+l]  (d_args packing, param-major) *)
@@ -1335,6 +1371,7 @@ and intrinsic ctx e name args vals : Value.t =
     done;
     charge_mem ctx dst.buf k;
     charge_mem ctx src.buf k;
+    count_cells st ~reads:k ~writes:k;
     VUnit
   (* ---- adjoint MPI runtime (generated by the AD engine) ---- *)
   | "mpi.adjnote_isend" | "mpi.adjnote_irecv" ->

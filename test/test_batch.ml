@@ -48,7 +48,9 @@ let lanes_match_standalone flavor ~nthreads ~engine () =
 
 let test_engine_matches_interp () =
   (* the seq engine's batched sweep must agree with the interpreter
-     bit-for-bit, with an identical virtual makespan *)
+     bit-for-bit, with an identical virtual makespan and the same
+     counted traffic: the lane steps count plane cells as loads and
+     stores, atomic lanes as atomics and lane arithmetic as flops *)
   let c = batched_plan L.Omp in
   let gi = L.gradient_batched ~nthreads:4 ~engine:Engine.Interp c ~d_rets tiny in
   let ge = L.gradient_batched ~nthreads:4 ~engine:Engine.Seq c ~d_rets tiny in
@@ -63,7 +65,20 @@ let test_engine_matches_interp () =
         i.L.d_energy.(0) e.L.d_energy.(0);
       Alcotest.(check (float 0.0))
         (Printf.sprintf "lane %d makespan" lane)
-        i.L.g_makespan e.L.g_makespan)
+        i.L.g_makespan e.L.g_makespan;
+      List.iter
+        (fun (name, get) ->
+          Alcotest.(check int)
+            (Printf.sprintf "lane %d %s" lane name)
+            (get i.L.g_stats) (get e.L.g_stats))
+        Parad_runtime.Stats.
+          [
+            ("instrs", fun s -> s.instrs);
+            ("loads", fun s -> s.loads);
+            ("stores", fun s -> s.stores);
+            ("atomics", fun s -> s.atomics);
+            ("flops", fun s -> s.flops);
+          ])
     gi
 
 let test_minibude_lanes () =
