@@ -600,11 +600,7 @@ let remat_charge (c : Parad_runtime.Cost_model.t) (i : Instr.t) =
   match i with
   | Instr.Const _ -> 0.0 (* pooled at function entry: no code at the use *)
   | Instr.Load _ -> c.mem
-  | Instr.Bin (v, Pow, _, _) when Ty.equal (Var.ty v) Ty.Float ->
-    c.transcendental_remat
-  | Instr.Un (v, (Sqrt | Exp | Sin | Cos | Log), _)
-    when Ty.equal (Var.ty v) Ty.Float -> c.transcendental_remat
-  | _ -> c.arith
+  | _ -> if Instr.transcendental i then c.transcendental_remat else c.arith
 
 let cand t (v : Var.t) =
   let fi = t.fi in

@@ -588,8 +588,9 @@ type rstate = {
          adjoint) emits the waitall first, preserving bit-identity with
          the blocking form *)
   mutable in_remat : bool;
-      (* inside an ARecomp recompute chain: [parad.remat_begin]/[_end]
-         markers are emitted only at the outermost chain *)
+      (* inside an ARecomp recompute chain: whether to emit
+         [parad.remat_begin]/[_end] markers is decided only at the
+         outermost chain *)
 }
 
 let root_scope ~idx0 ~sbuf =
@@ -669,21 +670,58 @@ let rec resolve rs sc (k : Plan.key) : Var.t =
         (* bracket the outermost recomputed chain so the runtime charges
            the cheaper re-evaluation rate for its transcendentals (a
            recomputation repeats work whose operands are register- or
-           cache-hot; see Cost_model.transcendental_remat). Chains are
-           straight-line — no blocking op can interleave another strand's
-           work between the markers. *)
+           cache-hot; see Cost_model.transcendental_remat) — only when
+           the chain re-evaluates one, since the markers change no other
+           charge. Chains are straight-line — no blocking op can
+           interleave another strand's work between the markers. *)
         if rs.in_remat then recompute rs sc k
         else begin
           rs.in_remat <- true;
-          ignore (B.call b ~ret:Ty.Unit "parad.remat_begin" []);
+          let marked = remat_transcendental rs sc k in
+          if marked then ignore (B.call b ~ret:Ty.Unit "parad.remat_begin" []);
           let v = recompute rs sc k in
-          ignore (B.call b ~ret:Ty.Unit "parad.remat_end" []);
+          if marked then ignore (B.call b ~ret:Ty.Unit "parad.remat_end" []);
           rs.in_remat <- false;
           v
         end
     in
     Hashtbl.replace sc.memo k v;
     v
+
+(* Does [recompute rs sc k] re-evaluate a transcendental? It emits [k]'s
+   definition and, recursively, the operands that are themselves
+   recomputed and not yet resolved in scope. *)
+and remat_transcendental rs sc k =
+  let p = rs.fs.p in
+  let seen = Hashtbl.create 8 in
+  let rec chain k =
+    match k with
+    | KVal id -> (
+      match Finfo.def_site p.fi (Plan.var p id) with
+      | Finfo.DInstr (i, _) ->
+        Instr.transcendental i
+        || List.exists (fun x -> operand (KVal (Var.id x))) (Instr.uses i)
+      | _ -> false)
+    | KShadow id -> (
+      match Finfo.def_site p.fi (Plan.var p id) with
+      | Finfo.DInstr (Gep (_, q, ix), _) ->
+        operand (KShadow (Var.id q)) || operand (KVal (Var.id ix))
+      | Finfo.DInstr (Select (_, c, x, y), _) ->
+        operand (KVal (Var.id c))
+        || operand (KShadow (Var.id x))
+        || operand (KShadow (Var.id y))
+      | _ -> false)
+    | KAux _ -> false
+  and operand k =
+    (not (Hashtbl.mem seen k))
+    && begin
+         Hashtbl.add seen k ();
+         memo_find sc k = None
+         && Hashtbl.find_opt p.plans k = Some ARecomp
+         && chain k
+       end
+  in
+  chain k
 
 and recompute rs sc k =
   let st = rs.fs in

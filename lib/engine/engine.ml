@@ -134,6 +134,12 @@ let[@inline] charge_transc t =
        t.cost.Cost_model.transcendental_remat
      else t.cost.Cost_model.transcendental)
 
+(* A float [Bin] or [Un]: the transcendental unit when [transc]
+   ({!Instr.transcendental_bin}/[_un] of its operator, fixed at compile
+   time), one arithmetic op otherwise. *)
+let[@inline] charge_fop t transc =
+  if transc then charge_transc t else charge t t.cost.Cost_model.arith
+
 let[@inline] charge_mem t (buf : Value.buffer) =
   let c = t.cost in
   let mult =
@@ -1132,41 +1138,42 @@ and compile_fbin env v op a b : sc =
   let sa = slot env a
   and sb = slot env b
   and d = slot env v in
+  let tr = Instr.transcendental_bin op in
   match op with
   | Instr.Add ->
     fun t fr ->
       let r = fr.f.(sa) +. fr.f.(sb) in
-      charge t t.cost.Cost_model.arith;
+      charge_fop t tr;
       fr.f.(d) <- r
   | Instr.Sub ->
     fun t fr ->
       let r = fr.f.(sa) -. fr.f.(sb) in
-      charge t t.cost.Cost_model.arith;
+      charge_fop t tr;
       fr.f.(d) <- r
   | Instr.Mul ->
     fun t fr ->
       let r = fr.f.(sa) *. fr.f.(sb) in
-      charge t t.cost.Cost_model.arith;
+      charge_fop t tr;
       fr.f.(d) <- r
   | Instr.Div ->
     fun t fr ->
       let r = fr.f.(sa) /. fr.f.(sb) in
-      charge t t.cost.Cost_model.arith;
+      charge_fop t tr;
       fr.f.(d) <- r
   | Instr.Min ->
     fun t fr ->
       let r = fmin fr.f.(sa) fr.f.(sb) in
-      charge t t.cost.Cost_model.arith;
+      charge_fop t tr;
       fr.f.(d) <- r
   | Instr.Max ->
     fun t fr ->
       let r = fmax fr.f.(sa) fr.f.(sb) in
-      charge t t.cost.Cost_model.arith;
+      charge_fop t tr;
       fr.f.(d) <- r
   | Instr.Pow ->
     fun t fr ->
       let r = Float.pow fr.f.(sa) fr.f.(sb) in
-      charge_transc t;
+      charge_fop t tr;
       fr.f.(d) <- r
   | Instr.Rem -> fun _ _ -> error "bad operands for %s" (Instr.binop_name op)
 
@@ -1291,47 +1298,48 @@ and compile_un env v op a : sc =
   | Ty.Float, Ty.Float -> (
     let sa = slot env a
     and d = slot env v in
+    let tr = Instr.transcendental_un op in
     (* one closure per operator, so no float crosses a call *)
     match op with
     | Instr.Neg ->
       fun t fr ->
         let r = -.fr.f.(sa) in
-        charge t t.cost.Cost_model.arith;
+        charge_fop t tr;
         fr.f.(d) <- r
     | Instr.Sqrt ->
       fun t fr ->
         let r = sqrt fr.f.(sa) in
-        charge_transc t;
+        charge_fop t tr;
         fr.f.(d) <- r
     | Instr.Sin ->
       fun t fr ->
         let r = sin fr.f.(sa) in
-        charge_transc t;
+        charge_fop t tr;
         fr.f.(d) <- r
     | Instr.Cos ->
       fun t fr ->
         let r = cos fr.f.(sa) in
-        charge_transc t;
+        charge_fop t tr;
         fr.f.(d) <- r
     | Instr.Exp ->
       fun t fr ->
         let r = exp fr.f.(sa) in
-        charge_transc t;
+        charge_fop t tr;
         fr.f.(d) <- r
     | Instr.Log ->
       fun t fr ->
         let r = log fr.f.(sa) in
-        charge_transc t;
+        charge_fop t tr;
         fr.f.(d) <- r
     | Instr.Abs ->
       fun t fr ->
         let r = Float.abs fr.f.(sa) in
-        charge t t.cost.Cost_model.arith;
+        charge_fop t tr;
         fr.f.(d) <- r
     | Instr.Floor ->
       fun t fr ->
         let r = Float.of_int (int_of_float (floor fr.f.(sa))) in
-        charge t t.cost.Cost_model.arith;
+        charge_fop t tr;
         fr.f.(d) <- r
     | Instr.ToFloat | Instr.ToInt | Instr.Not -> bad)
   | Ty.Int, Ty.Int -> (

@@ -152,6 +152,21 @@ let rec fold_instrs f acc body =
 
 let iter_instrs f body = fold_instrs (fun () i -> f i) () body
 
+(* The operators charged at the transcendental rate: the cost model, the
+   planner's recomputation charge and the reverse pass's remat markers all
+   classify an instruction by these. *)
+let transcendental_bin = function Pow -> true | _ -> false
+
+let transcendental_un = function
+  | Sqrt | Sin | Cos | Exp | Log -> true
+  | Neg | Abs | Floor | ToFloat | ToInt | Not -> false
+
+(** A float [Bin] or [Un] charged at the transcendental rate. *)
+let transcendental = function
+  | Bin (v, op, _, _) -> Ty.equal (Var.ty v) Ty.Float && transcendental_bin op
+  | Un (v, op, _) -> Ty.equal (Var.ty v) Ty.Float && transcendental_un op
+  | _ -> false
+
 let binop_name = function
   | Add -> "add"
   | Sub -> "sub"

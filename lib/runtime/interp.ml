@@ -218,6 +218,15 @@ let charge_mem ctx (buf : Value.buffer) n =
   in
   charge (c.mem *. mult *. float_of_int n)
 
+(* The charge of a float [Bin] or [Un]: the transcendental unit, cheaper
+   inside a rematerialization chain, or one arithmetic op. *)
+let charge_op ctx (i : Instr.t) =
+  let c = ctx.cfg.cost in
+  charge
+    (if not (Instr.transcendental i) then c.arith
+     else if ctx.remat_depth > 0 then c.transcendental_remat
+     else c.transcendental)
+
 let check_rank ctx (buf : Value.buffer) =
   if buf.rank <> ctx.rank then
     error "cross-rank memory access: buffer of rank %d touched by rank %d"
@@ -536,12 +545,7 @@ and exec_instr ctx e (i : Instr.t) : outcome =
     let r = eval_bin op x y in
     (if is_float r then begin
        st.flops <- st.flops + 1;
-       charge
-         (match op with
-         | Pow ->
-           if ctx.remat_depth > 0 then c.transcendental_remat
-           else c.transcendental
-         | _ -> c.arith)
+       charge_op ctx i
      end
      else charge c.arith);
     let r =
@@ -574,12 +578,7 @@ and exec_instr ctx e (i : Instr.t) : outcome =
     let r = eval_un op x in
     (if is_float r then begin
        st.flops <- st.flops + 1;
-       charge
-         (match op with
-         | Sqrt | Sin | Cos | Exp | Log ->
-           if ctx.remat_depth > 0 then c.transcendental_remat
-           else c.transcendental
-         | _ -> c.arith)
+       charge_op ctx i
      end
      else charge c.arith);
     let r =

@@ -697,19 +697,19 @@ let test_post_ad_idempotent () =
 
 let golden_post_ad =
   [
-    "lulesh_seq", "7a909eebab7a04127148286b71ae5f3c";
-    "lulesh_omp", "62428771ed2af69924d4f00e5ac4bca1";
-    "lulesh_raja", "cbbf09dfc1bbe6d04db42c634a28c41e";
-    "lulesh_mpi", "30b3e6b7af482e59ec084fc9b3fa547c";
-    "lulesh_hybrid", "9ed15b4e85288df587f3cd674b789415";
-    "lulesh_jl", "975129f6c3f3787ea63a4f0bf1888114";
-    "bude_seq", "5ae3770f2597acb09d5950cb31e5fc91";
-    "bude_omp", "a1f9185cd5dd50d155de9220221d0f32";
-    "bude_julia", "1a3d7cc7e23bf8459c58907bd9e00dd3";
-    "bude_chunk_jl", "bc8e31ae63d5d84606b6e20a9a29a7e8";
-    "lulesh_raja_mpi", "102d199b397824ba230dca989274d7ca";
-    "lulesh_omp seeds=8", "d552db759ec5e2a237db3c04397daf9c";
-    "bude_omp seeds=8", "9f5128473257a1de2d25fc5f8c766cec";
+    "lulesh_seq", "53aed2456934a6b8b0b8fb742f383b38";
+    "lulesh_omp", "13ef6619fff2a6c5a21398a94d2e8e64";
+    "lulesh_raja", "d402a77d1648ea09a91a195d695a73ff";
+    "lulesh_mpi", "53cb7aee1c9409b12dd32d64c9534bbb";
+    "lulesh_hybrid", "7354bdc6eba9046890279bb08622fbb2";
+    "lulesh_jl", "7d00f4596adc18b98d088253cc8837e8";
+    "bude_seq", "546a10305d4e1e93e193213b9622adbd";
+    "bude_omp", "d2278f4ce7f66bc451786e0685804306";
+    "bude_julia", "2f7b08da4ae717d12e7feac2788d438e";
+    "bude_chunk_jl", "ee48cec07a5c4b3f23298841e81f3957";
+    "lulesh_raja_mpi", "f3bcc309acde009d49cc88f30140e2dc";
+    "lulesh_omp seeds=8", "a6373f28a5eb380544b4a94d8c027c55";
+    "bude_omp seeds=8", "2e648f38a28a3d3f6ba83337504ffd93";
   ]
 
 let test_post_ad_golden () =
