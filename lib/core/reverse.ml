@@ -542,10 +542,19 @@ and intrinsic_ret_ty = function
 
 (* ---- reverse sweep ---- *)
 
-(* A non-atomic adjoint-register cell ([dreg] or [dlocal] slot) the
-   current reverse scope has touched: [cv] is its value, not yet stored
-   back (see [accum]). *)
-type cell = { host : Var.t; ix : Var.t; mutable cv : Var.t }
+(* A non-atomic adjoint register ([slot] of its plane [host], [dreg] or
+   [dlocal]) a reverse scope holds (see [touch]). At seeds = 1 [cv] is
+   its value, not yet stored back. At seeds = k > 1 its lane group sits
+   in the scope's lane register file at [(slot + 1) * k] ([lane_off]);
+   [fresh] says it started there as a +0.0 fill without reading its
+   plane, and [zero] that its lanes are known to be +0.0. *)
+type cell = {
+  host : Var.t;
+  slot : int;
+  mutable cv : Var.t;
+  fresh : bool;
+  mutable zero : bool;
+}
 
 type rscope = {
   rparent : rscope option;
@@ -556,10 +565,18 @@ type rscope = {
   pmap : (int, Var.t) Hashtbl.t;  (* orig region-param id -> reverse var *)
   rfork : int option;  (* current fork occurrence in the reverse sweep *)
   dlocal : Var.t option;  (* per-thread adjoint registers inside a fork *)
-  sbuf : Var.t option;
-      (* per-thread k-cell scratch holding the current statement's taken
-         adjoint lane group (the batched analog of the scalar [dv] SSA
-         value); [None] when [opts.seeds = 1] *)
+  file : Var.t option;
+      (* the per-thread lane register file at seeds = k > 1 (see
+         [touch]): lanes [0, k) are the scratch a reverse statement takes
+         its result's adjoint into, and plane slot s keeps its lane group
+         at [(s + 1) * k]; [None] when [opts.seeds = 1] *)
+  own_file : bool;  (* the file was allocated for this scope's body *)
+  bscope : Instr.t list ref;  (* the builder scope this scope emits into *)
+  defs : (int, unit) Hashtbl.t;  (* vars its own instructions define *)
+  retained : bool;
+      (* k > 1: the body of a region that keeps its parent's lane groups
+         in the file ([retains]) *)
+  mutable flushed : bool;  (* a flush point has passed in this scope *)
   pend : (int * int, cell) Hashtbl.t;  (* (host id, slot) -> touched cell *)
   mutable touched : cell list;  (* the same cells, latest first touch first *)
 }
@@ -593,7 +610,21 @@ type rstate = {
          outermost chain *)
 }
 
-let root_scope ~idx0 ~sbuf =
+let defs_of nodes =
+  let defs = Hashtbl.create 16 in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun v -> Hashtbl.replace defs (Var.id v) ())
+        (Instr.defs n.ins))
+    nodes;
+  defs
+
+(* The function's scope: its instructions and its parameters define the
+   registers it holds. *)
+let root_scope b ~idx0 ~file ~params nodes =
+  let defs = defs_of nodes in
+  List.iter (fun v -> Hashtbl.replace defs (Var.id v) ()) params;
   {
     rparent = None;
     memo = Hashtbl.create 32;
@@ -601,13 +632,20 @@ let root_scope ~idx0 ~sbuf =
     pmap = Hashtbl.create 8;
     rfork = None;
     dlocal = None;
-    sbuf;
+    file;
+    own_file = true;
+    bscope = B.current b;
+    defs;
+    retained = false;
+    flushed = false;
     pend = Hashtbl.create 16;
     touched = [];
   }
 
-let child_scope sc ~idxs ?(fork = sc.rfork) ?(dlocal = sc.dlocal)
-    ?(sbuf = sc.sbuf) () =
+(* The scope of a region body [nodes], opened in the builder's current
+   scope. *)
+let child_scope b sc ~idxs ?(fork = sc.rfork) ?(dlocal = sc.dlocal) ?file
+    ?(retained = false) nodes =
   {
     rparent = Some sc;
     memo = Hashtbl.create 16;
@@ -615,7 +653,12 @@ let child_scope sc ~idxs ?(fork = sc.rfork) ?(dlocal = sc.dlocal)
     pmap = Hashtbl.create 8;
     rfork = fork;
     dlocal;
-    sbuf;
+    file = (match file with Some _ -> file | None -> sc.file);
+    own_file = Option.is_some file;
+    bscope = B.current b;
+    defs = defs_of nodes;
+    retained;
+    flushed = false;
     pend = Hashtbl.create 16;
     touched = [];
   }
@@ -764,23 +807,22 @@ and recompute rs sc k =
 
 (* ---- batched adjoint lanes ----
 
-   With [opts.seeds = k > 1] every adjoint slot — the register files
-   ([dreg]/[dlocal]) and float shadow memory — is a contiguous k-stride
-   plane (cell [i], lane [l] at [i*k + l]), and each reverse statement
-   becomes one or two [adj.*_k] runtime calls that loop natively over
-   the lane group ({!Interp.intrinsic}). Primal resolution ([resolve]:
-   cache traffic, transcendentals, partial computation) stays outside
-   those calls, so one tape and one primal stream amortize across all k
-   seeds — that sharing, plus the per-lane work costing a float op
-   instead of an interpreter dispatch, is the whole point of the batch.
-   At k = 1 emission keeps the classic scalar layout, with the
-   adjoints of one block held as SSA values ([accum] below): the
-   intrinsic per-lane arithmetic mirrors it exactly (same ops, same
-   order), which keeps every batched lane bit-identical to its
-   standalone run. The lane calls take their planes as arguments, so
-   at k > 1 every register access stays in memory. The calls' offsets,
-   modes and flags come from the constant pool like any other
-   constant, so a plane offset or a mode is one [Const] per function. *)
+   With [opts.seeds = k > 1] every adjoint plane — the register planes
+   ([dreg]/[dlocal]) and float shadow memory — is k-stride (cell [i],
+   lane [l] at [i*k + l]), and each reverse statement becomes one
+   [adj.*_k] runtime call that loops natively over the lane group
+   ({!Interp.intrinsic}). Primal resolution ([resolve]: cache traffic,
+   transcendentals, partial computation) stays outside those calls, so
+   one tape and one primal stream amortize across all k seeds — that
+   sharing, plus the per-lane work costing a float op instead of an
+   interpreter dispatch, is the whole point of the batch. A reverse
+   scope keeps its registers' lane groups in a per-thread lane register
+   file, the k-wide form of the SSA values seeds = 1 keeps ([touch]
+   below), and the lane calls name them by their file offset. The
+   per-lane arithmetic mirrors the scalar emission exactly (same ops,
+   same order), which keeps every batched lane bit-identical to its
+   standalone run. The calls' offsets, modes and flags come from the
+   constant pool like any other constant. *)
 
 let fork_slot_tables (fi : Finfo.t) =
   let tbl = Hashtbl.create 8 in
@@ -847,22 +889,113 @@ let accumulable rs (v : Var.t) =
    is a memory cell only where an adjoint crosses one of those points —
    a region boundary or a barrier — and [mem_forward] promotes what it
    can of those. Atomic accumulations (a register captured inside a
-   fork) go straight to memory. *)
-let touch rs sc host slot =
-  match Hashtbl.find_opt sc.pend (Var.id host, slot) with
-  | Some c -> c
-  | None ->
-    let st = rs.fs in
-    let ix = ki st slot in
-    let c = { host; ix; cv = B.load st.b host ix } in
-    Hashtbl.add sc.pend (Var.id host, slot) c;
-    sc.touched <- c :: sc.touched;
-    c
+   fork) go straight to memory.
 
-let flush rs sc =
-  List.iter (fun c -> B.store rs.fs.b c.host c.ix c.cv) (List.rev sc.touched);
+   At seeds = k > 1 the values are lane groups in the lane register file
+   and the same discipline holds, with three differences that stand in
+   for what [mem_forward] does at seeds = 1. A register the scope's own
+   instructions define starts as a +0.0 fill and never touches its plane
+   (the file's lanes are +0.0 whenever no scope holds them, so the fill
+   emits nothing), unless a flush point has passed in the scope; any
+   other register is copied in once, at its first touch ([adj.load_k]),
+   and written back once, at a flush ([adj.store_k]). The body of a
+   For/While/If region that holds no fork, workshare, barrier or call
+   ([retains]) is no flush point: its scopes use the lane groups their
+   enclosing scopes hold, and a register they need from outside is
+   registered in the innermost enclosing scope that defines it, or else
+   in the outermost scope they share the groups of, by an instruction
+   emitted there, ahead of the region ([B.within]). And a file dies with
+   its scope: a fork member's groups are not written back at its end. *)
+
+(* A For/While/If region whose reverse holds no fork, workshare,
+   barrier or call: at seeds = k > 1 its scopes keep using the lane
+   groups the enclosing scope holds. *)
+let retains (ins : Instr.t) =
+  let rec blocks (i : Instr.t) =
+    match i with
+    | Fork _ | Workshare _ | Barrier | Call _ | Spawn _ | Sync _ -> true
+    | _ ->
+      List.exists
+        (fun (r : Instr.region) -> List.exists blocks r.body)
+        (Instr.regions i)
+  in
+  match ins with If _ | For _ | While _ -> not (blocks ins) | _ -> false
+
+let file_of sc =
+  match sc.file with
+  | Some f -> f
+  | None -> unsupported "reverse: missing lane register file"
+
+let lane_off rs slot = (slot + 1) * rs.fs.p.opts.seeds
+
+let kcall rs name args = ignore (B.call rs.fs.b ~ret:Ty.Unit name args)
+
+(* The cell of [v]'s register, [touch]ing it first if this scope (or, at
+   k > 1, a scope whose groups it shares) does not hold it yet. *)
+let touch rs sc (v : Var.t) =
+  let st = rs.fs in
+  let k = st.p.opts.seeds in
+  let host, _, slot = adj_host rs sc v in
+  let key = Var.id host, slot in
+  let hold o c =
+    Hashtbl.add o.pend key c;
+    o.touched <- c :: o.touched;
+    c
+  in
+  match Hashtbl.find_opt sc.pend key with
+  | Some c -> c
+  | None when k = 1 ->
+    let cv = B.load st.b host (ki st slot) in
+    hold sc { host; slot; cv; fresh = false; zero = false }
+  | None ->
+    (* walk the scopes sharing their groups, outward *)
+    let rec find o =
+      match Hashtbl.find_opt o.pend key with
+      | Some c -> Some c
+      | None -> (
+        match o.rparent with Some p when o.retained -> find p | _ -> None)
+    in
+    let rec owner o =
+      if Hashtbl.mem o.defs (Var.id v) then o
+      else match o.rparent with Some p when o.retained -> owner p | _ -> o
+    in
+    (match find sc with
+    | Some c ->
+      (* an enclosing scope's group: its lanes are no longer known *)
+      c.zero <- false;
+      c
+    | None ->
+      let o = owner sc in
+      let fresh = Hashtbl.mem o.defs (Var.id v) && not o.flushed in
+      if not fresh then
+        B.within st.b o.bscope (fun () ->
+            kcall rs "adj.load_k"
+              [ file_of o; ki st (lane_off rs slot); host; ki st (slot * k);
+                ki st k ]);
+      hold o { host; slot; cv = host; fresh; zero = fresh && o == sc })
+
+(* Store back what [sc] holds. At k > 1 a group that started as a fill
+   needs no plane at the end of its scope, or when it is +0.0: it only
+   has to leave the file's lanes +0.0. *)
+let flush rs sc ~at_end =
+  let st = rs.fs in
+  let k = st.p.opts.seeds in
+  List.iter
+    (fun c ->
+      if k = 1 then B.store st.b c.host (ki st c.slot) c.cv
+      else if c.fresh && (at_end || c.zero) then begin
+        if not c.zero then
+          kcall rs "adj.zero_k"
+            [ file_of sc; ki st (lane_off rs c.slot); ki st k ]
+      end
+      else
+        kcall rs "adj.store_k"
+          [ file_of sc; ki st (lane_off rs c.slot); c.host; ki st (c.slot * k);
+            ki st k ])
+    (List.rev sc.touched);
   Hashtbl.reset sc.pend;
-  sc.touched <- []
+  sc.touched <- [];
+  if not at_end then sc.flushed <- true
 
 let accum rs sc (v : Var.t) (dv : Var.t) =
   if accumulable rs v then begin
@@ -870,17 +1003,22 @@ let accum rs sc (v : Var.t) (dv : Var.t) =
     let host, atomic, slot = adj_host rs sc v in
     if atomic then B.atomic_add st.b host (ki st slot) dv
     else begin
-      let c = touch rs sc host slot in
+      let c = touch rs sc v in
       c.cv <- B.add st.b c.cv dv
     end
   end
 
 let read_adj rs sc (v : Var.t) =
-  let host, _, slot = adj_host rs sc v in
-  let c = touch rs sc host slot in
+  let c = touch rs sc v in
   let d = c.cv in
   c.cv <- kf rs.fs 0.0;
   d
+
+(* At k > 1: [c]'s lanes were just taken (left +0.0) in [sc]. *)
+let taken sc c =
+  match Hashtbl.find_opt sc.pend (Var.id c.host, c.slot) with
+  | Some c' when c' == c -> c.zero <- true
+  | _ -> ()
 
 (* Shadow-memory accumulation is serial when the thread-locality
    analysis proves privacy, atomic otherwise (§VI-A1). *)
@@ -925,10 +1063,11 @@ let accum_mem rs sc ~(primal_ptr : Var.t) (sp : Var.t) (ix : Var.t) (dv : Var.t)
 
    A scalar reverse statement takes the adjoint of its result [v] and
    folds a per-operand function of it into each operand's slot. The
-   per-operand formulas are [aspec]s whose [amode] numbers the runtime's
-   [adj.acc_k] dispatch table; [rev_stmt] emits either classic scalar IR
-   (seeds = 1, [scalar_formula] below) or the k-wide intrinsic calls —
-   both compute the same float ops in the same order. *)
+   per-operand formulas are [aspec]s whose [amode] numbers the lane
+   calls' dispatch table ({!Interp.adj_acc_lanes}); [rev_stmt] emits
+   either classic scalar IR (seeds = 1, [scalar_formula] below) or the
+   k-wide intrinsic calls — both compute the same float ops in the same
+   order. *)
 
 type aspec = {
   at : Var.t;  (* accumulation target *)
@@ -959,49 +1098,18 @@ let scalar_formula st (s : aspec) (dv : Var.t) =
   | 9 -> B.select b (cond ()) dv (B.neg b dv)
   | _ -> assert false
 
-let kcall rs name args = ignore (B.call rs.fs.b ~ret:Ty.Unit name args)
-
-let sbuf_of sc =
-  match sc.sbuf with
-  | Some s -> s
-  | None -> unsupported "reverse: missing batched adjoint scratch"
-
-(* scratch <- v's lane group, zeroing it (the k-wide [read_adj]) *)
-let emit_take_k rs sc (v : Var.t) =
+(* At k > 1: the group of an accumulation target: its lane group in the
+   file, or, for a register captured inside a fork, its plane, which
+   takes an atomic add per lane. Returns the host, offset and atomic
+   flag. *)
+let lane_target rs sc (x : Var.t) =
   let st = rs.fs in
-  let k = st.p.opts.seeds in
-  let host, _, slot = adj_host rs sc v in
-  kcall rs "adj.take_k" [ sbuf_of sc; host; ki st (slot * k); ki st k ]
-
-(* The 7-var argument group describing one accumulation target: host
-   plane, lane-group offset, dispatch mode, coefficients, atomicity. *)
-let acc_args rs sc (s : aspec) =
-  let st = rs.fs in
-  let k = st.p.opts.seeds in
-  let host, atomic, slot = adj_host rs sc s.at in
-  [
-    host;
-    ki st (slot * k);
-    ki st s.amode;
-    (match s.ac1 with Some c -> c | None -> kf st 0.0);
-    (match s.ac2 with Some c -> c | None -> kf st 0.0);
-    (match s.acond with Some c -> c | None -> kb st false);
-    ki st (if atomic then 1 else 0);
-  ]
-
-(* target's lane group += formula(lane group of [from], default scratch) *)
-let emit_acc_k ?from rs sc (s : aspec) =
-  if accumulable rs s.at then begin
-    let st = rs.fs in
-    let k = st.p.opts.seeds in
-    match acc_args rs sc s with
-    | host :: off :: rest ->
-      kcall rs "adj.acc_k"
-        ((host :: off
-          :: (match from with Some d -> d | None -> sbuf_of sc)
-          :: rest)
-        @ [ ki st k ])
-    | _ -> assert false
+  let host, atomic, slot = adj_host rs sc x in
+  if atomic then host, ki st (slot * st.p.opts.seeds), ki st 1
+  else begin
+    let c = touch rs sc x in
+    c.zero <- false;
+    file_of sc, ki st (lane_off rs slot), ki st 0
   end
 
 let rev_stmt rs sc (v : Var.t) (specs : aspec list) =
@@ -1012,28 +1120,43 @@ let rev_stmt rs sc (v : Var.t) (specs : aspec list) =
   else begin
     let st = rs.fs in
     let k = st.p.opts.seeds in
-    let host, _, slot = adj_host rs sc v in
-    let take = [ sbuf_of sc; host; ki st (slot * k) ] in
-    (* one fused dispatch per statement: take + up to two accumulates
-       (hot path of the batched sweep; see the engine's native
-       closures) *)
-    match List.filter (fun s -> accumulable rs s.at) specs with
-    | [] -> emit_take_k rs sc v
+    let c = touch rs sc v in
+    let off = ki st (lane_off rs c.slot) in
+    let group (s : aspec) =
+      let host, o, atomic = lane_target rs sc s.at in
+      [
+        host;
+        o;
+        ki st s.amode;
+        (match s.ac1 with Some c -> c | None -> kf st 0.0);
+        (match s.ac2 with Some c -> c | None -> kf st 0.0);
+        (match s.acond with Some c -> c | None -> kb st false);
+        atomic;
+      ]
+    in
+    (* one dispatch per statement: take v's lanes into the scratch (the
+       k-wide [read_adj]) and fold them into up to two operand groups *)
+    let file = file_of sc and kk = ki st k in
+    (match List.filter (fun s -> accumulable rs s.at) specs with
+    | [] -> if not c.zero then kcall rs "adj.zero_k" [ file; off; kk ]
     | [ s1 ] ->
-      kcall rs "adj.rev1_k" (take @ acc_args rs sc s1 @ [ ki st k ])
+      let g1 = group s1 in
+      kcall rs "adj.rev1_k" ((file :: off :: g1) @ [ kk ])
     | [ s1; s2 ] ->
-      kcall rs "adj.rev2_k"
-        (take @ acc_args rs sc s1 @ acc_args rs sc s2 @ [ ki st k ])
-    | _ ->
-      emit_take_k rs sc v;
-      List.iter (fun s -> emit_acc_k rs sc s) specs
+      let g1 = group s1 in
+      let g2 = group s2 in
+      kcall rs "adj.rev2_k" ((file :: off :: g1) @ g2 @ [ kk ])
+    | _ -> unsupported "reverse: a statement with more than two operands");
+    taken sc c
   end
 
 let rec rev_emit rs sc ?if_results (nodes : anode list) =
   List.iter (rev_node rs sc ?if_results) (List.rev nodes);
   (* the root scope's adjoints are read from its pending cells by the
-     [d_args]/[dscal] packing, and then the registers are freed *)
-  if Option.is_some sc.rparent then flush rs sc;
+     [d_args]/[dscal] packing, and then the registers are freed; so is
+     a fork member's lane file *)
+  if Option.is_some sc.rparent && not (rs.fs.p.opts.seeds > 1 && sc.own_file)
+  then flush rs sc ~at_end:true;
   (* close this scope's batch of adjoint send-duals before control leaves
      it: a batch must never span a structural boundary — a waitall emitted
      in a sibling scope (e.g. the other arm of an If) would run on a path
@@ -1047,10 +1170,12 @@ let rec rev_emit rs sc ?if_results (nodes : anode list) =
 and rev_node rs sc ?if_results { occ; ins; subs } =
   let st = rs.fs in
   let b = st.b in
+  (* at k > 1 a region that [retains] shares this scope's lane groups *)
+  let keep = st.p.opts.seeds > 1 && retains ins in
   (match ins with
-  | (If _ | For _ | While _ | Fork _ | Workshare _) when Plan.rev_work st.p ins
-    -> flush rs sc
-  | Barrier -> flush rs sc
+  | (If _ | For _ | While _ | Fork _ | Workshare _)
+    when Plan.rev_work st.p ins && not keep -> flush rs sc ~at_end:false
+  | Barrier -> flush rs sc ~at_end:false
   | _ -> ());
   (* complete any batched adjoint send-duals before a statement that could
      read or accumulate their still-deferred adjoints; only runs of
@@ -1150,19 +1275,19 @@ and rev_node rs sc ?if_results { occ; ins; subs } =
     end
     else begin
       (* shadow[ix*k ..] += v's lane group, one fused dispatch *)
-      let host, _, slot = adj_host rs sc v in
+      let c = touch rs sc v in
       let mb = B.mul b (rval ix) (ki st k) in
       let atomic = mem_atomic rs sc ~primal_ptr:p in
       kcall rs "adj.mrev_k"
         [
-          sbuf_of sc;
-          host;
-          ki st (slot * k);
+          file_of sc;
+          ki st (lane_off rs c.slot);
           sp;
           mb;
           ki st (if atomic then 1 else 0);
           ki st k;
-        ]
+        ];
+      taken sc c
     end
   | Load _ -> ()
   | Store (p, ix, x) when is_f x ->
@@ -1179,19 +1304,10 @@ and rev_node rs sc ?if_results { occ; ins; subs } =
          the zeroing must happen even when x accumulates nowhere *)
       let mb = B.mul b (rval ix) (ki st k) in
       if accumulable rs x then begin
-        let host, atomic, slot = adj_host rs sc x in
-        kcall rs "adj.srev_k"
-          [
-            sbuf_of sc;
-            sp;
-            mb;
-            host;
-            ki st (slot * k);
-            ki st (if atomic then 1 else 0);
-            ki st k;
-          ]
+        let host, off, atomic = lane_target rs sc x in
+        kcall rs "adj.srev_k" [ file_of sc; sp; mb; host; off; atomic; ki st k ]
       end
-      else kcall rs "adj.mtake_k" [ sp; mb; sbuf_of sc; ki st k ]
+      else kcall rs "adj.mtake_k" [ sp; mb; file_of sc; ki st k ]
     end
   | Store _ -> ()
   | AtomicAdd (p, ix, x) ->
@@ -1201,17 +1317,8 @@ and rev_node rs sc ?if_results { occ; ins; subs } =
     if k = 1 then accum rs sc x (B.load b sp (rval ix))
     else if accumulable rs x then begin
       let mb = B.mul b (rval ix) (ki st k) in
-      let host, atomic, slot = adj_host rs sc x in
-      kcall rs "adj.arev_k"
-        [
-          sbuf_of sc;
-          sp;
-          mb;
-          host;
-          ki st (slot * k);
-          ki st (if atomic then 1 else 0);
-          ki st k;
-        ]
+      let host, off, atomic = lane_target rs sc x in
+      kcall rs "adj.arev_k" [ file_of sc; sp; mb; host; off; atomic; ki st k ]
     end
   | Call (v, name, args) -> rev_call rs sc ~occ v name args
   | Spawn (v, _, args) ->
@@ -1250,7 +1357,7 @@ and rev_node rs sc ?if_results { occ; ins; subs } =
     in
     let rc = rval c in
     let branch nodes () =
-      let sc' = child_scope sc ~idxs:sc.ridxs () in
+      let sc' = child_scope b sc ~idxs:sc.ridxs ~retained:keep nodes in
       rev_emit rs sc' ~if_results:rs_vars nodes
     in
     B.ite b rc (branch then_nodes) (branch else_nodes)
@@ -1271,7 +1378,10 @@ and rev_node rs sc ?if_results { occ; ins; subs } =
         let tinner =
           if pm == pt then inner else B.add b (B.mul b pt trip) iter
         in
-        let sc' = child_scope sc ~idxs:(sc.ridxs @ [ inner, tinner ]) () in
+        let sc' =
+          child_scope b sc ~idxs:(sc.ridxs @ [ inner, tinner ]) ~retained:keep
+            body_nodes
+        in
         Hashtbl.replace sc'.pmap (Var.id iv) iv';
         rev_emit rs sc' body_nodes)
   | While _ ->
@@ -1280,7 +1390,10 @@ and rev_node rs sc ?if_results { occ; ins; subs } =
     B.for_ b ~lo:(ki st 0) ~hi:trip ~step:(ki st 1) (fun j ->
         let iter = B.sub b (B.sub b trip (ki st 1)) j in
         let inner = B.add b start iter in
-        let sc' = child_scope sc ~idxs:(sc.ridxs @ [ inner, inner ]) () in
+        let sc' =
+          child_scope b sc ~idxs:(sc.ridxs @ [ inner, inner ]) ~retained:keep
+            body_nodes
+        in
         rev_emit rs sc' body_nodes)
   | Fork { tid; nth; body } ->
     let body_nodes = match subs with [ x ] -> x | _ -> assert false in
@@ -1294,20 +1407,21 @@ and rev_node rs sc ?if_results { occ; ins; subs } =
     let nslots = max 1 (fork_nlocals rs occ) * seeds in
     B.fork b ~nth:rnth (fun ~tid:tid' ~nth:nth' ->
         let dlocal = B.alloc b Ty.Float (ki st nslots) in
-        (* members run concurrently: each needs its own lane scratch *)
-        let sbuf =
-          if seeds > 1 then Some (B.alloc b Ty.Float (ki st seeds))
+        (* members run concurrently: each needs its own lane file, with
+           a lane group per slot of [dlocal] after the scratch *)
+        let file =
+          if seeds > 1 then Some (B.alloc b Ty.Float (ki st (nslots + seeds)))
           else None
         in
         let inner = B.add b (B.mul b pm nth') tid' in
         let sc' =
-          child_scope sc ~idxs:(sc.ridxs @ [ inner, pm ]) ~fork:(Some occ)
-            ~dlocal:(Some dlocal) ~sbuf ()
+          child_scope b sc ~idxs:(sc.ridxs @ [ inner, pm ]) ~fork:(Some occ)
+            ~dlocal:(Some dlocal) ?file body_nodes
         in
         Hashtbl.replace sc'.pmap (Var.id tid) tid';
         Hashtbl.replace sc'.pmap (Var.id nth_param) nth';
         rev_emit rs sc' body_nodes;
-        (match sbuf with Some s -> B.free b s | None -> ());
+        (match file with Some s -> B.free b s | None -> ());
         B.free b dlocal)
   | Workshare { iv; lo; hi; schedule; _ } ->
     let body_nodes = match subs with [ x ] -> x | _ -> assert false in
@@ -1316,7 +1430,9 @@ and rev_node rs sc ?if_results { occ; ins; subs } =
     let _, pt = List.nth sc.ridxs (List.length sc.ridxs - 1) in
     B.workshare b ~schedule ~nowait:false ~lo:rlo ~hi:rhi (fun iv' ->
         let inner = B.add b (B.mul b pt len) (B.sub b iv' rlo) in
-        let sc' = child_scope sc ~idxs:(sc.ridxs @ [ inner, inner ]) () in
+        let sc' =
+          child_scope b sc ~idxs:(sc.ridxs @ [ inner, inner ]) body_nodes
+        in
         Hashtbl.replace sc'.pmap (Var.id iv) iv';
         rev_emit rs sc' body_nodes)
   | Yield vs -> (
@@ -1598,8 +1714,11 @@ let emit_combined eng (f : Func.t) (p : Plan.t) dname =
   (* reverse sweep *)
   let var_count = f.var_count in
   let dreg = B.alloc b Ty.Float (ki st (var_count * seeds)) in
-  let sbuf =
-    if seeds > 1 then Some (B.alloc b Ty.Float (ki st seeds)) else None
+  (* the lane file: the scratch, then a lane group per slot of [dreg] *)
+  let file =
+    if seeds > 1 then
+      Some (B.alloc b Ty.Float (ki st ((var_count + 1) * seeds)))
+    else None
   in
   let rs =
     {
@@ -1613,34 +1732,33 @@ let emit_combined eng (f : Func.t) (p : Plan.t) dname =
       in_remat = false;
     }
   in
-  let root = root_scope ~idx0 ~sbuf in
+  let root = root_scope b ~idx0 ~file ~params:f.params nodes in
   (match d_ret, st.ret_orig with
   | Some d, Some v when Ty.equal (Var.ty v) Ty.Float ->
     if seeds = 1 then accum rs root v d
-    else
-      (* d_ret is a k-cell buffer: lane l seeds the return with d[l] *)
-      emit_acc_k ~from:d rs root (spec v 0)
+    else if accumulable rs v then begin
+      (* d_ret is a k-cell buffer: lane l seeds the return with d[l],
+         added to v's lanes as an atomic add's reversal adds a cell *)
+      let host, off, atomic = lane_target rs root v in
+      kcall rs "adj.arev_k"
+        [ file_of root; d; ki st 0; host; off; atomic; ki st seeds ]
+    end
   | _ -> ());
   rev_emit rs root nodes;
   (match d_args with
   | Some da ->
     List.iteri
       (fun k sp ->
-        if seeds = 1 then
-          B.store b da (ki st k) (touch rs root dreg (Var.id sp)).cv
+        let c = touch rs root sp in
+        if seeds = 1 then B.store b da (ki st k) c.cv
         else
           (* param-major: param k's lane group lands at da[k*seeds ..] *)
-          kcall rs "adj.pack_k"
-            [
-              da;
-              ki st (k * seeds);
-              dreg;
-              ki st (Var.id sp * seeds);
-              ki st seeds;
-            ])
+          kcall rs "adj.store_k"
+            [ file_of root; ki st (lane_off rs c.slot); da; ki st (k * seeds);
+              ki st seeds ])
       (scalar_params f)
   | None -> ());
-  (match sbuf with Some s -> B.free b s | None -> ());
+  (match file with Some s -> B.free b s | None -> ());
   B.free b dreg;
   free_caches st;
   (match f.ret_ty, st.ret_val with
@@ -1744,8 +1862,8 @@ let emit_split eng gname =
       }
     in
     let idx0 = ki st 0 in
-    (* split mode is task-only, which batching rejects: no lane scratch *)
-    let root = root_scope ~idx0 ~sbuf:None in
+    (* split mode is task-only, which batching rejects: no lane file *)
+    let root = root_scope b ~idx0 ~file:None ~params:f.params nodes in
     (match d_ret, ret_var f with
     | Some d, Some v when Ty.equal (Var.ty v) Ty.Float -> accum rs root v d
     | _ -> ());
@@ -1756,7 +1874,7 @@ let emit_split eng gname =
     in
     List.iteri
       (fun k sp ->
-        B.store b dscal (ki st k) (touch rs root dreg (Var.id sp)).cv)
+        B.store b dscal (ki st k) (touch rs root sp).cv)
       (scalar_params f);
     B.free b dreg;
     for ord = 0 to p.n_cached - 1 do

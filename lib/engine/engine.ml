@@ -582,49 +582,53 @@ let write_boxed (cf : cfun) (p : Var.t) fr (a : Value.t) =
 
 (* ---- k-wide lane steps ----
 
-   The two steps the adj.*_k intrinsics share, with the charges of
-   {!Interp.intrinsic}'s implementation. Both are inlined: the batched
-   reverse sweep runs them once per statement and operand group. *)
+   The steps the adj.*_k intrinsics share, with the charges and counts
+   of {!Interp.intrinsic}'s implementation, in its order. Both are
+   inlined: the batched reverse sweep runs them once per statement and
+   operand group. *)
 
-(* Take step: copy the [k] lanes of [src] at [base] into the scratch
-   plane [scr], zeroing them when [zero]; returns the scratch cells. *)
-let[@inline] take_lanes t ~fname ~zero (scr : Value.ptr) (src : Value.ptr)
+(* Take step: move the [k] lanes of [src] at [base] into the scratch of
+   [file], zeroing them when [zero]; returns the file's cells. Lanes in
+   the file are registers, charged and counted nothing. *)
+let[@inline] take_lanes t ~fname ~zero (file : Value.ptr) (src : Value.ptr)
     base k =
-  let sa = Interp.fplane ~who:fname scr ~base:0 ~n:k in
+  let sa = Interp.fplane ~who:fname file ~base:0 ~n:k in
   let ha = Interp.fplane ~who:fname src ~base ~n:k in
-  let so = scr.off
+  let so = file.off
   and ho = src.off + base in
-  if zero then begin
+  if zero then
     for l = 0 to k - 1 do
       Array.unsafe_set sa (so + l) (Array.unsafe_get ha (ho + l));
       Array.unsafe_set ha (ho + l) 0.0
-    done;
-    charge_mem_n t src.buf (2 * k);
-    Interp.count_cells t.st ~reads:k ~writes:k
-  end
-  else begin
+    done
+  else
     for l = 0 to k - 1 do
       Array.unsafe_set sa (so + l) (Array.unsafe_get ha (ho + l))
     done;
-    charge_mem_n t src.buf k;
-    Interp.count_cells t.st ~reads:k ~writes:0
+  if src.buf != file.buf then begin
+    charge_mem_n t src.buf (if zero then 2 * k else k);
+    let st = t.st in
+    st.Stats.loads <- st.Stats.loads + k;
+    if zero then st.Stats.stores <- st.Stats.stores + k
   end;
   sa
 
-(* Accumulation-group step: fold the scratch lanes [sa] at [so] into the
-   [k] lanes of [host] at [base] by [mode], one atomic per lane when
+(* Accumulation-group step: fold the scratch lanes [sa] of [file] into
+   the [k] lanes of [host] at [base] by [mode], one atomic per lane when
    [atomic] is non-zero. The coefficients are cells [c1] and [c2] of
    [cells], a frame's float file. *)
-let[@inline] acc_lanes t ~fname (host : Value.ptr) base ~mode cells ~c1 ~c2
-    ~cond ~atomic sa so k =
+let[@inline] acc_lanes t ~fname (file : Value.ptr) (host : Value.ptr) base
+    ~mode cells ~c1 ~c2 ~cond ~atomic sa k =
   let ha = Interp.fplane ~who:fname host ~base ~n:k in
-  Interp.adj_acc_lanes ~mode cells ~c1 ~c2 ~cond ha (host.off + base) sa so k;
+  Interp.adj_acc_lanes ~mode cells ~c1 ~c2 ~cond ha (host.off + base) sa
+    file.off k;
   charge t
     (t.cost.Cost_model.arith
     *. float_of_int (k * (Interp.adj_mode_ops mode + 1)));
+  let in_file = host.buf == file.buf in
   if atomic <> 0 then charge t (t.cost.Cost_model.atomic *. float_of_int k)
-  else charge_mem_n t host.buf (2 * k);
-  Interp.count_group t.st ~mode ~atomic:(atomic <> 0) k
+  else if not in_file then charge_mem_n t host.buf (2 * k);
+  Interp.count_group t.st ~mode ~atomic:(atomic <> 0) ~in_file k
 
 (* The frame slots of one operand group of a fused reverse statement:
    host, offset, mode, c1, c2, cond, atomic. *)
@@ -650,11 +654,11 @@ let group env h o m c1 c2 cnd at =
   }
 
 (* The accumulation-group step of [g], its arguments read from [fr]. *)
-let[@inline] acc_group t ~fname g fr sa so k =
-  acc_lanes t ~fname
+let[@inline] acc_group t ~fname file g fr sa k =
+  acc_lanes t ~fname file
     (Value.to_ptr fr.v.(g.gh))
     fr.i.(g.go) ~mode:fr.i.(g.gm) fr.f ~c1:g.gc1 ~c2:g.gc2
-    ~cond:fr.b.(g.gcnd) ~atomic:fr.i.(g.gat) sa so k
+    ~cond:fr.b.(g.gcnd) ~atomic:fr.i.(g.gat) sa k
 
 (* ---- calls ---- *)
 
@@ -1629,48 +1633,10 @@ and compile_intrinsic env v name args : sc =
      implementation exactly, so Seq keeps interp's virtual makespans on
      batched plans. Per-lane arithmetic matches the scalar emission op
      for op — the bit-identity contract of a batched lane. *)
-  | "adj.take_k", [ scr; host; voff; k ] ->
-    let scr_rd = reader env scr
-    and host_rd = reader env host
-    and voff_rd = ird env voff
-    and k_rd = ird env k in
-    let fname = env.fname in
-    let w = writer env v in
-    fun t fr ->
-      charge t t.cost.Cost_model.arith;
-      let scr = Value.to_ptr (scr_rd fr) in
-      let host = Value.to_ptr (host_rd fr) in
-      ignore (take_lanes t ~fname ~zero:true scr host (voff_rd fr) (k_rd fr));
-      w fr VUnit
-  | "adj.acc_k", [ host; xoff; scr; mode; c1; c2; cond; atomic; k ] ->
-    let host_rd = reader env host
-    and xoff_rd = ird env xoff
-    and scr_rd = reader env scr
-    and mode_rd = ird env mode
-    and s_c1 = fslot env c1
-    and s_c2 = fslot env c2
-    and cond_rd = brd env cond
-    and atomic_rd = ird env atomic
-    and k_rd = ird env k in
-    let fname = env.fname in
-    let w = writer env v in
-    fun t fr ->
-      charge t t.cost.Cost_model.arith;
-      let host = Value.to_ptr (host_rd fr) in
-      let scr = Value.to_ptr (scr_rd fr) in
-      let xoff = xoff_rd fr and k = k_rd fr in
-      (* the interpreter checks the host plane before the scratch plane *)
-      ignore (Interp.fplane ~who:fname host ~base:xoff ~n:k);
-      let sa = Interp.fplane ~who:fname scr ~base:0 ~n:k in
-      acc_lanes t ~fname host xoff ~mode:(mode_rd fr) fr.f ~c1:s_c1 ~c2:s_c2
-        ~cond:(cond_rd fr) ~atomic:(atomic_rd fr) sa scr.off k;
-      w fr VUnit
-  | "adj.rev1_k", [ scr; vhost; voff; h1; o1; m1; c11; c12; cnd1; at1; k ]
-    ->
+  | "adj.rev1_k", [ file; voff; h1; o1; m1; c11; c12; cnd1; at1; k ] ->
     (* Fused reverse statement, one operand: take + acc in one dispatch
        (charges mirror {!Interp.intrinsic}'s fused case). *)
-    let s_scr = pslot env scr
-    and s_vh = pslot env vhost
+    let s_file = pslot env file
     and s_voff = islot env voff
     and g1 = group env h1 o1 m1 c11 c12 cnd1 at1
     and s_k = islot env k in
@@ -1678,23 +1644,18 @@ and compile_intrinsic env v name args : sc =
     let s_v = slot env v in
     fun t fr ->
       charge t t.cost.Cost_model.arith;
-      let scr = Value.to_ptr fr.v.(s_scr) in
+      let file = Value.to_ptr fr.v.(s_file) in
       let k = fr.i.(s_k) in
-      let sa =
-        take_lanes t ~fname ~zero:true scr
-          (Value.to_ptr fr.v.(s_vh))
-          fr.i.(s_voff) k
-      in
-      acc_group t ~fname g1 fr sa scr.off k;
+      let sa = take_lanes t ~fname ~zero:true file file fr.i.(s_voff) k in
+      acc_group t ~fname file g1 fr sa k;
       fr.v.(s_v) <- VUnit
   | ( "adj.rev2_k",
       [
-        scr; vhost; voff; h1; o1; m1; c11; c12; cnd1; at1; h2; o2; m2; c21;
-        c22; cnd2; at2; k;
+        file; voff; h1; o1; m1; c11; c12; cnd1; at1; h2; o2; m2; c21; c22;
+        cnd2; at2; k;
       ] ) ->
     (* Fused reverse statement, two operands. *)
-    let s_scr = pslot env scr
-    and s_vh = pslot env vhost
+    let s_file = pslot env file
     and s_voff = islot env voff
     and g1 = group env h1 o1 m1 c11 c12 cnd1 at1
     and g2 = group env h2 o2 m2 c21 c22 cnd2 at2
@@ -1703,20 +1664,15 @@ and compile_intrinsic env v name args : sc =
     let s_v = slot env v in
     fun t fr ->
       charge t t.cost.Cost_model.arith;
-      let scr = Value.to_ptr fr.v.(s_scr) in
+      let file = Value.to_ptr fr.v.(s_file) in
       let k = fr.i.(s_k) in
-      let sa =
-        take_lanes t ~fname ~zero:true scr
-          (Value.to_ptr fr.v.(s_vh))
-          fr.i.(s_voff) k
-      in
-      acc_group t ~fname g1 fr sa scr.off k;
-      acc_group t ~fname g2 fr sa scr.off k;
+      let sa = take_lanes t ~fname ~zero:true file file fr.i.(s_voff) k in
+      acc_group t ~fname file g1 fr sa k;
+      acc_group t ~fname file g2 fr sa k;
       fr.v.(s_v) <- VUnit
-  | "adj.mrev_k", [ scr; vhost; voff; sp; mb; atomic; k ] ->
+  | "adj.mrev_k", [ file; voff; sp; mb; atomic; k ] ->
     (* Fused Load reversal: take + accumulate into the shadow plane. *)
-    let s_scr = pslot env scr
-    and s_vh = pslot env vhost
+    let s_file = pslot env file
     and s_voff = islot env voff
     and s_sp = pslot env sp
     and s_mb = islot env mb
@@ -1726,31 +1682,27 @@ and compile_intrinsic env v name args : sc =
     let s_v = slot env v in
     fun t fr ->
       charge t t.cost.Cost_model.arith;
-      let scr = Value.to_ptr fr.v.(s_scr) in
+      let file = Value.to_ptr fr.v.(s_file) in
       let k = fr.i.(s_k) in
-      let sa =
-        take_lanes t ~fname ~zero:true scr
-          (Value.to_ptr fr.v.(s_vh))
-          fr.i.(s_voff) k
-      in
+      let sa = take_lanes t ~fname ~zero:true file file fr.i.(s_voff) k in
       let sp = Value.to_ptr fr.v.(s_sp) in
       let mb = fr.i.(s_mb) in
       let pa = Interp.fplane ~who:fname sp ~base:mb ~n:k in
       Interp.adj_acc_lanes ~mode:0 fr.f ~c1:0 ~c2:0 ~cond:false pa
-        (sp.off + mb) sa scr.off k;
-      if fr.i.(s_at) <> 0 then
-        charge t (t.cost.Cost_model.atomic *. float_of_int k)
+        (sp.off + mb) sa file.off k;
+      let atomic = fr.i.(s_at) <> 0 and in_file = sp.buf == file.buf in
+      if atomic then charge t (t.cost.Cost_model.atomic *. float_of_int k)
       else begin
         charge t (t.cost.Cost_model.arith *. float_of_int k);
-        charge_mem_n t sp.buf (2 * k)
+        if not in_file then charge_mem_n t sp.buf (2 * k)
       end;
-      Interp.count_group t.st ~mode:0 ~atomic:(fr.i.(s_at) <> 0) k;
+      Interp.count_group t.st ~mode:0 ~atomic ~in_file k;
       fr.v.(s_v) <- VUnit
-  | ("adj.srev_k" | "adj.arev_k"), [ scr; sp; mb; h1; o1; at1; k ] ->
+  | ("adj.srev_k" | "adj.arev_k"), [ file; sp; mb; h1; o1; at1; k ] ->
     (* Fused Store/AtomicAdd reversal (zeroing only for the Store): the
        stored operand's group accumulates in mode 0. *)
     let zero = name = "adj.srev_k" in
-    let s_scr = pslot env scr
+    let s_file = pslot env file
     and s_sp = pslot env sp
     and s_mb = islot env mb
     and s_h1 = pslot env h1
@@ -1761,58 +1713,63 @@ and compile_intrinsic env v name args : sc =
     let s_v = slot env v in
     fun t fr ->
       charge t t.cost.Cost_model.arith;
-      let scr = Value.to_ptr fr.v.(s_scr) in
+      let file = Value.to_ptr fr.v.(s_file) in
       let k = fr.i.(s_k) in
       let sa =
-        take_lanes t ~fname ~zero scr (Value.to_ptr fr.v.(s_sp)) fr.i.(s_mb) k
+        take_lanes t ~fname ~zero file (Value.to_ptr fr.v.(s_sp)) fr.i.(s_mb) k
       in
-      acc_lanes t ~fname
+      acc_lanes t ~fname file
         (Value.to_ptr fr.v.(s_h1))
-        fr.i.(s_o1) ~mode:0 fr.f ~c1:0 ~c2:0 ~cond:false
-        ~atomic:fr.i.(s_at1) sa scr.off k;
+        fr.i.(s_o1) ~mode:0 fr.f ~c1:0 ~c2:0 ~cond:false ~atomic:fr.i.(s_at1)
+        sa k;
       fr.v.(s_v) <- VUnit
-  | "adj.mtake_k", [ sp; mb; scr; k ] ->
-    let sp_rd = reader env sp
-    and mb_rd = ird env mb
-    and scr_rd = reader env scr
-    and k_rd = ird env k in
+  | "adj.mtake_k", [ sp; mb; file; k ] ->
+    let s_sp = pslot env sp
+    and s_mb = islot env mb
+    and s_file = pslot env file
+    and s_k = islot env k in
     let fname = env.fname in
-    let w = writer env v in
+    let s_v = slot env v in
     fun t fr ->
       charge t t.cost.Cost_model.arith;
-      let sp = Value.to_ptr (sp_rd fr) in
-      let scr = Value.to_ptr (scr_rd fr) in
-      let mb = mb_rd fr and k = k_rd fr in
-      (* the interpreter checks the shadow plane before the scratch plane *)
-      ignore (Interp.fplane ~who:fname sp ~base:mb ~n:k);
-      ignore (take_lanes t ~fname ~zero:true scr sp mb k);
-      w fr VUnit
-  | "adj.pack_k", [ dst; doff; src; soff; k ] ->
-    let dst_rd = reader env dst
-    and doff_rd = ird env doff
-    and src_rd = reader env src
-    and soff_rd = ird env soff
-    and k_rd = ird env k in
+      let file = Value.to_ptr fr.v.(s_file) in
+      ignore
+        (take_lanes t ~fname ~zero:true file (Value.to_ptr fr.v.(s_sp))
+           fr.i.(s_mb) fr.i.(s_k));
+      fr.v.(s_v) <- VUnit
+  | "adj.zero_k", [ file; off; k ] ->
+    let s_file = pslot env file
+    and s_off = islot env off
+    and s_k = islot env k in
     let fname = env.fname in
-    let w = writer env v in
+    let s_v = slot env v in
     fun t fr ->
       charge t t.cost.Cost_model.arith;
-      let dst = Value.to_ptr (dst_rd fr) in
-      let src = Value.to_ptr (src_rd fr) in
-      let doff = doff_rd fr
-      and soff = soff_rd fr
-      and k = k_rd fr in
-      let da = Interp.fplane ~who:fname dst ~base:doff ~n:k in
-      let sa = Interp.fplane ~who:fname src ~base:soff ~n:k in
-      let d0 = dst.off + doff
-      and s0 = src.off + soff in
-      for l = 0 to k - 1 do
-        Array.unsafe_set da (d0 + l) (Array.unsafe_get sa (s0 + l))
-      done;
-      charge_mem_n t dst.buf k;
-      charge_mem_n t src.buf k;
-      Interp.count_cells t.st ~reads:k ~writes:k;
-      w fr VUnit
+      let file = Value.to_ptr fr.v.(s_file) in
+      let off = fr.i.(s_off) and k = fr.i.(s_k) in
+      let fa = Interp.fplane ~who:fname file ~base:off ~n:k in
+      Array.fill fa (file.off + off) k 0.0;
+      fr.v.(s_v) <- VUnit
+  | ("adj.load_k" | "adj.store_k"), [ file; foff; plane; poff; k ] ->
+    let load = name = "adj.load_k" in
+    let s_file = pslot env file
+    and s_foff = islot env foff
+    and s_plane = pslot env plane
+    and s_poff = islot env poff
+    and s_k = islot env k in
+    let fname = env.fname in
+    let s_v = slot env v in
+    fun t fr ->
+      charge t t.cost.Cost_model.arith;
+      let plane = Value.to_ptr fr.v.(s_plane) in
+      let k = fr.i.(s_k) in
+      Interp.move_group ~who:fname ~load
+        (Value.to_ptr fr.v.(s_file))
+        fr.i.(s_foff) plane fr.i.(s_poff) k;
+      charge_mem_n t plane.buf k;
+      if load then Interp.count_cells t.st ~reads:k ~writes:0
+      else Interp.count_cells t.st ~reads:0 ~writes:k;
+      fr.v.(s_v) <- VUnit
   | ("parad.checkpoint" | "parad.checkpoint_rev"), _ ->
     (* No-session checkpoint sites cost one arith op and touch nothing;
        only live sessions (take/restore/fast-forward) go through the

@@ -71,6 +71,25 @@ let emit_outer b i =
   | top :: _ -> top := i :: !top
   | [] -> invalid_arg "Builder.emit_outer: no open scope"
 
+(* The innermost open scope, for {!within}. *)
+let current b =
+  match b.scopes with
+  | top :: _ -> top
+  | [] -> invalid_arg "Builder.current: no open scope"
+
+(* Run [f] with the open scope [r] as the innermost one: what it emits
+   lands in [r] after what [r] holds so far, ahead of the region being
+   built inside [r]. *)
+let within b r f =
+  let saved = b.scopes in
+  let rec from = function
+    | s :: _ as l when s == r -> l
+    | _ :: rest -> from rest
+    | [] -> invalid_arg "Builder.within: scope not open"
+  in
+  b.scopes <- from saved;
+  Fun.protect ~finally:(fun () -> b.scopes <- saved) f
+
 (* Run [f] with a fresh scope collecting instructions; return them. *)
 let in_scope b f =
   let scope = ref [] in

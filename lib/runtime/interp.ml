@@ -360,14 +360,65 @@ let[@inline] count_cells (st : Stats.t) ~reads ~writes =
   st.stores <- st.stores + writes
 
 (* Count the [k] lanes of one accumulation group as the scalar emission
-   counts them: the formula's float ops, then one atomic add per lane, or
-   a plane read, an add and a plane write. *)
-let count_group (st : Stats.t) ~mode ~atomic k =
+   counts them: the formula's float ops, then one atomic add per lane,
+   or an add, with a plane read and write unless the group is a register
+   in the lane file. *)
+let count_group (st : Stats.t) ~mode ~atomic ~in_file k =
   st.flops <- st.flops + (k * adj_mode_flops mode);
   if atomic then st.atomics <- st.atomics + k
   else begin
     st.flops <- st.flops + k;
-    count_cells st ~reads:k ~writes:k
+    if not in_file then count_cells st ~reads:k ~writes:k
+  end
+
+(* [p] points into the lane register file [file]. *)
+let[@inline] in_file (file : Value.ptr) (p : Value.ptr) = p.buf == file.buf
+
+(* Move the [k] lanes of [src] at [base] into the scratch of the lane
+   file [file] (its first [k] cells), zeroing them when [zero]; returns
+   the file's cells. *)
+let take_lanes ~who ~zero (file : Value.ptr) (src : Value.ptr) base k =
+  let sa = fplane ~who file ~base:0 ~n:k in
+  let ha = fplane ~who src ~base ~n:k in
+  let so = file.off and ho = src.off + base in
+  if zero then
+    for l = 0 to k - 1 do
+      Array.unsafe_set sa (so + l) (Array.unsafe_get ha (ho + l));
+      Array.unsafe_set ha (ho + l) 0.0
+    done
+  else
+    for l = 0 to k - 1 do
+      Array.unsafe_set sa (so + l) (Array.unsafe_get ha (ho + l))
+    done;
+  sa
+
+(* Copy a lane group from [plane] at [poff] into [file] at [foff]
+   ([load]), or back, leaving the file's lanes +0.0. *)
+let move_group ~who ~load (file : Value.ptr) foff (plane : Value.ptr) poff k =
+  let fa = fplane ~who file ~base:foff ~n:k in
+  let pa = fplane ~who plane ~base:poff ~n:k in
+  let fo = file.off + foff and po = plane.off + poff in
+  if load then Array.blit pa po fa fo k
+  else begin
+    Array.blit fa fo pa po k;
+    Array.fill fa fo k 0.0
+  end
+
+(* The memory side of an accumulation group of [k] lanes into [host]:
+   an atomic add per lane, a plane read and write per lane, or nothing
+   for a register in [file]; counted in [st] too. *)
+let acc_charge ctx st ~file ~mode ~atomic (host : Value.ptr) k =
+  let inf = in_file file host in
+  if atomic then charge (ctx.cfg.cost.atomic *. float_of_int k)
+  else if not inf then charge_mem ctx host.buf (2 * k);
+  count_group st ~mode ~atomic ~in_file:inf k
+
+(* The memory side of a take of [k] lanes of [src]: plane cells read and,
+   when [zero], written. *)
+let take_charge ctx st ~file ~zero (src : Value.ptr) k =
+  if not (in_file file src) then begin
+    charge_mem ctx src.buf (if zero then 2 * k else k);
+    count_cells st ~reads:k ~writes:(if zero then k else 0)
   end
 
 (* ---- sanitizer hooks ---- *)
@@ -1205,64 +1256,21 @@ and intrinsic ctx e name args vals : Value.t =
      is a float op, not an interpreter dispatch. Per-lane arithmetic
      mirrors the scalar emission exactly — same ops, same order — which
      is what keeps every batched lane bit-identical to its standalone
-     single-seed run. Charges model the same traffic the unrolled scalar
-     sequence would have paid. *)
-  | "adj.take_k" ->
-    (* scratch[l] <- host[voff+l]; host[voff+l] <- 0  (read_adj, k-wide) *)
-    let scr = ptr_arg 0 and host = ptr_arg 1 in
-    let voff = int_arg 2 and k = int_arg 3 in
-    let sa = fplane ~who:e.fname scr ~base:0 ~n:k in
-    let ha = fplane ~who:e.fname host ~base:voff ~n:k in
-    let so = scr.off and ho = host.off + voff in
-    for l = 0 to k - 1 do
-      sa.(so + l) <- ha.(ho + l);
-      ha.(ho + l) <- 0.0
-    done;
-    charge_mem ctx host.buf (2 * k);
-    count_cells st ~reads:k ~writes:k;
-    VUnit
-  | "adj.acc_k" ->
-    (* host[xoff+l] += f(scratch[l]) with f selected by [mode]; the
-       lane-invariant coefficients c1/c2/cond are primal values resolved
-       once, outside the call *)
-    let host = ptr_arg 0
-    and xoff = int_arg 1
-    and scr = ptr_arg 2
-    and mode = int_arg 3
-    and c1 = float_arg 4
-    and c2 = float_arg 5 in
-    let cond = to_bool (List.nth vals 6) in
-    let atomic = int_arg 7 <> 0 and k = int_arg 8 in
-    let ha = fplane ~who:e.fname host ~base:xoff ~n:k in
-    let sa = fplane ~who:e.fname scr ~base:0 ~n:k in
-    let ho = host.off + xoff and so = scr.off in
-    adj_acc_lanes ~mode [| c1; c2 |] ~c1:0 ~c2:1 ~cond ha ho sa so k;
-    charge (c.arith *. float_of_int (k * (adj_mode_ops mode + 1)));
-    if atomic then charge (c.atomic *. float_of_int k)
-    else charge_mem ctx host.buf (2 * k);
-    count_group st ~mode ~atomic k;
-    VUnit
+     single-seed run. The first argument is the calling thread's lane
+     register file; its first k lanes are the scratch. An operand in the
+     file is a register: like the scalar emission's SSA values, it is
+     charged and counted no memory. Plane cells are charged and counted
+     as the scalar sequence's loads and stores would be. *)
   | "adj.rev1_k" | "adj.rev2_k" ->
     (* One fused call per reverse statement: take the statement result's
-       lane group into scratch (zeroing it), then fold it into one or
-       two operand lane groups. Exactly [adj.take_k] followed by one or
-       two [adj.acc_k]s, minus the per-call entry charges the split
-       sequence would have paid. *)
-    let scr = ptr_arg 0 and vhost = ptr_arg 1 in
-    let voff = int_arg 2 in
+       lane group into the scratch (zeroing it), then fold it into one or
+       two operand lane groups. *)
+    let file = ptr_arg 0 and voff = int_arg 1 in
     let nacc = if name = "adj.rev1_k" then 1 else 2 in
-    let k = int_arg (3 + (7 * nacc)) in
-    let sa = fplane ~who:e.fname scr ~base:0 ~n:k in
-    let ha = fplane ~who:e.fname vhost ~base:voff ~n:k in
-    let so = scr.off and ho = vhost.off + voff in
-    for l = 0 to k - 1 do
-      sa.(so + l) <- ha.(ho + l);
-      ha.(ho + l) <- 0.0
-    done;
-    charge_mem ctx vhost.buf (2 * k);
-    count_cells st ~reads:k ~writes:k;
+    let k = int_arg (2 + (7 * nacc)) in
+    let sa = take_lanes ~who:e.fname ~zero:true file file voff k in
     for a = 0 to nacc - 1 do
-      let base = 3 + (7 * a) in
+      let base = 2 + (7 * a) in
       let host = ptr_arg base
       and xoff = int_arg (base + 1)
       and mode = int_arg (base + 2)
@@ -1272,105 +1280,67 @@ and intrinsic ctx e name args vals : Value.t =
       let atomic = int_arg (base + 6) <> 0 in
       let aa = fplane ~who:e.fname host ~base:xoff ~n:k in
       adj_acc_lanes ~mode [| c1; c2 |] ~c1:0 ~c2:1 ~cond aa (host.off + xoff)
-        sa so k;
+        sa file.off k;
       charge (c.arith *. float_of_int (k * (adj_mode_ops mode + 1)));
-      if atomic then charge (c.atomic *. float_of_int k)
-      else charge_mem ctx host.buf (2 * k);
-      count_group st ~mode ~atomic k
+      acc_charge ctx st ~file ~mode ~atomic host k
     done;
     VUnit
   | "adj.mrev_k" ->
-    (* Fused Load reversal: move the loaded value's adjoint lane group
-       into scratch (zeroing the source), then add it lane by lane into
-       the lane group of the shadow cell the load read. *)
-    let scr = ptr_arg 0 and vhost = ptr_arg 1 in
-    let voff = int_arg 2 in
-    let sp = ptr_arg 3 and mb = int_arg 4 in
-    let atomic = int_arg 5 <> 0 and k = int_arg 6 in
-    let sa = fplane ~who:e.fname scr ~base:0 ~n:k in
-    let ha = fplane ~who:e.fname vhost ~base:voff ~n:k in
-    let so = scr.off and ho = vhost.off + voff in
-    for l = 0 to k - 1 do
-      sa.(so + l) <- ha.(ho + l);
-      ha.(ho + l) <- 0.0
-    done;
-    charge_mem ctx vhost.buf (2 * k);
-    count_cells st ~reads:k ~writes:k;
+    (* Fused Load reversal: take the loaded value's lane group into the
+       scratch (zeroing it), then add it lane by lane into the lane group
+       of the shadow cell the load read. *)
+    let file = ptr_arg 0 and voff = int_arg 1 in
+    let sp = ptr_arg 2 and mb = int_arg 3 in
+    let atomic = int_arg 4 <> 0 and k = int_arg 5 in
+    let sa = take_lanes ~who:e.fname ~zero:true file file voff k in
     let pa = fplane ~who:e.fname sp ~base:mb ~n:k in
-    let po = sp.off + mb in
-    for l = 0 to k - 1 do
-      pa.(po + l) <- pa.(po + l) +. sa.(so + l)
-    done;
-    if atomic then charge (c.atomic *. float_of_int k)
-    else begin
-      charge (c.arith *. float_of_int k);
-      charge_mem ctx sp.buf (2 * k)
-    end;
-    count_group st ~mode:0 ~atomic k;
+    adj_acc_lanes ~mode:0 [| 0.0; 0.0 |] ~c1:0 ~c2:1 ~cond:false pa
+      (sp.off + mb) sa file.off k;
+    if not atomic then charge (c.arith *. float_of_int k);
+    acc_charge ctx st ~file ~mode:0 ~atomic sp k;
     VUnit
   | "adj.srev_k" | "adj.arev_k" ->
     (* Fused Store/AtomicAdd reversal: pull the shadow cell's lane group
-       into scratch (zeroing it for a Store, leaving it for an AtomicAdd
-       — all contributions share the final cell adjoint), then fold it
-       into the stored operand's lane group (mode 0). *)
-    let scr = ptr_arg 0 and sp = ptr_arg 1 in
+       into the scratch (zeroing it for a Store, leaving it for an
+       AtomicAdd — all contributions share the final cell adjoint), then
+       fold it into the stored operand's lane group (mode 0). *)
+    let file = ptr_arg 0 and sp = ptr_arg 1 in
     let mb = int_arg 2 in
     let h1 = ptr_arg 3 and o1 = int_arg 4 in
     let atomic = int_arg 5 <> 0 and k = int_arg 6 in
-    let sa = fplane ~who:e.fname scr ~base:0 ~n:k in
-    let pa = fplane ~who:e.fname sp ~base:mb ~n:k in
-    let so = scr.off and po = sp.off + mb in
-    if name = "adj.srev_k" then begin
-      for l = 0 to k - 1 do
-        sa.(so + l) <- pa.(po + l);
-        pa.(po + l) <- 0.0
-      done;
-      charge_mem ctx sp.buf (2 * k);
-      count_cells st ~reads:k ~writes:k
-    end
-    else begin
-      for l = 0 to k - 1 do
-        sa.(so + l) <- pa.(po + l)
-      done;
-      charge_mem ctx sp.buf k;
-      count_cells st ~reads:k ~writes:0
-    end;
+    let zero = name = "adj.srev_k" in
+    let sa = take_lanes ~who:e.fname ~zero file sp mb k in
+    take_charge ctx st ~file ~zero sp k;
     let aa = fplane ~who:e.fname h1 ~base:o1 ~n:k in
     adj_acc_lanes ~mode:0 [| 0.0; 0.0 |] ~c1:0 ~c2:1 ~cond:false aa
-      (h1.off + o1) sa so k;
+      (h1.off + o1) sa file.off k;
     charge (c.arith *. float_of_int k);
-    if atomic then charge (c.atomic *. float_of_int k)
-    else charge_mem ctx h1.buf (2 * k);
-    count_group st ~mode:0 ~atomic k;
+    acc_charge ctx st ~file ~mode:0 ~atomic h1 k;
     VUnit
   | "adj.mtake_k" ->
-    (* scratch[l] <- shadow[mb+l]; shadow[mb+l] <- 0  (Store reversal) *)
-    let sp = ptr_arg 0 and mb = int_arg 1 and scr = ptr_arg 2 in
+    (* scratch <- shadow[mb..]; shadow[mb..] <- 0  (Store reversal whose
+       stored value has no register) *)
+    let sp = ptr_arg 0 and mb = int_arg 1 and file = ptr_arg 2 in
     let k = int_arg 3 in
-    let pa = fplane ~who:e.fname sp ~base:mb ~n:k in
-    let sa = fplane ~who:e.fname scr ~base:0 ~n:k in
-    let po = sp.off + mb and so = scr.off in
-    for l = 0 to k - 1 do
-      sa.(so + l) <- pa.(po + l);
-      pa.(po + l) <- 0.0
-    done;
-    charge_mem ctx sp.buf (2 * k);
-    count_cells st ~reads:k ~writes:k;
+    ignore (take_lanes ~who:e.fname ~zero:true file sp mb k);
+    take_charge ctx st ~file ~zero:true sp k;
     VUnit
-  | "adj.pack_k" ->
-    (* dst[doff+l] <- src[soff+l]  (d_args packing, param-major) *)
-    let dst = ptr_arg 0 and doff = int_arg 1 in
-    let src = ptr_arg 2 and soff = int_arg 3 in
-    let k = int_arg 4 in
-    let da = fplane ~who:e.fname dst ~base:doff ~n:k in
-    let sa = fplane ~who:e.fname src ~base:soff ~n:k in
-    let d0 = dst.off + doff and s0 = src.off + soff in
-    for l = 0 to k - 1 do
-      da.(d0 + l) <- sa.(s0 + l)
-    done;
-    charge_mem ctx dst.buf k;
-    charge_mem ctx src.buf k;
-    count_cells st ~reads:k ~writes:k;
+  | "adj.zero_k" ->
+    (* file[off..off+k) <- 0: a register's lane group left +0.0 *)
+    let file = ptr_arg 0 and off = int_arg 1 and k = int_arg 2 in
+    let fa = fplane ~who:e.fname file ~base:off ~n:k in
+    Array.fill fa (file.off + off) k 0.0;
+    VUnit
+  | "adj.load_k" | "adj.store_k" ->
+    (* a register's lane group between its plane and the file: copied in
+       at its first touch, written back (leaving the file's lanes +0.0)
+       at a flush *)
+    let file = ptr_arg 0 and foff = int_arg 1 in
+    let plane = ptr_arg 2 and poff = int_arg 3 and k = int_arg 4 in
+    move_group ~who:e.fname ~load:(name = "adj.load_k") file foff plane poff k;
+    charge_mem ctx plane.buf k;
+    if name = "adj.load_k" then count_cells st ~reads:k ~writes:0
+    else count_cells st ~reads:0 ~writes:k;
     VUnit
   (* ---- adjoint MPI runtime (generated by the AD engine) ---- *)
   | "mpi.adjnote_isend" | "mpi.adjnote_irecv" ->

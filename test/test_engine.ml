@@ -155,8 +155,8 @@ let test_lane_diagnostics () =
      the interpreter's exact message on the engine: out-of-bounds and
      use-after-free on float and int loads and stores and on atomic adds,
      cache reads before a write or out of range, and lane ops whose
-     planes are all out of bounds (both check the planes in the same
-     order). Each case builds the body of a function [bad]. *)
+     lane file and planes are all out of bounds (both check them in the
+     same order). Each case builds the body of a function [bad]. *)
   let module B = Parad_ir.Builder in
   let module Ty = Parad_ir.Ty in
   let buf b ty n = B.alloc b ty (B.i64 b n) in
@@ -222,19 +222,24 @@ let test_lane_diagnostics () =
         "cache.get before a set", cache_get "cache.newf" ~set:false 1;
         "boxed cache.get before a set", cache_get "cache.new" ~set:false 1;
         "cache.get out of range", cache_get "cache.newf" ~set:true 9;
-        ( "adj.acc_k",
-          lanes "adj.acc_k" (fun b host scr ->
+        ( "adj.rev1_k",
+          lanes "adj.rev1_k" (fun b file host ->
               B.
                 [
-                  host; i64 b 0; scr; i64 b 0; f64 b 0.0; f64 b 0.0;
+                  file; i64 b 4; host; i64 b 0; i64 b 0; f64 b 0.0; f64 b 0.0;
                   bool b false; i64 b 0; i64 b 4;
                 ]) );
         ( "adj.mtake_k",
-          lanes "adj.mtake_k" (fun b sp scr ->
-              B.[ sp; i64 b 0; scr; i64 b 4 ]) );
-        ( "adj.take_k",
-          lanes "adj.take_k" (fun b scr host ->
-              B.[ scr; host; i64 b 0; i64 b 4 ]) );
+          lanes "adj.mtake_k" (fun b sp file ->
+              B.[ sp; i64 b 0; file; i64 b 4 ]) );
+        ( "adj.load_k",
+          lanes "adj.load_k" (fun b file plane ->
+              B.[ file; i64 b 4; plane; i64 b 0; i64 b 4 ]) );
+        ( "adj.store_k",
+          lanes "adj.store_k" (fun b plane file ->
+              B.[ file; i64 b 4; plane; i64 b 0; i64 b 4 ]) );
+        ( "adj.zero_k",
+          lanes "adj.zero_k" (fun b file _ -> B.[ file; i64 b 4; i64 b 4 ]) );
       ])
 
 (* ---- allocation guard ---- *)

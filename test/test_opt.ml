@@ -708,8 +708,8 @@ let golden_post_ad =
     "bude_julia", "2f7b08da4ae717d12e7feac2788d438e";
     "bude_chunk_jl", "ee48cec07a5c4b3f23298841e81f3957";
     "lulesh_raja_mpi", "f3bcc309acde009d49cc88f30140e2dc";
-    "lulesh_omp seeds=8", "a6373f28a5eb380544b4a94d8c027c55";
-    "bude_omp seeds=8", "2e648f38a28a3d3f6ba83337504ffd93";
+    "lulesh_omp seeds=8", "1a7b9916b47bd0e8ac0f106d4247132b";
+    "bude_omp seeds=8", "dc25e85479b09814f3bed3c5f9412f41";
   ]
 
 let test_post_ad_golden () =
