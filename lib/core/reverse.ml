@@ -549,6 +549,7 @@ and intrinsic_ret_ty = function
    [fresh] says it started there as a +0.0 fill without reading its
    plane, and [zero] that its lanes are known to be +0.0. *)
 type cell = {
+  reg : Var.t;  (* the var whose adjoint it is *)
   host : Var.t;
   slot : int;
   mutable cv : Var.t;
@@ -576,7 +577,9 @@ type rscope = {
   retained : bool;
       (* k > 1: the body of a region that keeps its parent's lane groups
          in the file ([retains]) *)
-  mutable flushed : bool;  (* a flush point has passed in this scope *)
+  planed : (int, unit) Hashtbl.t;
+      (* k > 1: vars in [defs] whose plane may hold a value by now (a
+         flush wrote it back, or a nested region reached it) *)
   pend : (int * int, cell) Hashtbl.t;  (* (host id, slot) -> touched cell *)
   mutable touched : cell list;  (* the same cells, latest first touch first *)
 }
@@ -637,7 +640,7 @@ let root_scope b ~idx0 ~file ~params nodes =
     bscope = B.current b;
     defs;
     retained = false;
-    flushed = false;
+    planed = Hashtbl.create 8;
     pend = Hashtbl.create 16;
     touched = [];
   }
@@ -658,7 +661,7 @@ let child_scope b sc ~idxs ?(fork = sc.rfork) ?(dlocal = sc.dlocal) ?file
     bscope = B.current b;
     defs = defs_of nodes;
     retained;
-    flushed = false;
+    planed = Hashtbl.create 8;
     pend = Hashtbl.create 16;
     touched = [];
   }
@@ -892,15 +895,16 @@ let accumulable rs (v : Var.t) =
    fork) go straight to memory.
 
    At seeds = k > 1 the values are lane groups in the lane register file
-   and the same discipline holds, with three differences that stand in
-   for what [mem_forward] does at seeds = 1. A register the scope's own
+   and the same discipline holds, with differences that stand in for
+   what [mem_forward] does at seeds = 1. A register the scope's own
    instructions define starts as a +0.0 fill and never touches its plane
    (the file's lanes are +0.0 whenever no scope holds them, so the fill
-   emits nothing), unless a flush point has passed in the scope; any
-   other register is copied in once, at its first touch ([adj.load_k]),
-   and written back once, at a flush ([adj.store_k]). The body of a
+   emits nothing) unless a nested region reaches it; any other register
+   is copied in once, at its first touch ([adj.load_k]), and written
+   back once, at a flush ([adj.store_k]). A nested region flushes only
+   the groups it can reach ([flush_at]), a barrier none. The body of a
    For/While/If region that holds no fork, workshare, barrier or call
-   ([retains]) is no flush point: its scopes use the lane groups their
+   ([retains]) flushes nothing: its scopes use the lane groups their
    enclosing scopes hold, and a register they need from outside is
    registered in the innermost enclosing scope that defines it, or else
    in the outermost scope they share the groups of, by an instruction
@@ -946,7 +950,7 @@ let touch rs sc (v : Var.t) =
   | Some c -> c
   | None when k = 1 ->
     let cv = B.load st.b host (ki st slot) in
-    hold sc { host; slot; cv; fresh = false; zero = false }
+    hold sc { reg = v; host; slot; cv; fresh = false; zero = false }
   | None ->
     (* walk the scopes sharing their groups, outward *)
     let rec find o =
@@ -966,36 +970,70 @@ let touch rs sc (v : Var.t) =
       c
     | None ->
       let o = owner sc in
-      let fresh = Hashtbl.mem o.defs (Var.id v) && not o.flushed in
+      let fresh =
+        Hashtbl.mem o.defs (Var.id v) && not (Hashtbl.mem o.planed (Var.id v))
+      in
       if not fresh then
         B.within st.b o.bscope (fun () ->
             kcall rs "adj.load_k"
               [ file_of o; ki st (lane_off rs slot); host; ki st (slot * k);
                 ki st k ]);
-      hold o { host; slot; cv = host; fresh; zero = fresh && o == sc })
+      hold o { reg = v; host; slot; cv = host; fresh; zero = fresh && o == sc })
 
-(* Store back what [sc] holds. At k > 1 a group that started as a fill
-   needs no plane at the end of its scope, or when it is +0.0: it only
-   has to leave the file's lanes +0.0. *)
-let flush rs sc ~at_end =
+(* Store back the cells [cs] of [sc]. At k > 1 a group that started as
+   a fill needs no plane at the end of its scope, or when it is +0.0: it
+   only has to leave the file's lanes +0.0. *)
+let store_back rs sc ~at_end cs =
   let st = rs.fs in
   let k = st.p.opts.seeds in
   List.iter
     (fun c ->
+      Hashtbl.remove sc.pend (Var.id c.host, c.slot);
       if k = 1 then B.store st.b c.host (ki st c.slot) c.cv
       else if c.fresh && (at_end || c.zero) then begin
         if not c.zero then
           kcall rs "adj.zero_k"
             [ file_of sc; ki st (lane_off rs c.slot); ki st k ]
       end
-      else
+      else begin
         kcall rs "adj.store_k"
           [ file_of sc; ki st (lane_off rs c.slot); c.host; ki st (c.slot * k);
-            ki st k ])
-    (List.rev sc.touched);
-  Hashtbl.reset sc.pend;
-  sc.touched <- [];
-  if not at_end then sc.flushed <- true
+            ki st k ];
+        Hashtbl.replace sc.planed (Var.id c.reg) ()
+      end)
+    (List.rev cs)
+
+(* The end of [sc]: store back everything it holds. *)
+let flush rs sc =
+  store_back rs sc ~at_end:true sc.touched;
+  sc.touched <- []
+
+(* Before a nested region [ins] that is its own scope, or a barrier. At
+   k = 1 every value is stored back. At k > 1 only what the region can
+   reach through a plane: a register whose var it uses (an accumulation
+   target, copied into its body or added atomically from a fork) or
+   defines (an If's results); its plane may hold a value afterwards. A
+   barrier reaches no thread's file. *)
+let flush_at rs sc (ins : Instr.t) =
+  if rs.fs.p.opts.seeds = 1 then begin
+    store_back rs sc ~at_end:false sc.touched;
+    sc.touched <- []
+  end
+  else begin
+    let reach = Hashtbl.create 64 in
+    let add v =
+      if Hashtbl.mem sc.defs (Var.id v) then
+        Hashtbl.replace sc.planed (Var.id v) ();
+      Hashtbl.replace reach (Var.id v) ()
+    in
+    List.iter add (Instr.defs ins);
+    Instr.iter_instrs (fun i -> List.iter add (Instr.uses i)) [ ins ];
+    let go, stay =
+      List.partition (fun c -> Hashtbl.mem reach (Var.id c.reg)) sc.touched
+    in
+    store_back rs sc ~at_end:false go;
+    sc.touched <- stay
+  end
 
 let accum rs sc (v : Var.t) (dv : Var.t) =
   if accumulable rs v then begin
@@ -1156,7 +1194,7 @@ let rec rev_emit rs sc ?if_results (nodes : anode list) =
      [d_args]/[dscal] packing, and then the registers are freed; so is
      a fork member's lane file *)
   if Option.is_some sc.rparent && not (rs.fs.p.opts.seeds > 1 && sc.own_file)
-  then flush rs sc ~at_end:true;
+  then flush rs sc;
   (* close this scope's batch of adjoint send-duals before control leaves
      it: a batch must never span a structural boundary — a waitall emitted
      in a sibling scope (e.g. the other arm of an If) would run on a path
@@ -1174,8 +1212,8 @@ and rev_node rs sc ?if_results { occ; ins; subs } =
   let keep = st.p.opts.seeds > 1 && retains ins in
   (match ins with
   | (If _ | For _ | While _ | Fork _ | Workshare _)
-    when Plan.rev_work st.p ins && not keep -> flush rs sc ~at_end:false
-  | Barrier -> flush rs sc ~at_end:false
+    when Plan.rev_work st.p ins && not keep -> flush_at rs sc ins
+  | Barrier -> flush_at rs sc ins
   | _ -> ());
   (* complete any batched adjoint send-duals before a statement that could
      read or accumulate their still-deferred adjoints; only runs of

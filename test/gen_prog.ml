@@ -56,7 +56,9 @@ let emit b ~init ~load ops =
 (** Where the ops run: once, straight-line, or on every iteration of
     [for i < 3 { for j < 2 { ... } }], loading [x[(i*2 + j + k) mod len]]
     for [Load k] and accumulating the stack's sum into a one-cell local
-    allocation that is read after the nest. *)
+    allocation that is read after the nest. The nest's stack starts from
+    [x[0] * 0.5], computed before the nest, so that value's adjoint
+    gathers contributions across the iterations. *)
 type shape = Straight | Nest
 
 let gen_shape = QCheck.Gen.oneofl [ Straight; Nest ]
@@ -73,23 +75,25 @@ let build ?(shape = Straight) ~len ops =
       ~ret:Ty.Float
   in
   let x = List.hd ps in
-  let sum ~load =
-    let stack = emit b ~init:(B.f64 b 0.5) ~load ops in
+  let sum ~init ~load =
+    let stack = emit b ~init ~load ops in
     List.fold_left (fun acc v -> B.add b acc v) (B.f64 b 0.0) stack
   in
   let r =
     match shape with
-    | Straight -> sum ~load:(fun i -> B.load b x (B.i64 b (i mod len)))
+    | Straight ->
+      sum ~init:(B.f64 b 0.5) ~load:(fun i -> B.load b x (B.i64 b (i mod len)))
     | Nest ->
       let acc = B.alloc b ~kind:Instr.Stack Ty.Float (B.i64 b 1) in
       let zero = B.i64 b 0 in
+      let init = B.mul b (B.load b x zero) (B.f64 b 0.5) in
       B.for_n b (B.i64 b 3) (fun i ->
           B.for_n b (B.i64 b 2) (fun j ->
               let ij = B.add b (B.mul b i (B.i64 b 2)) j in
               let load k =
                 B.load b x (B.rem b (B.add b ij (B.i64 b k)) (B.i64 b len))
               in
-              let s = sum ~load in
+              let s = sum ~init ~load in
               B.store b acc zero (B.add b (B.load b acc zero) s)));
       B.load b acc zero
   in

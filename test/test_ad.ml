@@ -367,7 +367,12 @@ let test_parallel_gradient_matches_serial () =
    stored, or stored twice, unless a nested region or a barrier (where
    the emitter stores its pending adjoints) lies between. A register
    slot is a float Alloc used only by Load/Store at constant indices
-   and by Free. ---- *)
+   and by Free. At seeds = 8, within a block, no register lane group is
+   copied in from its plane twice, or written back twice, unless a
+   nested region or a barrier lies between; and a register the block
+   defines (whose lanes the block takes) touches its plane only across
+   a nested region that holds a fork, workshare or barrier: copied in
+   after one, written back before one or after its take. ---- *)
 
 module L = Apps_lulesh.Lulesh
 module MB = Apps_minibude.Minibude
@@ -474,6 +479,88 @@ let register_round_trips (f : Func.t) =
   block f.body;
   !bad
 
+(* The k-wide checks of (b): double copies in or back within a block,
+   and plane traffic of a register the block takes away from a nested
+   region that holds a fork, workshare or barrier. A lane group is keyed
+   by its plane and plane offset for the first, by its file offset for
+   the second. *)
+let lane_round_trips (f : Func.t) =
+  let ints = Hashtbl.create 64 in
+  Instr.iter_instrs
+    (fun i ->
+      match i with
+      | Instr.Const (v, Instr.Cint x) -> Hashtbl.replace ints (Var.id v) x
+      | _ -> ())
+    f.body;
+  let int v = Hashtbl.find ints (Var.id v) in
+  let rec crosses (i : Instr.t) =
+    match i with
+    | Instr.Fork _ | Instr.Workshare _ | Instr.Barrier -> true
+    | _ ->
+      List.exists
+        (fun (r : Instr.region) -> List.exists crosses r.body)
+        (Instr.regions i)
+  in
+  let bad = ref 0 in
+  let rec block instrs =
+    let arr = Array.of_list instrs in
+    let n = Array.length arr in
+    (* a crossing region or a barrier before j, and at or after j *)
+    let boundary_before = Array.make (n + 1) false in
+    let boundary_after = Array.make (n + 1) false in
+    for j = 0 to n - 1 do
+      boundary_before.(j + 1) <- boundary_before.(j) || crosses arr.(j)
+    done;
+    for j = n - 1 downto 0 do
+      boundary_after.(j) <- boundary_after.(j + 1) || crosses arr.(j)
+    done;
+    (* the file offset whose lanes a call takes, if any *)
+    let take = function
+      | Instr.Call
+          (_, ("adj.rev1_k" | "adj.rev2_k" | "adj.mrev_k"), _ :: o :: _) ->
+        Some (int o)
+      | _ -> None
+    in
+    let taken = Hashtbl.create 16 in
+    Array.iter
+      (fun i -> Option.iter (fun o -> Hashtbl.replace taken o ()) (take i))
+      arr;
+    let loaded = Hashtbl.create 16 and stored = Hashtbl.create 16 in
+    let took = Hashtbl.create 16 in
+    Array.iteri
+      (fun j i ->
+        Option.iter (fun o -> Hashtbl.replace took o ()) (take i);
+        (match i with
+        | Instr.Call
+            (_, (("adj.load_k" | "adj.store_k") as name), [ _; fo; p; po; _ ])
+          ->
+          let key = Var.id p, int po in
+          let seen = if name = "adj.load_k" then loaded else stored in
+          if Hashtbl.mem seen key then incr bad;
+          Hashtbl.replace seen key ();
+          let fo = int fo in
+          if Hashtbl.mem taken fo then begin
+            let ok =
+              if name = "adj.load_k" then boundary_before.(j)
+              else boundary_after.(j) || Hashtbl.mem took fo
+            in
+            if not ok then incr bad
+          end
+        | Instr.Barrier ->
+          Hashtbl.reset loaded;
+          Hashtbl.reset stored
+        | _ -> ());
+        match Instr.regions i with
+        | [] -> ()
+        | rs ->
+          Hashtbl.reset loaded;
+          Hashtbl.reset stored;
+          List.iter (fun (r : Instr.region) -> block r.body) rs)
+      arr
+  in
+  block f.body;
+  !bad
+
 let test_emitted_shape () =
   List.iter
     (fun (tag, name, src, (opts : Parad_core.Plan.options)) ->
@@ -486,7 +573,12 @@ let test_emitted_shape () =
           if opts.seeds = 1 then
             Alcotest.(check int)
               (Printf.sprintf "%s: %s keeps block adjoints in SSA" tag f.name)
-              0 (register_round_trips f))
+              0 (register_round_trips f)
+          else
+            Alcotest.(check int)
+              (Printf.sprintf "%s: %s keeps block lane groups in the file" tag
+                 f.name)
+              0 (lane_round_trips f))
         (emitted src dst))
     (golden_cases ())
 

@@ -99,6 +99,122 @@ let test_minibude_lanes () =
         solo.MB.d_poses g.MB.d_poses)
     cols
 
+(* Batched lanes equal their solo runs on generated kernels: [Gen_prog]
+   programs, straight-line and in a loop nest, at 2, 3 and 8 lanes. Each
+   lane of the batched gradient must be bit-identical to the single-seed
+   gradient with the same seed, and the batched run must give the same
+   bits, makespan and instruction count on interp and on seq. *)
+let gen_input = [| 0.3; -1.2; 2.0; 0.7; -0.1; 1.5; 0.9; -0.4 |]
+let gen_seeds = [| 1.0; -0.5; 2.0; 0.25; -3.0; 0.75; 1.5; -1.25 |]
+
+let prop_generated_lanes =
+  QCheck.Test.make ~name:"generated kernels: lanes == solo" ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         triple (oneofl [ 2; 3; 8 ]) Gen_prog.gen_shape Gen_prog.gen_ops))
+    (fun (k, shape, ops) ->
+      let module V = Parad_runtime.Value in
+      let module X = Parad_runtime.Exec in
+      let len = Array.length gen_input in
+      let prog = Gen_prog.build ~shape ~len ops in
+      let compile seeds =
+        let dprog, dname =
+          Parad_verify.Grad_check.differentiate
+            ~opts:{ Plan.default_options with seeds }
+            prog "rand"
+        in
+        dprog, dname, Engine.prepare dprog
+      in
+      (* the shadow of x and the run's return, makespan and instrs *)
+      let run (dprog, dname, prep) engine ~lanes d_ret =
+        let shadow = ref V.VUnit in
+        let r =
+          X.run ~call:(Engine.call_fn prep engine) dprog ~fname:dname
+            ~setup:(fun ctx ->
+              shadow := X.zeros ctx (len * lanes);
+              [ X.floats ctx gen_input; !shadow; d_ret ctx ])
+        in
+        ( Array.map Int64.bits_of_float (X.to_floats !shadow),
+          Int64.bits_of_float (V.to_float r.X.values.(0)),
+          Int64.bits_of_float r.X.makespan,
+          r.X.stats.Parad_runtime.Stats.instrs )
+      in
+      let solo = compile 1 and batched = compile k in
+      let seeds = Array.sub gen_seeds 0 k in
+      let lanes_run engine =
+        run batched engine ~lanes:k (fun ctx -> X.floats ctx seeds)
+      in
+      let ((plane, _, _, _) as bi) = lanes_run Engine.Interp in
+      bi = lanes_run Engine.Seq
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun lane s ->
+                let col, _, _, _ =
+                  run solo Engine.Seq ~lanes:1 (fun _ -> V.VFloat s)
+                in
+                Array.for_all Fun.id
+                  (Array.mapi (fun i b -> plane.((i * k) + lane) = b) col))
+              seeds))
+
+(* A register that crosses a fork: [a] is defined before a parallel
+   loop that reads it and is read again after it. The reverse sweep
+   writes [a]'s lanes back before the fork, whose members add into its
+   plane atomically, and copies them in again after it; every lane must
+   still equal its solo run, on interp and on seq alike. *)
+let test_register_across_fork () =
+  let module B = Parad_ir.Builder in
+  let module Ty = Parad_ir.Ty in
+  let module V = Parad_runtime.Value in
+  let module X = Parad_runtime.Exec in
+  let prog = Parad_ir.Prog.create () in
+  let b, ps =
+    B.func prog "cross" ~params:[ "x", Ty.Ptr Ty.Float ] ~ret:Ty.Float
+  in
+  let x = List.hd ps in
+  let a = B.mul b (B.load b x (B.i64 b 0)) (B.f64 b 0.5) in
+  let acc = B.alloc b Ty.Float (B.i64 b 1) in
+  B.parallel_for b ~lo:(B.i64 b 0) ~hi:(B.i64 b 4) (fun i ->
+      B.atomic_add b acc (B.i64 b 0) (B.mul b a (B.load b x i)));
+  let r = B.load b acc (B.i64 b 0) in
+  B.free b acc;
+  B.return b (Some (B.add b r (B.mul b a a)));
+  ignore (B.finish b);
+  let input = [| 0.3; -1.2; 2.0; 0.7 |] in
+  let run seeds engine d_ret =
+    let dprog, dname =
+      Parad_verify.Grad_check.differentiate
+        ~opts:{ Plan.default_options with seeds }
+        prog "cross"
+    in
+    let shadow = ref V.VUnit in
+    let r =
+      X.run
+        ~cfg:{ Parad_runtime.Interp.default_config with nthreads = 3 }
+        ~call:(Engine.call_fn (Engine.prepare dprog) engine)
+        dprog ~fname:dname
+        ~setup:(fun ctx ->
+          shadow := X.zeros ctx (Array.length input * seeds);
+          [ X.floats ctx input; !shadow; d_ret ctx ])
+    in
+    X.to_floats !shadow, r.X.makespan
+  in
+  List.iter
+    (fun k ->
+      let seeds = Array.sub gen_seeds 0 k in
+      let plane, mi = run k Engine.Interp (fun ctx -> X.floats ctx seeds) in
+      let plane', ms = run k Engine.Seq (fun ctx -> X.floats ctx seeds) in
+      bits_eq (Printf.sprintf "k=%d seq plane" k) plane plane';
+      Alcotest.(check (float 0.0)) (Printf.sprintf "k=%d makespan" k) mi ms;
+      Array.iteri
+        (fun lane s ->
+          let solo, _ = run 1 Engine.Seq (fun _ -> V.VFloat s) in
+          bits_eq
+            (Printf.sprintf "k=%d lane %d" k lane)
+            solo
+            (Array.init (Array.length solo) (fun i -> plane.((i * k) + lane))))
+        seeds)
+    [ 2; 3; 8 ]
+
 let test_single_lane_is_classic () =
   (* a 1-lane batched run is the classic gradient exactly *)
   let c = L.compile ~opts:{ Plan.default_options with seeds = 1 } L.Seq in
@@ -137,6 +253,9 @@ let () =
             test_minibude_lanes;
           Alcotest.test_case "1-lane batch == classic" `Quick
             test_single_lane_is_classic;
+          QCheck_alcotest.to_alcotest prop_generated_lanes;
+          Alcotest.test_case "register across a fork" `Quick
+            test_register_across_fork;
         ] );
       ( "guards",
         [
