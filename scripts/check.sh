@@ -210,6 +210,27 @@ expect_exit 124 grad --flavor seq --engine par
 # unknown option and rejects it before that check runs
 expect_exit 124 grad --flavor seq --recompute-depth=-1
 
+# ---- batched seeds on both runners ----
+# One 8-lane LULESH OMP sweep: the cycle, gradient and counter lines
+# must be byte-identical on the interpreter and the seq engine (the
+# wall line differs by design).
+
+BATCH="--flavor omp --threads 4 --size 3 --iters 2 --seeds 8"
+expect_exit 0 grad $BATCH --engine interp
+grep -E "cycles|^d total|^stats:" "$OUT/check.out" > "$OUT/batch-interp.out"
+expect_exit 0 grad $BATCH --engine seq
+grep -E "cycles|^d total|^stats:" "$OUT/check.out" > "$OUT/batch-seq.out"
+[ "$(wc -l < "$OUT/batch-seq.out")" -eq 3 ] || {
+  echo "FAIL: batched grad printed no cycle, gradient or stats line"
+  cat "$OUT/check.out"
+  exit 1
+}
+cmp -s "$OUT/batch-interp.out" "$OUT/batch-seq.out" || {
+  echo "FAIL: batched gradient differs between interp and seq"
+  diff "$OUT/batch-interp.out" "$OUT/batch-seq.out" || true
+  exit 1
+}
+
 # ---- gradient-service smoke (serve --stdin) ----
 # A mixed batch through the real request path: every line, valid or
 # hostile, must come back classified, and the warm repeat must carry
