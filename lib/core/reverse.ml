@@ -544,18 +544,41 @@ and intrinsic_ret_ty = function
 
 (* A non-atomic adjoint register ([slot] of its plane [host], [dreg] or
    [dlocal]) a reverse scope holds (see [touch]). At seeds = 1 [cv] is
-   its value, not yet stored back. At seeds = k > 1 its lane group sits
-   in the scope's lane register file at [(slot + 1) * k] ([lane_off]);
-   [fresh] says it started there as a +0.0 fill without reading its
-   plane, and [zero] that its lanes are known to be +0.0. *)
+   its value, not yet stored back. At seeds = k > 1 it is lane group
+   [group] of the scope's lane register file ([lane_off]); [fresh] says
+   it started there as a +0.0 fill without reading its plane, and [zero]
+   that its lanes are known to be +0.0. *)
 type cell = {
   reg : Var.t;  (* the var whose adjoint it is *)
   host : Var.t;
   slot : int;
+  group : int;
   mutable cv : Var.t;
   fresh : bool;
   mutable zero : bool;
 }
+
+(* The lane groups of one lane register file: group 0 is the scratch,
+   group g >= 1 sits at [g * k]. A register takes the lowest free group
+   when a scope starts holding it and gives it back when the scope stops
+   ([free] is sorted); [top], the most in use at once, sizes the file. A
+   register an enclosing scope starts holding ahead of the region being
+   emitted takes a new group ([~fresh]): a free one may be in use by the
+   code emitted in that region so far, which runs while it is held. *)
+type lanes = { mutable free : int list; mutable top : int }
+
+let new_lanes () = { free = []; top = 0 }
+
+let take_group ?(ahead = false) l =
+  match l.free with
+  | g :: rest when not ahead ->
+    l.free <- rest;
+    g
+  | _ ->
+    l.top <- l.top + 1;
+    l.top
+
+let give_group l g = l.free <- List.merge Int.compare [ g ] l.free
 
 type rscope = {
   rparent : rscope option;
@@ -568,9 +591,10 @@ type rscope = {
   dlocal : Var.t option;  (* per-thread adjoint registers inside a fork *)
   file : Var.t option;
       (* the per-thread lane register file at seeds = k > 1 (see
-         [touch]): lanes [0, k) are the scratch a reverse statement takes
-         its result's adjoint into, and plane slot s keeps its lane group
-         at [(s + 1) * k]; [None] when [opts.seeds = 1] *)
+         [touch]), whose first k lanes are the scratch a reverse
+         statement takes its result's adjoint into; [None] when
+         [opts.seeds = 1] *)
+  lanes : lanes;  (* the file's groups *)
   own_file : bool;  (* the file was allocated for this scope's body *)
   bscope : Instr.t list ref;  (* the builder scope this scope emits into *)
   defs : (int, unit) Hashtbl.t;  (* vars its own instructions define *)
@@ -595,6 +619,9 @@ type rstate = {
          of the whole function's [var_count] — at [seeds = k] the plane
          is k-stride and the allocation (zeroed per member, per region)
          would otherwise dominate the batched reverse sweep *)
+  planes : (int, (int, int) Hashtbl.t) Hashtbl.t;
+      (* k > 1: plane id -> (var id -> slot), numbered densely in order
+         of first use ([plane_off]) *)
   prestok : (int, Var.t) Hashtbl.t;  (* preserve-begin occ -> reverse token *)
   task_mode : bool;
       (* this reverse half runs as a task, concurrently with its siblings:
@@ -625,7 +652,7 @@ let defs_of nodes =
 
 (* The function's scope: its instructions and its parameters define the
    registers it holds. *)
-let root_scope b ~idx0 ~file ~params nodes =
+let root_scope b ~idx0 ?file ~params nodes =
   let defs = defs_of nodes in
   List.iter (fun v -> Hashtbl.replace defs (Var.id v) ()) params;
   {
@@ -636,6 +663,7 @@ let root_scope b ~idx0 ~file ~params nodes =
     rfork = None;
     dlocal = None;
     file;
+    lanes = new_lanes ();
     own_file = true;
     bscope = B.current b;
     defs;
@@ -657,6 +685,7 @@ let child_scope b sc ~idxs ?(fork = sc.rfork) ?(dlocal = sc.dlocal) ?file
     rfork = fork;
     dlocal;
     file = (match file with Some _ -> file | None -> sc.file);
+    lanes = (if Option.is_some file then new_lanes () else sc.lanes);
     own_file = Option.is_some file;
     bscope = B.current b;
     defs = defs_of nodes;
@@ -930,7 +959,37 @@ let file_of sc =
   | Some f -> f
   | None -> unsupported "reverse: missing lane register file"
 
-let lane_off rs slot = (slot + 1) * rs.fs.p.opts.seeds
+let lane_off rs c = ki rs.fs (c.group * rs.fs.p.opts.seeds)
+
+(* At k > 1: the offset of [v]'s lane group in the plane [host]. A
+   plane's slots are numbered densely in order of first use, so it holds
+   only the registers that cross it ([plane_len]). *)
+let plane_off rs (host : Var.t) (v : Var.t) =
+  let tbl =
+    match Hashtbl.find_opt rs.planes (Var.id host) with
+    | Some t -> t
+    | None ->
+      let t = Hashtbl.create 16 in
+      Hashtbl.add rs.planes (Var.id host) t;
+      t
+  in
+  let slot =
+    match Hashtbl.find_opt tbl (Var.id v) with
+    | Some s -> s
+    | None ->
+      let s = Hashtbl.length tbl in
+      Hashtbl.add tbl (Var.id v) s;
+      s
+  in
+  ki rs.fs (slot * rs.fs.p.opts.seeds)
+
+let plane_len rs (host : Var.t) =
+  let n =
+    match Hashtbl.find_opt rs.planes (Var.id host) with
+    | Some t -> Hashtbl.length t
+    | None -> 0
+  in
+  max 1 n * rs.fs.p.opts.seeds
 
 let kcall rs name args = ignore (B.call rs.fs.b ~ret:Ty.Unit name args)
 
@@ -950,7 +1009,7 @@ let touch rs sc (v : Var.t) =
   | Some c -> c
   | None when k = 1 ->
     let cv = B.load st.b host (ki st slot) in
-    hold sc { reg = v; host; slot; cv; fresh = false; zero = false }
+    hold sc { reg = v; host; slot; group = 0; cv; fresh = false; zero = false }
   | None ->
     (* walk the scopes sharing their groups, outward *)
     let rec find o =
@@ -973,12 +1032,15 @@ let touch rs sc (v : Var.t) =
       let fresh =
         Hashtbl.mem o.defs (Var.id v) && not (Hashtbl.mem o.planed (Var.id v))
       in
+      let c =
+        { reg = v; host; slot; group = take_group ~ahead:(o != sc) o.lanes;
+          cv = host; fresh; zero = fresh && o == sc }
+      in
       if not fresh then
         B.within st.b o.bscope (fun () ->
             kcall rs "adj.load_k"
-              [ file_of o; ki st (lane_off rs slot); host; ki st (slot * k);
-                ki st k ]);
-      hold o { reg = v; host; slot; cv = host; fresh; zero = fresh && o == sc })
+              [ file_of o; lane_off rs c; host; plane_off rs host v; ki st k ]);
+      hold o c)
 
 (* Store back the cells [cs] of [sc]. At k > 1 a group that started as
    a fill needs no plane at the end of its scope, or when it is +0.0: it
@@ -990,16 +1052,18 @@ let store_back rs sc ~at_end cs =
     (fun c ->
       Hashtbl.remove sc.pend (Var.id c.host, c.slot);
       if k = 1 then B.store st.b c.host (ki st c.slot) c.cv
-      else if c.fresh && (at_end || c.zero) then begin
-        if not c.zero then
-          kcall rs "adj.zero_k"
-            [ file_of sc; ki st (lane_off rs c.slot); ki st k ]
-      end
       else begin
-        kcall rs "adj.store_k"
-          [ file_of sc; ki st (lane_off rs c.slot); c.host; ki st (c.slot * k);
-            ki st k ];
-        Hashtbl.replace sc.planed (Var.id c.reg) ()
+        if c.fresh && (at_end || c.zero) then begin
+          if not c.zero then
+            kcall rs "adj.zero_k" [ file_of sc; lane_off rs c; ki st k ]
+        end
+        else begin
+          kcall rs "adj.store_k"
+            [ file_of sc; lane_off rs c; c.host; plane_off rs c.host c.reg;
+              ki st k ];
+          Hashtbl.replace sc.planed (Var.id c.reg) ()
+        end;
+        give_group sc.lanes c.group
       end)
     (List.rev cs)
 
@@ -1142,12 +1206,12 @@ let scalar_formula st (s : aspec) (dv : Var.t) =
    flag. *)
 let lane_target rs sc (x : Var.t) =
   let st = rs.fs in
-  let host, atomic, slot = adj_host rs sc x in
-  if atomic then host, ki st (slot * st.p.opts.seeds), ki st 1
+  let host, atomic, _ = adj_host rs sc x in
+  if atomic then host, plane_off rs host x, ki st 1
   else begin
     let c = touch rs sc x in
     c.zero <- false;
-    file_of sc, ki st (lane_off rs slot), ki st 0
+    file_of sc, lane_off rs c, ki st 0
   end
 
 let rev_stmt rs sc (v : Var.t) (specs : aspec list) =
@@ -1159,7 +1223,7 @@ let rev_stmt rs sc (v : Var.t) (specs : aspec list) =
     let st = rs.fs in
     let k = st.p.opts.seeds in
     let c = touch rs sc v in
-    let off = ki st (lane_off rs c.slot) in
+    let off = lane_off rs c in
     let group (s : aspec) =
       let host, o, atomic = lane_target rs sc s.at in
       [
@@ -1187,6 +1251,15 @@ let rev_stmt rs sc (v : Var.t) (specs : aspec list) =
     | _ -> unsupported "reverse: a statement with more than two operands");
     taken sc c
   end
+
+(* At k > 1: allocate a plane ([dreg] or [dlocal]) and a lane file once
+   the code using them is emitted, the plane sized by the registers that
+   cross it and the file by its scratch and the [groups] in use at once. *)
+let alloc_lanes rs ~plane ~file ~groups =
+  let st = rs.fs in
+  let k = st.p.opts.seeds in
+  B.emit st.b (Alloc (plane, Ty.Float, ki st (plane_len rs plane), Heap));
+  B.emit st.b (Alloc (file, Ty.Float, ki st ((groups + 1) * k), Heap))
 
 let rec rev_emit rs sc ?if_results (nodes : anode list) =
   List.iter (rev_node rs sc ?if_results) (List.rev nodes);
@@ -1319,7 +1392,7 @@ and rev_node rs sc ?if_results { occ; ins; subs } =
       kcall rs "adj.mrev_k"
         [
           file_of sc;
-          ki st (lane_off rs c.slot);
+          lane_off rs c;
           sp;
           mb;
           ki st (if atomic then 1 else 0);
@@ -1442,25 +1515,38 @@ and rev_node rs sc ?if_results { occ; ins; subs } =
     let pm, _ = List.nth sc.ridxs (List.length sc.ridxs - 1) in
     let seeds = rs.fs.p.opts.seeds in
     (* densely numbered per-region locals, not the function's var_count *)
-    let nslots = max 1 (fork_nlocals rs occ) * seeds in
     B.fork b ~nth:rnth (fun ~tid:tid' ~nth:nth' ->
-        let dlocal = B.alloc b Ty.Float (ki st nslots) in
-        (* members run concurrently: each needs its own lane file, with
-           a lane group per slot of [dlocal] after the scratch *)
-        let file =
-          if seeds > 1 then Some (B.alloc b Ty.Float (ki st (nslots + seeds)))
-          else None
+        let member ?file dlocal =
+          let inner = B.add b (B.mul b pm nth') tid' in
+          let sc' =
+            child_scope b sc ~idxs:(sc.ridxs @ [ inner, pm ]) ~fork:(Some occ)
+              ~dlocal:(Some dlocal) ?file body_nodes
+          in
+          Hashtbl.replace sc'.pmap (Var.id tid) tid';
+          Hashtbl.replace sc'.pmap (Var.id nth_param) nth';
+          rev_emit rs sc' body_nodes;
+          sc'
         in
-        let inner = B.add b (B.mul b pm nth') tid' in
-        let sc' =
-          child_scope b sc ~idxs:(sc.ridxs @ [ inner, pm ]) ~fork:(Some occ)
-            ~dlocal:(Some dlocal) ?file body_nodes
-        in
-        Hashtbl.replace sc'.pmap (Var.id tid) tid';
-        Hashtbl.replace sc'.pmap (Var.id nth_param) nth';
-        rev_emit rs sc' body_nodes;
-        (match file with Some s -> B.free b s | None -> ());
-        B.free b dlocal)
+        if seeds = 1 then begin
+          (* densely numbered per-region locals, not the function's
+             var_count *)
+          let dlocal = B.alloc b Ty.Float (ki st (max 1 (fork_nlocals rs occ))) in
+          ignore (member dlocal);
+          B.free b dlocal
+        end
+        else begin
+          (* members run concurrently: each needs its own lane file and
+             plane, sized once the body is emitted *)
+          let dlocal = B.fresh b (Ty.Ptr Ty.Float) "p" in
+          let file = B.fresh b (Ty.Ptr Ty.Float) "p" in
+          let sc' = ref None in
+          let body = B.in_scope b (fun () -> sc' := Some (member ~file dlocal)) in
+          let groups = (Option.get !sc').lanes.top in
+          alloc_lanes rs ~plane:dlocal ~file ~groups;
+          List.iter (B.emit b) body;
+          B.free b file;
+          B.free b dlocal
+        end)
   | Workshare { iv; lo; hi; schedule; _ } ->
     let body_nodes = match subs with [ x ] -> x | _ -> assert false in
     let rlo = rval lo and rhi = rval hi in
@@ -1751,52 +1837,62 @@ let emit_combined eng (f : Func.t) (p : Plan.t) dname =
   end;
   (* reverse sweep *)
   let var_count = f.var_count in
-  let dreg = B.alloc b Ty.Float (ki st (var_count * seeds)) in
-  (* the lane file: the scratch, then a lane group per slot of [dreg] *)
-  let file =
-    if seeds > 1 then
-      Some (B.alloc b Ty.Float (ki st ((var_count + 1) * seeds)))
-    else None
+  (* at k > 1 the plane and the lane file are allocated once the sweep
+     is emitted ([alloc_lanes]) *)
+  let dreg =
+    if seeds = 1 then B.alloc b Ty.Float (ki st var_count)
+    else B.fresh b (Ty.Ptr Ty.Float) "p"
   in
+  let file = if seeds > 1 then Some (B.fresh b (Ty.Ptr Ty.Float) "p") else None in
   let rs =
     {
       fs = st;
       race;
       dreg;
       fslots = fork_slot_tables st.p.fi;
+      planes = Hashtbl.create 8;
       prestok = Hashtbl.create 4;
       task_mode = false;
       pend_sends = false;
       in_remat = false;
     }
   in
-  let root = root_scope b ~idx0 ~file ~params:f.params nodes in
-  (match d_ret, st.ret_orig with
-  | Some d, Some v when Ty.equal (Var.ty v) Ty.Float ->
-    if seeds = 1 then accum rs root v d
-    else if accumulable rs v then begin
-      (* d_ret is a k-cell buffer: lane l seeds the return with d[l],
-         added to v's lanes as an atomic add's reversal adds a cell *)
-      let host, off, atomic = lane_target rs root v in
-      kcall rs "adj.arev_k"
-        [ file_of root; d; ki st 0; host; off; atomic; ki st seeds ]
-    end
-  | _ -> ());
-  rev_emit rs root nodes;
-  (match d_args with
-  | Some da ->
-    List.iteri
-      (fun k sp ->
-        let c = touch rs root sp in
-        if seeds = 1 then B.store b da (ki st k) c.cv
-        else
-          (* param-major: param k's lane group lands at da[k*seeds ..] *)
-          kcall rs "adj.store_k"
-            [ file_of root; ki st (lane_off rs c.slot); da; ki st (k * seeds);
-              ki st seeds ])
-      (scalar_params f)
-  | None -> ());
-  (match file with Some s -> B.free b s | None -> ());
+  let sweep () =
+    let root = root_scope b ~idx0 ?file ~params:f.params nodes in
+    (match d_ret, st.ret_orig with
+    | Some d, Some v when Ty.equal (Var.ty v) Ty.Float ->
+      if seeds = 1 then accum rs root v d
+      else if accumulable rs v then begin
+        (* d_ret is a k-cell buffer: lane l seeds the return with d[l],
+           added to v's lanes as an atomic add's reversal adds a cell *)
+        let host, off, atomic = lane_target rs root v in
+        kcall rs "adj.arev_k"
+          [ file_of root; d; ki st 0; host; off; atomic; ki st seeds ]
+      end
+    | _ -> ());
+    rev_emit rs root nodes;
+    (match d_args with
+    | Some da ->
+      List.iteri
+        (fun k sp ->
+          let c = touch rs root sp in
+          if seeds = 1 then B.store b da (ki st k) c.cv
+          else
+            (* param-major: param k's lane group lands at da[k*seeds ..] *)
+            kcall rs "adj.store_k"
+              [ file_of root; lane_off rs c; da; ki st (k * seeds); ki st seeds ])
+        (scalar_params f)
+    | None -> ());
+    root
+  in
+  (match file with
+  | None -> ignore (sweep ())
+  | Some file ->
+    let root = ref None in
+    let body = B.in_scope b (fun () -> root := Some (sweep ())) in
+    alloc_lanes rs ~plane:dreg ~file ~groups:(Option.get !root).lanes.top;
+    List.iter (B.emit b) body;
+    B.free b file);
   B.free b dreg;
   free_caches st;
   (match f.ret_ty, st.ret_val with
@@ -1893,6 +1989,7 @@ let emit_split eng gname =
         race;
         dreg;
         fslots = fork_slot_tables p.fi;
+        planes = Hashtbl.create 8;
         prestok = Hashtbl.create 4;
         task_mode = e.spawned;
         pend_sends = false;
@@ -1901,7 +1998,7 @@ let emit_split eng gname =
     in
     let idx0 = ki st 0 in
     (* split mode is task-only, which batching rejects: no lane file *)
-    let root = root_scope b ~idx0 ~file:None ~params:f.params nodes in
+    let root = root_scope b ~idx0 ~params:f.params nodes in
     (match d_ret, ret_var f with
     | Some d, Some v when Ty.equal (Var.ty v) Ty.Float -> accum rs root v d
     | _ -> ());

@@ -708,8 +708,8 @@ let golden_post_ad =
     "bude_julia", "2f7b08da4ae717d12e7feac2788d438e";
     "bude_chunk_jl", "ee48cec07a5c4b3f23298841e81f3957";
     "lulesh_raja_mpi", "f3bcc309acde009d49cc88f30140e2dc";
-    "lulesh_omp seeds=8", "eccefa5ab79683bd1466af4eda17f1b8";
-    "bude_omp seeds=8", "dc25e85479b09814f3bed3c5f9412f41";
+    "lulesh_omp seeds=8", "68ee1f78969318be215364ce5e5d5af5";
+    "bude_omp seeds=8", "6cf0edb7e5da50bc0fa7b0c26eaf685e";
   ]
 
 let test_post_ad_golden () =
