@@ -615,10 +615,9 @@ type rstate = {
   fslots : (int, (int, int) Hashtbl.t * int ref) Hashtbl.t;
       (* fork occurrence -> (var id -> dense slot, count): per-thread
          adjoint registers are numbered densely per parallel region, so
-         each member's [dlocal] is sized by that region's locals instead
-         of the whole function's [var_count] — at [seeds = k] the plane
-         is k-stride and the allocation (zeroed per member, per region)
-         would otherwise dominate the batched reverse sweep *)
+         at seeds = 1 each member's [dlocal] is sized by that region's
+         locals instead of the whole function's [var_count] (at k > 1,
+         by the registers that cross it: [planes]) *)
   planes : (int, (int, int) Hashtbl.t) Hashtbl.t;
       (* k > 1: plane id -> (var id -> slot), numbered densely in order
          of first use ([plane_off]) *)
@@ -1514,7 +1513,6 @@ and rev_node rs sc ?if_results { occ; ins; subs } =
     let rnth = rval nth in
     let pm, _ = List.nth sc.ridxs (List.length sc.ridxs - 1) in
     let seeds = rs.fs.p.opts.seeds in
-    (* densely numbered per-region locals, not the function's var_count *)
     B.fork b ~nth:rnth (fun ~tid:tid' ~nth:nth' ->
         let member ?file dlocal =
           let inner = B.add b (B.mul b pm nth') tid' in
@@ -1530,7 +1528,8 @@ and rev_node rs sc ?if_results { occ; ins; subs } =
         if seeds = 1 then begin
           (* densely numbered per-region locals, not the function's
              var_count *)
-          let dlocal = B.alloc b Ty.Float (ki st (max 1 (fork_nlocals rs occ))) in
+          let nslots = max 1 (fork_nlocals rs occ) in
+          let dlocal = B.alloc b Ty.Float (ki st nslots) in
           ignore (member dlocal);
           B.free b dlocal
         end
@@ -1540,7 +1539,9 @@ and rev_node rs sc ?if_results { occ; ins; subs } =
           let dlocal = B.fresh b (Ty.Ptr Ty.Float) "p" in
           let file = B.fresh b (Ty.Ptr Ty.Float) "p" in
           let sc' = ref None in
-          let body = B.in_scope b (fun () -> sc' := Some (member ~file dlocal)) in
+          let body =
+            B.in_scope b (fun () -> sc' := Some (member ~file dlocal))
+          in
           let groups = (Option.get !sc').lanes.top in
           alloc_lanes rs ~plane:dlocal ~file ~groups;
           List.iter (B.emit b) body;
@@ -1843,7 +1844,9 @@ let emit_combined eng (f : Func.t) (p : Plan.t) dname =
     if seeds = 1 then B.alloc b Ty.Float (ki st var_count)
     else B.fresh b (Ty.Ptr Ty.Float) "p"
   in
-  let file = if seeds > 1 then Some (B.fresh b (Ty.Ptr Ty.Float) "p") else None in
+  let file =
+    if seeds > 1 then Some (B.fresh b (Ty.Ptr Ty.Float) "p") else None
+  in
   let rs =
     {
       fs = st;
@@ -1880,7 +1883,9 @@ let emit_combined eng (f : Func.t) (p : Plan.t) dname =
           else
             (* param-major: param k's lane group lands at da[k*seeds ..] *)
             kcall rs "adj.store_k"
-              [ file_of root; lane_off rs c; da; ki st (k * seeds); ki st seeds ])
+              [
+                file_of root; lane_off rs c; da; ki st (k * seeds); ki st seeds;
+              ])
         (scalar_params f)
     | None -> ());
     root
