@@ -213,13 +213,17 @@ expect_exit 124 grad --flavor seq --recompute-depth=-1
 # ---- batched seeds on both runners ----
 # One 8-lane LULESH OMP sweep: the cycle, gradient and counter lines
 # must be byte-identical on the interpreter and the seq engine (the
-# wall line differs by design).
+# wall line differs by design), and the seq engine must lower every
+# lane call itself: a lane call whose static operands are not constants
+# is delegated to the interpreter, and counted as a fallback.
 
 BATCH="--flavor omp --threads 4 --size 3 --iters 2 --seeds 8"
 expect_exit 0 grad $BATCH --engine interp
 grep -E "cycles|^d total|^stats:" "$OUT/check.out" > "$OUT/batch-interp.out"
 expect_exit 0 grad $BATCH --engine seq
 grep -E "cycles|^d total|^stats:" "$OUT/check.out" > "$OUT/batch-seq.out"
+expect_output "^engine seq: .*, 0 interpreter fallback(s)$" \
+  "batched seq run delegated lane calls to the interpreter"
 [ "$(wc -l < "$OUT/batch-seq.out")" -eq 3 ] || {
   echo "FAIL: batched grad printed no cycle, gradient or stats line"
   cat "$OUT/check.out"

@@ -215,6 +215,116 @@ let test_register_across_fork () =
         seeds)
     [ 2; 3; 8 ]
 
+(* Every lane call the reverse pass emits takes an int constant for each
+   static operand (the lane count, each group's mode and atomic flag, the
+   lane-file offsets), so the seq engine lowers all of them: an 8-lane
+   gradient delegates nothing to the interpreter. An emission change that
+   passed a computed static operand would send every lane call through
+   [Interp.intrinsic], which only the wall clock would show. *)
+let test_no_fallbacks () =
+  let opts = { Plan.default_options with seeds = 8 } in
+  let seeds = Array.init 8 (fun l -> float_of_int (l + 1)) in
+  let check name (st : Parad_runtime.Stats.t) =
+    Alcotest.(check int)
+      (name ^ " interpreter fallbacks")
+      0 st.Parad_runtime.Stats.eng_fallbacks
+  in
+  List.iter
+    (fun (flavor, nthreads) ->
+      let c = L.compile ~opts flavor in
+      let g =
+        L.gradient_batched ~nthreads ~engine:Engine.Seq c ~d_rets:seeds tiny
+      in
+      check (L.flavor_name flavor) g.(0).L.g_stats)
+    [ L.Seq, 1; L.Omp, 4; L.Raja_, 3 ];
+  let c = MB.compile ~opts ~ntasks:4 MB.Omp in
+  let g =
+    MB.gradient_batched ~nthreads:4 ~engine:Engine.Seq c ~ge_seeds:seeds small
+  in
+  check "minibude omp" g.(0).MB.g_stats
+
+(* A lane call whose static operands are not constants is delegated to
+   the interpreter, and gives the same result: a hand-built kernel whose
+   adj.rev2_k takes its first group's offset, mode and atomic flag from
+   parameters, between natively lowered adj.load_k calls, must give the
+   same lanes, makespan and counts on interp and on seq. *)
+let test_delegated_lane_call () =
+  let module B = Parad_ir.Builder in
+  let module Ty = Parad_ir.Ty in
+  let module V = Parad_runtime.Value in
+  let module X = Parad_runtime.Exec in
+  let module St = Parad_runtime.Stats in
+  let prog = Parad_ir.Prog.create () in
+  let b, ps =
+    B.func prog "lanes"
+      ~params:
+        [
+          "file", Ty.Ptr Ty.Float;
+          "plane", Ty.Ptr Ty.Float;
+          "off", Ty.Int;
+          "mode", Ty.Int;
+          "atomic", Ty.Int;
+        ]
+      ~ret:Ty.Unit
+  in
+  let file, plane, off, mode, atomic =
+    match ps with
+    | [ f; p; o; m; a ] -> f, p, o, m, a
+    | _ -> assert false
+  in
+  let k = B.i64 b 4 in
+  B.for_n b (B.i64 b 3) (fun _ ->
+      ignore
+        (B.call b ~ret:Ty.Unit "adj.load_k"
+           B.[ file; i64 b 4; plane; i64 b 0; k ]);
+      ignore
+        (B.call b ~ret:Ty.Unit "adj.rev2_k"
+           B.
+             [
+               file; i64 b 4; file; off; mode; f64 b 1.5; f64 b (-0.75);
+               bool b true; atomic; plane; i64 b 4; i64 b 5; f64 b 0.5;
+               f64 b 3.0; bool b false; i64 b 0; k;
+             ]));
+  B.return b None;
+  ignore (B.finish b);
+  let run engine (o, m, a) =
+    let cells = ref V.VUnit and pl = ref V.VUnit in
+    let r =
+      X.run
+        ~call:(Engine.call_fn (Engine.prepare prog) engine)
+        prog ~fname:"lanes"
+        ~setup:(fun ctx ->
+          cells := X.floats ctx (Array.init 16 (fun i -> 0.25 *. float i));
+          pl := X.floats ctx (Array.init 8 (fun i -> 1.0 -. (0.3 *. float i)));
+          [ !cells; !pl; V.VInt o; V.VInt m; V.VInt a ])
+    in
+    X.to_floats !cells, X.to_floats !pl, r
+  in
+  List.iter
+    (fun ((o, m, a) as args) ->
+      let name = Printf.sprintf "off %d mode %d atomic %d" o m a in
+      let fi, pi, ri = run Engine.Interp args in
+      let fs, ps, rs = run Engine.Seq args in
+      bits_eq (name ^ " file") fi fs;
+      bits_eq (name ^ " plane") pi ps;
+      Alcotest.(check (float 0.0))
+        (name ^ " makespan") ri.X.makespan rs.X.makespan;
+      List.iter
+        (fun (what, get) ->
+          Alcotest.(check int) (name ^ " " ^ what) (get ri.X.stats)
+            (get rs.X.stats))
+        St.
+          [
+            ("instrs", fun s -> s.instrs);
+            ("loads", fun s -> s.loads);
+            ("stores", fun s -> s.stores);
+            ("atomics", fun s -> s.atomics);
+            ("flops", fun s -> s.flops);
+          ];
+      Alcotest.(check int)
+        (name ^ " delegated calls") 3 rs.X.stats.St.eng_fallbacks)
+    [ 8, 2, 0; 12, 5, 1; 0, 9, 0; 8, 7, 0 ]
+
 let test_single_lane_is_classic () =
   (* a 1-lane batched run is the classic gradient exactly *)
   let c = L.compile ~opts:{ Plan.default_options with seeds = 1 } L.Seq in
@@ -256,6 +366,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_generated_lanes;
           Alcotest.test_case "register across a fork" `Quick
             test_register_across_fork;
+          Alcotest.test_case "lane calls never delegate" `Quick
+            test_no_fallbacks;
+          Alcotest.test_case "delegated lane call == interp" `Quick
+            test_delegated_lane_call;
         ] );
       ( "guards",
         [

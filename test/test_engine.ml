@@ -201,6 +201,37 @@ let test_lane_diagnostics () =
     let q = buf b Ty.Float 2 in
     ignore (B.call b ~ret:Ty.Unit name (args b p q))
   in
+  (* A 4-lane adj.rev2_k on a lane file of [size] cells (freed first when
+     [freed]) taking the group at [voff], with groups [g1] and [g2]: a
+     host (the file, a live 8-cell plane or a freed one) and its offset.
+     One range out of bounds at a time checks that the engine, which
+     tests the file's groups at once, still raises the first failure in
+     the interpreter's order. *)
+  let rev2 ?(size = 16) ?(freed_file = false) ~voff g1 g2 b =
+    let file = buf b Ty.Float size in
+    let group (host, o) =
+      let h =
+        match host with
+        | `File -> file
+        | `Plane -> buf b Ty.Float 8
+        | `Freed -> freed b Ty.Float
+      in
+      B.[ h; i64 b o; i64 b 2; f64 b 1.5; f64 b 0.5; bool b false; i64 b 0 ]
+    in
+    let g1 = group g1 and g2 = group g2 in
+    if freed_file then B.free b file;
+    ignore
+      (B.call b ~ret:Ty.Unit "adj.rev2_k"
+         ((file :: B.i64 b voff :: g1) @ g2 @ [ B.i64 b 4 ]))
+  in
+  (* the Store reversal's groups: the scratch, the shadow plane's at
+     [mb] (runtime) and the stored operand's, in the file at [o1] *)
+  let srev ~mb ~o1 b =
+    let file = buf b Ty.Float 16 and sp = buf b Ty.Float 8 in
+    ignore
+      (B.call b ~ret:Ty.Unit "adj.srev_k"
+         B.[ file; sp; i64 b mb; file; i64 b o1; i64 b 0; i64 b 4 ])
+  in
   List.iter
     (fun (name, body) ->
       let prog = Parad_ir.Prog.create () in
@@ -240,6 +271,19 @@ let test_lane_diagnostics () =
               B.[ file; i64 b 4; plane; i64 b 0; i64 b 4 ]) );
         ( "adj.zero_k",
           lanes "adj.zero_k" (fun b file _ -> B.[ file; i64 b 4; i64 b 4 ]) );
+        ( "adj.rev2_k freed file",
+          rev2 ~freed_file:true ~voff:4 (`File, 8) (`File, 12) );
+        "adj.rev2_k scratch", rev2 ~size:3 ~voff:0 (`File, 0) (`File, 0);
+        "adj.rev2_k taken group", rev2 ~voff:13 (`File, 8) (`File, 4);
+        "adj.rev2_k taken group below", rev2 ~voff:(-1) (`File, 8) (`File, 4);
+        "adj.rev2_k first host", rev2 ~voff:4 (`File, 14) (`File, 8);
+        "adj.rev2_k second host", rev2 ~voff:4 (`File, 8) (`File, -2);
+        "adj.rev2_k plane host", rev2 ~voff:4 (`File, 8) (`Plane, 6);
+        "adj.rev2_k freed host", rev2 ~voff:4 (`Freed, 0) (`File, 8);
+        ( "adj.rev2_k plane host before file host",
+          rev2 ~voff:4 (`Plane, 5) (`File, 16) );
+        "adj.srev_k shadow before host", srev ~mb:6 ~o1:14;
+        "adj.srev_k host", srev ~mb:0 ~o1:13;
       ])
 
 (* ---- allocation guard ---- *)
