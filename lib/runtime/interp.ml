@@ -256,14 +256,14 @@ let fplane ~who (p : Value.ptr) ~base ~n =
    specialized tight loop per mode, the adjoint expression inline in the
    array store so no float crosses a branch join (nothing boxes inside
    the lane loop). The lane-invariant coefficients are cells [c1] and
-   [c2] of [c] (the engine passes its frame's float array, the
-   interpreter a two-cell array), read only by the modes that use them,
-   so no float crosses the call boxed either. Shared by the interpreter
-   and the native engine closures — one implementation is what keeps
-   their lane values bit-identical by construction. Modes 7/8/9 skip (or
-   negate) the add instead of adding a selected 0.0: adjoint cells start
-   at +0.0 and [+0.0 +. x] never yields -0.0, so an accumulated plane
-   never holds -0.0 and skipping an add-of-zero is bitwise-neutral. *)
+   [c2] of [c], a two-cell array, read only by the modes that use them.
+   The engine lowers each lane call with its own copy of its mode's
+   loop, chosen when the call is lowered; the interp = seq bit-identity
+   tests on every k > 1 program keep the copies op for op equal to
+   these. Modes 7/8/9 skip (or negate) the add instead of adding a
+   selected 0.0: adjoint cells start at +0.0 and [+0.0 +. x] never
+   yields -0.0, so an accumulated plane never holds -0.0 and skipping
+   an add-of-zero is bitwise-neutral. *)
 let adj_acc_lanes ~mode (c : float array) ~c1 ~c2 ~cond (ha : float array) ho
     (sa : float array) so k =
   let n = k - 1 in
