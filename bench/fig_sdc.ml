@@ -175,23 +175,12 @@ let run ~quick =
           (Bitmix.draw_int r 64)
           (Bitmix.draw_int r (int_of_float (2.0 *. mb_clean.MB.g_makespan)))
       in
-      (* single-rank envelope: no supervisor, so recovery is the
-         service's retry path — consume the fired flip and re-run *)
-      let rec go plan tries carry =
-        match MB.gradient_compiled ~faults:plan mc deck with
-        | g ->
-          let s = { g.MB.g_stats with
-                    Stats.sdc_injected = g.MB.g_stats.Stats.sdc_injected + fst carry;
-                    sdc_detected = g.MB.g_stats.Stats.sdc_detected + snd carry }
-          in
-          Done (s, g.MB.g_makespan, mb_eq g)
-        | exception Checkpoint.Corrupt_region { cr_rank; _ } ->
-          if tries >= 4 then Aborted
-          else
-            go (F.consume_flip plan ~rank:cr_rank) (tries + 1)
-              (fst carry + 1, snd carry + 1)
-      in
-      go (F.plan_of_spec ~nranks:1 spec) 0 (0, 0));
+      (* single-rank envelope: no supervisor, so recovery consumes the
+         fired flip and re-runs *)
+      let faults = F.plan_of_spec ~nranks:1 spec in
+      match MB.gradient_restarting ~faults ~max_restarts:4 mc deck with
+      | g, _ -> Done (g.MB.g_stats, g.MB.g_makespan, mb_eq g)
+      | exception Checkpoint.Corrupt_region _ -> Aborted);
 
   subheader "protection overhead: armed seals, never-firing flip";
   (* a flip scheduled past any reachable virtual time arms the ABFT

@@ -14,51 +14,35 @@ module Sim = Parad_runtime.Sim
 module Faults = Parad_runtime.Faults
 module Mpi_state = Parad_runtime.Mpi_state
 module Exec = Parad_runtime.Exec
+module Stats = Parad_runtime.Stats
+module San = Parad_runtime.Sanitizer
+module Outcome = Parad_runtime.Outcome
 module Comm_check = Parad_verify.Comm_check
 module Service = Parad_server.Service
+module Plan = Parad_core.Plan
 open Parad_ir
 
-module Checkpoint = Parad_runtime.Checkpoint
+(* ---- outcomes: every subcommand's run returns its class, and parad
+   exits with the class's code (Outcome) ---- *)
 
-(* Any exception without a dedicated report goes through the service's
-   classification, so it exits with its documented code, never
-   cmdliner's 125. *)
-let classified_exit ?(out = stderr) e =
-  let cls, msg = Service.classify_exn e in
-  Printf.fprintf out "%s: %s\n" cls msg;
-  Service.class_code cls
+(* [or_exit f] is [f ()]. When [f] raises, it prints the failure's report
+   on [out], then runs [report] (the communication audit or the sanitizer
+   report), and exits with the failure's code, never cmdliner's 125. A
+   supervisor with a budget of [gave_up] restarts gave up on any failure
+   it retries. *)
+let or_exit ?(out = stderr) ?gave_up ?(report = fun () -> Outcome.Ok) f =
+  try f ()
+  with e ->
+    let cls, msg = Outcome.classify e in
+    (match gave_up with
+    | Some n when Outcome.transient e ->
+      Printf.fprintf out "unrecovered after %d restart(s): " n
+    | _ -> ());
+    Printf.fprintf out "%s\n%!" msg;
+    ignore (report ());
+    exit (Outcome.code cls)
 
-(* Uniform failure semantics for every subcommand: a deadlock prints the
-   structured wait-for report and exits 3; a runtime error prints the
-   message and exits 2; an exceeded --deadline-ms/--deadline-cycles
-   budget exits 6 (shared with the server's "deadline" response class);
-   detected-but-unsupervised data corruption (a checksum or region-digest
-   mismatch with no recovery driver to absorb it) exits 9 (the server's
-   "corrupted" response class); anything else exits with its service
-   class code — never an uncaught exception backtrace. *)
-let guarded f =
-  try f () with
-  | Sim.Deadlock d ->
-    Format.eprintf "%a@." Sim.pp_diagnosis d;
-    exit 3
-  | Mpi_state.Rank_failed n ->
-    Format.eprintf "%a@." Mpi_state.pp_failure n;
-    exit 3
-  | Sim.Deadline_exceeded d ->
-    Format.eprintf "%a@." Sim.pp_deadline_hit d;
-    exit 6
-  | Mpi_state.Corrupt_message c ->
-    Format.eprintf "%a@." Mpi_state.pp_corruption c;
-    exit 9
-  | Checkpoint.Corrupt_region { cr_rank; cr_cache; cr_at } ->
-    Printf.eprintf
-      "silent data corruption: rank %d cache %d digest mismatch at t=%.0f\n"
-      cr_rank cr_cache cr_at;
-    exit 9
-  | Parad_runtime.Value.Runtime_error msg ->
-    Printf.eprintf "runtime error: %s\n" msg;
-    exit 2
-  | e -> exit (classified_exit e)
+let cmd name ~doc term = Cmd.v (Cmd.info name ~doc) (Term.map Outcome.code term)
 
 let lulesh_flavors =
   [
@@ -83,13 +67,12 @@ let ir_cmd =
       & info [] ~docv:"FUNC" ~doc:"function name (e.g. lulesh_omp, bude_seq)")
   in
   let run fname =
-    let prog = program_of_name fname in
-    match Prog.find prog fname with
-    | Some f -> print_endline (Printer.func_to_string f)
-    | None -> Printf.eprintf "no function %S\n" fname
+    or_exit @@ fun () ->
+    let f = Prog.find_exn (program_of_name fname) fname in
+    print_endline (Printer.func_to_string f);
+    Outcome.Ok
   in
-  Cmd.v (Cmd.info "ir" ~doc:"print the IR of a bundled kernel")
-    Term.(const run $ fname)
+  cmd "ir" ~doc:"print the IR of a bundled kernel" Term.(const run $ fname)
 
 let gradient_cmd =
   let fname =
@@ -102,18 +85,17 @@ let gradient_cmd =
     Arg.(value & flag & info [ "O" ] ~doc:"run the post-AD cleanup pipeline")
   in
   let run fname optimize =
-    guarded @@ fun () ->
+    or_exit @@ fun () ->
     let prog = program_of_name fname in
     let dprog, dname = Parad_core.Reverse.gradient prog fname in
     let dprog =
       if optimize then Parad_opt.Pipeline.run dprog Parad_opt.Pipeline.post_ad
       else dprog
     in
-    print_endline (Printer.func_to_string (Prog.find_exn dprog dname))
+    print_endline (Printer.func_to_string (Prog.find_exn dprog dname));
+    Outcome.Ok
   in
-  Cmd.v
-    (Cmd.info "gradient"
-       ~doc:"differentiate a bundled kernel and print the gradient IR")
+  cmd "gradient" ~doc:"differentiate a bundled kernel and print the gradient IR"
     Term.(const run $ fname $ optimize)
 
 let flavor_arg =
@@ -210,29 +192,47 @@ let size_arg =
 
 let iters_arg = Arg.(value & opt int 3 & info [ "iters" ] ~doc:"time steps")
 
-let run_cmd =
-  let run flavor ranks threads size iters engine =
+(* What every app-running subcommand runs: a LULESH variant, its rank
+   and thread counts, and its input, a --size cube per rank stacked
+   along z (miniBUDE reads the thread count only). *)
+type conf = { flavor : L.flavor; ranks : int; threads : int; inp : L.input }
+
+let conf_t =
+  let mk flavor ranks threads size iters =
     let inp =
-      {
-        L.nx = size;
-        ny = size;
-        nz = (size * ranks + ranks - 1) / ranks * ranks;
-        niter = iters;
-        dt0 = 0.01;
-        escale = 1.0;
-      }
+      { L.nx = size; ny = size; nz = size * ranks; niter = iters; dt0 = 0.01;
+        escale = 1.0 }
     in
-    guarded (fun () ->
-        let r = L.run ~nranks:ranks ~nthreads:threads ~engine flavor inp in
-        Printf.printf "%s: total energy %.6f, %.0f virtual cycles\n"
-          (L.flavor_name flavor) r.L.total_energy r.L.makespan;
-        Printf.printf "stats: %s\n"
-          (Fmt.str "%a" Parad_runtime.Stats.pp r.L.stats))
+    { flavor; ranks; threads; inp }
   in
-  Cmd.v (Cmd.info "run" ~doc:"run a LULESH variant in the simulator")
-    Term.(
-      const run $ flavor_arg $ ranks_arg $ threads_arg $ size_arg $ iters_arg
-      $ engine_arg)
+  Term.(const mk $ flavor_arg $ ranks_arg $ threads_arg $ size_arg $ iters_arg)
+
+let print_stats s = Printf.printf "stats: %s\n" (Fmt.str "%a" Stats.pp s)
+
+(* The two result reports. A primal run's: "<name>: <value>, <makespan>
+   virtual cycles", then its counters. A gradient's: [head], when given,
+   then four components under [label], then its counters. *)
+let print_primal name value makespan stats =
+  Printf.printf "%s: %s, %.0f virtual cycles\n" name value makespan;
+  print_stats stats
+
+let print_grad ?head label (d : float array) stats =
+  Option.iter print_endline head;
+  Printf.printf "%s = %.4f %.4f %.4f %.4f\n" label d.(0) d.(1) d.(2) d.(3);
+  print_stats stats
+
+let lulesh_energy r = Printf.sprintf "total energy %.6f" r.L.total_energy
+
+let run_cmd =
+  let run c engine =
+    or_exit @@ fun () ->
+    let r = L.run ~nranks:c.ranks ~nthreads:c.threads ~engine c.flavor c.inp in
+    print_primal (L.flavor_name c.flavor) (lulesh_energy r) r.L.makespan
+      r.L.stats;
+    Outcome.Ok
+  in
+  cmd "run" ~doc:"run a LULESH variant in the simulator"
+    Term.(const run $ conf_t $ engine_arg)
 
 (* A negative depth has no meaning to the planner (0 already means "cache
    everything"); reject it at parse time with an actionable message
@@ -272,25 +272,16 @@ let recompute_depth_arg =
 
 (* Snapshot budgets below 1 cannot hold even the segment being reversed;
    reject them up front rather than from the store constructor. *)
-let snap_budget_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | None -> Error (`Msg (Printf.sprintf "invalid snapshot budget %S" s))
-    | Some n when n >= 1 -> Ok n
-    | Some n ->
-      Error
-        (`Msg
-           (Printf.sprintf
-              "--snap-budget must be at least 1 (got %d): the binomial \
-               schedule needs at least one live snapshot slot"
-              n))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
 let snap_budget_arg =
   Arg.(
     value
-    & opt (some snap_budget_conv) None
+    & opt
+        (some
+           (int_at_least ~flag:"--snap-budget" ~min:1
+              ~why:
+                "the binomial schedule needs at least one live snapshot \
+                 slot"))
+        None
     & info [ "snap-budget" ]
         ~doc:
           "checkpoint the outer timestep loop under a revolve-style \
@@ -341,10 +332,12 @@ let deadline_ms_arg =
     & opt (some (pos_float_conv "--deadline-ms")) None
     & info [ "deadline-ms" ]
         ~doc:
-          "wall-clock budget for the run in milliseconds (validated > 0); \
-           exceeding it aborts with exit code 6. The same watchdog guards \
-           every request of the gradient service, so CLI and server share \
-           one timeout semantics")
+          (Printf.sprintf
+             "wall-clock budget for the run in milliseconds (validated > \
+              0); exceeding it aborts with exit code %d. The same watchdog \
+              guards every request of the gradient service, so CLI and \
+              server share one timeout semantics"
+             (Outcome.code Outcome.Deadline)))
 
 let deadline_cycles_arg =
   Arg.(
@@ -352,8 +345,10 @@ let deadline_cycles_arg =
     & opt (some (pos_float_conv "--deadline-cycles")) None
     & info [ "deadline-cycles" ]
         ~doc:
-          "virtual-time budget for the run in cycles (validated > 0); \
-           exceeding it aborts with exit code 6, deterministically")
+          (Printf.sprintf
+             "virtual-time budget for the run in cycles (validated > 0); \
+              exceeding it aborts with exit code %d, deterministically"
+             (Outcome.code Outcome.Deadline)))
 
 let deadline_of ms cycles =
   match ms, cycles with
@@ -419,37 +414,24 @@ let remat_rate_arg =
              Parad_runtime.Cost_model.default
                .Parad_runtime.Cost_model.transcendental))
 
+(* The one fault-plan parser; --seed, --victim and --at default to 42,
+   none and 0 where a subcommand lacks them. A bad spec is an invalid
+   command line. *)
+let plan_of ?(seed = 42) ?victim ?(at = 0.0) ~ranks spec =
+  try Faults.plan_of_spec ~seed ?rank:victim ~at ~nranks:ranks spec
+  with Invalid_argument m -> raise (Outcome.Invalid_request m)
+
 let grad_cmd =
-  let run flavor ranks threads size iters recompute_depth no_coalesce
-      snap_budget snap_tiers deadline_ms deadline_cycles plan engine seeds
-      remat_rate =
-    let inp =
-      {
-        L.nx = size;
-        ny = size;
-        nz = (size * ranks + ranks - 1) / ranks * ranks;
-        niter = iters;
-        dt0 = 0.01;
-        escale = 1.0;
-      }
-    in
+  let run c recompute_depth no_coalesce snap_budget snap_tiers deadline_ms
+      deadline_cycles plan engine seeds remat_rate =
+    or_exit @@ fun () ->
+    let { flavor; ranks; threads; inp } = c in
     let opts =
-      {
-        Parad_core.Plan.default_options with
-        Parad_core.Plan.recompute_depth;
-        coalesce_comm = not no_coalesce;
-      }
+      { Plan.default_options with recompute_depth;
+        coalesce_comm = not no_coalesce }
     in
     let deadline = deadline_of deadline_ms deadline_cycles in
-    let faults =
-      Option.map
-        (fun s ->
-          try Faults.plan_of_spec ~seed:42 ~at:0.0 ~nranks:ranks s
-          with Invalid_argument msg ->
-            Printf.eprintf "%s\n" msg;
-            exit 2)
-        plan
-    in
+    let faults = Option.map (plan_of ~ranks) plan in
     let cost =
       Option.map
         (fun r ->
@@ -459,99 +441,78 @@ let grad_cmd =
           })
         remat_rate
     in
-    if seeds > 1 && ranks > 1 then begin
-      Printf.eprintf
+    if seeds > 1 && ranks > 1 then
+      Outcome.invalid
         "--seeds %d needs a shared-memory run: the MPI adjoint runtime \
-         exchanges single-stride planes (got --ranks %d)\n"
+         exchanges single-stride planes (got --ranks %d)"
         seeds ranks;
-      exit 2
-    end;
-    if seeds > 1 && snap_budget <> None then begin
-      Printf.eprintf
+    if seeds > 1 && snap_budget <> None then
+      Outcome.invalid
         "--seeds cannot be combined with --snap-budget: the binomial \
-         driver reverses one seed per sweep\n";
-      exit 2
-    end;
-    guarded (fun () ->
-        let p = L.run ~nranks:ranks ~nthreads:threads flavor inp in
-        let g, extra =
-          match snap_budget with
-          | None when seeds > 1 ->
-            let c =
-              L.compile
-                ~opts:{ opts with Parad_core.Plan.seeds }
-                flavor
-            in
-            let d_rets =
-              Array.init seeds (fun l -> 1.0 +. float_of_int l)
-            in
-            let gs =
-              L.gradient_batched ?cost ~nthreads:threads ?faults ?deadline
-                ~engine c ~d_rets inp
-            in
-            Printf.printf
-              "batched: %d seed lanes in one reverse sweep (lane l seeded \
-               with l+1)\n"
-              seeds;
-            gs.(0), None
-          | None ->
-            ( L.gradient ?cost ~nranks:ranks ~nthreads:threads ~opts ?faults
-                ?deadline ~engine flavor inp,
-              None )
-          | Some budget ->
-            let b =
-              L.gradient_binomial ~nranks:ranks ~nthreads:threads ~opts
-                ?faults ~tiers:snap_tiers ?deadline ~engine ~budget flavor
-                inp
-            in
-            b.L.b_grad, Some b
+         driver reverses one seed per sweep";
+    let p = L.run ~nranks:ranks ~nthreads:threads flavor inp in
+    let g, extra =
+      match snap_budget with
+      | None when seeds > 1 ->
+        let c = L.compile ~opts:{ opts with Plan.seeds } flavor in
+        let d_rets = Array.init seeds (fun l -> 1.0 +. float_of_int l) in
+        let gs =
+          L.gradient_batched ?cost ~nthreads:threads ?faults ?deadline
+            ~engine c ~d_rets inp
         in
         Printf.printf
-          "%s: forward %.0f cycles, gradient %.0f cycles, overhead %.2fx\n"
-          (L.flavor_name flavor) p.L.makespan g.L.g_makespan
-          (g.L.g_makespan /. p.L.makespan);
+          "batched: %d seed lanes in one reverse sweep (lane l seeded with \
+           l+1)\n"
+          seeds;
+        gs.(0), None
+      | None ->
+        ( L.gradient ?cost ~nranks:ranks ~nthreads:threads ~opts ?faults
+            ?deadline ~engine flavor inp,
+          None )
+      | Some budget ->
+        let b =
+          L.gradient_binomial ~nranks:ranks ~nthreads:threads ~opts ?faults
+            ~tiers:snap_tiers ?deadline ~engine ~budget flavor inp
+        in
+        b.L.b_grad, Some b
+    in
+    let s = g.L.g_stats in
+    Printf.printf
+      "%s: forward %.0f cycles, gradient %.0f cycles, overhead %.2fx\n"
+      (L.flavor_name flavor) p.L.makespan g.L.g_makespan
+      (g.L.g_makespan /. p.L.makespan);
+    Printf.printf
+      "engine %s: gradient wall %.2f ms, %d interpreter fallback(s)\n"
+      (Parad_engine.Engine.choice_to_string engine)
+      (float_of_int s.Stats.wall_ns /. 1e6)
+      s.Stats.eng_fallbacks;
+    Option.iter
+      (fun b ->
         Printf.printf
-          "engine %s: gradient wall %.2f ms, %d interpreter fallback(s)\n"
-          (Parad_engine.Engine.choice_to_string engine)
-          (float_of_int g.L.g_stats.Parad_runtime.Stats.wall_ns /. 1e6)
-          g.L.g_stats.Parad_runtime.Stats.eng_fallbacks;
-        (match extra with
-        | None -> ()
-        | Some b ->
-          Printf.printf
-            "binomial: budget %d, tiers %d, %d worst-case sweep(s), %d \
-             reverse segment(s), %d re-advance step(s), %d degraded \
-             fetch(es)\n"
-            b.L.b_budget snap_tiers b.L.b_sweeps b.L.b_segments b.L.b_advances
-            b.L.b_degraded);
-        let d = g.L.d_energy.(0) in
-        Printf.printf "d total / d e[0..3] = %.4f %.4f %.4f %.4f\n" d.(0)
-          d.(1) d.(2) d.(3);
-        Printf.printf "stats: %s\n"
-          (Fmt.str "%a" Parad_runtime.Stats.pp g.L.g_stats);
-        match faults with
-        | None -> ()
-        | Some _ ->
-          let s = g.L.g_stats in
-          Printf.printf
-            "sdc: %d injected, %d detected, %d recovered, %d message \
-             retransmit(s)\n"
-            s.Parad_runtime.Stats.sdc_injected
-            s.Parad_runtime.Stats.sdc_detected
-            s.Parad_runtime.Stats.sdc_recovered
-            s.Parad_runtime.Stats.msgs_retransmitted)
+          "binomial: budget %d, tiers %d, %d worst-case sweep(s), %d reverse \
+           segment(s), %d re-advance step(s), %d degraded fetch(es)\n"
+          b.L.b_budget snap_tiers b.L.b_sweeps b.L.b_segments b.L.b_advances
+          b.L.b_degraded)
+      extra;
+    print_grad "d total / d e[0..3]" g.L.d_energy.(0) s;
+    if Option.is_some faults then
+      Printf.printf
+        "sdc: %d injected, %d detected, %d recovered, %d message \
+         retransmit(s)\n"
+        s.Stats.sdc_injected s.Stats.sdc_detected s.Stats.sdc_recovered
+        s.Stats.msgs_retransmitted;
+    Outcome.Ok
   in
-  Cmd.v
-    (Cmd.info "grad" ~doc:"differentiate a LULESH variant and report overhead")
+  cmd "grad" ~doc:"differentiate a LULESH variant and report overhead"
     Term.(
-      const run $ flavor_arg $ ranks_arg $ threads_arg $ size_arg $ iters_arg
-      $ recompute_depth_arg $ no_coalesce_arg $ snap_budget_arg
-      $ snap_tiers_arg $ deadline_ms_arg $ deadline_cycles_arg
-      $ grad_plan_arg $ engine_arg $ seeds_arg $ remat_rate_arg)
+      const run $ conf_t $ recompute_depth_arg $ no_coalesce_arg
+      $ snap_budget_arg $ snap_tiers_arg $ deadline_ms_arg
+      $ deadline_cycles_arg $ grad_plan_arg $ engine_arg $ seeds_arg
+      $ remat_rate_arg)
 
 let check_cmd =
   let run () =
-    guarded @@ fun () ->
+    or_exit @@ fun () ->
     let tiny =
       { L.nx = 2; ny = 2; nz = 4; niter = 3; dt0 = 0.01; escale = 1.0 }
     in
@@ -567,21 +528,17 @@ let check_cmd =
     Printf.printf "reverse-mode projection: %.10g\n" directional;
     Printf.printf "finite differences:      %.10g\n" fd;
     let rel = Float.abs (fd -. directional) /. Float.max 1.0 (Float.abs fd) in
+    let ok = rel < 1e-5 in
     Printf.printf "relative error:          %.2e  (%s)\n" rel
-      (if rel < 1e-5 then "OK" else "FAIL");
-    if rel >= 1e-5 then exit 1
+      (if ok then "OK" else "FAIL");
+    if ok then Outcome.Ok else Outcome.Findings
   in
-  Cmd.v
-    (Cmd.info "check" ~doc:"gradient vs finite differences sanity check")
+  cmd "check" ~doc:"gradient vs finite differences sanity check"
     Term.(const run $ const ())
 
-(* ---- fault injection: run an application gradient under a fault plan
-   spec, print the retry/loss statistics, the structured failure or
-   deadlock diagnosis if the plan is unrecoverable, and the post-run
-   communication audit. Exit codes: 0 clean, 1 audit found issues,
-   2 runtime error, 3 deadlock or rank failure, 9 detected data
-   corruption that exhausted its retransmit budget (unsupervised run:
-   no checkpoint driver to restore from). *)
+(* ---- the app runs behind faults, recover and sanitize: a gradient or
+   primal under a fault plan, the supervised restart driver or the
+   sanitizer, and the report that settles its class ---- *)
 let plan_spec_arg ~default =
   Arg.(
     value
@@ -628,281 +585,190 @@ let dry_run_arg =
     value & flag
     & info [ "dry-run" ] ~doc:"print the parsed fault plan and exit")
 
-let parse_plan_spec ~seed ~victim ~at ~ranks spec =
-  try Faults.plan_of_spec ~seed ?rank:victim ~at ~nranks:ranks spec
-  with Invalid_argument msg ->
-    Printf.eprintf "%s\n" msg;
-    exit 2
+(* --seed, --victim and --at, and the plan parser they configure *)
+let plan_t =
+  Term.(
+    const (fun seed victim at -> plan_of ~seed ?victim ~at)
+    $ seed_arg $ victim_arg $ at_arg)
 
-let faults_cmd =
-  let plan_arg = plan_spec_arg ~default:"drop-retry" in
-  let run app plan_name flavor ranks threads size iters seed victim at primal
-      dry_run no_coalesce =
-    let plan = parse_plan_spec ~seed ~victim ~at ~ranks plan_name in
-    Format.printf "%a@." Faults.pp_plan plan;
-    if dry_run then exit 0;
-    let opts =
-      {
-        Parad_core.Plan.default_options with
-        Parad_core.Plan.coalesce_comm = not no_coalesce;
-      }
-    in
-    match app with
-    | `Bude ->
-      (* miniBUDE has no message-passing variant: the plan gates MPI
-         operations only, so it cannot fire here — still run the gradient
-         under the same guarded semantics. *)
-      Printf.printf
-        "note: miniBUDE has no MPI variant; the fault plan has nothing to \
-         inject\n";
-      guarded (fun () ->
-          let inp = MB.deck ~nposes:16 ~natlig:8 ~natpro:16 in
-          let g = MB.gradient ~nthreads:threads MB.Omp inp in
-          Printf.printf "bude_omp gradient: %.0f virtual cycles, |d_poses| \
-                         = %d\n"
-            g.MB.g_makespan
-            (Array.length g.MB.d_poses))
-    | `Lulesh ->
-      let inp =
-        {
-          L.nx = size;
-          ny = size;
-          nz = (size * ranks + ranks - 1) / ranks * ranks;
-          niter = iters;
-          dt0 = 0.01;
-          escale = 1.0;
-        }
-      in
-      let mpi_ref = ref None in
-      let audit () =
-        match !mpi_ref with
-        | Some m ->
-          let issues = Comm_check.audit m in
-          print_endline (Comm_check.report issues);
-          issues <> []
-        | None -> false
-      in
-      (try
-         if primal then begin
-           let r =
-             L.run ~nranks:ranks ~nthreads:threads ~faults:plan ~mpi_ref
-               flavor inp
-           in
-           Printf.printf "%s under %S: total energy %.6f, %.0f virtual \
-                          cycles\n"
-             (L.flavor_name flavor) plan.Faults.name r.L.total_energy
-             r.L.makespan;
-           Printf.printf "stats: %s\n"
-             (Fmt.str "%a" Parad_runtime.Stats.pp r.L.stats)
-         end
-         else begin
-           let g =
-             L.gradient ~nranks:ranks ~nthreads:threads ~opts ~faults:plan
-               ~mpi_ref flavor inp
-           in
-           let d = g.L.d_energy.(0) in
-           Printf.printf
-             "%s gradient under %S: %.0f virtual cycles\nd total / d \
-              e[0..3] = %.4f %.4f %.4f %.4f\n"
-             (L.flavor_name flavor) plan.Faults.name g.L.g_makespan d.(0)
-             d.(1) d.(2) d.(3);
-           Printf.printf "stats: %s\n"
-             (Fmt.str "%a" Parad_runtime.Stats.pp g.L.g_stats)
-         end;
-         if audit () then exit 1
-       with
-      | Sim.Deadlock d ->
-        Format.printf "%a@." Sim.pp_diagnosis d;
-        ignore (audit ());
-        exit 3
-      | Mpi_state.Rank_failed n ->
-        Format.printf "%a@." Mpi_state.pp_failure n;
-        ignore (audit ());
-        exit 3
-      | Mpi_state.Corrupt_message c ->
-        Format.printf "%a@." Mpi_state.pp_corruption c;
-        ignore (audit ());
-        exit 9
-      | Checkpoint.Corrupt_region { cr_rank; cr_cache; cr_at } ->
-        Printf.printf
-          "silent data corruption: rank %d cache %d digest mismatch at \
-           t=%.0f\n"
-          cr_rank cr_cache cr_at;
-        ignore (audit ());
-        exit 9
-      | Parad_runtime.Value.Runtime_error msg ->
-        Printf.printf "runtime error: %s\n" msg;
-        ignore (audit ());
-        exit 2
-      | e ->
-        let code = classified_exit ~out:stdout e in
-        ignore (audit ());
-        exit code)
+let print_recovery restarts ~failures ~resumed =
+  Printf.printf "recovery: %d restart(s)\n" restarts;
+  (* rank failures carry a notice; corruption and bad-snapshot restarts
+     don't, so the two lists can differ in length *)
+  List.iter (fun n -> Format.printf "  %a@." Mpi_state.pp_failure n) failures;
+  List.iter
+    (function
+      | Some id -> Printf.printf "  resumed from checkpoint %d\n" id
+      | None -> Printf.printf "  cold restart (no consistent checkpoint)\n")
+    resumed
+
+let print_lulesh_recovery (r : Exec.recovery) (s : Stats.t) =
+  print_recovery r.r_restarts ~failures:r.r_failures ~resumed:r.r_resumed_from;
+  Printf.printf "wall: %.2f ms inside the simulator (replays included)\n"
+    (float_of_int s.wall_ns /. 1e6)
+
+(* The body faults, recover and sanitize share. It runs [app]'s primal or
+   gradient under [faults] and [san], supervised when [max_restarts] is
+   given: LULESH by the checkpoint/restart driver, miniBUDE by re-running
+   with each detected flip consumed. It prints the result and the
+   restart history, then [report]'s. A failure goes to stdout, before
+   [report]. A completed run's class is [report]'s verdict, or
+   [Degraded] when it needed a restart and lost messages or has
+   findings. *)
+let run_app ?faults ?san ?inject_nan ?engine ?max_restarts ?mpi_ref ~opts
+    ~report app c ~primal =
+  let under =
+    match faults with
+    | Some p -> Printf.sprintf " under %S" p.Faults.name
+    | None -> ""
   in
-  Cmd.v
-    (Cmd.info "faults"
-       ~doc:
-         "run an application gradient under a deterministic fault plan and \
-          report the diagnosis")
-    Term.(
-      const run $ app_arg $ plan_arg $ flavor_arg $ ranks_arg $ threads_arg
-      $ size_arg $ iters_arg $ seed_arg $ victim_arg $ at_arg $ primal_arg
-      $ dry_run_arg $ no_coalesce_arg)
+  or_exit ~out:stdout ?gave_up:max_restarts ~report @@ fun () ->
+  let { flavor; ranks = nranks; threads = nthreads; inp } = c in
+  let name = L.flavor_name flavor ^ under in
+  let deck () =
+    let d = MB.deck ~nposes:16 ~natlig:8 ~natpro:16 in
+    (match inject_nan with
+    | Some i when i >= 0 && i < Array.length d.MB.pose_data ->
+      d.MB.pose_data.(i) <- Float.nan
+    | _ -> ());
+    d
+  in
+  let restarts, (stats : Stats.t) =
+    match app, primal with
+    | `Lulesh, true ->
+      let r, recovery =
+        match max_restarts with
+        | None ->
+          ( L.run ~nranks ~nthreads ?faults ?mpi_ref ?san ?inject_nan ?engine
+              flavor inp,
+            None )
+        | Some max_restarts ->
+          let r, v =
+            L.run_recoverable ~nranks ~nthreads ?faults ?mpi_ref ?san
+              ~max_restarts ?engine flavor inp
+          in
+          r, Some v
+      in
+      print_primal name (lulesh_energy r) r.L.makespan r.L.stats;
+      Option.iter (fun v -> print_lulesh_recovery v r.L.stats) recovery;
+      Option.map (fun v -> v.Exec.r_restarts) recovery, r.L.stats
+    | `Lulesh, false ->
+      let g, recovery =
+        match max_restarts with
+        | None ->
+          ( L.gradient ~nranks ~nthreads ~opts ?faults ?mpi_ref ?san
+              ?inject_nan ?engine flavor inp,
+            None )
+        | Some max_restarts ->
+          let g, v =
+            L.gradient_recoverable ~nranks ~nthreads ~opts ?faults ?mpi_ref
+              ?san ~max_restarts ?engine flavor inp
+          in
+          g, Some v
+      in
+      print_grad
+        ~head:
+          (Printf.sprintf "%s gradient%s: %.0f virtual cycles"
+             (L.flavor_name flavor) under g.L.g_makespan)
+        "d total / d e[0..3]" g.L.d_energy.(0) g.L.g_stats;
+      Option.iter (fun v -> print_lulesh_recovery v g.L.g_stats) recovery;
+      Option.map (fun v -> v.Exec.r_restarts) recovery, g.L.g_stats
+    | `Bude, true ->
+      let r = MB.run ~nthreads ?faults ?san ?engine MB.Omp (deck ()) in
+      let e = r.MB.energies in
+      print_primal ("bude_omp" ^ under)
+        (Printf.sprintf "energies[0..3] = %.4f %.4f %.4f %.4f" e.(0) e.(1)
+           e.(2) e.(3))
+        r.MB.makespan r.MB.stats;
+      None, r.MB.stats
+    | `Bude, false ->
+      let g, restarts =
+        MB.gradient_restarting ~nthreads ?san ?faults ?engine
+          ~max_restarts:(Option.value max_restarts ~default:0)
+          (MB.compile ~opts ~ntasks:nthreads MB.Omp)
+          (deck ())
+      in
+      print_grad
+        ~head:
+          (Printf.sprintf "bude_omp gradient%s: %.0f virtual cycles" under
+             g.MB.g_makespan)
+        "d_poses[0..3]" g.MB.d_poses g.MB.g_stats;
+      if Option.is_some max_restarts then
+        print_recovery restarts ~failures:[]
+          ~resumed:(List.init restarts (fun _ -> None));
+      Option.map (fun _ -> restarts) max_restarts, g.MB.g_stats
+  in
+  match report (), restarts with
+  | verdict, Some n
+    when n > 0 && (verdict <> Outcome.Ok || stats.messages_lost > 0) ->
+    Outcome.Degraded
+  | verdict, _ -> verdict
 
-(* ---- checkpoint/restart: run an application under a fault plan with
-   the supervised driver, so a killed rank triggers restore-and-replay
-   instead of aborting. Exit codes: 0 recovered (or no fault fired) with
-   a clean audit, 1 audit found issues without any restart, 2 runtime
-   error, 3 failure survived past the restart budget (or deadlock),
-   4 recovered but degraded (restarted, yet messages were lost or the
-   audit is dirty), 9 detected corruption that survived past the restart
-   budget. *)
+(* The communication audit faults and recover print after the run: a
+   dirty audit is a finding. *)
+let audit mpi_ref () =
+  match !mpi_ref with
+  | None -> Outcome.Ok
+  | Some m ->
+    let issues = Comm_check.audit m in
+    print_endline (Comm_check.report issues);
+    if issues = [] then Outcome.Ok else Outcome.Findings
+
+(* faults and recover: print the parsed plan, then run under it *)
+let fault_run ?engine ?max_restarts ~opts app spec c plan_of ~primal
+    ~dry_run =
+  let plan = or_exit (fun () -> plan_of ~ranks:c.ranks spec) in
+  Format.printf "%a@." Faults.pp_plan plan;
+  if dry_run then Outcome.Ok
+  else
+    let mpi_ref = ref None in
+    run_app ~faults:plan ?engine ?max_restarts ~mpi_ref ~opts
+      ~report:(audit mpi_ref) app c ~primal
+
+(* ---- fault injection: run an application under a fault plan spec,
+   print the retry/loss statistics, the structured failure or deadlock
+   diagnosis if the plan is unrecoverable, and the post-run communication
+   audit. Unsupervised: detected corruption that exhausted its retransmit
+   budget surfaces as corrupted, with no checkpoint to restore from. *)
+let faults_cmd =
+  let run app spec c plan_of primal dry_run no_coalesce =
+    let opts = { Plan.default_options with coalesce_comm = not no_coalesce } in
+    fault_run ~opts app spec c plan_of ~primal ~dry_run
+  in
+  cmd "faults"
+    ~doc:
+      "run an application gradient under a deterministic fault plan and \
+       report the diagnosis"
+    Term.(
+      const run $ app_arg $ plan_spec_arg ~default:"drop-retry" $ conf_t
+      $ plan_t $ primal_arg $ dry_run_arg $ no_coalesce_arg)
+
+(* ---- checkpoint/restart: run an application under a fault plan with the
+   supervised driver, so a killed rank or detected corruption triggers
+   restore-and-replay instead of aborting. A failure that outlives the
+   restart budget is reported as unrecovered; a run that restarted but
+   lost messages or has a dirty audit is degraded. *)
 let recover_cmd =
-  let plan_arg = plan_spec_arg ~default:"kill" in
   let max_restarts_arg =
     Arg.(
       value & opt int 8
       & info [ "max-restarts" ] ~doc:"restart budget before giving up")
   in
-  let run app plan_name flavor ranks threads size iters seed victim at primal
-      dry_run max_restarts engine =
-    let plan = parse_plan_spec ~seed ~victim ~at ~ranks plan_name in
-    Format.printf "%a@." Faults.pp_plan plan;
-    if dry_run then exit 0;
-    match app with
-    | `Bude ->
-      Printf.printf
-        "note: miniBUDE has no MPI variant; the fault plan has nothing to \
-         inject\n";
-      guarded (fun () ->
-          let inp = MB.deck ~nposes:16 ~natlig:8 ~natpro:16 in
-          let g = MB.gradient ~nthreads:threads MB.Omp inp in
-          Printf.printf
-            "bude_omp gradient: %.0f virtual cycles, |d_poses| = %d\n"
-            g.MB.g_makespan
-            (Array.length g.MB.d_poses))
-    | `Lulesh ->
-      let inp =
-        {
-          L.nx = size;
-          ny = size;
-          nz = (size * ranks + ranks - 1) / ranks * ranks;
-          niter = iters;
-          dt0 = 0.01;
-          escale = 1.0;
-        }
-      in
-      let mpi_ref = ref None in
-      let audit_issues () =
-        match !mpi_ref with
-        | Some m ->
-          let issues = Comm_check.audit m in
-          print_endline (Comm_check.report issues);
-          issues
-        | None -> []
-      in
-      let report_recovery (recov : Exec.recovery) =
-        Printf.printf "recovery: %d restart(s)\n" recov.Exec.r_restarts;
-        (* rank failures carry a notice; corruption and bad-snapshot
-           restarts don't, so the two lists can differ in length *)
-        List.iter
-          (fun n -> Format.printf "  %a@." Mpi_state.pp_failure n)
-          recov.Exec.r_failures;
-        List.iter
-          (function
-            | Some id -> Printf.printf "  resumed from checkpoint %d\n" id
-            | None ->
-              Printf.printf "  cold restart (no consistent checkpoint)\n")
-          recov.Exec.r_resumed_from
-      in
-      let finish (recov : Exec.recovery) (stats : Parad_runtime.Stats.t) =
-        report_recovery recov;
-        Printf.printf "wall: %.2f ms inside the simulator (replays included)\n"
-          (float_of_int stats.wall_ns /. 1e6);
-        let issues = audit_issues () in
-        let degraded = issues <> [] || stats.messages_lost > 0 in
-        if recov.Exec.r_restarts > 0 && degraded then exit 4
-        else if issues <> [] then exit 1
-        else exit 0
-      in
-      (try
-         if primal then begin
-           let r, recov =
-             L.run_recoverable ~nranks:ranks ~nthreads:threads ~faults:plan
-               ~mpi_ref ~max_restarts ~engine flavor inp
-           in
-           Printf.printf
-             "%s under %S: total energy %.6f, %.0f virtual cycles\n"
-             (L.flavor_name flavor) plan.Faults.name r.L.total_energy
-             r.L.makespan;
-           Printf.printf "stats: %s\n"
-             (Fmt.str "%a" Parad_runtime.Stats.pp r.L.stats);
-           finish recov r.L.stats
-         end
-         else begin
-           let g, recov =
-             L.gradient_recoverable ~nranks:ranks ~nthreads:threads
-               ~faults:plan ~mpi_ref ~max_restarts ~engine flavor inp
-           in
-           let d = g.L.d_energy.(0) in
-           Printf.printf
-             "%s gradient under %S: %.0f virtual cycles\nd total / d \
-              e[0..3] = %.4f %.4f %.4f %.4f\n"
-             (L.flavor_name flavor) plan.Faults.name g.L.g_makespan d.(0)
-             d.(1) d.(2) d.(3);
-           Printf.printf "stats: %s\n"
-             (Fmt.str "%a" Parad_runtime.Stats.pp g.L.g_stats);
-           finish recov g.L.g_stats
-         end
-       with
-      | Sim.Deadlock d ->
-        Format.printf "%a@." Sim.pp_diagnosis d;
-        ignore (audit_issues ());
-        exit 3
-      | Mpi_state.Rank_failed n ->
-        Format.printf "unrecovered after %d restart(s): %a@." max_restarts
-          Mpi_state.pp_failure n;
-        ignore (audit_issues ());
-        exit 3
-      | Mpi_state.Corrupt_message c ->
-        Format.printf "unrecovered corruption after %d restart(s): %a@."
-          max_restarts Mpi_state.pp_corruption c;
-        ignore (audit_issues ());
-        exit 9
-      | Checkpoint.Corrupt_region { cr_rank; cr_cache; cr_at } ->
-        Printf.printf
-          "unrecovered corruption after %d restart(s): rank %d cache %d \
-           digest mismatch at t=%.0f\n"
-          max_restarts cr_rank cr_cache cr_at;
-        ignore (audit_issues ());
-        exit 9
-      | Parad_runtime.Value.Runtime_error msg ->
-        Printf.printf "runtime error: %s\n" msg;
-        ignore (audit_issues ());
-        exit 2
-      | e ->
-        let code = classified_exit ~out:stdout e in
-        ignore (audit_issues ());
-        exit code)
+  let run app spec c plan_of primal dry_run max_restarts engine =
+    fault_run ~engine ~max_restarts ~opts:Plan.default_options app spec c
+      plan_of ~primal ~dry_run
   in
-  Cmd.v
-    (Cmd.info "recover"
-       ~doc:
-         "run an application under a fault plan with checkpoint/restart \
-          recovery and report the restart history")
+  cmd "recover"
+    ~doc:
+      "run an application under a fault plan with checkpoint/restart \
+       recovery and report the restart history"
     Term.(
-      const run $ app_arg $ plan_arg $ flavor_arg $ ranks_arg $ threads_arg
-      $ size_arg $ iters_arg $ seed_arg $ victim_arg $ at_arg $ primal_arg
-      $ dry_run_arg $ max_restarts_arg $ engine_arg)
+      const run $ app_arg $ plan_spec_arg ~default:"kill" $ conf_t $ plan_t
+      $ primal_arg $ dry_run_arg $ max_restarts_arg $ engine_arg)
 
 (* ---- ParSan: run an application (primal or gradient) under the runtime
-   sanitizer and report the findings. Exit codes extend the fault/recover
-   protocol: 0 clean, 1 findings (races, leaks, uninitialized reads),
-   2 runtime error or strict-mode non-finite abort, 3 deadlock or rank
-   failure, 4 degraded (non-finite values quarantined), 5 miscompilation
-   (a dynamic race on a cell the static analysis claimed private). *)
-module San = Parad_runtime.Sanitizer
-
+   sanitizer and report the findings after the result or the failure. A
+   completed run's class is the sanitizer's verdict. *)
 let sanitize_cmd =
   let mode_arg =
     Arg.(
@@ -969,120 +835,34 @@ let sanitize_cmd =
           ~doc:"optional fault plan spec to compose with sanitizing (same \
                 syntax as $(b,parad faults --plan))")
   in
-  let run app flavor ranks threads size iters seed victim at primal plan mode
-      no_race no_mem no_grad pedantic inject_nan assume_private atomic_always =
+  let run app c plan_of primal plan mode no_race no_mem no_grad pedantic
+      inject_nan assume_private atomic_always =
+    let faults =
+      or_exit (fun () -> Option.map (plan_of ~ranks:c.ranks) plan)
+    in
     let san =
       San.create ~race:(not no_race) ~mem:(not no_mem) ~grad:(not no_grad)
         ~uninit:pedantic ~mode ()
     in
-    let opts =
-      { Parad_core.Plan.default_options with atomic_always; assume_private }
+    let report () =
+      Format.printf "%a@." San.pp_report san;
+      San.verdict san
     in
-    let faults =
-      Option.map (fun s -> parse_plan_spec ~seed ~victim ~at ~ranks s) plan
-    in
-    let finish () =
-      Format.printf "%a@." San.pp_report san;
-      exit (San.exit_code san)
-    in
-    try
-      (match app with
-      | `Bude ->
-        let inp = MB.deck ~nposes:16 ~natlig:8 ~natpro:16 in
-        (match inject_nan with
-        | Some i when i >= 0 && i < Array.length inp.MB.pose_data ->
-          inp.MB.pose_data.(i) <- Float.nan
-        | _ -> ());
-        if primal then begin
-          let r = MB.run ~nthreads:threads ~san MB.Omp inp in
-          Printf.printf "bude_omp: energies[0..3] = %.4f %.4f %.4f %.4f, \
-                         %.0f virtual cycles\n"
-            r.MB.energies.(0) r.MB.energies.(1) r.MB.energies.(2)
-            r.MB.energies.(3) r.MB.makespan;
-          Printf.printf "stats: %s\n"
-            (Fmt.str "%a" Parad_runtime.Stats.pp r.MB.stats)
-        end
-        else begin
-          let g = MB.gradient ~nthreads:threads ~san ~opts MB.Omp inp in
-          Printf.printf "bude_omp gradient: %.0f virtual cycles\nd_poses\
-                         [0..3] = %.4f %.4f %.4f %.4f\n"
-            g.MB.g_makespan g.MB.d_poses.(0) g.MB.d_poses.(1)
-            g.MB.d_poses.(2) g.MB.d_poses.(3);
-          Printf.printf "stats: %s\n"
-            (Fmt.str "%a" Parad_runtime.Stats.pp g.MB.g_stats)
-        end
-      | `Lulesh ->
-        let inp =
-          {
-            L.nx = size;
-            ny = size;
-            nz = (size * ranks + ranks - 1) / ranks * ranks;
-            niter = iters;
-            dt0 = 0.01;
-            escale = 1.0;
-          }
-        in
-        if primal then begin
-          let r =
-            L.run ~nranks:ranks ~nthreads:threads ?faults ~san ?inject_nan
-              flavor inp
-          in
-          Printf.printf "%s: total energy %.6f, %.0f virtual cycles\n"
-            (L.flavor_name flavor) r.L.total_energy r.L.makespan;
-          Printf.printf "stats: %s\n"
-            (Fmt.str "%a" Parad_runtime.Stats.pp r.L.stats)
-        end
-        else begin
-          let g =
-            L.gradient ~nranks:ranks ~nthreads:threads ~opts ?faults ~san
-              ?inject_nan flavor inp
-          in
-          let d = g.L.d_energy.(0) in
-          Printf.printf
-            "%s gradient: %.0f virtual cycles\nd total / d e[0..3] = %.4f \
-             %.4f %.4f %.4f\n"
-            (L.flavor_name flavor) g.L.g_makespan d.(0) d.(1) d.(2) d.(3);
-          Printf.printf "stats: %s\n"
-            (Fmt.str "%a" Parad_runtime.Stats.pp g.L.g_stats)
-        end);
-      finish ()
-    with
-    | San.Nonfinite_strict msg ->
-      Printf.printf "gradient-integrity violation (strict): %s\n" msg;
-      Format.printf "%a@." San.pp_report san;
-      exit 2
-    | Sim.Deadlock d ->
-      Format.printf "%a@." Sim.pp_diagnosis d;
-      Format.printf "%a@." San.pp_report san;
-      exit 3
-    | Mpi_state.Rank_failed n ->
-      Format.printf "%a@." Mpi_state.pp_failure n;
-      Format.printf "%a@." San.pp_report san;
-      exit 3
-    | Parad_runtime.Value.Runtime_error msg ->
-      Printf.printf "runtime error: %s\n" msg;
-      Format.printf "%a@." San.pp_report san;
-      exit 2
-    | e ->
-      let code = classified_exit ~out:stdout e in
-      Format.printf "%a@." San.pp_report san;
-      exit code
+    let opts = { Plan.default_options with atomic_always; assume_private } in
+    run_app ?faults ~san ?inject_nan ~opts ~report app c ~primal
   in
-  Cmd.v
-    (Cmd.info "sanitize"
-       ~doc:
-         "run an application under the ParSan runtime sanitizer (race, \
-          memory, and gradient-integrity checking) and report findings")
+  cmd "sanitize"
+    ~doc:
+      "run an application under the ParSan runtime sanitizer (race, memory, \
+       and gradient-integrity checking) and report findings"
     Term.(
-      const run $ app_arg $ flavor_arg $ ranks_arg $ threads_arg $ size_arg
-      $ iters_arg $ seed_arg $ victim_arg $ at_arg $ primal_arg $ plan_arg
-      $ mode_arg $ no_race_arg $ no_mem_arg $ no_grad_arg $ pedantic_arg
-      $ inject_nan_arg $ assume_private_arg $ atomic_always_arg)
+      const run $ app_arg $ conf_t $ plan_t $ primal_arg $ plan_arg $ mode_arg
+      $ no_race_arg $ no_mem_arg $ no_grad_arg $ pedantic_arg $ inject_nan_arg
+      $ assume_private_arg $ atomic_always_arg)
 
 (* ---- chaos soak: randomized fault plans x checkpoint schedules, every
    trial either reproduces the faultless gradient bit-for-bit or aborts
-   through a documented exit code. Exit codes: 0 zero unclassified
-   trials, 1 otherwise. *)
+   through a documented exit code. An unclassified trial is a finding. *)
 let soak_cmd =
   let trials_arg =
     Arg.(
@@ -1108,17 +888,17 @@ let soak_cmd =
       report.Apps_lulesh.Chaos.r_identical
       report.Apps_lulesh.Chaos.r_classified
       report.Apps_lulesh.Chaos.r_unclassified;
-    if report.Apps_lulesh.Chaos.r_unclassified > 0 then exit 1
+    if report.Apps_lulesh.Chaos.r_unclassified > 0 then Outcome.Findings
+    else Outcome.Ok
   in
-  Cmd.v
-    (Cmd.info "soak"
-       ~doc:
-         "chaos-soak the checkpoint/recovery stack: randomized fault plans \
-          and checkpoint schedules, each trial must reproduce the faultless \
-          gradient bit-for-bit or abort with a documented exit code")
+  cmd "soak"
+    ~doc:
+      "chaos-soak the checkpoint/recovery stack: randomized fault plans and \
+       checkpoint schedules, each trial must reproduce the faultless \
+       gradient bit-for-bit or abort with a documented exit code"
     Term.(const run $ trials_arg $ soak_seed_arg)
 
-(* ---- gradient service (ISSUE 7): a long-running daemon serving
+(* ---- gradient service: a long-running daemon serving
    newline-delimited JSON gradient requests against cached plans, every
    response classified through the extended exit-code taxonomy. ---- *)
 
@@ -1154,8 +934,10 @@ let serve_cmd =
       value & opt int Service.default_config.Service.queue_cap
       & info [ "queue" ]
           ~doc:
-            "admission-queue bound: requests beyond it shed with a \
-             structured overloaded response (exit-code class 7)")
+            (Printf.sprintf
+               "admission-queue bound: requests beyond it shed with a \
+                structured overloaded response (exit-code class %d)"
+               (Outcome.code Outcome.Overloaded)))
   in
   let cache_arg =
     Arg.(
@@ -1196,6 +978,7 @@ let serve_cmd =
   in
   let run socket stdin workers queue cache breaker_k breaker_cooldown retries
       watchdog_ms =
+    or_exit @@ fun () ->
     let cfg =
       {
         Service.workers;
@@ -1207,13 +990,8 @@ let serve_cmd =
         watchdog_ms;
       }
     in
-    let svc =
-      try Service.create ~cfg ()
-      with Invalid_argument m ->
-        Printf.eprintf "parad serve: %s\n" m;
-        exit 2
-    in
-    match socket with
+    let svc = Service.create ~cfg () in
+    (match socket with
     | None ->
       ignore stdin;
       (* stdin batch: the default, and what scripts/check.sh smokes *)
@@ -1256,14 +1034,14 @@ let serve_cmd =
         (try Unix.close client with Unix.Unix_error _ -> ())
       done;
       (try Unix.close sock with Unix.Unix_error _ -> ());
-      (try Unix.unlink path with Unix.Unix_error _ -> ())
+      (try Unix.unlink path with Unix.Unix_error _ -> ()));
+    Outcome.Ok
   in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "gradient service: cache compiled plans and serve JSON gradient \
-          requests with admission control, per-request deadlines, crash \
-          isolation and per-plan circuit breaking")
+  cmd "serve"
+    ~doc:
+      "gradient service: cache compiled plans and serve JSON gradient \
+       requests with admission control, per-request deadlines, crash \
+       isolation and per-plan circuit breaking"
     Term.(
       const run $ socket_arg $ stdin_arg $ workers_arg $ queue_arg $ cache_arg
       $ breaker_k_arg $ breaker_cooldown_arg $ retries_arg $ watchdog_arg)
@@ -1295,21 +1073,20 @@ let slam_cmd =
     List.iter
       (fun (cls, n) -> Printf.printf "  class %-13s %d\n" cls n)
       report.Slam.s_classes;
-    if not (Slam.passed report) then exit 1
+    if Slam.passed report then Outcome.Ok else Outcome.Findings
   in
-  Cmd.v
-    (Cmd.info "slam"
-       ~doc:
-         "chaos-slam the gradient service: seeded hostile request mixes \
-          (invalid flags, fault plans, NaN injection, deadline busts, \
-          overload bursts); every response must be classified, warm plans \
-          bit-identical to cold, and the breaker must trip and recover")
+  cmd "slam"
+    ~doc:
+      "chaos-slam the gradient service: seeded hostile request mixes \
+       (invalid flags, fault plans, NaN injection, deadline busts, overload \
+       bursts); every response must be classified, warm plans bit-identical \
+       to cold, and the breaker must trip and recover"
     Term.(const run $ requests_arg $ slam_seed_arg)
 
 let () =
   let info = Cmd.info "parad" ~doc:"parallel AD through compiler augmentation" in
   exit
-    (Cmd.eval
+    (Cmd.eval'
        (Cmd.group info
           [
             ir_cmd; gradient_cmd; run_cmd; grad_cmd; check_cmd; faults_cmd;

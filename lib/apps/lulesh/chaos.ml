@@ -12,9 +12,10 @@
       to the faultless store-all baseline — recovery reproduced the
       derivative exactly.
     - {e Classified}: the run aborted through a structured, documented
-      failure (exit-code taxonomy: rank failure/deadlock 3, runtime
-      error 2, unrecovered corruption 9) — e.g. the restart budget was
-      exhausted. Clean aborts are acceptable chaos outcomes.
+      failure — a rank failure, deadlock, runtime error, unavailable
+      snapshot or unrecovered corruption, with its {!Outcome} code — e.g.
+      the restart budget was exhausted. Clean aborts are acceptable chaos
+      outcomes.
     - {e Unclassified}: anything else — a completed run whose gradient
       differs from the baseline, or an undocumented exception. Any
       unclassified outcome is a bug in the recovery stack; the soak
@@ -48,27 +49,17 @@ type report = {
   r_unclassified : int;
 }
 
-let classify = function
-  | Mpi_state.Rank_failed n ->
-    Classified
-      (3, Printf.sprintf "rank %d failed (restart budget exhausted)" n.Mpi_state.fn_failed)
-  | Sim.Deadlock _ -> Classified (3, "deadlock")
-  | Value.Runtime_error m -> Classified (2, "runtime error: " ^ m)
-  | Checkpoint.Snapshot_unavailable { su_id; su_corrupt; _ } ->
-    Classified
-      ( 2,
-        Printf.sprintf "snapshot %d %s (restart budget exhausted)" su_id
-          (if su_corrupt then "corrupt" else "missing") )
-  | Mpi_state.Corrupt_message c ->
-    Classified
-      ( 9,
-        Printf.sprintf "message %d->%d corrupt (retransmits exhausted)"
-          c.Mpi_state.cm_src c.Mpi_state.cm_dst )
-  | Checkpoint.Corrupt_region { cr_rank; cr_cache; _ } ->
-    Classified
-      ( 9,
-        Printf.sprintf "rank %d cache %d digest mismatch (unrecovered)"
-          cr_rank cr_cache )
+(* Only these failure kinds are clean aborts. Any other exception — an
+   [Invalid_argument], say — is a bug in the recovery stack, even though
+   the taxonomy gives it a class too. *)
+let classify e =
+  match e with
+  | Mpi_state.Rank_failed _ | Sim.Deadlock _ | Value.Runtime_error _
+  | Checkpoint.Snapshot_unavailable _ | Mpi_state.Corrupt_message _
+  | Checkpoint.Corrupt_region _ ->
+    let cls, msg = Outcome.classify e in
+    (* a deadlock's report goes on to list every parked strand *)
+    Classified (Outcome.code cls, List.hd (String.split_on_char '\n' msg))
   | e -> Unclassified (Printexc.to_string e)
 
 let bits_eq (a : float array) (b : float array) =
@@ -271,13 +262,10 @@ let soak ?(trials = 50) ?log ~seed () : report =
         let desc = Printf.sprintf "sdc-bude nposes=%d %s" nposes spec in
         ( desc,
           try
-            let rec go plan tries =
-              try MB.gradient ~faults:plan MB.Omp inp
-              with
-              | Checkpoint.Corrupt_region { cr_rank; _ } when tries < 3 ->
-                go (Faults.consume_flip plan ~rank:cr_rank) (tries + 1)
+            let g, _ =
+              MB.gradient_restarting ~faults:plan ~max_restarts:3
+                (MB.compile ~ntasks:1 MB.Omp) inp
             in
-            let g = go plan 0 in
             if mb_grads_eq g mb_base then Identical
             else Unclassified "completed with non-identical gradient"
           with e -> classify e )

@@ -291,8 +291,8 @@ let setup_args variant (inp : input) ctx =
       ],
       [ lig_d; pro_d; poses_d; energies_d ] )
 
-let run ?(nthreads = 1) ?(pre = []) ?san ?(engine = Engine.Interp) variant
-    (inp : input) : run_result =
+let run ?(nthreads = 1) ?(pre = []) ?san ?faults ?(engine = Engine.Interp)
+    variant (inp : input) : run_result =
   let cfg = { Interp.default_config with nthreads } in
   let prog = program ~ntasks:nthreads () in
   let prog =
@@ -302,7 +302,7 @@ let run ?(nthreads = 1) ?(pre = []) ?san ?(engine = Engine.Interp) variant
   let call = Engine.call_fn (Engine.prepare prog) engine in
   let outs = ref [] in
   let res =
-    Exec.run ~cfg ?san ~call prog ~fname:(variant_name variant)
+    Exec.run ~cfg ?san ?faults ~call prog ~fname:(variant_name variant)
       ~setup:(fun ctx ->
         let args, bufs = setup_args variant inp ctx in
         outs := bufs;
@@ -395,6 +395,32 @@ let gradient_compiled ?nthreads ?san ?faults ?deadline ?(ge_seed = 1.0)
       g_stats = res.Exec.stats;
     }
   | _ -> assert false
+
+(** {!gradient_compiled} under whole-run restarts. miniBUDE has no
+    checkpoint driver, so a flip caught by a region digest
+    ([Checkpoint.Corrupt_region]) is consumed from [faults] and the
+    gradient re-run from the start, at most [max_restarts] times; past
+    that the corruption propagates. Returns the gradient and the restarts
+    it took. The stats are the final run's, plus one restart and one
+    injected, detected and recovered flip per restart. *)
+let gradient_restarting ?nthreads ?san ?faults ?deadline ?engine
+    ~max_restarts (c : compiled) (inp : input) : grad_result * int =
+  let rec go faults restarts =
+    match gradient_compiled ?nthreads ?san ?faults ?deadline ?engine c inp with
+    | g ->
+      let s = g.g_stats in
+      s.restarts <- s.restarts + restarts;
+      s.sdc_injected <- s.sdc_injected + restarts;
+      s.sdc_detected <- s.sdc_detected + restarts;
+      s.sdc_recovered <- s.sdc_recovered + restarts;
+      g, restarts
+    | exception Checkpoint.Corrupt_region { cr_rank; _ }
+      when restarts < max_restarts ->
+      go
+        (Option.map (fun p -> Faults.consume_flip p ~rank:cr_rank) faults)
+        (restarts + 1)
+  in
+  go faults 0
 
 (** Batched multi-seed adjoints (ISSUE 10): against a plan compiled with
     [opts.seeds = k > 1], one taping pass and one reverse sweep propagate

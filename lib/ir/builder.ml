@@ -182,7 +182,6 @@ let abs_ b x = un b Abs x
 let floor_ b x = un b Floor x
 let to_float b x = un b ToFloat x
 let to_int b x = un b ToInt x
-let not_ b x = un b Not x
 
 let select b c x y =
   let v = fresh b (Var.ty x) "select" in

@@ -31,7 +31,6 @@ let reducer b ~combine ~init =
   { slots; combine; init }
 
 let reduce_min b = reducer b ~combine:Instr.Min ~init:infinity
-let reduce_sum b = reducer b ~combine:Instr.Add ~init:0.0
 
 (** Inside a [forall_reduce] region: fold a contribution into the
     executing thread's slot. *)

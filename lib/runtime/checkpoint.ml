@@ -116,8 +116,6 @@ let create_store ?(policy = default_policy) ?namespace ~nranks () =
     sdir_made = false;
   }
 
-let spill_dir store = store.sdir
-
 let ensure_sdir store =
   if not store.sdir_made then begin
     (try Unix.mkdir store.sdir 0o700 with

@@ -25,10 +25,10 @@
       instruction, operands, iteration ordinal, virtual time and rank. In
       [Strict] mode the run aborts with that provenance
       ([Nonfinite_strict]); in [Degrade] mode the value is quarantined
-      (replaced by 0.0), counted in [Stats], and the run finishes with
-      exit code 4 (recovered-but-degraded). Inf observed in memory is
-      deliberately {e not} flagged: reduction identities (e.g. LULESH's
-      [min] sentinel) store infinities legitimately.
+      (replaced by 0.0), counted in [Stats], and the run finishes
+      degraded. Inf observed in memory is deliberately {e not} flagged:
+      reduction identities (e.g. LULESH's [min] sentinel) store
+      infinities legitimately.
 
     All state is keyed by (rank, buffer, cell) so one sanitizer instance
     serves every rank of an SPMD run; the deterministic simulator makes
@@ -85,7 +85,7 @@ type t = {
   mutable regions : int;  (** fresh parallel-region id source *)
 }
 
-exception Nonfinite_strict of string
+exception Nonfinite_strict = Value.Nonfinite_strict
 (** GradSan [Strict] abort, carrying first-origin provenance. *)
 
 let create ?(race = true) ?(mem = true) ?(grad = true) ?(uninit = false)
@@ -289,14 +289,14 @@ let nonfinite t ~rank ~time fmt =
 let findings t = List.rev t.findings_rev
 let clean t = t.n_findings = 0 && t.quarantined = 0
 
-(** Exit-code protocol (extends PR 1/PR 2): 5 = miscompilation (a static
-    thread-locality claim refuted at runtime), 4 = degraded (non-finite
-    values quarantined), 1 = other findings, 0 = clean. *)
-let exit_code t =
-  if t.miscompiles > 0 then 5
-  else if t.quarantined > 0 then 4
-  else if t.n_findings > 0 then 1
-  else 0
+(** The run's class: a static thread-locality claim refuted at runtime
+    is a miscompilation, quarantined non-finite values leave it
+    degraded, and any other finding is a finding. *)
+let verdict t =
+  if t.miscompiles > 0 then Outcome.Miscompile
+  else if t.quarantined > 0 then Outcome.Degraded
+  else if t.n_findings > 0 then Outcome.Findings
+  else Outcome.Ok
 
 let pp_finding ppf f =
   Fmt.pf ppf "[%s] rank %d t=%.0f: %s" (class_name f.cls) f.rank f.time f.msg

@@ -400,10 +400,6 @@ let barrier () = perform E_barrier
 
 let event ?label () = { ready = None; ewaiters = []; elabel = label }
 
-(** Attach or replace the wait-for description of an event. The closure is
-    evaluated only if the event ends up in a deadlock diagnosis. *)
-let event_describe ev label = ev.elabel <- Some label
-
 let event_fill ev ~time =
   let e = eng () in
   (match ev.ready with
@@ -418,12 +414,6 @@ let event_fill ev ~time =
   ev.ewaiters <- []
 
 let event_wait ev = perform (E_wait ev)
-
-(** Nonblocking readiness test: the fill time if the event has fired,
-    [None] otherwise. Never parks the strand, so a reverse sweep can
-    overlap in-flight adjoint messages with accumulation compute and only
-    commit to [event_wait] when it genuinely runs out of local work. *)
-let event_poll ev = ev.ready
 
 (** Run [main] under a fresh engine. Returns the result, the makespan
     (largest strand finish time, i.e. the modeled runtime), and the

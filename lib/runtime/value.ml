@@ -38,6 +38,11 @@ and buffer = {
 
 exception Runtime_error of string
 
+(** GradSan's strict-mode abort at the first non-finite value, carrying
+    its provenance. [Sanitizer] raises it; it lives here, below
+    [Outcome], so that the taxonomy can classify it. *)
+exception Nonfinite_strict of string
+
 let error fmt = Fmt.kstr (fun s -> raise (Runtime_error s)) fmt
 
 let cells_len = function

@@ -88,9 +88,3 @@ let record t ~ok =
     end
 
 let state t = t.state
-
-let state_name t =
-  match t.state with
-  | Closed -> "closed"
-  | Open _ -> "open"
-  | Half_open -> "half-open"

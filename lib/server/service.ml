@@ -11,11 +11,11 @@
     outcome, including a deadlock, a sanitizer abort, a rank failure or
     a deadline bust, may take the daemon down: {!submit} catches
     everything and classifies it through the exit-code taxonomy
-    (README), extended here with 6 = deadline exceeded, 7 = overloaded
-    (admission shed), 8 = breaker open.
+    ({!Outcome}), including the overloaded (admission shed) and
+    breaker-open classes that only the service produces.
 
-    Request lifecycle: parse → validate (bad fields answer [invalid],
-    code 2, without touching the pool) → breaker admission → queue
+    Request lifecycle: parse → validate (bad fields answer [invalid]
+    without touching the pool) → breaker admission → queue
     admission (bounded; sheds with [overloaded] beyond the cap) →
     plan-cache acquisition (compile on miss) → execution with
     retry-with-backoff for transient failures (a consumed rank kill, a
@@ -27,23 +27,6 @@
 open Parad_runtime
 module L = Apps_lulesh.Lulesh
 module MB = Apps_minibude.Minibude
-
-(* ---- classification ---- *)
-
-(** Response classes, each mapped to the documented exit-code taxonomy.
-    Every response carries exactly one. *)
-let class_code = function
-  | "ok" -> 0
-  | "findings" -> 1
-  | "invalid" | "runtime_error" | "san_strict" | "error" -> 2
-  | "deadlock" | "rank_failed" -> 3
-  | "degraded" -> 4
-  | "miscompile" -> 5
-  | "deadline" -> 6
-  | "overloaded" -> 7
-  | "breaker_open" -> 8
-  | "corrupted" -> 9
-  | c -> invalid_arg ("Service.class_code: unknown class " ^ c)
 
 (* ---- requests ---- *)
 
@@ -89,15 +72,14 @@ let bude_variant = function
   | "julia" -> Some MB.Julia
   | _ -> None
 
-exception Invalid of string
-
-let invalid fmt = Printf.ksprintf (fun m -> raise (Invalid m)) fmt
+let invalid = Outcome.invalid
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
 (** Decode and validate one request object. Unknown fields are ignored
-    (forward compatibility); bad values raise {!Invalid} with a precise
-    message that lands verbatim in the [error] field of the response. *)
+    (forward compatibility); bad values raise [Outcome.Invalid_request]
+    with a precise message that lands verbatim in the [error] field of
+    the response. *)
 let request_of_json ~default_watchdog_ms j =
   let id = Option.value (Json.int_field "id" j) ~default:0 in
   let geti k default lo =
@@ -331,7 +313,7 @@ let digest_bude_lanes gs =
 (* ---- service state ---- *)
 
 type exec_result = {
-  x_class : string;
+  x_class : Outcome.t;
   x_error : string option;
   x_digest : string option;
   x_total : float option;
@@ -396,7 +378,7 @@ type t = {
   mutable wall_ns : int;
       (** host wall-clock spent inside the simulator across every
           executed request (riders add nothing: no execution) *)
-  mutable by_class : (string * int) list;
+  mutable by_class : (Outcome.t * int) list;
   mutable latencies : float list;  (** virtual latencies, newest first *)
   mutable draining : bool;
 }
@@ -459,15 +441,7 @@ let attempt rq plan ~faults =
   let san = Option.map (fun mode -> Sanitizer.create ~mode ()) rq.rq_san in
   let deadline = rq.rq_deadline in
   let sanitizer_class () =
-    match san with
-    | None -> "ok"
-    | Some s -> (
-      match Sanitizer.exit_code s with
-      | 0 -> "ok"
-      | 1 -> "findings"
-      | 4 -> "degraded"
-      | 5 -> "miscompile"
-      | _ -> "findings")
+    match san with None -> Outcome.Ok | Some s -> Sanitizer.verdict s
   in
   match plan, rq.rq_app with
   | Plulesh c, Lulesh _ when rq.rq_budget > 0 ->
@@ -480,7 +454,7 @@ let attempt rq plan ~faults =
         (lulesh_input rq)
     in
     let g = b.L.b_grad in
-    ( (if b.L.b_degraded > 0 then "degraded" else "ok"),
+    ( (if b.L.b_degraded > 0 then Outcome.Degraded else Outcome.Ok),
       digest_lulesh g,
       g.L.g_total,
       g.L.g_makespan,
@@ -544,44 +518,6 @@ let attempt rq plan ~faults =
   | Plulesh _, Bude _ | Pbude _, Lulesh _ ->
     invalid_arg "Service.attempt: plan/app mismatch (cache key collision)"
 
-(** Classify an execution exception. Total: every exception maps to a
-    documented class — an uncaught backtrace out of a request is a
-    server bug by definition. *)
-let classify_exn = function
-  | Invalid m -> "invalid", m
-  | Sim.Deadline_exceeded d ->
-    "deadline", Format.asprintf "%a" Sim.pp_deadline_hit d
-  | Sim.Deadlock d ->
-    "deadlock", Format.asprintf "%a" Sim.pp_diagnosis d
-  | Mpi_state.Rank_failed n ->
-    ( "rank_failed",
-      Printf.sprintf "rank %d failed at t=%.0f" n.Mpi_state.fn_failed
-        n.Mpi_state.fn_agreed_at )
-  | Sanitizer.Nonfinite_strict m -> "san_strict", m
-  | Checkpoint.Snapshot_unavailable { su_rank; su_id; su_corrupt } ->
-    ( "runtime_error",
-      Printf.sprintf "snapshot (%d, %d) %s" su_rank su_id
-        (if su_corrupt then "corrupt" else "missing") )
-  | Mpi_state.Corrupt_message c ->
-    ( "corrupted",
-      Printf.sprintf "message %d->%d corrupt at t=%.0f (%d attempts)"
-        c.Mpi_state.cm_src c.Mpi_state.cm_dst c.Mpi_state.cm_at
-        c.Mpi_state.cm_attempts )
-  | Checkpoint.Corrupt_region { cr_rank; cr_cache; cr_at } ->
-    ( "corrupted",
-      Printf.sprintf "rank %d cache %d digest mismatch at t=%.0f" cr_rank
-        cr_cache cr_at )
-  | Value.Runtime_error m -> "runtime_error", m
-  | Invalid_argument m -> "runtime_error", m
-  | Failure m -> "error", m
-  | e -> "error", Printexc.to_string e
-
-let transient = function
-  | Mpi_state.Rank_failed _ | Checkpoint.Snapshot_unavailable _
-  | Mpi_state.Corrupt_message _ | Checkpoint.Corrupt_region _ ->
-    true
-  | _ -> false
-
 (* Execute with retry-with-backoff. A rank kill is consumed from the
    fault plan before the retry (ULFM-style: the failed incarnation is
    gone), so a deterministic retry genuinely succeeds; detected data
@@ -602,7 +538,7 @@ let execute t rq plan =
         x_wall_ns = wall_ns;
         x_retries = tries;
       }
-    | exception e when transient e && tries < t.cfg.retries ->
+    | exception e when Outcome.transient e && tries < t.cfg.retries ->
       t.retries_total <- t.retries_total + 1;
       let faults =
         match e, faults with
@@ -617,7 +553,7 @@ let execute t rq plan =
       let pause = backoff_cycles *. Float.of_int (1 lsl tries) in
       go ~faults ~tries:(tries + 1) ~backoff:(backoff +. pause)
     | exception e ->
-      let cls, msg = classify_exn e in
+      let cls, msg = Outcome.classify e in
       {
         x_class = cls;
         x_error = Some msg;
@@ -638,8 +574,8 @@ let respond ?digest ?total ?error ?(cached = false) ?(coalesced = false)
   let open Json in
   let f = Printf.sprintf "%.17g" in
   Obj
-    ([ "id", Num (float_of_int id); "class", Str cls;
-       "code", Num (float_of_int (class_code cls)) ]
+    ([ "id", Num (float_of_int id); "class", Str (Outcome.name cls);
+       "code", Num (float_of_int (Outcome.code cls)) ]
     @ (match key with Some k -> [ "plan_key", Str k ] | None -> [])
     @ [ "cached", Bool cached ]
     @ (if coalesced then [ "coalesced", Bool true ] else [])
@@ -677,19 +613,16 @@ let submit t j =
   match
     request_of_json ~default_watchdog_ms:t.cfg.watchdog_ms j
   with
-  | exception Invalid m ->
-    count_class t "invalid";
-    respond ~id ~error:m "invalid"
   | exception e ->
-    let cls, m = classify_exn e in
+    let cls, m = Outcome.classify e in
     count_class t cls;
     respond ~id ~error:m cls
   | rq -> (
     let key = plan_key rq in
     let breaker = breaker_for t key in
     if t.draining then begin
-      count_class t "overloaded";
-      respond ~id ~key ~error:"draining" "overloaded"
+      count_class t Outcome.Overloaded;
+      respond ~id ~key ~error:"draining" Outcome.Overloaded
     end
     else
       (* seed-batched coalescing: a deterministic k-lane request that
@@ -721,8 +654,8 @@ let submit t j =
       match Breaker.admit breaker with
       | Breaker.Reject ->
         t.breaker_rejects <- t.breaker_rejects + 1;
-        count_class t "breaker_open";
-        respond ~id ~key ~error:"circuit breaker open" "breaker_open"
+        count_class t Outcome.Breaker_open;
+        respond ~id ~key ~error:"circuit breaker open" Outcome.Breaker_open
       | Breaker.Admit | Breaker.Probe -> (
         (* bounded admission: requests that would start later than
            [arrival] are queued; past the cap we shed instead *)
@@ -732,9 +665,9 @@ let submit t j =
         t.starts <- List.filter (fun s -> s > arrival) t.starts;
         if start > arrival && List.length t.starts >= t.cfg.queue_cap then begin
           t.shed <- t.shed + 1;
-          count_class t "overloaded";
+          count_class t Outcome.Overloaded;
           (* shedding is not a plan failure: the breaker is not charged *)
-          respond ~id ~key ~error:"admission queue full" "overloaded"
+          respond ~id ~key ~error:"admission queue full" Outcome.Overloaded
         end
         else begin
           t.starts <- start :: t.starts;
@@ -744,7 +677,7 @@ let submit t j =
           with
           | exception e ->
             (* a plan that cannot compile poisons its key *)
-            let cls, m = classify_exn e in
+            let cls, m = Outcome.classify e in
             Breaker.record breaker ~ok:false;
             count_class t cls;
             respond ~id ~key ~error:m cls
@@ -759,8 +692,8 @@ let submit t j =
                   sw_finish = start +. r.x_cycles;
                   sw_result = r;
                 };
-            let ok = class_code r.x_class <= 1 || r.x_class = "degraded" in
-            Breaker.record breaker ~ok;
+            Breaker.record breaker
+              ~ok:(List.mem r.x_class Outcome.[ Ok; Findings; Degraded ]);
             let queue = start -. arrival in
             t.pool.(!w) <- start +. r.x_cycles;
             t.latencies <- (queue +. r.x_cycles) :: t.latencies;
@@ -809,8 +742,9 @@ let summary t =
       "wall_ns", Num (float_of_int t.wall_ns);
       "classes",
       Obj
-        (List.sort compare t.by_class
-        |> List.map (fun (c, n) -> c, Num (float_of_int n)));
+        (List.map (fun (c, n) -> Outcome.name c, Num (float_of_int n))
+           t.by_class
+        |> List.sort compare);
     ]
 
 (** Graceful drain: refuse new work (subsequent submissions answer
@@ -829,12 +763,12 @@ let drain t =
 let handle_line t line =
   let reply =
     match Json.of_string (String.trim line) with
-    | Error m -> respond ~id:0 ~error:("bad JSON: " ^ m) "invalid"
+    | Error m -> respond ~id:0 ~error:("bad JSON: " ^ m) Outcome.Invalid
     | Ok j -> (
       match Json.str_field "cmd" j with
       | Some "stats" -> summary t
       | Some "drain" | Some "shutdown" -> drain t
-      | Some c -> respond ~id:0 ~error:("unknown cmd " ^ c) "invalid"
+      | Some c -> respond ~id:0 ~error:("unknown cmd " ^ c) Outcome.Invalid
       | None -> submit t j)
   in
   Json.to_string reply

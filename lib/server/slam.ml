@@ -5,9 +5,9 @@
     the socket) with splitmix64-drawn request mixes, and checks the
     service's robustness contract:
 
-    - every response is classified (a [class] field with a documented
-      code 0–9) — no request, however hostile, produces an unclassified
-      error or kills the daemon;
+    - every response is classified (a [class] field naming a class of
+      the taxonomy, and that class's [code]) — no request, however
+      hostile, produces an unclassified error or kills the daemon;
     - warm-plan gradients are bit-identical to cold compiles (digest
       equality on repeat requests, and binomial-vs-monolithic equality
       across distinct plan keys);
@@ -22,6 +22,7 @@
     failing slam replays exactly. *)
 
 module Bitmix = Parad_runtime.Bitmix
+module Outcome = Parad_runtime.Outcome
 
 type report = {
   s_seed : int;
@@ -49,9 +50,9 @@ let call svc ~stats j =
     | Some cls -> (
       stats := (cls, 1 + Option.value (List.assoc_opt cls !stats) ~default:0)
                :: List.remove_assoc cls !stats;
-      match num "code" r with
-      | Some c when c >= 0.0 && c <= 9.0 -> ()
-      | _ -> failwith ("slam: response with undocumented code: " ^ line))
+      match Outcome.of_name cls, num "code" r with
+      | Some c, Some code when code = float_of_int (Outcome.code c) -> ()
+      | _ -> failwith ("slam: undocumented class or code: " ^ line))
     | None ->
       if Json.str_field "event" r = None then
         failwith ("slam: unclassified response: " ^ line));

@@ -182,6 +182,45 @@ expect_output "corrupt" "sticky corruption printed no notice"
 expect_exit 2 faults --plan "kill:at=0,at=500" --dry-run $COMMON
 expect_output "at most once" "duplicate scalar key not rejected"
 
+# ---- miniBUDE honours flip plans ----
+# unsupervised, a flip caught by a region digest surfaces as corrupted;
+# supervised, the fired flip is consumed and the gradient re-run, which
+# reproduces the faultless gradient bit-for-bit
+
+BUDE_FLIP="none:flip=0@5@62@300000"
+expect_exit 9 faults --app bude --plan "$BUDE_FLIP"
+expect_output "silent data corruption" "bude flip printed no corruption notice"
+expect_exit 0 recover --app bude --plan "$BUDE_FLIP"
+expect_output "recovery: 1 restart(s)" "bude recover reported no restart"
+grep "^d_poses" "$OUT/check.out" > "$OUT/bude-rec.out"
+$PARAD faults --app bude --plan none 2>/dev/null | grep "^d_poses" \
+  > "$OUT/bude-clean.out"
+[ -s "$OUT/bude-clean.out" ] \
+  && cmp -s "$OUT/bude-clean.out" "$OUT/bude-rec.out" || {
+  echo "FAIL: flip-recovered bude gradient differs from the faultless one"
+  diff "$OUT/bude-clean.out" "$OUT/bude-rec.out" || true
+  exit 1
+}
+
+# ---- one outcome path: each failure kind exits with its class's code ----
+
+# an unknown function is a runtime error, as under `parad gradient`
+expect_exit 2 ir nosuchfn
+# recover's audit: dirty without a restart is a finding, dirty after a
+# restart is degraded, and a deadlock is not retried
+expect_exit 1 recover --plan dup $COMMON
+expect_exit 4 recover --plan "dup:kill=1@5000" $COMMON
+expect_exit 3 recover --plan blackhole $COMMON
+# a failed sanitized run prints its diagnosis, then the sanitizer report
+expect_exit 3 sanitize --app lulesh $COMMON --plan blackhole
+awk '/^deadlock:/ { d = NR } /^sanitizer:/ { s = NR }
+  END { exit !(d > 0 && s > d) }' "$OUT/check.out" || {
+  echo "FAIL: sanitizer report missing or printed before the diagnosis"
+  cat "$OUT/check.out"
+  exit 1
+}
+expect_exit 1 sanitize $SAN_OMP --pedantic-uninit
+
 # ---- seeded chaos-soak smoke ----
 # A short deterministic soak: randomized fault plans x checkpoint
 # schedules; every trial must end bit-identical or as a classified clean

@@ -554,6 +554,34 @@ let test_flip_supervised_recovery_bitwise () =
     true
     (faulty.L.g_makespan > clean.L.g_makespan)
 
+let test_bude_flip_restart_bitwise () =
+  (* miniBUDE has no checkpoint driver: a caught flip is consumed and the
+     gradient re-run from the start, which reproduces the faultless bits *)
+  let module MB = Apps_minibude.Minibude in
+  let deck = MB.deck ~nposes:16 ~natlig:8 ~natpro:16 in
+  let c = MB.compile ~ntasks:1 MB.Omp in
+  let clean = MB.gradient_compiled c deck in
+  let faults = Faults.plan_of_spec ~nranks:1 "none:flip=0@5@62@300000" in
+  (match MB.gradient_restarting ~faults ~max_restarts:0 c deck with
+  | _ -> Alcotest.fail "flip not detected without a restart budget"
+  | exception Checkpoint.Corrupt_region { cr_rank; _ } ->
+    Alcotest.(check int) "victim rank named" 0 cr_rank);
+  let g, restarts = MB.gradient_restarting ~faults ~max_restarts:2 c deck in
+  Alcotest.(check int) "one restart" 1 restarts;
+  let bits a = Array.map Int64.bits_of_float a in
+  List.iter
+    (fun (what, a, b) ->
+      Alcotest.(check (array int64)) what (bits a) (bits b))
+    [
+      "d_lig", clean.MB.d_lig, g.MB.d_lig;
+      "d_pro", clean.MB.d_pro, g.MB.d_pro;
+      "d_poses", clean.MB.d_poses, g.MB.d_poses;
+    ];
+  let s = g.MB.g_stats in
+  Alcotest.(check (list int))
+    "restarts, flips injected, detected, recovered" [ 1; 1; 1; 1 ]
+    [ s.Stats.restarts; s.sdc_injected; s.sdc_detected; s.sdc_recovered ]
+
 let () =
   Alcotest.run "faults"
     [
@@ -605,5 +633,7 @@ let () =
             test_flip_detected_unsupervised;
           Alcotest.test_case "flip recovery bitwise" `Quick
             test_flip_supervised_recovery_bitwise;
+          Alcotest.test_case "bude flip restart bitwise" `Quick
+            test_bude_flip_restart_bitwise;
         ] );
     ]

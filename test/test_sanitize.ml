@@ -26,7 +26,7 @@ let check_contains what s sub =
 let check_clean what (san : San.t) =
   Alcotest.(check int)
     (Printf.sprintf "%s: exit code" what)
-    0 (San.exit_code san);
+    0 (Outcome.code (San.verdict san));
   Alcotest.(check bool)
     (Printf.sprintf "%s: no findings (got: %s)" what
        (Fmt.str "%a" San.pp_report san))
@@ -103,7 +103,7 @@ let test_plain_race_flagged () =
   ignore (Exec.run ~cfg:(cfg 4) ~san prog ~fname:"racy" ~setup:(fun _ -> []));
   Alcotest.(check bool) "a race was found" true (san.San.races > 0);
   Alcotest.(check int) "no miscompilation" 0 san.San.miscompiles;
-  Alcotest.(check int) "exit code 1" 1 (San.exit_code san);
+  Alcotest.(check int) "exit code 1" 1 (Outcome.code (San.verdict san));
   match San.findings san with
   | f :: _ ->
     check_contains "race finding" f.San.msg "data race";
@@ -134,7 +134,7 @@ let test_seeded_miscompile_exit5 () =
        (Array.init 8 (fun i -> 0.1 *. float_of_int (i + 1))));
   Alcotest.(check bool)
     "miscompilation found" true (san.San.miscompiles > 0);
-  Alcotest.(check int) "exit code 5" 5 (San.exit_code san);
+  Alcotest.(check int) "exit code 5" 5 (Outcome.code (San.verdict san));
   match San.findings san with
   | f :: _ ->
     Alcotest.(check bool)
@@ -173,7 +173,7 @@ let test_leak_reported_with_site () =
   let san = San.create () in
   ignore (Exec.run ~san prog ~fname:"leaky" ~setup:(fun _ -> []));
   Alcotest.(check int) "one leak" 1 san.San.leaks;
-  Alcotest.(check int) "exit code 1" 1 (San.exit_code san);
+  Alcotest.(check int) "exit code 1" 1 (Outcome.code (San.verdict san));
   match San.findings san with
   | f :: _ ->
     check_contains "leak finding" f.San.msg "leaked buffer";
@@ -235,7 +235,7 @@ let test_degrade_quarantines_bit_identical () =
   let san = San.create ~mode:San.Degrade () in
   let deg = grad_sq ~san ~nthreads:2 (sq_prog ()) "sq" (mk ()) in
   Alcotest.(check bool) "poison quarantined" true (san.San.quarantined > 0);
-  Alcotest.(check int) "exit code 4" 4 (San.exit_code san);
+  Alcotest.(check int) "exit code 4" 4 (Outcome.code (San.verdict san));
   Alcotest.(check bool)
     "degraded gradient is NaN-free" false
     (Array.exists Float.is_nan deg);
@@ -282,14 +282,14 @@ let test_lulesh_seeded_miscompile () =
   ignore g;
   Alcotest.(check bool)
     "miscompilation found" true (san.San.miscompiles > 0);
-  Alcotest.(check int) "exit code 5" 5 (San.exit_code san)
+  Alcotest.(check int) "exit code 5" 5 (Outcome.code (San.verdict san))
 
 let test_lulesh_degrade_nan_injection () =
   let unsan = L.gradient ~nthreads:2 ~inject_nan:1 L.Omp lulesh_inp in
   let san = San.create ~mode:San.Degrade () in
   let deg = L.gradient ~nthreads:2 ~san ~inject_nan:1 L.Omp lulesh_inp in
   Alcotest.(check bool) "poison quarantined" true (san.San.quarantined > 0);
-  Alcotest.(check int) "exit code 4" 4 (San.exit_code san);
+  Alcotest.(check int) "exit code 4" 4 (Outcome.code (San.verdict san));
   Alcotest.(check bool)
     "degraded gradient is NaN-free" false
     (Array.exists Float.is_nan deg.L.d_energy.(0));
