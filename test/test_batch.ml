@@ -243,6 +243,29 @@ let test_no_fallbacks () =
   in
   check "minibude omp" g.(0).MB.g_stats
 
+(* An operand whose reverse statement passes nothing on (LULESH's
+   [gamma - 1.0], whose operands are both constants) is not useful, so
+   no lane call accumulates into it: the emitted 8-lane LULESH OMP
+   gradient clears no dead lane group with an adj.zero_k. *)
+let test_no_dead_lanes () =
+  let opts = { Plan.default_options with seeds = 8 } in
+  let dprog, _ =
+    Parad_core.Reverse.gradient ~opts (L.program L.Omp) "lulesh_omp"
+  in
+  let zeros =
+    List.fold_left
+      (fun n (f : Parad_ir.Func.t) ->
+        Parad_ir.Instr.fold_instrs
+          (fun n i ->
+            match i with
+            | Parad_ir.Instr.Call (_, "adj.zero_k", _) -> n + 1
+            | _ -> n)
+          n f.body)
+      0
+      (Parad_ir.Prog.functions dprog)
+  in
+  Alcotest.(check int) "adj.zero_k calls" 0 zeros
+
 (* A lane call whose static operands are not constants is delegated to
    the interpreter, and gives the same result: a hand-built kernel whose
    adj.rev2_k takes its first group's offset, mode and atomic flag from
@@ -370,6 +393,8 @@ let () =
             test_no_fallbacks;
           Alcotest.test_case "delegated lane call == interp" `Quick
             test_delegated_lane_call;
+          Alcotest.test_case "no dead lane accumulations" `Quick
+            test_no_dead_lanes;
         ] );
       ( "guards",
         [
