@@ -602,10 +602,21 @@ let print_recovery restarts ~failures ~resumed =
       | None -> Printf.printf "  cold restart (no consistent checkpoint)\n")
     resumed
 
-let print_lulesh_recovery (r : Exec.recovery) (s : Stats.t) =
-  print_recovery r.r_restarts ~failures:r.r_failures ~resumed:r.r_resumed_from;
+let print_wall (s : Stats.t) =
   Printf.printf "wall: %.2f ms inside the simulator (replays included)\n"
     (float_of_int s.wall_ns /. 1e6)
+
+let print_lulesh_recovery (r : Exec.recovery) (s : Stats.t) =
+  print_recovery r.r_restarts ~failures:r.r_failures ~resumed:r.r_resumed_from;
+  print_wall s
+
+(* miniBUDE has no MPI variant: of a fault plan, only flips can fire *)
+let note_ignored app (plan : Faults.plan) =
+  match app, Faults.mpi_entries plan with
+  | `Bude, (_ :: _ as ignored) ->
+    Printf.printf "note: miniBUDE runs no MPI; these plan entries cannot fire: %s\n"
+      (String.concat "; " ignored)
+  | _ -> ()
 
 (* The body faults, recover and sanitize share. It runs [app]'s primal or
    gradient under [faults] and [san], supervised when [max_restarts] is
@@ -693,9 +704,11 @@ let run_app ?faults ?san ?inject_nan ?engine ?max_restarts ?mpi_ref ~opts
           (Printf.sprintf "bude_omp gradient%s: %.0f virtual cycles" under
              g.MB.g_makespan)
         "d_poses[0..3]" g.MB.d_poses g.MB.g_stats;
-      if Option.is_some max_restarts then
+      if Option.is_some max_restarts then begin
         print_recovery restarts ~failures:[]
           ~resumed:(List.init restarts (fun _ -> None));
+        print_wall g.MB.g_stats
+      end;
       Option.map (fun _ -> restarts) max_restarts, g.MB.g_stats
   in
   match report (), restarts with
@@ -719,6 +732,7 @@ let fault_run ?engine ?max_restarts ~opts app spec c plan_of ~primal
     ~dry_run =
   let plan = or_exit (fun () -> plan_of ~ranks:c.ranks spec) in
   Format.printf "%a@." Faults.pp_plan plan;
+  note_ignored app plan;
   if dry_run then Outcome.Ok
   else
     let mpi_ref = ref None in
@@ -840,6 +854,7 @@ let sanitize_cmd =
     let faults =
       or_exit (fun () -> Option.map (plan_of ~ranks:c.ranks) plan)
     in
+    Option.iter (note_ignored app) faults;
     let san =
       San.create ~race:(not no_race) ~mem:(not no_mem) ~grad:(not no_grad)
         ~uninit:pedantic ~mode ()

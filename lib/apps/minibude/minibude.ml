@@ -356,7 +356,8 @@ let compile ?(opts = Parad_core.Plan.default_options) ?(post_opt = true)
 (** Execute one gradient request against a cached plan (pure
     interpretation; bit-identical to a cold {!gradient}). *)
 let gradient_compiled ?nthreads ?san ?faults ?deadline ?(ge_seed = 1.0)
-    ?(engine = Engine.Interp) (c : compiled) (inp : input) : grad_result =
+    ?(engine = Engine.Interp) ?stats (c : compiled) (inp : input) :
+    grad_result =
   let nthreads = Option.value nthreads ~default:c.c_ntasks in
   let cfg = { Interp.default_config with nthreads } in
   let variant = c.c_variant in
@@ -364,7 +365,7 @@ let gradient_compiled ?nthreads ?san ?faults ?deadline ?(ge_seed = 1.0)
   let shadows = ref [] in
   let outs = ref [] in
   let res =
-    Exec.run ~cfg ?san ?faults ?deadline
+    Exec.run ~cfg ?san ?faults ?deadline ?stats
       ~call:(Engine.call_fn c.c_eng engine) dprog ~fname:dname
       ~setup:(fun ctx ->
         let args, bufs = setup_args variant inp ctx in
@@ -402,13 +403,18 @@ let gradient_compiled ?nthreads ?san ?faults ?deadline ?(ge_seed = 1.0)
     gradient re-run from the start, at most [max_restarts] times; past
     that the corruption propagates. Returns the gradient and the restarts
     it took. The stats are the final run's, plus one restart and one
-    injected, detected and recovered flip per restart. *)
+    injected, detected and recovered flip per restart, and the host time
+    of every failed run ([wall_ns]). *)
 let gradient_restarting ?nthreads ?san ?faults ?deadline ?engine
     ~max_restarts (c : compiled) (inp : input) : grad_result * int =
-  let rec go faults restarts =
-    match gradient_compiled ?nthreads ?san ?faults ?deadline ?engine c inp with
+  let rec go faults restarts failed_ns =
+    let stats = Stats.create () in
+    match
+      gradient_compiled ?nthreads ?san ?faults ?deadline ?engine ~stats c inp
+    with
     | g ->
       let s = g.g_stats in
+      s.wall_ns <- s.wall_ns + failed_ns;
       s.restarts <- s.restarts + restarts;
       s.sdc_injected <- s.sdc_injected + restarts;
       s.sdc_detected <- s.sdc_detected + restarts;
@@ -419,8 +425,9 @@ let gradient_restarting ?nthreads ?san ?faults ?deadline ?engine
       go
         (Option.map (fun p -> Faults.consume_flip p ~rank:cr_rank) faults)
         (restarts + 1)
+        (failed_ns + stats.wall_ns)
   in
-  go faults 0
+  go faults 0 0
 
 (** Batched multi-seed adjoints (ISSUE 10): against a plan compiled with
     [opts.seeds = k > 1], one taping pass and one reverse sweep propagate

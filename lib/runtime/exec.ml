@@ -77,10 +77,11 @@ let to_floats (v : Value.t) =
 (** Run [fname] on a single rank. [setup] builds the argument list (e.g.
     with {!floats}); it runs inside the simulation. [faults] injects a
     deterministic fault plan (bit flips into sealed cache memory are the
-    only events that apply to a communicator-free run). *)
+    only events that apply to a communicator-free run). The run counts
+    into [stats] (a fresh record by default), its host time included
+    even when it fails. *)
 let run ?(cfg = Interp.default_config) ?san ?faults ?deadline
-    ?(call = Interp.call) prog ~fname ~setup =
-  let stats = Stats.create () in
+    ?(call = Interp.call) ?(stats = Stats.create ()) prog ~fname ~setup =
   let value, makespan, stats =
     timed_run ~cost:cfg.Interp.cost ~stats ?deadline (fun () ->
         let faults = Option.map (Faults.make ~nranks:1) faults in

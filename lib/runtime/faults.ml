@@ -489,31 +489,44 @@ let pp_opt ppf = function
   | Some v -> Format.fprintf ppf "%d" v
   | None -> Format.fprintf ppf "*"
 
+(* Each entry of [p] as {!pp_plan} prints it, tagged with whether it
+   acts on MPI messages or ranks only (every kind but a flip). *)
+let entries p =
+  let f fmt = Format.asprintf fmt in
+  List.map
+    (fun r ->
+      ( true,
+        f "msg %a->%a tag %a: %a%s" pp_opt r.r_src pp_opt r.r_dst pp_opt
+          r.r_tag pp_action r.r_action
+          (if r.r_limit < 0 then ""
+           else Printf.sprintf " (first %d msg(s))" r.r_limit) ))
+    p.rules
+  @ List.map
+      (fun (r, at, d) -> true, f "stall rank %d at t>=%.6g for %.6g" r at d)
+      p.stalls
+  @ List.map (fun (r, at) -> true, f "kill rank %d at t>=%.6g" r at) p.kills
+  @ List.map
+      (fun (r, c, b, at) ->
+        false, f "flip rank %d cell %d bit %d at t>=%.6g" r c b at)
+      p.flips
+  @ List.map
+      (fun (n, b, sticky) ->
+        ( true,
+          f "corrupt packed msg #%d byte %d%s" n b
+            (if sticky then " (sticky)" else "") ))
+      p.corrupts
+
 let pp_plan ppf p =
   Format.fprintf ppf
     "fault plan %S (seed %d, drop_prob %.6g, max_retries %d, backoff %.6g)"
     p.name p.seed p.drop_prob p.max_retries p.backoff;
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "@\n  msg %a->%a tag %a: %a%s" pp_opt r.r_src pp_opt
-        r.r_dst pp_opt r.r_tag pp_action r.r_action
-        (if r.r_limit < 0 then ""
-         else Printf.sprintf " (first %d msg(s))" r.r_limit))
-    p.rules;
-  List.iter
-    (fun (r, at, d) ->
-      Format.fprintf ppf "@\n  stall rank %d at t>=%.6g for %.6g" r at d)
-    p.stalls;
-  List.iter
-    (fun (r, at) -> Format.fprintf ppf "@\n  kill rank %d at t>=%.6g" r at)
-    p.kills;
-  List.iter
-    (fun (r, c, b, at) ->
-      Format.fprintf ppf "@\n  flip rank %d cell %d bit %d at t>=%.6g" r c b
-        at)
-    p.flips;
-  List.iter
-    (fun (n, b, sticky) ->
-      Format.fprintf ppf "@\n  corrupt packed msg #%d byte %d%s" n b
-        (if sticky then " (sticky)" else ""))
-    p.corrupts
+  List.iter (fun (_, e) -> Format.fprintf ppf "@\n  %s" e) (entries p)
+
+(** The entries of [p] that act only on MPI messages or ranks, as
+    {!pp_plan} prints them: a random drop probability, message rules,
+    stalls, kills and packed-message corruption. A program without MPI
+    gives none of them anything to act on. *)
+let mpi_entries p =
+  (if p.drop_prob > 0.0 then [ Printf.sprintf "drop_prob %.6g" p.drop_prob ]
+   else [])
+  @ List.filter_map (fun (mpi, e) -> if mpi then Some e else None) (entries p)

@@ -192,6 +192,8 @@ expect_exit 9 faults --app bude --plan "$BUDE_FLIP"
 expect_output "silent data corruption" "bude flip printed no corruption notice"
 expect_exit 0 recover --app bude --plan "$BUDE_FLIP"
 expect_output "recovery: 1 restart(s)" "bude recover reported no restart"
+expect_output "^wall: .* (replays included)$" \
+  "bude recover printed no wall line counting the restarted run"
 grep "^d_poses" "$OUT/check.out" > "$OUT/bude-rec.out"
 $PARAD faults --app bude --plan none 2>/dev/null | grep "^d_poses" \
   > "$OUT/bude-clean.out"
@@ -201,6 +203,11 @@ $PARAD faults --app bude --plan none 2>/dev/null | grep "^d_poses" \
   diff "$OUT/bude-clean.out" "$OUT/bude-rec.out" || true
   exit 1
 }
+# miniBUDE has no MPI variant: recover's default plan, kill, names a
+# rank that cannot fail there, and the run says so after the plan
+expect_exit 0 recover --app bude
+expect_output "cannot fire: kill rank 0 at t>=0" \
+  "bude recover did not name the plan entries it cannot act on"
 
 # ---- one outcome path: each failure kind exits with its class's code ----
 
