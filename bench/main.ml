@@ -35,15 +35,34 @@ let micro ~quick:_ =
   let open Bechamel in
   let lulesh_prog = Apps_lulesh.Lulesh.program Apps_lulesh.Lulesh.Omp in
   let bude_prog = Apps_minibude.Minibude.program () in
-  (* the post-AD pipeline runs on every plan compile *)
+  (* the post-AD pipeline runs on every plan compile, over the functions
+     the gradient reaches *)
   let post_ad flavor =
     let name = Apps_lulesh.Lulesh.flavor_name flavor in
-    let rprog, _ =
+    let rprog, dname =
       Parad_core.Reverse.gradient (Apps_lulesh.Lulesh.program flavor) name
     in
     Test.make ~name:("post_ad pipeline " ^ name)
       (Staged.stage (fun () ->
-           ignore (Parad_opt.Pipeline.run rprog Parad_opt.Pipeline.post_ad)))
+           ignore
+             (Parad_opt.Pipeline.run_from rprog dname
+                Parad_opt.Pipeline.post_ad)))
+  in
+  (* two of its parts on the emitted LULESH MPI gradient: the verifier,
+     which runs after every pass, and the register promotion *)
+  let mpi_rprog, mpi_dname =
+    Parad_core.Reverse.gradient
+      (Apps_lulesh.Lulesh.program Apps_lulesh.Lulesh.Mpi)
+      "lulesh_mpi"
+  in
+  let verify_mpi =
+    Test.make ~name:"verify lulesh_mpi"
+      (Staged.stage (fun () -> Parad_ir.Verifier.check_prog mpi_rprog))
+  in
+  let mem_forward_mpi =
+    let d = Parad_ir.Prog.find_exn mpi_rprog mpi_dname in
+    Test.make ~name:"mem_forward d_lulesh_mpi"
+      (Staged.stage (fun () -> ignore (Parad_opt.Mem_forward.run_func d)))
   in
   (* plan compilation after the post-AD pipeline: engine lowering of the
      gradient function, alone and behind the whole cold compile *)
@@ -53,7 +72,7 @@ let micro ~quick:_ =
   in
   let omp_grad =
     let rprog, dname = Parad_core.Reverse.gradient lulesh_prog "lulesh_omp" in
-    Parad_opt.Pipeline.run rprog Parad_opt.Pipeline.post_ad, dname
+    Parad_opt.Pipeline.run_from rprog dname Parad_opt.Pipeline.post_ad, dname
   in
   let tiny =
     {
@@ -119,6 +138,8 @@ let micro ~quick:_ =
                     Parad_opt.Pipeline.o2)));
         post_ad Apps_lulesh.Lulesh.Omp;
         post_ad Apps_lulesh.Lulesh.Mpi;
+        verify_mpi;
+        mem_forward_mpi;
         Test.make ~name:"engine lower lulesh_omp"
           (Staged.stage (fun () -> lower (fst omp_grad) (snd omp_grad)));
         Test.make ~name:"cold compile lulesh_omp"
@@ -128,7 +149,8 @@ let micro ~quick:_ =
                  Parad_core.Reverse.gradient prog "lulesh_omp"
                in
                lower
-                 (Parad_opt.Pipeline.run rprog Parad_opt.Pipeline.post_ad)
+                 (Parad_opt.Pipeline.run_from rprog dname
+                    Parad_opt.Pipeline.post_ad)
                  dname));
         tape_lulesh;
         engine_lulesh;

@@ -89,7 +89,8 @@ let gradient_cmd =
     let prog = program_of_name fname in
     let dprog, dname = Parad_core.Reverse.gradient prog fname in
     let dprog =
-      if optimize then Parad_opt.Pipeline.run dprog Parad_opt.Pipeline.post_ad
+      if optimize then
+        Parad_opt.Pipeline.run_from dprog dname Parad_opt.Pipeline.post_ad
       else dprog
     in
     print_endline (Printer.func_to_string (Prog.find_exn dprog dname));

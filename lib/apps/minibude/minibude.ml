@@ -347,7 +347,8 @@ let compile ?(opts = Parad_core.Plan.default_options) ?(post_opt = true)
     Parad_core.Reverse.gradient ~opts prog (variant_name variant)
   in
   let dprog =
-    if post_opt then Parad_opt.Pipeline.run dprog Parad_opt.Pipeline.post_ad
+    if post_opt then
+      Parad_opt.Pipeline.run_from dprog dname Parad_opt.Pipeline.post_ad
     else dprog
   in
   { c_variant = variant; c_ntasks = ntasks; c_opts = opts; c_prog = prog;
@@ -435,7 +436,7 @@ let gradient_restarting ?nthreads ?san ?faults ?deadline ?engine
     [ge_seeds.(l)]. Returns one {!grad_result} per lane, each column
     bit-identical to a standalone run with [~ge_seed:ge_seeds.(l)]. *)
 let gradient_batched ?nthreads ?san ?faults ?deadline
-    ?(engine = Engine.Interp) (c : compiled) ~ge_seeds (inp : input) :
+    ?(engine = Engine.Interp) ?stats (c : compiled) ~ge_seeds (inp : input) :
     grad_result array =
   let seeds = c.c_opts.Parad_core.Plan.seeds in
   if Array.length ge_seeds <> seeds then
@@ -448,7 +449,7 @@ let gradient_batched ?nthreads ?san ?faults ?deadline
   let shadows = ref [] in
   let outs = ref [] in
   let res =
-    Exec.run ~cfg ?san ?faults ?deadline
+    Exec.run ~cfg ?san ?faults ?deadline ?stats
       ~call:(Engine.call_fn c.c_eng engine) c.c_dprog ~fname:c.c_dname
       ~setup:(fun ctx ->
         let args, bufs = setup_args variant inp ctx in

@@ -9,7 +9,11 @@
 
     - within a segment, a load from a non-escaping allocation at a known
       constant index is replaced by the last value stored there, and
-      stores overwritten (or freed) before any possible read are deleted;
+      stores overwritten (or freed) before any possible read are deleted.
+      A store that overwrites such a store and writes back what the cell
+      held before it goes too (an accumulate, then a zeroing, of a cell
+      that held zero), so one run leaves nothing a second run would
+      delete;
     - allocations are zero-initialized ([Memory.alloc] fills with
       [zero_of]), so loads from never-written cells fold to the zero
       constant in scope (a new one only when none is), and stores of
@@ -56,27 +60,31 @@
     site is listed once, in walk order, and a region's summary is its
     range of that list, computed once rather than once per enclosing
     loop; one table holds the stores not yet observed; and an
-    instruction is rebuilt only when an operand's alias differs. The
-    iteration order of the cell tables is part of the output, because
-    an If merge numbers its phis in it, so they stay hash tables, and a
-    kill filters them in place, which leaves the surviving cells in
-    their order. *)
+    instruction is rebuilt only when an operand's alias differs. Cell
+    facts are persistent maps, so the state a child region or a loop
+    walk starts from is shared, not copied; a loop's entry state is its
+    parent's with the written cells it does not seed marked unknown,
+    and a walk that drops seeds marks only those. An If merge walks the
+    cells either branch has a fact for and numbers its phis in cell
+    order (base, then index). *)
 
 open Parad_ir
 open Rewrite
 
 module IS = Set.Make (Int)
 
-(* Cells of tracked buffers, keyed (base, constant index). Hashed exactly
-   like the generic table: an If merge visits cells in this table's
-   order and numbers the phis it creates in that order, so the order is
-   part of the pass's output. *)
-module CH = Hashtbl.Make (struct
+(* Cells of tracked buffers, keyed (base, constant index) and ordered by
+   base, then index: an If merge numbers the phis it creates in this
+   order. *)
+module Cell = struct
   type t = int * int
 
-  let equal ((b, i) : t) ((b', i') : t) = b = b' && i = i'
-  let hash = Hashtbl.hash
-end)
+  let compare ((b, i) : t) ((b', i') : t) =
+    if b <> b' then Int.compare b b' else Int.compare i i'
+end
+
+module CM = Map.Make (Cell)
+module CS = Set.Make (Cell)
 
 (* Var-id-indexed facts; fresh variables (If-merge phis and zeros) grow
    the table. *)
@@ -124,33 +132,27 @@ type aval = Val of Var.t | Zero | Unk
 
 (* The walk's knowledge at a program point: explicit cell facts, and
    the eligible allocations still all zero where no fact says otherwise.
-   A child region walks a copy; [zero] is persistent, so only [facts] is
-   copied. *)
-type state = { mutable facts : aval CH.t; mutable zero : IS.t }
+   Both are persistent, so the copy a child region walks costs nothing. *)
+type state = { mutable facts : aval CM.t; mutable zero : IS.t }
 
-(* every cell table starts at this size, as a reset table returns to it *)
-let initial_cells = 32
+let copy st = { st with facts = st.facts }
 
-let copy st = { st with facts = CH.copy st.facts }
+(* what a cell holds where [facts] has no entry for it *)
+let fill zero (b, _) = if IS.mem b zero then Zero else Unk
 
 let lookup st key =
-  match CH.find_opt st.facts key with
-  | Some a -> a
-  | None -> if IS.mem (fst key) st.zero then Zero else Unk
+  match CM.find_opt key st.facts with Some a -> a | None -> fill st.zero key
 
-let set st key a = CH.replace st.facts key a
+let set st key a = st.facts <- CM.add key a st.facts
 
-(* in place: the cells left keep their order, which numbers merge phis *)
 let kill st b =
-  CH.filter_map_inplace
-    (fun (b', _) a -> if b' = b then None else Some a)
-    st.facts;
+  st.facts <- CM.filter (fun (b', _) _ -> b' <> b) st.facts;
   st.zero <- IS.remove b st.zero
 
 (* Syntactic may-write summary of a region over eligible bases:
-   constant-index cells written (in first-write order), and bases
-   written at unknown indices / atomically / freed (whole-base kills). *)
-type summary = { s_cells : unit CH.t; s_bases : IS.t }
+   constant-index cells written, and bases written at unknown indices /
+   atomically / freed (whole-base kills). *)
+type summary = { s_cells : CS.t; s_bases : IS.t }
 
 (* A region instruction of the input: the function's write sites nested
    in it (base, index — [None] for a free), as a range of one array
@@ -238,6 +240,12 @@ let run_func (f : Func.t) : Func.t =
     | Val v -> is_plus_zero v
     | Unk -> false
   in
+  (* the cell is known to hold [x] already *)
+  let holds_val x = function
+    | Val y -> same_val y x
+    | Zero -> is_plus_zero x
+    | Unk -> false
+  in
   (* the zero fill of an allocation, as a constant, when representable *)
   let zero_const_of (ty : Ty.t) =
     match ty with
@@ -278,28 +286,30 @@ let run_func (f : Func.t) : Func.t =
     match n.summary with
     | Some (late, s) when late = !late_ints -> s
     | _ ->
-      let cells = CH.create 16 in
-      let bases = ref IS.empty in
+      let cells = ref CS.empty and bases = ref IS.empty in
       for k = n.lo to n.hi - 1 do
         let b, ix = sites.(k) in
         match Option.bind ix cint with
-        | Some idx -> CH.replace cells (b, idx) ()
+        | Some idx -> cells := CS.add (b, idx) !cells
         | None -> bases := IS.add b !bases
       done;
-      let s = { s_cells = cells; s_bases = !bases } in
+      let s = { s_cells = !cells; s_bases = !bases } in
       n.summary <- Some (!late_ints, s);
       s
   in
   (* apply a child region's may-write summary to the parent state *)
   let apply_summary s st =
-    CH.iter (fun key () -> set st key Unk) s.s_cells;
+    CS.iter (fun key -> set st key Unk) s.s_cells;
     IS.iter (kill st) s.s_bases
   in
   (* Stores of the region body being walked that nothing has observed
-     yet: base -> index -> the store's position in the body's output.
+     yet: base -> index -> the store's position in the body's output,
+     and what the cell held before it once the dead stores are gone.
      Every region boundary observes them all, so one table serves the
      whole walk. *)
-  let pending : (int, (int, int) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
+  let pending : (int, (int, int * aval) Hashtbl.t) Hashtbl.t =
+    Hashtbl.create 16
+  in
   let observe_all () =
     if Hashtbl.length pending > 0 then Hashtbl.reset pending
   in
@@ -351,14 +361,27 @@ let run_func (f : Func.t) : Func.t =
        Only the last walk's body is kept; a discarded walk takes back the
        loads it folded. *)
     let loop_body (n : rnode) (r : Instr.region) =
-      (* the written cells' known entry values, in reverse summary order *)
+      let s = summary n in
+      observe_all ();
+      (* the written cells' known entry values *)
       let seeds =
-        CH.fold
-          (fun key () acc ->
+        CS.fold
+          (fun key acc ->
             match lookup st key with Unk -> acc | a -> (key, a) :: acc)
-          (summary n).s_cells []
+          s.s_cells []
       in
-      ignore (enter_region n);
+      (* [st] becomes the state at every iteration's entry: a written
+         cell holds its seed, or nothing known. A seed cell keeps the
+         fact it already has unless its base is killed. *)
+      CS.iter
+        (fun key -> match lookup st key with Unk -> set st key Unk | _ -> ())
+        s.s_cells;
+      if not (IS.is_empty s.s_bases) then begin
+        IS.iter (kill st) s.s_bases;
+        List.iter
+          (fun (((b, _) as key), a) -> if IS.mem b s.s_bases then set st key a)
+          seeds
+      end;
       let holds k (key, a) =
         match a, lookup k key with
         | Val v, Val v' -> same_val v v'
@@ -367,18 +390,14 @@ let run_func (f : Func.t) : Func.t =
       in
       let rec fix seeds =
         let k = copy st in
-        List.iter (fun (key, a) -> set k key a) seeds;
         let mark = !folded in
         let r' = walk_child k r (List.hd n.subs) in
-        let kept = List.filter (holds k) seeds in
-        if List.compare_lengths kept seeds = 0 then begin
-          List.iter (fun (key, a) -> set st key a) seeds;
-          r'
-        end
-        else begin
+        match List.partition (holds k) seeds with
+        | _, [] -> r'
+        | kept, dropped ->
           unfold_since mark;
+          List.iter (fun (key, _) -> set st key Unk) dropped;
           fix kept
-        end
       in
       fix seeds
     in
@@ -394,37 +413,41 @@ let run_func (f : Func.t) : Func.t =
           (* branches may read anything still pending *)
           observe_all ();
           (* the then-branch walks the parent's own state, which the
-             merge rebuilds from scratch *)
+             merge replaces *)
           let ke = copy st in
           let t' = walk_child st t tsub in
           let e' = walk_child ke e esub in
-          let kt = { st with facts = st.facts } in
-          (* merge the branch exits; disagreeing known cells become
-             fresh If results (the mem2reg phi) *)
-          let keys = CH.create 16 in
-          CH.iter (fun k _ -> CH.replace keys k ()) kt.facts;
-          CH.iter (fun k _ -> CH.replace keys k ()) ke.facts;
-          st.facts <- CH.create initial_cells;
+          let kt = copy st in
+          (* merge the branch exits over the cells either one has a fact
+             for; disagreeing known cells become fresh If results (the
+             mem2reg phi) *)
           st.zero <- IS.inter kt.zero ke.zero;
           let promote = ref [] in
-          CH.iter
-            (fun key () ->
-              let mt = lookup kt key and me = lookup ke key in
-              let merged =
-                match mt, me with
-                | Unk, _ | _, Unk -> Unk
-                | Val a, Val b when Var.id a = Var.id b -> Val a
-                (* two zeros, or two equal constants, may each be defined
-                   in its own branch: only a phi or [Zero] is in scope *)
-                | _ when holds_zero mt && holds_zero me -> Zero
-                | (Val _ | Zero), (Val _ | Zero) ->
-                  promote := (key, mt, me) :: !promote;
-                  Unk
-              in
-              match merged with
-              | Unk -> if IS.mem (fst key) st.zero then set st key Unk
-              | a -> set st key a)
-            keys;
+          st.facts <-
+            CM.merge
+              (fun key at ae ->
+                let side k = function Some a -> a | None -> fill k.zero key in
+                let mt = side kt at and me = side ke ae in
+                let merged =
+                  match mt, me with
+                  | Unk, _ | _, Unk -> Unk
+                  | Val a, Val b when Var.id a = Var.id b -> Val a
+                  (* two zeros, or two equal constants, may each be
+                     defined in its own branch: only a phi or [Zero] is
+                     in scope *)
+                  | _ when holds_zero mt && holds_zero me -> Zero
+                  | (Val _ | Zero), (Val _ | Zero) ->
+                    promote := (key, mt, me) :: !promote;
+                    Unk
+                in
+                match merged with
+                | Unk -> if IS.mem (fst key) st.zero then Some Unk else None
+                | a -> Some a)
+              kt.facts ke.facts;
+          (* phis are numbered in cell order *)
+          let promote =
+            List.sort (fun (k, _, _) (k', _, _) -> Cell.compare k k') !promote
+          in
           (* materialize promoted cells: extend results and both yields *)
           let extra_res = ref [] and extra_t = ref [] and extra_e = ref [] in
           let materialize (extras : Instr.t list ref) side_zero_ty a =
@@ -445,12 +468,6 @@ let run_func (f : Func.t) : Func.t =
              of this pass materialized.  Without this, re-running the pass
              re-promotes the same cells into fresh results every time and
              the post-AD pipeline stops being idempotent. *)
-          let matches a y =
-            match a with
-            | Val v -> same_val v y
-            | Zero -> is_plus_zero y
-            | Unk -> false
-          in
           let reuse =
             let yields (r : Instr.region) =
               match List.rev r.Instr.body with
@@ -463,7 +480,7 @@ let run_func (f : Func.t) : Func.t =
                 let rec find rs yt ye =
                   match rs, yt, ye with
                   | r :: _, a :: _, bv :: _
-                    when Var.ty r = ty && matches mt a && matches me bv ->
+                    when Var.ty r = ty && holds_val a mt && holds_val bv me ->
                     Some r
                   | _ :: rs', _ :: yt', _ :: ye' -> find rs' yt' ye'
                   | _ -> None
@@ -506,7 +523,7 @@ let run_func (f : Func.t) : Func.t =
                     created := (ty, mt, me, r) :: !created;
                     set st key (Val r)
                   | _ -> ())))
-            !promote;
+            promote;
           let extend (r : Instr.region) pre extras =
             match List.rev r.Instr.body with
             | Instr.Yield vs :: rest ->
@@ -558,15 +575,10 @@ let run_func (f : Func.t) : Func.t =
         | Instr.Store (p, ix, x) when eligible (Var.id p) -> (
           let b = Var.id p in
           match cint ix with
-          | Some idx ->
+          | Some idx -> (
             let key = b, idx in
-            let redundant =
-              match lookup st key with
-              | Val y -> same_val y x
-              | Zero -> is_plus_zero x
-              | Unk -> false
-            in
-            if not redundant then begin
+            let cur = lookup st key in
+            if not (holds_val x cur) then
               let cells =
                 match Hashtbl.find_opt pending b with
                 | Some cells -> cells
@@ -575,14 +587,26 @@ let run_func (f : Func.t) : Func.t =
                   Hashtbl.replace pending b cells;
                   cells
               in
-              (* previous unobserved store to the same cell is dead *)
-              (match Hashtbl.find_opt cells idx with
-              | Some pos -> dead := pos :: !dead
-              | None -> ());
-              set st key (Val x);
-              Hashtbl.replace cells idx !n_out;
-              emit i
-            end
+              match Hashtbl.find_opt cells idx with
+              | Some (pos, before) when holds_val x before ->
+                (* the unobserved store before this one is dead, and
+                   this one writes back what the cell held before that:
+                   both go, as a second run would drop this one *)
+                dead := pos :: !dead;
+                Hashtbl.remove cells idx;
+                set st key before
+              | prev ->
+                (* a previous unobserved store to the same cell is dead *)
+                let before =
+                  match prev with
+                  | Some (pos, before) ->
+                    dead := pos :: !dead;
+                    before
+                  | None -> cur
+                in
+                set st key (Val x);
+                Hashtbl.replace cells idx (!n_out, before);
+                emit i)
           | None ->
             kill_base b;
             emit i)
@@ -642,7 +666,8 @@ let run_func (f : Func.t) : Func.t =
         | Instr.Free p when eligible (Var.id p) ->
           (* stores never observed before the free are dead *)
           (match Hashtbl.find_opt pending (Var.id p) with
-          | Some cells -> Hashtbl.iter (fun _ pos -> dead := pos :: !dead) cells
+          | Some cells ->
+            Hashtbl.iter (fun _ (pos, _) -> dead := pos :: !dead) cells
           | None -> ());
           kill_base (Var.id p);
           emit i
@@ -653,9 +678,7 @@ let run_func (f : Func.t) : Func.t =
           let is_private b =
             match private_bases with Some t -> IS.mem b !t | None -> false
           in
-          CH.filter_map_inplace
-            (fun (b, _) v -> if is_private b then Some v else None)
-            st.facts;
+          st.facts <- CM.filter (fun (b, _) _ -> is_private b) st.facts;
           st.zero <- IS.filter is_private st.zero;
           emit i
         | Instr.Return _ | Instr.Yield _ ->
@@ -683,6 +706,6 @@ let run_func (f : Func.t) : Func.t =
       in
       keep (!n_out - 1) !out []
   in
-  let st = { facts = CH.create initial_cells; zero = IS.empty } in
+  let st = { facts = CM.empty; zero = IS.empty } in
   let body = go st None f.body roots in
   { f with body; var_count = ctx.next }

@@ -29,22 +29,17 @@ let o2 = [ inline (); fold; cse; licm; cse; dce ]
 let o2_openmp = [ inline (); fold; cse; licm; openmp_opt (); cse; dce ]
 
 (** Post-AD cleanup: promote adjoint-register slots (mem2reg analog),
-    fold, and sweep dead code. The second [mem_forward] picks up the
-    stores the first round's forwarding left dead (their loads are gone
-    only after cse/dce), which also makes the pipeline a fixpoint. The
-    reverse pass no longer writes that shape (one constant per value,
-    block-local adjoints as SSA values), so on the bundled app
-    gradients the second run deletes nothing — the golden post-AD
-    programs print the same without it — and costs about 0.9 ms on
-    LULESH OMP and MPI, where it used to delete ~500 instructions in
-    1.5 and 4.0 ms. It still catches a register nest written in the
-    old per-access shape (test_opt's "registers promoted through a
-    loop nest"). Fork fusion (Fig 4) is kept separate as an ablation:
-    see [post_ad_fuse]. *)
-let post_ad = [ mem_forward; fold; cse; licm; cse; mem_forward; dce ]
+    fold, and sweep dead code. One [mem_forward] run suffices: it also
+    drops a store that writes back what its cell held before an
+    unobserved store it overwrites (the accumulate-then-zero shape of a
+    register nest written per access), so a second run after cse/dce
+    finds nothing, and running the pipeline again is a no-op. Fork
+    fusion (Fig 4) is kept separate as an ablation: see
+    [post_ad_fuse]. *)
+let post_ad = [ mem_forward; fold; cse; licm; cse; dce ]
 
 let post_ad_fuse =
-  [ mem_forward; fold; cse; licm; openmp_opt (); cse; mem_forward; dce ]
+  [ mem_forward; fold; cse; licm; openmp_opt (); cse; dce ]
 
 (** Apply passes to one function of a program, in order, verifying the
     result; returns a new program. *)
@@ -68,3 +63,12 @@ let run (prog : Prog.t) passes =
   List.fold_left
     (fun prog (f : Func.t) -> run_on prog f.name passes)
     prog (Prog.functions prog)
+
+(** Apply passes to every function [entry] reaches through calls and
+    spawns ({!Prog.reachable}); the others stay as they are. A gradient
+    program carries its source functions verbatim, and no gradient calls
+    them, so a plan compile optimizes only what its entry runs. *)
+let run_from (prog : Prog.t) entry passes =
+  List.fold_left
+    (fun prog (f : Func.t) -> run_on prog f.name passes)
+    prog (Prog.reachable prog entry)

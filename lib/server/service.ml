@@ -434,10 +434,10 @@ let lulesh_input rq =
     escale = rq.rq_escale;
   }
 
-(* One attempt; raises on failure. Returns (class, digest, total,
-   makespan, instrs, wall_ns) — class can still be degraded/findings
-   when a sanitizer ran in degrade mode. *)
-let attempt rq plan ~faults =
+(* One attempt, counting into [stats]; raises on failure. Returns (class,
+   digest, total, makespan, instrs) — class can still be
+   degraded/findings when a sanitizer ran in degrade mode. *)
+let attempt rq plan ~faults ~stats =
   let san = Option.map (fun mode -> Sanitizer.create ~mode ()) rq.rq_san in
   let deadline = rq.rq_deadline in
   let sanitizer_class () =
@@ -448,7 +448,7 @@ let attempt rq plan ~faults =
     (* binomial driver: no sanitizer hook, but fault-supervised *)
     let b =
       L.gradient_binomial ~nthreads:rq.rq_nthreads ~nranks:rq.rq_nranks
-        ?faults ~compiled:c ~deadline ~engine:rq.rq_engine
+        ?faults ~compiled:c ~deadline ~engine:rq.rq_engine ~stats
         ~budget:rq.rq_budget
         (match rq.rq_app with Lulesh fl -> fl | Bude _ -> assert false)
         (lulesh_input rq)
@@ -458,8 +458,7 @@ let attempt rq plan ~faults =
       digest_lulesh g,
       g.L.g_total,
       g.L.g_makespan,
-      g.L.g_stats.Stats.instrs,
-      g.L.g_stats.Stats.wall_ns )
+      g.L.g_stats.Stats.instrs )
   | Plulesh c, Lulesh _ when rq.rq_seeds > 1 ->
     (* one taping pass, one k-wide reverse sweep: lane [l] seeded with
        [l + 1], matching `parad grad --seeds` *)
@@ -468,26 +467,24 @@ let attempt rq plan ~faults =
     in
     let gs =
       L.gradient_batched ~nthreads:rq.rq_nthreads ?faults ?san ~deadline
-        ~engine:rq.rq_engine c ~d_rets (lulesh_input rq)
+        ~engine:rq.rq_engine ~stats c ~d_rets (lulesh_input rq)
     in
     ( sanitizer_class (),
       digest_lulesh_lanes gs,
       gs.(0).L.g_total,
       gs.(0).L.g_makespan,
-      gs.(0).L.g_stats.Stats.instrs,
-      gs.(0).L.g_stats.Stats.wall_ns )
+      gs.(0).L.g_stats.Stats.instrs )
   | Plulesh c, Lulesh _ ->
     let g =
       L.gradient_compiled ~nthreads:rq.rq_nthreads ~nranks:rq.rq_nranks
         ?faults ?san ?inject_nan:rq.rq_inject_nan ~deadline
-        ~engine:rq.rq_engine c (lulesh_input rq)
+        ~engine:rq.rq_engine ~stats c (lulesh_input rq)
     in
     ( sanitizer_class (),
       digest_lulesh g,
       g.L.g_total,
       g.L.g_makespan,
-      g.L.g_stats.Stats.instrs,
-      g.L.g_stats.Stats.wall_ns )
+      g.L.g_stats.Stats.instrs )
   | Pbude c, Bude _ when rq.rq_seeds > 1 ->
     let inp = MB.deck ~nposes:rq.rq_nposes ~natlig:4 ~natpro:6 in
     let ge_seeds =
@@ -495,26 +492,24 @@ let attempt rq plan ~faults =
     in
     let gs =
       MB.gradient_batched ~nthreads:rq.rq_nthreads ?san ?faults ~deadline
-        ~engine:rq.rq_engine c ~ge_seeds inp
+        ~engine:rq.rq_engine ~stats c ~ge_seeds inp
     in
     ( sanitizer_class (),
       digest_bude_lanes gs,
       Array.fold_left ( +. ) 0.0 gs.(0).MB.g_energies,
       gs.(0).MB.g_makespan,
-      gs.(0).MB.g_stats.Stats.instrs,
-      gs.(0).MB.g_stats.Stats.wall_ns )
+      gs.(0).MB.g_stats.Stats.instrs )
   | Pbude c, Bude _ ->
     let inp = MB.deck ~nposes:rq.rq_nposes ~natlig:4 ~natpro:6 in
     let g =
       MB.gradient_compiled ~nthreads:rq.rq_nthreads ?san ?faults ~deadline
-        ~engine:rq.rq_engine c inp
+        ~engine:rq.rq_engine ~stats c inp
     in
     ( sanitizer_class (),
       digest_bude g,
       Array.fold_left ( +. ) 0.0 g.MB.g_energies,
       g.MB.g_makespan,
-      g.MB.g_stats.Stats.instrs,
-      g.MB.g_stats.Stats.wall_ns )
+      g.MB.g_stats.Stats.instrs )
   | Plulesh _, Bude _ | Pbude _, Lulesh _ ->
     invalid_arg "Service.attempt: plan/app mismatch (cache key collision)"
 
@@ -523,11 +518,14 @@ let attempt rq plan ~faults =
    gone), so a deterministic retry genuinely succeeds; detected data
    corruption likewise consumes the fired flip or message-corruption
    event from the plan's budget; other transient failures retry with
-   unchanged state and are bounded by the budget. *)
+   unchanged state and are bounded by the budget. Each attempt counts
+   into its own [Stats]; the host time of every attempt, failed ones
+   included, is summed into [x_wall_ns]. *)
 let execute t rq plan =
-  let rec go ~faults ~tries ~backoff =
-    match attempt rq plan ~faults with
-    | cls, digest, total, cycles, instrs, wall_ns ->
+  let rec go ~faults ~tries ~backoff ~wall_ns =
+    let stats = Stats.create () in
+    match attempt rq plan ~faults ~stats with
+    | cls, digest, total, cycles, instrs ->
       {
         x_class = cls;
         x_error = None;
@@ -535,7 +533,7 @@ let execute t rq plan =
         x_total = Some total;
         x_cycles = cycles +. backoff;
         x_instrs = instrs;
-        x_wall_ns = wall_ns;
+        x_wall_ns = wall_ns + stats.Stats.wall_ns;
         x_retries = tries;
       }
     | exception e when Outcome.transient e && tries < t.cfg.retries ->
@@ -552,6 +550,7 @@ let execute t rq plan =
       in
       let pause = backoff_cycles *. Float.of_int (1 lsl tries) in
       go ~faults ~tries:(tries + 1) ~backoff:(backoff +. pause)
+        ~wall_ns:(wall_ns + stats.Stats.wall_ns)
     | exception e ->
       let cls, msg = Outcome.classify e in
       {
@@ -561,11 +560,11 @@ let execute t rq plan =
         x_total = None;
         x_cycles = backoff;
         x_instrs = 0;
-        x_wall_ns = 0;
+        x_wall_ns = wall_ns + stats.Stats.wall_ns;
         x_retries = tries;
       }
   in
-  go ~faults:rq.rq_faults ~tries:0 ~backoff:0.0
+  go ~faults:rq.rq_faults ~tries:0 ~backoff:0.0 ~wall_ns:0
 
 (* ---- responses ---- *)
 

@@ -122,7 +122,8 @@ let differentiate ?(opts = Parad_core.Plan.default_options)
     ?(post_opt = true) prog fname =
   let dprog, dname = Parad_core.Reverse.gradient ~opts prog fname in
   let dprog =
-    if post_opt then Parad_opt.Pipeline.run dprog Parad_opt.Pipeline.post_ad
+    if post_opt then
+      Parad_opt.Pipeline.run_from dprog dname Parad_opt.Pipeline.post_ad
     else dprog
   in
   dprog, dname

@@ -131,6 +131,162 @@ let test_one_def_per_sibling_branch_accepted () =
   | Ok () -> ()
   | Error m -> Alcotest.failf "sibling definitions rejected: %s" m
 
+(* One malformed function per [fail] site of the verifier, each with the
+   exact message it raises. [malformed name tys body] builds function
+   [name] whose var [k] has id [k] and type [tys.(k)], with the vars
+   numbered by [params] as parameters, return type [ret], var count
+   [var_count] (by default the number of vars) and body [body vars]. *)
+let malformed name ?(ret = Ty.Unit) ?(params = []) ?var_count tys body =
+  let vs =
+    Array.of_list (List.mapi (fun id ty -> Var.make ~id ~ty ~name:"v") tys)
+  in
+  let var_count = Option.value var_count ~default:(Array.length vs) in
+  let params = List.map (fun k -> vs.(k)) params in
+  let prog = Prog.create () in
+  Prog.add prog
+    (Func.make ~name ~params
+       ~attrs:(List.map (fun _ -> Func.default_attr) params)
+       ~ret_ty:ret ~body:(body vs) ~var_count);
+  prog
+
+let test_every_message () =
+  let open Instr in
+  let i0 v = Const (v, Cint 0) and f0 v = Const (v, Cfloat 0.0) in
+  let fork ?(params = fun tid nth -> [ tid; nth ]) (v : Var.t array) body =
+    (* v.(0) width, v.(1) tid, v.(2) nth *)
+    let body = region ~params:(params v.(1) v.(2)) body in
+    [ i0 v.(0); Fork { tid = v.(1); nth = v.(0); body }; Return None ]
+  in
+  let cases =
+    [
+      ( "var out of range",
+        malformed "f" ~var_count:1 [ Ty.Int; Ty.Int ] (fun v ->
+            [ i0 v.(1); Return None ]),
+        "f: var %v.1 out of range" );
+      ( "return not in tail position",
+        malformed "f" [] (fun _ -> [ Return None; Return None ]),
+        "f: return not in tail position" );
+      ( "yield not in tail position",
+        malformed "f" [ Ty.Bool ] ~params:[ 0 ] (fun v ->
+            [ If ([], v.(0), region [ Yield []; Yield [] ],
+                  region [ Yield [] ]);
+              Return None ]),
+        "f: yield not in tail position" );
+      ( "missing return value",
+        malformed "f" ~ret:Ty.Float [] (fun _ -> [ Return None ]),
+        "f: missing return value of type f64" );
+      ( "body must end in return",
+        malformed "f" [] (fun _ -> []),
+        "f: body must end in return" );
+      ( "yield arity",
+        malformed "f" [ Ty.Bool; Ty.Float ] ~params:[ 0 ] (fun v ->
+            [ If ([ v.(1) ], v.(0), region [ Yield [] ], region [ Yield [] ]);
+              Return None ]),
+        "f: yield arity mismatch" );
+      ( "yield type",
+        malformed "f" [ Ty.Bool; Ty.Float; Ty.Int ] ~params:[ 0 ] (fun v ->
+            [ If ([ v.(1) ], v.(0), region [ i0 v.(2); Yield [ v.(2) ] ],
+                  region [ Yield [ v.(2) ] ]);
+              Return None ]),
+        "f: yield: expected f64, got i64" );
+      ( "region must end in yield",
+        malformed "f" [ Ty.Bool ] ~params:[ 0 ] (fun v ->
+            [ If ([], v.(0), region [], region [ Yield [] ]); Return None ]),
+        "f: region must end in yield" );
+      ( "terminator in a plain region",
+        malformed "f" [ Ty.Int; Ty.Int ] (fun v ->
+            [ i0 v.(0);
+              For { iv = v.(1); lo = v.(0); hi = v.(0); step = v.(0);
+                    body = region ~params:[ v.(1) ] [ Yield [] ] };
+              Return None ]),
+        "f: unexpected terminator in plain region" );
+      ( "for body params",
+        malformed "f" [ Ty.Int; Ty.Int ] (fun v ->
+            [ i0 v.(0);
+              For { iv = v.(1); lo = v.(0); hi = v.(0); step = v.(0);
+                    body = region [] };
+              Return None ]),
+        "for body params must be [iv]" );
+      ( "while inside a fork",
+        malformed "f" [ Ty.Int; Ty.Int; Ty.Int; Ty.Bool ] (fun v ->
+            fork v
+              [ While { cond = region [ Const (v.(3), Cbool false);
+                                        Yield [ v.(3) ] ];
+                        body = region [] } ]),
+        "f: while inside a parallel region" );
+      ( "fork body params",
+        malformed "f" [ Ty.Int; Ty.Int; Ty.Int ] (fun v ->
+            fork ~params:(fun tid _ -> [ tid ]) v []),
+        "fork body params must be [tid; nth]" );
+      ( "workshare body params",
+        malformed "f" [ Ty.Int; Ty.Int; Ty.Int; Ty.Int ] (fun v ->
+            fork v
+              [ Workshare { iv = v.(3); lo = v.(1); hi = v.(2);
+                            body = region []; schedule = Chunked;
+                            nowait = false } ]),
+        "workshare body params must be [iv]" );
+      ( "barrier outside fork",
+        malformed "f" [] (fun _ -> [ Barrier; Return None ]),
+        "f: barrier outside fork" );
+      ( "load of a non-pointer",
+        malformed "f" [ Ty.Float; Ty.Int; Ty.Float ] (fun v ->
+            [ f0 v.(0); i0 v.(1); Load (v.(2), v.(0), v.(1)); Return None ]),
+        "load of non-pointer" );
+      ( "store to a non-pointer",
+        malformed "f" [ Ty.Float; Ty.Int ] (fun v ->
+            [ f0 v.(0); i0 v.(1); Store (v.(0), v.(1), v.(0)); Return None ]),
+        "store to non-pointer" );
+      ( "gep of a non-pointer",
+        malformed "f" [ Ty.Float; Ty.Int; Ty.Float ] (fun v ->
+            [ f0 v.(0); i0 v.(1); Gep (v.(2), v.(0), v.(1)); Return None ]),
+        "gep of non-pointer" );
+      ( "free of a non-pointer",
+        malformed "f" [ Ty.Float ] (fun v ->
+            [ f0 v.(0); Free v.(0); Return None ]),
+        "free of non-pointer" );
+      ( "atomic.add pointer",
+        malformed "f" [ Ty.Ptr Ty.Int; Ty.Int; Ty.Float ] ~params:[ 0 ]
+          (fun v ->
+            [ i0 v.(1); f0 v.(2); AtomicAdd (v.(0), v.(1), v.(2));
+              Return None ]),
+        "atomic.add ptr: expected f64*, got i64*" );
+      ( "atomic.add index",
+        malformed "f" [ Ty.Ptr Ty.Float; Ty.Float ] ~params:[ 0 ] (fun v ->
+            [ f0 v.(1); AtomicAdd (v.(0), v.(1), v.(1)); Return None ]),
+        "atomic.add index: expected i64, got f64" );
+      ( "atomic.add value",
+        malformed "f" [ Ty.Ptr Ty.Float; Ty.Int ] ~params:[ 0 ] (fun v ->
+            [ i0 v.(1); AtomicAdd (v.(0), v.(1), v.(1)); Return None ]),
+        "atomic.add value: expected f64, got i64" );
+      ( "pow on int",
+        malformed "f" [ Ty.Int; Ty.Int ] (fun v ->
+            [ i0 v.(0); Bin (v.(1), Pow, v.(0), v.(0)); Return None ]),
+        "pow on i64" );
+      ( "rem on float",
+        malformed "f" [ Ty.Float; Ty.Float ] (fun v ->
+            [ f0 v.(0); Bin (v.(1), Rem, v.(0), v.(0)); Return None ]),
+        "rem on f64" );
+      ( "arith on bool",
+        malformed "f" [ Ty.Bool; Ty.Bool ] ~params:[ 0 ] (fun v ->
+            [ Bin (v.(1), Add, v.(0), v.(0)); Return None ]),
+        "arith on i1" );
+      ( "neg on bool",
+        malformed "f" [ Ty.Bool; Ty.Bool ] ~params:[ 0 ] (fun v ->
+            [ Un (v.(1), Neg, v.(0)); Return None ]),
+        "neg on i1" );
+      ( "abs on bool",
+        malformed "f" [ Ty.Bool; Ty.Bool ] ~params:[ 0 ] (fun v ->
+            [ Un (v.(1), Abs, v.(0)); Return None ]),
+        "abs on i1" );
+    ]
+  in
+  List.iter
+    (fun (what, prog, msg) ->
+      match Verifier.check_prog_result prog with
+      | Ok () -> Alcotest.failf "%s: accepted (wanted %S)" what msg
+      | Error m -> Alcotest.(check string) what msg m)
+    cases
+
 let test_structured_builder () =
   let prog = Prog.create () in
   let b, ps = B.func prog "f" ~params:[ "n", Ty.Int ] ~ret:Ty.Float in
@@ -241,6 +397,7 @@ let () =
           Alcotest.test_case "defined twice" `Quick test_defined_twice_rejected;
           Alcotest.test_case "one def per sibling branch" `Quick
             test_one_def_per_sibling_branch_accepted;
+          Alcotest.test_case "every message" `Quick test_every_message;
         ] );
       "props", qcheck_tests;
     ]

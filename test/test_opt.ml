@@ -608,6 +608,22 @@ let prop_post_ad_bitwise_idempotent =
       bits (g true) = bits (g false)
       && func_str once dname = func_str (Pipe.run once Pipe.post_ad) dname)
 
+(* one [mem_forward] run in [post_ad] leaves nothing for a second run
+   after cse/dce: the pipeline prints the same program as one that runs
+   it twice *)
+let prop_one_mem_forward_run =
+  QCheck.Test.make ~name:"post_ad = post_ad with a second mem_forward"
+    ~count:200
+    (QCheck.make QCheck.Gen.(pair Gen_prog.gen_shape Gen_prog.gen_ops))
+    (fun (shape, ops) ->
+      let prog = Gen_prog.build ~shape ~len:(Array.length input) ops in
+      let dprog, _ = Parad_core.Reverse.gradient prog "rand" in
+      let twice =
+        Pipe.[ mem_forward; fold; cse; licm; cse; mem_forward; dce ]
+      in
+      Printer.prog_to_string (Pipe.run dprog Pipe.post_ad)
+      = Printer.prog_to_string (Pipe.run dprog twice))
+
 (* the cache-vs-recompute plan changes no bit: a recomputed pure value,
    or a reload of unchanged memory, equals its cached copy, so the
    post-AD gradient and the primal return on engine seq are bitwise
@@ -700,14 +716,14 @@ let golden_post_ad =
     "lulesh_seq", "997a2da0d124010efce13e901d280bf2";
     "lulesh_omp", "3e162cbc287d393eac21459f33279724";
     "lulesh_raja", "e25a643d3ebacd318b827e2e7455b44e";
-    "lulesh_mpi", "bfa630e024f1443895614dde6ad77bc8";
-    "lulesh_hybrid", "cbe4265b0df3021c77f1696c12d61829";
-    "lulesh_jl", "e47bdedbe9d6da763eaac3c9fa14a65a";
+    "lulesh_mpi", "faa4b754e0e4f0da9921e8c9bcda7544";
+    "lulesh_hybrid", "0259891107117ce9869363d883326431";
+    "lulesh_jl", "a4b8a52ce488759ae150956199c0a82c";
     "bude_seq", "546a10305d4e1e93e193213b9622adbd";
     "bude_omp", "28bb4aada48ebcf0adf424cd48045ec4";
     "bude_julia", "2f7b08da4ae717d12e7feac2788d438e";
     "bude_chunk_jl", "ee48cec07a5c4b3f23298841e81f3957";
-    "lulesh_raja_mpi", "f7dd6eeb386e355984cb406aeee4463b";
+    "lulesh_raja_mpi", "d7cfe718b3e0d0e27237fd434259e22f";
     "lulesh_omp seeds=8", "cdc8b4dba717a6c63083cc75433ce71b";
     "bude_omp seeds=8", "962e46adf3ebf7842b1c4e062ca9003a";
   ]
@@ -921,6 +937,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_o2_preserves_semantics;
           QCheck_alcotest.to_alcotest prop_gradient_survives_o2;
           QCheck_alcotest.to_alcotest prop_post_ad_bitwise_idempotent;
+          QCheck_alcotest.to_alcotest prop_one_mem_forward_run;
           QCheck_alcotest.to_alcotest prop_gradient_plan_independent;
         ] );
     ]
