@@ -454,22 +454,19 @@ let grad_cmd =
     let p = L.run ~nranks:ranks ~nthreads:threads flavor inp in
     let g, extra =
       match snap_budget with
-      | None when seeds > 1 ->
+      | None ->
         let c = L.compile ~opts:{ opts with Plan.seeds } flavor in
         let d_rets = Array.init seeds (fun l -> 1.0 +. float_of_int l) in
         let gs =
-          L.gradient_batched ?cost ~nthreads:threads ?faults ?deadline
-            ~engine c ~d_rets inp
+          L.gradient_batched ?cost ~nranks:ranks ~nthreads:threads ?faults
+            ?deadline ~engine c ~d_rets inp
         in
-        Printf.printf
-          "batched: %d seed lanes in one reverse sweep (lane l seeded with \
-           l+1)\n"
-          seeds;
+        if seeds > 1 then
+          Printf.printf
+            "batched: %d seed lanes in one reverse sweep (lane l seeded \
+             with l+1)\n"
+            seeds;
         gs.(0), None
-      | None ->
-        ( L.gradient ?cost ~nranks:ranks ~nthreads:threads ~opts ?faults
-            ?deadline ~engine flavor inp,
-          None )
       | Some budget ->
         let b =
           L.gradient_binomial ~nranks:ranks ~nthreads:threads ~opts ?faults

@@ -636,6 +636,36 @@ type run_result = {
   stats : Stats.t;
 }
 
+(* The primal arguments from explicit loop state: the seven
+   loop-carried float arrays [state] (coordinates, velocities, element
+   energies), the mesh's nodelist and node masses, and [nsteps] steps
+   from time step [dt]. A Julia flavor wraps each float buffer in a
+   descriptor cell. Returns the arguments and the seven state buffers. *)
+let state_args flavor (inp : input) (m : rank_mesh) ctx ~state ~dt ~nsteps =
+  let jl = julia flavor in
+  let pack data =
+    let d = Exec.floats ctx data in
+    (if jl then Exec.ptr_cell ctx d else d), d
+  in
+  let p = Array.map pack state in
+  let nodelist = Exec.ints ctx m.conn in
+  let mass, _ = pack m.node_mass in
+  ( Array.to_list (Array.map fst p)
+    @ [
+        nodelist; mass;
+        Value.VInt inp.nx; Value.VInt inp.ny; Value.VInt m.nzl;
+        Value.VInt nsteps; Value.VFloat dt;
+      ],
+    Array.map snd p )
+
+(* the seven loop-carried arrays of a mesh, in argument order *)
+let loop_state (m : rank_mesh) =
+  [|
+    m.coords.(0); m.coords.(1); m.coords.(2);
+    m.vels.(0); m.vels.(1); m.vels.(2);
+    m.energy;
+  |]
+
 let setup_args ?inject_nan flavor (inp : input) ~nranks (ctx : Interp.ctx)
     ~rank =
   let m = mesh inp ~nranks ~rank in
@@ -645,27 +675,11 @@ let setup_args ?inject_nan flavor (inp : input) ~nranks (ctx : Interp.ctx)
   | Some i when rank = 0 && i >= 0 && i < Array.length m.energy ->
     m.energy.(i) <- Float.nan
   | _ -> ());
-  let jl = julia flavor in
-  let pack data =
-    let d = Exec.floats ctx data in
-    if jl then Exec.ptr_cell ctx d, d else d, d
+  let args, bufs =
+    state_args flavor inp m ctx ~state:(loop_state m) ~dt:inp.dt0
+      ~nsteps:inp.niter
   in
-  let x, xb = pack m.coords.(0) in
-  let y, yb = pack m.coords.(1) in
-  let z, zb = pack m.coords.(2) in
-  let xd, xdb = pack m.vels.(0) in
-  let yd, ydb = pack m.vels.(1) in
-  let zd, zdb = pack m.vels.(2) in
-  let e, eb = pack m.energy in
-  let nodelist = Exec.ints ctx m.conn in
-  let mass, _ = pack m.node_mass in
-  ( [
-      x; y; z; xd; yd; zd; e; nodelist; mass;
-      Value.VInt inp.nx; Value.VInt inp.ny; Value.VInt m.nzl;
-      Value.VInt inp.niter; Value.VFloat inp.dt0;
-    ],
-    [ xb; yb; zb; xdb; ydb; zdb; eb ],
-    m )
+  args, Array.to_list bufs, m
 
 (** Run a variant; [nranks] > 1 requires an MPI-using flavor. [faults]
     injects a deterministic communication-fault plan; [mpi_ref] captures
@@ -775,130 +789,124 @@ let config_of ?cost ~nthreads (c : compiled) =
     coalesce = c.c_opts.Parad_core.Plan.coalesce_comm;
   }
 
-(* Shadow-argument setup shared by every monolithic reverse sweep: seven
-   zero shadow buffers (coords, velocities, energy), the nodelist and
-   mass shadows, the loss seed on rank 0, and the scalar-adjoint
-   spill cell for dt0. *)
-let grad_setup ?inject_nan ?(d_ret = 1.0) flavor (inp : input) ~nranks
-    ~shadows ctx ~rank =
-  let args, bufs, m = setup_args ?inject_nan flavor inp ~nranks ctx ~rank in
-  ignore bufs;
-  let jl = julia flavor in
-  let nn = Array.length m.node_mass in
-  let ne = Array.length m.energy in
-  let mk len =
-    let d = Exec.floats ctx (Array.make len 0.0) in
-    if jl then Exec.ptr_cell ctx d, d else d, d
-  in
-  let svals = Array.init 7 (fun i -> mk (if i < 6 then nn else ne)) in
-  (* shadow of nodelist (Ptr Int) and mass *)
-  let d_nl = Exec.ints ctx (Array.make (ne * 8) 0) in
-  let d_mass, _ = mk nn in
-  shadows.(rank) <- Array.map snd svals;
-  (* dt0 is an active scalar argument: its adjoint lands in d_args *)
-  let d_args = Exec.zeros ctx 1 in
-  args
-  @ Array.to_list (Array.map fst svals)
-  @ [ d_nl; d_mass; Value.VFloat (if rank = 0 then d_ret else 0.0); d_args ]
-
-let pack_grad ~nranks ~shadows ~values ~makespan ~stats =
-  {
-    g_total = Value.to_float values.(0);
-    d_coords = Array.init nranks (fun r -> Exec.to_floats shadows.(r).(0));
-    d_energy = Array.init nranks (fun r -> Exec.to_floats shadows.(r).(6));
-    g_makespan = makespan;
-    g_stats = stats;
-  }
-
-(** Execute one gradient request against a cached plan. Pure
-    interpretation — no pipeline work — so repeated calls with equal
-    inputs are bit-identical to each other and to a cold
-    {!gradient}. *)
-let gradient_compiled ?cost ?(nthreads = 1) ?(nranks = 1) ?faults ?mpi_ref
-    ?san ?inject_nan ?deadline ?d_ret ?(engine = Engine.Interp) ?stats
-    (c : compiled) (inp : input) : grad_result =
-  let cfg = config_of ?cost ~nthreads c in
-  let shadows = Array.make nranks [||] in
-  let res =
-    Exec.run_spmd ~cfg ?faults ?mpi_ref ?san ?deadline ?stats
-      ~call:(Engine.call_fn c.c_eng engine) c.c_dprog ~nranks
-      ~fname:c.c_dname
-      ~setup:(grad_setup ?inject_nan ?d_ret c.c_flavor inp ~nranks ~shadows)
-  in
-  pack_grad ~nranks ~shadows ~values:res.Exec.values
-    ~makespan:res.Exec.makespan ~stats:res.Exec.stats
-
-(* ---- batched multi-seed adjoints (ISSUE 10) ----
+(* ---- gradient sweeps, one seed lane or k ----
 
    A plan compiled with [opts.seeds = k > 1] emits k-stride adjoint
    planes: one forward/taping pass and one reverse sweep propagate all k
    return seeds, sharing the tape, the cache stream, and every primal
-   re-evaluation across lanes. *)
+   re-evaluation across lanes. A single-seed gradient is the one-lane
+   sweep. *)
 
-let grad_setup_batched flavor (inp : input) ~seeds ~d_rets ~shadows ctx ~rank
-    =
-  let args, bufs, m = setup_args flavor inp ~nranks:1 ctx ~rank in
-  ignore bufs;
+(* The gradient's arguments after the primal ones, at [lanes] lanes: the
+   seven state shadows and the mass shadow (k-stride planes, zero or
+   taken from [seed]), the nodelist's zero shadow, the return seed
+   [d_ret] (a scalar at one lane, a k-cell buffer above) and the k
+   [d_args] cells that receive dt0's adjoint. Every gradient allocates
+   them in this order, since buffer ids reach checkpoint snapshots.
+   Returns the arguments and the buffers [|seven state shadows; mass
+   shadow; d_args|]. *)
+let grad_args ?seed flavor (m : rank_mesh) ctx ~lanes ~d_ret =
   let jl = julia flavor in
-  let nn = Array.length m.node_mass in
-  let ne = Array.length m.energy in
-  let mk len =
-    let d = Exec.floats ctx (Array.make len 0.0) in
-    if jl then Exec.ptr_cell ctx d, d else d, d
+  let nn = Array.length m.node_mass and ne = Array.length m.energy in
+  let shadow i =
+    let d =
+      Exec.floats ctx
+        (match seed with
+        | Some s -> s.(i)
+        | None -> Array.make ((if i = 6 then ne else nn) * lanes) 0.0)
+    in
+    (if jl then Exec.ptr_cell ctx d else d), d
   in
-  let svals =
-    Array.init 7 (fun i -> mk ((if i < 6 then nn else ne) * seeds))
-  in
+  let st = Array.init 7 shadow in
   let d_nl = Exec.ints ctx (Array.make (ne * 8) 0) in
-  let d_mass, _ = mk (nn * seeds) in
-  shadows.(rank) <- Array.map snd svals;
-  (* d_ret is a k-cell seed buffer under batched lanes (k > 1); a 1-lane
-     plan keeps the classic scalar-seed convention *)
+  let d_mass, mass_buf = shadow 7 in
   let d_ret =
-    if seeds = 1 then Value.VFloat d_rets.(0) else Exec.floats ctx d_rets
+    if lanes = 1 then Value.VFloat d_ret.(0) else Exec.floats ctx d_ret
   in
-  let d_args = Exec.zeros ctx seeds in
-  args
-  @ Array.to_list (Array.map fst svals)
-  @ [ d_nl; d_mass; d_ret; d_args ]
+  let d_args = Exec.zeros ctx lanes in
+  ( Array.to_list (Array.map fst st) @ [ d_nl; d_mass; d_ret; d_args ],
+    Array.append (Array.map snd st) [| mass_buf; d_args |] )
 
-(** Run one batched gradient against a plan compiled with
-    [opts.seeds = k > 1]: [d_rets.(l)] seeds lane [l]'s return adjoint,
-    and the result array holds lane [l]'s gradient at index [l] — each
-    column bit-identical to a standalone single-seed run with
-    [~d_ret:d_rets.(l)]. Shared-memory flavors only (single rank): the
-    MPI adjoint runtime exchanges single-stride planes, so batched MPI
-    plans are rejected at compile time. *)
-let gradient_batched ?cost ?(nthreads = 1) ?faults ?san ?deadline
-    ?(engine = Engine.Interp) ?stats (c : compiled) ~d_rets (inp : input) :
-    grad_result array =
-  let seeds = c.c_opts.Parad_core.Plan.seeds in
-  if Array.length d_rets <> seeds then
+(* The one gradient executor: runs [c]'s reverse program on [nranks]
+   ranks, under the supervisor when [supervise] gives its restart budget
+   and snapshot policy, with lane [l]'s return seeded by [d_rets.(l)] on
+   rank 0, and reads back each lane's adjoints. At one lane the planes
+   are handed back uncopied. *)
+let sweep ?cost ~nthreads ~nranks ?faults ?mpi_ref ?san ?inject_nan ?deadline
+    ~engine ?stats ?supervise (c : compiled) ~d_rets (inp : input) =
+  let lanes = c.c_opts.Parad_core.Plan.seeds in
+  if Array.length d_rets <> lanes then
     invalid_arg
-      (Printf.sprintf "gradient_batched: %d seed values for a %d-lane plan"
-         (Array.length d_rets) seeds);
+      (Printf.sprintf "Lulesh gradient: %d seed values for a %d-lane plan"
+         (Array.length d_rets) lanes);
+  if lanes > 1 && nranks > 1 then
+    invalid_arg "Lulesh gradient: a batched sweep runs on one rank";
   let cfg = config_of ?cost ~nthreads c in
-  let shadows = Array.make 1 [||] in
-  let res =
-    Exec.run_spmd ~cfg ?faults ?san ?deadline ?stats
-      ~call:(Engine.call_fn c.c_eng engine) c.c_dprog ~nranks:1
-      ~fname:c.c_dname
-      ~setup:(grad_setup_batched c.c_flavor inp ~seeds ~d_rets ~shadows)
+  let planes = Array.make nranks [||] in
+  let setup ctx ~rank =
+    let args, _, m = setup_args ?inject_nan c.c_flavor inp ~nranks ctx ~rank in
+    let d_ret = if rank = 0 then d_rets else Array.make lanes 0.0 in
+    let dargs, bufs = grad_args c.c_flavor m ctx ~lanes ~d_ret in
+    planes.(rank) <- bufs;
+    args @ dargs
   in
-  let coords = Exec.to_floats shadows.(0).(0) in
-  let energy = Exec.to_floats shadows.(0).(6) in
-  let col plane lane =
-    let n = Array.length plane / seeds in
-    Array.init n (fun i -> plane.((i * seeds) + lane))
+  let call = Engine.call_fn c.c_eng engine in
+  let res, recovery =
+    match supervise with
+    | None ->
+      ( Exec.run_spmd ~cfg ?faults ?mpi_ref ?san ?deadline ?stats ~call
+          c.c_dprog ~nranks ~fname:c.c_dname ~setup,
+        None )
+    | Some (max_restarts, policy) ->
+      let res, r =
+        Exec.run_spmd_recoverable ~cfg ?faults ?mpi_ref ?san ?max_restarts
+          ?policy ?deadline ?stats ~call c.c_dprog ~nranks ~fname:c.c_dname
+          ~setup
+      in
+      res, Some r
   in
-  Array.init seeds (fun lane ->
-      {
-        g_total = Value.to_float res.Exec.values.(0);
-        d_coords = [| col coords lane |];
-        d_energy = [| col energy lane |];
-        g_makespan = res.Exec.makespan;
-        g_stats = res.Exec.stats;
-      })
+  let read i = Array.map (fun p -> Exec.to_floats p.(i)) planes in
+  let coords = read 0 and energy = read 6 in
+  let col lane plane =
+    if lanes = 1 then plane
+    else
+      Array.init (Array.length plane / lanes) (fun i ->
+          plane.((i * lanes) + lane))
+  in
+  ( Array.init lanes (fun lane ->
+        {
+          g_total = Value.to_float res.Exec.values.(0);
+          d_coords = Array.map (col lane) coords;
+          d_energy = Array.map (col lane) energy;
+          g_makespan = res.Exec.makespan;
+          g_stats = res.Exec.stats;
+        }),
+    recovery )
+
+(** Run one gradient against a plan compiled with [opts.seeds = k]:
+    [d_rets.(l)] seeds lane [l]'s return adjoint, and the result array
+    holds lane [l]'s gradient at index [l] — each column bit-identical
+    to a standalone single-seed run with [~d_ret:d_rets.(l)]. More than
+    one lane means one rank and a shared-memory flavor: the MPI adjoint
+    runtime exchanges single-stride planes, so batched MPI plans are
+    rejected at compile time. *)
+let gradient_batched ?cost ?(nthreads = 1) ?(nranks = 1) ?faults ?san
+    ?inject_nan ?deadline ?(engine = Engine.Interp) ?stats (c : compiled)
+    ~d_rets (inp : input) : grad_result array =
+  fst
+    (sweep ?cost ~nthreads ~nranks ?faults ?san ?inject_nan ?deadline ~engine
+       ?stats c ~d_rets inp)
+
+(** Execute one gradient request against a cached plan: lane 0 of a
+    one-lane sweep seeded with [d_ret]. Pure interpretation — no
+    pipeline work — so repeated calls with equal inputs are
+    bit-identical to each other and to a cold {!gradient}. *)
+let gradient_compiled ?cost ?(nthreads = 1) ?(nranks = 1) ?faults ?mpi_ref
+    ?san ?inject_nan ?deadline ?(d_ret = 1.0) ?(engine = Engine.Interp) ?stats
+    (c : compiled) (inp : input) : grad_result =
+  (fst
+     (sweep ?cost ~nthreads ~nranks ?faults ?mpi_ref ?san ?inject_nan
+        ?deadline ~engine ?stats c ~d_rets:[| d_ret |] inp)).(0)
 
 (** Gradient of the returned total energy w.r.t. initial coordinates and
     element energies (seeded on rank 0's return, as the loss is
@@ -943,17 +951,11 @@ let run_recoverable ?(nthreads = 1) ?(nranks = 1) ?(pre = []) ?faults
 let gradient_recoverable_compiled ?(nthreads = 1) ?(nranks = 1) ?faults
     ?mpi_ref ?san ?max_restarts ?policy ?deadline ?(engine = Engine.Interp)
     (c : compiled) (inp : input) : grad_result * Exec.recovery =
-  let cfg = config_of ~nthreads c in
-  let shadows = Array.make nranks [||] in
-  let res, recov =
-    Exec.run_spmd_recoverable ~cfg ?faults ?mpi_ref ?san ?max_restarts ?policy
-      ?deadline ~call:(Engine.call_fn c.c_eng engine) c.c_dprog ~nranks
-      ~fname:c.c_dname
-      ~setup:(grad_setup c.c_flavor inp ~nranks ~shadows)
+  let gs, recovery =
+    sweep ~nthreads ~nranks ?faults ?mpi_ref ?san ?deadline ~engine
+      ~supervise:(max_restarts, policy) c ~d_rets:[| 1.0 |] inp
   in
-  ( pack_grad ~nranks ~shadows ~values:res.Exec.values
-      ~makespan:res.Exec.makespan ~stats:res.Exec.stats,
-    recov )
+  gs.(0), Option.get recovery
 
 (** Like {!gradient}, but supervised: the gradient's forward sweep
     checkpoints primal and shadow state, so a kill-and-recover run
@@ -969,16 +971,6 @@ let gradient_recoverable ?(nthreads = 1) ?(nranks = 1)
     inp
 
 (* ---- binomial (revolve) checkpointed adjoint driver ---- *)
-
-(* Adjoint state carried across a segment boundary: per rank, the
-   adjoints of the seven loop-carried float arrays, of the node masses,
-   and of the loop-carried time step (the boundary dt, seeded into the
-   preceding segment's d_ret). *)
-type seg_adj = {
-  ds : float array array array;  (** rank -> [|dx;dy;dz;dxd;dyd;dzd;de|] *)
-  dmass : float array array;  (** rank -> nodal mass adjoints *)
-  ddt : float array;  (** rank -> adjoint of the boundary time step *)
-}
 
 type binom_result = {
   b_grad : grad_result;  (** aggregate gradient result over all sweeps *)
@@ -1002,9 +994,11 @@ type binom_result = {
     single timestep. Snapshots are fetched through the store's checksums:
     a corrupted or evicted snapshot degrades the fetch to an older valid
     one (re-advancing further) instead of aborting. [faults] supervises
-    every inner simulator run with {!Exec.run_spmd_recoverable}, fired
-    kills being consumed across runs; [on_snapshot] is a fault-injection
-    hook invoked after each driver snapshot (chaos soak corrupts there). *)
+    every inner simulator run with {!Exec.run_spmd_recoverable}, each
+    run starting from the plan the previous run's supervisor left, so a
+    kill, flip or sticky corruption it consumed fires once per gradient;
+    [on_snapshot] is a fault-injection hook invoked after each snapshot
+    it takes (chaos soak corrupts there). *)
 let gradient_binomial ?(nthreads = 1) ?(nranks = 1)
     ?(opts = Parad_core.Plan.default_options) ?(post_opt = true) ?faults
     ?max_restarts ?(tiers = 2)
@@ -1038,67 +1032,42 @@ let gradient_binomial ?(nthreads = 1) ?(nranks = 1)
   let eng_steps_p, eng_steps_d =
     match cc.c_steps_eng with Some e -> e | None -> assert false
   in
-  let jl = julia flavor in
   let meshes = Array.init nranks (fun rank -> mesh inp ~nranks ~rank) in
   let nn = Array.length meshes.(0).node_mass in
   let ne = Array.length meshes.(0).energy in
   let state_cells = (6 * nn) + ne + 1 in
-  let initial_state rank =
-    let m = meshes.(rank) in
-    Array.map Array.copy
-      [|
-        m.coords.(0); m.coords.(1); m.coords.(2);
-        m.vels.(0); m.vels.(1); m.vels.(2);
-        m.energy;
-      |]
-  in
+  let initial_state rank = Array.map Array.copy (loop_state meshes.(rank)) in
   (* aggregates across all inner simulator runs + driver snapshot traffic *)
   let agg = match stats with Some s -> s | None -> Stats.create () in
   let makespan = ref 0.0 in
   let plan = ref (Option.value faults ~default:Faults.none) in
   let segments = ref 0 and advances = ref 0 and degraded = ref 0 in
   let g_total = ref 0.0 in
-  (* an inner run counts into [agg] also when it raises *)
+  (* an inner run counts into [agg] also when it raises; under [faults]
+     it runs on the plan the previous inner run's supervisor left, so an
+     event that supervisor consumed does not fire again *)
   let run_prog prep prog fname setup =
     let call = Engine.call_fn prep engine in
     let stats = Stats.create () in
     Fun.protect ~finally:(fun () -> Stats.merge ~into:agg stats) @@ fun () ->
-    match faults with
-    | None ->
-      let res =
+    let res =
+      match faults with
+      | None ->
         Exec.run_spmd ~cfg ?deadline ~stats ~call prog ~nranks ~fname ~setup
-      in
-      makespan := !makespan +. res.Exec.makespan;
-      res.Exec.values
-    | Some _ ->
-      let res, recov =
-        Exec.run_spmd_recoverable ~cfg ~faults:!plan ?max_restarts ~policy
-          ?deadline ~stats ~call prog ~nranks ~fname ~setup
-      in
-      List.iter
-        (fun (fn : Mpi_state.failure_notice) ->
-          plan := Faults.consume_kill !plan ~rank:fn.Mpi_state.fn_failed)
-        recov.Exec.r_failures;
-      makespan := !makespan +. res.Exec.makespan;
-      res.Exec.values
+      | Some _ ->
+        let res, recov =
+          Exec.run_spmd_recoverable ~cfg ~faults:!plan ?max_restarts ~policy
+            ?deadline ~stats ~call prog ~nranks ~fname ~setup
+        in
+        plan := recov.Exec.r_plan;
+        res
+    in
+    makespan := !makespan +. res.Exec.makespan;
+    res.Exec.values
   in
-  let pack ctx data =
-    let d = Exec.floats ctx data in
-    if jl then Exec.ptr_cell ctx d, d else d, d
-  in
-  (* primal/augmented argument list from explicit loop state *)
-  let state_args ctx ~rank ~state ~dt ~nsteps =
-    let m = meshes.(rank) in
-    let p = Array.map (fun a -> pack ctx a) state in
-    let nodelist = Exec.ints ctx m.conn in
-    let mass, _ = pack ctx m.node_mass in
-    ( Array.to_list (Array.map fst p)
-      @ [
-          nodelist; mass;
-          Value.VInt inp.nx; Value.VInt inp.ny; Value.VInt m.nzl;
-          Value.VInt nsteps; Value.VFloat dt;
-        ],
-      Array.map snd p )
+  let args_at ctx ~rank ~state ~dts ~nsteps =
+    state_args flavor inp meshes.(rank) ctx ~state:state.(rank)
+      ~dt:dts.(rank) ~nsteps
   in
   (* driver snapshot traffic: charged like the checkpoint intrinsic *)
   let put_state ~step state dts =
@@ -1147,14 +1116,13 @@ let gradient_binomial ?(nthreads = 1) ?(nranks = 1)
       let values =
         run_prog eng_steps_p prog_steps (steps_name flavor) (fun ctx ~rank ->
             let args, bufs =
-              state_args ctx ~rank ~state:state.(rank) ~dt:dts.(rank)
-                ~nsteps:(target - from)
+              args_at ctx ~rank ~state ~dts ~nsteps:(target - from)
             in
             out.(rank) <- bufs;
             args)
       in
-      ( Array.init nranks (fun r -> Array.map Exec.to_floats out.(r)),
-        Array.init nranks (fun r -> Value.to_float values.(r)) )
+      ( Array.map (Array.map Exec.to_floats) out,
+        Array.map Value.to_float values )
     end
   in
   (* loop state at [step]: fetch the nearest valid snapshot at or below
@@ -1202,59 +1170,37 @@ let gradient_binomial ?(nthreads = 1) ?(nranks = 1)
     advance ~state ~dts ~from:base ~target:step
   in
   (* reverse one timestep [step, step+1): gradient of the steps variant,
-     seeded with the succeeding segment's adjoints — or of the full
-     (loss-carrying) variant for the last step, seeded by the loss *)
-  let seg_grad ~state ~dts ~step (d : seg_adj option) : seg_adj =
+     seeded with the succeeding segment's adjoints [d] — or of the full
+     (loss-carrying) variant for the last step, seeded by the loss.
+     Returns, per rank, the buffers {!grad_args} hands back: the seven
+     state shadows, the mass shadow, and d_args, whose cell is the
+     boundary time step's adjoint and the preceding segment's d_ret. *)
+  let seg_grad ~state ~dts ~step d =
     incr segments;
     let final = step = n - 1 in
     let prep, prog, fname =
       if final then eng_full, dprog_full, dname_full
       else eng_steps_d, dprog_steps, dname_steps
     in
-    let sh = Array.make nranks [||] in
-    let dmass_b = Array.make nranks Value.VUnit in
-    let dargs_b = Array.make nranks Value.VUnit in
+    let out = Array.make nranks [||] in
     let values =
       run_prog prep prog fname (fun ctx ~rank ->
-          let args, _ =
-            state_args ctx ~rank ~state:state.(rank) ~dt:dts.(rank) ~nsteps:1
-          in
-          let seed i len =
-            match d with
-            | Some d -> Exec.floats ctx d.ds.(rank).(i)
-            | None -> ignore i; Exec.zeros ctx len
-          in
-          let sv =
-            Array.init 7 (fun i ->
-                let dbuf = seed i (if i < 6 then nn else ne) in
-                if jl then Exec.ptr_cell ctx dbuf, dbuf else dbuf, dbuf)
-          in
-          let d_nl = Exec.ints ctx (Array.make (ne * 8) 0) in
-          let dmass =
-            match d with
-            | Some d -> Exec.floats ctx d.dmass.(rank)
-            | None -> Exec.zeros ctx nn
-          in
-          let dmass_arg = if jl then Exec.ptr_cell ctx dmass else dmass in
+          let args, _ = args_at ctx ~rank ~state ~dts ~nsteps:1 in
+          let seed = Option.map (fun d -> d.(rank)) d in
           let d_ret =
-            match d with
-            | Some d -> d.ddt.(rank)
+            match seed with
+            | Some s -> s.(8).(0)
             | None -> if rank = 0 then 1.0 else 0.0
           in
-          let d_args = Exec.zeros ctx 1 in
-          sh.(rank) <- Array.map snd sv;
-          dmass_b.(rank) <- dmass;
-          dargs_b.(rank) <- d_args;
-          args
-          @ Array.to_list (Array.map fst sv)
-          @ [ d_nl; dmass_arg; Value.VFloat d_ret; d_args ])
+          let dargs, bufs =
+            grad_args ?seed flavor meshes.(rank) ctx ~lanes:1
+              ~d_ret:[| d_ret |]
+          in
+          out.(rank) <- bufs;
+          args @ dargs)
     in
     if final then g_total := Value.to_float values.(0);
-    {
-      ds = Array.init nranks (fun r -> Array.map Exec.to_floats sh.(r));
-      dmass = Array.init nranks (fun r -> Exec.to_floats dmass_b.(r));
-      ddt = Array.init nranks (fun r -> (Exec.to_floats dargs_b.(r)).(0));
-    }
+    Array.map (Array.map Exec.to_floats) out
   in
   (* the revolve recursion: reverse steps [a, b) with [free] snapshot
      slots usable strictly inside the range (the snapshot at [a] is
@@ -1296,8 +1242,8 @@ let gradient_binomial ?(nthreads = 1) ?(nranks = 1)
     b_grad =
       {
         g_total = !g_total;
-        d_coords = Array.init nranks (fun r -> d.ds.(r).(0));
-        d_energy = Array.init nranks (fun r -> d.ds.(r).(6));
+        d_coords = Array.map (fun a -> a.(0)) d;
+        d_energy = Array.map (fun a -> a.(6)) d;
         g_makespan = !makespan;
         g_stats = agg;
       };

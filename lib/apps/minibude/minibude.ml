@@ -354,87 +354,12 @@ let compile ?(opts = Parad_core.Plan.default_options) ?(post_opt = true)
   { c_variant = variant; c_ntasks = ntasks; c_opts = opts; c_prog = prog;
     c_dprog = dprog; c_dname = dname; c_eng = Engine.prepare dprog }
 
-(** Execute one gradient request against a cached plan (pure
-    interpretation; bit-identical to a cold {!gradient}). *)
-let gradient_compiled ?nthreads ?san ?faults ?deadline ?(ge_seed = 1.0)
-    ?(engine = Engine.Interp) ?stats (c : compiled) (inp : input) :
-    grad_result =
-  let nthreads = Option.value nthreads ~default:c.c_ntasks in
-  let cfg = { Interp.default_config with nthreads } in
-  let variant = c.c_variant in
-  let dprog, dname = c.c_dprog, c.c_dname in
-  let shadows = ref [] in
-  let outs = ref [] in
-  let res =
-    Exec.run ~cfg ?san ?faults ?deadline ?stats
-      ~call:(Engine.call_fn c.c_eng engine) dprog ~fname:dname
-      ~setup:(fun ctx ->
-        let args, bufs = setup_args variant inp ctx in
-        outs := bufs;
-        (* shadows, in pointer-parameter order *)
-        let shade len seed = Exec.floats ctx (Array.make len seed) in
-        let gl = shade (Array.length inp.lig_data) 0.0 in
-        let gp = shade (Array.length inp.pro_data) 0.0 in
-        let gq = shade (Array.length inp.pose_data) 0.0 in
-        let ge = shade inp.nposes ge_seed in
-        shadows := [ gl; gp; gq; ge ];
-        match variant with
-        | Seq | Omp ->
-          let d_deck = Exec.ptr_table ctx [ gl; gp; gq ] in
-          args @ [ d_deck; ge ]
-        | Julia ->
-          let wrap v = Exec.ptr_cell ctx v in
-          args @ [ wrap gl; wrap gp; wrap gq; wrap ge ])
-  in
-  match !shadows, List.rev !outs with
-  | [ gl; gp; gq; _ ], e :: _ ->
-    {
-      g_energies = Exec.to_floats e;
-      d_lig = Exec.to_floats gl;
-      d_pro = Exec.to_floats gp;
-      d_poses = Exec.to_floats gq;
-      g_makespan = res.Exec.makespan;
-      g_stats = res.Exec.stats;
-    }
-  | _ -> assert false
-
-(** {!gradient_compiled} under whole-run restarts. miniBUDE has no
-    checkpoint driver, so a flip caught by a region digest
-    ([Checkpoint.Corrupt_region]) is consumed from [faults] and the
-    gradient re-run from the start, at most [max_restarts] times; past
-    that the corruption propagates. Returns the gradient and the restarts
-    it took. The stats are the final run's, plus one restart and one
-    injected, detected and recovered flip per restart, and the host time
-    of every failed run ([wall_ns]). *)
-let gradient_restarting ?nthreads ?san ?faults ?deadline ?engine
-    ~max_restarts (c : compiled) (inp : input) : grad_result * int =
-  let rec go faults restarts failed_ns =
-    let stats = Stats.create () in
-    match
-      gradient_compiled ?nthreads ?san ?faults ?deadline ?engine ~stats c inp
-    with
-    | g ->
-      let s = g.g_stats in
-      s.wall_ns <- s.wall_ns + failed_ns;
-      s.restarts <- s.restarts + restarts;
-      s.sdc_injected <- s.sdc_injected + restarts;
-      s.sdc_detected <- s.sdc_detected + restarts;
-      s.sdc_recovered <- s.sdc_recovered + restarts;
-      g, restarts
-    | exception Checkpoint.Corrupt_region { cr_rank; _ }
-      when restarts < max_restarts ->
-      go
-        (Option.map (fun p -> Faults.consume_flip p ~rank:cr_rank) faults)
-        (restarts + 1)
-        (failed_ns + stats.wall_ns)
-  in
-  go faults 0 0
-
-(** Batched multi-seed adjoints (ISSUE 10): against a plan compiled with
-    [opts.seeds = k > 1], one taping pass and one reverse sweep propagate
-    k energy seeds — lane [l] seeds every pose's energy adjoint with
-    [ge_seeds.(l)]. Returns one {!grad_result} per lane, each column
-    bit-identical to a standalone run with [~ge_seed:ge_seeds.(l)]. *)
+(** Run one gradient against a plan compiled with [opts.seeds = k]: one
+    taping pass and one reverse sweep propagate k energy seeds — lane
+    [l] seeds every pose's energy adjoint with [ge_seeds.(l)]. Returns
+    one {!grad_result} per lane, each column bit-identical to a
+    standalone run with [~ge_seed:ge_seeds.(l)]. At one lane the planes
+    are handed back uncopied. *)
 let gradient_batched ?nthreads ?san ?faults ?deadline
     ?(engine = Engine.Interp) ?stats (c : compiled) ~ge_seeds (inp : input) :
     grad_result array =
@@ -454,7 +379,8 @@ let gradient_batched ?nthreads ?san ?faults ?deadline
       ~setup:(fun ctx ->
         let args, bufs = setup_args variant inp ctx in
         outs := bufs;
-        (* k-stride shadow planes: cell i, lane l at [i*k + l] *)
+        (* k-stride shadow planes, in pointer-parameter order: cell i,
+           lane l at [i*k + l] *)
         let plane len = Exec.floats ctx (Array.make (len * seeds) 0.0) in
         let gl = plane (Array.length inp.lig_data) in
         let gp = plane (Array.length inp.pro_data) in
@@ -480,8 +406,10 @@ let gradient_batched ?nthreads ?san ?faults ?deadline
     and pp = Exec.to_floats gp
     and pq = Exec.to_floats gq in
     let col plane lane =
-      let n = Array.length plane / seeds in
-      Array.init n (fun i -> plane.((i * seeds) + lane))
+      if seeds = 1 then plane
+      else
+        Array.init (Array.length plane / seeds) (fun i ->
+            plane.((i * seeds) + lane))
     in
     Array.init seeds (fun lane ->
         {
@@ -493,6 +421,46 @@ let gradient_batched ?nthreads ?san ?faults ?deadline
           g_stats = res.Exec.stats;
         })
   | _ -> assert false
+
+(** Execute one gradient request against a cached plan: lane 0 of a
+    one-lane {!gradient_batched} seeded with [ge_seed] (pure
+    interpretation; bit-identical to a cold {!gradient}). *)
+let gradient_compiled ?nthreads ?san ?faults ?deadline ?(ge_seed = 1.0)
+    ?engine ?stats (c : compiled) (inp : input) : grad_result =
+  (gradient_batched ?nthreads ?san ?faults ?deadline ?engine ?stats c
+     ~ge_seeds:[| ge_seed |] inp).(0)
+
+(** {!gradient_compiled} under whole-run restarts. miniBUDE has no
+    checkpoint/restart harness, so a flip caught by a region digest
+    ([Checkpoint.Corrupt_region]) is consumed from [faults] and the
+    gradient re-run from the start, at most [max_restarts] times; past
+    that the corruption propagates. Returns the gradient and the restarts
+    it took. The stats are the final run's, plus one restart and one
+    injected, detected and recovered flip per restart, and the host time
+    of every failed run ([wall_ns]). *)
+let gradient_restarting ?nthreads ?san ?faults ?deadline ?engine
+    ~max_restarts (c : compiled) (inp : input) : grad_result * int =
+  let rec go faults restarts failed_ns =
+    let stats = Stats.create () in
+    match
+      gradient_compiled ?nthreads ?san ?faults ?deadline ?engine ~stats c inp
+    with
+    | g ->
+      let s = g.g_stats in
+      s.wall_ns <- s.wall_ns + failed_ns;
+      s.restarts <- s.restarts + restarts;
+      s.sdc_injected <- s.sdc_injected + restarts;
+      s.sdc_detected <- s.sdc_detected + restarts;
+      s.sdc_recovered <- s.sdc_recovered + restarts;
+      g, restarts
+    | exception (Checkpoint.Corrupt_region _ as e)
+      when restarts < max_restarts ->
+      go
+        (Option.map (fun p -> Outcome.consumed p e) faults)
+        (restarts + 1)
+        (failed_ns + stats.wall_ns)
+  in
+  go faults 0 0
 
 (** Reverse-mode gradient of sum(energies) w.r.t. ligand, protein and
     poses, through the chosen parallel variant. One-shot: compiles and

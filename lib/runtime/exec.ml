@@ -172,6 +172,9 @@ type recovery = {
   r_resumed_from : int option list;
       (** per restart: checkpoint id resumed from (None = cold restart,
           no globally-consistent checkpoint existed yet) *)
+  r_plan : Faults.plan;
+      (** the fault plan as the supervisor left it, without the events
+          it consumed: a later run on it does not fire them again *)
   r_store : Checkpoint.store;  (** snapshots accumulated across attempts *)
 }
 
@@ -205,85 +208,58 @@ let run_spmd_recoverable ?(cfg = Interp.default_config) ?faults ?mpi_ref ?san
   let values = Array.make nranks VUnit in
   let failures = ref [] and resumed = ref [] in
   let rec attempt plan ~base ~restarts ~resume =
-    let outcome =
-      try
-        let (), makespan, _ =
-          timed_run ~cost:cfg.Interp.cost ~stats ?deadline (fun () ->
-              if base > 0.0 then Sim.set_clock base;
-              spmd ~cfg ~faults:plan ?mpi_ref ?san ~nranks
-                ~make_ctx:(fun ~mpi ~rank ->
-                  Interp.make_ctx ~cfg ~mpi ~rank ~nranks ?san
-                    ~ckpt:(Checkpoint.session store ~rank ?resume ())
-                    ~prog ())
-                (fun ctx ~rank ->
-                  let args = setup ctx ~rank in
-                  values.(rank) <- call ctx fname args))
-        in
-        `Done makespan
-      with
-      | Mpi_state.Rank_failed n when restarts < max_restarts -> `Failed n
-      | Checkpoint.Snapshot_unavailable { su_id; _ }
-        when restarts < max_restarts ->
-        `Bad_snapshot su_id
-      | Mpi_state.Corrupt_message c when restarts < max_restarts ->
-        `Corrupt_msg c
-      | Checkpoint.Corrupt_region { cr_rank; cr_at; _ }
-        when restarts < max_restarts ->
-        `Corrupt_region (cr_rank, cr_at)
-    in
-    match outcome with
-    | `Done makespan ->
+    match
+      timed_run ~cost:cfg.Interp.cost ~stats ?deadline (fun () ->
+          if base > 0.0 then Sim.set_clock base;
+          spmd ~cfg ~faults:plan ?mpi_ref ?san ~nranks
+            ~make_ctx:(fun ~mpi ~rank ->
+              Interp.make_ctx ~cfg ~mpi ~rank ~nranks ?san
+                ~ckpt:(Checkpoint.session store ~rank ?resume ())
+                ~prog ())
+            (fun ctx ~rank ->
+              let args = setup ctx ~rank in
+              values.(rank) <- call ctx fname args))
+    with
+    | (), makespan, _ ->
       ( { values; makespan; stats },
         {
           r_restarts = restarts;
           r_failures = List.rev !failures;
           r_resumed_from = List.rev !resumed;
+          r_plan = plan;
           r_store = store;
         } )
-    | `Failed n ->
+    | exception e when Outcome.transient e && restarts < max_restarts ->
       stats.restarts <- stats.restarts + 1;
-      failures := n :: !failures;
+      (* the virtual time the failure stopped the attempt at *)
+      let stopped =
+        match e with
+        | Mpi_state.Rank_failed n ->
+          failures := n :: !failures;
+          n.Mpi_state.fn_agreed_at
+        | Checkpoint.Snapshot_unavailable { su_id; _ } ->
+          (* the resume target's snapshot turned out missing or corrupt:
+             drop the id everywhere so it can't be selected again, and
+             degrade to the next-oldest consistent checkpoint *)
+          Checkpoint.release store ~id:su_id;
+          base
+        | Mpi_state.Corrupt_message c ->
+          (* retransmits exhausted on a corrupted in-flight message *)
+          stats.sdc_recovered <- stats.sdc_recovered + 1;
+          c.Mpi_state.cm_at
+        | Checkpoint.Corrupt_region { cr_at; _ } ->
+          (* a bit flip landed in sealed cache memory and was caught by an
+             ABFT digest: the attempt's live state is poisoned *)
+          stats.sdc_recovered <- stats.sdc_recovered + 1;
+          cr_at
+        | _ -> base
+      in
+      (* replay from the latest consistent (verified-clean) checkpoint,
+         with the fired event consumed from the plan's budget *)
       let resume = Checkpoint.latest_consistent store in
       resumed := resume :: !resumed;
-      let plan = Faults.consume_kill plan ~rank:n.Mpi_state.fn_failed in
-      attempt plan
-        ~base:(n.Mpi_state.fn_agreed_at +. cfg.Interp.cost.Cost_model.restart_base)
-        ~restarts:(restarts + 1) ~resume
-    | `Bad_snapshot id ->
-      (* the resume target's snapshot turned out missing or corrupt:
-         drop the id everywhere so it can't be selected again, and
-         degrade to the next-oldest consistent checkpoint *)
-      stats.restarts <- stats.restarts + 1;
-      Checkpoint.release store ~id;
-      let resume = Checkpoint.latest_consistent store in
-      resumed := resume :: !resumed;
-      attempt plan
-        ~base:(base +. cfg.Interp.cost.Cost_model.restart_base)
-        ~restarts:(restarts + 1) ~resume
-    | `Corrupt_msg c ->
-      (* retransmits exhausted on a corrupted in-flight message: consume
-         the fired corruption from the plan's budget and replay from the
-         latest consistent checkpoint *)
-      stats.restarts <- stats.restarts + 1;
-      stats.sdc_recovered <- stats.sdc_recovered + 1;
-      let resume = Checkpoint.latest_consistent store in
-      resumed := resume :: !resumed;
-      let plan = Faults.consume_corrupt plan in
-      attempt plan
-        ~base:
-          (c.Mpi_state.cm_at +. cfg.Interp.cost.Cost_model.restart_base)
-        ~restarts:(restarts + 1) ~resume
-    | `Corrupt_region (cr_rank, cr_at) ->
-      (* a bit flip landed in sealed cache memory and was caught by an
-         ABFT digest: the attempt's live state is poisoned, so degrade to
-         the latest verified-clean snapshot and re-advance *)
-      stats.restarts <- stats.restarts + 1;
-      stats.sdc_recovered <- stats.sdc_recovered + 1;
-      let resume = Checkpoint.latest_consistent store in
-      resumed := resume :: !resumed;
-      let plan = Faults.consume_flip plan ~rank:cr_rank in
-      attempt plan
-        ~base:(cr_at +. cfg.Interp.cost.Cost_model.restart_base)
+      attempt (Outcome.consumed plan e)
+        ~base:(stopped +. cfg.Interp.cost.Cost_model.restart_base)
         ~restarts:(restarts + 1) ~resume
   in
   attempt

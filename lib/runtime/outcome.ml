@@ -89,3 +89,14 @@ let transient = function
   | Mpi_state.Corrupt_message _ | Checkpoint.Corrupt_region _ ->
     true
   | _ -> false
+
+(** [consumed plan e] is [plan] without the event whose firing raised
+    the transient failure [e]: the killed rank's kill, the caught flip,
+    or the sticky message corruption. A supervisor replays on it, so
+    each such event fires once. Any other failure consumed nothing. *)
+let consumed plan = function
+  | Mpi_state.Rank_failed n -> Faults.consume_kill plan ~rank:n.fn_failed
+  | Mpi_state.Corrupt_message _ -> Faults.consume_corrupt plan
+  | Checkpoint.Corrupt_region { cr_rank; _ } ->
+    Faults.consume_flip plan ~rank:cr_rank
+  | _ -> plan

@@ -443,15 +443,17 @@ let attempt rq plan ~faults ~stats =
   let sanitizer_class () =
     match san with None -> Outcome.Ok | Some s -> Sanitizer.verdict s
   in
+  (* one taping pass and one k-wide reverse sweep: lane [l] is seeded
+     with [l + 1], as `parad grad --seeds` seeds it; at one lane this is
+     the plain gradient, and the lane digest its digest *)
+  let seeds = Array.init rq.rq_seeds (fun l -> 1.0 +. float_of_int l) in
   match plan, rq.rq_app with
-  | Plulesh c, Lulesh _ when rq.rq_budget > 0 ->
+  | Plulesh c, Lulesh fl when rq.rq_budget > 0 ->
     (* binomial driver: no sanitizer hook, but fault-supervised *)
     let b =
       L.gradient_binomial ~nthreads:rq.rq_nthreads ~nranks:rq.rq_nranks
         ?faults ~compiled:c ~deadline ~engine:rq.rq_engine ~stats
-        ~budget:rq.rq_budget
-        (match rq.rq_app with Lulesh fl -> fl | Bude _ -> assert false)
-        (lulesh_input rq)
+        ~budget:rq.rq_budget fl (lulesh_input rq)
     in
     let g = b.L.b_grad in
     ( (if b.L.b_degraded > 0 then Outcome.Degraded else Outcome.Ok),
@@ -459,57 +461,28 @@ let attempt rq plan ~faults ~stats =
       g.L.g_total,
       g.L.g_makespan,
       g.L.g_stats.Stats.instrs )
-  | Plulesh c, Lulesh _ when rq.rq_seeds > 1 ->
-    (* one taping pass, one k-wide reverse sweep: lane [l] seeded with
-       [l + 1], matching `parad grad --seeds` *)
-    let d_rets =
-      Array.init rq.rq_seeds (fun l -> 1.0 +. float_of_int l)
-    in
+  | Plulesh c, Lulesh _ ->
     let gs =
-      L.gradient_batched ~nthreads:rq.rq_nthreads ?faults ?san ~deadline
-        ~engine:rq.rq_engine ~stats c ~d_rets (lulesh_input rq)
+      L.gradient_batched ~nthreads:rq.rq_nthreads ~nranks:rq.rq_nranks
+        ?faults ?san ?inject_nan:rq.rq_inject_nan ~deadline
+        ~engine:rq.rq_engine ~stats c ~d_rets:seeds (lulesh_input rq)
     in
     ( sanitizer_class (),
       digest_lulesh_lanes gs,
       gs.(0).L.g_total,
       gs.(0).L.g_makespan,
       gs.(0).L.g_stats.Stats.instrs )
-  | Plulesh c, Lulesh _ ->
-    let g =
-      L.gradient_compiled ~nthreads:rq.rq_nthreads ~nranks:rq.rq_nranks
-        ?faults ?san ?inject_nan:rq.rq_inject_nan ~deadline
-        ~engine:rq.rq_engine ~stats c (lulesh_input rq)
-    in
-    ( sanitizer_class (),
-      digest_lulesh g,
-      g.L.g_total,
-      g.L.g_makespan,
-      g.L.g_stats.Stats.instrs )
-  | Pbude c, Bude _ when rq.rq_seeds > 1 ->
+  | Pbude c, Bude _ ->
     let inp = MB.deck ~nposes:rq.rq_nposes ~natlig:4 ~natpro:6 in
-    let ge_seeds =
-      Array.init rq.rq_seeds (fun l -> 1.0 +. float_of_int l)
-    in
     let gs =
       MB.gradient_batched ~nthreads:rq.rq_nthreads ?san ?faults ~deadline
-        ~engine:rq.rq_engine ~stats c ~ge_seeds inp
+        ~engine:rq.rq_engine ~stats c ~ge_seeds:seeds inp
     in
     ( sanitizer_class (),
       digest_bude_lanes gs,
       Array.fold_left ( +. ) 0.0 gs.(0).MB.g_energies,
       gs.(0).MB.g_makespan,
       gs.(0).MB.g_stats.Stats.instrs )
-  | Pbude c, Bude _ ->
-    let inp = MB.deck ~nposes:rq.rq_nposes ~natlig:4 ~natpro:6 in
-    let g =
-      MB.gradient_compiled ~nthreads:rq.rq_nthreads ?san ?faults ~deadline
-        ~engine:rq.rq_engine ~stats c inp
-    in
-    ( sanitizer_class (),
-      digest_bude g,
-      Array.fold_left ( +. ) 0.0 g.MB.g_energies,
-      g.MB.g_makespan,
-      g.MB.g_stats.Stats.instrs )
   | Plulesh _, Bude _ | Pbude _, Lulesh _ ->
     invalid_arg "Service.attempt: plan/app mismatch (cache key collision)"
 
@@ -538,16 +511,7 @@ let execute t rq plan =
       }
     | exception e when Outcome.transient e && tries < t.cfg.retries ->
       t.retries_total <- t.retries_total + 1;
-      let faults =
-        match e, faults with
-        | Mpi_state.Rank_failed n, Some p ->
-          Some (Faults.consume_kill p ~rank:n.Mpi_state.fn_failed)
-        | Mpi_state.Corrupt_message _, Some p ->
-          Some (Faults.consume_corrupt p)
-        | Checkpoint.Corrupt_region { cr_rank; _ }, Some p ->
-          Some (Faults.consume_flip p ~rank:cr_rank)
-        | _ -> faults
-      in
+      let faults = Option.map (fun p -> Outcome.consumed p e) faults in
       let pause = backoff_cycles *. Float.of_int (1 lsl tries) in
       go ~faults ~tries:(tries + 1) ~backoff:(backoff +. pause)
         ~wall_ns:(wall_ns + stats.Stats.wall_ns)

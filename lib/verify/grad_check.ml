@@ -296,8 +296,12 @@ let loss_spmd ?(cfg = Interp.default_config) ?faults ~nranks ~args ~seeds
   done;
   !acc
 
-let reverse_spmd ?(cfg = Interp.default_config) ?opts ?post_opt ?faults
-    ~nranks ~args ~seeds ~d_ret prog fname =
+(* The body both SPMD sweeps share: differentiate, run the gradient
+   through [run] with each rank's arguments, shadows and return seed,
+   and read the adjoints back. [run] gets the config and the setup and
+   returns the result with whatever else it reports. *)
+let spmd_gradient ?(cfg = Interp.default_config) ?opts ?post_opt ~nranks
+    ~args ~seeds ~d_ret ~run prog fname =
   (* the emission option is the single coalescing knob: disabling it also
      disables the runtime packing, giving the true uncoalesced baseline *)
   let cfg =
@@ -310,63 +314,8 @@ let reverse_spmd ?(cfg = Interp.default_config) ?opts ?post_opt ?faults
   let nscal = scalar_count (args ~rank:0) in
   let shadows = Array.make nranks [] in
   let dargs = Array.make nranks V.VUnit in
-  let res =
-    Exec.run_spmd ~cfg ?faults dprog ~nranks ~fname:dname
-      ~setup:(fun ctx ~rank ->
-        let vals, _ = build_args ctx (args ~rank) in
-        let shadow_vals =
-          List.map
-            (fun s -> Exec.floats ctx (Array.copy s))
-            (seeds ~rank)
-        in
-        shadows.(rank) <- shadow_vals;
-        let tail =
-          (if ret_float f then [ V.VFloat (d_ret ~rank) ] else [])
-          @
-          if nscal > 0 then begin
-            let d = Exec.zeros ctx (max 1 nscal) in
-            dargs.(rank) <- d;
-            [ d ]
-          end
-          else []
-        in
-        vals @ shadow_vals @ tail)
-  in
-  {
-    s_primals =
-      Array.map
-        (fun v -> if ret_float f then V.to_float v else 0.0)
-        res.Exec.values;
-    s_d_bufs = Array.map (List.map Exec.to_floats) shadows;
-    s_d_scalars =
-      Array.init nranks (fun r ->
-          if nscal > 0 then Exec.to_floats dargs.(r) else [||]);
-    s_makespan = res.Exec.makespan;
-    s_stats = res.Exec.stats;
-  }
-
-(** Reverse-mode SPMD gradient under a fault plan with checkpoint/restart
-    recovery: on a rank kill the supervised driver restores every rank
-    from the latest globally-consistent checkpoint and replays. Returns
-    the gradient together with the recovery record (restart count,
-    failure notices, resume points). The [setup] closure is re-invoked on
-    every attempt, so the shadow/adjoint buffers read out afterwards
-    belong to the final (successful) attempt. *)
-let reverse_spmd_recoverable ?(cfg = Interp.default_config) ?opts ?post_opt
-    ?faults ?max_restarts ?store ~nranks ~args ~seeds ~d_ret prog fname =
-  let cfg =
-    match opts with
-    | Some o when not o.Parad_core.Plan.coalesce_comm -> { cfg with Interp.coalesce = false }
-    | _ -> cfg
-  in
-  let f = Prog.find_exn prog fname in
-  let dprog, dname = differentiate ?opts ?post_opt prog fname in
-  let nscal = scalar_count (args ~rank:0) in
-  let shadows = Array.make nranks [] in
-  let dargs = Array.make nranks V.VUnit in
-  let res, recovery =
-    Exec.run_spmd_recoverable ~cfg ?faults ?max_restarts ?store dprog ~nranks
-      ~fname:dname ~setup:(fun ctx ~rank ->
+  let res, extra =
+    run ~cfg dprog ~fname:dname ~setup:(fun ctx ~rank ->
         let vals, _ = build_args ctx (args ~rank) in
         let shadow_vals =
           List.map
@@ -398,7 +347,28 @@ let reverse_spmd_recoverable ?(cfg = Interp.default_config) ?opts ?post_opt
       s_makespan = res.Exec.makespan;
       s_stats = res.Exec.stats;
     },
-    recovery )
+    extra )
+
+let reverse_spmd ?cfg ?opts ?post_opt ?faults ~nranks ~args ~seeds ~d_ret
+    prog fname =
+  fst
+    (spmd_gradient ?cfg ?opts ?post_opt ~nranks ~args ~seeds ~d_ret prog fname
+       ~run:(fun ~cfg dprog ~fname ~setup ->
+         Exec.run_spmd ~cfg ?faults dprog ~nranks ~fname ~setup, ()))
+
+(** Reverse-mode SPMD gradient under a fault plan with checkpoint/restart
+    recovery: on a rank kill the supervisor restores every rank
+    from the latest globally-consistent checkpoint and replays. Returns
+    the gradient together with the recovery record (restart count,
+    failure notices, resume points). The [setup] closure is re-invoked on
+    every attempt, so the shadow/adjoint buffers read out afterwards
+    belong to the final (successful) attempt. *)
+let reverse_spmd_recoverable ?cfg ?opts ?post_opt ?faults ?max_restarts ?store
+    ~nranks ~args ~seeds ~d_ret prog fname =
+  spmd_gradient ?cfg ?opts ?post_opt ~nranks ~args ~seeds ~d_ret prog fname
+    ~run:(fun ~cfg dprog ~fname ~setup ->
+      Exec.run_spmd_recoverable ~cfg ?faults ?max_restarts ?store dprog
+        ~nranks ~fname ~setup)
 
 (** Assert that the gradient computed through kill-and-recover is
     bit-identical to the faultless gradient: every adjoint cell, every

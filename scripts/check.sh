@@ -12,6 +12,22 @@ cd "$(dirname "$0")/.."
 OUT=$(mktemp -d "${TMPDIR:-/tmp}/parad-check.XXXXXX")
 trap 'rm -rf "$OUT"' EXIT
 
+# no new toplevel mutable state in lib/: two runs in one process must
+# not share hidden state. A toplevel let bound to a mutable constructor
+# fails here, except the two globals a run context is to replace:
+# Sim.engine_ref and Checkpoint.ns_counter.
+echo "== lint: toplevel mutable state in lib/ =="
+STATE=$(grep -rnE --include='*.ml' \
+  "^let +[a-z_][A-Za-z0-9_']* *(:[^=]*)?= *(ref\b|Hashtbl\.create|Array\.(make|init)|Queue\.create|Stack\.create|Atomic\.make|Buffer\.create|Bytes\.(create|make)|Mutex\.create|Weak\.create)" \
+  lib \
+  | grep -vE '^lib/runtime/sim\.ml:[0-9]+:let engine_ref |^lib/runtime/checkpoint\.ml:[0-9]+:let ns_counter ' \
+  || true)
+if [ -n "$STATE" ]; then
+  echo "FAIL: toplevel mutable state in lib/ (keep it in a run's own state):"
+  echo "$STATE"
+  exit 1
+fi
+
 echo "== dune build =="
 dune build @all
 
@@ -165,6 +181,19 @@ $PARAD grad $COMMON 2>/dev/null | grep "d total" > "$OUT/clean4.out"
 cmp -s "$OUT/clean4.out" "$OUT/sdc.out" || {
   echo "FAIL: flip-recovered gradient differs from the faultless one"
   diff "$OUT/clean4.out" "$OUT/sdc.out" || true
+  exit 1
+}
+
+# gradient_binomial runs each inner run on the plan the previous run's
+# supervisor left, so the consumed flip lands once per gradient, not
+# once per inner run, and the gradient is the faultless one
+expect_exit 0 grad $COMMON --snap-budget 2 --plan "none:flip=1@40@31@50,retries=5"
+expect_output "sdc: 1 injected, 1 detected, 1 recovered" \
+  "binomial flip fired more than once"
+grep "d total" "$OUT/check.out" > "$OUT/sdc-binomial.out"
+cmp -s "$OUT/clean4.out" "$OUT/sdc-binomial.out" || {
+  echo "FAIL: binomial flip-recovered gradient differs from the faultless one"
+  diff "$OUT/clean4.out" "$OUT/sdc-binomial.out" || true
   exit 1
 }
 

@@ -58,10 +58,14 @@ let emit b ~init ~load ops =
     for [Load k] and accumulating the stack's sum into a one-cell local
     allocation that is read after the nest. The nest's stack starts from
     [x[0] * 0.5], computed before the nest, so that value's adjoint
-    gathers contributions across the iterations. *)
-type shape = Straight | Nest
+    gathers contributions across the iterations. [Register] is the nest
+    with a per-access register: each iteration adds the stack's sum into
+    a second one-cell allocation, reads it back and stores 0.0 into it,
+    and accumulates what it read. *)
+type shape = Straight | Nest | Register
 
 let gen_shape = QCheck.Gen.oneofl [ Straight; Nest ]
+let gen_any_shape = QCheck.Gen.oneofl [ Straight; Nest; Register ]
 
 (** The program holding "rand": it runs [ops] over loads from a buffer
     of [len] floats and returns the sum of the stack, accumulated over
@@ -83,8 +87,10 @@ let build ?(shape = Straight) ~len ops =
     match shape with
     | Straight ->
       sum ~init:(B.f64 b 0.5) ~load:(fun i -> B.load b x (B.i64 b (i mod len)))
-    | Nest ->
-      let acc = B.alloc b ~kind:Instr.Stack Ty.Float (B.i64 b 1) in
+    | Nest | Register ->
+      let one_cell () = B.alloc b ~kind:Instr.Stack Ty.Float (B.i64 b 1) in
+      let acc = one_cell () in
+      let reg = if shape = Register then Some (one_cell ()) else None in
       let zero = B.i64 b 0 in
       let init = B.mul b (B.load b x zero) (B.f64 b 0.5) in
       B.for_n b (B.i64 b 3) (fun i ->
@@ -94,6 +100,15 @@ let build ?(shape = Straight) ~len ops =
                 B.load b x (B.rem b (B.add b ij (B.i64 b k)) (B.i64 b len))
               in
               let s = sum ~init ~load in
+              let s =
+                match reg with
+                | None -> s
+                | Some r ->
+                  B.store b r zero (B.add b (B.load b r zero) s);
+                  let v = B.load b r zero in
+                  B.store b r zero (B.f64 b 0.0);
+                  v
+              in
               B.store b acc zero (B.add b (B.load b acc zero) s)));
       B.load b acc zero
   in

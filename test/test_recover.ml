@@ -409,6 +409,41 @@ let test_binomial_corruption_degrades () =
   Alcotest.(check bool) "fetches degraded" true (b.L.b_degraded > 0);
   check_gradient_matches ~what:"corrupted-binomial" clean b.L.b_grad nranks
 
+let test_binomial_consumed_fault_fires_once () =
+  (* the supervisor of each inner run consumes a caught flip or sticky
+     message corruption; gradient_binomial runs the next inner run on the
+     plan that supervisor left, so each fires once per gradient, not once
+     per inner run, and the bits are the fault-free ones *)
+  let nranks = 2 in
+  let inp = inp ~ranks:nranks in
+  let clean = L.gradient ~nranks L.Mpi inp in
+  List.iter
+    (fun spec ->
+      let faults = Faults.plan_of_spec ~nranks spec in
+      let b =
+        L.gradient_binomial ~nranks ~budget:2 ~faults ~max_restarts:8 L.Mpi
+          inp
+      in
+      let s = b.L.b_grad.L.g_stats in
+      Alcotest.(check int) (spec ^ ": restarts") 1 s.Stats.restarts;
+      Alcotest.(check int) (spec ^ ": injected") 1 s.Stats.sdc_injected;
+      check_gradient_matches ~what:spec clean b.L.b_grad nranks)
+    [ "none:flip=1@3@31@50"; "none:corrupt-msg=1@7@sticky" ]
+
+let test_binomial_every_flavor () =
+  (* gradient_binomial builds every segment's arguments with the
+     functions the store-all gradient uses, the Julia flavor's
+     descriptor cells included: budget-2 gradients equal the store-all
+     ones bit for bit on all seven flavors *)
+  List.iter
+    (fun fl ->
+      let nranks = if L.uses_mpi fl then 2 else 1 in
+      let inp = inp ~ranks:2 in
+      let clean = L.gradient ~nranks fl inp in
+      let b = L.gradient_binomial ~nranks ~budget:2 fl inp in
+      check_gradient_matches ~what:(L.flavor_name fl) clean b.L.b_grad nranks)
+    L.[ Seq; Omp; Raja_; Mpi; Hybrid; RajaMpi; Jlmpi ]
+
 (* ---- chaos soak ---- *)
 
 let test_chaos_soak () =
@@ -516,6 +551,10 @@ let () =
             test_binomial_bitwise_and_bounded;
           Alcotest.test_case "corruption degrades, still bitwise" `Quick
             test_binomial_corruption_degrades;
+          Alcotest.test_case "a consumed fault fires once" `Quick
+            test_binomial_consumed_fault_fires_once;
+          Alcotest.test_case "every flavor bitwise vs store-all" `Quick
+            test_binomial_every_flavor;
         ] );
       ( "chaos",
         [ Alcotest.test_case "soak: 50 seeded combinations" `Slow test_chaos_soak ] );
