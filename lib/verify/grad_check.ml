@@ -357,8 +357,8 @@ let reverse_spmd ?cfg ?opts ?post_opt ?faults ~nranks ~args ~seeds ~d_ret
          Exec.run_spmd ~cfg ?faults dprog ~nranks ~fname ~setup, ()))
 
 (** Reverse-mode SPMD gradient under a fault plan with checkpoint/restart
-    recovery: on a rank kill the supervisor restores every rank
-    from the latest globally-consistent checkpoint and replays. Returns
+    recovery: on a rank kill the supervisor restores every rank from the
+    latest globally-consistent checkpoint and replays. Returns
     the gradient together with the recovery record (restart count,
     failure notices, resume points). The [setup] closure is re-invoked on
     every attempt, so the shadow/adjoint buffers read out afterwards
