@@ -8,7 +8,8 @@
    headline LULESH OMP row should approach but never reach kx. Every
    lane column must be bit-identical to its standalone run (same d_ret,
    same engine): batching is a layout change, not a numeric one.
-   bench/thresholds puts a floor under the lulesh_omp/k8 speedup.
+   bench/thresholds puts a floor under the lulesh_omp/k8 speedup, and
+   under the virtual-cycle speedup (cycles_speedup) of the k8 rows.
 
    The two sides are timed as interleaved pairs in process CPU time —
    one batched sweep, then the k single-seed sweeps — and the speedup is
@@ -23,14 +24,19 @@ module Plan = Parad_core.Plan
 (* a BENCH_batch.json row's metrics: one batched k-lane sweep
    (batched_cpu_ns) against the sum of k single-seed sweeps on the same
    engine (solo_cpu_ns), each the median over the pairs, and the median
-   of the per-pair ratios (speedup) *)
-let batch_metrics ~seeds ~batched_ns ~solo_ns ~speedup =
+   of the per-pair ratios (speedup); and the k single-seed sweeps'
+   summed virtual makespan over the batched sweep's (cycles_speedup),
+   which, unlike the CPU times, is the same on every run *)
+let batch_metrics ~seeds ~batched_ns ~solo_ns ~speedup ~cycles_speedup =
   [
     "seeds", float seeds;
     "batched_cpu_ns", batched_ns;
     "solo_cpu_ns", solo_ns;
     "speedup", speedup;
+    "cycles_speedup", cycles_speedup;
   ]
+
+let sum = List.fold_left ( +. ) 0.0
 
 let cpu_ns () =
   let t = Unix.times () in
@@ -72,7 +78,7 @@ let run ~quick =
   let npairs = if quick then 7 else 9 in
   let engine = E.Seq in
   row_of_strings "config"
-    [ "batched_cpu_ms"; "k_solo_cpu_ms"; "speedup"; "bitwise" ];
+    [ "batched_cpu_ms"; "k_solo_cpu_ms"; "speedup"; "cycles_x"; "bitwise" ];
 
   (* ---- LULESH OMP (nthreads=64): the headline row ---- *)
   let inp =
@@ -98,16 +104,21 @@ let run ~quick =
           && bits_eq g.L.d_energy.(0) b.L.d_energy.(0))
         solos (Array.to_list gs)
     in
+    let cycles_speedup =
+      sum (List.map (fun (g : L.grad_result) -> g.L.g_makespan) solos)
+      /. gs.(0).L.g_makespan
+    in
     let name = Printf.sprintf "lulesh_omp/k%d" k in
     row_of_strings name
       [
         Printf.sprintf "%.1f" (batched_ns /. 1e6);
         Printf.sprintf "%.1f" (solo_ns /. 1e6);
         Printf.sprintf "%.2fx" speedup;
+        Printf.sprintf "%.2fx" cycles_speedup;
         string_of_bool bitwise;
       ];
     record ~figure:"batch" ~config:name ~bitwise
-      (batch_metrics ~seeds:k ~batched_ns ~solo_ns ~speedup);
+      (batch_metrics ~seeds:k ~batched_ns ~solo_ns ~speedup ~cycles_speedup);
     bitwise
   in
   subheader "LULESH OMP gradient (nthreads=64, engine=seq)";
@@ -140,16 +151,21 @@ let run ~quick =
           && bits_eq g.MB.d_poses b.MB.d_poses)
         solos (Array.to_list gs)
     in
+    let cycles_speedup =
+      sum (List.map (fun (g : MB.grad_result) -> g.MB.g_makespan) solos)
+      /. gs.(0).MB.g_makespan
+    in
     let name = Printf.sprintf "bude_omp/k%d" k in
     row_of_strings name
       [
         Printf.sprintf "%.1f" (batched_ns /. 1e6);
         Printf.sprintf "%.1f" (solo_ns /. 1e6);
         Printf.sprintf "%.2fx" speedup;
+        Printf.sprintf "%.2fx" cycles_speedup;
         string_of_bool bitwise;
       ];
     record ~figure:"batch" ~config:name ~bitwise
-      (batch_metrics ~seeds:k ~batched_ns ~solo_ns ~speedup);
+      (batch_metrics ~seeds:k ~batched_ns ~solo_ns ~speedup ~cycles_speedup);
     bitwise
   in
   List.iter (fun k -> ok := bude_row k && !ok) [ 8 ];

@@ -227,6 +227,7 @@ let lulesh_energy r = Printf.sprintf "total energy %.6f" r.L.total_energy
 let run_cmd =
   let run c engine =
     or_exit @@ fun () ->
+    L.check_ranks c.flavor ~nranks:c.ranks;
     let r = L.run ~nranks:c.ranks ~nthreads:c.threads ~engine c.flavor c.inp in
     print_primal (L.flavor_name c.flavor) (lulesh_energy r) r.L.makespan
       r.L.stats;
@@ -427,6 +428,7 @@ let grad_cmd =
       deadline_cycles plan engine seeds remat_rate =
     or_exit @@ fun () ->
     let { flavor; ranks; threads; inp } = c in
+    L.check_ranks flavor ~nranks:ranks;
     let opts =
       { Plan.default_options with recompute_depth;
         coalesce_comm = not no_coalesce }
@@ -621,7 +623,8 @@ let note_ignored app (plan : Faults.plan) =
    given: LULESH by the checkpoint/restart driver, miniBUDE by re-running
    with each detected flip consumed. It prints the result and the
    restart history, then [report]'s. A failure goes to stdout, before
-   [report]. A completed run's class is [report]'s verdict, or
+   [report]; a LULESH flavor that cannot run on [c.ranks] is rejected
+   without it. A completed run's class is [report]'s verdict, or
    [Degraded] when it needed a restart and lost messages or has
    findings. *)
 let run_app ?faults ?san ?inject_nan ?engine ?max_restarts ?mpi_ref ~opts
@@ -631,6 +634,8 @@ let run_app ?faults ?san ?inject_nan ?engine ?max_restarts ?mpi_ref ~opts
     | Some p -> Printf.sprintf " under %S" p.Faults.name
     | None -> ""
   in
+  if app = `Lulesh then
+    or_exit ~out:stdout (fun () -> L.check_ranks c.flavor ~nranks:c.ranks);
   or_exit ~out:stdout ?gave_up:max_restarts ~report @@ fun () ->
   let { flavor; ranks = nranks; threads = nthreads; inp } = c in
   let name = L.flavor_name flavor ^ under in

@@ -54,6 +54,15 @@ let uses_mpi = function
   | Mpi | Hybrid | RajaMpi | Jlmpi -> true
   | Seq | Omp | Raja_ -> false
 
+(** Raises [Outcome.Invalid_request] unless [flavor] runs on [nranks]
+    ranks: only an MPI flavor couples its ranks' slabs, so a
+    shared-memory flavor on more than one would differentiate another
+    loss. *)
+let check_ranks flavor ~nranks =
+  if nranks > 1 && not (uses_mpi flavor) then
+    Parad_runtime.Outcome.invalid
+      "flavor %S is not MPI-capable; nranks must be 1" (flavor_name flavor)
+
 let threaded = function
   | Omp | Raja_ | Hybrid | RajaMpi -> true
   | Seq | Mpi | Jlmpi -> false

@@ -257,6 +257,9 @@ let variant_name = function
   | Omp -> "bude_omp"
   | Julia -> "bude_julia"
 
+(* the Julia variant spawns its chunk workers as tasks *)
+let spawns_tasks = function Julia -> true | Seq | Omp -> false
+
 type run_result = {
   energies : float array;
   makespan : float;

@@ -15,6 +15,7 @@
 
 open Parad_ir
 module B = Builder
+module Interp = Parad_runtime.Interp
 open Plan
 
 (* Slot layout of a callee's cache block: [0, n) sub-cache ids, [n] the
@@ -1297,18 +1298,22 @@ let scalar_formula st (s : aspec) (dv : Var.t) =
   | 9 -> B.select b (cond ()) dv (B.neg b dv)
   | _ -> assert false
 
-(* At k > 1: the group of an accumulation target: its lane group in the
-   file, or, for a register captured inside a fork, its plane, which
-   takes an atomic add per lane. Returns the host, offset and atomic
-   flag. *)
+(* At k > 1: the group of an accumulation target and the kind of its
+   contribution ({!Interp.acc_kind}): its lane group in the file, which
+   takes a write while its lanes are known to be +0.0 (the k-wide form
+   of [fold] dropping [0.0 + x]) and an add after that, or, for a
+   register captured inside a fork, its plane, which takes an atomic add
+   per lane. Returns the host, offset and kind. *)
 let lane_target rs sc (x : Var.t) =
   let st = rs.fs in
+  let kind kd = ki st (Interp.kind_code kd) in
   let host, atomic, _ = adj_host rs sc x in
-  if atomic then host, plane_off rs host x, ki st 1
+  if atomic then host, plane_off rs host x, kind Interp.Atomic
   else begin
     let c = touch rs sc x in
+    let kd = if c.zero then Interp.Write else Interp.Add in
     c.zero <- false;
-    file_of sc, lane_off rs c, ki st 0
+    file_of sc, lane_off rs c, kind kd
   end
 
 let rev_stmt rs sc (v : Var.t) (specs : aspec list) =
@@ -1322,7 +1327,7 @@ let rev_stmt rs sc (v : Var.t) (specs : aspec list) =
     let c = touch rs sc v in
     let off = lane_off rs c in
     let group (s : aspec) =
-      let host, o, atomic = lane_target rs sc s.at in
+      let host, o, kind = lane_target rs sc s.at in
       [
         host;
         o;
@@ -1330,7 +1335,7 @@ let rev_stmt rs sc (v : Var.t) (specs : aspec list) =
         (match s.ac1 with Some c -> c | None -> kf st 0.0);
         (match s.ac2 with Some c -> c | None -> kf st 0.0);
         (match s.acond with Some c -> c | None -> kb st false);
-        atomic;
+        kind;
       ]
     in
     (* one dispatch per statement: take v's lanes into the scratch (the
@@ -1499,8 +1504,8 @@ and rev_node rs sc ?if_results { occ; ins; subs } =
          the zeroing must happen even when x accumulates nowhere *)
       let mb = B.mul b (rval ix) (ki st k) in
       if accumulable rs x then begin
-        let host, off, atomic = lane_target rs sc x in
-        kcall rs "adj.srev_k" [ file_of sc; sp; mb; host; off; atomic; ki st k ]
+        let host, off, kind = lane_target rs sc x in
+        kcall rs "adj.srev_k" [ file_of sc; sp; mb; host; off; kind; ki st k ]
       end
       else kcall rs "adj.mtake_k" [ sp; mb; file_of sc; ki st k ]
     end
@@ -1512,8 +1517,8 @@ and rev_node rs sc ?if_results { occ; ins; subs } =
     if k = 1 then accum rs sc x (B.load b sp (rval ix))
     else if accumulable rs x then begin
       let mb = B.mul b (rval ix) (ki st k) in
-      let host, off, atomic = lane_target rs sc x in
-      kcall rs "adj.arev_k" [ file_of sc; sp; mb; host; off; atomic; ki st k ]
+      let host, off, kind = lane_target rs sc x in
+      kcall rs "adj.arev_k" [ file_of sc; sp; mb; host; off; kind; ki st k ]
     end
   | Call (v, name, args) -> rev_call rs sc ~occ v name args
   | Spawn (v, _, args) ->
@@ -1964,9 +1969,9 @@ let emit_combined eng (f : Func.t) (p : Plan.t) dname =
       else if accumulable rs v then begin
         (* d_ret is a k-cell buffer: lane l seeds the return with d[l],
            added to v's lanes as an atomic add's reversal adds a cell *)
-        let host, off, atomic = lane_target rs root v in
+        let host, off, kind = lane_target rs root v in
         kcall rs "adj.arev_k"
-          [ file_of root; d; ki st 0; host; off; atomic; ki st seeds ]
+          [ file_of root; d; ki st 0; host; off; kind; ki st seeds ]
       end
     | _ -> ());
     rev_emit rs root nodes;
@@ -2123,6 +2128,11 @@ let emit_split eng gname =
     ignore (B.finish b)
   end
 
+(** Why a batched plan ([opts.seeds > 1]) is refused for a program that
+    spawns tasks. *)
+let tasks_unbatchable =
+  "batched seeds (k>1) cannot differentiate task parallelism"
+
 (** [gradient ?opts prog fname] returns a program extended with
     [d_<fname>] (and any [aug_]/[rev_] split pairs for callees and tasks)
     plus the name of the gradient function. See {!emit_combined} for the
@@ -2138,8 +2148,7 @@ let gradient ?(opts = Plan.default_options) (src : Prog.t) fname =
     Instr.iter_instrs
       (fun i ->
         match i with
-        | Instr.Spawn _ | Instr.Sync _ ->
-          unsupported "batched seeds (k>1) cannot differentiate task parallelism"
+        | Instr.Spawn _ | Instr.Sync _ -> unsupported "%s" tasks_unbatchable
         | Instr.Call (_, n, _) when not (String.contains n '.') ->
           unsupported "batched seeds (k>1) cannot differentiate calls to %S" n
         | Instr.Call (_, n, _)

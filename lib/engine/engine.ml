@@ -606,7 +606,8 @@ let write_boxed (cf : cfun) (p : Var.t) fr (a : Value.t) =
 
    The adj.*_k intrinsics of a batched reverse sweep, lowered with their
    static operands resolved from the [Const]s that define them: the lane
-   count k, each group's mode and atomic flag, and the lane-file offsets
+   count k, each group's mode and kind ({!Interp.acc_kind}; the atomic
+   flag of an adj.mrev_k), and the lane-file offsets
    (voff, o1, o2, off, foff). A host at a constant offset is known to be
    the lane file when it is the call's file var; a host held in another
    var keeps the run-time [host.buf == file.buf] test. Each call compiles
@@ -618,8 +619,8 @@ let write_boxed (cf : cfun) (p : Var.t) fr (a : Value.t) =
    order (the clock is a float, so two charges merged could round
    differently once a NUMA-remote charge has left it non-integral). Its
    Stats increments are summed at lowering. A call whose static operand
-   is not an int constant, or whose k or mode the interpreter would
-   reject, is not lowered: it delegates to the interpreter. *)
+   is not an int constant, or whose k, mode or kind the interpreter
+   would reject, is not lowered: it delegates to the interpreter. *)
 
 (* [v] as a pointer; any other value raises the interpreter's message *)
 let[@inline] ptr (v : Value.t) =
@@ -778,19 +779,28 @@ let[@inline] take_plane t ~who ~zero ~k (file : Value.ptr) fa
 
 (* Accumulation-group step: fold the scratch (the first [k] lanes of the
    file, cells [fa]) into [h]'s lanes at [o] by [loop], then charge the
-   mode's arithmetic ([nops] units) and one atomic per lane, or the plane
-   read and write of a host outside the file. A host known at lowering to
-   be the file ([in_file]) was checked with the call's file groups. *)
+   mode's arithmetic ([nops] units) and, by [kind], one atomic per lane,
+   or the plane read and write (the write alone, for a [Write]) of a host
+   outside the file. A host known at lowering to be the file ([in_file])
+   was checked with the call's file groups. A [Write]'s precondition is
+   left to the interpreter to check. *)
 let[@inline] acc_step t ~who fr (file : Value.ptr) fa (h : Value.ptr)
-    ~in_file ~o ~k ~fk ~(loop : loop) ~nops ~atomic =
+    ~in_file ~o ~k ~fk ~(loop : loop) ~nops ~(kind : Interp.acc_kind) =
   let ha = if in_file then fa else lanes ~who h o k in
   loop fr ha (h.off + o) fa file.off;
   charge t (t.cost.Cost_model.arith *. nops);
-  if atomic then charge t (t.cost.Cost_model.atomic *. fk)
-  else if (not in_file) && h.buf != file.buf then begin
-    charge_mem_n t h.buf (2 * k);
-    count_cells t.st ~reads:k ~writes:k
-  end
+  match kind with
+  | Atomic -> charge t (t.cost.Cost_model.atomic *. fk)
+  | Add ->
+    if (not in_file) && h.buf != file.buf then begin
+      charge_mem_n t h.buf (2 * k);
+      count_cells t.st ~reads:k ~writes:k
+    end
+  | Write ->
+    if (not in_file) && h.buf != file.buf then begin
+      charge_mem_n t h.buf k;
+      count_cells t.st ~reads:0 ~writes:k
+    end
 
 (* An operand group of an adj.rev*_k call, resolved at lowering. *)
 type rev_group = {
@@ -798,8 +808,8 @@ type rev_group = {
   g_h : int;  (** the host's pointer slot *)
   g_o : int;  (** the host's lane offset *)
   g_loop : loop;
-  g_nops : float;  (** lanes times the mode's ops per lane plus the add *)
-  g_atomic : bool;
+  g_nops : float;  (** lanes times {!Interp.group_ops} *)
+  g_kind : Interp.acc_kind;
   g_flops : int;  (** the flops {!Interp.count_group} counts *)
   g_range : range;
 }
@@ -807,11 +817,11 @@ type rev_group = {
 let[@inline] rev_step t ~who fr file fa ~k ~fk g =
   let h = if g.g_file then file else ptr fr.v.(g.g_h) in
   acc_step t ~who fr file fa h ~in_file:g.g_file ~o:g.g_o ~k ~fk
-    ~loop:g.g_loop ~nops:g.g_nops ~atomic:g.g_atomic
+    ~loop:g.g_loop ~nops:g.g_nops ~kind:g.g_kind
 
 (* The closure of lane call [name] on [args], with result [v]: [None]
-   when a static operand is not an int constant, or k or a mode is one
-   the interpreter rejects. *)
+   when a static operand is not an int constant, or k, a mode or a kind
+   is one the interpreter rejects. *)
 let lane_call env v name args : sc option =
   let ( let* ) = Option.bind in
   let static x = Hashtbl.find_opt (Lazy.force env.consts) (Var.id x) in
@@ -843,7 +853,7 @@ let lane_call env v name args : sc option =
       | h :: o :: m :: c1 :: c2 :: cnd :: at :: rest ->
         let* o = static o in
         let* mode = static m in
-        let* at = static at in
+        let* kind = Option.bind (static at) Interp.acc_kind_of_code in
         let* loop =
           acc_loop ~k ~mode ~c1:(fslot env c1) ~c2:(fslot env c2)
             ~cnd:(bslot env cnd)
@@ -854,10 +864,9 @@ let lane_call env v name args : sc option =
             g_h = pslot env h;
             g_o = o;
             g_loop = loop;
-            g_nops = float_of_int (k * (Interp.adj_mode_ops mode + 1));
-            g_atomic = at <> 0;
-            g_flops =
-              (k * Interp.adj_mode_flops mode) + if at <> 0 then 0 else k;
+            g_nops = float_of_int (k * Interp.group_ops ~mode kind);
+            g_kind = kind;
+            g_flops = k * Interp.group_flops ~mode kind;
             g_range = range file h (fixed o);
           }
         in
@@ -877,7 +886,7 @@ let lane_call env v name args : sc option =
     let lo = List.fold_left min 0 offs and hi = List.fold_left max 0 offs + k in
     let flops = List.fold_left (fun n g -> n + g.g_flops) 0 gs
     and atomics =
-      List.fold_left (fun n g -> if g.g_atomic then n + k else n) 0 gs
+      List.fold_left (fun n g -> if g.g_kind = Atomic then n + k else n) 0 gs
     in
     match name, gs with
     | "adj.rev1_k", [ g1 ] ->
@@ -940,8 +949,8 @@ let lane_call env v name args : sc option =
        the scratch (zeroing it for a Store only), then fold it into the
        stored operand's group (mode 0). *)
     let* o1 = static o1 in
-    let* at1 = static at1 in
-    let zero = name = "adj.srev_k" and atomic = at1 <> 0 in
+    let* kind = Option.bind (static at1) Interp.acc_kind_of_code in
+    let zero = name = "adj.srev_k" in
     let in_file = Var.equal h1 file in
     let s_file = pslot env file and s_sp = pslot env sp in
     let s_mb = islot env mb and s_h1 = pslot env h1 in
@@ -951,7 +960,9 @@ let lane_call env v name args : sc option =
     in
     let lo, hi = if in_file then min 0 o1, max 0 o1 + k else 0, k in
     let loop : loop = fun _ ha ho sa so -> lanes_add ha ho sa so k in
-    let flops = if atomic then 0 else k and atomics = if atomic then k else 0 in
+    let nops = float_of_int (k * Interp.group_ops ~mode:0 kind) in
+    let flops = k * Interp.group_flops ~mode:0 kind
+    and atomics = if kind = Atomic then k else 0 in
     Some
       (fun t fr ->
         charge t t.cost.Cost_model.arith;
@@ -959,8 +970,8 @@ let lane_call env v name args : sc option =
         let h1 = if in_file then file else ptr fr.v.(s_h1) in
         let fa = file_lanes ~who ~k ~lo ~hi ranges fr file in
         take_plane t ~who ~zero ~k file fa sp fr.i.(s_mb);
-        acc_step t ~who fr file fa h1 ~in_file ~o:o1 ~k ~fk ~loop ~nops:fk
-          ~atomic;
+        acc_step t ~who fr file fa h1 ~in_file ~o:o1 ~k ~fk ~loop ~nops
+          ~kind;
         count_ops t.st ~flops ~atomics;
         fr.v.(s_v) <- VUnit)
   | "adj.mtake_k", [ sp; mb; file; _ ] ->

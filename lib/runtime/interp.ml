@@ -335,7 +335,7 @@ let adj_acc_lanes ~mode (c : float array) ~c1 ~c2 ~cond (ha : float array) ho
       done
   | m -> error "adjoint accumulate: unknown mode %d" m
 
-(* Ops per lane of each accumulation mode's formula, before the
+(* Ops per lane of each accumulation mode's formula, without the
    accumulating add: what the unrolled scalar emission executes, a select
    included ([adj_mode_ops], the virtual-time charge) and excluded
    ([adj_mode_flops], the float ops it counts in {!Stats.t}). *)
@@ -353,6 +353,34 @@ let adj_mode_flops = function
   | 5 -> 3
   | _ -> 0
 
+(** How an accumulation group of a lane call takes its contribution, the
+    group's kind operand ([kind_code]): [Add]ed into its lanes, added
+    atomically per lane, or [Write]n into lanes the reverse pass knows
+    are +0.0 — a register's first contribution, which the scalar
+    emission stores without an add once [fold] drops [0.0 + x]. The lane
+    loop is the same for all three: adding into +0.0 lanes is the write,
+    and it turns a -0.0 contribution into +0.0 as the add does. A write
+    is charged and counted as the formula alone, and a [Write] into a
+    group holding a lane that is not +0.0 raises. *)
+type acc_kind = Add | Atomic | Write
+
+let kind_code = function Add -> 0 | Atomic -> 1 | Write -> 2
+
+let acc_kind_of_code = function
+  | 0 -> Some Add
+  | 1 -> Some Atomic
+  | 2 -> Some Write
+  | _ -> None
+
+(* Ops and flops per lane of a group of [mode] and [kind]: the formula's,
+   plus the accumulating add unless it is a write; an atomic add is
+   charged as an op, and counted as an atomic instead of a flop. *)
+let group_ops ~mode kind =
+  adj_mode_ops mode + match kind with Write -> 0 | Add | Atomic -> 1
+
+let group_flops ~mode kind =
+  adj_mode_flops mode + match kind with Add -> 1 | Atomic | Write -> 0
+
 (* Count [reads] and [writes] plane cells of a lane step as the scalar
    emission's loads and stores. *)
 let[@inline] count_cells (st : Stats.t) ~reads ~writes =
@@ -361,15 +389,14 @@ let[@inline] count_cells (st : Stats.t) ~reads ~writes =
 
 (* Count the [k] lanes of one accumulation group as the scalar emission
    counts them: the formula's float ops, then one atomic add per lane,
-   or an add, with a plane read and write unless the group is a register
-   in the lane file. *)
-let count_group (st : Stats.t) ~mode ~atomic ~in_file k =
-  st.flops <- st.flops + (k * adj_mode_flops mode);
-  if atomic then st.atomics <- st.atomics + k
-  else begin
-    st.flops <- st.flops + k;
-    if not in_file then count_cells st ~reads:k ~writes:k
-  end
+   or an add with a plane read and write, or a plane write, no cell
+   counted for a register in the lane file. *)
+let count_group (st : Stats.t) ~mode ~kind ~in_file k =
+  st.flops <- st.flops + (k * group_flops ~mode kind);
+  match kind with
+  | Atomic -> st.atomics <- st.atomics + k
+  | Add -> if not in_file then count_cells st ~reads:k ~writes:k
+  | Write -> if not in_file then count_cells st ~reads:0 ~writes:k
 
 (* [p] points into the lane register file [file]. *)
 let[@inline] in_file (file : Value.ptr) (p : Value.ptr) = p.buf == file.buf
@@ -405,13 +432,33 @@ let move_group ~who ~load (file : Value.ptr) foff (plane : Value.ptr) poff k =
   end
 
 (* The memory side of an accumulation group of [k] lanes into [host]:
-   an atomic add per lane, a plane read and write per lane, or nothing
-   for a register in [file]; counted in [st] too. *)
-let acc_charge ctx st ~file ~mode ~atomic (host : Value.ptr) k =
+   an atomic add per lane, a plane read and write per lane (a write
+   only, for a [Write]), or nothing for a register in [file]; counted in
+   [st] too. *)
+let acc_charge ctx st ~file ~mode ~kind (host : Value.ptr) k =
   let inf = in_file file host in
-  if atomic then charge (ctx.cfg.cost.atomic *. float_of_int k)
-  else if not inf then charge_mem ctx host.buf (2 * k);
-  count_group st ~mode ~atomic ~in_file:inf k
+  (match kind with
+  | Atomic -> charge (ctx.cfg.cost.atomic *. float_of_int k)
+  | Add -> if not inf then charge_mem ctx host.buf (2 * k)
+  | Write -> if not inf then charge_mem ctx host.buf k);
+  count_group st ~mode ~kind ~in_file:inf k
+
+(* Lane call [name]'s kind operand. *)
+let acc_kind name code =
+  match acc_kind_of_code code with
+  | Some kind -> kind
+  | None -> error "%s: unknown accumulation kind %d" name code
+
+(* A [Write] group's [k] lanes [ha] at [ho], bounds-checked already, must
+   all be +0.0. *)
+let check_write name kind (ha : float array) ho k =
+  if kind = Write then
+    for l = 0 to k - 1 do
+      let x = Array.unsafe_get ha (ho + l) in
+      if Int64.bits_of_float x <> 0L then
+        error "%s: write into a group whose lane %d is not +0.0 (it holds %h)"
+          name l x
+    done
 
 (* The memory side of a take of [k] lanes of [src]: plane cells read and,
    when [zero], written. *)
@@ -1289,13 +1336,17 @@ and intrinsic ctx e name args vals : Value.t =
      contiguous k-lane group of a k-stride adjoint plane ([FCells]
      accessed raw after one bounds check per group), so the per-lane cost
      is a float op, not an interpreter dispatch. Per-lane arithmetic
-     mirrors the scalar emission exactly — same ops, same order — which
-     is what keeps every batched lane bit-identical to its standalone
-     single-seed run. The first argument is the calling thread's lane
-     register file; its first k lanes are the scratch. An operand in the
-     file is a register: like the scalar emission's SSA values, it is
-     charged and counted no memory. Plane cells are charged and counted
-     as the scalar sequence's loads and stores would be. *)
+     gives the scalar emission's bits — the same formula in the same
+     order, added into a register whose lanes are +0.0 where the
+     standalone run, after [fold], stores the formula — which is what
+     keeps every batched lane bit-identical to its standalone
+     single-seed run. The charges and counts are the standalone run's
+     too: a [Write] group ({!acc_kind}) pays no add. The first argument
+     is the calling thread's lane register file; its first k lanes are
+     the scratch. An operand in the file is a register: like the scalar
+     emission's SSA values, it is charged and counted no memory. Plane
+     cells are charged and counted as the scalar sequence's loads and
+     stores would be. *)
   | "adj.rev1_k" | "adj.rev2_k" ->
     (* One fused call per reverse statement: take the statement result's
        lane group into the scratch (zeroing it), then fold it into one or
@@ -1312,12 +1363,13 @@ and intrinsic ctx e name args vals : Value.t =
       and c1 = float_arg (base + 3)
       and c2 = float_arg (base + 4) in
       let cond = to_bool (List.nth vals (base + 5)) in
-      let atomic = int_arg (base + 6) <> 0 in
+      let kind = acc_kind name (int_arg (base + 6)) in
       let aa = fplane ~who:e.fname host ~base:xoff ~n:k in
+      check_write name kind aa (host.off + xoff) k;
       adj_acc_lanes ~mode [| c1; c2 |] ~c1:0 ~c2:1 ~cond aa (host.off + xoff)
         sa file.off k;
-      charge (c.arith *. float_of_int (k * (adj_mode_ops mode + 1)));
-      acc_charge ctx st ~file ~mode ~atomic host k
+      charge (c.arith *. float_of_int (k * group_ops ~mode kind));
+      acc_charge ctx st ~file ~mode ~kind host k
     done;
     VUnit
   | "adj.mrev_k" ->
@@ -1332,7 +1384,8 @@ and intrinsic ctx e name args vals : Value.t =
     adj_acc_lanes ~mode:0 [| 0.0; 0.0 |] ~c1:0 ~c2:1 ~cond:false pa
       (sp.off + mb) sa file.off k;
     if not atomic then charge (c.arith *. float_of_int k);
-    acc_charge ctx st ~file ~mode:0 ~atomic sp k;
+    let kind = if atomic then Atomic else Add in
+    acc_charge ctx st ~file ~mode:0 ~kind sp k;
     VUnit
   | "adj.srev_k" | "adj.arev_k" ->
     (* Fused Store/AtomicAdd reversal: pull the shadow cell's lane group
@@ -1342,15 +1395,16 @@ and intrinsic ctx e name args vals : Value.t =
     let file = ptr_arg 0 and sp = ptr_arg 1 in
     let mb = int_arg 2 in
     let h1 = ptr_arg 3 and o1 = int_arg 4 in
-    let atomic = int_arg 5 <> 0 and k = int_arg 6 in
+    let kind = acc_kind name (int_arg 5) and k = int_arg 6 in
     let zero = name = "adj.srev_k" in
     let sa = take_lanes ~who:e.fname ~zero file sp mb k in
     take_charge ctx st ~file ~zero sp k;
     let aa = fplane ~who:e.fname h1 ~base:o1 ~n:k in
+    check_write name kind aa (h1.off + o1) k;
     adj_acc_lanes ~mode:0 [| 0.0; 0.0 |] ~c1:0 ~c2:1 ~cond:false aa
       (h1.off + o1) sa file.off k;
-    charge (c.arith *. float_of_int k);
-    acc_charge ctx st ~file ~mode:0 ~atomic h1 k;
+    charge (c.arith *. float_of_int (k * group_ops ~mode:0 kind));
+    acc_charge ctx st ~file ~mode:0 ~kind h1 k;
     VUnit
   | "adj.mtake_k" ->
     (* scratch <- shadow[mb..]; shadow[mb..] <- 0  (Store reversal whose

@@ -116,10 +116,9 @@ let request_of_json ~default_watchdog_ms j =
   let nranks = geti "nranks" 1 1 in
   if not (is_pow2 nranks) then invalid "nranks must be a power of two";
   (match app with
-  | Lulesh fl when nranks > 1 && not (L.uses_mpi fl) ->
-    invalid "flavor %S is not MPI-capable; nranks must be 1" (L.flavor_name fl)
+  | Lulesh fl -> L.check_ranks fl ~nranks
   | Bude _ when nranks > 1 -> invalid "bude is single-rank; nranks must be 1"
-  | _ -> ());
+  | Bude _ -> ());
   let nthreads = geti "nthreads" 1 1 in
   (* omitted, the depth is the planner's default (no bound: the cut
      alone decides), as for [parad grad]; "inf" names it, as the plan
@@ -149,6 +148,9 @@ let request_of_json ~default_watchdog_ms j =
       "flavor %S cannot batch seeds (the MPI adjoint runtime exchanges \
        single-stride planes); use a shared-memory flavor"
       (L.flavor_name fl)
+  | Bude v when seeds > 1 && MB.spawns_tasks v ->
+    invalid "variant %S cannot batch seeds: %s" (MB.variant_name v)
+      Parad_core.Reverse.tasks_unbatchable
   | _ -> ());
   if seeds > 1 && budget > 0 then
     invalid

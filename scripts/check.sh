@@ -284,6 +284,11 @@ expect_exit 124 grad --flavor seq --engine par
 # value needs the "=" form, since cmdliner takes a separate "-1" for an
 # unknown option and rejects it before that check runs
 expect_exit 124 grad --flavor seq --recompute-depth=-1
+# a shared-memory flavor on more than one rank would run uncoupled
+# slabs, the gradient of another loss: rejected as the service rejects it
+expect_exit 2 grad --flavor seq --ranks 2 --size 2 --iters 2
+expect_output "is not MPI-capable; nranks must be 1" \
+  "a shared-memory flavor ran on two ranks"
 
 # ---- batched seeds on both runners ----
 # One 8-lane LULESH OMP sweep: the cycle, gradient and counter lines

@@ -100,10 +100,13 @@ let test_minibude_lanes () =
     cols
 
 (* Batched lanes equal their solo runs on generated kernels: [Gen_prog]
-   programs, straight-line and in a loop nest, at 2, 3 and 8 lanes. Each
-   lane of the batched gradient must be bit-identical to the single-seed
-   gradient with the same seed, and the batched run must give the same
-   bits, makespan and instruction count on interp and on seq. *)
+   programs, straight-line, in a loop nest and in a nest with a register
+   that is accumulated, read back and zeroed (where a lane group's +0.0
+   state, which decides whether a contribution is written or added, is
+   easiest to misjudge), at 2, 3 and 8 lanes. Each lane of the batched
+   gradient must be bit-identical to the single-seed gradient with the
+   same seed, and the batched run must give the same bits, makespan and
+   instruction count on interp and on seq. *)
 let gen_input = [| 0.3; -1.2; 2.0; 0.7; -0.1; 1.5; 0.9; -0.4 |]
 let gen_seeds = [| 1.0; -0.5; 2.0; 0.25; -3.0; 0.75; 1.5; -1.25 |]
 
@@ -111,7 +114,7 @@ let prop_generated_lanes =
   QCheck.Test.make ~name:"generated kernels: lanes == solo" ~count:200
     (QCheck.make
        QCheck.Gen.(
-         triple (oneofl [ 2; 3; 8 ]) Gen_prog.gen_shape Gen_prog.gen_ops))
+         triple (oneofl [ 2; 3; 8 ]) Gen_prog.gen_any_shape Gen_prog.gen_ops))
     (fun (k, shape, ops) ->
       let module V = Parad_runtime.Value in
       let module X = Parad_runtime.Exec in
@@ -216,7 +219,7 @@ let test_register_across_fork () =
     [ 2; 3; 8 ]
 
 (* Every lane call the reverse pass emits takes an int constant for each
-   static operand (the lane count, each group's mode and atomic flag, the
+   static operand (the lane count, each group's mode and kind, the
    lane-file offsets), so the seq engine lowers all of them: an 8-lane
    gradient delegates nothing to the interpreter. An emission change that
    passed a computed static operand would send every lane call through
@@ -268,9 +271,10 @@ let test_no_dead_lanes () =
 
 (* A lane call whose static operands are not constants is delegated to
    the interpreter, and gives the same result: a hand-built kernel whose
-   adj.rev2_k takes its first group's offset, mode and atomic flag from
+   adj.rev2_k takes its first group's offset, mode and kind from
    parameters, between natively lowered adj.load_k calls, must give the
-   same lanes, makespan and counts on interp and on seq. *)
+   same lanes, makespan and counts on interp and on seq. A write goes
+   into v's own lanes, which the call's take has just left +0.0. *)
 let test_delegated_lane_call () =
   let module B = Parad_ir.Builder in
   let module Ty = Parad_ir.Ty in
@@ -286,11 +290,11 @@ let test_delegated_lane_call () =
           "plane", Ty.Ptr Ty.Float;
           "off", Ty.Int;
           "mode", Ty.Int;
-          "atomic", Ty.Int;
+          "kind", Ty.Int;
         ]
       ~ret:Ty.Unit
   in
-  let file, plane, off, mode, atomic =
+  let file, plane, off, mode, kind =
     match ps with
     | [ f; p; o; m; a ] -> f, p, o, m, a
     | _ -> assert false
@@ -305,7 +309,7 @@ let test_delegated_lane_call () =
            B.
              [
                file; i64 b 4; file; off; mode; f64 b 1.5; f64 b (-0.75);
-               bool b true; atomic; plane; i64 b 4; i64 b 5; f64 b 0.5;
+               bool b true; kind; plane; i64 b 4; i64 b 5; f64 b 0.5;
                f64 b 3.0; bool b false; i64 b 0; k;
              ]));
   B.return b None;
@@ -325,7 +329,7 @@ let test_delegated_lane_call () =
   in
   List.iter
     (fun ((o, m, a) as args) ->
-      let name = Printf.sprintf "off %d mode %d atomic %d" o m a in
+      let name = Printf.sprintf "off %d mode %d kind %d" o m a in
       let fi, pi, ri = run Engine.Interp args in
       let fs, ps, rs = run Engine.Seq args in
       bits_eq (name ^ " file") fi fs;
@@ -346,7 +350,138 @@ let test_delegated_lane_call () =
           ];
       Alcotest.(check int)
         (name ^ " delegated calls") 3 rs.X.stats.St.eng_fallbacks)
-    [ 8, 2, 0; 12, 5, 1; 0, 9, 0; 8, 7, 0 ]
+    [ 8, 2, 0; 12, 5, 1; 0, 9, 0; 8, 7, 0; 4, 2, 2 ]
+
+(* A register's first contribution is written, not added into +0.0: in
+   [r = x[0] * x[1] + x[2]] each adjoint register (r, the product and
+   the three loads) takes exactly one contribution, so the 4-lane
+   gradient runs, lane for lane, what the single-seed gradient runs once
+   [fold] has dropped its [0.0 + x] adds: 2 kernel flops, then per lane
+   the product's formula (2 flops) and the three loads' adds into the
+   shadow (3), 22 flops in all (42 with an accumulating add per lane of
+   each of the five groups). Interp and seq charge and count the same. *)
+let test_first_contribution_writes () =
+  let module B = Parad_ir.Builder in
+  let module Ty = Parad_ir.Ty in
+  let module X = Parad_runtime.Exec in
+  let prog = Parad_ir.Prog.create () in
+  let b, ps =
+    B.func prog "fma" ~params:[ "x", Ty.Ptr Ty.Float ] ~ret:Ty.Float
+  in
+  let x = List.hd ps in
+  let ld i = B.load b x (B.i64 b i) in
+  B.return b (Some (B.add b (B.mul b (ld 0) (ld 1)) (ld 2)));
+  ignore (B.finish b);
+  let k = 4 in
+  let dprog, dname =
+    Parad_verify.Grad_check.differentiate
+      ~opts:{ Plan.default_options with seeds = k }
+      prog "fma"
+  in
+  let prep = Engine.prepare dprog in
+  List.iter
+    (fun engine ->
+      let r =
+        X.run ~call:(Engine.call_fn prep engine) dprog ~fname:dname
+          ~setup:(fun ctx ->
+            [ X.floats ctx [| 0.5; -2.0; 3.0 |]; X.zeros ctx (3 * k);
+              X.floats ctx (Array.sub gen_seeds 0 k) ])
+      in
+      let name = Engine.choice_to_string engine in
+      Alcotest.(check int) (name ^ " flops") 22
+        r.X.stats.Parad_runtime.Stats.flops;
+      Alcotest.(check (float 0.0)) (name ^ " makespan") 488.2 r.X.makespan)
+    [ Engine.Interp; Engine.Seq ]
+
+(* The interpreter checks a write's precondition, which the bits cannot
+   show: an adj.rev1_k that takes v's lanes into the scratch and writes
+   them into a lane group holding a lane that is not +0.0 (the scratch
+   itself, or a group with a -0.0) raises, after the group's bounds
+   check. The same call into +0.0 lanes goes through, and into a plane
+   outside the file it is a store per lane, with no load, on interp and
+   on seq alike. *)
+let test_write_precondition () =
+  let module B = Parad_ir.Builder in
+  let module Ty = Parad_ir.Ty in
+  let module V = Parad_runtime.Value in
+  let module X = Parad_runtime.Exec in
+  let module St = Parad_runtime.Stats in
+  let prog = Parad_ir.Prog.create () in
+  (* a function writing the scratch into [host]'s lanes at [off], a
+     constant, so that seq lowers the call *)
+  let kernel off =
+    let name = Printf.sprintf "write%d" off in
+    let b, ps =
+      B.func prog name
+        ~params:[ "file", Ty.Ptr Ty.Float; "host", Ty.Ptr Ty.Float ]
+        ~ret:Ty.Unit
+    in
+    let file, host = match ps with [ f; h ] -> f, h | _ -> assert false in
+    ignore
+      (B.call b ~ret:Ty.Unit "adj.rev1_k"
+         B.
+           [
+             file; i64 b 4; host; i64 b off; i64 b 2; f64 b 1.5; f64 b 0.0;
+             bool b false; i64 b 2; i64 b 4;
+           ]);
+    B.return b None;
+    ignore (B.finish b)
+  in
+  List.iter kernel [ 0; 8; 12; 13 ];
+  let prep = Engine.prepare prog in
+  (* v's lanes at 4, +0.0 lanes at 8 and a -0.0 at 14 *)
+  let cells = Array.init 16 (fun i -> if i >= 4 && i < 8 then 1.0 else 0.0) in
+  cells.(14) <- -0.0;
+  (* the file and the host after a run at [off]; the host is the file
+     unless [plane] *)
+  let run ?(engine = Engine.Interp) ?(plane = false) off =
+    let file = ref V.VUnit and host = ref V.VUnit in
+    let r =
+      X.run ~call:(Engine.call_fn prep engine) prog
+        ~fname:(Printf.sprintf "write%d" off)
+        ~setup:(fun ctx ->
+          file := X.floats ctx cells;
+          host := if plane then X.zeros ctx 4 else !file;
+          [ !file; !host ])
+    in
+    X.to_floats !file, X.to_floats !host, r
+  in
+  let raises off msg =
+    match run off with
+    | _ -> Alcotest.failf "a write at %d did not raise" off
+    | exception Parad_runtime.Interp.Interp_error m ->
+      Alcotest.(check string)
+        (Printf.sprintf "write at %d" off)
+        msg
+        (String.sub m 0 (min (String.length m) (String.length msg)))
+  in
+  let file, _, _ = run 8 in
+  bits_eq "write into +0.0 lanes"
+    (Array.init 16 (fun i ->
+         if i < 4 then 1.0 else if i < 8 then 0.0 else if i < 12 then 1.5
+         else cells.(i)))
+    file;
+  raises 12 "adj.rev1_k: write into a group whose lane 2 is not +0.0 (it \
+             holds -0x0p+0)";
+  raises 0 "adj.rev1_k: write into a group whose lane 0 is not +0.0 (it \
+            holds 0x1p+0)";
+  raises 13 "out of bounds:";
+  let _, pi, ri = run ~plane:true 0 in
+  let _, ps, rs = run ~engine:Engine.Seq ~plane:true 0 in
+  bits_eq "plane" (Array.make 4 1.5) pi;
+  bits_eq "seq plane" pi ps;
+  Alcotest.(check (float 0.0)) "seq makespan" ri.X.makespan rs.X.makespan;
+  List.iter
+    (fun (what, get, n) ->
+      Alcotest.(check int) ("interp " ^ what) n (get ri.X.stats);
+      Alcotest.(check int) ("seq " ^ what) n (get rs.X.stats))
+    St.
+      [
+        ("loads", (fun s -> s.loads), 0);
+        ("stores", (fun s -> s.stores), 4);
+        ("flops", (fun s -> s.flops), 4);
+        ("fallbacks", (fun s -> s.eng_fallbacks), 0);
+      ]
 
 let test_single_lane_is_classic () =
   (* a 1-lane batched run is the classic gradient exactly *)
@@ -395,6 +530,10 @@ let () =
             test_delegated_lane_call;
           Alcotest.test_case "no dead lane accumulations" `Quick
             test_no_dead_lanes;
+          Alcotest.test_case "first contribution is a write" `Quick
+            test_first_contribution_writes;
+          Alcotest.test_case "a write checks its lanes are +0.0" `Quick
+            test_write_precondition;
         ] );
       ( "guards",
         [

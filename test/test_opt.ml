@@ -725,8 +725,8 @@ let golden_post_ad =
     "bude_julia", "2f7b08da4ae717d12e7feac2788d438e";
     "bude_chunk_jl", "ee48cec07a5c4b3f23298841e81f3957";
     "lulesh_raja_mpi", "d7cfe718b3e0d0e27237fd434259e22f";
-    "lulesh_omp seeds=8", "cdc8b4dba717a6c63083cc75433ce71b";
-    "bude_omp seeds=8", "962e46adf3ebf7842b1c4e062ca9003a";
+    "lulesh_omp seeds=8", "884641121fc27f4fae59b944cf528c02";
+    "bude_omp seeds=8", "325ff853574a65cd1f835bc406bbcc43";
   ]
 
 let test_post_ad_golden () =

@@ -361,6 +361,26 @@ let test_seeds_validation () =
     (("seeds", J.Num 2.0) :: ("snap_budget", J.Num 2.0) :: base "omp" 1);
   invalid
     (("seeds", J.Num 2.0) :: ("inject_nan", J.Num 3.0) :: base "omp" 1);
+  (* miniBUDE Julia spawns tasks, which a batched plan cannot
+     differentiate: rejected with the planner's reason before a plan is
+     compiled, so no number of them trips its plan key's breaker *)
+  let julia =
+    [
+      "app", J.Str "bude"; "flavor", J.Str "julia"; "nthreads", J.Num 2.0;
+      "seeds", J.Num 8.0;
+    ]
+  in
+  for _ = 0 to no_watchdog.S.breaker_k do
+    invalid julia
+  done;
+  Alcotest.(check (option string))
+    "the planner's reason"
+    (Some
+       "variant \"bude_julia\" cannot batch seeds: \
+        batched seeds (k>1) cannot differentiate task parallelism")
+    (J.str_field "error" (send svc julia));
+  let trips, _, _ = S.breaker_totals svc in
+  Alcotest.(check int) "no breaker tripped" 0 trips;
   (* seeds: 1 is the plain single-seed path, not an error *)
   Alcotest.(check string) "seeds=1 ok" "ok"
     (cls (send svc (("seeds", J.Num 1.0) :: base "omp" 1)))
