@@ -1054,7 +1054,8 @@ let gradient_binomial ?(nthreads = 1) ?(nranks = 1)
   let g_total = ref 0.0 in
   (* an inner run counts into [agg] also when it raises; under [faults]
      it runs on the plan the previous inner run's supervisor left, so an
-     event that supervisor consumed does not fire again *)
+     event that supervisor consumed does not fire again, and on a store
+     of its own, whose spill files go with the run *)
   let run_prog prep prog fname setup =
     let call = Engine.call_fn prep engine in
     let stats = Stats.create () in
@@ -1064,8 +1065,10 @@ let gradient_binomial ?(nthreads = 1) ?(nranks = 1)
       | None ->
         Exec.run_spmd ~cfg ?deadline ~stats ~call prog ~nranks ~fname ~setup
       | Some _ ->
+        let store = Checkpoint.create_store ~policy ~nranks () in
+        Fun.protect ~finally:(fun () -> Checkpoint.dispose store) @@ fun () ->
         let res, recov =
-          Exec.run_spmd_recoverable ~cfg ~faults:!plan ?max_restarts ~policy
+          Exec.run_spmd_recoverable ~cfg ~faults:!plan ?max_restarts ~store
             ?deadline ~stats ~call prog ~nranks ~fname ~setup
         in
         plan := recov.Exec.r_plan;

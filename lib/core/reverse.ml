@@ -850,9 +850,9 @@ and recompute rs sc k =
 
    With [opts.seeds = k > 1] every adjoint plane — the register planes
    ([dreg]/[dlocal]) and float shadow memory — is k-stride (cell [i],
-   lane [l] at [i*k + l]), and each reverse statement becomes one
-   [adj.*_k] runtime call that loops natively over the lane group
-   ({!Interp.intrinsic}). Primal resolution ([resolve]: cache traffic,
+   lane [l] at [i*k + l]), and each reverse statement becomes one lane
+   call ([lane_call], {!Interp.split_lanes}) that loops natively over
+   the lane groups. Primal resolution ([resolve]: cache traffic,
    transcendentals, partial computation) stays outside those calls, so
    one tape and one primal stream amortize across all k seeds — that
    sharing, plus the per-lane work costing a float op instead of an
@@ -936,8 +936,8 @@ let accumulable rs (v : Var.t) = Plan.is_useful rs.fs.p v
    instructions define starts as a +0.0 fill and never touches its plane
    (the file's lanes are +0.0 whenever no scope holds them, so the fill
    emits nothing) unless a nested region reaches it; any other register
-   is copied in once, at its first touch ([adj.load_k]), and written
-   back once, at a flush ([adj.store_k]). A nested region flushes only
+   is copied in once, at its first touch, and written back once, at a
+   flush (a lane call with a copy group). A nested region flushes only
    the groups it can reach ([flush_at]), a barrier none. The body of a
    For/While/If region that holds no fork, workshare, barrier or call
    ([retains]) flushes nothing: its scopes use the lane groups their
@@ -1000,6 +1000,29 @@ let plane_len rs (host : Var.t) =
 
 let kcall rs name args = ignore (B.call rs.fs.b ~ret:Ty.Unit name args)
 
+(* At k > 1: a group operand of a lane call, [host]'s lanes at [off]
+   folded into by [mode] and [kind] ({!Interp.split_lanes}); an unused
+   coefficient is the pooled 0.0 or false. *)
+let lane_group st ?(mode = 0) ?c1 ?c2 ?cond host off kind :
+    Var.t Interp.lane_group =
+  let g_mode = ki st mode in
+  let g_c1 = match c1 with Some c -> c | None -> kf st 0.0 in
+  let g_c2 = match c2 with Some c -> c | None -> kf st 0.0 in
+  let g_cond = match cond with Some c -> c | None -> kb st false in
+  let g_kind = ki st (Interp.kind_code kind) in
+  { g_host = host; g_off = off; g_mode; g_c1; g_c2; g_cond; g_kind }
+
+(* At k > 1: the one lane call on [sc]'s file: take the lanes of [src]
+   at [soff] into its scratch, zeroing them when [zero], then fold the
+   scratch into each of [groups]. *)
+let lane_call rs sc ~src ~soff ~zero groups =
+  let st = rs.fs in
+  let l_zero = ki st (if zero then 1 else 0) in
+  let l_k = ki st st.p.opts.seeds in
+  kcall rs Interp.lanes_name
+    (Interp.lane_operands
+       { l_file = file_of sc; l_src = src; l_soff = soff; l_zero; l_groups = groups; l_k })
+
 (* The cell of [v]'s register, [touch]ing it first if this scope (or, at
    k > 1, a scope whose groups it shares) does not hold it yet. *)
 let touch rs sc (v : Var.t) =
@@ -1045,8 +1068,8 @@ let touch rs sc (v : Var.t) =
       in
       if not fresh then
         B.within st.b o.bscope (fun () ->
-            kcall rs "adj.load_k"
-              [ file_of o; lane_off rs c; host; plane_off rs host v; ki st k ]);
+            lane_call rs o ~src:host ~soff:(plane_off rs host v) ~zero:false
+              [ lane_group st (file_of o) (lane_off rs c) Interp.Copy ]);
       hold o c)
 
 (* Store back the cells [cs] of [sc]. At k > 1 a group that started as
@@ -1062,12 +1085,11 @@ let store_back rs sc ~at_end cs =
       else begin
         if c.fresh && (at_end || c.zero) then begin
           if not c.zero then
-            kcall rs "adj.zero_k" [ file_of sc; lane_off rs c; ki st k ]
+            lane_call rs sc ~src:(file_of sc) ~soff:(lane_off rs c) ~zero:true []
         end
         else begin
-          kcall rs "adj.store_k"
-            [ file_of sc; lane_off rs c; c.host; plane_off rs c.host c.reg;
-              ki st k ];
+          lane_call rs sc ~src:(file_of sc) ~soff:(lane_off rs c) ~zero:true
+            [ lane_group st c.host (plane_off rs c.host c.reg) Interp.Copy ];
           Hashtbl.replace sc.planed (Var.id c.reg) ()
         end;
         give_group sc.lanes c.group
@@ -1254,8 +1276,8 @@ let accum_load rs sc (v : Var.t) ~atomic (sp : Var.t) (ix : Var.t) =
   else begin
     let c = touch rs sc v in
     let mb = B.mul st.b (rval ix) (ki st k) in
-    kcall rs "adj.mrev_k"
-      [ file_of sc; lane_off rs c; sp; mb; ki st (if atomic then 1 else 0); ki st k ];
+    lane_call rs sc ~src:(file_of sc) ~soff:(lane_off rs c) ~zero:true
+      [ lane_group st sp mb (if atomic then Interp.Atomic else Interp.Add) ];
     taken sc c
   end
 
@@ -1305,15 +1327,13 @@ let scalar_formula st (s : aspec) (dv : Var.t) =
    register captured inside a fork, its plane, which takes an atomic add
    per lane. Returns the host, offset and kind. *)
 let lane_target rs sc (x : Var.t) =
-  let st = rs.fs in
-  let kind kd = ki st (Interp.kind_code kd) in
   let host, atomic, _ = adj_host rs sc x in
-  if atomic then host, plane_off rs host x, kind Interp.Atomic
+  if atomic then host, plane_off rs host x, Interp.Atomic
   else begin
     let c = touch rs sc x in
-    let kd = if c.zero then Interp.Write else Interp.Add in
+    let kind = if c.zero then Interp.Write else Interp.Add in
     c.zero <- false;
-    file_of sc, lane_off rs c, kind kd
+    file_of sc, lane_off rs c, kind
   end
 
 let rev_stmt rs sc (v : Var.t) (specs : aspec list) =
@@ -1323,33 +1343,21 @@ let rev_stmt rs sc (v : Var.t) (specs : aspec list) =
   end
   else begin
     let st = rs.fs in
-    let k = st.p.opts.seeds in
     let c = touch rs sc v in
     let off = lane_off rs c in
     let group (s : aspec) =
       let host, o, kind = lane_target rs sc s.at in
-      [
-        host;
-        o;
-        ki st s.amode;
-        (match s.ac1 with Some c -> c | None -> kf st 0.0);
-        (match s.ac2 with Some c -> c | None -> kf st 0.0);
-        (match s.acond with Some c -> c | None -> kb st false);
-        kind;
-      ]
+      lane_group st ~mode:s.amode ?c1:s.ac1 ?c2:s.ac2 ?cond:s.acond host o kind
     in
     (* one dispatch per statement: take v's lanes into the scratch (the
        k-wide [read_adj]) and fold them into up to two operand groups *)
-    let file = file_of sc and kk = ki st k in
+    let take groups = lane_call rs sc ~src:(file_of sc) ~soff:off ~zero:true groups in
     (match List.filter (fun s -> accumulable rs s.at) specs with
-    | [] -> if not c.zero then kcall rs "adj.zero_k" [ file; off; kk ]
-    | [ s1 ] ->
-      let g1 = group s1 in
-      kcall rs "adj.rev1_k" ((file :: off :: g1) @ [ kk ])
+    | [] -> if not c.zero then take []
+    | [ s1 ] -> take [ group s1 ]
     | [ s1; s2 ] ->
       let g1 = group s1 in
-      let g2 = group s2 in
-      kcall rs "adj.rev2_k" ((file :: off :: g1) @ g2 @ [ kk ])
+      take [ g1; group s2 ]
     | _ -> unsupported "reverse: a statement with more than two operands");
     taken sc c
   end
@@ -1505,9 +1513,9 @@ and rev_node rs sc ?if_results { occ; ins; subs } =
       let mb = B.mul b (rval ix) (ki st k) in
       if accumulable rs x then begin
         let host, off, kind = lane_target rs sc x in
-        kcall rs "adj.srev_k" [ file_of sc; sp; mb; host; off; kind; ki st k ]
+        lane_call rs sc ~src:sp ~soff:mb ~zero:true [ lane_group st host off kind ]
       end
-      else kcall rs "adj.mtake_k" [ sp; mb; file_of sc; ki st k ]
+      else lane_call rs sc ~src:sp ~soff:mb ~zero:true []
     end
   | Store _ -> ()
   | AtomicAdd (p, ix, x) ->
@@ -1518,7 +1526,7 @@ and rev_node rs sc ?if_results { occ; ins; subs } =
     else if accumulable rs x then begin
       let mb = B.mul b (rval ix) (ki st k) in
       let host, off, kind = lane_target rs sc x in
-      kcall rs "adj.arev_k" [ file_of sc; sp; mb; host; off; kind; ki st k ]
+      lane_call rs sc ~src:sp ~soff:mb ~zero:false [ lane_group st host off kind ]
     end
   | Call (v, name, args) -> rev_call rs sc ~occ v name args
   | Spawn (v, _, args) ->
@@ -1970,8 +1978,8 @@ let emit_combined eng (f : Func.t) (p : Plan.t) dname =
         (* d_ret is a k-cell buffer: lane l seeds the return with d[l],
            added to v's lanes as an atomic add's reversal adds a cell *)
         let host, off, kind = lane_target rs root v in
-        kcall rs "adj.arev_k"
-          [ file_of root; d; ki st 0; host; off; kind; ki st seeds ]
+        lane_call rs root ~src:d ~soff:(ki st 0) ~zero:false
+          [ lane_group st host off kind ]
       end
     | _ -> ());
     rev_emit rs root nodes;
@@ -1983,10 +1991,9 @@ let emit_combined eng (f : Func.t) (p : Plan.t) dname =
           if seeds = 1 then B.store b da (ki st k) c.cv
           else
             (* param-major: param k's lane group lands at da[k*seeds ..] *)
-            kcall rs "adj.store_k"
-              [
-                file_of root; lane_off rs c; da; ki st (k * seeds); ki st seeds;
-              ])
+            lane_call rs root ~src:(file_of root) ~soff:(lane_off rs c)
+              ~zero:true
+              [ lane_group st da (ki st (k * seeds)) Interp.Copy ])
         (scalar_params f)
     | None -> ());
     root

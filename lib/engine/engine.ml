@@ -602,25 +602,27 @@ let write_boxed (cf : cfun) (p : Var.t) fr (a : Value.t) =
   | Ty.Bool -> fr.b.(d) <- Value.to_bool a
   | Ty.Unit | Ty.Ptr _ -> fr.v.(d) <- a
 
-(* ---- k-wide lane calls ----
+(* ---- the k-wide lane call ----
 
-   The adj.*_k intrinsics of a batched reverse sweep, lowered with their
-   static operands resolved from the [Const]s that define them: the lane
-   count k, each group's mode and kind ({!Interp.acc_kind}; the atomic
-   flag of an adj.mrev_k), and the lane-file offsets
-   (voff, o1, o2, off, foff). A host at a constant offset is known to be
-   the lane file when it is the call's file var; a host held in another
-   var keeps the run-time [host.buf == file.buf] test. Each call compiles
-   to one closure that keeps only the run-time work of
-   {!Interp.intrinsic}'s implementation: the pointer reads; the bounds
-   and liveness checks of the same groups, raising the same message in
-   the same order; the k-lane loops, each mode's chosen here; and the
-   charges, each issued on its own with the same float, in the same
-   order (the clock is a float, so two charges merged could round
-   differently once a NUMA-remote charge has left it non-integral). Its
-   Stats increments are summed at lowering. A call whose static operand
-   is not an int constant, or whose k, mode or kind the interpreter
-   would reject, is not lowered: it delegates to the interpreter. *)
+   adj.lanes_k ({!Interp.split_lanes}) lowered with its static operands
+   resolved from the [Const]s that define them: the lane count k, the
+   zero flag, each group's mode and kind ({!Interp.acc_kind}), and the
+   lane-file offsets — the source's when it is the call's file var, and
+   each group's whose host is. An operand held in another var is read at
+   run time, its offset from its int slot, and keeps the run-time
+   [buf == file.buf] test. The call compiles to one closure, picked by
+   where the source lies (the file at a constant offset, or a pointer at
+   a run-time one) and by how many groups there are, that keeps only the
+   run-time work of {!Interp.intrinsic}'s arm: the pointer reads; the
+   bounds and liveness checks of the same groups, raising the same
+   message in the same order; the take and each group's lane loop, its
+   mode's chosen at lowering; and the charges, each issued on its own with
+   the same float, in the same order (the clock is a float, so two
+   charges merged could round differently once a NUMA-remote charge has
+   left it non-integral). Its flop and atomic counts are summed at
+   lowering. A call whose static operand is not an int constant, or
+   whose k, mode or kind the interpreter would reject, is not lowered: it
+   delegates to the interpreter. *)
 
 (* [v] as a pointer; any other value raises the interpreter's message *)
 let[@inline] ptr (v : Value.t) =
@@ -637,31 +639,36 @@ let[@inline] lanes ~who (p : Value.ptr) base k =
     a
   | _ -> Interp.fplane ~who p ~base ~n:k
 
-(* A group a lane call checks: its pointer (given the frame and the lane
-   file) and its base. *)
-type range = (eframe -> Value.ptr -> Value.ptr) * (eframe -> int)
+(* Where a lane call's source or group lies: the call's file var at a
+   constant offset, or a pointer slot at the offset in an int slot. *)
+type place = File of int | Ptr of int * int
 
-(* Check [ranges] in order: the first failing group raises. Out of line,
-   since a function that builds a closure is never inlined, and
-   [file_lanes] must be. *)
-let recheck ~who ~k (ranges : range list) fr file =
+(* Check the groups at [places] in order: the first failing one raises.
+   Out of line, since a function that builds a closure is never inlined,
+   and [file_lanes] must be. *)
+let recheck ~who ~k places fr file =
   List.iter
-    (fun (p, b) -> ignore (Interp.fplane ~who (p fr file) ~base:(b fr) ~n:k))
-    ranges
+    (fun p ->
+      let h, o =
+        match p with File o -> file, o | Ptr (s, so) -> ptr fr.v.(s), fr.i.(so)
+      in
+      ignore (Interp.fplane ~who h ~base:o ~n:k))
+    places
 
 (* The cells of the lane file [file] when every group of it that a call
    touches at a constant offset (all within [lo, hi)) is in bounds of a
-   live file. Otherwise one of them fails, and the call's [ranges],
-   checked in the interpreter's order, raise the first failure (with
-   k >= 1 a failing group always raises, so the last line only types). *)
-let[@inline] file_lanes ~who ~k ~lo ~hi ranges fr (file : Value.ptr) =
+   live file. Otherwise one of them fails, and the call's groups,
+   checked in the interpreter's order (the scratch, the source, each
+   group), raise the first failure (with k >= 1 a failing group always
+   raises, so the last line only types). *)
+let[@inline] file_lanes ~who ~k ~lo ~hi places fr (file : Value.ptr) =
   match file.buf.data with
   | FCells a
     when (not file.buf.freed) && file.off + lo >= 0
          && file.off + hi <= Array.length a ->
     a
   | _ ->
-    recheck ~who ~k ranges fr file;
+    recheck ~who ~k places fr file;
     Interp.fplane ~who file ~base:0 ~n:k
 
 let[@inline] count_cells (st : Stats.t) ~reads ~writes =
@@ -671,6 +678,19 @@ let[@inline] count_cells (st : Stats.t) ~reads ~writes =
 let[@inline] count_ops (st : Stats.t) ~flops ~atomics =
   st.Stats.flops <- st.Stats.flops + flops;
   st.Stats.atomics <- st.Stats.atomics + atomics
+
+(* Take loop: move the [k] lanes of [ha] at [ho] into [sa] at [so],
+   zeroing them when [zero]. *)
+let[@inline] take_loop ~zero (sa : float array) so (ha : float array) ho k =
+  if zero then
+    for l = 0 to k - 1 do
+      Array.unsafe_set sa (so + l) (Array.unsafe_get ha (ho + l));
+      Array.unsafe_set ha (ho + l) 0.0
+    done
+  else
+    for l = 0 to k - 1 do
+      Array.unsafe_set sa (so + l) (Array.unsafe_get ha (ho + l))
+    done
 
 (* ha[ho + l] <- ha[ho + l] + sa[so + l] for l < k, and the subtracting
    twin: the add and subtract loops of {!Interp.adj_acc_lanes} *)
@@ -686,31 +706,22 @@ let lanes_sub (ha : float array) ho (sa : float array) so k =
       (Array.unsafe_get ha (ho + l) -. Array.unsafe_get sa (so + l))
   done
 
-(* Take loop: move the [k] lanes of [ha] at [ho] into [sa] at [so],
-   zeroing them when [zero]. *)
-let[@inline] take_loop ~zero (sa : float array) so (ha : float array) ho k =
-  if zero then
-    for l = 0 to k - 1 do
-      Array.unsafe_set sa (so + l) (Array.unsafe_get ha (ho + l));
-      Array.unsafe_set ha (ho + l) 0.0
-    done
-  else
-    for l = 0 to k - 1 do
-      Array.unsafe_set sa (so + l) (Array.unsafe_get ha (ho + l))
-    done
-
-(* An accumulation mode's lane loop, [ha[ho..) += f(sa[so..))] over the
-   k lanes: op for op the loop {!Interp.adj_acc_lanes} runs for [mode],
-   its coefficients read from float slots [c1] and [c2] and bool slot
-   [cnd]; [None] for a mode that function rejects. *)
+(* A group's lane loop, [ha[ho..) += f(sa[so..))] over the k lanes, or
+   the overwrite of a [Copy]: op for op the loop {!Interp.fold_lanes}
+   runs, its coefficients read from float slots [c1] and [c2] and bool
+   slot [cnd], chosen here so that a call pays no dispatch on its mode
+   (bude8-k8 runs 1.16 M lane calls per gradient); [None] for a mode and
+   kind that function rejects. *)
 type loop = eframe -> float array -> int -> float array -> int -> unit
 
-let acc_loop ~k ~mode ~c1 ~c2 ~cnd : loop option =
+let acc_loop ~k ~mode ~(kind : Interp.acc_kind) ~c1 ~c2 ~cnd : loop option =
   let n = k - 1 in
-  match mode with
-  | 0 -> Some (fun _ ha ho sa so -> lanes_add ha ho sa so k)
-  | 1 -> Some (fun _ ha ho sa so -> lanes_sub ha ho sa so k)
-  | 2 ->
+  match kind, mode with
+  | Copy, 0 -> Some (fun _ ha ho sa so -> Array.blit sa so ha ho k)
+  | Copy, _ -> None
+  | _, 0 -> Some (fun _ ha ho sa so -> lanes_add ha ho sa so k)
+  | _, 1 -> Some (fun _ ha ho sa so -> lanes_sub ha ho sa so k)
+  | _, 2 ->
     Some
       (fun fr ha ho sa so ->
         let c1 = fr.f.(c1) in
@@ -719,7 +730,7 @@ let acc_loop ~k ~mode ~c1 ~c2 ~cnd : loop option =
             (Array.unsafe_get ha (ho + l)
             +. (Array.unsafe_get sa (so + l) *. c1))
         done)
-  | 3 ->
+  | _, 3 ->
     Some
       (fun fr ha ho sa so ->
         let c1 = fr.f.(c1) in
@@ -728,7 +739,7 @@ let acc_loop ~k ~mode ~c1 ~c2 ~cnd : loop option =
             (Array.unsafe_get ha (ho + l)
             +. (Array.unsafe_get sa (so + l) /. c1))
         done)
-  | 4 ->
+  | _, 4 ->
     Some
       (fun fr ha ho sa so ->
         let c1 = fr.f.(c1) in
@@ -737,7 +748,7 @@ let acc_loop ~k ~mode ~c1 ~c2 ~cnd : loop option =
             (Array.unsafe_get ha (ho + l)
             +. -.(Array.unsafe_get sa (so + l) *. c1))
         done)
-  | 5 ->
+  | _, 5 ->
     Some
       (fun fr ha ho sa so ->
         let c1 = fr.f.(c1) and c2 = fr.f.(c2) in
@@ -746,7 +757,7 @@ let acc_loop ~k ~mode ~c1 ~c2 ~cnd : loop option =
             (Array.unsafe_get ha (ho + l)
             +. -.(Array.unsafe_get sa (so + l) *. c1 /. c2))
         done)
-  | 6 ->
+  | _, 6 ->
     Some
       (fun fr ha ho sa so ->
         let c1 = fr.f.(c1) and c2 = fr.f.(c2) in
@@ -755,272 +766,140 @@ let acc_loop ~k ~mode ~c1 ~c2 ~cnd : loop option =
             (Array.unsafe_get ha (ho + l)
             +. (Array.unsafe_get sa (so + l) *. c1 /. c2))
         done)
-  | 7 -> Some (fun fr ha ho sa so -> if fr.b.(cnd) then lanes_add ha ho sa so k)
-  | 8 ->
+  | _, 7 -> Some (fun fr ha ho sa so -> if fr.b.(cnd) then lanes_add ha ho sa so k)
+  | _, 8 ->
     Some (fun fr ha ho sa so -> if not fr.b.(cnd) then lanes_add ha ho sa so k)
-  | 9 ->
+  | _, 9 ->
     Some
       (fun fr ha ho sa so ->
         if fr.b.(cnd) then lanes_add ha ho sa so k
         else lanes_sub ha ho sa so k)
   | _ -> None
 
-(* Take step from a plane: move the [k] lanes of [src] at [base] into the
-   scratch of [file] (cells [fa]), zeroing them when [zero]. Lanes in the
-   file are registers, charged and counted nothing. *)
-let[@inline] take_plane t ~who ~zero ~k (file : Value.ptr) fa
-    (src : Value.ptr) base =
-  let ha = lanes ~who src base k in
-  take_loop ~zero fa file.off ha (src.off + base) k;
-  if src.buf != file.buf then begin
-    charge_mem_n t src.buf (if zero then 2 * k else k);
-    count_cells t.st ~reads:k ~writes:(if zero then k else 0)
-  end
-
-(* Accumulation-group step: fold the scratch (the first [k] lanes of the
-   file, cells [fa]) into [h]'s lanes at [o] by [loop], then charge the
-   mode's arithmetic ([nops] units) and, by [kind], one atomic per lane,
-   or the plane read and write (the write alone, for a [Write]) of a host
-   outside the file. A host known at lowering to be the file ([in_file])
-   was checked with the call's file groups. A [Write]'s precondition is
-   left to the interpreter to check. *)
-let[@inline] acc_step t ~who fr (file : Value.ptr) fa (h : Value.ptr)
-    ~in_file ~o ~k ~fk ~(loop : loop) ~nops ~(kind : Interp.acc_kind) =
-  let ha = if in_file then fa else lanes ~who h o k in
-  loop fr ha (h.off + o) fa file.off;
-  charge t (t.cost.Cost_model.arith *. nops);
-  match kind with
-  | Atomic -> charge t (t.cost.Cost_model.atomic *. fk)
-  | Add ->
-    if (not in_file) && h.buf != file.buf then begin
-      charge_mem_n t h.buf (2 * k);
-      count_cells t.st ~reads:k ~writes:k
-    end
-  | Write ->
-    if (not in_file) && h.buf != file.buf then begin
-      charge_mem_n t h.buf k;
-      count_cells t.st ~reads:0 ~writes:k
-    end
-
-(* An operand group of an adj.rev*_k call, resolved at lowering. *)
-type rev_group = {
-  g_file : bool;  (** the host is the call's lane-file var *)
-  g_h : int;  (** the host's pointer slot *)
-  g_o : int;  (** the host's lane offset *)
+(* A group of a lane call, resolved at lowering; its place is kept in
+   flat fields, which the hot closures read without a variant's
+   indirection. *)
+type group = {
+  g_file : bool;  (** the host is the call's file var *)
+  g_h : int;  (** the host's pointer slot, outside the file *)
+  g_o : int;  (** the host's offset: a constant in the file, else a slot *)
+  g_kind : Interp.acc_kind;
   g_loop : loop;
   g_nops : float;  (** lanes times {!Interp.group_ops} *)
-  g_kind : Interp.acc_kind;
-  g_flops : int;  (** the flops {!Interp.count_group} counts *)
-  g_range : range;
 }
 
-let[@inline] rev_step t ~who fr file fa ~k ~fk g =
+(* Group step: fold the scratch (the first [k] lanes of the file, cells
+   [fa]) into the group's lanes, then charge its formula ([nops] units)
+   and, by its kind, one atomic per lane, or the plane read and write
+   (the write alone, for a write or a copy) of a host outside the file.
+   A [Write]'s precondition is left to the interpreter to check. *)
+let[@inline] group_step t ~who fr (file : Value.ptr) fa ~k ~fk g =
   let h = if g.g_file then file else ptr fr.v.(g.g_h) in
-  acc_step t ~who fr file fa h ~in_file:g.g_file ~o:g.g_o ~k ~fk
-    ~loop:g.g_loop ~nops:g.g_nops ~kind:g.g_kind
+  let o = if g.g_file then g.g_o else fr.i.(g.g_o) in
+  let ha = if g.g_file then fa else lanes ~who h o k in
+  g.g_loop fr ha (h.off + o) fa file.off;
+  charge t (t.cost.Cost_model.arith *. g.g_nops);
+  match g.g_kind with
+  | Atomic -> charge t (t.cost.Cost_model.atomic *. fk)
+  | Add when h.buf != file.buf ->
+    charge_mem_n t h.buf (2 * k);
+    count_cells t.st ~reads:k ~writes:k
+  | (Write | Copy) when h.buf != file.buf ->
+    charge_mem_n t h.buf k;
+    count_cells t.st ~reads:0 ~writes:k
+  | Add | Write | Copy -> ()
 
-(* The closure of lane call [name] on [args], with result [v]: [None]
-   when a static operand is not an int constant, or k, a mode or a kind
-   is one the interpreter rejects. *)
-let lane_call env v name args : sc option =
+let rec group_steps t ~who fr file fa ~k ~fk = function
+  | [] -> ()
+  | g :: gs ->
+    group_step t ~who fr file fa ~k ~fk g;
+    group_steps t ~who fr file fa ~k ~fk gs
+
+(* The closure of lane call [args], with result [v]: [None] when a static
+   operand is not an int constant, or k, a mode or a kind is one the
+   interpreter rejects. *)
+let lane_call env v args : sc option =
   let ( let* ) = Option.bind in
   let static x = Hashtbl.find_opt (Lazy.force env.consts) (Var.id x) in
-  let* k = match List.rev args with kv :: _ -> static kv | [] -> None in
+  let* l = Interp.split_lanes args in
+  let* k = static l.l_k in
   let* k = if k >= 1 then Some k else None in
+  let* zero = Option.map (( <> ) 0) (static l.l_zero) in
   let who = env.fname and s_v = slot env v and fk = float_of_int k in
-  let fixed n : eframe -> int = fun _ -> n in
-  (* the group of pointer [p] at [base]: the lane file when [p] is the
-     call's file var *)
-  let range file p base : range =
-    if Var.equal p file then ((fun _ file -> file), base)
-    else
-      let s = pslot env p in
-      ((fun fr _ -> ptr fr.v.(s)), base)
+  let s_file = pslot env l.l_file in
+  (* the file var at a constant offset, or another pointer *)
+  let place p off =
+    if Var.equal p l.l_file then Option.map (fun o -> File o) (static off)
+    else Some (Ptr (pslot env p, islot env off))
   in
-  let int_slot x : eframe -> int =
-    let s = islot env x in
-    fun fr -> fr.i.(s)
+  let* src = place l.l_src l.l_soff in
+  (* the groups, their places, and the flops and atomics they count per
+     call *)
+  let rec groups acc ats ~flops ~atomics = function
+    | [] -> Some (List.rev acc, List.rev ats, flops, atomics)
+    | (g : Var.t Interp.lane_group) :: rest ->
+      let* at = place g.g_host g.g_off in
+      let* mode = static g.g_mode in
+      let* g_kind = Option.bind (static g.g_kind) Interp.acc_kind_of_code in
+      let* g_loop =
+        acc_loop ~k ~mode ~kind:g_kind ~c1:(fslot env g.g_c1)
+          ~c2:(fslot env g.g_c2) ~cnd:(bslot env g.g_cond)
+      in
+      let g_file, g_h, g_o =
+        match at with File o -> true, 0, o | Ptr (s, so) -> false, s, so
+      in
+      let g_nops = float_of_int (k * Interp.group_ops ~mode g_kind) in
+      groups ({ g_file; g_h; g_o; g_kind; g_loop; g_nops } :: acc) (at :: ats) rest
+        ~flops:(flops + (k * Interp.group_flops ~mode g_kind))
+        ~atomics:(if g_kind = Atomic then atomics + k else atomics)
   in
-  match name, args with
-  | ("adj.rev1_k" | "adj.rev2_k"), file :: voff :: ops -> (
-    (* Fused reverse statement: take the statement result's group into
-       the scratch (zeroing it), then fold it into one or two operand
-       groups. *)
-    let* voff = static voff in
-    let s_file = pslot env file in
-    let rec groups acc = function
-      | [ _ ] -> Some (List.rev acc)
-      | h :: o :: m :: c1 :: c2 :: cnd :: at :: rest ->
-        let* o = static o in
-        let* mode = static m in
-        let* kind = Option.bind (static at) Interp.acc_kind_of_code in
-        let* loop =
-          acc_loop ~k ~mode ~c1:(fslot env c1) ~c2:(fslot env c2)
-            ~cnd:(bslot env cnd)
-        in
-        let g =
-          {
-            g_file = Var.equal h file;
-            g_h = pslot env h;
-            g_o = o;
-            g_loop = loop;
-            g_nops = float_of_int (k * Interp.group_ops ~mode kind);
-            g_kind = kind;
-            g_flops = k * Interp.group_flops ~mode kind;
-            g_range = range file h (fixed o);
-          }
-        in
-        groups (g :: acc) rest
-      | _ -> None
-    in
-    let* gs = groups [] ops in
-    let ranges =
-      range file file (fixed 0)
-      :: range file file (fixed voff)
-      :: List.map (fun g -> g.g_range) gs
-    in
-    let offs =
-      0 :: voff
-      :: List.filter_map (fun g -> if g.g_file then Some g.g_o else None) gs
-    in
-    let lo = List.fold_left min 0 offs and hi = List.fold_left max 0 offs + k in
-    let flops = List.fold_left (fun n g -> n + g.g_flops) 0 gs
-    and atomics =
-      List.fold_left (fun n g -> if g.g_kind = Atomic then n + k else n) 0 gs
-    in
-    match name, gs with
-    | "adj.rev1_k", [ g1 ] ->
-      Some
-        (fun t fr ->
-          charge t t.cost.Cost_model.arith;
-          let file = ptr fr.v.(s_file) in
-          let fa = file_lanes ~who ~k ~lo ~hi ranges fr file in
-          take_loop ~zero:true fa file.off fa (file.off + voff) k;
-          rev_step t ~who fr file fa ~k ~fk g1;
-          count_ops t.st ~flops ~atomics;
-          fr.v.(s_v) <- VUnit)
-    | "adj.rev2_k", [ g1; g2 ] ->
-      Some
-        (fun t fr ->
-          charge t t.cost.Cost_model.arith;
-          let file = ptr fr.v.(s_file) in
-          let fa = file_lanes ~who ~k ~lo ~hi ranges fr file in
-          take_loop ~zero:true fa file.off fa (file.off + voff) k;
-          rev_step t ~who fr file fa ~k ~fk g1;
-          rev_step t ~who fr file fa ~k ~fk g2;
-          count_ops t.st ~flops ~atomics;
-          fr.v.(s_v) <- VUnit)
-    | _ -> None)
-  | "adj.mrev_k", [ file; voff; sp; mb; atomic; _ ] ->
-    (* Fused Load reversal: take the loaded value's group into the
-       scratch (zeroing it), then add it into the shadow cell's group. *)
-    let* voff = static voff in
-    let* atomic = static atomic in
-    let atomic = atomic <> 0 in
-    let s_file = pslot env file and s_sp = pslot env sp in
-    let s_mb = islot env mb in
-    let ranges =
-      [ range file file (fixed 0); range file file (fixed voff);
-        range file sp (int_slot mb) ]
-    in
-    let lo = min 0 voff and hi = max 0 voff + k in
-    let flops = if atomic then 0 else k and atomics = if atomic then k else 0 in
-    Some
-      (fun t fr ->
-        charge t t.cost.Cost_model.arith;
-        let file = ptr fr.v.(s_file) and sp = ptr fr.v.(s_sp) in
-        let fa = file_lanes ~who ~k ~lo ~hi ranges fr file in
-        take_loop ~zero:true fa file.off fa (file.off + voff) k;
-        let mb = fr.i.(s_mb) in
-        let pa = lanes ~who sp mb k in
-        lanes_add pa (sp.off + mb) fa file.off k;
-        if atomic then charge t (t.cost.Cost_model.atomic *. fk)
-        else begin
-          charge t (t.cost.Cost_model.arith *. fk);
-          if sp.buf != file.buf then begin
-            charge_mem_n t sp.buf (2 * k);
-            count_cells t.st ~reads:k ~writes:k
-          end
-        end;
-        count_ops t.st ~flops ~atomics;
-        fr.v.(s_v) <- VUnit)
-  | ("adj.srev_k" | "adj.arev_k"), [ file; sp; mb; h1; o1; at1; _ ] ->
-    (* Fused Store/AtomicAdd reversal: pull the shadow cell's group into
-       the scratch (zeroing it for a Store only), then fold it into the
-       stored operand's group (mode 0). *)
-    let* o1 = static o1 in
-    let* kind = Option.bind (static at1) Interp.acc_kind_of_code in
-    let zero = name = "adj.srev_k" in
-    let in_file = Var.equal h1 file in
-    let s_file = pslot env file and s_sp = pslot env sp in
-    let s_mb = islot env mb and s_h1 = pslot env h1 in
-    let ranges =
-      [ range file file (fixed 0); range file sp (int_slot mb);
-        range file h1 (fixed o1) ]
-    in
-    let lo, hi = if in_file then min 0 o1, max 0 o1 + k else 0, k in
-    let loop : loop = fun _ ha ho sa so -> lanes_add ha ho sa so k in
-    let nops = float_of_int (k * Interp.group_ops ~mode:0 kind) in
-    let flops = k * Interp.group_flops ~mode:0 kind
-    and atomics = if kind = Atomic then k else 0 in
-    Some
-      (fun t fr ->
-        charge t t.cost.Cost_model.arith;
-        let file = ptr fr.v.(s_file) and sp = ptr fr.v.(s_sp) in
-        let h1 = if in_file then file else ptr fr.v.(s_h1) in
-        let fa = file_lanes ~who ~k ~lo ~hi ranges fr file in
-        take_plane t ~who ~zero ~k file fa sp fr.i.(s_mb);
-        acc_step t ~who fr file fa h1 ~in_file ~o:o1 ~k ~fk ~loop ~nops
-          ~kind;
-        count_ops t.st ~flops ~atomics;
-        fr.v.(s_v) <- VUnit)
-  | "adj.mtake_k", [ sp; mb; file; _ ] ->
-    (* Store reversal whose stored value has no register: take the shadow
-       cell's group into the scratch, zeroing it. *)
-    let s_sp = pslot env sp and s_mb = islot env mb in
-    let s_file = pslot env file in
-    Some
-      (fun t fr ->
-        charge t t.cost.Cost_model.arith;
-        let sp = ptr fr.v.(s_sp) and file = ptr fr.v.(s_file) in
-        let fa = lanes ~who file 0 k in
-        take_plane t ~who ~zero:true ~k file fa sp fr.i.(s_mb);
-        fr.v.(s_v) <- VUnit)
-  | "adj.zero_k", [ file; off; _ ] ->
-    (* a register's group left +0.0 *)
-    let* off = static off in
-    let s_file = pslot env file in
+  let* gs, ats, flops, atomics = groups [] [] ~flops:0 ~atomics:0 l.l_groups in
+  let places = File 0 :: src :: ats in
+  let offs = List.filter_map (function File o -> Some o | Ptr _ -> None) places in
+  let lo = List.fold_left min 0 offs and hi = List.fold_left max 0 offs + k in
+  (* a statement reversal (one or two groups) and a load reversal (one
+     group at a run-time offset) take from the file and zero: their
+     closures are the hot ones *)
+  match src, gs with
+  | File so, [ g1 ] when zero ->
     Some
       (fun t fr ->
         charge t t.cost.Cost_model.arith;
         let file = ptr fr.v.(s_file) in
-        Array.fill (lanes ~who file off k) (file.off + off) k 0.0;
+        let fa = file_lanes ~who ~k ~lo ~hi places fr file in
+        take_loop ~zero:true fa file.off fa (file.off + so) k;
+        group_step t ~who fr file fa ~k ~fk g1;
+        count_ops t.st ~flops ~atomics;
         fr.v.(s_v) <- VUnit)
-  | ("adj.load_k" | "adj.store_k"), [ file; foff; plane; poff; _ ] ->
-    (* a register's group copied in from its plane at its first touch, or
-       written back (leaving the file's lanes +0.0) at a flush *)
-    let* foff = static foff in
-    let load = name = "adj.load_k" in
-    let s_file = pslot env file and s_plane = pslot env plane in
-    let s_poff = islot env poff in
+  | File so, [ g1; g2 ] when zero ->
     Some
       (fun t fr ->
         charge t t.cost.Cost_model.arith;
-        let file = ptr fr.v.(s_file) and plane = ptr fr.v.(s_plane) in
-        let fa = lanes ~who file foff k in
-        let poff = fr.i.(s_poff) in
-        let pa = lanes ~who plane poff k in
-        let fo = file.off + foff and po = plane.off + poff in
-        if load then Array.blit pa po fa fo k
-        else begin
-          Array.blit fa fo pa po k;
-          Array.fill fa fo k 0.0
-        end;
-        charge_mem_n t plane.buf k;
-        if load then count_cells t.st ~reads:k ~writes:0
-        else count_cells t.st ~reads:0 ~writes:k;
+        let file = ptr fr.v.(s_file) in
+        let fa = file_lanes ~who ~k ~lo ~hi places fr file in
+        take_loop ~zero:true fa file.off fa (file.off + so) k;
+        group_step t ~who fr file fa ~k ~fk g1;
+        group_step t ~who fr file fa ~k ~fk g2;
+        count_ops t.st ~flops ~atomics;
         fr.v.(s_v) <- VUnit)
-  | _ -> None
+  | _ ->
+    Some
+      (fun t fr ->
+        charge t t.cost.Cost_model.arith;
+        let file = ptr fr.v.(s_file) in
+        let fa = file_lanes ~who ~k ~lo ~hi places fr file in
+        (match src with
+        | File so -> take_loop ~zero fa file.off fa (file.off + so) k
+        | Ptr (s, so) ->
+          let src = ptr fr.v.(s) and so = fr.i.(so) in
+          take_loop ~zero fa file.off (lanes ~who src so k) (src.off + so) k;
+          if src.buf != file.buf then begin
+            charge_mem_n t src.buf (if zero then 2 * k else k);
+            count_cells t.st ~reads:k ~writes:(if zero then k else 0)
+          end);
+        group_steps t ~who fr file fa ~k ~fk gs;
+        count_ops t.st ~flops ~atomics;
+        fr.v.(s_v) <- VUnit)
 
 (* ---- calls ---- *)
 
@@ -1987,11 +1866,8 @@ and compile_intrinsic env v name args : sc =
       Cache_rt.free cache ~id;
       w fr VUnit
   (* ---- k-wide batched adjoint runtime (opts.seeds > 1) ---- *)
-  | ( ( "adj.rev1_k" | "adj.rev2_k" | "adj.mrev_k" | "adj.srev_k"
-      | "adj.arev_k" | "adj.mtake_k" | "adj.zero_k" | "adj.load_k"
-      | "adj.store_k" ),
-      _ ) -> (
-    match lane_call env v name args with
+  | "adj.lanes_k", _ -> (
+    match lane_call env v args with
     | Some c -> c
     | None -> delegate env v name args)
   | "adj.combine", [ src; soff; dst; doff; n ] ->

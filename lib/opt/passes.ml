@@ -69,8 +69,17 @@ let fold_func (f : Func.t) : Func.t =
           | Add, Some (CI 0), _ | Mul, Some (CI 1), _ -> alias_to v b
           | Mul, Some (CI 0), _ -> alias_to v a
           | Mul, _, Some (CI 0) -> alias_to v b
-          | (Add | Sub), _, Some (CF 0.0) | (Mul | Div), _, Some (CF 1.0) ->
+          (* [x - (+0.0)] and [x + (-0.0)] are [x] for every x, -0.0
+             included; [x + (+0.0)] and [x - (-0.0)] are +0.0 at
+             x = -0.0, so only the constant's bits decide *)
+          | Sub, _, Some (CF z) when Int64.bits_of_float z = 0L -> alias_to v a
+          | Add, _, Some (CF z) when Int64.bits_of_float z = Int64.min_int ->
             alias_to v a
+          | (Mul | Div), _, Some (CF 1.0) -> alias_to v a
+          (* [0.0 + x] folds for either zero, although it is +0.0, not x,
+             at x = -0.0: the seeds = 1 reverse pass emits a register's
+             first contribution as [+0.0 + x] and relies on this fold to
+             store it without the add *)
           | Add, Some (CF 0.0), _ | Mul, Some (CF 1.0), _ -> alias_to v b
           | _ -> Some i)
         | Un (v, op, a) -> (

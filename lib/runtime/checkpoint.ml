@@ -75,21 +75,17 @@ type store = {
   policy : policy;
   snaps : (int * int, entry) Hashtbl.t;  (** (rank, ckpt id) -> entry *)
   hot : int Queue.t array;  (** per rank: hot-ring ids, oldest first *)
-  sdir : string;  (** namespaced spill directory (created lazily) *)
-  mutable sdir_made : bool;
+  namespace : string option;  (** pins the spill directory's name *)
+  mutable sdir : string option;  (** the spill directory, once made *)
 }
 
-(* Namespacing (ISSUE 7): every store spills under its own directory, so
+(* Namespacing: every store spills under its own directory, so
    concurrent server requests — and concurrent CI jobs sharing a temp
-   dir — cannot collide on snapshot files. The default namespace is
-   unique per (process, store); an explicit [namespace] pins the path
-   for callers that hand a run id across processes. *)
-let ns_counter = ref 0
-
-let fresh_namespace () =
-  incr ns_counter;
-  Printf.sprintf "%d-%d" (Unix.getpid ()) !ns_counter
-
+   dir — cannot collide on snapshot files. Without a namespace the
+   directory is a fresh [parad-snap-<pid>-<random>] one, made at the
+   first spill; an explicit [namespace] pins the path
+   ([parad-snap-<namespace>]) for callers that hand a run id across
+   processes. *)
 let create_store ?(policy = default_policy) ?namespace ~nranks () =
   (match policy.hot_budget with
   | Some b when b < 1 ->
@@ -97,34 +93,46 @@ let create_store ?(policy = default_policy) ?namespace ~nranks () =
   | _ -> ());
   if policy.tiers < 1 || policy.tiers > 2 then
     error "checkpoint store: tiers must be 1 or 2 (got %d)" policy.tiers;
-  let ns =
-    match namespace with Some ns -> ns | None -> fresh_namespace ()
+  let ns_char = function
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' -> true
+    | _ -> false
   in
-  String.iter
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' -> ()
-      | _ -> error "checkpoint store: bad namespace %S (use [A-Za-z0-9._-])" ns)
-    ns;
+  (match namespace with
+  | Some ns when not (String.for_all ns_char ns) ->
+    error "checkpoint store: bad namespace %S (use [A-Za-z0-9._-])" ns
+  | _ -> ());
   {
     snranks = nranks;
     policy;
     snaps = Hashtbl.create 32;
     hot = Array.init nranks (fun _ -> Queue.create ());
-    sdir =
-      Filename.concat (Filename.get_temp_dir_name ()) ("parad-snap-" ^ ns);
-    sdir_made = false;
+    namespace;
+    sdir = None;
   }
 
-let ensure_sdir store =
-  if not store.sdir_made then begin
-    (try Unix.mkdir store.sdir 0o700 with
-    | Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    store.sdir_made <- true
-  end
+(* The store's spill directory, made at its first use. *)
+let sdir store =
+  match store.sdir with
+  | Some d -> d
+  | None ->
+    let d =
+      match store.namespace with
+      | Some ns ->
+        let d =
+          Filename.concat (Filename.get_temp_dir_name ()) ("parad-snap-" ^ ns)
+        in
+        (try Unix.mkdir d 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+        d
+      | None ->
+        Filename.temp_dir ~perms:0o700
+          (Printf.sprintf "parad-snap-%d-" (Unix.getpid ()))
+          ""
+    in
+    store.sdir <- Some d;
+    d
 
 let spill_path store ~rank ~id =
-  Filename.concat store.sdir (Printf.sprintf "r%d-c%d.snap" rank id)
+  Filename.concat (sdir store) (Printf.sprintf "r%d-c%d.snap" rank id)
 
 let write_file path bytes =
   let oc = open_out_bin path in
@@ -168,10 +176,10 @@ let dispose store =
   Hashtbl.iter (fun _ e -> remove_spill e) store.snaps;
   Hashtbl.reset store.snaps;
   Array.iter Queue.clear store.hot;
-  if store.sdir_made then begin
-    (try Unix.rmdir store.sdir with Unix.Unix_error (_, _, _) -> ());
-    store.sdir_made <- false
-  end
+  Option.iter
+    (fun d -> try Unix.rmdir d with Unix.Unix_error (_, _, _) -> ())
+    store.sdir;
+  store.sdir <- None
 
 (* 64-bit FNV-1a: cheap, deterministic, and sensitive to any single
    flipped byte — enough to model end-to-end snapshot integrity. *)
@@ -218,7 +226,6 @@ let put store ~rank ~id ~cells bytes =
         if store.policy.tiers >= 2 then begin
           (* demotion is a real spill: bytes move to a namespaced file
              and the hot ring frees the memory *)
-          ensure_sdir store;
           let path = spill_path store ~rank ~id:old in
           write_file path e.e_bytes;
           e.e_path <- Some path;

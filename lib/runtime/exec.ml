@@ -195,11 +195,14 @@ type recovery = {
     from {!Checkpoint.latest_consistent} — which skips invalid snapshots
     — so recovery degrades to an older checkpoint instead of aborting.
     [policy] configures the tiered snapshot store when the supervisor
-    creates it; ignored when an explicit [store] is passed. The attempts
+    creates it; ignored when an explicit [store] is passed. A store the
+    supervisor created is returned as [r_store], for the caller to read
+    and dispose, or disposed here when the run raises. The attempts
     count into [stats] (a fresh record by default). *)
 let run_spmd_recoverable ?(cfg = Interp.default_config) ?faults ?mpi_ref ?san
     ?(max_restarts = 8) ?store ?policy ?deadline ?(stats = Stats.create ())
     ?(call = Interp.call) prog ~nranks ~fname ~setup =
+  let own = Option.is_none store in
   let store =
     match store with
     | Some s -> s
@@ -262,9 +265,16 @@ let run_spmd_recoverable ?(cfg = Interp.default_config) ?faults ?mpi_ref ?san
         ~base:(stopped +. cfg.Interp.cost.Cost_model.restart_base)
         ~restarts:(restarts + 1) ~resume
   in
-  attempt
-    (Option.value faults ~default:Faults.none)
-    ~base:0.0 ~restarts:0 ~resume:None
+  match
+    attempt
+      (Option.value faults ~default:Faults.none)
+      ~base:0.0 ~restarts:0 ~resume:None
+  with
+  | r -> r
+  | exception e when own ->
+    let bt = Printexc.get_raw_backtrace () in
+    Checkpoint.dispose store;
+    Printexc.raise_with_backtrace e bt
 
 (** A pointer-table buffer (kernel-parameter struct): one cell per entry
     of [vs], which must all be pointers of the same element type. *)

@@ -233,8 +233,8 @@ let check_rank ctx (buf : Value.buffer) =
       buf.rank ctx.rank
 
 (* Raw float cells of a k-lane group, bounds-checked once per group
-   instead of once per lane. The adj.*_k intrinsics loop over these
-   natively — that loop is the whole point of batching. *)
+   instead of once per lane. The lane call loops over these natively —
+   that loop is the whole point of batching. *)
 let fplane ~who (p : Value.ptr) ~base ~n =
   (* One combined liveness+bounds test on the hot path; the failure
      branch re-runs {!Memory.check_access} on each end of the group so
@@ -257,13 +257,13 @@ let fplane ~who (p : Value.ptr) ~base ~n =
    array store so no float crosses a branch join (nothing boxes inside
    the lane loop). The lane-invariant coefficients are cells [c1] and
    [c2] of [c], a two-cell array, read only by the modes that use them.
-   The engine lowers each lane call with its own copy of its mode's
-   loop, chosen when the call is lowered; the interp = seq bit-identity
-   tests on every k > 1 program keep the copies op for op equal to
-   these. Modes 7/8/9 skip (or negate) the add instead of adding a
-   selected 0.0: adjoint cells start at +0.0 and [+0.0 +. x] never
-   yields -0.0, so an accumulated plane never holds -0.0 and skipping
-   an add-of-zero is bitwise-neutral. *)
+   The engine lowers each group with its own copy of its mode's loop,
+   chosen when the call is lowered; the interp = seq bit-identity tests
+   on every k > 1 program keep the copies op for op equal to these.
+   Modes 7/8/9 skip (or negate) the add instead of adding a selected
+   0.0: adjoint cells start at +0.0 and [+0.0 +. x] never yields -0.0,
+   so an accumulated plane never holds -0.0 and skipping an add-of-zero
+   is bitwise-neutral. *)
 let adj_acc_lanes ~mode (c : float array) ~c1 ~c2 ~cond (ha : float array) ho
     (sa : float array) so k =
   let n = k - 1 in
@@ -355,31 +355,82 @@ let adj_mode_flops = function
 
 (** How an accumulation group of a lane call takes its contribution, the
     group's kind operand ([kind_code]): [Add]ed into its lanes, added
-    atomically per lane, or [Write]n into lanes the reverse pass knows
-    are +0.0 — a register's first contribution, which the scalar
-    emission stores without an add once [fold] drops [0.0 + x]. The lane
-    loop is the same for all three: adding into +0.0 lanes is the write,
-    and it turns a -0.0 contribution into +0.0 as the add does. A write
-    is charged and counted as the formula alone, and a [Write] into a
-    group holding a lane that is not +0.0 raises. *)
-type acc_kind = Add | Atomic | Write
+    atomically per lane, [Write]n into lanes the reverse pass knows are
+    +0.0 — a register's first contribution, which the scalar emission
+    stores without an add once [fold] drops [0.0 + x] — or a [Copy] that
+    overwrites them, in mode 0 only: a register's lane group moved
+    between its plane and the lane file. The lane loop of a write is the
+    add's: adding into +0.0 lanes is the write, and it turns a -0.0
+    contribution into +0.0 as the add does. A write, an atomic add and a
+    copy are charged and counted as their formula alone (an atomic add
+    also pays [atomic] per lane, as a scalar [AtomicAdd] does), and a
+    [Write] into a group holding a lane that is not +0.0 raises. *)
+type acc_kind = Add | Atomic | Write | Copy
 
-let kind_code = function Add -> 0 | Atomic -> 1 | Write -> 2
+let kind_code = function Add -> 0 | Atomic -> 1 | Write -> 2 | Copy -> 3
 
 let acc_kind_of_code = function
-  | 0 -> Some Add
-  | 1 -> Some Atomic
-  | 2 -> Some Write
-  | _ -> None
+  | 0 -> Some Add | 1 -> Some Atomic | 2 -> Some Write | 3 -> Some Copy | _ -> None
 
 (* Ops and flops per lane of a group of [mode] and [kind]: the formula's,
-   plus the accumulating add unless it is a write; an atomic add is
-   charged as an op, and counted as an atomic instead of a flop. *)
+   plus the accumulating add of an [Add]; an atomic add is counted as an
+   atomic instead. *)
 let group_ops ~mode kind =
-  adj_mode_ops mode + match kind with Write -> 0 | Add | Atomic -> 1
+  adj_mode_ops mode + match kind with Add -> 1 | Atomic | Write | Copy -> 0
 
 let group_flops ~mode kind =
-  adj_mode_flops mode + match kind with Add -> 1 | Atomic | Write -> 0
+  adj_mode_flops mode + match kind with Add -> 1 | Atomic | Write | Copy -> 0
+
+(** The operands of the one k-wide lane call,
+    [adj.lanes_k(file, src, soff, zero, G1, ..., Gn, k)] with each group
+    [G = (host, off, mode, c1, c2, cond, kind)]: take the [k] lanes of
+    [src] at [soff] into the scratch of the lane register file [file]
+    (its first [k] cells), zeroing them when [zero] is not 0, then fold
+    the scratch into each group in turn by its [mode] and [kind]
+    ({!adj_acc_lanes}, {!acc_kind}). The layout is written down once,
+    here: the reverse pass builds it over vars ([lane_operands]), the
+    interpreter splits it over values and the engine over vars
+    ([split_lanes]). *)
+type 'a lane_group = {
+  g_host : 'a; g_off : 'a; g_mode : 'a; g_c1 : 'a; g_c2 : 'a; g_cond : 'a;
+  g_kind : 'a;
+}
+
+type 'a lanes = {
+  l_file : 'a; l_src : 'a; l_soff : 'a; l_zero : 'a;
+  l_groups : 'a lane_group list; l_k : 'a;
+}
+
+let lanes_name = "adj.lanes_k"
+
+let lane_operands l =
+  (l.l_file :: l.l_src :: l.l_soff :: l.l_zero
+   :: List.concat_map
+        (fun g -> [ g.g_host; g.g_off; g.g_mode; g.g_c1; g.g_c2; g.g_cond; g.g_kind ])
+        l.l_groups)
+  @ [ l.l_k ]
+
+(* [None] when [args] is not four operands, whole groups and the lane
+   count *)
+let split_lanes = function
+  | l_file :: l_src :: l_soff :: l_zero :: rest ->
+    let rec groups acc = function
+      | [ l_k ] ->
+        Some { l_file; l_src; l_soff; l_zero; l_groups = List.rev acc; l_k }
+      | g_host :: g_off :: g_mode :: g_c1 :: g_c2 :: g_cond :: g_kind :: rest ->
+        groups ({ g_host; g_off; g_mode; g_c1; g_c2; g_cond; g_kind } :: acc) rest
+      | _ -> None
+    in
+    groups [] rest
+  | _ -> None
+
+(* Fold the scratch [sa] at [so] into the group [ha] at [ho]: a [Copy]
+   overwrites its lanes, any other kind runs [mode]'s loop. *)
+let fold_lanes ~mode ~kind c ~c1 ~c2 ~cond ha ho sa so k =
+  match kind with
+  | Copy when mode = 0 -> Array.blit sa so ha ho k
+  | Copy -> error "%s: a copy group in mode %d" lanes_name mode
+  | Add | Atomic | Write -> adj_acc_lanes ~mode c ~c1 ~c2 ~cond ha ho sa so k
 
 (* Count [reads] and [writes] plane cells of a lane step as the scalar
    emission's loads and stores. *)
@@ -387,86 +438,55 @@ let[@inline] count_cells (st : Stats.t) ~reads ~writes =
   st.loads <- st.loads + reads;
   st.stores <- st.stores + writes
 
-(* Count the [k] lanes of one accumulation group as the scalar emission
-   counts them: the formula's float ops, then one atomic add per lane,
-   or an add with a plane read and write, or a plane write, no cell
-   counted for a register in the lane file. *)
-let count_group (st : Stats.t) ~mode ~kind ~in_file k =
-  st.flops <- st.flops + (k * group_flops ~mode kind);
-  match kind with
-  | Atomic -> st.atomics <- st.atomics + k
-  | Add -> if not in_file then count_cells st ~reads:k ~writes:k
-  | Write -> if not in_file then count_cells st ~reads:0 ~writes:k
-
-(* [p] points into the lane register file [file]. *)
-let[@inline] in_file (file : Value.ptr) (p : Value.ptr) = p.buf == file.buf
-
-(* Move the [k] lanes of [src] at [base] into the scratch of the lane
-   file [file] (its first [k] cells), zeroing them when [zero]; returns
-   the file's cells. *)
-let take_lanes ~who ~zero (file : Value.ptr) (src : Value.ptr) base k =
+(* The take of a lane call: move the [k] lanes of [src] at [base] into
+   the scratch of the lane file [file] (its first [k] cells), zeroing
+   them when [zero], and charge and count a plane outside the file as
+   the cells read and, when [zero], written; returns the file's cells. *)
+let take_lanes ctx st ~who ~zero (file : Value.ptr) (src : Value.ptr) base k =
   let sa = fplane ~who file ~base:0 ~n:k in
   let ha = fplane ~who src ~base ~n:k in
   let so = file.off and ho = src.off + base in
-  if zero then
-    for l = 0 to k - 1 do
-      Array.unsafe_set sa (so + l) (Array.unsafe_get ha (ho + l));
-      Array.unsafe_set ha (ho + l) 0.0
-    done
-  else
-    for l = 0 to k - 1 do
-      Array.unsafe_set sa (so + l) (Array.unsafe_get ha (ho + l))
-    done;
+  for l = 0 to k - 1 do
+    Array.unsafe_set sa (so + l) (Array.unsafe_get ha (ho + l));
+    if zero then Array.unsafe_set ha (ho + l) 0.0
+  done;
+  if src.buf != file.buf then begin
+    charge_mem ctx src.buf (if zero then 2 * k else k);
+    count_cells st ~reads:k ~writes:(if zero then k else 0)
+  end;
   sa
 
-(* Copy a lane group from [plane] at [poff] into [file] at [foff]
-   ([load]), or back, leaving the file's lanes +0.0. *)
-let move_group ~who ~load (file : Value.ptr) foff (plane : Value.ptr) poff k =
-  let fa = fplane ~who file ~base:foff ~n:k in
-  let pa = fplane ~who plane ~base:poff ~n:k in
-  let fo = file.off + foff and po = plane.off + poff in
-  if load then Array.blit pa po fa fo k
-  else begin
-    Array.blit fa fo pa po k;
-    Array.fill fa fo k 0.0
-  end
-
-(* The memory side of an accumulation group of [k] lanes into [host]:
-   an atomic add per lane, a plane read and write per lane (a write
-   only, for a [Write]), or nothing for a register in [file]; counted in
-   [st] too. *)
-let acc_charge ctx st ~file ~mode ~kind (host : Value.ptr) k =
-  let inf = in_file file host in
-  (match kind with
-  | Atomic -> charge (ctx.cfg.cost.atomic *. float_of_int k)
-  | Add -> if not inf then charge_mem ctx host.buf (2 * k)
-  | Write -> if not inf then charge_mem ctx host.buf k);
-  count_group st ~mode ~kind ~in_file:inf k
-
-(* Lane call [name]'s kind operand. *)
-let acc_kind name code =
-  match acc_kind_of_code code with
-  | Some kind -> kind
-  | None -> error "%s: unknown accumulation kind %d" name code
+(* A group's charges and counts after its lane loop, as the scalar
+   emission's: its formula, then by its kind one atomic add per lane,
+   or, for a host outside the lane file, a plane read and write per lane
+   (a write only, for a [Write] or a [Copy]). A register in the file is
+   charged and counted no memory. *)
+let group_charge ctx (st : Stats.t) ~file ~mode ~kind (host : Value.ptr) k =
+  let c = ctx.cfg.cost and outside = host.buf != file.buf in
+  charge (c.arith *. float_of_int (k * group_ops ~mode kind));
+  st.flops <- st.flops + (k * group_flops ~mode kind);
+  match kind with
+  | Atomic ->
+    charge (c.atomic *. float_of_int k);
+    st.atomics <- st.atomics + k
+  | Add when outside ->
+    charge_mem ctx host.buf (2 * k);
+    count_cells st ~reads:k ~writes:k
+  | (Write | Copy) when outside ->
+    charge_mem ctx host.buf k;
+    count_cells st ~reads:0 ~writes:k
+  | Add | Write | Copy -> ()
 
 (* A [Write] group's [k] lanes [ha] at [ho], bounds-checked already, must
    all be +0.0. *)
-let check_write name kind (ha : float array) ho k =
+let check_write kind (ha : float array) ho k =
   if kind = Write then
     for l = 0 to k - 1 do
       let x = Array.unsafe_get ha (ho + l) in
       if Int64.bits_of_float x <> 0L then
         error "%s: write into a group whose lane %d is not +0.0 (it holds %h)"
-          name l x
+          lanes_name l x
     done
-
-(* The memory side of a take of [k] lanes of [src]: plane cells read and,
-   when [zero], written. *)
-let take_charge ctx st ~file ~zero (src : Value.ptr) k =
-  if not (in_file file src) then begin
-    charge_mem ctx src.buf (if zero then 2 * k else k);
-    count_cells st ~reads:k ~writes:(if zero then k else 0)
-  end
 
 (* [adj.combine]: dst[doff+i] += src[soff+i] for the cells [i] in
    [0, n) whose destination lies in [dst]'s buffer, in cell order;
@@ -1331,105 +1351,47 @@ and intrinsic ctx e name args vals : Value.t =
     VUnit
   (* ---- k-wide batched adjoint runtime (opts.seeds > 1) ----
 
-     The reverse engine emits one of these per reverse statement instead
-     of k unrolled scalar statements: each call loops natively over the
-     contiguous k-lane group of a k-stride adjoint plane ([FCells]
-     accessed raw after one bounds check per group), so the per-lane cost
-     is a float op, not an interpreter dispatch. Per-lane arithmetic
-     gives the scalar emission's bits — the same formula in the same
-     order, added into a register whose lanes are +0.0 where the
+     The reverse engine emits one lane call ({!split_lanes}) per reverse
+     statement, register move or register clear instead of k unrolled
+     scalar statements: it loops natively over contiguous k-lane groups
+     ([FCells] accessed raw after one bounds check per group), so the
+     per-lane cost is a float op, not an interpreter dispatch. Per-lane
+     arithmetic gives the scalar emission's bits — the same formula in
+     the same order, added into a register whose lanes are +0.0 where the
      standalone run, after [fold], stores the formula — which is what
      keeps every batched lane bit-identical to its standalone
      single-seed run. The charges and counts are the standalone run's
-     too: a [Write] group ({!acc_kind}) pays no add. The first argument
-     is the calling thread's lane register file; its first k lanes are
-     the scratch. An operand in the file is a register: like the scalar
-     emission's SSA values, it is charged and counted no memory. Plane
-     cells are charged and counted as the scalar sequence's loads and
-     stores would be. *)
-  | "adj.rev1_k" | "adj.rev2_k" ->
-    (* One fused call per reverse statement: take the statement result's
-       lane group into the scratch (zeroing it), then fold it into one or
-       two operand lane groups. *)
-    let file = ptr_arg 0 and voff = int_arg 1 in
-    let nacc = if name = "adj.rev1_k" then 1 else 2 in
-    let k = int_arg (2 + (7 * nacc)) in
-    let sa = take_lanes ~who:e.fname ~zero:true file file voff k in
-    for a = 0 to nacc - 1 do
-      let base = 2 + (7 * a) in
-      let host = ptr_arg base
-      and xoff = int_arg (base + 1)
-      and mode = int_arg (base + 2)
-      and c1 = float_arg (base + 3)
-      and c2 = float_arg (base + 4) in
-      let cond = to_bool (List.nth vals (base + 5)) in
-      let kind = acc_kind name (int_arg (base + 6)) in
-      let aa = fplane ~who:e.fname host ~base:xoff ~n:k in
-      check_write name kind aa (host.off + xoff) k;
-      adj_acc_lanes ~mode [| c1; c2 |] ~c1:0 ~c2:1 ~cond aa (host.off + xoff)
-        sa file.off k;
-      charge (c.arith *. float_of_int (k * group_ops ~mode kind));
-      acc_charge ctx st ~file ~mode ~kind host k
-    done;
-    VUnit
-  | "adj.mrev_k" ->
-    (* Fused Load reversal: take the loaded value's lane group into the
-       scratch (zeroing it), then add it lane by lane into the lane group
-       of the shadow cell the load read. *)
-    let file = ptr_arg 0 and voff = int_arg 1 in
-    let sp = ptr_arg 2 and mb = int_arg 3 in
-    let atomic = int_arg 4 <> 0 and k = int_arg 5 in
-    let sa = take_lanes ~who:e.fname ~zero:true file file voff k in
-    let pa = fplane ~who:e.fname sp ~base:mb ~n:k in
-    adj_acc_lanes ~mode:0 [| 0.0; 0.0 |] ~c1:0 ~c2:1 ~cond:false pa
-      (sp.off + mb) sa file.off k;
-    if not atomic then charge (c.arith *. float_of_int k);
-    let kind = if atomic then Atomic else Add in
-    acc_charge ctx st ~file ~mode:0 ~kind sp k;
-    VUnit
-  | "adj.srev_k" | "adj.arev_k" ->
-    (* Fused Store/AtomicAdd reversal: pull the shadow cell's lane group
-       into the scratch (zeroing it for a Store, leaving it for an
-       AtomicAdd — all contributions share the final cell adjoint), then
-       fold it into the stored operand's lane group (mode 0). *)
-    let file = ptr_arg 0 and sp = ptr_arg 1 in
-    let mb = int_arg 2 in
-    let h1 = ptr_arg 3 and o1 = int_arg 4 in
-    let kind = acc_kind name (int_arg 5) and k = int_arg 6 in
-    let zero = name = "adj.srev_k" in
-    let sa = take_lanes ~who:e.fname ~zero file sp mb k in
-    take_charge ctx st ~file ~zero sp k;
-    let aa = fplane ~who:e.fname h1 ~base:o1 ~n:k in
-    check_write name kind aa (h1.off + o1) k;
-    adj_acc_lanes ~mode:0 [| 0.0; 0.0 |] ~c1:0 ~c2:1 ~cond:false aa
-      (h1.off + o1) sa file.off k;
-    charge (c.arith *. float_of_int (k * group_ops ~mode:0 kind));
-    acc_charge ctx st ~file ~mode:0 ~kind h1 k;
-    VUnit
-  | "adj.mtake_k" ->
-    (* scratch <- shadow[mb..]; shadow[mb..] <- 0  (Store reversal whose
-       stored value has no register) *)
-    let sp = ptr_arg 0 and mb = int_arg 1 and file = ptr_arg 2 in
-    let k = int_arg 3 in
-    ignore (take_lanes ~who:e.fname ~zero:true file sp mb k);
-    take_charge ctx st ~file ~zero:true sp k;
-    VUnit
-  | "adj.zero_k" ->
-    (* file[off..off+k) <- 0: a register's lane group left +0.0 *)
-    let file = ptr_arg 0 and off = int_arg 1 and k = int_arg 2 in
-    let fa = fplane ~who:e.fname file ~base:off ~n:k in
-    Array.fill fa (file.off + off) k 0.0;
-    VUnit
-  | "adj.load_k" | "adj.store_k" ->
-    (* a register's lane group between its plane and the file: copied in
-       at its first touch, written back (leaving the file's lanes +0.0)
-       at a flush *)
-    let file = ptr_arg 0 and foff = int_arg 1 in
-    let plane = ptr_arg 2 and poff = int_arg 3 and k = int_arg 4 in
-    move_group ~who:e.fname ~load:(name = "adj.load_k") file foff plane poff k;
-    charge_mem ctx plane.buf k;
-    if name = "adj.load_k" then count_cells st ~reads:k ~writes:0
-    else count_cells st ~reads:0 ~writes:k;
+     too ({!acc_kind}). The first operand is the calling thread's lane
+     register file; its first k lanes are the scratch. An operand in the
+     file is a register: like the scalar emission's SSA values, it is
+     charged and counted no memory. Plane cells are charged and counted
+     as the scalar sequence's loads and stores would be. *)
+  | "adj.lanes_k" ->
+    let l =
+      match split_lanes vals with
+      | Some l -> l
+      | None -> error "%s: %d operands are not whole groups" name (List.length vals)
+    in
+    let file = to_ptr l.l_file and k = to_int l.l_k in
+    let sa =
+      take_lanes ctx st ~who:e.fname ~zero:(to_int l.l_zero <> 0) file
+        (to_ptr l.l_src) (to_int l.l_soff) k
+    in
+    List.iter
+      (fun g ->
+        let host = to_ptr g.g_host and off = to_int g.g_off in
+        let mode = to_int g.g_mode and code = to_int g.g_kind in
+        let kind =
+          match acc_kind_of_code code with
+          | Some kind -> kind
+          | None -> error "%s: unknown accumulation kind %d" name code
+        in
+        let ha = fplane ~who:e.fname host ~base:off ~n:k in
+        check_write kind ha (host.off + off) k;
+        fold_lanes ~mode ~kind [| to_float g.g_c1; to_float g.g_c2 |] ~c1:0 ~c2:1
+          ~cond:(to_bool g.g_cond) ha (host.off + off) sa file.off k;
+        group_charge ctx st ~file ~mode ~kind host k)
+      l.l_groups;
     VUnit
   | "adj.combine" ->
     (* dst[doff..doff+n) += src[soff..soff+n), one atomic add per cell,

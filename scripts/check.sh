@@ -14,17 +14,29 @@ trap 'rm -rf "$OUT"' EXIT
 
 # no new toplevel mutable state in lib/: two runs in one process must
 # not share hidden state. A toplevel let bound to a mutable constructor
-# fails here, except the two globals a run context is to replace:
-# Sim.engine_ref and Checkpoint.ns_counter.
+# fails here, except the one global a run context is to replace:
+# Sim.engine_ref.
 echo "== lint: toplevel mutable state in lib/ =="
 STATE=$(grep -rnE --include='*.ml' \
   "^let +[a-z_][A-Za-z0-9_']* *(:[^=]*)?= *(ref\b|Hashtbl\.create|Array\.(make|init)|Queue\.create|Stack\.create|Atomic\.make|Buffer\.create|Bytes\.(create|make)|Mutex\.create|Weak\.create)" \
   lib \
-  | grep -vE '^lib/runtime/sim\.ml:[0-9]+:let engine_ref |^lib/runtime/checkpoint\.ml:[0-9]+:let ns_counter ' \
+  | grep -vE '^lib/runtime/sim\.ml:[0-9]+:let engine_ref ' \
   || true)
 if [ -n "$STATE" ]; then
   echo "FAIL: toplevel mutable state in lib/ (keep it in a run's own state):"
   echo "$STATE"
+  exit 1
+fi
+
+# one k-wide lane call: the adjoint runtime's intrinsics are exactly
+# adj.lanes_k (its layout in Interp.split_lanes) and adj.combine, so any
+# other quoted adj.* name in lib/ is a second path to the same rules
+echo "== lint: adjoint intrinsics in lib/ =="
+ADJ=$(grep -rhoE --include='*.ml' '"adj\.[A-Za-z0-9_]*"' lib | sort -u | tr '\n' ' ')
+if [ "$ADJ" != '"adj.combine" "adj.lanes_k" ' ]; then
+  echo "FAIL: the adj.* intrinsics in lib/ must be adj.combine and adj.lanes_k, found: $ADJ"
+  grep -rnE --include='*.ml' '"adj\.[A-Za-z0-9_]*"' lib \
+    | grep -vE '"adj\.(lanes_k|combine)"' || true
   exit 1
 fi
 

@@ -514,11 +514,30 @@ let lane_round_trips (f : Func.t) =
     for j = n - 1 downto 0 do
       boundary_after.(j) <- boundary_after.(j + 1) || crosses arr.(j)
     done;
-    (* the file offset whose lanes a call takes, if any *)
-    let take = function
-      | Instr.Call
-          (_, ("adj.rev1_k" | "adj.rev2_k" | "adj.mrev_k"), _ :: o :: _) ->
-        Some (int o)
+    let module I = Parad_runtime.Interp in
+    let lanes = function
+      | Instr.Call (_, name, args) when name = I.lanes_name -> I.split_lanes args
+      | _ -> None
+    in
+    let copy (g : Var.t I.lane_group) = int g.g_kind = I.kind_code I.Copy in
+    (* the file offset whose lanes a call takes into a statement's or a
+       load's reversal, if any *)
+    let take i =
+      match lanes i with
+      | Some l
+        when Var.equal l.l_src l.l_file && l.l_groups <> []
+             && not (List.exists copy l.l_groups) ->
+        Some (int l.l_soff)
+      | _ -> None
+    in
+    (* a register's lane group copied in from its plane ([`Load]) or back
+       ([`Store]): the plane, its offset and the file offset *)
+    let move i =
+      match lanes i with
+      | Some ({ l_groups = [ g ]; _ } as l) when copy g ->
+        if Var.equal g.g_host l.l_file then
+          Some (`Load, (Var.id l.l_src, int l.l_soff), int g.g_off)
+        else Some (`Store, (Var.id g.g_host, int g.g_off), int l.l_soff)
       | _ -> None
     in
     let taken = Hashtbl.create 16 in
@@ -530,23 +549,19 @@ let lane_round_trips (f : Func.t) =
     Array.iteri
       (fun j i ->
         Option.iter (fun o -> Hashtbl.replace took o ()) (take i);
-        (match i with
-        | Instr.Call
-            (_, (("adj.load_k" | "adj.store_k") as name), [ _; fo; p; po; _ ])
-          ->
-          let key = Var.id p, int po in
-          let seen = if name = "adj.load_k" then loaded else stored in
+        (match move i, i with
+        | Some (dir, key, fo), _ ->
+          let seen = if dir = `Load then loaded else stored in
           if Hashtbl.mem seen key then incr bad;
           Hashtbl.replace seen key ();
-          let fo = int fo in
           if Hashtbl.mem taken fo then begin
             let ok =
-              if name = "adj.load_k" then boundary_before.(j)
+              if dir = `Load then boundary_before.(j)
               else boundary_after.(j) || Hashtbl.mem took fo
             in
             if not ok then incr bad
           end
-        | Instr.Barrier ->
+        | None, Instr.Barrier ->
           Hashtbl.reset loaded;
           Hashtbl.reset stored
         | _ -> ());

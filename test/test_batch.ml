@@ -249,7 +249,8 @@ let test_no_fallbacks () =
 (* An operand whose reverse statement passes nothing on (LULESH's
    [gamma - 1.0], whose operands are both constants) is not useful, so
    no lane call accumulates into it: the emitted 8-lane LULESH OMP
-   gradient clears no dead lane group with an adj.zero_k. *)
+   gradient clears no dead lane group (a lane call that takes from its
+   own file into no group). *)
 let test_no_dead_lanes () =
   let opts = { Plan.default_options with seeds = 8 } in
   let dprog, _ =
@@ -258,23 +259,24 @@ let test_no_dead_lanes () =
   let zeros =
     List.fold_left
       (fun n (f : Parad_ir.Func.t) ->
-        Parad_ir.Instr.fold_instrs
-          (fun n i ->
-            match i with
-            | Parad_ir.Instr.Call (_, "adj.zero_k", _) -> n + 1
-            | _ -> n)
-          n f.body)
+        List.fold_left
+          (fun n (l : _ Parad_runtime.Interp.lanes) ->
+            if l.l_groups = [] && Parad_ir.Var.equal l.l_src l.l_file then
+              n + 1
+            else n)
+          n (Lane_call.calls f))
       0
       (Parad_ir.Prog.functions dprog)
   in
-  Alcotest.(check int) "adj.zero_k calls" 0 zeros
+  Alcotest.(check int) "lane group clears" 0 zeros
 
 (* A lane call whose static operands are not constants is delegated to
    the interpreter, and gives the same result: a hand-built kernel whose
-   adj.rev2_k takes its first group's offset, mode and kind from
-   parameters, between natively lowered adj.load_k calls, must give the
-   same lanes, makespan and counts on interp and on seq. A write goes
-   into v's own lanes, which the call's take has just left +0.0. *)
+   two-group statement reversal takes its first group's offset, mode and
+   kind from parameters, between natively lowered copies from a plane
+   into the file, must give the same lanes, makespan and counts on
+   interp and on seq. A write goes into v's own lanes, which the call's
+   take has just left +0.0. *)
 let test_delegated_lane_call () =
   let module B = Parad_ir.Builder in
   let module Ty = Parad_ir.Ty in
@@ -299,19 +301,19 @@ let test_delegated_lane_call () =
     | [ f; p; o; m; a ] -> f, p, o, m, a
     | _ -> assert false
   in
-  let k = B.i64 b 4 in
   B.for_n b (B.i64 b 3) (fun _ ->
-      ignore
-        (B.call b ~ret:Ty.Unit "adj.load_k"
-           B.[ file; i64 b 4; plane; i64 b 0; k ]);
-      ignore
-        (B.call b ~ret:Ty.Unit "adj.rev2_k"
-           B.
-             [
-               file; i64 b 4; file; off; mode; f64 b 1.5; f64 b (-0.75);
-               bool b true; kind; plane; i64 b 4; i64 b 5; f64 b 0.5;
-               f64 b 3.0; bool b false; i64 b 0; k;
-             ]));
+      Lane_call.call b ~file ~src:plane ~soff:(B.i64 b 0) ~zero:false
+        [ Lane_call.group b file 4 Parad_runtime.Interp.Copy ];
+      let g1 =
+        Lane_call.group b ~c1:1.5 ~c2:(-0.75) ~cond:true file 0
+          Parad_runtime.Interp.Add
+      in
+      Lane_call.call b ~file ~src:file ~soff:(B.i64 b 4) ~zero:true
+        [
+          { g1 with g_off = off; g_mode = mode; g_kind = kind };
+          Lane_call.group b ~mode:5 ~c1:0.5 ~c2:3.0 plane 4
+            Parad_runtime.Interp.Add;
+        ]);
   B.return b None;
   ignore (B.finish b);
   let run engine (o, m, a) =
@@ -394,7 +396,7 @@ let test_first_contribution_writes () =
     [ Engine.Interp; Engine.Seq ]
 
 (* The interpreter checks a write's precondition, which the bits cannot
-   show: an adj.rev1_k that takes v's lanes into the scratch and writes
+   show: a lane call that takes v's lanes into the scratch and writes
    them into a lane group holding a lane that is not +0.0 (the scratch
    itself, or a group with a -0.0) raises, after the group's bounds
    check. The same call into +0.0 lanes goes through, and into a plane
@@ -417,13 +419,8 @@ let test_write_precondition () =
         ~ret:Ty.Unit
     in
     let file, host = match ps with [ f; h ] -> f, h | _ -> assert false in
-    ignore
-      (B.call b ~ret:Ty.Unit "adj.rev1_k"
-         B.
-           [
-             file; i64 b 4; host; i64 b off; i64 b 2; f64 b 1.5; f64 b 0.0;
-             bool b false; i64 b 2; i64 b 4;
-           ]);
+    Lane_call.call b ~file ~src:file ~soff:(B.i64 b 4) ~zero:true
+      [ Lane_call.group b ~mode:2 ~c1:1.5 host off Parad_runtime.Interp.Write ];
     B.return b None;
     ignore (B.finish b)
   in
@@ -461,9 +458,9 @@ let test_write_precondition () =
          if i < 4 then 1.0 else if i < 8 then 0.0 else if i < 12 then 1.5
          else cells.(i)))
     file;
-  raises 12 "adj.rev1_k: write into a group whose lane 2 is not +0.0 (it \
+  raises 12 "adj.lanes_k: write into a group whose lane 2 is not +0.0 (it \
              holds -0x0p+0)";
-  raises 0 "adj.rev1_k: write into a group whose lane 0 is not +0.0 (it \
+  raises 0 "adj.lanes_k: write into a group whose lane 0 is not +0.0 (it \
             holds 0x1p+0)";
   raises 13 "out of bounds:";
   let _, pi, ri = run ~plane:true 0 in
@@ -482,6 +479,174 @@ let test_write_precondition () =
         ("flops", (fun s -> s.flops), 4);
         ("fallbacks", (fun s -> s.eng_fallbacks), 0);
       ]
+
+(* The one lane call charges, counts and computes what each of the nine
+   calls it replaced did: each of their shapes, built by hand as an
+   adj.lanes_k call on a 16-cell lane file and an 8-cell plane at 4
+   lanes, reads on interp and on seq the figures the replaced call read
+   (recorded at the commit that still had them): its own cycles (the
+   run's makespan less that of the same function without the call),
+   flops, loads, stores and atomics, and the file's and the plane's
+   bits. A clear or a copy now also writes the scratch (file cells
+   0..3), a dead write, so those cells are not compared for them. One
+   figure moved on purpose: the atomic group's cycles, 81 before, now
+   77, without the accumulating add per lane that a scalar [AtomicAdd]
+   does not pay. *)
+let test_one_call_pins () =
+  let module B = Parad_ir.Builder in
+  let module Ty = Parad_ir.Ty in
+  let module I = Parad_runtime.Interp in
+  let module V = Parad_runtime.Value in
+  let module X = Parad_runtime.Exec in
+  let module St = Parad_runtime.Stats in
+  let file0 =
+    [| 0.5; -1.25; 2.0; 3.5; 1.5; -0.75; 0.125; 2.25; 1.0; -2.0; 0.25; 4.0;
+       0.0; 0.0; 0.0; 0.0 |]
+  and plane0 = [| 0.75; -1.5; 2.5; 0.375; -0.625; 1.75; -3.0; 0.0625 |] in
+  let g = Lane_call.group in
+  let take ?(zero = true) b ~file ~src soff groups =
+    Lane_call.call b ~file ~src ~soff:(B.i64 b soff) ~zero groups
+  in
+  (* the replaced call; the call on (file, plane); whether it leaves the
+     scratch dead; cycles, flops, loads, stores, atomics; the file and
+     the plane after it *)
+  let cases =
+    [
+      ( "adj.rev1_k into the file",
+        (fun b f _ ->
+          take b ~file:f ~src:f 4 [ g b ~mode:5 ~c1:1.5 ~c2:(-0.5) f 8 I.Add ]),
+        false, (17, 16, 0, 0, 0),
+        [| 1.5; -0.75; 0.125; 2.25; 0.0; 0.0; 0.0; 0.0; 5.5; -4.25; 0.625;
+           10.75; 0.0; 0.0; 0.0; 0.0 |],
+        plane0 );
+      ( "adj.rev1_k into a plane, atomic",
+        (fun b f p -> take b ~file:f ~src:f 4 [ g b ~mode:2 ~c1:1.5 p 4 I.Atomic ]),
+        false, (77, 4, 0, 0, 4),
+        [| 1.5; -0.75; 0.125; 2.25; 0.0; 0.0; 0.0; 0.0; 1.0; -2.0; 0.25; 4.0;
+           0.0; 0.0; 0.0; 0.0 |],
+        [| 0.75; -1.5; 2.5; 0.375; 1.625; 0.625; -2.8125; 3.4375 |] );
+      ( "adj.rev2_k",
+        (fun b f _ ->
+          take b ~file:f ~src:f 4
+            [ g b ~mode:6 ~c1:1.5 ~c2:(-0.5) f 8 I.Add;
+              g b ~mode:9 ~cond:true f 12 I.Write ]),
+        false, (21, 16, 0, 0, 0),
+        [| 1.5; -0.75; 0.125; 2.25; 0.0; 0.0; 0.0; 0.0; -3.5; 0.25; -0.125;
+           -2.75; 1.5; -0.75; 0.125; 2.25 |],
+        plane0 );
+      ( "adj.mrev_k",
+        (fun b f p -> take b ~file:f ~src:f 4 [ g b p 4 I.Add ]),
+        false, (29, 4, 4, 4, 0),
+        [| 1.5; -0.75; 0.125; 2.25; 0.0; 0.0; 0.0; 0.0; 1.0; -2.0; 0.25; 4.0;
+           0.0; 0.0; 0.0; 0.0 |],
+        [| 0.75; -1.5; 2.5; 0.375; 0.875; 1.0; -2.875; 2.3125 |] );
+      ( "adj.mrev_k, atomic",
+        (fun b f p -> take b ~file:f ~src:f 4 [ g b p 4 I.Atomic ]),
+        false, (73, 0, 0, 0, 4),
+        [| 1.5; -0.75; 0.125; 2.25; 0.0; 0.0; 0.0; 0.0; 1.0; -2.0; 0.25; 4.0;
+           0.0; 0.0; 0.0; 0.0 |],
+        [| 0.75; -1.5; 2.5; 0.375; 0.875; 1.0; -2.875; 2.3125 |] );
+      ( "adj.srev_k",
+        (fun b f p -> take b ~file:f ~src:p 0 [ g b f 8 I.Add ]),
+        false, (29, 4, 4, 4, 0),
+        [| 0.75; -1.5; 2.5; 0.375; 1.5; -0.75; 0.125; 2.25; 1.75; -3.5; 2.75;
+           4.375; 0.0; 0.0; 0.0; 0.0 |],
+        [| 0.0; 0.0; 0.0; 0.0; -0.625; 1.75; -3.0; 0.0625 |] );
+      ( "adj.arev_k",
+        (fun b f p -> take ~zero:false b ~file:f ~src:p 4 [ g b f 12 I.Write ]),
+        false, (13, 0, 4, 0, 0),
+        [| -0.625; 1.75; -3.0; 0.0625; 1.5; -0.75; 0.125; 2.25; 1.0; -2.0;
+           0.25; 4.0; -0.625; 1.75; -3.0; 0.0625 |],
+        plane0 );
+      ( "adj.mtake_k",
+        (fun b f p -> take b ~file:f ~src:p 4 []),
+        false, (25, 0, 4, 4, 0),
+        [| -0.625; 1.75; -3.0; 0.0625; 1.5; -0.75; 0.125; 2.25; 1.0; -2.0;
+           0.25; 4.0; 0.0; 0.0; 0.0; 0.0 |],
+        [| 0.75; -1.5; 2.5; 0.375; 0.0; 0.0; 0.0; 0.0 |] );
+      ( "adj.zero_k",
+        (fun b f _ -> take b ~file:f ~src:f 8 []),
+        true, (1, 0, 0, 0, 0),
+        [| 0.5; -1.25; 2.0; 3.5; 1.5; -0.75; 0.125; 2.25; 0.0; 0.0; 0.0; 0.0;
+           0.0; 0.0; 0.0; 0.0 |],
+        plane0 );
+      ( "adj.load_k",
+        (fun b f p -> take ~zero:false b ~file:f ~src:p 0 [ g b f 12 I.Copy ]),
+        true, (13, 0, 4, 0, 0),
+        [| 0.5; -1.25; 2.0; 3.5; 1.5; -0.75; 0.125; 2.25; 1.0; -2.0; 0.25; 4.0;
+           0.75; -1.5; 2.5; 0.375 |],
+        plane0 );
+      ( "adj.store_k",
+        (fun b f p -> take b ~file:f ~src:f 8 [ g b p 4 I.Copy ]),
+        true, (13, 0, 0, 4, 0),
+        [| 0.5; -1.25; 2.0; 3.5; 1.5; -0.75; 0.125; 2.25; 0.0; 0.0; 0.0; 0.0;
+           0.0; 0.0; 0.0; 0.0 |],
+        [| 0.75; -1.5; 2.5; 0.375; 1.0; -2.0; 0.25; 4.0 |] );
+    ]
+  in
+  List.iter
+    (fun (name, call, dead_scratch, (cycles, flops, loads, stores, atomics),
+          file1, plane1) ->
+      let prog = Parad_ir.Prog.create () in
+      (* the call's function, and the same without the call *)
+      let func fname with_call =
+        let b, ps =
+          B.func prog fname
+            ~params:[ "file", Ty.Ptr Ty.Float; "plane", Ty.Ptr Ty.Float ]
+            ~ret:Ty.Unit
+        in
+        (match ps with
+        | [ f; p ] ->
+          let body = B.in_scope b (fun () -> call b f p) in
+          if with_call then List.iter (B.emit b) body
+          else
+            List.iter
+              (fun (i : Parad_ir.Instr.t) ->
+                match i with Parad_ir.Instr.Call _ -> () | i -> B.emit b i)
+              body
+        | _ -> assert false);
+        B.return b None;
+        ignore (B.finish b)
+      in
+      func "lane" true;
+      func "base" false;
+      let prep = Engine.prepare prog in
+      List.iter
+        (fun engine ->
+          let run fname =
+            let file = ref V.VUnit and plane = ref V.VUnit in
+            let r =
+              X.run ~call:(Engine.call_fn prep engine) prog ~fname
+                ~setup:(fun ctx ->
+                  file := X.floats ctx file0;
+                  plane := X.floats ctx plane0;
+                  [ !file; !plane ])
+            in
+            r, X.to_floats !file, X.to_floats !plane
+          in
+          let r, file, plane = run "lane" and r0, _, _ = run "base" in
+          let what = name ^ " on " ^ Engine.choice_to_string engine in
+          Alcotest.(check (float 0.0))
+            (what ^ " cycles") (float_of_int cycles)
+            (r.X.makespan -. r0.X.makespan);
+          List.iter
+            (fun (stat, get, n) ->
+              Alcotest.(check int)
+                (what ^ " " ^ stat) n
+                (get r.X.stats - get r0.X.stats))
+            St.
+              [
+                ("flops", (fun s -> s.flops), flops);
+                ("loads", (fun s -> s.loads), loads);
+                ("stores", (fun s -> s.stores), stores);
+                ("atomics", (fun s -> s.atomics), atomics);
+                ("fallbacks", (fun s -> s.eng_fallbacks), 0);
+              ];
+          let live a = if dead_scratch then Array.sub a 4 12 else a in
+          bits_eq (what ^ " file") (live file1) (live file);
+          bits_eq (what ^ " plane") plane1 plane)
+        [ Engine.Interp; Engine.Seq ])
+    cases
 
 let test_single_lane_is_classic () =
   (* a 1-lane batched run is the classic gradient exactly *)
@@ -534,6 +699,8 @@ let () =
             test_first_contribution_writes;
           Alcotest.test_case "a write checks its lanes are +0.0" `Quick
             test_write_precondition;
+          Alcotest.test_case "one call pins the calls it replaced" `Quick
+            test_one_call_pins;
         ] );
       ( "guards",
         [

@@ -159,6 +159,7 @@ let test_lane_diagnostics () =
      same order). Each case builds the body of a function [bad]. *)
   let module B = Parad_ir.Builder in
   let module Ty = Parad_ir.Ty in
+  let module I = Parad_runtime.Interp in
   let buf b ty n = B.alloc b ty (B.i64 b n) in
   let freed b ty =
     let p = buf b ty 2 in
@@ -196,17 +197,18 @@ let test_lane_diagnostics () =
       ignore (B.call b ~ret:Ty.Unit "cache.set" B.[ c; i64 b 0; f64 b 1.5 ]);
     ignore (B.call b ~ret:Ty.Float "cache.get" [ c; B.i64 b idx ])
   in
-  let lanes name args b =
+  (* A lane call on a 1-cell [p] and a 2-cell [q], built by [call]. *)
+  let lanes call b =
     let p = buf b Ty.Float 1 in
     let q = buf b Ty.Float 2 in
-    ignore (B.call b ~ret:Ty.Unit name (args b p q))
+    call b p q
   in
-  (* A 4-lane adj.rev2_k on a lane file of [size] cells (freed first when
-     [freed]) taking the group at [voff], with groups [g1] and [g2]: a
-     host (the file, a live 8-cell plane or a freed one) and its offset.
-     One range out of bounds at a time checks that the engine, which
-     tests the file's groups at once, still raises the first failure in
-     the interpreter's order. *)
+  (* A 4-lane statement reversal with two groups on a lane file of [size]
+     cells (freed first when [freed]) taking the group at [voff], with
+     groups [g1] and [g2]: a host (the file, a live 8-cell plane or a
+     freed one) and its offset. One range out of bounds at a time checks
+     that the engine, which tests the file's groups at once, still
+     raises the first failure in the interpreter's order. *)
   let rev2 ?(size = 16) ?(freed_file = false) ~voff g1 g2 b =
     let file = buf b Ty.Float size in
     let group (host, o) =
@@ -216,21 +218,18 @@ let test_lane_diagnostics () =
         | `Plane -> buf b Ty.Float 8
         | `Freed -> freed b Ty.Float
       in
-      B.[ h; i64 b o; i64 b 2; f64 b 1.5; f64 b 0.5; bool b false; i64 b 0 ]
+      Lane_call.group b ~mode:2 ~c1:1.5 ~c2:0.5 h o I.Add
     in
     let g1 = group g1 and g2 = group g2 in
     if freed_file then B.free b file;
-    ignore
-      (B.call b ~ret:Ty.Unit "adj.rev2_k"
-         ((file :: B.i64 b voff :: g1) @ g2 @ [ B.i64 b 4 ]))
+    Lane_call.call b ~file ~src:file ~soff:(B.i64 b voff) ~zero:true [ g1; g2 ]
   in
   (* the Store reversal's groups: the scratch, the shadow plane's at
      [mb] (runtime) and the stored operand's, in the file at [o1] *)
   let srev ~mb ~o1 b =
     let file = buf b Ty.Float 16 and sp = buf b Ty.Float 8 in
-    ignore
-      (B.call b ~ret:Ty.Unit "adj.srev_k"
-         B.[ file; sp; i64 b mb; file; i64 b o1; i64 b 0; i64 b 4 ])
+    Lane_call.call b ~file ~src:sp ~soff:(B.i64 b mb) ~zero:true
+      [ Lane_call.group b file o1 I.Add ]
   in
   List.iter
     (fun (name, body) ->
@@ -253,37 +252,38 @@ let test_lane_diagnostics () =
         "cache.get before a set", cache_get "cache.newf" ~set:false 1;
         "boxed cache.get before a set", cache_get "cache.new" ~set:false 1;
         "cache.get out of range", cache_get "cache.newf" ~set:true 9;
-        ( "adj.rev1_k",
-          lanes "adj.rev1_k" (fun b file host ->
-              B.
-                [
-                  file; i64 b 4; host; i64 b 0; i64 b 0; f64 b 0.0; f64 b 0.0;
-                  bool b false; i64 b 0; i64 b 4;
-                ]) );
-        ( "adj.mtake_k",
-          lanes "adj.mtake_k" (fun b sp file ->
-              B.[ sp; i64 b 0; file; i64 b 4 ]) );
-        ( "adj.load_k",
-          lanes "adj.load_k" (fun b file plane ->
-              B.[ file; i64 b 4; plane; i64 b 0; i64 b 4 ]) );
-        ( "adj.store_k",
-          lanes "adj.store_k" (fun b plane file ->
-              B.[ file; i64 b 4; plane; i64 b 0; i64 b 4 ]) );
-        ( "adj.zero_k",
-          lanes "adj.zero_k" (fun b file _ -> B.[ file; i64 b 4; i64 b 4 ]) );
-        ( "adj.rev2_k freed file",
+        ( "statement reversal",
+          lanes (fun b file host ->
+              Lane_call.call b ~file ~src:file ~soff:(B.i64 b 4) ~zero:true
+                [ Lane_call.group b host 0 I.Add ]) );
+        ( "take from a plane",
+          lanes (fun b sp file ->
+              Lane_call.call b ~file ~src:sp ~soff:(B.i64 b 0) ~zero:true []) );
+        ( "copy into the file",
+          lanes (fun b file plane ->
+              Lane_call.call b ~file ~src:plane ~soff:(B.i64 b 0) ~zero:false
+                [ Lane_call.group b file 4 I.Copy ]) );
+        ( "copy out of the file",
+          lanes (fun b plane file ->
+              Lane_call.call b ~file ~src:file ~soff:(B.i64 b 4) ~zero:true
+                [ Lane_call.group b plane 0 I.Copy ]) );
+        ( "clear a file group",
+          lanes (fun b file _ ->
+              Lane_call.call b ~file ~src:file ~soff:(B.i64 b 4) ~zero:true []) );
+        ( "two groups, freed file",
           rev2 ~freed_file:true ~voff:4 (`File, 8) (`File, 12) );
-        "adj.rev2_k scratch", rev2 ~size:3 ~voff:0 (`File, 0) (`File, 0);
-        "adj.rev2_k taken group", rev2 ~voff:13 (`File, 8) (`File, 4);
-        "adj.rev2_k taken group below", rev2 ~voff:(-1) (`File, 8) (`File, 4);
-        "adj.rev2_k first host", rev2 ~voff:4 (`File, 14) (`File, 8);
-        "adj.rev2_k second host", rev2 ~voff:4 (`File, 8) (`File, -2);
-        "adj.rev2_k plane host", rev2 ~voff:4 (`File, 8) (`Plane, 6);
-        "adj.rev2_k freed host", rev2 ~voff:4 (`Freed, 0) (`File, 8);
-        ( "adj.rev2_k plane host before file host",
+        "two groups, scratch", rev2 ~size:3 ~voff:0 (`File, 0) (`File, 0);
+        "two groups, taken group", rev2 ~voff:13 (`File, 8) (`File, 4);
+        ( "two groups, taken group below",
+          rev2 ~voff:(-1) (`File, 8) (`File, 4) );
+        "two groups, first host", rev2 ~voff:4 (`File, 14) (`File, 8);
+        "two groups, second host", rev2 ~voff:4 (`File, 8) (`File, -2);
+        "two groups, plane host", rev2 ~voff:4 (`File, 8) (`Plane, 6);
+        "two groups, freed host", rev2 ~voff:4 (`Freed, 0) (`File, 8);
+        ( "two groups, plane host before file host",
           rev2 ~voff:4 (`Plane, 5) (`File, 16) );
-        "adj.srev_k shadow before host", srev ~mb:6 ~o1:14;
-        "adj.srev_k host", srev ~mb:0 ~o1:13;
+        "store reversal, shadow before host", srev ~mb:6 ~o1:14;
+        "store reversal, host", srev ~mb:0 ~o1:13;
       ])
 
 (* ---- allocation guard ---- *)

@@ -32,12 +32,50 @@ let test_constfold () =
   ignore (B.finish b);
   let opt = Pipe.run_on prog "cf" [ Pipe.fold; Pipe.dce ] in
   let f = Prog.find_exn opt "cf" in
-  (* x*1 and z+0 fold away; only the return remains *)
+  (* x*1 folds away, and so do the int add and its constants; z + 0.0
+     stays, since y + (+0.0) is +0.0, not y, at y = -0.0 *)
   Alcotest.(check bool)
     "shrunk" true
     (count_instrs f < count_instrs (Prog.find_exn prog "cf"));
   let res = Exec.run opt ~fname:"cf" ~setup:(fun _ -> [ Value.VFloat 4.0 ]) in
   Alcotest.check feq "value preserved" 4.0 (Value.to_float res.Exec.values.(0))
+
+(* A float add or subtract of a zero folds to its left operand only when
+   that is exact for every x, -0.0 included: [x - (+0.0)] and
+   [x + (-0.0)] fold, while [x - (-0.0)] and [x + (+0.0)], which are
+   +0.0 at x = -0.0, stay and return +0.0 there after o2 and after
+   post_ad. *)
+let test_fold_signed_zero () =
+  List.iter
+    (fun (name, op, zero, folds) ->
+      let prog = Prog.create () in
+      let b, ps = B.func prog name ~params:[ "x", Ty.Float ] ~ret:Ty.Float in
+      let x = List.hd ps in
+      B.return b (Some (op b x (B.f64 b zero)));
+      ignore (B.finish b);
+      List.iter
+        (fun (pipe, passes) ->
+          let opt = Pipe.run prog passes in
+          let what = Printf.sprintf "%s after %s" name pipe in
+          Alcotest.(check int)
+            (what ^ ": float ops left")
+            (if folds then 0 else 1)
+            (count_kind (function Instr.Bin _ -> true | _ -> false)
+               (Prog.find_exn opt name));
+          let r =
+            Exec.run opt ~fname:name ~setup:(fun _ -> [ Value.VFloat (-0.0) ])
+          in
+          Alcotest.(check int64)
+            (what ^ " at x = -0.0")
+            (Int64.bits_of_float (if folds then -0.0 else 0.0))
+            (Int64.bits_of_float (Value.to_float r.Exec.values.(0))))
+        [ "o2", Pipe.o2; "post_ad", Pipe.post_ad ])
+    [
+      "sub_neg_zero", B.sub, -0.0, false;
+      "add_pos_zero", B.add, 0.0, false;
+      "sub_pos_zero", B.sub, 0.0, true;
+      "add_neg_zero", B.add, -0.0, true;
+    ]
 
 let test_cse_and_dce () =
   let prog = Prog.create () in
@@ -725,8 +763,8 @@ let golden_post_ad =
     "bude_julia", "2f7b08da4ae717d12e7feac2788d438e";
     "bude_chunk_jl", "ee48cec07a5c4b3f23298841e81f3957";
     "lulesh_raja_mpi", "d7cfe718b3e0d0e27237fd434259e22f";
-    "lulesh_omp seeds=8", "884641121fc27f4fae59b944cf528c02";
-    "bude_omp seeds=8", "325ff853574a65cd1f835bc406bbcc43";
+    "lulesh_omp seeds=8", "4bdfd713891ef14a51e57afe2726346a";
+    "bude_omp seeds=8", "58706a43c939840bc06ed1166c70b9b0";
   ]
 
 let test_post_ad_golden () =
@@ -903,6 +941,8 @@ let () =
       ( "targeted",
         [
           Alcotest.test_case "constfold" `Quick test_constfold;
+          Alcotest.test_case "a zero folds only where exact" `Quick
+            test_fold_signed_zero;
           Alcotest.test_case "cse+dce" `Quick test_cse_and_dce;
           Alcotest.test_case "dce deletes a cross-region chain in one call"
             `Quick test_dce_chain;

@@ -170,7 +170,9 @@ let test_tiered_eviction_and_integrity () =
   Checkpoint.release s2 ~id:2;
   Alcotest.(check (option int))
     "released id skipped too" (Some 1)
-    (Checkpoint.latest_consistent s2)
+    (Checkpoint.latest_consistent s2);
+  Checkpoint.dispose s1;
+  Checkpoint.dispose s2
 
 let test_open_collective_rejected () =
   (* a checkpoint taken by a rank that joined a collective no other rank

@@ -506,24 +506,63 @@ let test_checkpoint_namespaces () =
   Alcotest.(check int) "store b cleaned" 0
     (List.length (spill_files "testsrv-b"))
 
+(* This process's spill directories. Only they are compared: concurrently
+   running test binaries share the temp dir and create and remove their
+   own. *)
+let our_spill_dirs () =
+  let prefix = Printf.sprintf "parad-snap-%d-" (Unix.getpid ()) in
+  Sys.readdir (Filename.get_temp_dir_name ())
+  |> Array.to_list
+  |> List.filter (String.starts_with ~prefix)
+  |> List.sort compare
+
+let test_unnamed_stores () =
+  (* two stores without a namespace spill to distinct directories of
+     this process, and dispose removes both *)
+  let before = our_spill_dirs () in
+  let mk () =
+    Checkpoint.create_store
+      ~policy:{ Checkpoint.hot_budget = Some 1; tiers = 2 }
+      ~nranks:1 ()
+  in
+  let s1 = mk () and s2 = mk () in
+  List.iter
+    (fun st ->
+      for id = 0 to 1 do
+        ignore (Checkpoint.put_floats st ~rank:0 ~id ~dt:0.01 [| [| 1.0 |] |])
+      done)
+    [ s1; s2 ];
+  let made =
+    List.filter (fun d -> not (List.mem d before)) (our_spill_dirs ())
+  in
+  Alcotest.(check int) "two distinct spill directories" 2 (List.length made);
+  Checkpoint.dispose s1;
+  Checkpoint.dispose s2;
+  Alcotest.(check (list string)) "dispose removed both" before
+    (our_spill_dirs ())
+
 let test_binomial_cleans_spill () =
   (* the binomial driver namespaces its store per run and disposes it:
-     no parad-snap litter may survive the call. Only this process's
-     namespaces are compared — concurrently running test binaries share
-     the temp dir and create and remove their own. *)
-  let ours () =
-    let prefix = Printf.sprintf "parad-snap-%d-" (Unix.getpid ()) in
-    Sys.readdir (Filename.get_temp_dir_name ())
-    |> Array.to_list
-    |> List.filter (String.starts_with ~prefix)
-    |> List.sort compare
-  in
-  let before = ours () in
+     no parad-snap litter may survive the call *)
+  let before = our_spill_dirs () in
   let inp = { L.nx = 2; ny = 2; nz = 4; niter = 4; dt0 = 0.01; escale = 1.0 } in
   let b = L.gradient_binomial ~nranks:2 ~budget:2 L.Mpi inp in
   Alcotest.(check bool) "gradient finite" true
     (Float.is_finite b.L.b_grad.L.g_total);
-  Alcotest.(check (list string)) "no spill directories leaked" before (ours ())
+  Alcotest.(check (list string)) "no spill directories leaked" before
+    (our_spill_dirs ())
+
+let test_binomial_faults_clean_spill () =
+  (* under a fault plan every inner run is supervised on a store of its
+     own, which spills past the budget of 1; each goes with its run *)
+  let before = our_spill_dirs () in
+  let inp = { L.nx = 2; ny = 2; nz = 4; niter = 4; dt0 = 0.01; escale = 1.0 } in
+  let faults = Faults.plan_of_spec ~nranks:2 "kill" in
+  let b = L.gradient_binomial ~nranks:2 ~budget:1 ~faults L.Mpi inp in
+  Alcotest.(check bool) "gradient finite" true
+    (Float.is_finite b.L.b_grad.L.g_total);
+  Alcotest.(check (list string)) "no spill directories leaked" before
+    (our_spill_dirs ())
 
 (* ---- mini slam soak ---- *)
 
@@ -571,8 +610,11 @@ let () =
       ( "checkpoint",
         [
           Alcotest.test_case "namespaces" `Quick test_checkpoint_namespaces;
+          Alcotest.test_case "unnamed stores" `Quick test_unnamed_stores;
           Alcotest.test_case "binomial-cleanup" `Quick
             test_binomial_cleans_spill;
+          Alcotest.test_case "binomial-cleanup under faults" `Quick
+            test_binomial_faults_clean_spill;
         ] );
       ("slam", [ Alcotest.test_case "mini-soak" `Quick test_mini_slam ]);
     ]
