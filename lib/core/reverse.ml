@@ -1286,7 +1286,7 @@ let accum_load rs sc (v : Var.t) ~atomic (sp : Var.t) (ix : Var.t) =
    A scalar reverse statement takes the adjoint of its result [v] and
    folds a per-operand function of it into each operand's slot. The
    per-operand formulas are [aspec]s whose [amode] numbers the lane
-   calls' dispatch table ({!Interp.adj_acc_lanes}); [rev_stmt] emits
+   calls' lane loops ({!Interp.lane_loop}); [rev_stmt] emits
    either classic scalar IR (seeds = 1, [scalar_formula] below) or the
    k-wide intrinsic calls — both compute the same float ops in the same
    order. *)

@@ -615,8 +615,10 @@ let write_boxed (cf : cfun) (p : Var.t) fr (a : Value.t) =
    a run-time one) and by how many groups there are, that keeps only the
    run-time work of {!Interp.intrinsic}'s arm: the pointer reads; the
    bounds and liveness checks of the same groups, raising the same
-   message in the same order; the take and each group's lane loop, its
-   mode's chosen at lowering; and the charges, each issued on its own with
+   message in the same order; the take and each group's lane loop
+   ({!Interp.lane_loop}, the interpreter's own, chosen at lowering and
+   given the frame's float and bool files); and the charges, each issued
+   on its own with
    the same float, in the same order (the clock is a float, so two
    charges merged could round differently once a NUMA-remote charge has
    left it non-integral). Its flop and atomic counts are summed at
@@ -692,90 +694,6 @@ let[@inline] take_loop ~zero (sa : float array) so (ha : float array) ho k =
       Array.unsafe_set sa (so + l) (Array.unsafe_get ha (ho + l))
     done
 
-(* ha[ho + l] <- ha[ho + l] + sa[so + l] for l < k, and the subtracting
-   twin: the add and subtract loops of {!Interp.adj_acc_lanes} *)
-let lanes_add (ha : float array) ho (sa : float array) so k =
-  for l = 0 to k - 1 do
-    Array.unsafe_set ha (ho + l)
-      (Array.unsafe_get ha (ho + l) +. Array.unsafe_get sa (so + l))
-  done
-
-let lanes_sub (ha : float array) ho (sa : float array) so k =
-  for l = 0 to k - 1 do
-    Array.unsafe_set ha (ho + l)
-      (Array.unsafe_get ha (ho + l) -. Array.unsafe_get sa (so + l))
-  done
-
-(* A group's lane loop, [ha[ho..) += f(sa[so..))] over the k lanes, or
-   the overwrite of a [Copy]: op for op the loop {!Interp.fold_lanes}
-   runs, its coefficients read from float slots [c1] and [c2] and bool
-   slot [cnd], chosen here so that a call pays no dispatch on its mode
-   (bude8-k8 runs 1.16 M lane calls per gradient); [None] for a mode and
-   kind that function rejects. *)
-type loop = eframe -> float array -> int -> float array -> int -> unit
-
-let acc_loop ~k ~mode ~(kind : Interp.acc_kind) ~c1 ~c2 ~cnd : loop option =
-  let n = k - 1 in
-  match kind, mode with
-  | Copy, 0 -> Some (fun _ ha ho sa so -> Array.blit sa so ha ho k)
-  | Copy, _ -> None
-  | _, 0 -> Some (fun _ ha ho sa so -> lanes_add ha ho sa so k)
-  | _, 1 -> Some (fun _ ha ho sa so -> lanes_sub ha ho sa so k)
-  | _, 2 ->
-    Some
-      (fun fr ha ho sa so ->
-        let c1 = fr.f.(c1) in
-        for l = 0 to n do
-          Array.unsafe_set ha (ho + l)
-            (Array.unsafe_get ha (ho + l)
-            +. (Array.unsafe_get sa (so + l) *. c1))
-        done)
-  | _, 3 ->
-    Some
-      (fun fr ha ho sa so ->
-        let c1 = fr.f.(c1) in
-        for l = 0 to n do
-          Array.unsafe_set ha (ho + l)
-            (Array.unsafe_get ha (ho + l)
-            +. (Array.unsafe_get sa (so + l) /. c1))
-        done)
-  | _, 4 ->
-    Some
-      (fun fr ha ho sa so ->
-        let c1 = fr.f.(c1) in
-        for l = 0 to n do
-          Array.unsafe_set ha (ho + l)
-            (Array.unsafe_get ha (ho + l)
-            +. -.(Array.unsafe_get sa (so + l) *. c1))
-        done)
-  | _, 5 ->
-    Some
-      (fun fr ha ho sa so ->
-        let c1 = fr.f.(c1) and c2 = fr.f.(c2) in
-        for l = 0 to n do
-          Array.unsafe_set ha (ho + l)
-            (Array.unsafe_get ha (ho + l)
-            +. -.(Array.unsafe_get sa (so + l) *. c1 /. c2))
-        done)
-  | _, 6 ->
-    Some
-      (fun fr ha ho sa so ->
-        let c1 = fr.f.(c1) and c2 = fr.f.(c2) in
-        for l = 0 to n do
-          Array.unsafe_set ha (ho + l)
-            (Array.unsafe_get ha (ho + l)
-            +. (Array.unsafe_get sa (so + l) *. c1 /. c2))
-        done)
-  | _, 7 -> Some (fun fr ha ho sa so -> if fr.b.(cnd) then lanes_add ha ho sa so k)
-  | _, 8 ->
-    Some (fun fr ha ho sa so -> if not fr.b.(cnd) then lanes_add ha ho sa so k)
-  | _, 9 ->
-    Some
-      (fun fr ha ho sa so ->
-        if fr.b.(cnd) then lanes_add ha ho sa so k
-        else lanes_sub ha ho sa so k)
-  | _ -> None
-
 (* A group of a lane call, resolved at lowering; its place is kept in
    flat fields, which the hot closures read without a variant's
    indirection. *)
@@ -784,7 +702,7 @@ type group = {
   g_h : int;  (** the host's pointer slot, outside the file *)
   g_o : int;  (** the host's offset: a constant in the file, else a slot *)
   g_kind : Interp.acc_kind;
-  g_loop : loop;
+  g_loop : Interp.lane_loop;
   g_nops : float;  (** lanes times {!Interp.group_ops} *)
 }
 
@@ -797,7 +715,7 @@ let[@inline] group_step t ~who fr (file : Value.ptr) fa ~k ~fk g =
   let h = if g.g_file then file else ptr fr.v.(g.g_h) in
   let o = if g.g_file then g.g_o else fr.i.(g.g_o) in
   let ha = if g.g_file then fa else lanes ~who h o k in
-  g.g_loop fr ha (h.off + o) fa file.off;
+  g.g_loop fr.f fr.b ha (h.off + o) fa file.off;
   charge t (t.cost.Cost_model.arith *. g.g_nops);
   match g.g_kind with
   | Atomic -> charge t (t.cost.Cost_model.atomic *. fk)
@@ -842,7 +760,7 @@ let lane_call env v args : sc option =
       let* mode = static g.g_mode in
       let* g_kind = Option.bind (static g.g_kind) Interp.acc_kind_of_code in
       let* g_loop =
-        acc_loop ~k ~mode ~kind:g_kind ~c1:(fslot env g.g_c1)
+        Interp.lane_loop ~k ~mode ~kind:g_kind ~c1:(fslot env g.g_c1)
           ~c2:(fslot env g.g_c2) ~cnd:(bslot env g.g_cond)
       in
       let g_file, g_h, g_o =

@@ -252,89 +252,6 @@ let fplane ~who (p : Value.ptr) ~base ~n =
     ignore (Memory.check_access ~who p base);
     error "adj intrinsic on a boxed buffer (alloc at %s)" p.buf.asite
 
-(* host[ho..ho+k) += f(src[so..so+k)) with f selected by [mode]: one
-   specialized tight loop per mode, the adjoint expression inline in the
-   array store so no float crosses a branch join (nothing boxes inside
-   the lane loop). The lane-invariant coefficients are cells [c1] and
-   [c2] of [c], a two-cell array, read only by the modes that use them.
-   The engine lowers each group with its own copy of its mode's loop,
-   chosen when the call is lowered; the interp = seq bit-identity tests
-   on every k > 1 program keep the copies op for op equal to these.
-   Modes 7/8/9 skip (or negate) the add instead of adding a selected
-   0.0: adjoint cells start at +0.0 and [+0.0 +. x] never yields -0.0,
-   so an accumulated plane never holds -0.0 and skipping an add-of-zero
-   is bitwise-neutral. *)
-let adj_acc_lanes ~mode (c : float array) ~c1 ~c2 ~cond (ha : float array) ho
-    (sa : float array) so k =
-  let n = k - 1 in
-  match mode with
-  | 0 ->
-    for l = 0 to n do
-      Array.unsafe_set ha (ho + l)
-        (Array.unsafe_get ha (ho + l) +. Array.unsafe_get sa (so + l))
-    done
-  | 1 ->
-    for l = 0 to n do
-      Array.unsafe_set ha (ho + l)
-        (Array.unsafe_get ha (ho + l) -. Array.unsafe_get sa (so + l))
-    done
-  | 2 ->
-    let c1 = c.(c1) in
-    for l = 0 to n do
-      Array.unsafe_set ha (ho + l)
-        (Array.unsafe_get ha (ho + l) +. (Array.unsafe_get sa (so + l) *. c1))
-    done
-  | 3 ->
-    let c1 = c.(c1) in
-    for l = 0 to n do
-      Array.unsafe_set ha (ho + l)
-        (Array.unsafe_get ha (ho + l) +. (Array.unsafe_get sa (so + l) /. c1))
-    done
-  | 4 ->
-    let c1 = c.(c1) in
-    for l = 0 to n do
-      Array.unsafe_set ha (ho + l)
-        (Array.unsafe_get ha (ho + l) +. -.(Array.unsafe_get sa (so + l) *. c1))
-    done
-  | 5 ->
-    let c1 = c.(c1) and c2 = c.(c2) in
-    for l = 0 to n do
-      Array.unsafe_set ha (ho + l)
-        (Array.unsafe_get ha (ho + l)
-        +. -.(Array.unsafe_get sa (so + l) *. c1 /. c2))
-    done
-  | 6 ->
-    let c1 = c.(c1) and c2 = c.(c2) in
-    for l = 0 to n do
-      Array.unsafe_set ha (ho + l)
-        (Array.unsafe_get ha (ho + l)
-        +. (Array.unsafe_get sa (so + l) *. c1 /. c2))
-    done
-  | 7 ->
-    if cond then
-      for l = 0 to n do
-        Array.unsafe_set ha (ho + l)
-          (Array.unsafe_get ha (ho + l) +. Array.unsafe_get sa (so + l))
-      done
-  | 8 ->
-    if not cond then
-      for l = 0 to n do
-        Array.unsafe_set ha (ho + l)
-          (Array.unsafe_get ha (ho + l) +. Array.unsafe_get sa (so + l))
-      done
-  | 9 ->
-    if cond then
-      for l = 0 to n do
-        Array.unsafe_set ha (ho + l)
-          (Array.unsafe_get ha (ho + l) +. Array.unsafe_get sa (so + l))
-      done
-    else
-      for l = 0 to n do
-        Array.unsafe_set ha (ho + l)
-          (Array.unsafe_get ha (ho + l) -. Array.unsafe_get sa (so + l))
-      done
-  | m -> error "adjoint accumulate: unknown mode %d" m
-
 (* Ops per lane of each accumulation mode's formula, without the
    accumulating add: what the unrolled scalar emission executes, a select
    included ([adj_mode_ops], the virtual-time charge) and excluded
@@ -381,13 +298,106 @@ let group_ops ~mode kind =
 let group_flops ~mode kind =
   adj_mode_flops mode + match kind with Add -> 1 | Atomic | Write | Copy -> 0
 
+(* ha[ho + l] <- ha[ho + l] + sa[so + l] for l < k, and the subtracting
+   twin *)
+let lanes_add (ha : float array) ho (sa : float array) so k =
+  for l = 0 to k - 1 do
+    Array.unsafe_set ha (ho + l)
+      (Array.unsafe_get ha (ho + l) +. Array.unsafe_get sa (so + l))
+  done
+
+let lanes_sub (ha : float array) ho (sa : float array) so k =
+  for l = 0 to k - 1 do
+    Array.unsafe_set ha (ho + l)
+      (Array.unsafe_get ha (ho + l) -. Array.unsafe_get sa (so + l))
+  done
+
+(** The lane loop of a group of [mode] and [kind] over [k] lanes, run as
+    [loop f b ha ho sa so]: [ha[ho..ho+k) += f(sa[so..so+k))] with the
+    formula selected by [mode], or for a [Copy] (mode 0 only) the
+    overwrite of [ha]'s lanes; [None] for a mode and kind the lane call
+    rejects. The lane-invariant coefficients are cells [c1] and [c2] of
+    the float array [f] and cell [cnd] of the bool array [b], read only
+    by the modes that use them: the interpreter passes the call's
+    operands, the engine its frame's float and bool files, which boxes
+    nothing. The loop is chosen once per mode, so a call pays no
+    dispatch on it (the engine chooses when it lowers the call), and the
+    adjoint expression is inline in the array store, so no float crosses
+    a branch join. Modes 7/8/9 skip (or negate) the add instead of
+    adding a selected 0.0: adjoint cells start at +0.0 and [+0.0 +. x]
+    never yields -0.0, so an accumulated plane never holds -0.0 and
+    skipping an add-of-zero is bitwise-neutral. *)
+type lane_loop =
+  float array -> bool array -> float array -> int -> float array -> int -> unit
+
+let lane_loop ~k ~mode ~kind ~c1 ~c2 ~cnd : lane_loop option =
+  let n = k - 1 in
+  match kind, mode with
+  | Copy, 0 -> Some (fun _ _ ha ho sa so -> Array.blit sa so ha ho k)
+  | Copy, _ -> None
+  | _, 0 -> Some (fun _ _ ha ho sa so -> lanes_add ha ho sa so k)
+  | _, 1 -> Some (fun _ _ ha ho sa so -> lanes_sub ha ho sa so k)
+  | _, 2 ->
+    Some
+      (fun f _ ha ho sa so ->
+        let c1 = f.(c1) in
+        for l = 0 to n do
+          Array.unsafe_set ha (ho + l)
+            (Array.unsafe_get ha (ho + l)
+            +. (Array.unsafe_get sa (so + l) *. c1))
+        done)
+  | _, 3 ->
+    Some
+      (fun f _ ha ho sa so ->
+        let c1 = f.(c1) in
+        for l = 0 to n do
+          Array.unsafe_set ha (ho + l)
+            (Array.unsafe_get ha (ho + l)
+            +. (Array.unsafe_get sa (so + l) /. c1))
+        done)
+  | _, 4 ->
+    Some
+      (fun f _ ha ho sa so ->
+        let c1 = f.(c1) in
+        for l = 0 to n do
+          Array.unsafe_set ha (ho + l)
+            (Array.unsafe_get ha (ho + l)
+            +. -.(Array.unsafe_get sa (so + l) *. c1))
+        done)
+  | _, 5 ->
+    Some
+      (fun f _ ha ho sa so ->
+        let c1 = f.(c1) and c2 = f.(c2) in
+        for l = 0 to n do
+          Array.unsafe_set ha (ho + l)
+            (Array.unsafe_get ha (ho + l)
+            +. -.(Array.unsafe_get sa (so + l) *. c1 /. c2))
+        done)
+  | _, 6 ->
+    Some
+      (fun f _ ha ho sa so ->
+        let c1 = f.(c1) and c2 = f.(c2) in
+        for l = 0 to n do
+          Array.unsafe_set ha (ho + l)
+            (Array.unsafe_get ha (ho + l)
+            +. (Array.unsafe_get sa (so + l) *. c1 /. c2))
+        done)
+  | _, 7 -> Some (fun _ b ha ho sa so -> if b.(cnd) then lanes_add ha ho sa so k)
+  | _, 8 ->
+    Some (fun _ b ha ho sa so -> if not b.(cnd) then lanes_add ha ho sa so k)
+  | _, 9 ->
+    Some
+      (fun _ b ha ho sa so ->
+        if b.(cnd) then lanes_add ha ho sa so k else lanes_sub ha ho sa so k)
+  | _ -> None
+
 (** The operands of the one k-wide lane call,
     [adj.lanes_k(file, src, soff, zero, G1, ..., Gn, k)] with each group
     [G = (host, off, mode, c1, c2, cond, kind)]: take the [k] lanes of
     [src] at [soff] into the scratch of the lane register file [file]
     (its first [k] cells), zeroing them when [zero] is not 0, then fold
     the scratch into each group in turn by its [mode] and [kind]
-    ({!adj_acc_lanes}, {!acc_kind}). The layout is written down once,
+    ({!lane_loop}, {!acc_kind}). The layout is written down once,
     here: the reverse pass builds it over vars ([lane_operands]), the
     interpreter splits it over values and the engine over vars
     ([split_lanes]). *)
@@ -423,14 +433,6 @@ let split_lanes = function
     in
     groups [] rest
   | _ -> None
-
-(* Fold the scratch [sa] at [so] into the group [ha] at [ho]: a [Copy]
-   overwrites its lanes, any other kind runs [mode]'s loop. *)
-let fold_lanes ~mode ~kind c ~c1 ~c2 ~cond ha ho sa so k =
-  match kind with
-  | Copy when mode = 0 -> Array.blit sa so ha ho k
-  | Copy -> error "%s: a copy group in mode %d" lanes_name mode
-  | Add | Atomic | Write -> adj_acc_lanes ~mode c ~c1 ~c2 ~cond ha ho sa so k
 
 (* Count [reads] and [writes] plane cells of a lane step as the scalar
    emission's loads and stores. *)
@@ -1388,8 +1390,12 @@ and intrinsic ctx e name args vals : Value.t =
         in
         let ha = fplane ~who:e.fname host ~base:off ~n:k in
         check_write kind ha (host.off + off) k;
-        fold_lanes ~mode ~kind [| to_float g.g_c1; to_float g.g_c2 |] ~c1:0 ~c2:1
-          ~cond:(to_bool g.g_cond) ha (host.off + off) sa file.off k;
+        (match lane_loop ~k ~mode ~kind ~c1:0 ~c2:1 ~cnd:0 with
+        | Some loop ->
+          loop [| to_float g.g_c1; to_float g.g_c2 |] [| to_bool g.g_cond |] ha
+            (host.off + off) sa file.off
+        | None when kind = Copy -> error "%s: a copy group in mode %d" name mode
+        | None -> error "adjoint accumulate: unknown mode %d" mode);
         group_charge ctx st ~file ~mode ~kind host k)
       l.l_groups;
     VUnit
