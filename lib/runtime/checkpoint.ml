@@ -466,7 +466,7 @@ let take session ~mem ~cache ~mpi ~roots ~id =
   in
   List.iter
     (fun (sid, (s : Mpi_state.shadow_req)) ->
-      if s.srev <> None || s.stmp <> None || s.sexp <> None || s.sstaged then
+      if s.dual <> None then
         error
           "parad.checkpoint %d: rank %d: shadow request %d is mid-reverse; \
            checkpoints inside the reverse sweep are unsupported"
@@ -743,10 +743,7 @@ let restore session ~mem ~cache ~mpi ~id =
                  scount;
                  speer;
                  stag;
-                 srev = None;
-                 stmp = None;
-                 sexp = None;
-                 sstaged = false;
+                 dual = None;
                } ))
     in
     Mpi_state.restore_rank m ~rank ~next_req ~next_shadow ~coll_seq ~shadows

@@ -667,6 +667,64 @@ let tape_row ins s1 s2 =
 
 let is_float v = match v with VFloat _ -> true | _ -> false
 
+(* ---- adjoint message passing (paper §IV-B, Fig 5) ----
+
+   The reverse of a send receives the adjoint and adds it into the
+   shadow; the reverse of a receive sends the shadow back and zeroes it.
+   [adj_post] starts that dual for a forward send ([send]) or receive of
+   [count] cells of shadow [sptr] with [peer] on forward tag [tag], and
+   [adj_finish] completes it; every adjoint exchange intrinsic is one or
+   both. Coalesced, the dual of a receive stages an outgoing chunk,
+   flushed inside one packed message per destination at the next
+   blocking point (the chunk's snapshot decouples the payload from the
+   zeroing), and the dual of a send registers an expectation that packed
+   messages fulfil on demand (the accumulate is charged at unpack time):
+   no per-exchange message, no temp buffer. Uncoalesced, each dual is one
+   nonblocking message on the adjoint tag; [site] names the intrinsic
+   that allocates the temp buffer an adjoint is received into. *)
+let adj_post ctx ~site ~send ~sptr ~count ~peer ~tag : Mpi_state.dual =
+  let m = mpi_state ctx and rank = ctx.rank and tag = tag + 1_000_000 in
+  match send, m.Mpi_state.coalesce with
+  | true, true ->
+    Mpi_state.Expect
+      (Mpi_state.adj_expect m ~rank ~src:peer ~tag ~count ~dst:sptr)
+  | false, true ->
+    Mpi_state.adj_stage m ~rank ~dst:peer ~tag ~count ~sptr;
+    Mpi_state.Staged
+  | true, false ->
+    let buf =
+      Memory.alloc ctx.mem ~elem:Ty.Float ~size:count ~kind:Instr.Heap
+        ~socket:(Sim.socket ()) ~site
+    in
+    let tmp = { buf; off = 0 } in
+    Mpi_state.Recv
+      (Mpi_state.irecv m ~rank ~ptr:tmp ~count ~src:peer ~tag, tmp)
+  | false, false ->
+    Mpi_state.Send (Mpi_state.isend m ~rank ~ptr:sptr ~count ~dst:peer ~tag)
+
+let adj_finish ctx ~sptr ~count (d : Mpi_state.dual) =
+  let m = mpi_state ctx and mem = ctx.cfg.cost.mem in
+  let zero () =
+    charge (mem *. float_of_int count);
+    for i = 0 to count - 1 do
+      Memory.store sptr i (VFloat 0.0)
+    done
+  in
+  match d with
+  | Mpi_state.Expect ex -> Mpi_state.adj_complete m ~rank:ctx.rank ex
+  | Mpi_state.Staged -> zero ()
+  | Mpi_state.Send req ->
+    ignore (Mpi_state.wait m ~rank:ctx.rank ~req);
+    zero ()
+  | Mpi_state.Recv (req, tmp) ->
+    ignore (Mpi_state.wait m ~rank:ctx.rank ~req);
+    charge (mem *. float_of_int (2 * count));
+    for i = 0 to count - 1 do
+      let cur = to_float (Memory.load sptr i) in
+      Memory.store sptr i (VFloat (cur +. to_float (Memory.load tmp i)))
+    done;
+    Memory.free ctx.mem tmp.buf
+
 (* ---- interpreter ---- *)
 
 let rec exec_instrs ctx (e : ectx) (instrs : Instr.t list) : outcome =
@@ -1434,148 +1492,35 @@ and intrinsic ctx e name args vals : Value.t =
     in
     VInt id
   | "mpi.adj_wait" ->
-    (* Reverse of MPI_Wait: inspect the shadow request and spawn the dual
-       nonblocking operation (Fig 5 of the paper). With coalescing, the
-       dual of an Irecv stages an outgoing chunk (flushed as part of a
-       packed per-destination message at the next blocking point) and the
-       dual of an Isend registers an accumulate-into-shadow expectation —
-       no per-exchange message, no temp buffer. *)
-    let m = mpi_state ctx in
-    let s = Mpi_state.shadow_find m ~rank:ctx.rank ~id:(int_arg 0) in
-    let adj_tag = s.stag + 1_000_000 in
-    (match s.skind, m.Mpi_state.coalesce with
-    | Mpi_state.SIsend, true ->
-      s.sexp <-
-        Some
-          (Mpi_state.adj_expect m ~rank:ctx.rank ~src:s.speer ~tag:adj_tag
-             ~count:s.scount ~dst:s.sptr)
-    | Mpi_state.SIrecv, true ->
-      Mpi_state.adj_stage m ~rank:ctx.rank ~dst:s.speer ~tag:adj_tag
-        ~count:s.scount ~sptr:s.sptr;
-      s.sstaged <- true
-    | Mpi_state.SIsend, false ->
-      let buf =
-        Memory.alloc ctx.mem ~elem:Ty.Float ~size:s.scount ~kind:Instr.Heap
-          ~socket:(Sim.socket ()) ~site:name
-      in
-      let tmp = { buf; off = 0 } in
-      s.stmp <- Some tmp;
-      s.srev <-
-        Some
-          (Mpi_state.irecv m ~rank:ctx.rank ~ptr:tmp ~count:s.scount
-             ~src:s.speer ~tag:adj_tag)
-    | Mpi_state.SIrecv, false ->
-      s.srev <-
-        Some
-          (Mpi_state.isend m ~rank:ctx.rank ~ptr:s.sptr ~count:s.scount
-             ~dst:s.speer ~tag:adj_tag));
+    (* Reverse of MPI_Wait: post the dual of the waited send or receive *)
+    let s = Mpi_state.shadow_find (mpi_state ctx) ~rank:ctx.rank ~id:(int_arg 0) in
+    s.dual <-
+      Some
+        (adj_post ctx ~site:name ~send:(s.skind = Mpi_state.SIsend)
+           ~sptr:s.sptr ~count:s.scount ~peer:s.speer ~tag:s.stag);
     VUnit
-  | "mpi.adj_isend_finish" ->
-    (* Reverse of MPI_Isend: wait for the incoming adjoint and accumulate
-       it into the shadow send buffer. Coalesced: complete the registered
-       expectation, unpacking packed messages on demand (the accumulate is
-       charged at unpack time). *)
-    let m = mpi_state ctx in
-    let s = Mpi_state.shadow_find m ~rank:ctx.rank ~id:(int_arg 0) in
-    (match s.sexp, s.srev, s.stmp with
-    | Some ex, _, _ ->
-      Mpi_state.adj_complete m ~rank:ctx.rank ex;
-      s.sexp <- None
-    | None, Some req, Some tmp ->
-      ignore (Mpi_state.wait m ~rank:ctx.rank ~req);
-      charge (c.mem *. float_of_int (2 * s.scount));
-      for i = 0 to s.scount - 1 do
-        let cur = to_float (Memory.load s.sptr i) in
-        Memory.store s.sptr i (VFloat (cur +. to_float (Memory.load tmp i)))
-      done;
-      Memory.free ctx.mem tmp.buf
-    | _ -> error "mpi.adj_isend_finish before mpi.adj_wait");
+  | "mpi.adj_isend_finish" | "mpi.adj_irecv_finish" ->
+    (* Reverse of MPI_Isend / MPI_Irecv: finish the dual [mpi.adj_wait]
+       posted *)
+    let s = Mpi_state.shadow_find (mpi_state ctx) ~rank:ctx.rank ~id:(int_arg 0) in
+    (match s.dual with
+    | Some d ->
+      s.dual <- None;
+      adj_finish ctx ~sptr:s.sptr ~count:s.scount d
+    | None -> error "%s before mpi.adj_wait" name);
     VUnit
-  | "mpi.adj_irecv_finish" ->
-    (* Reverse of MPI_Irecv: wait for the adjoint send to complete, then
-       zero the shadow receive buffer (its adjoint has been handed off).
-       Coalesced: the chunk snapshot was taken when it was staged, so the
-       shadow can be zeroed immediately — the packed send completes on the
-       receiver's demand. *)
-    let m = mpi_state ctx in
-    let s = Mpi_state.shadow_find m ~rank:ctx.rank ~id:(int_arg 0) in
-    if s.sstaged then begin
-      s.sstaged <- false;
-      charge (c.mem *. float_of_int s.scount);
-      for i = 0 to s.scount - 1 do
-        Memory.store s.sptr i (VFloat 0.0)
-      done
-    end
-    else begin
-      match s.srev with
-      | Some req ->
-        ignore (Mpi_state.wait m ~rank:ctx.rank ~req);
-        charge (c.mem *. float_of_int s.scount);
-        for i = 0 to s.scount - 1 do
-          Memory.store s.sptr i (VFloat 0.0)
-        done
-      | None -> error "mpi.adj_irecv_finish before mpi.adj_wait"
-    end;
-    VUnit
-  | "mpi.adj_send" | "mpi.adj_send_post" ->
-    (* Reverse of a blocking send: receive the adjoint and accumulate.
-       The [_post] form is emitted by the coalescing reverse sweep: it
-       only registers the expectation, and a later [mpi.adj_waitall]
-       completes the whole batch. The plain form completes immediately. *)
-    let m = mpi_state ctx in
-    let d_p = ptr_arg 0 and n = int_arg 1 and peer = int_arg 2 and tag = int_arg 3 in
-    if m.Mpi_state.coalesce then begin
-      let ex =
-        Mpi_state.adj_expect m ~rank:ctx.rank ~src:peer
-          ~tag:(tag + 1_000_000) ~count:n ~dst:d_p
-      in
-      if name = "mpi.adj_send" then Mpi_state.adj_complete m ~rank:ctx.rank ex
-    end
-    else begin
-      let buf =
-        Memory.alloc ctx.mem ~elem:Ty.Float ~size:n ~kind:Instr.Heap
-          ~socket:(Sim.socket ()) ~site:name
-      in
-      let tmp = { buf; off = 0 } in
-      let req =
-        Mpi_state.irecv m ~rank:ctx.rank ~ptr:tmp ~count:n ~src:peer
-          ~tag:(tag + 1_000_000)
-      in
-      ignore (Mpi_state.wait m ~rank:ctx.rank ~req);
-      charge (c.mem *. float_of_int (2 * n));
-      for i = 0 to n - 1 do
-        let cur = to_float (Memory.load d_p i) in
-        Memory.store d_p i (VFloat (cur +. to_float (Memory.load tmp i)))
-      done;
-      Memory.free ctx.mem buf
-    end;
-    VUnit
-  | "mpi.adj_recv" | "mpi.adj_recv_post" ->
-    (* Reverse of a blocking receive: send the shadow back, then zero it.
-       Coalesced (either form): stage the chunk — the snapshot decouples
-       the payload from the zeroing — and let the next blocking point
-       flush it inside one packed message per destination. *)
-    let m = mpi_state ctx in
-    let d_p = ptr_arg 0 and n = int_arg 1 and peer = int_arg 2 and tag = int_arg 3 in
-    if m.Mpi_state.coalesce then begin
-      Mpi_state.adj_stage m ~rank:ctx.rank ~dst:peer ~tag:(tag + 1_000_000)
-        ~count:n ~sptr:d_p;
-      charge (c.mem *. float_of_int n);
-      for i = 0 to n - 1 do
-        Memory.store d_p i (VFloat 0.0)
-      done
-    end
-    else begin
-      let req =
-        Mpi_state.isend m ~rank:ctx.rank ~ptr:d_p ~count:n ~dst:peer
-          ~tag:(tag + 1_000_000)
-      in
-      ignore (Mpi_state.wait m ~rank:ctx.rank ~req);
-      charge (c.mem *. float_of_int n);
-      for i = 0 to n - 1 do
-        Memory.store d_p i (VFloat 0.0)
-      done
-    end;
+  | "mpi.adj_send" | "mpi.adj_send_post" | "mpi.adj_recv" | "mpi.adj_recv_post"
+    ->
+    (* Reverse of a blocking send or receive: post its dual and finish it
+       at once. The [_post] forms are emitted by the coalescing reverse
+       sweep; a coalesced [mpi.adj_send_post] only posts, and a later
+       [mpi.adj_waitall] completes the whole batch. *)
+    let sptr = ptr_arg 0 and count = int_arg 1 in
+    let peer = int_arg 2 and tag = int_arg 3 in
+    let send = name = "mpi.adj_send" || name = "mpi.adj_send_post" in
+    let d = adj_post ctx ~site:name ~send ~sptr ~count ~peer ~tag in
+    if name <> "mpi.adj_send_post" || not (mpi_state ctx).Mpi_state.coalesce
+    then adj_finish ctx ~sptr ~count d;
     VUnit
   | "mpi.adj_waitall" ->
     (* Completion barrier of a batch of [_post]ed adjoint exchanges: flush

@@ -98,6 +98,15 @@ type adj_exp = {
   mutable ex_done : bool;
 }
 
+(* The dual of a forward exchange, from its posting to its finish. *)
+type dual =
+  | Expect of adj_exp  (** coalesced dual of a send: the expectation *)
+  | Staged  (** coalesced dual of a receive: the chunk is staged *)
+  | Recv of int * ptr
+      (** dual of a send: the request receiving the adjoint into a temp
+          buffer *)
+  | Send of int  (** dual of a receive: the request sending the shadow *)
+
 (* Shadow request: what the AD-generated forward pass records so that the
    reverse of the corresponding wait knows which dual operation to spawn. *)
 type shadow_req = {
@@ -106,11 +115,7 @@ type shadow_req = {
   scount : int;
   speer : int;
   stag : int;
-  mutable srev : int option;  (** request id of the spawned dual op *)
-  mutable stmp : ptr option;  (** temp buffer receiving the adjoint (Isend) *)
-  mutable sexp : adj_exp option;
-      (** coalesced dual of an Isend: the registered expectation *)
-  mutable sstaged : bool;  (** coalesced dual of an Irecv: chunk staged *)
+  mutable dual : dual option;  (** the dual posted and not yet finished *)
 }
 
 type rank_state = {
@@ -1015,10 +1020,7 @@ let shadow_note t ~rank ~skind ~sptr ~scount ~speer ~stag =
       scount;
       speer;
       stag;
-      srev = None;
-      stmp = None;
-      sexp = None;
-      sstaged = false;
+      dual = None;
     };
   id
 

@@ -3,8 +3,10 @@
    blocking p2p, and collective adjoints. *)
 
 open Parad_ir
+open Parad_runtime
 module B = Builder
 module GC = Parad_verify.Grad_check
+module E = Parad_engine.Engine
 
 let feq = Alcotest.float 1e-6
 
@@ -176,17 +178,56 @@ let blocking_prog () =
   ignore (B.finish b);
   prog
 
+(* The blocking kernels with adjoint coalescing on (the [_post] duals
+   and [mpi.adj_waitall]) and off ([mpi.adj_send] / [mpi.adj_recv]):
+   both agree with finite differences, give the same gradient bits, and
+   the engine's seq runner reproduces the interpreter's bits, makespan
+   and instruction count. [makespans] pins the interpreter's makespan
+   (coalesced, uncoalesced). *)
+let check_coalesce_modes name prog fname ~nranks ~args ~makespans =
+  let seeds = seed0 2 in
+  let opts coalesce =
+    { Parad_core.Plan.default_options with coalesce_comm = coalesce }
+  in
+  let run coalesce engine =
+    fst
+      (GC.spmd_gradient ~opts:(opts coalesce) ~nranks ~args ~seeds
+         ~d_ret:dret_rank0 prog fname ~run:(fun ~cfg dprog ~fname ~setup ->
+           let call = E.call_fn (E.prepare dprog) engine in
+           Exec.run_spmd ~cfg ~call dprog ~nranks ~fname ~setup, ()))
+  in
+  let bits (g : GC.spmd_gradient) =
+    ( Array.map Int64.bits_of_float g.GC.s_primals,
+      Array.map (List.map (Array.map Int64.bits_of_float)) g.GC.s_d_bufs )
+  in
+  let mode coalesce =
+    let what = Printf.sprintf "%s (coalesce %b)" name coalesce in
+    check (what ^ " vs fd")
+      (GC.check_spmd ~opts:(opts coalesce) prog fname ~nranks ~args ~seeds
+         ~d_ret:dret_rank0);
+    let gi = run coalesce E.Interp and gs = run coalesce E.Seq in
+    Alcotest.(check bool) (what ^ ": seq bits") true (bits gi = bits gs);
+    Alcotest.(check (float 0.0))
+      (what ^ ": seq makespan") gi.GC.s_makespan gs.GC.s_makespan;
+    Alcotest.(check int)
+      (what ^ ": seq instrs") gi.GC.s_stats.Stats.instrs
+      gs.GC.s_stats.Stats.instrs;
+    gi
+  in
+  let c = mode true and u = mode false in
+  Alcotest.(check bool) (name ^ ": same bits either way") true (bits c = bits u);
+  Alcotest.(check (pair (float 0.0) (float 0.0)))
+    (name ^ " makespans") makespans (c.GC.s_makespan, u.GC.s_makespan)
+
 let test_blocking_p2p_gradient () =
-  let prog = blocking_prog () in
   let n = 2 in
-  check "blocking p2p vs fd"
-    (GC.check_spmd prog "blk" ~nranks:4
-       ~args:(fun ~rank ->
-         [
-           GC.ABuf (Array.init n (fun i -> 0.1 +. (0.3 *. float_of_int (rank + i))));
-           GC.AInt n;
-         ])
-       ~seeds:(seed0 n) ~d_ret:dret_rank0)
+  check_coalesce_modes "blocking p2p" (blocking_prog ()) "blk" ~nranks:4
+    ~args:(fun ~rank ->
+      [
+        GC.ABuf (Array.init n (fun i -> 0.1 +. (0.3 *. float_of_int (rank + i))));
+        GC.AInt n;
+      ])
+    ~makespans:(37737.800000000003, 37632.200000000004)
 
 (* allreduce_min adjoint: gradient flows only to the winning rank *)
 let test_allreduce_min_gradient () =
@@ -263,7 +304,7 @@ let test_bcast_gradient () =
   Alcotest.check feq "nonroot zero" 0.0 (List.hd g.GC.s_d_bufs.(1)).(0)
 
 (* two messages on the same channel + multiple tags *)
-let test_multi_message () =
+let multi_prog () =
   let prog = Prog.create () in
   let b, ps =
     B.func prog "mm2"
@@ -299,11 +340,13 @@ let test_multi_message () =
   ignore (B.call b ~ret:Ty.Unit "mpi.allreduce_sum" [ acc; out; one ]);
   B.return b (Some (B.load b out (B.i64 b 0)));
   ignore (B.finish b);
-  check "multi message vs fd"
-    (GC.check_spmd prog "mm2" ~nranks:2
-       ~args:(fun ~rank ->
-         [ GC.ABuf [| 0.4 +. float_of_int rank; 1.3 |]; GC.AInt 2 ])
-       ~seeds:(seed0 2) ~d_ret:dret_rank0)
+  prog
+
+let test_multi_message () =
+  check_coalesce_modes "multi message" (multi_prog ()) "mm2" ~nranks:2
+    ~args:(fun ~rank ->
+      [ GC.ABuf [| 0.4 +. float_of_int rank; 1.3 |]; GC.AInt 2 ])
+    ~makespans:(21201.199999999997, 21855.199999999997)
 
 let () =
   Alcotest.run "ad-mpi"
