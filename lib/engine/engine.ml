@@ -19,9 +19,10 @@
     the same deadline checks; scalar semantics reuse the interpreter's
     exact float discipline (Float.compare ordering, [<=]-min/max, the
     floor-through-int round trip); all non-hot intrinsics delegate to
-    {!Interp.intrinsic}, which charges the same strand clock cell the
-    engine does. Sanitized contexts fall back to the interpreter
-    entirely. *)
+    {!Interp.intrinsic}, and the cache intrinsics call its SDC hooks
+    {!Interp.apply_flips} and {!Interp.corrupt_region}, which read and
+    charge the same strand clock cell the engine does. Sanitized and
+    [gc_aggressive] contexts fall back to the interpreter entirely. *)
 
 open Parad_ir
 open Parad_runtime
@@ -47,10 +48,6 @@ type eframe = {
   sl : int array;
       (** tape slots of the float registers (parallel to [f]) — sized only
           for functions compiled in taping mode, [[||]] otherwise *)
-  mutable istack : Interp.frame list;
-      (** synthetic interpreter view of the call stack (shares [v]) — what
-          delegated intrinsics and the GC root walk see. Mutable so cached
-          member frames can be re-pointed at the current call chain. *)
   mutable stack_allocs : Value.buffer list ref;
 }
 
@@ -182,27 +179,6 @@ let[@inline] tape_row t (ins : Interp.instrument) s1 s2 =
     ins.Interp.record s1 s2
   end
 
-(* Replicas of the interpreter's SDC hooks with [t.clock.now] standing in for
-   [Sim.now ()] (the same cell). *)
-let eng_apply_flips t =
-  match t.ctx.Interp.faults with
-  | Some fs
-    when fs.Faults.flips_left <> [] && Cache_rt.has_sealed t.ctx.Interp.cache
-    -> (
-    match Faults.flip_gate fs ~rank:t.ctx.Interp.rank ~now:t.clock.now with
-    | Some (cell, bit) -> (
-      match Cache_rt.flip t.ctx.Interp.cache ~cell ~bit with
-      | Some _ -> t.st.Stats.sdc_injected <- t.st.Stats.sdc_injected + 1
-      | None -> ())
-    | None -> ())
-  | _ -> ()
-
-let eng_corrupt_region t ~cache_id =
-  t.st.Stats.sdc_detected <- t.st.Stats.sdc_detected + 1;
-  raise
-    (Checkpoint.Corrupt_region
-       { cr_rank = t.ctx.Interp.rank; cr_cache = cache_id; cr_at = t.clock.now })
-
 (* A cache store that wrote a new cell counts in [cache_cells] and may
    raise [cache_peak], as in the interpreter. *)
 let[@inline] count_new_cell t cache ~before =
@@ -214,33 +190,14 @@ let[@inline] count_new_cell t cache ~before =
 
 (* ---- frames ---- *)
 
-let new_eframe cf caller_istack =
-  let v = Array.make (max cf.nv 1) VUnit in
+let new_eframe cf =
   {
     f = Array.make (max cf.nf 1) 0.0;
     i = Array.make (max cf.ni 1) 0;
     b = Array.make (max cf.nb 1) false;
-    v;
+    v = Array.make (max cf.nv 1) VUnit;
     sl = (if cf.tp then Array.make (max cf.nf 1) 0 else [||]);
-    istack = { Interp.vals = v; slots = None } :: caller_istack;
     stack_allocs = ref [];
-  }
-
-(* Fork-child frame: a copy of every register file (the interpreter copies
-   the whole frame into each member), sharing the caller's stack-alloc
-   list and the tail of the synthetic interpreter stack. *)
-let copy_eframe fr =
-  let v = Array.copy fr.v in
-  {
-    f = Array.copy fr.f;
-    i = Array.copy fr.i;
-    b = Array.copy fr.b;
-    v;
-    sl = Array.copy fr.sl;
-    istack =
-      { Interp.vals = v; slots = None }
-      :: (match fr.istack with [] -> [] | _ :: tl -> tl);
-    stack_allocs = fr.stack_allocs;
   }
 
 (* ---- scalar semantics (identical to the interpreter's) ---- *)
@@ -395,13 +352,8 @@ let make_body_frame prep (parent : cfun) (r : Instr.region) ~entry_defs =
   let site = prep.next_site in
   prep.next_site <- site + 1;
   (* Point a (possibly recycled) member frame at the current execution:
-     fresh call chain, current stack-alloc list, live-in values. *)
+     current stack-alloc list, live-in values. *)
   let refresh (m : eframe) (fr : eframe) =
-    (match m.istack with
-    | h :: _ ->
-      m.istack <-
-        (h :: (match fr.istack with [] -> [] | _ :: tl -> tl))
-    | [] -> assert false);
     m.stack_allocs <- fr.stack_allocs;
     let k = Array.length cf in
     let j = ref 0 in
@@ -434,7 +386,7 @@ let make_body_frame prep (parent : cfun) (r : Instr.region) ~entry_defs =
       | Some a when Array.length a >= width ->
         Hashtbl.remove t.fcache site;
         a
-      | _ -> Array.init width (fun _ -> new_eframe sub [])
+      | _ -> Array.init width (fun _ -> new_eframe sub)
     in
     for m = 0 to width - 1 do
       refresh frames.(m) fr
@@ -1230,30 +1182,10 @@ and compile_straight env (i : Instr.t) : sc =
       done;
       if (not nowait) && width > 1 then Sim.barrier ()
   | Instr.Fork { tid; nth; body } ->
-    let uses_gc_roots =
-      let found = ref false in
-      Instr.fold_instrs
-        (fun () i ->
-          match i with
-          | Instr.Call (_, "gc.collect", _) -> found := true
-          | _ -> ())
-        () body.Instr.body;
-      !found
+    let subcf, checkout, checkin =
+      make_body_frame env.prep env.cf body ~entry_defs:[ tid; nth ]
     in
-    let benv, checkout, checkin =
-      if uses_gc_roots then
-        (* gc.collect walks every frame's value file for roots, so members
-           must see the interpreter's full-copy frames; no recycling *)
-        ( env,
-          (fun _t fr width -> Array.init width (fun _ -> copy_eframe fr)),
-          fun _t _frames -> () )
-      else begin
-        let subcf, checkout, checkin =
-          make_body_frame env.prep env.cf body ~entry_defs:[ tid; nth ]
-        in
-        { env with cf = subcf }, checkout, checkin
-      end
-    in
+    let benv = { env with cf = subcf } in
     let body_code = compile_block benv body.Instr.body in
     let tidw = ivw benv tid in
     let nth_slot =
@@ -1756,7 +1688,7 @@ and compile_intrinsic env v name args : sc =
            else t.cost.Cost_model.cache_op);
         t.st.Stats.cache_loads <- t.st.Stats.cache_loads + 1;
         Cache_rt.get_into cache c ~id ~idx:fr.i.(s_idx) fr.f d;
-        eng_apply_flips t
+        Interp.apply_flips t.ctx
     | _ ->
       fun t fr ->
         charge t t.cost.Cost_model.arith;
@@ -1767,7 +1699,7 @@ and compile_intrinsic env v name args : sc =
            else t.cost.Cost_model.cache_op);
         t.st.Stats.cache_loads <- t.st.Stats.cache_loads + 1;
         let r = Cache_rt.get cache ~id ~idx:(idx_rd fr) in
-        eng_apply_flips t;
+        Interp.apply_flips t.ctx;
         w fr r)
   | "cache.free", a0 :: _ ->
     let id_rd = ird env a0 in
@@ -1779,7 +1711,7 @@ and compile_intrinsic env v name args : sc =
         charge t
           (t.cost.Cost_model.mem *. float_of_int (Cache_rt.covered_id cache ~id));
         if not (Cache_rt.verify_id cache ~id) then
-          eng_corrupt_region t ~cache_id:id
+          Interp.corrupt_region t.ctx ~cache_id:id
       end;
       Cache_rt.free cache ~id;
       w fr VUnit
@@ -1819,8 +1751,10 @@ and compile_intrinsic env v name args : sc =
   | _ -> delegate env v name args
 
 (* Any other intrinsic (MPI, checkpoint, GC, AD shadows, ...) delegates to
-   the interpreter's implementation through the synthetic frame stack;
-   its charges land on the strand clock cell [t.clock] shares. *)
+   the interpreter's implementation, with an empty call stack (only
+   [gc.collect] under [gc_aggressive] walks it, and such contexts never
+   reach the engine); its charges land on the strand clock cell [t.clock]
+   shares. *)
 and delegate env v name args : sc =
   let readers = List.map (reader env) args in
   let w = writer env v in
@@ -1830,7 +1764,7 @@ and delegate env v name args : sc =
     t.st.Stats.eng_fallbacks <- t.st.Stats.eng_fallbacks + 1;
     let e =
       {
-        Interp.stack = fr.istack;
+        Interp.stack = [];
         team = t.team;
         stack_allocs = fr.stack_allocs;
         fname;
@@ -1882,7 +1816,7 @@ and build_ucall env v name args : sc =
         fun t fr ->
           charge t t.cost.Cost_model.call;
           t.st.Stats.calls <- t.st.Stats.calls + 1;
-          let nfr = new_eframe cf fr.istack in
+          let nfr = new_eframe cf in
           for k = 0 to n - 1 do
             (Array.unsafe_get moves k) fr nfr
           done;
@@ -1926,7 +1860,7 @@ and call_boxed prep ?(taped = false) ?(slots = []) t name
     if List.length args <> List.length f.Func.params then
       error "call %s: arity mismatch" name;
     let cf = get_cfun prep ~taped name in
-    let nfr = new_eframe cf [] in
+    let nfr = new_eframe cf in
     List.iter2
       (fun p a ->
         if not (Ty.equal (Value.ty a) (Var.ty p)) then
@@ -1958,16 +1892,18 @@ let choice_to_string = function Interp -> "interp" | Seq -> "seq"
 (** Run [fname] on the engine inside the current Sim strand, threading
     tape slots for the arguments and the result (both all-zero on
     uninstrumented runs). Instrumented (taped) runs compile in taping
-    mode; sanitized contexts, which the engine does not replicate, fall
-    back to the interpreter wholesale — and are counted in
-    [Stats.eng_fallbacks]. *)
+    mode. Sanitized contexts, which the engine does not replicate, and
+    [gc_aggressive] ones, whose [gc.collect] walks the interpreter's call
+    stack for roots, fall back to the interpreter wholesale — and are
+    counted in [Stats.eng_fallbacks]. *)
 let exec_call_slots prep (ctx : Interp.ctx) fname args slots : Value.t * int =
-  match ctx.Interp.san with
-  | Some _ ->
+  if Option.is_some ctx.Interp.san || ctx.Interp.cfg.Interp.gc_aggressive
+  then begin
     (Sim.stats ()).Stats.eng_fallbacks <-
       (Sim.stats ()).Stats.eng_fallbacks + 1;
     Interp.call_with_slots ctx fname args slots
-  | None ->
+  end
+  else begin
     ctx.Interp.root_args <- args;
     let s = Sim.self () in
     let vdl, wall_stop, wall_ms = Sim.deadline_view () in
@@ -1994,6 +1930,7 @@ let exec_call_slots prep (ctx : Interp.ctx) fname args slots : Value.t * int =
     let taped = Option.is_some ctx.Interp.instrument in
     let v = call_boxed prep ~taped ~slots t fname args in
     v, t.rets
+  end
 
 (** [call_fn prep choice] is a drop-in replacement for {!Interp.call}
     running on the selected substrate. *)

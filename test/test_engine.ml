@@ -372,6 +372,42 @@ let test_alloc_free () =
         (w2 -. w1 < 1000.0))
     [ "plain", plain; "taped", taped ]
 
+(* gc.collect walks the interpreter's call stack for roots, which the
+   engine does not keep: a context with [gc_aggressive] runs on the
+   interpreter wholesale, counted as one fallback, with the interpreter's
+   value, makespan and instruction count. The fork's members collect the
+   buffer a returned call left unreachable and keep the caller's. *)
+let test_gc_fallback () =
+  let open Parad_ir in
+  let module B = Builder in
+  let prog = Prog.create () in
+  let b, _ = B.func prog "garbage" ~params:[] ~ret:Ty.Unit in
+  let g = B.alloc b ~kind:Instr.Gc Ty.Float (B.i64 b 3) in
+  B.store b g (B.i64 b 0) (B.f64 b 1.0);
+  ignore (B.finish b);
+  let b, _ = B.func prog "gcf" ~params:[] ~ret:Ty.Float in
+  ignore (B.call b ~ret:Ty.Unit "garbage" []);
+  let keep = B.alloc b ~kind:Instr.Gc Ty.Float (B.i64 b 1) in
+  B.store b keep (B.i64 b 0) (B.f64 b 2.5);
+  let counts = B.alloc b Ty.Int (B.i64 b 2) in
+  B.fork b ~nth:(B.i64 b 2) (fun ~tid ~nth:_ ->
+      B.store b counts tid (B.call b ~ret:Ty.Int "gc.collect" []));
+  let n = B.add b (B.load b counts (B.i64 b 0)) (B.load b counts (B.i64 b 1)) in
+  B.return b (Some (B.add b (B.load b keep (B.i64 b 0)) (B.to_float b n)));
+  ignore (B.finish b);
+  let cfg = { Interp.default_config with gc_aggressive = true } in
+  let run call = Exec.run ~cfg ~call prog ~fname:"gcf" ~setup:(fun _ -> []) in
+  let ri = run Interp.call and rs = run (E.call_fn (E.prepare prog) E.Seq) in
+  Alcotest.(check (float 0.0)) "value" 3.5 (Value.to_float ri.Exec.values.(0));
+  Alcotest.(check (float 0.0))
+    "seq value" (Value.to_float ri.Exec.values.(0))
+    (Value.to_float rs.Exec.values.(0));
+  Alcotest.(check (float 0.0)) "makespan" 1599.3999999999999 ri.Exec.makespan;
+  Alcotest.(check (float 0.0)) "seq makespan" ri.Exec.makespan rs.Exec.makespan;
+  Alcotest.(check int)
+    "seq instrs" ri.Exec.stats.Stats.instrs rs.Exec.stats.Stats.instrs;
+  Alcotest.(check int) "one fallback" 1 rs.Exec.stats.Stats.eng_fallbacks
+
 let test_wall_ns_populated () =
   let c = L.compile L.Omp in
   let g = L.gradient_compiled ~nthreads:4 ~engine:E.Seq c tiny in
@@ -392,6 +428,7 @@ let () =
             test_binomial_engine_identity;
           Alcotest.test_case "no allocation per instruction" `Quick
             test_alloc_free;
+          Alcotest.test_case "gc.collect falls back" `Quick test_gc_fallback;
         ] );
       ( "structured failures",
         [
