@@ -1052,14 +1052,13 @@ let gradient_binomial ?(nthreads = 1) ?(nranks = 1)
   let plan = ref (Option.value faults ~default:Faults.none) in
   let segments = ref 0 and advances = ref 0 and degraded = ref 0 in
   let g_total = ref 0.0 in
-  (* an inner run counts into [agg] also when it raises; under [faults]
-     it runs on the plan the previous inner run's supervisor left, so an
-     event that supervisor consumed does not fire again, and on a store
-     of its own, whose spill files go with the run *)
+  (* an inner run counts straight into [agg], also when it raises: every
+     counter is a sum or a running maximum. Under [faults] it runs on the
+     plan the previous inner run's supervisor left, so an event that
+     supervisor consumed does not fire again, and on a store of its own,
+     whose spill files go with the run *)
   let run_prog prep prog fname setup =
-    let call = Engine.call_fn prep engine in
-    let stats = Stats.create () in
-    Fun.protect ~finally:(fun () -> Stats.merge ~into:agg stats) @@ fun () ->
+    let call = Engine.call_fn prep engine and stats = agg in
     let res =
       match faults with
       | None ->

@@ -483,11 +483,8 @@ let take session ~mem ~cache ~mpi ~roots ~id =
   ignore mem;
   let b = Buffer.create 4096 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let stats = Sim.stats () in
-  pf "parad-ckpt 1\n";
-  pf "rank %d id %d clock %Ld instrs %d tape %d\n" rank id
-    (Int64.bits_of_float (Sim.now ()))
-    stats.instrs stats.tape_entries;
+  pf "parad-ckpt 2\n";
+  pf "rank %d id %d clock %Ld\n" rank id (Int64.bits_of_float (Sim.now ()));
   (match mpi with
   | None -> pf "mpi none\n"
   | Some m ->
@@ -601,7 +598,7 @@ let restore session ~mem ~cache ~mpi ~id =
     }
   in
   expect r "parad-ckpt";
-  expect r "1";
+  expect r "2";
   expect r "rank";
   let srank = int_tok r in
   if srank <> rank then
@@ -612,10 +609,6 @@ let restore session ~mem ~cache ~mpi ~id =
     error "checkpoint: snapshot id %d does not match restore target %d" sid id;
   expect r "clock";
   let clock = Int64.float_of_bits (Int64.of_string (tok r)) in
-  expect r "instrs";
-  let _ = int_tok r in
-  expect r "tape";
-  let _ = int_tok r in
   expect r "mpi";
   let counters =
     match tok r with

@@ -146,54 +146,3 @@ let pp ppf s =
     Fmt.pf ppf " sdc_inj=%d sdc_det=%d sdc_rec=%d retrans=%d" s.sdc_injected
       s.sdc_detected s.sdc_recovered s.msgs_retransmitted;
   if s.eng_fallbacks > 0 then Fmt.pf ppf " eng_fallbacks=%d" s.eng_fallbacks
-
-(** Fold [s] into [into]: counters add, peak watermarks take the max.
-    Used by harnesses that drive one logical computation through several
-    simulator runs (the checkpointed-adjoint driver) and need one honest
-    aggregate — in particular an aggregate [cache_peak] that is the max
-    live cache footprint of any single sweep, not a sum. *)
-let merge ~into (s : t) =
-  into.instrs <- into.instrs + s.instrs;
-  into.flops <- into.flops + s.flops;
-  into.loads <- into.loads + s.loads;
-  into.stores <- into.stores + s.stores;
-  into.atomics <- into.atomics + s.atomics;
-  into.allocs <- into.allocs + s.allocs;
-  into.alloc_cells <- into.alloc_cells + s.alloc_cells;
-  into.frees <- into.frees + s.frees;
-  into.calls <- into.calls + s.calls;
-  into.forks <- into.forks + s.forks;
-  into.barriers <- into.barriers + s.barriers;
-  into.tasks <- into.tasks + s.tasks;
-  into.messages <- into.messages + s.messages;
-  into.message_cells <- into.message_cells + s.message_cells;
-  into.msgs_sent <- into.msgs_sent + s.msgs_sent;
-  into.cells_sent <- into.cells_sent + s.cells_sent;
-  into.max_inflight <- max into.max_inflight s.max_inflight;
-  into.cache_stores <- into.cache_stores + s.cache_stores;
-  into.cache_loads <- into.cache_loads + s.cache_loads;
-  into.cache_cells <- into.cache_cells + s.cache_cells;
-  into.cache_peak <- max into.cache_peak s.cache_peak;
-  into.tape_entries <- into.tape_entries + s.tape_entries;
-  into.context_switches <- into.context_switches + s.context_switches;
-  into.send_retries <- into.send_retries + s.send_retries;
-  into.messages_lost <- into.messages_lost + s.messages_lost;
-  into.messages_duplicated <- into.messages_duplicated + s.messages_duplicated;
-  into.stalls_injected <- into.stalls_injected + s.stalls_injected;
-  into.checkpoints_taken <- into.checkpoints_taken + s.checkpoints_taken;
-  into.checkpoints_restored <- into.checkpoints_restored + s.checkpoints_restored;
-  into.ranks_failed <- into.ranks_failed + s.ranks_failed;
-  into.restarts <- into.restarts + s.restarts;
-  into.snap_count <- into.snap_count + s.snap_count;
-  into.snap_bytes <- into.snap_bytes + s.snap_bytes;
-  into.snap_evictions <- into.snap_evictions + s.snap_evictions;
-  into.snap_restores <- into.snap_restores + s.snap_restores;
-  into.nonfinite_found <- into.nonfinite_found + s.nonfinite_found;
-  into.nonfinite_quarantined <-
-    into.nonfinite_quarantined + s.nonfinite_quarantined;
-  into.sdc_injected <- into.sdc_injected + s.sdc_injected;
-  into.sdc_detected <- into.sdc_detected + s.sdc_detected;
-  into.sdc_recovered <- into.sdc_recovered + s.sdc_recovered;
-  into.msgs_retransmitted <- into.msgs_retransmitted + s.msgs_retransmitted;
-  into.wall_ns <- into.wall_ns + s.wall_ns;
-  into.eng_fallbacks <- into.eng_fallbacks + s.eng_fallbacks

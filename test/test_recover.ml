@@ -446,6 +446,45 @@ let test_binomial_every_flavor () =
       check_gradient_matches ~what:(L.flavor_name fl) clean b.L.b_grad nranks)
     L.[ Seq; Omp; Raja_; Mpi; Hybrid; RajaMpi; Jlmpi ]
 
+let test_binomial_one_aggregate () =
+  (* every supervised inner run of a binomial gradient, failed attempts
+     included, counts straight into the one record the driver returns:
+     the counters are sums and running maxima; snap_bytes counts the
+     snapshots' serialized bytes. The gradient is the store-all one. *)
+  let nranks = 2 in
+  let inp = { (inp ~ranks:nranks) with L.niter = 4 } in
+  let clean = L.gradient ~nranks L.Mpi inp in
+  let faults = Faults.plan_of_spec ~nranks "kill" in
+  let b = L.gradient_binomial ~nranks ~budget:1 ~faults L.Mpi inp in
+  check_gradient_matches ~what:"kill binomial" clean b.L.b_grad nranks;
+  let s = b.L.b_grad.L.g_stats in
+  Alcotest.(check (list (pair string int)))
+    "aggregate counters"
+    [
+      "instrs", 220566;
+      "flops", 130867;
+      "loads", 38106;
+      "stores", 24208;
+      "cache_peak", 731;
+      "max_inflight", 2;
+      "restarts", 1;
+      "snap_count", 22;
+      "snap_restores", 10;
+      "snap_bytes", 165636;
+    ]
+    [
+      "instrs", s.Stats.instrs;
+      "flops", s.Stats.flops;
+      "loads", s.Stats.loads;
+      "stores", s.Stats.stores;
+      "cache_peak", s.Stats.cache_peak;
+      "max_inflight", s.Stats.max_inflight;
+      "restarts", s.Stats.restarts;
+      "snap_count", s.Stats.snap_count;
+      "snap_restores", s.Stats.snap_restores;
+      "snap_bytes", s.Stats.snap_bytes;
+    ]
+
 (* ---- chaos soak ---- *)
 
 let test_chaos_soak () =
@@ -557,6 +596,8 @@ let () =
             test_binomial_consumed_fault_fires_once;
           Alcotest.test_case "every flavor bitwise vs store-all" `Quick
             test_binomial_every_flavor;
+          Alcotest.test_case "one aggregate record" `Quick
+            test_binomial_one_aggregate;
         ] );
       ( "chaos",
         [ Alcotest.test_case "soak: 50 seeded combinations" `Slow test_chaos_soak ] );
