@@ -429,6 +429,7 @@ let grad_cmd =
     or_exit @@ fun () ->
     let { flavor; ranks; threads; inp } = c in
     L.check_ranks flavor ~nranks:ranks;
+    L.check_seeds flavor ~seeds ~binomial:(snap_budget <> None);
     let opts =
       { Plan.default_options with recompute_depth;
         coalesce_comm = not no_coalesce }
@@ -444,15 +445,6 @@ let grad_cmd =
           })
         remat_rate
     in
-    if seeds > 1 && ranks > 1 then
-      Outcome.invalid
-        "--seeds %d needs a shared-memory run: the MPI adjoint runtime \
-         exchanges single-stride planes (got --ranks %d)"
-        seeds ranks;
-    if seeds > 1 && snap_budget <> None then
-      Outcome.invalid
-        "--seeds cannot be combined with --snap-budget: the binomial \
-         driver reverses one seed per sweep";
     let p = L.run ~nranks:ranks ~nthreads:threads flavor inp in
     let g, extra =
       match snap_budget with

@@ -63,6 +63,21 @@ let check_ranks flavor ~nranks =
     Parad_runtime.Outcome.invalid
       "flavor %S is not MPI-capable; nranks must be 1" (flavor_name flavor)
 
+(** Raises [Outcome.Invalid_request] unless a gradient of [flavor] can
+    propagate [seeds] return seeds in one reverse sweep: the MPI adjoint
+    runtime exchanges single-stride planes, and the binomial driver
+    ([binomial]) replays single-seed sweeps. *)
+let check_seeds ?(binomial = false) flavor ~seeds =
+  if seeds > 1 && uses_mpi flavor then
+    Parad_runtime.Outcome.invalid
+      "flavor %S cannot batch seeds (the MPI adjoint runtime exchanges \
+       single-stride planes); use a shared-memory flavor"
+      (flavor_name flavor);
+  if seeds > 1 && binomial then
+    Parad_runtime.Outcome.invalid
+      "snap_budget cannot combine with seeds > 1 (the binomial driver \
+       replays single-seed sweeps)"
+
 let threaded = function
   | Omp | Raja_ | Hybrid | RajaMpi -> true
   | Seq | Mpi | Jlmpi -> false
@@ -848,8 +863,7 @@ let sweep ?cost ~nthreads ~nranks ?faults ?mpi_ref ?san ?inject_nan ?deadline
     invalid_arg
       (Printf.sprintf "Lulesh gradient: %d seed values for a %d-lane plan"
          (Array.length d_rets) lanes);
-  if lanes > 1 && nranks > 1 then
-    invalid_arg "Lulesh gradient: a batched sweep runs on one rank";
+  check_seeds c.c_flavor ~seeds:lanes;
   let cfg = config_of ?cost ~nthreads c in
   let planes = Array.make nranks [||] in
   let setup ctx ~rank =

@@ -143,19 +143,11 @@ let request_of_json ~default_watchdog_ms j =
   in
   let seeds = geti "seeds" 1 1 in
   (match app with
-  | Lulesh fl when seeds > 1 && L.uses_mpi fl ->
-    invalid
-      "flavor %S cannot batch seeds (the MPI adjoint runtime exchanges \
-       single-stride planes); use a shared-memory flavor"
-      (L.flavor_name fl)
+  | Lulesh fl -> L.check_seeds fl ~seeds ~binomial:(budget > 0)
   | Bude v when seeds > 1 && MB.spawns_tasks v ->
     invalid "variant %S cannot batch seeds: %s" (MB.variant_name v)
       Parad_core.Reverse.tasks_unbatchable
-  | _ -> ());
-  if seeds > 1 && budget > 0 then
-    invalid
-      "snap_budget cannot combine with seeds > 1 (the binomial driver \
-       replays single-seed sweeps)";
+  | Bude _ -> ());
   let niter = geti "niter" 2 1 in
   let nx = geti "nx" 2 2 in
   let escale = getf "escale" 1.0 in

@@ -301,6 +301,26 @@ expect_exit 124 grad --flavor seq --recompute-depth=-1
 expect_exit 2 grad --flavor seq --ranks 2 --size 2 --iters 2
 expect_output "is not MPI-capable; nranks must be 1" \
   "a shared-memory flavor ran on two ranks"
+# batched seeds need a shared-memory flavor, on one rank as on many:
+# rejected as the service rejects it
+expect_exit 2 grad --flavor mpi --ranks 1 --seeds 4
+expect_output "cannot batch seeds" "an MPI flavor batched seeds"
+
+# ---- adjoint coalescing on and off ----
+# The coalesced adjoint exchanges (post, then one waitall per batch) and
+# the uncoalesced ones (one blocking dual per exchange) give
+# bit-identical gradients (test_lulesh "coalesce bit-identical").
+CO="--flavor mpi --ranks 2 --size 2 --iters 2"
+expect_exit 0 grad $CO
+grep "^d total / d e\[0..3\]" "$OUT/check.out" > "$OUT/coalesced.out" || true
+expect_exit 0 grad $CO --no-coalesce
+grep "^d total / d e\[0..3\]" "$OUT/check.out" > "$OUT/uncoalesced.out" || true
+[ -s "$OUT/coalesced.out" ] \
+  && cmp -s "$OUT/coalesced.out" "$OUT/uncoalesced.out" || {
+  echo "FAIL: --no-coalesce changed the gradient line (or none was printed)"
+  diff "$OUT/coalesced.out" "$OUT/uncoalesced.out" || true
+  exit 1
+}
 
 # ---- batched seeds on both runners ----
 # One 8-lane LULESH OMP sweep: the cycle, gradient and counter lines
