@@ -38,41 +38,6 @@ let batch_metrics ~seeds ~batched_ns ~solo_ns ~speedup ~cycles_speedup =
 
 let sum = List.fold_left ( +. ) 0.0
 
-let cpu_ns () =
-  let t = Unix.times () in
-  (t.Unix.tms_utime +. t.Unix.tms_stime) *. 1e9
-
-let median xs =
-  let a = Array.of_list xs in
-  Array.sort Float.compare a;
-  let n = Array.length a in
-  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
-
-(* [pairs n ~batched ~solo ~k] runs one untimed pair, whose results it
-   returns for the bitwise check, then [n] timed pairs. Returns the
-   median batched time, the median solo sum and the median ratio. *)
-let pairs n ~batched ~solo ~k =
-  let timed f =
-    let t0 = cpu_ns () in
-    let r = f () in
-    r, Float.round (cpu_ns () -. t0)
-  in
-  let gs = batched () in
-  let solos = List.init k solo in
-  let samples =
-    List.init n (fun _ ->
-        let _, b = timed batched in
-        let s =
-          List.fold_left ( +. ) 0.0
-            (List.init k (fun l -> snd (timed (fun () -> solo l))))
-        in
-        b, s)
-  in
-  ( (gs, solos),
-    median (List.map fst samples),
-    median (List.map snd samples),
-    median (List.map (fun (b, s) -> s /. b) samples) )
-
 let run ~quick =
   header "Batched multi-seed adjoints (one sweep, k seeds)";
   let npairs = if quick then 7 else 9 in
@@ -95,7 +60,7 @@ let run ~quick =
       L.gradient_compiled ~nthreads:64 ~engine ~d_ret:d_rets.(l) c1 inp
     in
     let (gs, solos), batched_ns, solo_ns, speedup =
-      pairs npairs ~batched ~solo ~k
+      pairs npairs batched (fun () -> List.init k solo)
     in
     let bitwise =
       List.for_all2
@@ -141,7 +106,7 @@ let run ~quick =
     let batched () = MB.gradient_batched ~engine cb ~ge_seeds binp in
     let solo l = MB.gradient_compiled ~engine ~ge_seed:ge_seeds.(l) c1 binp in
     let (gs, solos), batched_ns, solo_ns, speedup =
-      pairs npairs ~batched ~solo ~k
+      pairs npairs batched (fun () -> List.init k solo)
     in
     let bitwise =
       List.for_all2

@@ -57,18 +57,40 @@ module GC = Parad_verify.Grad_check
 module TC = Parad_verify.Tape_check
 module S = Parad_runtime.Stats
 
-(* best of [reps] runs of [f], which returns a result and its wall-ns *)
-let best_of reps f =
-  let best = ref None and keep = ref None in
-  for _ = 1 to reps do
-    let r, ns = f () in
-    match !best with
-    | Some b when b <= ns -> ()
-    | _ ->
-      best := Some ns;
-      keep := Some r
-  done;
-  match !keep, !best with Some r, Some ns -> r, ns | _ -> assert false
+(* this process's CPU time (user + system), in ns *)
+let cpu_ns () =
+  let t = Unix.times () in
+  (t.Unix.tms_utime +. t.Unix.tms_stime) *. 1e9
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+
+(* [pairs n a b] times [a] against [b] as interleaved pairs in process CPU
+   time, [a] then [b] in each, so both sides of a ratio see the same host
+   load. One untimed pair comes first: it pays lazy set-up (the engine's
+   lowering) and its results are returned for the bitwise checks. Returns
+   them with the median time of [a], that of [b], and the median of the
+   [n] per-pair ratios b/a. *)
+let pairs n a b =
+  let timed f =
+    let t0 = cpu_ns () in
+    ignore (f ());
+    Float.round (cpu_ns () -. t0)
+  in
+  let ra = a () in
+  let rb = b () in
+  let samples =
+    List.init n (fun _ ->
+        let ta = timed a in
+        ta, timed b)
+  in
+  ( (ra, rb),
+    median (List.map fst samples),
+    median (List.map snd samples),
+    median (List.map (fun (ta, tb) -> tb /. ta) samples) )
 
 let bits_eq a b =
   Array.length a = Array.length b
