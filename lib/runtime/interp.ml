@@ -1493,7 +1493,8 @@ and intrinsic ctx e name args vals : Value.t =
     VInt id
   | "mpi.adj_wait" ->
     (* Reverse of MPI_Wait: post the dual of the waited send or receive *)
-    let s = Mpi_state.shadow_find (mpi_state ctx) ~rank:ctx.rank ~id:(int_arg 0) in
+    let m = mpi_state ctx in
+    let s = Mpi_state.shadow_find m ~rank:ctx.rank ~id:(int_arg 0) in
     s.dual <-
       Some
         (adj_post ctx ~site:name ~send:(s.skind = Mpi_state.SIsend)
@@ -1502,7 +1503,8 @@ and intrinsic ctx e name args vals : Value.t =
   | "mpi.adj_isend_finish" | "mpi.adj_irecv_finish" ->
     (* Reverse of MPI_Isend / MPI_Irecv: finish the dual [mpi.adj_wait]
        posted *)
-    let s = Mpi_state.shadow_find (mpi_state ctx) ~rank:ctx.rank ~id:(int_arg 0) in
+    let m = mpi_state ctx in
+    let s = Mpi_state.shadow_find m ~rank:ctx.rank ~id:(int_arg 0) in
     (match s.dual with
     | Some d ->
       s.dual <- None;
