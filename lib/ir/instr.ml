@@ -4,7 +4,9 @@
     [If]/[For]/[While], fork-join parallel constructs ([Fork], [Workshare],
     [Barrier]), task parallelism ([Spawn]/[Sync]) and calls. Message passing
     and other runtime services are intrinsic [Call]s (names with a dotted
-    prefix, e.g. ["mpi.isend"]); see {!module:Parad_runtime.Intrinsics}. *)
+    prefix, e.g. ["mpi.isend"]), implemented by
+    {!Parad_runtime.Interp.intrinsic}; {!Parad_engine.Engine.compile_intrinsic}
+    lowers the hot ones natively and delegates the rest to it. *)
 
 type const =
   | Cunit
